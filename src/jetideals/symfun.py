@@ -26,7 +26,8 @@ from .jetring import _tokenize, variable_names
 
 
 class ScalarExpr:
-    """Base class; nodes are immutable and hashable by structure."""
+    """Base class; nodes are immutable and hashable by structure (each
+    node computes its hash once, when it is built)."""
 
     __slots__ = ()
 
@@ -56,108 +57,115 @@ def _coerce(x):
 
 
 class Const(ScalarExpr):
-    __slots__ = ("value",)
+    __slots__ = ("value", "_hash")
 
     def __init__(self, value):
         self.value = Fraction(value)
+        self._hash = hash(("const", self.value))
 
     def __eq__(self, other):
         return isinstance(other, Const) and self.value == other.value
 
     def __hash__(self):
-        return hash(("const", self.value))
+        return self._hash
 
 
 class Coord(ScalarExpr):
-    __slots__ = ("i",)
+    __slots__ = ("i", "_hash")
 
     def __init__(self, i):
         self.i = int(i)
+        self._hash = hash(("coord", self.i))
 
     def __eq__(self, other):
         return isinstance(other, Coord) and self.i == other.i
 
     def __hash__(self):
-        return hash(("coord", self.i))
+        return self._hash
 
 
 class Add(ScalarExpr):
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms):
         self.terms = tuple(terms)
+        self._hash = hash(("add", self.terms))
 
     def __eq__(self, other):
         return isinstance(other, Add) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(("add", self.terms))
+        return self._hash
 
 
 class Mul(ScalarExpr):
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "_hash")
 
     def __init__(self, factors):
         self.factors = tuple(factors)
+        self._hash = hash(("mul", self.factors))
 
     def __eq__(self, other):
         return isinstance(other, Mul) and self.factors == other.factors
 
     def __hash__(self):
-        return hash(("mul", self.factors))
+        return self._hash
 
 
 class Pow(ScalarExpr):
     """Integer power, exponent >= 2 (lower powers simplify away)."""
 
-    __slots__ = ("base", "k")
+    __slots__ = ("base", "k", "_hash")
 
     def __init__(self, base, k):
         self.base = base
         self.k = int(k)
+        self._hash = hash(("pow", self.base, self.k))
 
     def __eq__(self, other):
         return isinstance(other, Pow) and (self.base, self.k) == (other.base, other.k)
 
     def __hash__(self):
-        return hash(("pow", self.base, self.k))
+        return self._hash
 
 
 class Div(ScalarExpr):
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num, den):
         self.num = num
         self.den = den
+        self._hash = hash(("div", self.num, self.den))
 
     def __eq__(self, other):
         return isinstance(other, Div) and (self.num, self.den) == (other.num, other.den)
 
     def __hash__(self):
-        return hash(("div", self.num, self.den))
+        return self._hash
 
 
 class Norm(ScalarExpr):
     """Euclidean norm of the sub-vector with the given coordinate indices."""
 
-    __slots__ = ("indices",)
+    __slots__ = ("indices", "_hash")
 
     def __init__(self, indices):
         self.indices = tuple(sorted(set(int(i) for i in indices)))
         if not self.indices:
             raise ValueError("norm needs at least one coordinate")
+        self._hash = hash(("norm", self.indices))
 
     def __eq__(self, other):
         return isinstance(other, Norm) and self.indices == other.indices
 
     def __hash__(self):
-        return hash(("norm", self.indices))
+        return self._hash
 
 
 class Cutoff(ScalarExpr):
     """theta^(order)(arg / scale) for a polynomial smoothstep theta."""
 
-    __slots__ = ("spec", "arg", "scale", "order")
+    __slots__ = ("spec", "arg", "scale", "order", "_hash")
 
     def __init__(self, spec, arg, scale, order=0):
         scale = Fraction(scale)
@@ -167,6 +175,7 @@ class Cutoff(ScalarExpr):
         self.arg = arg
         self.scale = scale
         self.order = int(order)
+        self._hash = hash(("cutoff", id(spec), arg, scale, self.order))
 
     def __eq__(self, other):
         return (isinstance(other, Cutoff)
@@ -174,24 +183,25 @@ class Cutoff(ScalarExpr):
                 == (other.spec, other.arg, other.scale, other.order))
 
     def __hash__(self):
-        return hash(("cutoff", id(self.spec), self.arg, self.scale, self.order))
+        return self._hash
 
 
 class GaugeRef(ScalarExpr):
     """g(arg) for a registered gauge g (not differentiable)."""
 
-    __slots__ = ("gauge", "arg")
+    __slots__ = ("gauge", "arg", "_hash")
 
     def __init__(self, gauge, arg):
         self.gauge = gauge
         self.arg = arg
+        self._hash = hash(("gauge", id(gauge), arg))
 
     def __eq__(self, other):
         return (isinstance(other, GaugeRef)
                 and (self.gauge, self.arg) == (other.gauge, other.arg))
 
     def __hash__(self):
-        return hash(("gauge", id(self.gauge), self.arg))
+        return self._hash
 
 
 ZERO = Const(0)
@@ -356,7 +366,11 @@ def _eval_float(e, x):
     if isinstance(e, Coord):
         return x[e.i]
     if isinstance(e, Add):
-        return sum(_eval_float(t, x) for t in e.terms)
+        # left to right from 0.0: builtin sum compensates on Python >= 3.12
+        out = 0.0
+        for t in e.terms:
+            out += _eval_float(t, x)
+        return out
     if isinstance(e, Mul):
         out = 1.0
         for f in e.factors:
@@ -370,7 +384,10 @@ def _eval_float(e, x):
             raise DomainError("division by zero during evaluation")
         return _eval_float(e.num, x) / den
     if isinstance(e, Norm):
-        return math.sqrt(sum(x[i] ** 2 for i in e.indices))
+        acc = 0.0
+        for i in e.indices:
+            acc += x[i] ** 2
+        return math.sqrt(acc)
     if isinstance(e, Cutoff):
         v = _eval_float(e.arg, x) / float(e.scale)
         return e.spec.eval(v, e.order)
@@ -409,6 +426,165 @@ def _eval_interval(e, box):
     if isinstance(e, GaugeRef):
         return e.gauge.eval_interval(_eval_interval(e.arg, box))
     raise TypeError(f"unknown node {e!r}")
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation over point arrays.
+# ---------------------------------------------------------------------------
+
+_CHUNK = 1024   # points per pass; bounds the memory of the shared subtrees
+
+
+def compile_exprs(exprs):
+    """Compile a table of trees into one evaluator over point arrays.
+
+    The evaluator maps an (N, n) float array to one (values, ok) pair of
+    length-N arrays per tree.  ok is False exactly where expr_eval raises
+    DomainError, and values are NaN there.  Elsewhere values equal the
+    scalar float evaluation bit for bit: sums run from 0.0 and products
+    from 1.0, left to right; Pow nodes and norm squares take Python's
+    float power (libm pow) per element, since numpy's power differs in
+    the last bit; cutoffs take CutoffSpec.eval_array.  Structurally equal
+    subtrees anywhere in the table are evaluated once per chunk of points.
+    Gauge nodes have no compiled form (TypeError): they are not
+    differentiable, so no derivative table holds them.
+
+    Where the scalar evaluator raises something else (OverflowError from
+    a float power, ValueError from a cutoff of a NaN argument), so does
+    the evaluator, for any point where that node's operands evaluate.
+    """
+    slots = {}
+    program = []
+
+    def emit(node):
+        slot = slots.get(node)
+        if slot is None:
+            step = _compile_node(node, emit)
+            slot = slots[node] = len(program)
+            program.append(step)
+        return slot
+
+    outputs = [emit(e) for e in exprs]
+
+    def kernel(points):
+        points = np.asarray(points, dtype=float)
+        count = points.shape[0]
+        values = [np.empty(count) for _ in outputs]
+        oks = [np.ones(count, dtype=bool) for _ in outputs]
+        with np.errstate(all="ignore"):
+            for start in range(0, count, _CHUNK):
+                cols = np.ascontiguousarray(points[start:start + _CHUNK].T)
+                stop = start + cols.shape[1]
+                vals, masks = [], []
+                for step in program:
+                    v, ok = step(vals, masks, cols)
+                    vals.append(v)
+                    masks.append(ok)
+                for slot, v, ok in zip(outputs, values, oks):
+                    v[start:stop] = vals[slot]
+                    if masks[slot] is not None:
+                        ok[start:stop] = masks[slot]
+        for v, ok in zip(values, oks):
+            v[~ok] = np.nan
+        return list(zip(values, oks))
+
+    return kernel
+
+
+def compile_expr(e):
+    """compile_exprs for one tree: points -> (values, ok)."""
+    kernel = compile_exprs([e])
+    return lambda points: kernel(points)[0]
+
+
+def _all_ok(masks, slots):
+    """Conjunction of the operands' masks; None means every point is ok."""
+    out = None
+    for s in slots:
+        if masks[s] is not None:
+            out = masks[s] if out is None else out & masks[s]
+    return out
+
+
+def _float_pow(base, k, ok=None):
+    """base ** k per element through Python floats, as the scalar
+    evaluator computes it.  An overflow raises OverflowError, as there,
+    unless the base failed to evaluate at that point (mask ok)."""
+    values = base.tolist()
+    try:
+        return np.array([v ** k for v in values], dtype=float)
+    except OverflowError:
+        if ok is None:
+            raise
+    out = []
+    for v, good in zip(values, ok.tolist()):
+        try:
+            out.append(v ** k)
+        except OverflowError:
+            if good:
+                raise
+            out.append(math.inf)
+    return np.array(out, dtype=float)
+
+
+def _compile_node(e, emit):
+    """One program step for node e: (vals, masks, cols) -> (value, mask),
+    with operands emitted first."""
+    if isinstance(e, Const):
+        c = float(e.value)
+        return lambda vals, masks, cols: (np.full(cols.shape[1], c), None)
+    if isinstance(e, Coord):
+        i = e.i
+        return lambda vals, masks, cols: (cols[i], None)
+    if isinstance(e, Add):
+        terms = [emit(t) for t in e.terms]
+
+        def add_step(vals, masks, cols):
+            acc = 0.0
+            for s in terms:
+                acc = acc + vals[s]
+            return acc, _all_ok(masks, terms)
+        return add_step
+    if isinstance(e, Mul):
+        factors = [emit(f) for f in e.factors]
+
+        def mul_step(vals, masks, cols):
+            acc = 1.0
+            for s in factors:
+                acc = acc * vals[s]
+            return acc, _all_ok(masks, factors)
+        return mul_step
+    if isinstance(e, Pow):
+        base, k = emit(e.base), e.k
+        return lambda vals, masks, cols: (
+            _float_pow(vals[base], k, masks[base]), masks[base])
+    if isinstance(e, Div):
+        num, den = emit(e.num), emit(e.den)
+
+        def divide(vals, masks, cols):
+            nonzero = vals[den] != 0.0
+            ok = _all_ok(masks, (num, den))
+            return (vals[num] / vals[den],
+                    nonzero if ok is None else ok & nonzero)
+        return divide
+    if isinstance(e, Norm):
+        indices = e.indices
+
+        def norm(vals, masks, cols):
+            acc = 0.0
+            for i in indices:
+                acc = acc + _float_pow(cols[i], 2)
+            return np.sqrt(acc), None
+        return norm
+    if isinstance(e, Cutoff):
+        if e.order > e.spec.q:
+            return lambda vals, masks, cols: (
+                np.full(cols.shape[1], np.nan),
+                np.zeros(cols.shape[1], dtype=bool))
+        arg, spec, scale, order = emit(e.arg), e.spec, float(e.scale), e.order
+        return lambda vals, masks, cols: (
+            spec.eval_array(vals[arg] / scale, order, masks[arg]), masks[arg])
+    raise TypeError(f"no compiled form for node {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +687,12 @@ def _poly_deriv(coeffs):
     return [Fraction(k) * c for k, c in enumerate(coeffs)][1:] or [Fraction(0)]
 
 
+def _integer_poly(coeffs):
+    """(integer coefficients, common denominator) of a rational polynomial."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [int(c * den) for c in coeffs], den
+
+
 def _poly_eval_fraction(coeffs, u: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(coeffs):
@@ -543,6 +725,7 @@ class CutoffSpec:
         self._polys = [_smoothstep_coeffs(q)]
         for _ in range(q):
             self._polys.append(_poly_deriv(self._polys[-1]))
+        self._int_polys = [_integer_poly(p) for p in self._polys]
         self.derivative_bounds = [self._measure_bound(k) for k in range(q + 1)]
 
     def _measure_bound(self, k: int) -> float:
@@ -569,6 +752,46 @@ class CutoffSpec:
         val = float(_poly_eval_fraction(self._polys[order], u))
         val /= float(self.width) ** order
         return 1.0 - val if order == 0 else -val
+
+    def eval_array(self, v, order: int = 0, ok=None):
+        """eval over a float array, equal to it bit for bit (and raising
+        ValueError on a NaN argument, as eval does).  Points in the
+        transition band where the optional mask ok is False are not
+        evaluated and read NaN."""
+        if order > self.q:
+            raise DomainError("cutoff derivative order beyond smoothness")
+        a, b = float(self.a), float(self.b)
+        low, high = v <= a, v >= b
+        out = np.where(low, 1.0 if order == 0 else 0.0, 0.0)
+        band = ~(low | high)
+        out[band] = np.nan
+        if ok is not None:
+            band &= ok
+        idx = np.flatnonzero(band)
+        if idx.size:
+            val = np.array(self._ramp_exact((v[idx] - a).tolist(), order))
+            val /= float(self.width) ** order
+            out[idx] = 1.0 - val if order == 0 else -val
+        return out
+
+    def _ramp_exact(self, offsets, order):
+        """The ramp polynomial of order `order` at u = d / width for each
+        float offset d, exactly rounded, as eval's Fraction Horner gives
+        it: integer Horner on u = un / ud scaled by ud^degree, then one
+        correctly rounded int / int."""
+        coeffs, den = self._int_polys[order]
+        top, rest = coeffs[-1], coeffs[-2::-1]
+        wn, wd = self.width.numerator, self.width.denominator
+        out = []
+        for d in offsets:
+            dn, dd = d.as_integer_ratio()
+            un, ud = dn * wd, dd * wn
+            acc, scale = top, 1
+            for c in rest:
+                scale *= ud
+                acc = acc * un + c * scale
+            out.append(acc / (den * scale))
+        return out
 
     def eval_interval(self, v: Interval, order: int = 0) -> Interval:
         if order > self.q:

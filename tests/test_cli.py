@@ -1,6 +1,7 @@
 """CLI: JSON output, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +131,14 @@ def test_corpus_list_and_single_case(capsys):
     assert "ex4-negligible" in ids
     code, doc = run(capsys, "corpus", "run", "ring-truncation-zero")
     assert code == 0 and doc["verdict"] == "pass"
+
+
+def test_corpus_run_all_matches_golden_output(capsys):
+    # frozen `jetideals corpus run all` output; a deliberate change to a
+    # corpus expectation updates tests/data/corpus_run_all.json with it
+    golden = Path(__file__).parent / "data" / "corpus_run_all.json"
+    assert main(["corpus", "run", "all"]) == 0
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
 def test_deterministic_output(capsys):

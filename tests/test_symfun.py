@@ -2,14 +2,19 @@
 
 import math
 import random
+import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetideals.errors import DomainError, ParseError
 from jetideals.interval import Interval
-from jetideals.symfun import (Const, Coord, Cutoff, CutoffSpec,
-                              DEFAULT_CUTOFF, Gauge, Norm, ZERO, add, div,
+from jetideals.jetring import monomials
+from jetideals.symfun import (Add, Const, Coord, Cutoff, CutoffSpec,
+                              DEFAULT_CUTOFF, Div, Gauge, Mul, Norm, Pow,
+                              ZERO, add, compile_expr, compile_exprs, div,
                               expr_derive, expr_diff, expr_eval, expr_parse,
                               expr_str, gauge_regularize, hom_degree, ipow,
                               mul)
@@ -187,3 +192,174 @@ def test_smart_constructors_fold_constants():
     assert div(Coord(0), Const(2)) == mul(Const(Fraction(1, 2)), Coord(0))
     with pytest.raises(DomainError):
         div(Coord(0), Const(0))
+
+
+# -- compiled kernels ---------------------------------------------------------
+
+# a second cutoff with a rational, non-integer transition band
+THIRDS_CUTOFF = CutoffSpec(q=2, a=Fraction(1, 3), b=Fraction(7, 4))
+SPECS = (DEFAULT_CUTOFF, THIRDS_CUTOFF)
+SCALES = (Fraction(1), Fraction(1, 4), Fraction(2, 7))
+N_VARS = 2
+
+
+def _special_coordinates():
+    """Cutoff breakpoints scale*a and scale*b with their float neighbours,
+    band interiors, and 0 (a zero of Coord and Norm denominators)."""
+    out = {0.0, -0.0}
+    for spec in SPECS:
+        for scale in SCALES:
+            for edge in (spec.a, spec.b):
+                c = float(scale * edge)
+                out.update((c, math.nextafter(c, 0.0),
+                            math.nextafter(c, math.inf), -c))
+            for t in (Fraction(1, 7), Fraction(1, 2), Fraction(5, 6)):
+                out.add(float(scale * (spec.a + t * spec.width)))
+    return sorted(out)
+
+
+coordinates = st.one_of(st.sampled_from(_special_coordinates()),
+                        st.floats(-3.0, 3.0, allow_subnormal=False))
+points = st.lists(st.tuples(*[coordinates] * N_VARS), min_size=1,
+                  max_size=12)
+leaves = st.one_of(
+    st.builds(Const, st.fractions(-3, 3, max_denominator=6)),
+    st.builds(Coord, st.integers(0, N_VARS - 1)),
+    st.builds(Norm, st.lists(st.integers(0, N_VARS - 1), min_size=1,
+                             max_size=N_VARS)))
+
+
+def _cutoff(spec, arg, scale, order):
+    return Cutoff(spec, arg, scale, order % (spec.q + 1))
+
+
+def _extend(children):
+    pairs = st.lists(children, min_size=2, max_size=3)
+    return st.one_of(
+        st.builds(Add, pairs), st.builds(Mul, pairs),
+        st.builds(Pow, children, st.integers(2, 4)),
+        st.builds(Div, children, children),
+        st.builds(_cutoff, st.sampled_from(SPECS), children,
+                  st.sampled_from(SCALES), st.integers(0, 3)))
+
+
+trees = st.recursive(leaves, _extend, max_leaves=8)
+
+
+def _same_float(a, b):
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def _derivative_table(e):
+    table = [e]
+    for alpha in monomials(2, N_VARS)[1:]:
+        try:
+            table.append(expr_derive(e, alpha))
+        except DomainError:      # a cutoff differentiated past its q
+            pass
+    return table
+
+
+@settings(max_examples=120, deadline=None)
+@given(trees, points)
+def test_compiled_equals_scalar_bit_for_bit(e, pts):
+    table = _derivative_table(e)
+    try:
+        columns = compile_exprs(table)(np.array(pts))
+    except (OverflowError, ValueError) as exc:
+        # a float power overflowed or a cutoff met NaN: the scalar
+        # evaluator raises the same somewhere in the table
+        assert any(_scalar_raises(tree, x, type(exc))
+                   for tree in table for x in pts)
+        return
+    for tree, (vals, ok) in zip(table, columns):
+        for x, val, good in zip(pts, vals.tolist(), ok.tolist()):
+            try:
+                want = expr_eval(tree, x)
+            except DomainError:
+                assert not good
+                assert math.isnan(val)
+                continue
+            assert good
+            assert _same_float(val, want), (expr_str(tree), x, val, want)
+
+
+def _scalar_raises(tree, x, error):
+    try:
+        expr_eval(tree, x)
+    except error:
+        return True
+    except DomainError:
+        pass
+    return False
+
+
+def test_compiled_cutoff_band_edges_and_orders():
+    for spec in SPECS:
+        for order in range(spec.q + 1):
+            scale = Fraction(1, 3)
+            e = Cutoff(spec, Coord(0), scale, order)
+            xs = [float(scale * spec.a), float(scale * spec.b)]
+            xs += list(np.linspace(0.0, 3.0, 301))
+            vals, ok = compile_expr(e)(np.array(xs).reshape(-1, 1))
+            assert ok.all()
+            for x, v in zip(xs, vals.tolist()):
+                assert _same_float(v, expr_eval(e, (x,)))
+
+
+def test_compiled_powers_and_norms_take_float_pow():
+    # numpy's power differs from libm pow in the last bit on a few % of
+    # inputs, so this needs many random points to see a difference
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-3.0, 3.0, size=(4000, 2))
+    table = [Pow(Coord(0), k) for k in (2, 3, 4)] + [Norm((0, 1))]
+    for tree, (vals, ok) in zip(table, compile_exprs(table)(pts)):
+        assert ok.all()
+        want = [expr_eval(tree, x) for x in pts.tolist()]
+        assert all(map(_same_float, vals.tolist(), want)), expr_str(tree)
+
+
+def test_compiled_raises_where_scalar_overflows():
+    base = Add([Cutoff(DEFAULT_CUTOFF, Div(Const(1), Coord(0)), 1),
+                Const(10 ** 200)])
+    e = Pow(base, 2)
+    with pytest.raises(OverflowError):
+        expr_eval(e, (1.0,))
+    with pytest.raises(OverflowError):
+        compile_expr(e)(np.array([[1.0]]))
+    # where the base fails to evaluate, its overflow is never reached
+    vals, ok = compile_expr(e)(np.array([[0.0]]))
+    assert not ok.any()
+
+
+def test_compiled_masks_domain_errors_instead_of_zero():
+    e = expr_parse("x/y + 1", 2)
+    vals, ok = compile_expr(e)(np.array([[1.0, 0.0], [1.0, 2.0]]))
+    assert ok.tolist() == [False, True]
+    assert math.isnan(vals[0]) and vals[1] == 1.5
+    past_q = Cutoff(DEFAULT_CUTOFF, Coord(0), 1, DEFAULT_CUTOFF.q + 1)
+    vals, ok = compile_expr(past_q)(np.array([[0.5, 0.0]]))
+    assert not ok.any()
+
+
+def test_gauge_nodes_have_no_compiled_form():
+    g = Gauge.from_function("sqrt", math.sqrt, per_octave=8)
+    with pytest.raises(TypeError):
+        compile_expr(expr_parse("gauge(sqrt, x)", 1, gauges={"sqrt": g}))
+
+
+def test_compiled_shares_equal_subtrees_across_the_table():
+    calls = []
+
+    def counting_ramp(offsets, order):
+        calls.append(len(offsets))
+        return [0.5] * len(offsets)
+
+    spec = CutoffSpec(q=1, a=1, b=2)
+    spec._ramp_exact = counting_ramp
+    cut = Cutoff(spec, Norm((0, 1)), 1)      # |(1, 1)| is in the band
+    compile_exprs([mul(cut, Coord(0)), add(cut, Coord(1)), cut])(
+        np.array([[1.0, 1.0]]))
+    assert calls == [1]

@@ -4,6 +4,7 @@ implication, annulus conditions."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from jetideals.errors import DomainError
@@ -11,7 +12,7 @@ from jetideals.geometry import Cone, Direction
 from jetideals.ideal import JetIdeal
 from jetideals.jetring import RingSignature, jet_parse
 from jetideals.symfun import expr_eval, expr_parse
-from jetideals.verifier import (ImplicationCertificate,
+from jetideals.verifier import (ImplicationCertificate, _sampled_identity,
                                 check_annulus_condition, check_flat,
                                 check_flat_tame_product, check_negligible,
                                 check_strong_directional, check_strong_global,
@@ -241,6 +242,32 @@ def test_annulus_needs_positive_rho():
     params = dict(params, rho=0.0)
     with pytest.raises(DomainError):
         check_annulus_condition("C", params, p, Q, F, S, POLES)
+
+
+def test_sampled_identity_rejects_false_claim_at_tiny_scale():
+    # S = theta(|x|, rho/1000) is 0 on the annulus and F = 0, so the
+    # claim x*y = S*(x^2 + z^2) is false there, yet x*y is only ~rho^2
+    rho = 5e-13
+    sig = RingSignature(2, 3)
+    s = Fraction(rho) / 1000
+    S = expr_parse(f"theta(norm(x,y,z), {s.numerator}/{s.denominator})", 3)
+    params = {"A": 1e9, "eps": 1e-3, "delta": 1e-12, "r": 1e-12, "rho": rho}
+    for variant in ("C", "C*"):
+        rep = check_annulus_condition(
+            variant, params, jet_parse("x*y", sig),
+            [jet_parse("x^2 + z^2", sig)], expr_parse("0", 3), [S], POLES)
+        assert rep["identity"] == {"method": "sampled residual",
+                                   "zero": False}
+        assert rep["verdict"] == "fail"
+
+
+def test_sampled_identity_skips_points_that_do_not_evaluate():
+    def terms_at(x):
+        raise DomainError("division by zero during evaluation")
+
+    rng = np.random.default_rng(0)
+    zero, method = _sampled_identity(terms_at, POLES, 0.1, 0.5, 2.0, 3, rng)
+    assert zero is None and method == "sampled residual"
 
 
 def test_chi_constant_scaling():
