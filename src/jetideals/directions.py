@@ -22,7 +22,7 @@ from fractions import Fraction
 import sympy
 
 from .errors import DomainError
-from .geometry import Direction, SpherePatch, sphere_cover
+from .geometry import Direction, Dome, SpherePatch, sphere_cover
 from .ideal import JetIdeal
 from .interval import Interval
 from .jetring import MORE_THAN_M, Jet
@@ -315,20 +315,7 @@ def _dome_patches(n, omega, delta):
     patches = sphere_cover(n, 0)
     if omega is None:
         return patches
-    kept = []
-    for p in patches:
-        enc = p.direction_enclosure()
-        # min distance from the enclosure box to omega underestimates the
-        # true distance, so this keeps a superset of dome-meeting patches
-        d2 = 0.0
-        for iv, w in zip(enc, omega.vec):
-            if w < iv.lo:
-                d2 += (iv.lo - w) ** 2
-            elif w > iv.hi:
-                d2 += (w - iv.hi) ** 2
-        if math.sqrt(d2) < delta:
-            kept.append(p)
-    return kept
+    return Dome(patches, [omega.vec], delta).roots
 
 
 def _patch_in_dome(patch, omega, delta):

@@ -138,10 +138,12 @@ class SpherePatch:
 
     The face is coordinate `axis` frozen at `sign` (+1/-1); `box` is a
     tuple of (lo, hi) pairs for the remaining n-1 coordinates, each
-    within [-1, 1].
+    within [-1, 1].  A patch computes its direction enclosure and its
+    `subdivide_all` children once and keeps them, so a tree grown from
+    one cover is shared by every walk over it.
     """
 
-    __slots__ = ("n", "axis", "sign", "box")
+    __slots__ = ("n", "axis", "sign", "box", "_enc", "_kids")
 
     def __init__(self, n, axis, sign, box):
         box = tuple((float(lo), float(hi)) for lo, hi in box)
@@ -151,6 +153,8 @@ class SpherePatch:
         self.axis = axis
         self.sign = sign
         self.box = box
+        self._enc = None
+        self._kids = None
 
     def __repr__(self):
         return f"SpherePatch(axis={self.axis}, sign={self.sign:+d}, box={self.box})"
@@ -168,10 +172,13 @@ class SpherePatch:
         return out
 
     def direction_enclosure(self):
-        """Interval box guaranteed to contain u = v/|v| for all face points v."""
-        face = self.face_intervals()
-        norm = box_norm(face)
-        return [c / norm for c in face]
+        """Interval box (a tuple) guaranteed to contain u = v/|v| for all
+        face points v."""
+        if self._enc is None:
+            face = self.face_intervals()
+            norm = box_norm(face)
+            self._enc = tuple(c / norm for c in face)
+        return self._enc
 
     def center_direction(self) -> Direction:
         face = [iv.mid for iv in self.face_intervals()]
@@ -218,13 +225,16 @@ class SpherePatch:
                 SpherePatch(self.n, self.axis, self.sign, right))
 
     def subdivide_all(self):
-        """Split every box axis in half; returns 2^(n-1) patches."""
-        halves = []
-        for lo, hi in self.box:
-            mid = 0.5 * (lo + hi)
-            halves.append([(lo, mid), (mid, hi)])
-        return [SpherePatch(self.n, self.axis, self.sign, combo)
-                for combo in itertools.product(*halves)]
+        """Split every box axis in half; returns 2^(n-1) patches (a
+        tuple, the same one on every call)."""
+        if self._kids is None:
+            halves = []
+            for lo, hi in self.box:
+                mid = 0.5 * (lo + hi)
+                halves.append([(lo, mid), (mid, hi)])
+            self._kids = tuple(SpherePatch(self.n, self.axis, self.sign, combo)
+                               for combo in itertools.product(*halves))
+        return self._kids
 
 
 def sphere_cover(n: int, depth: int = 0):
@@ -245,6 +255,49 @@ def sphere_cover(n: int, depth: int = 0):
     for _ in range(depth):
         patches = [sub for p in patches for sub in p.subdivide_all()]
     return patches
+
+
+def box_direction_dist(enc, w) -> float:
+    """Float distance from the interval box enc to the point w; for a
+    direction enclosure it underestimates the distance of every
+    direction of the patch."""
+    d2 = 0.0
+    for iv, wc in zip(enc, w):
+        if wc < iv.lo:
+            d2 += (iv.lo - wc) ** 2
+        elif wc > iv.hi:
+            d2 += (wc - iv.hi) ** 2
+    return math.sqrt(d2)
+
+
+class Dome:
+    """The patches of a sphere-cover tree that may meet the union of
+    delta-balls around a finite direction set: a superset, which is the
+    sound side.
+
+    `roots` are the cover patches kept; `children(patch)` are the kept
+    `subdivide_all` children, computed once per patch.
+    """
+
+    __slots__ = ("omegas", "delta", "roots", "_kids")
+
+    def __init__(self, cover, omegas, delta):
+        self.omegas = tuple(tuple(w) for w in omegas)
+        self.delta = delta
+        self.roots = tuple(p for p in cover if self.meets(p))
+        self._kids = {}
+
+    def meets(self, patch) -> bool:
+        enc = patch.direction_enclosure()
+        return any(box_direction_dist(enc, w) < self.delta
+                   for w in self.omegas)
+
+    def children(self, patch):
+        kids = self._kids.get(patch)
+        if kids is None:
+            kids = self._kids[patch] = tuple(
+                q for q in patch.subdivide_all() if self.meets(q))
+        return kids
 
 
 # ---------------------------------------------------------------------------

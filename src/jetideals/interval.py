@@ -1,8 +1,9 @@
 """Outward-rounded interval arithmetic.
 
-Endpoints are floats.  Every arithmetic result is widened by one ulp on
-each side, so enclosures stay sound under float rounding without pulling
-in a multiprecision dependency.  That is cheap and more than enough for
+Endpoints are floats, never NaN: a NaN endpoint raises DomainError.
+Every arithmetic result is widened by one ulp on each side, so
+enclosures stay sound under float rounding without pulling in a
+multiprecision dependency.  That is cheap and more than enough for
 the certificate searches here, which only need modest depth.
 """
 
@@ -36,14 +37,16 @@ class Interval:
     def __init__(self, lo, hi=None):
         if hi is None:
             hi = lo
-        if isinstance(lo, Fraction):
-            lo = _down(float(lo))
-        if isinstance(hi, Fraction):
-            hi = _up(float(hi))
-        if lo > hi:
+        if type(lo) is not float:
+            lo = _down(float(lo)) if isinstance(lo, Fraction) else float(lo)
+        if type(hi) is not float:
+            hi = _up(float(hi)) if isinstance(hi, Fraction) else float(hi)
+        if not lo <= hi:
+            if lo != lo or hi != hi:
+                raise DomainError(f"NaN endpoint in [{lo}, {hi}]")
             raise ValueError(f"empty interval [{lo}, {hi}]")
-        self.lo = float(lo)
-        self.hi = float(hi)
+        self.lo = lo
+        self.hi = hi
 
     # -- constructors ---------------------------------------------------
     @staticmethod
@@ -109,6 +112,11 @@ class Interval:
         other = Interval.exact(other)
         prods = (self.lo * other.lo, self.lo * other.hi,
                  self.hi * other.lo, self.hi * other.hi)
+        a, b, c, d = prods
+        if a != a or b != b or c != c or d != d:
+            # endpoints are never NaN, so this is 0 * inf, which is 0 in
+            # the set-based convention of IEEE 1788-2015
+            prods = tuple(0.0 if p != p else p for p in prods)
         return Interval(_down(min(prods)), _up(max(prods)))
 
     __rmul__ = __mul__

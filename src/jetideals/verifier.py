@@ -18,7 +18,8 @@ import sympy
 from .directions import (allow_overapprox, forbidden_certificate_search,
                          jet_to_sympy)
 from .errors import DomainError
-from .geometry import Annulus, Cone, Direction, dome_membership, sphere_cover
+from .geometry import (Annulus, Cone, Direction, Dome, dome_membership,
+                       sphere_cover)
 from .ideal import JetIdeal
 from .interval import Interval
 from .jetring import Jet, monomials
@@ -192,7 +193,9 @@ def _shell_sweep(expr, region, m, n, seed, k_lo, k_hi, weight):
     """Per-shell measured sup of |d^alpha e(x)| * weight(alpha, |x|).
 
     A shell's witness is its first point, in (radius, direction,
-    alpha) order, that reaches the shell's sup."""
+    alpha) order, that reaches the shell's sup.  A shell where no
+    nonzero derivative evaluates at any sample has sup None: it carries
+    no evidence."""
     rng = np.random.default_rng(seed)
     derivs = [(alpha, d) for alpha in monomials(m, n)
               if (d := expr_derive(expr, alpha)) != ZERO]
@@ -218,9 +221,14 @@ def _shell_sweep(expr, region, m, n, seed, k_lo, k_hi, weight):
             witness_pool.append((derivs[t][0], points[p],
                                  abs(float(columns[t][0][p]))))
         else:
-            shells.append((k, 0.0))
+            shells.append((k, None if derivs and top == -math.inf else 0.0))
             witness_pool.append(None)
     return shells, witness_pool
+
+
+def _blind_note(shells):
+    blind = [k for k, v in shells if v is None]
+    return f"no evaluable sample in shells {blind}"
 
 
 def check_flat(F: ScalarExpr, region, m: int, n: int, seed: int = 0,
@@ -236,6 +244,9 @@ def check_flat(F: ScalarExpr, region, m: int, n: int, seed: int = 0,
     vals = [v for _, v in shells]
     notes = ["pass = strictly decreasing over last 8 shells and "
              "final < 1e-3 * first"]
+    if None in vals:
+        return ShellReport("flat", F, region, m, shells, INCONCLUSIVE,
+                           notes=notes + [_blind_note(shells)])
     if max(vals) == 0.0:
         return ShellReport("flat", F, region, m, shells, PASS, notes=notes)
     tail = vals[-8:]
@@ -262,6 +273,9 @@ def check_tame(S: ScalarExpr, region, m: int, n: int, seed: int = 0,
     shells, pool = _shell_sweep(S, region, m, n, seed, *k_range,
                                 weight=lambda a, s: s ** sum(a))
     vals = [v for _, v in shells]
+    if None in vals:
+        return ShellReport("tame", S, region, m, shells, INCONCLUSIVE,
+                           notes=[_blind_note(shells)])
     measured = max(vals)
     witness = None
     if bound is not None and measured > bound:
@@ -297,8 +311,12 @@ def check_flat_tame_product(F: ScalarExpr, S: ScalarExpr, region, m: int,
         raise DomainError("flat factor fails its own check")
     product = check_flat(mul(S, F), region, m, n, seed=seed)
     # Leibniz: shell sup of the product is at most 2^m * A_S * flat sup
-    leibniz_ok = all(pv <= 2.0 ** m * (tame.constant or 0.0) * fv + 1e-12
-                     for (_, pv), (_, fv) in zip(product.shells, flat.shells))
+    sups = [(pv, fv) for (_, pv), (_, fv) in zip(product.shells, flat.shells)]
+    if tame.constant is None or any(None in pair for pair in sups):
+        leibniz_ok = None   # some shell has no evaluable sample
+    else:
+        leibniz_ok = all(pv <= 2.0 ** m * tame.constant * fv + 1e-12
+                         for pv, fv in sups)
     return {"verdict": product.verdict,
             "product_report": product.to_json(),
             "tame_report": tame.to_json(),
@@ -310,66 +328,51 @@ def check_flat_tame_product(F: ScalarExpr, S: ScalarExpr, region, m: int,
 # Negligibility.
 # ---------------------------------------------------------------------------
 
-def _cell_outside_dome(patch, omegas, delta) -> bool:
-    """True when the patch enclosure certainly misses every delta-ball.
-
-    The box minimum distance underestimates the distance of any true
-    direction of the patch, so a discard here is sound."""
-    enc = patch.direction_enclosure()
-    for w in omegas:
-        d2 = 0.0
-        for iv, wc in zip(enc, w):
-            if wc < iv.lo:
-                d2 += (iv.lo - wc) ** 2
-            elif wc > iv.hi:
-                d2 += (wc - iv.hi) ** 2
-        if math.sqrt(d2) < delta:
-            return False
-    return True
+# Cells one dome walk may evaluate.  The walks of a check_negligible call
+# share one sphere-patch tree, which keeps every cell they visit, so this
+# bounds memory as well as time.
+DOME_CELL_BUDGET = 8192
 
 
-def _dome_cells(n, omegas, delta, init_depth=2):
-    """Sphere patches that may intersect the union of delta-balls around
-    the finite direction set; a superset, which is the sound side."""
-    return [p for p in sphere_cover(n, init_depth)
-            if not _cell_outside_dome(p, omegas, delta)]
-
-
-def _dome_sup(expr, n, omegas, delta, target=None, budget=64):
+def _dome_sup(expr, dome, target=None, budget=64):
     """Certified upper bound of |expr| on the dome, by interval
-    subdivision of sphere patches (cells provably outside the dome are
-    dropped as subdivision proceeds, so tiny domes stay cheap).
+    subdivision of its sphere-patch tree (cells provably outside the
+    dome are not in the tree, so tiny domes stay cheap).
 
     With a target: returns (sup_bound, True) if every cell is pushed
     below the target, else (best_bound, False).  Without a target:
     refines a few levels past the dome scale and returns the sup bound.
+    A walk that would evaluate more than DOME_CELL_BUDGET cells returns
+    (None, False): no bound at all.
     """
-    work = [(p, 0) for p in _dome_cells(n, omegas, delta)]
+    work = [(p, 0) for p in dome.roots]
     # without a target, stop once cells are comparable to the dome size
-    free_depth = max(3, min(60, int(-math.log2(max(delta, 1e-18))) + 3))
+    free_depth = max(3, min(60, int(-math.log2(max(dome.delta, 1e-18))) + 3))
     top = 0.0
     certified = True
+    cells = 0
     while work:
+        cells += 1
+        if cells > DOME_CELL_BUDGET:
+            return None, False
         patch, depth = work.pop()
-        if depth and _cell_outside_dome(patch, omegas, delta):
-            continue
-        enc = patch.direction_enclosure()
         try:
-            val = abs(expr_eval(expr, enc, mode="interval"))
+            val = abs(expr_eval(expr, patch.direction_enclosure(),
+                                mode="interval"))
         except DomainError:
             if depth < budget:
-                work.extend((q, depth + 1) for q in patch.subdivide_all())
+                work.extend((q, depth + 1) for q in dome.children(patch))
                 continue
             return math.inf, False
         if target is not None and val.hi > target:
             if depth < budget:
-                work.extend((q, depth + 1) for q in patch.subdivide_all())
+                work.extend((q, depth + 1) for q in dome.children(patch))
                 continue
             certified = False
             top = max(top, val.hi)
             continue
         if target is None and depth < free_depth and val.width > 0.01:
-            work.extend((q, depth + 1) for q in patch.subdivide_all())
+            work.extend((q, depth + 1) for q in dome.children(patch))
             continue
         top = max(top, val.hi)
     return top, certified
@@ -426,6 +429,8 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
     derivs = [(alpha, expr_derive(F, alpha)) for alpha in monomials(m, n)]
     records = []
     verdicts = []
+    # one sphere-cover tree, shared by the dome of every delta rung
+    cover, domes = None, {}
     for eps in eps_grid:
         rec = {"eps": eps}
         # genuine-failure scan on the center rays: for derivatives whose
@@ -458,7 +463,11 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
             continue
 
         found = None
+        starved = {}     # alpha -> delta rungs whose walk ran out of cells
         for delta in delta_ladder(eps):
+            if delta not in domes:
+                cover = cover or sphere_cover(n, 2)
+                domes[delta] = Dome(cover, omegas, delta)
             alpha_records, ok, r_cap = [], True, 1.0
             for alpha, d_expr in derivs:
                 a_rec = {"alpha": list(alpha)}
@@ -473,9 +482,13 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
                     ok = False
                     alpha_records.append(a_rec)
                     break
+                sup, certified = _dome_sup(d_expr, domes[delta],
+                                           eps if gap == 0 else None, budget)
+                if sup is None:
+                    starved.setdefault(alpha, []).append(delta)
+                    ok = False
+                    break
                 if gap == 0:
-                    sup, certified = _dome_sup(d_expr, n, omegas, delta,
-                                               target=eps, budget=budget)
                     a_rec.update({"status": "dome bound",
                                   "dome_sup_upper": sup,
                                   "certified": certified})
@@ -484,8 +497,6 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
                         alpha_records.append(a_rec)
                         break
                 else:
-                    sup, _ = _dome_sup(d_expr, n, omegas, delta, target=None,
-                                       budget=budget)
                     if not math.isfinite(sup):
                         ok = False
                         a_rec["status"] = "unbounded enclosure"
@@ -503,11 +514,18 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
         if found is None:
             rec.update({"verdict": INCONCLUSIVE,
                         "note": "delta ladder exhausted"})
+            if starved:
+                rec["cell_budget_exhausted"] = [
+                    {"alpha": list(a), "delta": d}
+                    for a, ds in starved.items() for d in ds]
             records.append(rec)
             verdicts.append(INCONCLUSIVE)
             continue
 
         delta, r_found, alpha_records = found
+        for a_rec in alpha_records:
+            if deltas := starved.get(tuple(a_rec["alpha"])):
+                a_rec["cell_budget_exhausted_at_delta"] = deltas
         cond_b = _condition_b(F, derivs, omegas, delta, r_found, eps, m, n,
                               rng, pair_samples)
         rec.update({"delta": delta, "r": r_found,

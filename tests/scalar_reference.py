@@ -1,16 +1,22 @@
-"""Scalar reference loops for the sampled checks that run on compiled
-kernels.
+"""Reference implementations of checks that now run on faster paths.
 
-These are the point-by-point loops over expr_eval that
-verifier._sampled_bound_check, verifier._shell_sweep and
-verifier.measure_chi_constant replaced.  test_compiled_callers.py
-requires the compiled callers to return exactly what these return,
-witnesses included.
+The point-by-point loops over expr_eval that verifier._sampled_bound_check,
+verifier._shell_sweep and verifier.measure_chi_constant replaced:
+test_compiled_callers.py requires the compiled callers to return exactly
+what these return, witnesses included.
+
+The unshared negligibility dome walk that verifier._dome_sup replaced:
+each call builds its own cover, re-tests and re-encloses every cell.
+test_dome_tree.py requires check_negligible to return exactly what it
+returns on this walk.
 """
+
+import math
 
 import numpy as np
 
 from jetideals.errors import DomainError
+from jetideals.geometry import sphere_cover
 from jetideals.jetring import monomials
 from jetideals.symfun import ZERO, expr_derive, expr_eval
 from jetideals.verifier import (FAIL, PASS, _random_unit, _region_directions,
@@ -29,11 +35,13 @@ def shell_sweep(expr, region, m, n, seed, k_lo, k_hi, weight):
     derivs = [(alpha, expr_derive(expr, alpha))
               for alpha in monomials(m, n)]
     dirs = _region_directions(region, n, rng)
+    nonzero = any(d_expr != ZERO for _, d_expr in derivs)
     shells = []
     witness_pool = []
     for k in range(k_lo, k_hi + 1):
         top = 0.0
         top_point = None
+        evaluated = False
         for frac in (0.55, 0.75, 1.0):
             s = frac * 2.0 ** -k
             for u in dirs:
@@ -42,13 +50,14 @@ def shell_sweep(expr, region, m, n, seed, k_lo, k_hi, weight):
                     if d_expr == ZERO:
                         continue
                     val = _try_eval(d_expr, x)
-                    if val is None:
+                    if val is None or val != val:
                         continue
+                    evaluated = True
                     ratio = abs(val) * weight(alpha, s)
                     if ratio > top:
                         top = ratio
                         top_point = (alpha, x, abs(val))
-        shells.append((k, top))
+        shells.append((k, top if evaluated or not nonzero else None))
         witness_pool.append(top_point)
     return shells, witness_pool
 
@@ -94,3 +103,56 @@ def sampled_bound_check(named_exprs, points, m, n, bound_fn):
         if witness is not None:
             verdict = FAIL
     return verdict, results
+
+
+def _cell_outside_dome(patch, omegas, delta):
+    enc = patch.direction_enclosure()
+    for w in omegas:
+        d2 = 0.0
+        for iv, wc in zip(enc, w):
+            if wc < iv.lo:
+                d2 += (iv.lo - wc) ** 2
+            elif wc > iv.hi:
+                d2 += (wc - iv.hi) ** 2
+        if math.sqrt(d2) < delta:
+            return False
+    return True
+
+
+def dome_cells(n, omegas, delta, init_depth=2):
+    return [p for p in sphere_cover(n, init_depth)
+            if not _cell_outside_dome(p, omegas, delta)]
+
+
+def dome_sup(expr, dome, target=None, budget=64):
+    """The walk over a fresh cover; only the dimension, omegas and delta
+    of the dome are read."""
+    n, omegas, delta = dome.roots[0].n, dome.omegas, dome.delta
+    work = [(p, 0) for p in dome_cells(n, omegas, delta)]
+    free_depth = max(3, min(60, int(-math.log2(max(delta, 1e-18))) + 3))
+    top = 0.0
+    certified = True
+    while work:
+        patch, depth = work.pop()
+        if depth and _cell_outside_dome(patch, omegas, delta):
+            continue
+        enc = patch.direction_enclosure()
+        try:
+            val = abs(expr_eval(expr, enc, mode="interval"))
+        except DomainError:
+            if depth < budget:
+                work.extend((q, depth + 1) for q in patch.subdivide_all())
+                continue
+            return math.inf, False
+        if target is not None and val.hi > target:
+            if depth < budget:
+                work.extend((q, depth + 1) for q in patch.subdivide_all())
+                continue
+            certified = False
+            top = max(top, val.hi)
+            continue
+        if target is None and depth < free_depth and val.width > 0.01:
+            work.extend((q, depth + 1) for q in patch.subdivide_all())
+            continue
+        top = max(top, val.hi)
+    return top, certified

@@ -1,0 +1,177 @@
+"""Negligibility dome walks over one shared sphere-patch tree.
+
+check_negligible must return exactly what it returned when every dome
+walk built its own cover (the reference walk in scalar_reference.py),
+and the cell budget must end walks that cannot finish."""
+
+import json
+import math
+
+import pytest
+
+from jetideals import verifier
+from jetideals.corpus import case_by_id, run_case
+from jetideals.geometry import Dome, box_direction_dist, sphere_cover
+from jetideals.ideal import JetIdeal
+from jetideals.interval import Interval
+from jetideals.jetring import RingSignature, jet_parse
+from jetideals.symfun import expr_parse
+from jetideals.verifier import (DOME_CELL_BUDGET, ImplicationCertificate,
+                                check_negligible, check_strong_global)
+
+import scalar_reference
+
+POLES = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]
+SIG_A, SIG_B = RingSignature(2, 3), RingSignature(3, 2)
+
+
+@pytest.fixture
+def reference_run(monkeypatch):
+    """Run a call once as is and once on the reference dome walk."""
+
+    def run(call):
+        shared = call()
+        with monkeypatch.context() as patch:
+            patch.setattr(verifier, "_dome_sup", scalar_reference.dome_sup)
+            reference = call()
+        return (json.dumps(shared, sort_keys=True),
+                json.dumps(reference, sort_keys=True))
+
+    return run
+
+
+def _family_a(c, flipped=False):
+    """c*xy = (-c*y/z)(y^2 - xz) + c*y^3/z in <x^2, y^2 - xz>."""
+    ideal = JetIdeal(SIG_A, [jet_parse("x^2", SIG_A),
+                             jet_parse("y^2 - x*z", SIG_A)])
+    sign = -1 if flipped else 1
+    return ImplicationCertificate(
+        ideal, jet_parse(f"{c}*x*y", SIG_A),
+        [(ideal.generators[1], expr_parse(f"{-sign * c}*y/z", 3), 50.0)],
+        expr_parse(f"{c}*y^3/z", 3))
+
+
+def _family_b(target, S):
+    """target in <x(x^2 + y^2)> with F = 0."""
+    ideal = JetIdeal(SIG_B, [jet_parse("x(x^2 + y^2)", SIG_B)])
+    return ImplicationCertificate(
+        ideal, jet_parse(target, SIG_B),
+        [(ideal.generators[0], expr_parse(S, 2), 50.0)], expr_parse("0", 2))
+
+
+def test_corpus_case_matches_reference(reference_run):
+    shared, reference = reference_run(
+        lambda: run_case(case_by_id("ex4-negligible")))
+    assert shared == reference
+    assert '"certified": true' in shared
+
+
+@pytest.mark.parametrize("c", ["1/9", "1", "3"])
+def test_family_a_matches_reference(reference_run, c):
+    F = expr_parse(f"{c}*y^3/z", 3)
+    shared, reference = reference_run(
+        lambda: check_negligible(F, POLES, 2, 3).to_json())
+    assert shared == reference
+    assert '"verdict": "pass"' in shared
+
+
+@pytest.mark.parametrize("target,S", [("x^3", "x^2/(x^2 + y^2)"),
+                                      ("x^2*y", "x*y/(x^2 + y^2)"),
+                                      ("x*y^2", "y^2/(x^2 + y^2)")])
+def test_family_b_matches_reference(reference_run, target, S):
+    shared, reference = reference_run(
+        lambda: check_strong_global(_family_b(target, S)))
+    assert shared == reference
+
+
+def test_flipped_certificate_matches_reference(reference_run):
+    shared, reference = reference_run(
+        lambda: check_strong_global(_family_a("1", flipped=True)))
+    assert shared == reference
+    assert json.loads(shared)["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("F,omegas,m,n,eps_grid", [
+    # homogeneity above m: the free (no target) walk absorbs it in r
+    ("x^4", [(1.0, 0.0)], 3, 2, (0.01,)),
+    # two directions whose domes overlap
+    ("x*y^3", [(1.0, 0.0), (math.sqrt(0.5), math.sqrt(0.5))], 2, 2,
+     (1.0, 0.1)),
+])
+def test_more_domes_match_reference(reference_run, F, omegas, m, n,
+                                    eps_grid):
+    F = expr_parse(F, n)
+    shared, reference = reference_run(
+        lambda: check_negligible(F, omegas, m, n, eps_grid=eps_grid,
+                                 pair_samples=200).to_json())
+    assert shared == reference
+
+
+def test_cell_budget_ends_the_pole_walk_of_4y3_over_z():
+    # |d^2_y F| = 24|y/z| reaches 1.2 eps on the dome of delta = eps/20,
+    # so that rung cannot be certified; the cell budget ends it and the
+    # next rung, delta = eps/40, passes
+    cert = check_negligible(expr_parse("4*y^3/z", 3), POLES, 2, 3)
+    assert cert.verdict == "pass"
+    for rec in cert.records:
+        assert rec["verdict"] == "pass"
+        assert rec["delta"] == rec["eps"] / 40
+    starved = [a_rec for a_rec in cert.records[0]["condition_a"]
+               if "cell_budget_exhausted_at_delta" in a_rec]
+    assert [a["alpha"] for a in starved] == [[0, 2, 0]]
+    assert starved[0]["cell_budget_exhausted_at_delta"] == [1.0 / 20]
+
+
+def test_walk_past_the_cell_budget_has_no_bound(monkeypatch):
+    dome = Dome(sphere_cover(3, 2), POLES, 0.05)
+    F = expr_parse("y^3/z", 3)
+    assert verifier._dome_sup(F, dome, target=1e-30) == (None, False)
+    monkeypatch.setattr(verifier, "DOME_CELL_BUDGET", 3)
+    sup, certified = verifier._dome_sup(F, dome, target=1.0)
+    assert sup is None and not certified
+    assert DOME_CELL_BUDGET >= 50 * 104   # largest corpus walk: 104 cells
+
+
+def test_ladder_exhausted_by_cell_budget_names_it(monkeypatch):
+    monkeypatch.setattr(verifier, "DOME_CELL_BUDGET", 3)
+    cert = check_negligible(expr_parse("y^3/z", 3), POLES, 2, 3,
+                            eps_grid=(1.0,))
+    rec = cert.records[0]
+    assert rec["verdict"] == "inconclusive"
+    assert rec["cell_budget_exhausted"][0] == {"alpha": [0, 0, 0],
+                                               "delta": 0.05}
+
+
+def test_nan_enclosure_is_not_certified(monkeypatch):
+    # inf - inf has no value: a cell whose enclosure comes out that way
+    # proves nothing, so the dome walk must not count it as below target
+    evaluate = verifier.expr_eval
+
+    def nan_in_interval_mode(e, x, mode="float"):
+        if mode == "interval":
+            return Interval(math.inf, math.inf) + Interval(-math.inf)
+        return evaluate(e, x, mode)
+
+    monkeypatch.setattr(verifier, "expr_eval", nan_in_interval_mode)
+    cert = check_negligible(expr_parse("y^3/z", 3), POLES, 2, 3,
+                            eps_grid=(1.0,), budget=2)
+    assert cert.verdict == "inconclusive"
+
+
+def test_dome_roots_and_children_are_the_kept_cells():
+    cover = sphere_cover(3, 2)
+    dome = Dome(cover, POLES, 0.05)
+
+    def meets(p):
+        enc = p.direction_enclosure()
+        return any(box_direction_dist(enc, w) < 0.05 for w in POLES)
+
+    assert dome.roots == tuple(p for p in cover if meets(p))
+    root = dome.roots[0]
+    kids = dome.children(root)
+    assert kids == tuple(q for q in root.subdivide_all() if meets(q))
+    assert dome.children(root) is kids
+    # a second dome over the same cover shares the patches themselves
+    wider = Dome(cover, POLES, 0.1)
+    assert set(map(id, dome.roots)) <= set(map(id, wider.roots))
+    assert set(map(id, kids)) <= set(map(id, wider.children(root)))

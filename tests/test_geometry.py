@@ -132,3 +132,11 @@ def test_read_point_cloud():
     from jetideals.errors import DimensionMismatchError
     with pytest.raises(DimensionMismatchError):
         read_point_cloud("1,2\n1,2,3\n")
+
+
+def test_patch_keeps_its_enclosure_and_children():
+    patch = sphere_cover(3, 0)[0]
+    enc = patch.direction_enclosure()
+    assert isinstance(enc, tuple) and patch.direction_enclosure() is enc
+    kids = patch.subdivide_all()
+    assert len(kids) == 4 and patch.subdivide_all() is kids

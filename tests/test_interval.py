@@ -2,12 +2,14 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from jetideals.errors import DomainError
 from jetideals.interval import Interval, box_norm
+from jetideals.symfun import DEFAULT_CUTOFF, _poly_eval_fraction
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -79,3 +81,106 @@ def test_intersect_and_split():
     assert z.lo == 1.0 and z.hi == 2.0
     a, b = x.split()
     assert a.lo == 0.0 and b.hi == 2.0 and a.hi == b.lo
+
+
+# -- containment properties, checked against exact rational values ------
+
+def _iv(a, b):
+    return Interval(min(a, b), max(a, b))
+
+
+def _inside(iv, t):
+    """A float of iv at relative position t in [0, 1]."""
+    return min(max(iv.lo + t * (iv.hi - iv.lo), iv.lo), iv.hi)
+
+
+def _encloses(iv, exact):
+    return iv.lo <= exact <= iv.hi
+
+
+wide = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@given(wide, wide, wide, wide, unit, unit)
+def test_arithmetic_encloses_exact_results(a, b, c, d, s, t):
+    x, y = _iv(a, b), _iv(c, d)
+    px, py = Fraction(_inside(x, s)), Fraction(_inside(y, t))
+    assert _encloses(x + y, px + py)
+    assert _encloses(x - y, px - py)
+    assert _encloses(x * y, px * py)
+    if y.contains_zero():
+        with pytest.raises(DomainError):
+            x / y
+    else:
+        assert _encloses(x / y, px / py)
+
+
+@given(finite, finite, unit, st.integers(min_value=-4, max_value=7))
+def test_ipow_abs_sqrt_enclose_exact_results(a, b, s, k):
+    x = _iv(a, b)
+    p = _inside(x, s)
+    assert _encloses(abs(x), abs(Fraction(p)))
+    try:
+        assert _encloses(x.ipow(k), Fraction(p) ** k)
+    except DomainError:
+        # a negative power of an interval whose power reaches zero
+        assert k < 0
+    if x.hi >= 0.0 and p >= 0.0:
+        r = x.sqrt()
+        assert r.lo <= 0.0 or Fraction(r.lo) ** 2 <= Fraction(p)
+        assert Fraction(r.hi) ** 2 >= Fraction(p)
+
+
+def _theta_exact(spec, v, order):
+    v = Fraction(v)
+    if v <= spec.a:
+        return Fraction(1 if order == 0 else 0)
+    if v >= spec.b:
+        return Fraction(0)
+    u = (v - spec.a) / spec.width
+    val = _poly_eval_fraction(spec._polys[order], u) / spec.width ** order
+    return 1 - val if order == 0 else -val
+
+
+@given(st.floats(min_value=0.0, max_value=12.0),
+       st.floats(min_value=0.0, max_value=12.0), unit,
+       st.integers(min_value=0, max_value=3))
+def test_cutoff_interval_encloses_exact_values(a, b, s, order):
+    v = _iv(a, b)
+    enc = DEFAULT_CUTOFF.eval_interval(v, order)
+    assert _encloses(enc, _theta_exact(DEFAULT_CUTOFF, _inside(v, s), order))
+
+
+ends = st.one_of(finite, st.sampled_from([math.inf, -math.inf, 0.0]))
+
+
+@given(ends, ends, ends, ends)
+def test_no_result_has_a_nan_endpoint(a, b, c, d):
+    x, y = _iv(a, b), _iv(c, d)
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y,
+               lambda: x / y, lambda: abs(x), lambda: x.ipow(2)):
+        try:
+            r = op()
+        except DomainError:
+            continue
+        assert r.lo == r.lo and r.hi == r.hi
+
+
+def test_nan_endpoint_raises_domain_error():
+    nan = math.nan
+    for lo, hi in ((nan, 1.0), (0.0, nan), (nan, nan)):
+        with pytest.raises(DomainError):
+            Interval(lo, hi)
+    with pytest.raises(DomainError):
+        Interval(math.inf) + Interval(-math.inf)
+
+
+def test_zero_times_infinity_is_zero():
+    # set-based convention (IEEE 1788-2015): {0 * y : y real} = {0}
+    z = Interval(0.0, 0.0) * Interval(-math.inf, math.inf)
+    assert z.contains(0.0) and z.width < 1e-300
+    half = Interval(0.0, 1.0) * Interval(0.0, math.inf)
+    assert half.lo <= 0.0 < 1e-300 and half.hi == math.inf
+    assert (Interval(-1.0, 1.0) * Interval(-math.inf, math.inf)).width \
+        == math.inf

@@ -95,6 +95,25 @@ def test_flat_tame_product_rejects_bad_tame_factor():
 
 # -- negligibility ----------------------------------------------------------
 
+def test_sweep_with_no_evaluable_sample_is_inconclusive():
+    # 1/(x - x) is defined nowhere: every sample raises DomainError, so
+    # no shell carries evidence and neither check may pass
+    nowhere = expr_parse("1/(x - x)", 2)
+    tame = check_tame(nowhere, None, 2, 2)
+    assert tame.verdict == "inconclusive" and tame.constant is None
+    assert all(v is None for _, v in tame.shells)
+    assert "no evaluable sample" in tame.notes[0]
+    assert check_flat(nowhere, None, 2, 2).verdict == "inconclusive"
+
+
+def test_sweep_of_the_zero_function_passes():
+    # every derivative is ZERO: nothing to evaluate, and nothing to bound
+    zero = expr_parse("0", 2)
+    tame = check_tame(zero, None, 2, 2)
+    assert tame.verdict == "pass" and tame.constant == 0.0
+    assert check_flat(zero, None, 2, 2).verdict == "pass"
+
+
 def test_delta_ladder_shrinks_and_caps():
     for eps in (1.0, 0.1, 1e-3):
         assert all(0 < d < 0.25 for d in delta_ladder(eps))
