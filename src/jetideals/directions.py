@@ -78,8 +78,9 @@ class DirectionSet:
             raise ValueError("need exactly one of directions / patches")
         self.n = n
         self.exact = bool(exact)
-        self.directions = list(directions) if directions is not None else None
-        self.patches = list(patches) if patches is not None else None
+        # tuples: an ideal shares its allowed set with every caller
+        self.directions = tuple(directions) if directions is not None else None
+        self.patches = tuple(patches) if patches is not None else None
 
     @property
     def is_finite(self) -> bool:
@@ -143,8 +144,16 @@ def allow_overapprox(I: JetIdeal, budget: int = 8) -> DirectionSet:
 
     The result contains every allowed direction; the `exact` flag is set
     when all generators are homogeneous, in which case it equals the
-    allowed set.
+    allowed set.  It is computed once per ideal instance and budget
+    (kept on the instance) and shared by later calls.
     """
+    found = I._allowed.get(budget)
+    if found is None:
+        found = I._allowed[budget] = _allowed_set(I, budget)
+    return found
+
+
+def _allowed_set(I: JetIdeal, budget: int) -> DirectionSet:
     parts = _lowest_parts(I)
     exact = all(_is_homogeneous(g) for g in I.generators)
     if I.sig.n == 2:
@@ -160,14 +169,13 @@ def allow_overapprox(I: JetIdeal, budget: int = 8) -> DirectionSet:
 def _plane_zero_set(parts):
     """Exact common roots on S^1 via dehomogenization p(1, t)."""
     t = sympy.Symbol("t", real=True)
-    x, y = sympy.symbols("x y", real=True)
-    polys = [sympy.Poly(jet_to_sympy(p, (x, y)).subs({x: 1, y: t}), t)
-             for p in parts]
+    polys = [_at_x_one(p, t) for p in parts]
 
     dirs = []
     # vertical directions: all parts vanish at (0, 1) (and by homogeneity
-    # symmetry at (0, -1))
-    if all(jet_to_sympy(p, (x, y)).subs({x: 0, y: 1}) == 0 for p in parts):
+    # symmetry at (0, -1)); p(0, 1) sums the coefficients free of x
+    if all(sum(c for a, c in p.coeffs.items() if a[0] == 0) == 0
+           for p in parts):
         dirs.append(ExactDirection((0.0, 1.0), (sympy.Integer(0), sympy.Integer(1))))
         dirs.append(ExactDirection((0.0, -1.0), (sympy.Integer(0), sympy.Integer(-1))))
 
@@ -184,6 +192,16 @@ def _plane_zero_set(parts):
         dirs.append(ExactDirection(vec, sym))
         dirs.append(ExactDirection((-vec[0], -vec[1]), (-sym[0], -sym[1])))
     return dirs
+
+
+def _at_x_one(p: Jet, t) -> sympy.Poly:
+    """p(1, t) as a polynomial over QQ, read off the jet's coefficients."""
+    coeffs = {}
+    for (_, j), c in p.coeffs.items():
+        coeffs[j] = coeffs.get(j, 0) + c
+    return sympy.Poly.from_dict(
+        {(j,): sympy.Rational(c.numerator, c.denominator)
+         for j, c in coeffs.items()}, t, domain=sympy.QQ)
 
 
 def _exact_zero_set(parts, n, timeout_terms=2000):

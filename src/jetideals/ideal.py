@@ -22,9 +22,15 @@ def _multiplier_monomials(sig: RingSignature):
 
 
 class JetIdeal:
-    """Finitely generated ideal of jets vanishing at the origin."""
+    """Finitely generated ideal of jets vanishing at the origin.
 
-    __slots__ = ("sig", "generators", "span")
+    `_allowed` holds this instance's allowed sets by patch budget
+    (filled by `directions.allow_overapprox`).  It lives on the instance,
+    not in a cache keyed by `==`: equal spans can have generators with
+    different lowest parts, hence different allowed sets.
+    """
+
+    __slots__ = ("sig", "generators", "span", "_allowed")
 
     def __init__(self, sig: RingSignature, generators):
         generators = tuple(generators)
@@ -42,6 +48,7 @@ class JetIdeal:
                 if not prod.is_zero():
                     vectors.append(prod.coordinates(include_constant=False))
         self.span = Subspace(sig.dim0, vectors)
+        self._allowed = {}
 
     @property
     def dim(self) -> int:

@@ -144,7 +144,14 @@ class Interval:
         if k == 0:
             return Interval(1.0, 1.0)
         if k < 0:
-            return Interval(1.0, 1.0) / self.ipow(-k)
+            power = self.ipow(-k)
+            if power.contains_zero() and not self.contains_zero():
+                # the power underflowed to zero: the reciprocal is
+                # unbounded on the side of the power's sign
+                if self.lo > 0 or k % 2 == 0:
+                    return Interval(_down(1.0 / power.hi), _INF)
+                return Interval(-_INF, _up(1.0 / power.lo))
+            return Interval(1.0, 1.0) / power
         lo_p, hi_p = self.lo ** k, self.hi ** k
         if k % 2 == 1:
             return Interval(_down(lo_p), _up(hi_p))

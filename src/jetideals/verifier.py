@@ -9,6 +9,7 @@ disproof.  Aggregation is the meet fail < inconclusive < pass.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -98,29 +99,8 @@ def _dome_directions(rng, omegas, delta, count):
 
 def _cutoff_feature_scales(exprs):
     """Absolute argument breakpoints of every cutoff node in the trees."""
-    scales = []
-
-    def walk(e):
-        if isinstance(e, Cutoff):
-            scales.append((float(e.scale * e.spec.a), float(e.scale * e.spec.b)))
-            walk(e.arg)
-        elif hasattr(e, "terms"):
-            for t in e.terms:
-                walk(t)
-        elif hasattr(e, "factors"):
-            for f in e.factors:
-                walk(f)
-        elif hasattr(e, "base"):
-            walk(e.base)
-        elif hasattr(e, "num"):
-            walk(e.num)
-            walk(e.den)
-        elif isinstance(e, GaugeRef):
-            walk(e.arg)
-
-    for e in exprs:
-        walk(e)
-    return scales
+    return [(float(c.scale * c.spec.a), float(c.scale * c.spec.b))
+            for c in _collect_cutoffs(exprs)]
 
 
 def _unit_annulus_samples(n, K, omegas, rel_scales, rng, n_random=40,
@@ -401,7 +381,9 @@ def delta_ladder(eps):
     in the sources can be far below float resolution, so concrete
     certifiable substitutes are tried from large to small."""
     cands = [eps / 20, eps / 40, eps ** 2 / 20, eps ** 2 / 40, eps ** 3 / 20]
-    return [d for d in cands if 0.0 < d < 0.25]
+    # a rung that repeats (at eps = 1, eps^2/20 = eps/20) would only walk
+    # the same dome again
+    return [d for d in dict.fromkeys(cands) if 0.0 < d < 0.25]
 
 
 def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
@@ -752,7 +734,18 @@ def check_strong_directional(cert: ImplicationCertificate, omega: Direction,
     negligible near omega, each S_l tame below its stated constant, and
     the identity exactly zero symbolically.
     """
-    I, p = cert.ideal, cert.target
+    return _strong_direction(
+        cert, omega,
+        lambda: symbolic_residual_zero(cert.target, cert.terms, cert.F),
+        delta_omega, eps_grid, budget, seed)
+
+
+def _strong_direction(cert, omega, residual, delta_omega, eps_grid, budget,
+                      seed):
+    """The body of check_strong_directional; `residual()` gives the
+    direction-independent identity check, called only where it is
+    needed (after the negligibility and tameness checks)."""
+    I = cert.ideal
     m, n = I.sig.m, I.sig.n
     report = {"omega": list(omega.vec)}
     for Q, _, _ in cert.terms:
@@ -795,7 +788,7 @@ def check_strong_directional(cert: ImplicationCertificate, omega: Direction,
         tame_reports.append(tr.to_json())
     report["tameness"] = tame_reports
 
-    residual_ok = symbolic_residual_zero(p, cert.terms, cert.F)
+    residual_ok = residual()
     report["identity_residual_zero"] = residual_ok
 
     verdict = meet(neg.verdict,
@@ -839,11 +832,13 @@ def check_strong_global(cert: ImplicationCertificate,
                 raise DomainError(
                     f"uncovered allowed direction {d.vec}")
 
-    sub = []
-    for w in scope:
-        sub.append(check_strong_directional(
-            cert, Direction(w, normalize=True), delta_omega=delta_omega,
-            eps_grid=eps_grid, budget=budget, seed=seed))
+    # the identity does not depend on the direction: check it once, when
+    # the first direction gets that far
+    residual = functools.cache(
+        lambda: symbolic_residual_zero(p, cert.terms, cert.F))
+    sub = [_strong_direction(cert, Direction(w, normalize=True), residual,
+                             delta_omega, eps_grid, budget, seed)
+           for w in scope]
     report["directions"] = sub
     verdict = meet(*(r["verdict"] for r in sub))
     report["verdict"] = verdict

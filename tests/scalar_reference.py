@@ -9,12 +9,18 @@ The unshared negligibility dome walk that verifier._dome_sup replaced:
 each call builds its own cover, re-tests and re-encloses every cell.
 test_dome_tree.py requires check_negligible to return exactly what it
 returns on this walk.
+
+The plane allowed-set solver that built p(1, t) and p(0, 1) by sympy
+substitution: test_shared_facts.py requires directions._plane_zero_set
+to return the same directions, exact coordinates included.
 """
 
 import math
 
 import numpy as np
+import sympy
 
+from jetideals.directions import ExactDirection, jet_to_sympy
 from jetideals.errors import DomainError
 from jetideals.geometry import sphere_cover
 from jetideals.jetring import monomials
@@ -156,3 +162,28 @@ def dome_sup(expr, dome, target=None, budget=64):
             continue
         top = max(top, val.hi)
     return top, certified
+
+
+def plane_zero_set(parts):
+    t = sympy.Symbol("t", real=True)
+    x, y = sympy.symbols("x y", real=True)
+    polys = [sympy.Poly(jet_to_sympy(p, (x, y)).subs({x: 1, y: t}), t)
+             for p in parts]
+    dirs = []
+    if all(jet_to_sympy(p, (x, y)).subs({x: 0, y: 1}) == 0 for p in parts):
+        dirs.append(ExactDirection((0.0, 1.0),
+                                   (sympy.Integer(0), sympy.Integer(1))))
+        dirs.append(ExactDirection((0.0, -1.0),
+                                   (sympy.Integer(0), sympy.Integer(-1))))
+    roots = set()
+    for r in polys[0].real_roots():
+        if all(sympy.simplify(q.as_expr().subs(t, r)) == 0
+               for q in polys[1:]):
+            roots.add(r)
+    for r in sorted(roots, key=lambda v: float(v)):
+        norm = sympy.sqrt(1 + r ** 2)
+        sym = (1 / norm, r / norm)
+        vec = (float(sym[0].evalf(30)), float(sym[1].evalf(30)))
+        dirs.append(ExactDirection(vec, sym))
+        dirs.append(ExactDirection((-vec[0], -vec[1]), (-sym[0], -sym[1])))
+    return dirs

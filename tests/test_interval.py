@@ -57,6 +57,26 @@ def test_abs_pow_sqrt():
                 assert x.sqrt().contains(math.sqrt(px))
 
 
+def test_negative_power_of_underflowing_interval_is_half_unbounded():
+    # the cube of 2.18e-134 underflows to 0, but the interval excludes 0
+    x = Interval(2.18e-134, 1.0)
+    r = x.ipow(-3)
+    assert r.hi == math.inf and r.lo <= 1.0 and r.contains(2.0 ** 300)
+    for k in (-3, -4):
+        neg = Interval(-1.0, -2.18e-134).ipow(k)
+        exact = Fraction(-1) ** k
+        assert neg.lo <= exact <= neg.hi
+        assert (neg.lo == -math.inf) if k % 2 else (neg.hi == math.inf)
+    # a power that underflows entirely still gives a sound enclosure
+    tiny = Interval(1e-200, 1e-199).ipow(-2)
+    assert tiny.hi == math.inf and tiny.lo > 0.0
+    with pytest.raises(DomainError):
+        Interval(-1.0, 1.0).ipow(-1)
+    # results that never underflowed keep their old value
+    x = Interval(2.0, 4.0)
+    assert x.ipow(-2) == Interval(1.0, 1.0) / x.ipow(2)
+
+
 def test_even_power_tight_at_zero():
     # the square of an interval straddling zero starts at zero, not at
     # the product of endpoints
@@ -124,8 +144,8 @@ def test_ipow_abs_sqrt_enclose_exact_results(a, b, s, k):
     try:
         assert _encloses(x.ipow(k), Fraction(p) ** k)
     except DomainError:
-        # a negative power of an interval whose power reaches zero
-        assert k < 0
+        # a negative power of an interval that contains zero
+        assert k < 0 and x.contains_zero()
     if x.hi >= 0.0 and p >= 0.0:
         r = x.sqrt()
         assert r.lo <= 0.0 or Fraction(r.lo) ** 2 <= Fraction(p)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from jetideals import verifier
 from jetideals.errors import DomainError
 from jetideals.geometry import Cone, Direction
 from jetideals.ideal import JetIdeal
@@ -120,6 +121,50 @@ def test_delta_ladder_shrinks_and_caps():
     ladder = delta_ladder(0.1)
     assert ladder == sorted(ladder, reverse=True)
     assert delta_ladder(1e-3)[0] == pytest.approx(5e-5)
+
+
+def test_delta_ladder_has_no_repeated_rungs():
+    # at eps = 1, eps^2/20 = eps/20: the rung used to come back twice
+    assert delta_ladder(1.0) == [0.05, 0.025]
+    for eps in (1.0, 0.5, 0.1, 0.01, 1e-3, 1e-5):
+        ladder = delta_ladder(eps)
+        assert len(set(ladder)) == len(ladder)
+
+
+def test_repeated_rungs_change_no_verdict(monkeypatch):
+    # 10*y^3/z cannot be certified at eps = 1 (|d_y^2 F| = 60|y/z| passes
+    # 1 on both domes), so its whole ladder runs; a small cell budget
+    # keeps the starved walks short
+    monkeypatch.setattr(verifier, "DOME_CELL_BUDGET", 512)
+    F = expr_parse("10*y^3/z", 3)
+    walks = []
+    dome_sup = verifier._dome_sup
+    monkeypatch.setattr(verifier, "_dome_sup",
+                        lambda *a: walks.append(a) or dome_sup(*a))
+
+    def run():
+        walks.clear()
+        cert = check_negligible(F, POLES, 2, 3, eps_grid=(1.0, 0.1))
+        return cert, len(walks)
+
+    deduped, deduped_walks = run()
+
+    def repeating(eps):
+        cands = [eps / 20, eps / 40, eps ** 2 / 20, eps ** 2 / 40,
+                 eps ** 3 / 20]
+        return [d for d in cands if 0.0 < d < 0.25]
+
+    monkeypatch.setattr(verifier, "delta_ladder", repeating)
+    repeated, repeated_walks = run()
+    assert deduped.verdict == repeated.verdict == "inconclusive"
+    assert ([r["verdict"] for r in deduped.records]
+            == [r["verdict"] for r in repeated.records]
+            == ["inconclusive", "pass"])
+    assert deduped.records[1] == repeated.records[1]
+    starved = [e["delta"] for e in deduped.records[0]["cell_budget_exhausted"]]
+    assert starved == [0.05, 0.025]
+    assert len(repeated.records[0]["cell_budget_exhausted"]) == 5
+    assert deduped_walks < repeated_walks
 
 
 def test_negligible_y3_over_z_at_poles():
