@@ -31,10 +31,12 @@ CERTIFIED_FORBIDDEN = "certified_forbidden"
 CANDIDATE_ALLOWED = "candidate_allowed"
 
 
-def jet_to_sympy(p: Jet, syms):
+def jet_to_sympy(p: Jet, syms, rho=1):
+    """p(rho * x) as a sympy polynomial in syms (rho an exact rational)."""
+    rho = sympy.Rational(Fraction(rho))
     expr = sympy.Integer(0)
     for alpha, c in p.coeffs.items():
-        term = sympy.Rational(c.numerator, c.denominator)
+        term = sympy.Rational(c.numerator, c.denominator) * rho ** sum(alpha)
         for s, a in zip(syms, alpha):
             if a:
                 term *= s ** a

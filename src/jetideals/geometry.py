@@ -276,15 +276,18 @@ class Dome:
     sound side.
 
     `roots` are the cover patches kept; `children(patch)` are the kept
-    `subdivide_all` children, computed once per patch.
+    `subdivide_all` children, computed once per patch.  `size` counts
+    the patches the tree holds: its roots and every child of a patch it
+    split, kept or not (the split patch keeps them all).
     """
 
-    __slots__ = ("omegas", "delta", "roots", "_kids")
+    __slots__ = ("omegas", "delta", "roots", "size", "_kids")
 
     def __init__(self, cover, omegas, delta):
         self.omegas = tuple(tuple(w) for w in omegas)
         self.delta = delta
         self.roots = tuple(p for p in cover if self.meets(p))
+        self.size = len(self.roots)
         self._kids = {}
 
     def meets(self, patch) -> bool:
@@ -295,8 +298,10 @@ class Dome:
     def children(self, patch):
         kids = self._kids.get(patch)
         if kids is None:
-            kids = self._kids[patch] = tuple(
-                q for q in patch.subdivide_all() if self.meets(q))
+            split = patch.subdivide_all()
+            self.size += len(split)
+            kids = self._kids[patch] = tuple(q for q in split
+                                             if self.meets(q))
         return kids
 
 

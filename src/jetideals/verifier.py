@@ -183,8 +183,10 @@ def _shell_sweep(expr, region, m, n, seed, k_lo, k_hi, weight):
     fracs = (0.55, 0.75, 1.0)
     radii = [frac * 2.0 ** -k for k in range(k_lo, k_hi + 1)
              for frac in fracs]
-    points = [tuple(s * c for c in u) for s in radii for u in dirs]
-    columns = compile_exprs([d for _, d in derivs])(_point_array(points, n))
+    # the (radius, direction) grid, one IEEE product per coordinate
+    points = (np.asarray(radii)[:, None, None]
+              * _point_array(dirs, n)[None]).reshape(-1, n)
+    columns = compile_exprs([d for _, d in derivs])(points)
     # ratios[point, alpha], points in sweep order
     ratios = np.empty((len(points), len(derivs)))
     for t, ((alpha, _), (vals, _)) in enumerate(zip(derivs, columns)):
@@ -198,7 +200,7 @@ def _shell_sweep(expr, region, m, n, seed, k_lo, k_hi, weight):
         if top > 0.0:
             p, t = divmod(i * per_shell + j, len(derivs))
             shells.append((k, top))
-            witness_pool.append((derivs[t][0], points[p],
+            witness_pool.append((derivs[t][0], tuple(points[p].tolist()),
                                  abs(float(columns[t][0][p]))))
         else:
             shells.append((k, None if derivs and top == -math.inf else 0.0))
@@ -308,10 +310,32 @@ def check_flat_tame_product(F: ScalarExpr, S: ScalarExpr, region, m: int,
 # Negligibility.
 # ---------------------------------------------------------------------------
 
-# Cells one dome walk may evaluate.  The walks of a check_negligible call
-# share one sphere-patch tree, which keeps every cell they visit, so this
-# bounds memory as well as time.
+# Cells one dome walk may evaluate: this bounds the time of a walk.
 DOME_CELL_BUDGET = 8192
+
+# Dome trees live for the whole process, one per (n, Omega, delta): a
+# patch's kept children depend only on (patch, Omega, delta), so a kept
+# tree hands every later walk the same cells.  Each tree grows on its
+# own sphere cover, so a dropped tree frees all its patches.  Memory is
+# bounded twice: at most DOME_TREES trees are kept (the least recently
+# used goes first), and a tree holding more than DOME_TREE_PATCHES
+# patches is replaced by a fresh one before its next walk.
+DOME_TREES = 32
+DOME_TREE_PATCHES = 8 * DOME_CELL_BUDGET
+
+
+@functools.lru_cache(maxsize=DOME_TREES)
+def _dome_slot(n, omegas, delta):
+    return [None]
+
+
+def _dome(n, omegas, delta):
+    """The kept dome tree of (n, omegas, delta), omegas a tuple of
+    float tuples."""
+    slot = _dome_slot(n, omegas, delta)
+    if slot[0] is None or slot[0].size > DOME_TREE_PATCHES:
+        slot[0] = Dome(sphere_cover(n, 2), omegas, delta)
+    return slot[0]
 
 
 def _dome_sup(expr, dome, target=None, budget=64):
@@ -411,8 +435,7 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
     derivs = [(alpha, expr_derive(F, alpha)) for alpha in monomials(m, n)]
     records = []
     verdicts = []
-    # one sphere-cover tree, shared by the dome of every delta rung
-    cover, domes = None, {}
+    key = tuple(omegas)
     for eps in eps_grid:
         rec = {"eps": eps}
         # genuine-failure scan on the center rays: for derivatives whose
@@ -447,9 +470,6 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
         found = None
         starved = {}     # alpha -> delta rungs whose walk ran out of cells
         for delta in delta_ladder(eps):
-            if delta not in domes:
-                cover = cover or sphere_cover(n, 2)
-                domes[delta] = Dome(cover, omegas, delta)
             alpha_records, ok, r_cap = [], True, 1.0
             for alpha, d_expr in derivs:
                 a_rec = {"alpha": list(alpha)}
@@ -464,7 +484,7 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
                     ok = False
                     alpha_records.append(a_rec)
                     break
-                sup, certified = _dome_sup(d_expr, domes[delta],
+                sup, certified = _dome_sup(d_expr, _dome(n, key, delta),
                                            eps if gap == 0 else None, budget)
                 if sup is None:
                     starved.setdefault(alpha, []).append(delta)
@@ -682,13 +702,36 @@ def _plateaus_certified(exprs, boxes, s_range=None, n=None):
 def symbolic_residual_zero(p: Jet, terms, F: ScalarExpr) -> bool:
     """Exact check that p - sum S_l Q_l - F vanishes as a rational
     expression, with cutoffs restricted to their plateau."""
-    n = p.sig.n
-    syms = sympy.symbols(f"x0:{n}", real=True, positive=False)
-    residual = jet_to_sympy(p, syms)
-    for Q, S, _ in terms:
-        residual -= expr_to_sympy(S, syms) * jet_to_sympy(Q, syms)
-    residual -= expr_to_sympy(F, syms)
-    return sympy.simplify(sympy.together(residual)) == 0
+    return _identity_zero(p, [(Q, S) for Q, S, _ in terms], F)
+
+
+def _identity_zero(p: Jet, pairs, F: ScalarExpr, rho=1, f_scale=1,
+                   s_scale=1) -> bool:
+    """Exact check that p(rho x) - f_scale F(x) - s_scale sum S_l(x)
+    Q_l(rho x) vanishes, cutoffs at their plateau values; rho and the
+    scales are exact rationals."""
+    syms = sympy.symbols(f"x0:{p.sig.n}", real=True)
+    residual = jet_to_sympy(p, syms, rho)
+    residual -= sympy.Rational(Fraction(f_scale)) * expr_to_sympy(F, syms)
+    for Q, S in pairs:
+        residual -= sympy.Rational(Fraction(s_scale)) \
+            * expr_to_sympy(S, syms) * jet_to_sympy(Q, syms, rho)
+    return _residual_zero(residual, syms)
+
+
+def _residual_zero(residual, syms) -> bool:
+    """Exact zero test of an identity residual in the symbols syms.
+
+    When the numerator of together(residual) is a polynomial in syms,
+    the residual is zero iff that numerator expands to 0, which decides
+    a rational function soundly and completely.  A numerator with a
+    square root (a Norm node outside any cutoff) is left to
+    sympy.simplify."""
+    combined = sympy.together(residual)
+    num = sympy.numer(combined)
+    if num.is_polynomial(*syms):
+        return sympy.expand(num) == 0
+    return sympy.simplify(combined) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -879,18 +922,6 @@ def expr_scale_coords(e: ScalarExpr, rho) -> ScalarExpr:
     raise DomainError(f"cannot rescale node {type(e).__name__}")
 
 
-def jet_to_sympy_scaled(p: Jet, syms, rho) -> sympy.Expr:
-    rho = sympy.Rational(Fraction(rho))
-    expr = sympy.Integer(0)
-    for alpha, c in p.coeffs.items():
-        term = sympy.Rational(c.numerator, c.denominator) * rho ** sum(alpha)
-        for s, a in zip(syms, alpha):
-            if a:
-                term *= s ** a
-        expr += term
-    return expr
-
-
 def chi_expr(n: int) -> ScalarExpr:
     """Radial bump: 1 on 1/2 < |x| < 2, 0 outside 1/4 < |x| < 4."""
     full = Norm(range(n))
@@ -971,8 +1002,8 @@ def check_annulus_condition(variant: str, params: dict, p: Jet, Q_list,
     Bounds are checked on a deterministic cutoff-aware sample set (a
     violation is a genuine witness); the identity is certified exactly:
     interval arithmetic confirms every cutoff sits on its plateau over
-    the region, then the plateau-substituted residual is simplified to
-    zero symbolically.
+    the region, then the plateau-substituted residual is tested for
+    zero exactly (_residual_zero).
     """
     m, n = p.sig.m, p.sig.n
     A = float(params["A"])
@@ -1007,12 +1038,7 @@ def check_annulus_condition(variant: str, params: dict, p: Jet, Q_list,
         plateau = _plateaus_certified(id_exprs, boxes,
                                       s_range=(rho / 2, 2 * rho), n=n)
         if plateau:
-            syms = sympy.symbols(f"x0:{n}", real=True)
-            residual = jet_to_sympy(p, syms)
-            residual -= expr_to_sympy(F, syms)
-            for Q, S in zip(Q_list, S_list):
-                residual -= expr_to_sympy(S, syms) * jet_to_sympy(Q, syms)
-            id_ok = sympy.simplify(sympy.together(residual)) == 0
+            id_ok = _identity_zero(p, zip(Q_list, S_list), F)
             id_method = "plateau-certified symbolic"
         else:
             id_ok, id_method = _sampled_identity(
@@ -1076,20 +1102,12 @@ def _scaled_identity(p, Q_list, F_expr, S_exprs, eps, A, rho_frac, omegas,
     p(rho x) = eps rho^m F_expr(x) + sum A S_expr_l(x) Q_l(rho x)."""
     boxes = _region_boxes(omegas, delta, 0.5, 2.0, n)
     exprs = [F_expr] + list(S_exprs)
-    if _plateaus_certified(exprs, boxes, s_range=(0.5, 2.0), n=n):
-        syms = sympy.symbols(f"x0:{n}", real=True)
-        eps_s = sympy.Rational(Fraction(eps))
-        A_s = sympy.Rational(Fraction(A))
-        rho_s = sympy.Rational(rho_frac)
-        m = p.sig.m
-        residual = jet_to_sympy_scaled(p, syms, rho_frac)
-        residual -= eps_s * rho_s ** m * expr_to_sympy(F_expr, syms)
-        for Q, S in zip(Q_list, S_exprs):
-            residual -= A_s * expr_to_sympy(S, syms) \
-                * jet_to_sympy_scaled(Q, syms, rho_frac)
-        return sympy.simplify(sympy.together(residual)) == 0, \
-            "plateau-certified symbolic"
     m = p.sig.m
+    if _plateaus_certified(exprs, boxes, s_range=(0.5, 2.0), n=n):
+        return _identity_zero(
+            p, zip(Q_list, S_exprs), F_expr, rho_frac,
+            f_scale=Fraction(eps) * rho_frac ** m,
+            s_scale=Fraction(A)), "plateau-certified symbolic"
     rho = float(rho_frac)
 
     def terms_at(x):

@@ -1,11 +1,13 @@
-"""Negligibility dome walks over one shared sphere-patch tree.
+"""Negligibility dome walks over kept sphere-patch trees.
 
 check_negligible must return exactly what it returned when every dome
 walk built its own cover (the reference walk in scalar_reference.py),
-and the cell budget must end walks that cannot finish."""
+whatever earlier checks grew the kept trees, and the cell budget must
+end walks that cannot finish."""
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -175,3 +177,106 @@ def test_dome_roots_and_children_are_the_kept_cells():
     wider = Dome(cover, POLES, 0.1)
     assert set(map(id, dome.roots)) <= set(map(id, wider.roots))
     assert set(map(id, kids)) <= set(map(id, wider.children(root)))
+
+
+# ---------------------------------------------------------------------------
+# Dome trees kept for the whole process.
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def fresh_trees():
+    """Start and end with no kept dome trees."""
+    verifier._dome_slot.cache_clear()
+    yield
+    verifier._dome_slot.cache_clear()
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The deltas of the Dome trees check_negligible builds, in order."""
+    deltas = []
+
+    class CountingDome(Dome):
+        __slots__ = ()
+
+        def __init__(self, cover, omegas, delta):
+            deltas.append(delta)
+            super().__init__(cover, omegas, delta)
+
+    monkeypatch.setattr(verifier, "Dome", CountingDome)
+    return deltas
+
+
+def test_two_checks_build_each_dome_once(fresh_trees, built):
+    F = expr_parse("y^3/z", 3)
+    first = check_negligible(F, POLES, 2, 3).to_json()
+    once = list(built)
+    assert once and len(set(once)) == len(once)
+    second = check_negligible(F, POLES, 2, 3).to_json()
+    assert built == once
+    assert second == first
+    # a third check on the same omegas, n and ladder reuses them again
+    check_negligible(expr_parse("2*y^3/z", 3), POLES, 2, 3)
+    assert built == once
+
+
+def test_tree_cache_bounds(fresh_trees):
+    assert verifier._dome_slot.cache_info().maxsize == verifier.DOME_TREES
+    assert verifier.DOME_TREES == 32
+    assert verifier.DOME_TREE_PATCHES == 8 * DOME_CELL_BUDGET
+
+
+@pytest.mark.parametrize("order", [(Fraction(1, 9), 3),
+                                   (3, Fraction(1, 9))])
+def test_kept_trees_match_fresh_walks(fresh_trees, monkeypatch, order):
+    # the second certificate walks trees the first one grew
+    kept = [json.dumps(check_strong_global(_family_a(c)), sort_keys=True)
+            for c in order]
+    with monkeypatch.context() as patch:
+        patch.setattr(verifier, "_dome_sup", scalar_reference.dome_sup)
+        fresh = [json.dumps(check_strong_global(_family_a(c)),
+                            sort_keys=True) for c in order]
+    assert kept == fresh
+
+
+def test_starved_tree_gives_later_checks_the_same_cells(fresh_trees,
+                                                        monkeypatch):
+    # the 4*y^3/z check grows the delta = 0.05 tree up to the cell
+    # budget; a normal check and the starving check itself, run on the
+    # grown trees, still return what they return on fresh ones
+    F = expr_parse("4*y^3/z", 3)
+    starving = check_negligible(F, POLES, 2, 3).to_json()
+    normal = json.dumps(check_strong_global(_family_a(1)), sort_keys=True)
+    assert check_negligible(F, POLES, 2, 3).to_json() == starving
+    with monkeypatch.context() as patch:
+        patch.setattr(verifier, "_dome_sup", scalar_reference.dome_sup)
+        fresh = json.dumps(check_strong_global(_family_a(1)),
+                           sort_keys=True)
+    assert normal == fresh
+
+
+def test_tree_past_the_patch_cap_is_replaced(fresh_trees, built,
+                                             monkeypatch):
+    F = expr_parse("y^3/z", 3)
+    uncapped = check_negligible(F, POLES, 2, 3).to_json()
+    kept = verifier._dome(3, tuple(POLES), 0.05)
+    assert kept.size > 40
+    verifier._dome_slot.cache_clear()
+    built.clear()
+    monkeypatch.setattr(verifier, "DOME_TREE_PATCHES", 40)
+    assert check_negligible(F, POLES, 2, 3).to_json() == uncapped
+    # a tree that grew past the cap was built again for its next walk,
+    # within the call and in the next one
+    first_pass = len(built)
+    assert first_pass > len(set(built))
+    assert check_negligible(F, POLES, 2, 3).to_json() == uncapped
+    assert len(built) > first_pass
+
+
+def test_dome_size_counts_every_child_of_a_split_patch():
+    dome = Dome(sphere_cover(3, 2), POLES, 0.05)
+    assert dome.size == len(dome.roots)
+    dome.children(dome.roots[0])
+    assert dome.size == len(dome.roots) + 4
+    dome.children(dome.roots[0])
+    assert dome.size == len(dome.roots) + 4
