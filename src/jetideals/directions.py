@@ -22,7 +22,7 @@ from fractions import Fraction
 import sympy
 
 from .errors import DomainError
-from .geometry import Direction, Dome, SpherePatch, sphere_cover
+from .geometry import Dome, SpherePatch, sphere_cover
 from .ideal import JetIdeal
 from .interval import Interval
 from .jetring import MORE_THAN_M, Jet
@@ -53,9 +53,6 @@ class ExactDirection:
     def __init__(self, vec, sym=None):
         self.vec = tuple(float(c) for c in vec)
         self.sym = tuple(sym) if sym is not None else None
-
-    def as_direction(self) -> Direction:
-        return Direction(self.vec, normalize=True)
 
     def __repr__(self):
         return f"ExactDirection({self.vec})"
@@ -92,11 +89,6 @@ class DirectionSet:
         if self.is_finite:
             return not self.directions
         return all(status == CERTIFIED_FORBIDDEN for _, status, _ in self.patches)
-
-    def float_directions(self):
-        if not self.is_finite:
-            raise DomainError("direction set is a patch cover, not a finite list")
-        return [d.vec for d in self.directions]
 
     def candidate_patches(self):
         if self.is_finite:

@@ -18,14 +18,10 @@ _INF = math.inf
 
 
 def _down(x: float) -> float:
-    if x == -_INF or x != x:
-        return x
     return math.nextafter(x, -_INF)
 
 
 def _up(x: float) -> float:
-    if x == _INF or x != x:
-        return x
     return math.nextafter(x, _INF)
 
 

@@ -78,13 +78,6 @@ class RingSignature:
         return variable_names(self.n)
 
 
-def multi_factorial(alpha) -> int:
-    out = 1
-    for a in alpha:
-        out *= math.factorial(a)
-    return out
-
-
 class Jet:
     """An element of P^m(R^n): exact rational coefficients per monomial."""
 

@@ -11,6 +11,7 @@ interval mode.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -285,6 +286,15 @@ def ipow(base, k):
 # Differentiation.
 # ---------------------------------------------------------------------------
 
+# Derivatives kept for the process, one per (node, coordinate).  The
+# recursion runs through the cache, so the trees of a derivative table
+# share their prefixes and subtrees, and a tree derived again (by a later
+# check, or in another direction) gets the same trees back.  A call that
+# raises is not kept: it raises again on every call.
+DERIVATIVES = 1 << 10
+
+
+@functools.lru_cache(maxsize=DERIVATIVES)
 def expr_diff(e: ScalarExpr, i: int) -> ScalarExpr:
     """Exact partial derivative with respect to coordinate i."""
     if isinstance(e, Const):
@@ -356,7 +366,7 @@ def expr_eval(e: ScalarExpr, point, mode: str = "float"):
     if mode == "interval":
         box = [c if isinstance(c, Interval) else Interval.exact(c)
                for c in point]
-        return _eval_interval(e, box)
+        return compile_interval(e)(box)
     raise ValueError(f"unknown eval mode {mode!r}")
 
 
@@ -396,36 +406,93 @@ def _eval_float(e, x):
     raise TypeError(f"unknown node {e!r}")
 
 
-def _eval_interval(e, box):
+# Interval programs kept for the process, one per structurally distinct
+# node: nodes hash by structure, and cutoff and gauge nodes compare their
+# spec and gauge by identity, so equal nodes are the same function.
+INTERVAL_PROGRAMS = 1 << 10
+
+_IV_ZERO = Interval(0.0, 0.0)
+_IV_ONE = Interval(1.0, 1.0)
+
+
+@functools.lru_cache(maxsize=INTERVAL_PROGRAMS)
+def compile_interval(e: ScalarExpr):
+    """Interval evaluator of e: box (one Interval per coordinate) ->
+    enclosure of e over the box.
+
+    Constants become Intervals once, here, and so does a product's first
+    step when its first factor is a constant.  Evaluation applies the
+    Interval operations of a tree walk in the walk's order: sums run from
+    [0, 0] and products from [1, 1], left to right, numerators before
+    denominators.  So every enclosure, and every DomainError or
+    ValueError, is the walk's exactly.  Children compile through this
+    cache, so equal subtrees share one closure.
+    """
     if isinstance(e, Const):
-        return Interval.exact(e.value)
+        iv, value = _exact_constant(e.value), e.value
+        if iv is None:
+            return lambda box: Interval.exact(value)
+        return lambda box: iv
     if isinstance(e, Coord):
-        return box[e.i]
+        i = e.i
+        return lambda box: box[i]
     if isinstance(e, Add):
-        out = Interval(0.0, 0.0)
-        for t in e.terms:
-            out = out + _eval_interval(t, box)
-        return out
+        terms = tuple(compile_interval(t) for t in e.terms)
+
+        def add_terms(box):
+            out = _IV_ZERO
+            for t in terms:
+                out = out + t(box)
+            return out
+        return add_terms
     if isinstance(e, Mul):
-        out = Interval(1.0, 1.0)
-        for f in e.factors:
-            out = out * _eval_interval(f, box)
-        return out
+        factors = tuple(compile_interval(f) for f in e.factors)
+        start = _IV_ONE
+        if isinstance(e.factors[0], Const):
+            lead = _exact_constant(e.factors[0].value)
+            if lead is not None:
+                # the walk's first product is the same for every box
+                start, factors = _IV_ONE * lead, factors[1:]
+
+        def mul_factors(box):
+            out = start
+            for f in factors:
+                out = out * f(box)
+            return out
+        return mul_factors
     if isinstance(e, Pow):
-        return _eval_interval(e.base, box).ipow(e.k)
+        base, k = compile_interval(e.base), e.k
+        return lambda box: base(box).ipow(k)
     if isinstance(e, Div):
-        return _eval_interval(e.num, box) / _eval_interval(e.den, box)
+        num, den = compile_interval(e.num), compile_interval(e.den)
+        return lambda box: num(box) / den(box)
     if isinstance(e, Norm):
-        acc = Interval(0.0, 0.0)
-        for i in e.indices:
-            acc = acc + box[i].ipow(2)
-        return acc.sqrt()
+        indices = e.indices
+
+        def norm(box):
+            acc = _IV_ZERO
+            for i in indices:
+                acc = acc + box[i].ipow(2)
+            return acc.sqrt()
+        return norm
     if isinstance(e, Cutoff):
-        v = _eval_interval(e.arg, box) / Interval.exact(e.scale)
-        return e.spec.eval_interval(v, e.order)
+        arg, scale = compile_interval(e.arg), compile_interval(Const(e.scale))
+        spec, order = e.spec, e.order
+        return lambda box: spec.eval_interval(arg(box) / scale(box), order)
     if isinstance(e, GaugeRef):
-        return e.gauge.eval_interval(_eval_interval(e.arg, box))
+        arg, gauge = compile_interval(e.arg), e.gauge
+        return lambda box: gauge.eval_interval(arg(box))
     raise TypeError(f"unknown node {e!r}")
+
+
+def _exact_constant(value):
+    """Interval.exact(value), or None for a value beyond float range:
+    that constant raises OverflowError on each evaluation instead, where
+    a tree walk raises it."""
+    try:
+        return Interval.exact(value)
+    except OverflowError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -888,18 +955,8 @@ class RegularizedGauge:
     def g_tilde(self, t):
         return self.tilde.eval(t)
 
-    def g_star(self, t):
-        return self._gstar_fn(t)
-
     def g_plus(self, t):
         return self.c_second * self._gstar_fn(t)
-
-    def as_gauge(self, name=None):
-        name = name or f"{self.source.name}_plus"
-        grid = self.tilde.log2_grid
-        vals = np.minimum(self.c_second * np.array(
-            [self._gstar_fn(2.0 ** j) for j in grid]), 1.0)
-        return Gauge(name, grid, vals)
 
 
 def gauge_regularize(g: Gauge, check_scales=20) -> RegularizedGauge:

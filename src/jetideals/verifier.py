@@ -15,6 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 import sympy
+from sympy.polys.domains import QQ
+from sympy.polys.rings import PolyRing
 
 from .directions import (allow_overapprox, forbidden_certificate_search,
                          jet_to_sympy)
@@ -24,9 +26,10 @@ from .geometry import (Annulus, Cone, Direction, Dome, dome_membership,
 from .ideal import JetIdeal
 from .interval import Interval
 from .jetring import Jet, monomials
-from .symfun import (Const, Cutoff, GaugeRef, Norm, ScalarExpr, ZERO, add,
-                     compile_expr, compile_exprs, div, expr_derive, expr_eval,
-                     expr_str, hom_degree, ipow, mul, DEFAULT_CUTOFF, Coord)
+from .symfun import (Add, Const, Cutoff, Div, GaugeRef, Mul, Norm, Pow,
+                     ScalarExpr, ZERO, add, compile_expr, compile_exprs,
+                     compile_interval, div, expr_derive, expr_eval, expr_str,
+                     hom_degree, ipow, mul, DEFAULT_CUTOFF, Coord)
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 _ORDER = {FAIL: 0, INCONCLUSIVE: 1, PASS: 2}
@@ -162,11 +165,30 @@ class ShellReport:
                 "witness": self.witness, "notes": self.notes}
 
 
-def _region_directions(region, n, rng, count=40):
+# Sweep direction sets kept for the process, one per (Omega, delta, n,
+# seed): a cone's directions come from a fresh default_rng(seed) that
+# draws nothing else, so a cone swept again gets the same set back.
+SWEEP_DIRECTION_SETS = 64
+
+
+def _region_directions(region, n, seed, count=40):
+    """The sample directions of a shell sweep: from a fresh
+    default_rng(seed), inside the dome of a Cone region, else anywhere
+    on the sphere."""
     if isinstance(region, Cone):
-        omegas = [tuple(w) for w in region.omega_set]
-        return _dome_directions(rng, omegas, region.delta, count)
+        # float.hex keeps the sign of a zero coordinate, which the dome
+        # centers carry into the sample points
+        omega_hex = tuple(tuple(map(float.hex, w)) for w in region.omega_set)
+        return _cone_directions(omega_hex, region.delta, n, seed, count)
+    rng = np.random.default_rng(seed)
     return [_random_unit(rng, n) for _ in range(count)]
+
+
+@functools.lru_cache(maxsize=SWEEP_DIRECTION_SETS)
+def _cone_directions(omega_hex, delta, n, seed, count):
+    omegas = [tuple(map(float.fromhex, w)) for w in omega_hex]
+    return tuple(_dome_directions(np.random.default_rng(seed), omegas,
+                                  delta, count))
 
 
 def _shell_sweep(expr, region, m, n, seed, k_lo, k_hi, weight):
@@ -176,10 +198,9 @@ def _shell_sweep(expr, region, m, n, seed, k_lo, k_hi, weight):
     alpha) order, that reaches the shell's sup.  A shell where no
     nonzero derivative evaluates at any sample has sup None: it carries
     no evidence."""
-    rng = np.random.default_rng(seed)
     derivs = [(alpha, d) for alpha in monomials(m, n)
               if (d := expr_derive(expr, alpha)) != ZERO]
-    dirs = _region_directions(region, n, rng)
+    dirs = _region_directions(region, n, seed)
     fracs = (0.55, 0.75, 1.0)
     radii = [frac * 2.0 ** -k for k in range(k_lo, k_hi + 1)
              for frac in fracs]
@@ -349,6 +370,7 @@ def _dome_sup(expr, dome, target=None, budget=64):
     A walk that would evaluate more than DOME_CELL_BUDGET cells returns
     (None, False): no bound at all.
     """
+    enclose = compile_interval(expr)
     work = [(p, 0) for p in dome.roots]
     # without a target, stop once cells are comparable to the dome size
     free_depth = max(3, min(60, int(-math.log2(max(dome.delta, 1e-18))) + 3))
@@ -361,8 +383,7 @@ def _dome_sup(expr, dome, target=None, budget=64):
             return None, False
         patch, depth = work.pop()
         try:
-            val = abs(expr_eval(expr, patch.direction_enclosure(),
-                                mode="interval"))
+            val = abs(enclose(patch.direction_enclosure()))
         except DomainError:
             if depth < budget:
                 work.extend((q, depth + 1) for q in dome.children(patch))
@@ -709,14 +730,97 @@ def _identity_zero(p: Jet, pairs, F: ScalarExpr, rho=1, f_scale=1,
                    s_scale=1) -> bool:
     """Exact check that p(rho x) - f_scale F(x) - s_scale sum S_l(x)
     Q_l(rho x) vanishes, cutoffs at their plateau values; rho and the
-    scales are exact rationals."""
+    scales are exact rationals.
+
+    Each term becomes a (numerator, denominator) pair of polynomials over
+    QQ, with no gcd taken, and the residual is zero iff the numerator of
+    their sum is 0.  A term with an identically zero denominator is
+    defined nowhere, so the identity fails.  A Norm node outside every
+    cutoff has no rational form: such a residual goes to _residual_zero.
+    """
+    pairs = list(pairs)
     syms = sympy.symbols(f"x0:{p.sig.n}", real=True)
+    ring = PolyRing(syms, QQ)
+    try:
+        num, den = _ring_fraction(F, ring)
+        num, den = _fraction_add(_ring_jet(p, ring, rho), ring.one,
+                                 -QQ(f_scale) * num, den)
+        for Q, S in pairs:
+            s_num, s_den = _ring_fraction(S, ring)
+            num, den = _fraction_add(
+                num, den, -QQ(s_scale) * s_num * _ring_jet(Q, ring, rho),
+                s_den)
+    except _ZeroDenominator:
+        return False
+    except _NotRational:
+        return _residual_zero(_sympy_residual(p, pairs, F, rho, f_scale,
+                                              s_scale, syms), syms)
+    return not num
+
+
+class _NotRational(Exception):
+    """The tree has a Norm node outside every cutoff."""
+
+
+class _ZeroDenominator(Exception):
+    """The tree divides by an identically zero polynomial."""
+
+
+def _ring_jet(p: Jet, ring, rho):
+    """p(rho x) in the polynomial ring."""
+    return ring.from_dict({alpha: QQ(c * rho ** sum(alpha))
+                           for alpha, c in p.coeffs.items()})
+
+
+def _fraction_add(a, b, c, d):
+    """a/b + c/d as a (numerator, denominator) pair."""
+    if b == d:
+        return a + c, b
+    return a * d + c * b, b * d
+
+
+def _ring_fraction(e: ScalarExpr, ring):
+    """e as a (numerator, denominator) pair of ring polynomials, cutoff
+    nodes at their plateau value, as expr_to_sympy reads them."""
+    if isinstance(e, Const):
+        return ring(QQ(e.value)), ring.one
+    if isinstance(e, Coord):
+        return ring.gens[e.i], ring.one
+    if isinstance(e, Add):
+        num, den = ring.zero, ring.one
+        for t in e.terms:
+            num, den = _fraction_add(num, den, *_ring_fraction(t, ring))
+        return num, den
+    if isinstance(e, Mul):
+        num, den = ring.one, ring.one
+        for f in e.factors:
+            f_num, f_den = _ring_fraction(f, ring)
+            num, den = num * f_num, den * f_den
+        return num, den
+    if isinstance(e, Pow):
+        num, den = _ring_fraction(e.base, ring)
+        return num ** e.k, den ** e.k
+    if isinstance(e, Div):
+        a, b = _ring_fraction(e.num, ring)
+        c, d = _ring_fraction(e.den, ring)
+        if not c:
+            raise _ZeroDenominator
+        return a * d, b * c
+    if isinstance(e, Cutoff):
+        return (ring.one if e.order == 0 else ring.zero), ring.one
+    if isinstance(e, Norm):
+        raise _NotRational
+    raise DomainError(f"node {type(e).__name__} has no symbolic form")
+
+
+def _sympy_residual(p, pairs, F, rho, f_scale, s_scale, syms):
+    """The residual of _identity_zero as a sympy expression."""
     residual = jet_to_sympy(p, syms, rho)
     residual -= sympy.Rational(Fraction(f_scale)) * expr_to_sympy(F, syms)
     for Q, S in pairs:
         residual -= sympy.Rational(Fraction(s_scale)) \
             * expr_to_sympy(S, syms) * jet_to_sympy(Q, syms, rho)
-    return _residual_zero(residual, syms)
+    return residual
 
 
 def _residual_zero(residual, syms) -> bool:

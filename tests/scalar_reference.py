@@ -1,14 +1,18 @@
 """Reference implementations of checks that now run on faster paths.
 
+The interval tree walk that symfun.compile_interval replaced:
+test_symfun.py requires the compiled interval programs to return
+exactly its enclosures and to raise where it raises.
+
 The point-by-point loops over expr_eval that verifier._sampled_bound_check,
 verifier._shell_sweep and verifier.measure_chi_constant replaced:
 test_compiled_callers.py requires the compiled callers to return exactly
 what these return, witnesses included.
 
 The unshared negligibility dome walk that verifier._dome_sup replaced:
-each call builds its own cover, re-tests and re-encloses every cell.
-test_dome_tree.py requires check_negligible to return exactly what it
-returns on this walk.
+each call builds its own cover, re-tests and re-encloses every cell, and
+evaluates by the interval tree walk.  test_dome_tree.py requires
+check_negligible to return exactly what it returns on this walk.
 
 The plane allowed-set solver that built p(1, t) and p(0, 1) by sympy
 substitution: test_shared_facts.py requires directions._plane_zero_set
@@ -23,10 +27,44 @@ import sympy
 from jetideals.directions import ExactDirection, jet_to_sympy
 from jetideals.errors import DomainError
 from jetideals.geometry import sphere_cover
+from jetideals.interval import Interval
 from jetideals.jetring import monomials
-from jetideals.symfun import ZERO, expr_derive, expr_eval
+from jetideals.symfun import (ZERO, Add, Const, Coord, Cutoff, Div, GaugeRef,
+                              Mul, Norm, Pow, expr_derive, expr_eval)
 from jetideals.verifier import (FAIL, PASS, _random_unit, _region_directions,
                                 chi_expr)
+
+
+def eval_interval(e, box):
+    if isinstance(e, Const):
+        return Interval.exact(e.value)
+    if isinstance(e, Coord):
+        return box[e.i]
+    if isinstance(e, Add):
+        out = Interval(0.0, 0.0)
+        for t in e.terms:
+            out = out + eval_interval(t, box)
+        return out
+    if isinstance(e, Mul):
+        out = Interval(1.0, 1.0)
+        for f in e.factors:
+            out = out * eval_interval(f, box)
+        return out
+    if isinstance(e, Pow):
+        return eval_interval(e.base, box).ipow(e.k)
+    if isinstance(e, Div):
+        return eval_interval(e.num, box) / eval_interval(e.den, box)
+    if isinstance(e, Norm):
+        acc = Interval(0.0, 0.0)
+        for i in e.indices:
+            acc = acc + box[i].ipow(2)
+        return acc.sqrt()
+    if isinstance(e, Cutoff):
+        v = eval_interval(e.arg, box) / Interval.exact(e.scale)
+        return e.spec.eval_interval(v, e.order)
+    if isinstance(e, GaugeRef):
+        return e.gauge.eval_interval(eval_interval(e.arg, box))
+    raise TypeError(f"unknown node {e!r}")
 
 
 def _try_eval(e, x):
@@ -37,10 +75,9 @@ def _try_eval(e, x):
 
 
 def shell_sweep(expr, region, m, n, seed, k_lo, k_hi, weight):
-    rng = np.random.default_rng(seed)
     derivs = [(alpha, expr_derive(expr, alpha))
               for alpha in monomials(m, n)]
-    dirs = _region_directions(region, n, rng)
+    dirs = _region_directions(region, n, seed)
     nonzero = any(d_expr != ZERO for _, d_expr in derivs)
     shells = []
     witness_pool = []
@@ -144,7 +181,7 @@ def dome_sup(expr, dome, target=None, budget=64):
             continue
         enc = patch.direction_enclosure()
         try:
-            val = abs(expr_eval(expr, enc, mode="interval"))
+            val = abs(eval_interval(expr, enc))
         except DomainError:
             if depth < budget:
                 work.extend((q, depth + 1) for q in patch.subdivide_all())

@@ -147,14 +147,10 @@ def test_ladder_exhausted_by_cell_budget_names_it(monkeypatch):
 def test_nan_enclosure_is_not_certified(monkeypatch):
     # inf - inf has no value: a cell whose enclosure comes out that way
     # proves nothing, so the dome walk must not count it as below target
-    evaluate = verifier.expr_eval
+    def nan_program(e):
+        return lambda box: Interval(math.inf, math.inf) + Interval(-math.inf)
 
-    def nan_in_interval_mode(e, x, mode="float"):
-        if mode == "interval":
-            return Interval(math.inf, math.inf) + Interval(-math.inf)
-        return evaluate(e, x, mode)
-
-    monkeypatch.setattr(verifier, "expr_eval", nan_in_interval_mode)
+    monkeypatch.setattr(verifier, "compile_interval", nan_program)
     cert = check_negligible(expr_parse("y^3/z", 3), POLES, 2, 3,
                             eps_grid=(1.0,), budget=2)
     assert cert.verdict == "inconclusive"

@@ -2,13 +2,14 @@
 
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from jetideals.errors import DomainError
-from jetideals.interval import Interval, box_norm
+from jetideals.interval import Interval, _down, _up, box_norm
 from jetideals.symfun import DEFAULT_CUTOFF, _poly_eval_fraction
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -204,3 +205,31 @@ def test_zero_times_infinity_is_zero():
     assert half.lo <= 0.0 < 1e-300 and half.hi == math.inf
     assert (Interval(-1.0, 1.0) * Interval(-math.inf, math.inf)).width \
         == math.inf
+
+
+def _guarded_down(x):
+    if x == -math.inf or x != x:
+        return x
+    return math.nextafter(x, -math.inf)
+
+
+def _guarded_up(x):
+    if x == math.inf or x != x:
+        return x
+    return math.nextafter(x, math.inf)
+
+
+def _bits(x):
+    return "nan" if x != x else struct.pack("<d", x)
+
+
+EDGES = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324,
+         2.2250738585072014e-308, 1.0, -1.0, 1.7976931348623157e308,
+         -1.7976931348623157e308]
+
+
+@given(st.one_of(st.sampled_from(EDGES), st.floats()))
+def test_rounding_steps_equal_the_guarded_definitions(x):
+    # nextafter already keeps -inf down, +inf up and NaN as they are
+    assert _bits(_down(x)) == _bits(_guarded_down(x))
+    assert _bits(_up(x)) == _bits(_guarded_up(x))

@@ -2,11 +2,14 @@
 
 symbolic_residual_zero, the C branch of check_annulus_condition and the
 rescaled identity of C* / C** all decide p - sum S_l Q_l - F = 0 with
-verifier._residual_zero: a residual whose together() numerator is a
-polynomial is zero iff that numerator expands to 0; any other residual
-(a square root from a Norm node) goes to sympy.simplify."""
+verifier._identity_zero.  A rational residual is decided in a polynomial
+ring over QQ: zero iff the numerator of its terms' sum is 0.  A residual
+with a square root (a Norm node outside any cutoff) goes to
+verifier._residual_zero, which tests the numerator of together() when it
+is a polynomial and otherwise calls sympy.simplify."""
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,10 +22,12 @@ from jetideals.corpus import _intro_annulus_inputs, case_by_id, run_case
 from jetideals.directions import jet_to_sympy
 from jetideals.geometry import Direction
 from jetideals.ideal import JetIdeal
+from jetideals.errors import DomainError
 from jetideals.jetring import Jet, RingSignature, jet_parse
-from jetideals.symfun import Const, Coord, add, div, expr_parse, mul
-from jetideals.verifier import (ImplicationCertificate, _residual_zero,
-                                check_annulus_condition,
+from jetideals.symfun import (DEFAULT_CUTOFF, Const, Coord, Cutoff, Gauge,
+                              add, div, expr_parse, ipow, mul)
+from jetideals.verifier import (ImplicationCertificate, _identity_zero,
+                                _residual_zero, check_annulus_condition,
                                 check_strong_directional, expr_to_sympy,
                                 symbolic_residual_zero)
 
@@ -109,6 +114,79 @@ class _SympyWithoutSimplify:
         if name == "simplify":
             raise AssertionError("sympy.simplify called by the verifier")
         return getattr(sympy, name)
+
+
+# ---------------------------------------------------------------------------
+# The ring decision agrees with _residual_zero on rational residuals.
+# ---------------------------------------------------------------------------
+
+# cutoffs read at their plateau: 1 for theta, 0 for its derivatives
+plateau_cutoffs = st.builds(lambda i, order: Cutoff(DEFAULT_CUTOFF, Coord(i),
+                                                    1, order),
+                            st.integers(0, N - 1), st.integers(0, 2))
+ring_trees = st.recursive(
+    st.one_of(st.builds(Const, small), coords, plateau_cutoffs), _extend,
+    max_leaves=6)
+scales = st.fractions(Fraction(1, 9), 3, max_denominator=9)
+
+
+def _jet_expr(p, rho):
+    """p(rho x) as an expression tree."""
+    return add(*(mul(Const(c * rho ** sum(alpha)),
+                     *(ipow(Coord(i), k) for i, k in enumerate(alpha)))
+                 for alpha, c in p.coeffs.items()))
+
+
+def _sympy_residual(p, pairs, F, rho, f_scale, s_scale):
+    residual = jet_to_sympy(p, SYMS, rho) \
+        - sympy.Rational(f_scale) * expr_to_sympy(F, SYMS)
+    for Q, S in pairs:
+        residual -= sympy.Rational(s_scale) * expr_to_sympy(S, SYMS) \
+            * jet_to_sympy(Q, SYMS, rho)
+    return residual
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_trees, ring_trees, ring_trees, dens, jets, jets, scales, scales,
+       scales, st.integers(0, 2))
+def test_ring_decision_agrees_with_residual_zero(a, b, c, d, p, q, rho,
+                                                 f_scale, s_scale, pick):
+    S = div(add(a, b), d)
+    # p(rho x) - s_scale S q(rho x), with S split into a/d + b/d: zero
+    # by construction once divided by f_scale, but not as written
+    split = add(_jet_expr(p, rho),
+                mul(Const(-s_scale), add(div(a, d), div(b, d)),
+                    _jet_expr(q, rho)))
+    F = [mul(Const(1 / f_scale), split),
+         mul(Const(1 / f_scale), add(split, mul(c, Coord(0)))),
+         c][pick]
+    want = _residual_zero(
+        _sympy_residual(p, [(q, S)], F, rho, f_scale, s_scale), SYMS)
+    assert _identity_zero(p, [(q, S)], F, rho, f_scale, s_scale) is want
+    if pick == 0:
+        assert want
+
+
+@pytest.mark.parametrize("F", ["1/(x - x)", "x^2 + (x - x)/(y - y)",
+                               # sympy reads x/zoo as 0, so the sympy
+                               # residual of this F is zero
+                               "x^2 + x/(1/(y - y))"])
+def test_identically_zero_denominator_fails(F):
+    sig = RingSignature(2, N)
+    ideal = JetIdeal(sig, [jet_parse("y", sig)])
+    cert = ImplicationCertificate(ideal, jet_parse("x^2", sig), [],
+                                  expr_parse(F, N))
+    assert symbolic_residual_zero(cert.target, [], cert.F) is False
+    report = check_strong_directional(cert, Direction((1.0, 0.0)))
+    assert report["identity_residual_zero"] is False
+    assert report["verdict"] == "fail"
+
+
+def test_gauge_node_has_no_symbolic_form():
+    g = Gauge.from_function("sqrt", math.sqrt, per_octave=8)
+    F = expr_parse("x^2*gauge(sqrt, y)", N, gauges={"sqrt": g})
+    with pytest.raises(DomainError, match="GaugeRef has no symbolic form"):
+        symbolic_residual_zero(jet_parse("x^2", SIG), [], F)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@ from jetideals.interval import Interval
 from jetideals.jetring import monomials
 from jetideals.symfun import (Add, Const, Coord, Cutoff, CutoffSpec,
                               DEFAULT_CUTOFF, Div, Gauge, Mul, Norm, Pow,
-                              ZERO, add, compile_expr, compile_exprs, div,
-                              expr_derive, expr_diff, expr_eval, expr_parse,
-                              expr_str, gauge_regularize, hom_degree, ipow,
-                              mul)
+                              ZERO, add, compile_expr, compile_exprs,
+                              compile_interval, div, expr_derive, expr_diff,
+                              expr_eval, expr_parse, expr_str,
+                              gauge_regularize, hom_degree, ipow, mul)
+
+import scalar_reference
 
 
 def fd_partial(e, x, i, h=1e-6):
@@ -134,8 +136,10 @@ def test_cutoff_derivative_bounds_are_certified():
 
 def test_cutoff_derivative_past_smoothness_raises():
     e = Cutoff(DEFAULT_CUTOFF, Norm((0, 1)), 1, order=DEFAULT_CUTOFF.q)
-    with pytest.raises(DomainError):
-        expr_diff(e, 0)
+    # twice: the derivative memo keeps no failed call
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            expr_diff(e, 0)
 
 
 def test_cutoff_expr_derivative_matches_fd():
@@ -363,3 +367,80 @@ def test_compiled_shares_equal_subtrees_across_the_table():
     compile_exprs([mul(cut, Coord(0)), add(cut, Coord(1)), cut])(
         np.array([[1.0, 1.0]]))
     assert calls == [1]
+
+
+# -- compiled interval programs and kept derivative tables ---------------------
+
+def _interval_outcome(evaluate):
+    """The enclosure's endpoint bits, or the type of what it raised."""
+    try:
+        iv = evaluate()
+    except (ArithmeticError, ValueError, DomainError) as exc:
+        return type(exc)
+    return struct.pack("<dd", iv.lo, iv.hi)
+
+
+def _box(ends):
+    return [Interval(min(a, b), max(a, b)) for a, b in ends]
+
+
+# boxes from [-3, 3]: about half of their sides contain 0, a zero of the
+# Coord and Norm denominators
+boxes = st.lists(st.tuples(coordinates, coordinates), min_size=N_VARS,
+                 max_size=N_VARS).map(_box)
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees, boxes)
+def test_compiled_interval_equals_tree_walk(e, box):
+    for tree in _derivative_table(e):
+        want = _interval_outcome(
+            lambda: scalar_reference.eval_interval(tree, box))
+        assert _interval_outcome(lambda: compile_interval(tree)(box)) \
+            == want, expr_str(tree)
+        assert _interval_outcome(
+            lambda: expr_eval(tree, box, mode="interval")) == want
+
+
+HUGE = Const(10 ** 400)     # no float holds it
+
+
+@pytest.mark.parametrize("tail", [HUGE, Mul([HUGE, Coord(0)]),
+                                  Cutoff(DEFAULT_CUTOFF, Coord(0), HUGE.value)])
+@pytest.mark.parametrize("side,error", [((-1.0, 1.0), DomainError),
+                                        ((1.0, 2.0), OverflowError)])
+def test_compiled_interval_raises_where_tree_walk_raises(tail, side, error):
+    # the walk meets the huge constant only after 1/x evaluates
+    e = Add([Div(Const(1), Coord(0)), tail])
+    box = [Interval(*side)]
+    for evaluate in (scalar_reference.eval_interval,
+                     lambda tree, b: compile_interval(tree)(b)):
+        with pytest.raises(error):
+            evaluate(e, box)
+
+
+def test_equal_trees_share_one_interval_program():
+    a = expr_parse("x*y/(x^2 + y^2) + theta(norm(x,y), 1/4)", 2)
+    b = expr_parse("x*y/(x^2 + y^2) + theta(norm(x,y), 1/4)", 2)
+    assert a is not b and compile_interval(a) is compile_interval(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees)
+def test_kept_derivative_table_equals_a_fresh_derivation(e):
+    kept = _derivative_table(e)
+    expr_diff.cache_clear()
+    fresh = _derivative_table(e)
+    assert fresh == kept
+    assert list(map(expr_str, fresh)) == list(map(expr_str, kept))
+
+
+def test_derivative_table_is_derived_once():
+    e = expr_parse("x^2*y/(x^2 + y^2) + theta(norm(x,y), 1/4)*y", 2)
+    first = _derivative_table(e)
+    hits = expr_diff.cache_info().hits
+    again = _derivative_table(e)
+    assert all(a is b for a, b in zip(first, again))
+    # one lookup per derivative step: no subtree is derived again
+    assert expr_diff.cache_info().hits - hits == sum(
+        sum(alpha) for alpha in monomials(2, N_VARS)[1:])
