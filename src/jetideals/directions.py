@@ -11,7 +11,7 @@ Forbidden-direction certificates assert sum_l |Q_l(x)| > c|x|^m on a
 cone.  Writing x = s*u with u on the sphere and pulling the homogeneous
 scaling out of each Q_l reduces this to positivity of a polynomial in
 (s, u) on a compact set, which branch-and-bound interval evaluation can
-settle.
+settle; the polynomial is compiled once per search.
 """
 
 from __future__ import annotations
@@ -291,32 +291,43 @@ class ForbiddenCertificate:
         return f"ForbiddenCertificate({where}, c={self.c}, bound={self.bound})"
 
 
-def _scaled_jets(jets, m):
-    """q_l(s, u) = Q_l(s*u) / s^{k_l} as jets in n+1 variables would be
-    overkill; we just record per-monomial (degree - k_l) powers of s."""
-    out = []
+def _compile_scaled(jets):
+    """sum_l |Q_l(s u)| / s^{k_l}, compiled once per search.
+
+    Q_l(s u) / s^{k_l} = sum_alpha c_alpha s^{|alpha| - k_l} u^alpha, so
+    each monomial becomes (c_alpha as an Interval, its s-degree
+    |alpha| - k_l, its factors (i, alpha_i) with alpha_i > 0).  Also
+    returned: the distinct factors, whose powers u_i^a a cell computes
+    once, and the top s-degree.
+    """
+    polys = []
     for q in jets:
         k = q.order_of_vanishing()
         if k == MORE_THAN_M or k < 1:
             raise DomainError("certificate jets must have order >= 1")
-        out.append((q, k))
-    return out
+        polys.append(tuple(
+            (Interval.exact(c), sum(alpha) - k,
+             tuple((i, a) for i, a in enumerate(alpha) if a))
+            for alpha, c in q.coeffs.items()))
+    factors = sorted({f for poly in polys for _, _, fs in poly for f in fs})
+    top = max(d for poly in polys for _, d, _ in poly)
+    return polys, factors, top
 
 
-def _eval_scaled(scaled, s: Interval, u_box):
+def _eval_scaled(compiled, s: Interval, u_box):
     """Interval enclosure of sum_l |Q_l(s u)/s^{k_l}| for s >= 0."""
-    total = Interval(0.0, 0.0)
+    polys, factors, top = compiled
     s_pows = [Interval(1.0, 1.0)]
-    for q, k in scaled:
+    for _ in range(top):
+        s_pows.append(s_pows[-1] * s)
+    u_pows = {(i, a): u_box[i].ipow(a) for i, a in factors}
+    total = Interval(0.0, 0.0)
+    for poly in polys:
         term = Interval(0.0, 0.0)
-        for alpha, c in q.coeffs.items():
-            d = sum(alpha) - k
-            while len(s_pows) <= d:
-                s_pows.append(s_pows[-1] * s)
-            mono = Interval.exact(Fraction(c)) * s_pows[d]
-            for ui, ai in zip(u_box, alpha):
-                if ai:
-                    mono = mono * ui.ipow(ai)
+        for c, d, monomial in poly:
+            mono = c * s_pows[d]
+            for f in monomial:
+                mono = mono * u_pows[f]
             term = term + mono
         total = total + abs(term)
     return total
@@ -350,8 +361,7 @@ def certify_lower_bound(jets, omega, delta, budget, n, target: float = 0.0):
     scaled sum dominates; a positive infimum of the scaled sum therefore
     gives the cone inequality for every 0 < |x| < 1.
     """
-    m = jets[0].sig.m
-    scaled = _scaled_jets(jets, m)
+    scaled = _compile_scaled(jets)
     work = [(p, Interval(0.0, 1.0), 0) for p in _dome_patches(n, omega, delta)]
     best = math.inf
     max_depth = 0

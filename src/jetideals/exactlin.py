@@ -1,55 +1,96 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on tuples of Fraction.  Subspaces are stored as
-reduced row echelon bases, which makes equality and membership testing
-canonical.  Dimensions stay small (a few hundred at most), so plain
-dense Gaussian elimination is fine.
+Inputs are rows of anything `Fraction` accepts (ints, Fractions,
+floats).  Elimination runs on integer rows: each row's denominators
+are cleared once, rows are combined fraction-free as a*row - b*pivot_row
+and kept primitive by their gcd, and the pivots are divided out only at
+the end.  Subspaces are stored as reduced row echelon bases of
+Fractions, which makes equality and membership testing canonical.
+Dimensions stay small (a few hundred at most), so plain dense
+elimination is fine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+_ZERO = Fraction(0)
+
+
+def _integer_row(row):
+    """A primitive integer row spanning the same line as `row`."""
+    if not isinstance(row, (list, tuple)):
+        row = list(row)
+    if not all(type(a) is int for a in row):
+        row = [a if isinstance(a, (int, Fraction)) else Fraction(a)
+               for a in row]
+        den = lcm(*(a.denominator for a in row))
+        row = [a.numerator * (den // a.denominator) for a in row]
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else list(row)
+
+
+def _reduce(row, pivot_row, col):
+    """row with its entry in col eliminated by pivot_row, kept primitive."""
+    a, p = row[col], pivot_row[col]
+    g = gcd(a, p)
+    a, p = a // g, p // g
+    out = [p * x - a * y for x, y in zip(row, pivot_row)]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [list(map(Fraction, r)) for r in rows]
+    """Reduced row echelon form; returns (rows, pivot_columns).
+
+    The rows are tuples of Fraction, each with a 1 in its pivot column.
+    """
+    rows = [_integer_row(r) for r in rows]
     if not rows:
         return [], []
     ncols = len(rows[0])
     pivots = []
     rank = 0
     for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        f = rows[rank][col]
-        rows[rank] = [a / f for a in rows[rank]]
+        pivot_row = rows[rank]
         for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                g = rows[r][col]
-                rows[r] = [a - g * b for a, b in zip(rows[r], rows[rank])]
+            if r != rank and rows[r][col]:
+                rows[r] = _reduce(rows[r], pivot_row, col)
         pivots.append(col)
         rank += 1
         if rank == len(rows):
             break
-    basis = [tuple(r) for r in rows[:rank]]
+    basis = []
+    for row, col in zip(rows, pivots):
+        p = row[col]
+        basis.append(tuple(Fraction(a, p) if a else _ZERO for a in row))
     return basis, pivots
 
 
 class Subspace:
-    """A linear subspace of Q^d in canonical (RREF basis) form."""
+    """A linear subspace of Q^d in canonical (RREF basis) form.
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    `_rows` holds the basis as primitive integer rows (each a positive
+    multiple of its RREF row), filled on first use by contains or
+    intersect.
+    """
+
+    __slots__ = ("ambient_dim", "basis", "pivots", "_rows")
 
     def __init__(self, ambient_dim, vectors=()):
         self.ambient_dim = ambient_dim
-        vectors = [tuple(map(Fraction, v)) for v in vectors]
+        vectors = [v if isinstance(v, (list, tuple)) else list(v)
+                   for v in vectors]
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError("vector length != ambient dimension")
         self.basis, self.pivots = rref(vectors)
+        self._rows = None
 
     @property
     def dim(self) -> int:
@@ -66,29 +107,31 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim={self.dim} in Q^{self.ambient_dim})"
 
+    def _integer_basis(self):
+        if self._rows is None:
+            self._rows = [_integer_row(r) for r in self.basis]
+        return self._rows
+
     def contains(self, vector) -> bool:
         """Membership test by reduction against the RREF basis."""
-        v = list(map(Fraction, vector))
+        v = _integer_row(vector)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length != ambient dimension")
-        for row, piv in zip(self.basis, self.pivots):
-            c = v[piv]
-            if c != 0:
-                v = [a - c * b for a, b in zip(v, row)]
-        return all(a == 0 for a in v)
+        for row, piv in zip(self._integer_basis(), self.pivots):
+            if v[piv]:
+                v = _reduce(v, row, piv)
+        return not any(v)
 
     def coordinates_of(self, vector):
-        """Coefficients of vector in the RREF basis, or None."""
-        v = list(map(Fraction, vector))
-        coeffs = []
-        for row, piv in zip(self.basis, self.pivots):
-            c = v[piv]
-            coeffs.append(c)
-            if c != 0:
-                v = [a - c * b for a, b in zip(v, row)]
-        if any(a != 0 for a in v):
+        """Coefficients of vector in the RREF basis, or None.
+
+        Each basis row has a 1 in its pivot column and every other row a
+        0 there, so the coefficients are the vector's pivot entries.
+        """
+        vector = list(vector)
+        if not self.contains(vector):
             return None
-        return tuple(coeffs)
+        return tuple(Fraction(vector[piv]) for piv in self.pivots)
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -101,14 +144,15 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
         d = self.ambient_dim
-        zero = (Fraction(0),) * d
-        block = [u + u for u in self.basis] + [w + zero for w in other.basis]
+        zero = [0] * d
+        block = ([u + u for u in self._integer_basis()]
+                 + [w + zero for w in other._integer_basis()])
         reduced, _ = rref(block)
-        inter = [row[d:] for row in reduced if all(a == 0 for a in row[:d])]
+        inter = [row[d:] for row in reduced if not any(row[:d])]
         return Subspace(d, inter)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
+        return all(self.contains(v) for v in other._integer_basis())
 
 
 def solve_linear(matrix_rows, rhs):
@@ -116,11 +160,10 @@ def solve_linear(matrix_rows, rhs):
 
     matrix_rows is a list of rows of A; free variables are set to zero.
     """
-    rows = [list(map(Fraction, r)) + [Fraction(b)]
-            for r, b in zip(matrix_rows, rhs)]
+    rows = [list(r) + [b] for r, b in zip(matrix_rows, rhs)]
     ncols = len(matrix_rows[0]) if matrix_rows else 0
     reduced, pivots = rref(rows)
-    x = [Fraction(0)] * ncols
+    x = [_ZERO] * ncols
     for row, piv in zip(reduced, pivots):
         if piv == ncols:
             return None  # pivot in the rhs column: inconsistent

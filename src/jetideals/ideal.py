@@ -10,15 +10,25 @@ canonical representation is a subspace of coefficient vectors.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
+from math import lcm
 
 from .errors import SignatureMismatchError
 from .exactlin import Subspace
-from .jetring import DiffeoJet, Jet, RingSignature, jet_compose
+from .jetring import DiffeoJet, Jet, RingSignature, jet_compose, monomials
 
 
-def _multiplier_monomials(sig: RingSignature):
-    """Exponent tuples of degree 0..m-1 (the useful multipliers)."""
-    return [a for a in sig.monomials if sum(a) <= sig.m - 1]
+@lru_cache(maxsize=None)
+def _shifted_columns(m: int, n: int):
+    """For each multiplier x^beta with |beta| <= m-1 (the useful ones,
+    including beta = 0), the map alpha -> coordinate index of
+    x^(alpha + beta) over the nonconstant exponents alpha that survive
+    truncation.  Coordinates are a jet's without the constant term."""
+    table = monomials(m, n)
+    column = {a: i - 1 for i, a in enumerate(table)}
+    return tuple({a: column[tuple(x + y for x, y in zip(a, beta))]
+                  for a in table[1:] if sum(a) + sum(beta) <= m}
+                 for beta in table if sum(beta) <= m - 1)
 
 
 class JetIdeal:
@@ -41,14 +51,42 @@ class JetIdeal:
                 raise ValueError("generators must vanish at the origin")
         self.sig = sig
         self.generators = generators
+        # each product x^beta * g is g's coefficients at shifted
+        # exponents, cut at degree m; a row may be any nonzero multiple
+        # of the product, so g's denominators are cleared once
         vectors = []
+        dim0 = sig.dim0
+        shifts = _shifted_columns(sig.m, sig.n)
         for g in generators:
-            for beta in _multiplier_monomials(sig):
-                prod = Jet.monomial(sig, beta) * g
-                if not prod.is_zero():
-                    vectors.append(prod.coordinates(include_constant=False))
-        self.span = Subspace(sig.dim0, vectors)
+            den = lcm(*(c.denominator for c in g.coeffs.values()))
+            terms = [(a, c.numerator * (den // c.denominator))
+                     for a, c in g.coeffs.items()]
+            for columns in shifts:
+                row = [0] * dim0
+                for a, c in terms:
+                    j = columns.get(a)
+                    if j is not None:
+                        row[j] = c
+                if any(row):
+                    vectors.append(row)
+        self.span = Subspace(dim0, vectors)
         self._allowed = {}
+
+    @classmethod
+    def _spanning(cls, sig: RingSignature, space: Subspace) -> "JetIdeal":
+        """The ideal whose span is `space`, generated by its RREF basis.
+
+        Only for a space already closed under multiplication by the
+        variables (an ideal), whose re-span by all multiples x^beta * b
+        is the space itself."""
+        self = object.__new__(cls)
+        self.sig = sig
+        self.generators = tuple(
+            Jet.from_coordinates(sig, v, include_constant=False)
+            for v in space.basis)
+        self.span = space
+        self._allowed = {}
+        return self
 
     @property
     def dim(self) -> int:
@@ -88,17 +126,14 @@ class JetIdeal:
 
         The intersection of two ideals is again an ideal, but it need
         not be presented by a small generating family, so we return the
-        linear object; intersect() re-wraps its basis as generators.
+        linear object; intersect() wraps it with its basis as generators.
         """
         if self.sig != other.sig:
             raise SignatureMismatchError("ideal signatures differ")
         return self.span.intersect(other.span)
 
     def intersect(self, other: "JetIdeal") -> "JetIdeal":
-        space = self.intersect_space(other)
-        gens = [Jet.from_coordinates(self.sig, v, include_constant=False)
-                for v in space.basis]
-        return JetIdeal(self.sig, gens)
+        return JetIdeal._spanning(self.sig, self.intersect_space(other))
 
     def transform(self, phi: DiffeoJet) -> "JetIdeal":
         """The ideal generated by g o phi for each generator g."""

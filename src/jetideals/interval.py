@@ -89,12 +89,16 @@ class Interval:
         return hash((self.lo, self.hi))
 
     # -- arithmetic -----------------------------------------------------
+    # Operators convert a non-Interval operand by Interval.exact and build
+    # their results with _result: their endpoints are floats with
+    # lo <= hi unless an endpoint is NaN.
     def __neg__(self):
-        return Interval(-self.hi, -self.lo)
+        return _result(-self.hi, -self.lo)
 
     def __add__(self, other):
-        other = Interval.exact(other)
-        return Interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
+        if type(other) is not Interval:
+            other = Interval.exact(other)
+        return _result(_down(self.lo + other.lo), _up(self.hi + other.hi))
 
     __radd__ = __add__
 
@@ -105,7 +109,8 @@ class Interval:
         return Interval.exact(other) + (-self)
 
     def __mul__(self, other):
-        other = Interval.exact(other)
+        if type(other) is not Interval:
+            other = Interval.exact(other)
         prods = (self.lo * other.lo, self.lo * other.hi,
                  self.hi * other.lo, self.hi * other.hi)
         a, b, c, d = prods
@@ -113,49 +118,50 @@ class Interval:
             # endpoints are never NaN, so this is 0 * inf, which is 0 in
             # the set-based convention of IEEE 1788-2015
             prods = tuple(0.0 if p != p else p for p in prods)
-        return Interval(_down(min(prods)), _up(max(prods)))
+        return _result(_down(min(prods)), _up(max(prods)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Interval.exact(other)
-        if other.contains_zero():
+        if type(other) is not Interval:
+            other = Interval.exact(other)
+        if other.lo <= 0.0 <= other.hi:
             raise DomainError(f"division by interval containing zero: {other}")
         quots = (self.lo / other.lo, self.lo / other.hi,
                  self.hi / other.lo, self.hi / other.hi)
-        return Interval(_down(min(quots)), _up(max(quots)))
+        return _result(_down(min(quots)), _up(max(quots)))
 
     def __rtruediv__(self, other):
         return Interval.exact(other) / self
 
     def __abs__(self):
         if self.lo >= 0:
-            return Interval(self.lo, self.hi)
+            return _result(self.lo, self.hi)
         if self.hi <= 0:
             return -self
-        return Interval(0.0, _up(max(-self.lo, self.hi)))
+        return _result(0.0, _up(max(-self.lo, self.hi)))
 
     def ipow(self, k: int) -> "Interval":
         """Integer power, tight on even exponents straddling zero."""
         if k == 0:
-            return Interval(1.0, 1.0)
+            return _result(1.0, 1.0)
         if k < 0:
             power = self.ipow(-k)
             if power.contains_zero() and not self.contains_zero():
                 # the power underflowed to zero: the reciprocal is
                 # unbounded on the side of the power's sign
                 if self.lo > 0 or k % 2 == 0:
-                    return Interval(_down(1.0 / power.hi), _INF)
-                return Interval(-_INF, _up(1.0 / power.lo))
-            return Interval(1.0, 1.0) / power
+                    return _result(_down(1.0 / power.hi), _INF)
+                return _result(-_INF, _up(1.0 / power.lo))
+            return _result(1.0, 1.0) / power
         lo_p, hi_p = self.lo ** k, self.hi ** k
         if k % 2 == 1:
-            return Interval(_down(lo_p), _up(hi_p))
+            return _result(_down(lo_p), _up(hi_p))
         if self.lo >= 0:
-            return Interval(_down(lo_p), _up(hi_p))
+            return _result(_down(lo_p), _up(hi_p))
         if self.hi <= 0:
-            return Interval(_down(hi_p), _up(lo_p))
-        return Interval(0.0, _up(max(lo_p, hi_p)))
+            return _result(_down(hi_p), _up(lo_p))
+        return _result(0.0, _up(max(lo_p, hi_p)))
 
     def sqrt(self) -> "Interval":
         if self.hi < 0:
@@ -173,6 +179,19 @@ class Interval:
     def split(self):
         m = self.mid
         return Interval(self.lo, m), Interval(m, self.hi)
+
+
+_new = object.__new__
+
+
+def _result(lo: float, hi: float) -> Interval:
+    """An operator's result, without Interval.__init__'s conversions."""
+    if not lo <= hi:
+        raise DomainError(f"NaN endpoint in [{lo}, {hi}]")
+    out = _new(Interval)
+    out.lo = lo
+    out.hi = hi
+    return out
 
 
 def box_norm2(box) -> Interval:

@@ -16,6 +16,7 @@ from functools import lru_cache
 
 from .errors import (DegreeOverflowError, DimensionMismatchError, ParseError,
                      SignatureMismatchError)
+from .exactlin import rref
 from .interval import Interval
 
 MORE_THAN_M = "more_than_m"
@@ -535,39 +536,18 @@ class DiffeoJet:
 
 
 def _invertible(matrix) -> bool:
-    rows = [list(r) for r in matrix]
-    n = len(rows)
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return False
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        for r in range(n):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / pr[col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], pr)]
-        rank += 1
-    return True
+    return len(rref(matrix)[1]) == len(matrix)
 
 
 def _matrix_inverse(matrix):
+    """The right half of rref([A | I]), whose left half is I iff A is
+    invertible."""
     n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)]
-           + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        f = aug[col][col]
-        aug[col] = [a / f for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                g = aug[r][col]
-                aug[r] = [a - g * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    reduced, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                            for i, row in enumerate(matrix)])
+    if pivots[:n] != list(range(n)):
+        raise ValueError("singular matrix")
+    return [list(row[n:]) for row in reduced]
 
 
 def jet_compose(p: Jet, phi: DiffeoJet) -> Jet:

@@ -736,7 +736,9 @@ def _identity_zero(p: Jet, pairs, F: ScalarExpr, rho=1, f_scale=1,
     QQ, with no gcd taken, and the residual is zero iff the numerator of
     their sum is 0.  A term with an identically zero denominator is
     defined nowhere, so the identity fails.  A Norm node outside every
-    cutoff has no rational form: such a residual goes to _residual_zero.
+    cutoff has no rational form: such a residual goes to _residual_zero,
+    after each denominator is tested for zero there (sympy reads x/zoo
+    as 0, so the residual alone would hide it).
     """
     pairs = list(pairs)
     syms = sympy.symbols(f"x0:{p.sig.n}", real=True)
@@ -753,6 +755,8 @@ def _identity_zero(p: Jet, pairs, F: ScalarExpr, rho=1, f_scale=1,
     except _ZeroDenominator:
         return False
     except _NotRational:
+        if any(_divides_by_zero(e, syms) for e in [F] + [S for _, S in pairs]):
+            return False
         return _residual_zero(_sympy_residual(p, pairs, F, rho, f_scale,
                                               s_scale, syms), syms)
     return not num
@@ -811,6 +815,22 @@ def _ring_fraction(e: ScalarExpr, ring):
     if isinstance(e, Norm):
         raise _NotRational
     raise DomainError(f"node {type(e).__name__} has no symbolic form")
+
+
+def _divides_by_zero(e: ScalarExpr, syms) -> bool:
+    """True if a Div node of e outside every cutoff has an identically
+    zero denominator, decided by _residual_zero."""
+    if isinstance(e, Add):
+        return any(_divides_by_zero(t, syms) for t in e.terms)
+    if isinstance(e, Mul):
+        return any(_divides_by_zero(f, syms) for f in e.factors)
+    if isinstance(e, Pow):
+        return _divides_by_zero(e.base, syms)
+    if isinstance(e, Div):
+        return (_divides_by_zero(e.num, syms)
+                or _divides_by_zero(e.den, syms)
+                or _residual_zero(expr_to_sympy(e.den, syms), syms))
+    return False
 
 
 def _sympy_residual(p, pairs, F, rho, f_scale, s_scale, syms):

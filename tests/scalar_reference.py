@@ -17,9 +17,26 @@ check_negligible to return exactly what it returns on this walk.
 The plane allowed-set solver that built p(1, t) and p(0, 1) by sympy
 substitution: test_shared_facts.py requires directions._plane_zero_set
 to return the same directions, exact coordinates included.
+
+The Fraction elimination that exactlin's integer elimination replaced
+(rref, Subspace.contains and Subspace.coordinates_of), and jetring's
+own Gauss-Jordan for the invertibility test and the inverse of a
+diffeo-jet's linear part: test_integer_elimination.py requires the
+integer rows to give exactly what these give.
+
+The Interval operators that converted every operand by Interval.exact
+and built every result through Interval.__init__: test_interval.py
+requires the operators to return the same endpoints and raise the same
+exceptions.
+
+The forbidden-cone evaluation that converted each coefficient to an
+Interval per monomial per cell and took each u_i^a per monomial:
+test_integer_elimination.py requires directions._eval_scaled to return
+exactly its enclosure.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import sympy
@@ -27,7 +44,7 @@ import sympy
 from jetideals.directions import ExactDirection, jet_to_sympy
 from jetideals.errors import DomainError
 from jetideals.geometry import sphere_cover
-from jetideals.interval import Interval
+from jetideals.interval import Interval, _down, _up
 from jetideals.jetring import monomials
 from jetideals.symfun import (ZERO, Add, Const, Coord, Cutoff, Div, GaugeRef,
                               Mul, Norm, Pow, expr_derive, expr_eval)
@@ -224,3 +241,162 @@ def plane_zero_set(parts):
         dirs.append(ExactDirection(vec, sym))
         dirs.append(ExactDirection((-vec[0], -vec[1]), (-sym[0], -sym[1])))
     return dirs
+
+
+def rref(rows):
+    rows = [list(map(Fraction, r)) for r in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        f = rows[rank][col]
+        rows[rank] = [a / f for a in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                g = rows[r][col]
+                rows[r] = [a - g * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(rows):
+            break
+    basis = [tuple(r) for r in rows[:rank]]
+    return basis, pivots
+
+
+def subspace_contains(basis, pivots, vector):
+    v = list(map(Fraction, vector))
+    for row, piv in zip(basis, pivots):
+        c = v[piv]
+        if c != 0:
+            v = [a - c * b for a, b in zip(v, row)]
+    return all(a == 0 for a in v)
+
+
+def subspace_coordinates_of(basis, pivots, vector):
+    v = list(map(Fraction, vector))
+    coeffs = []
+    for row, piv in zip(basis, pivots):
+        c = v[piv]
+        coeffs.append(c)
+        if c != 0:
+            v = [a - c * b for a, b in zip(v, row)]
+    if any(a != 0 for a in v):
+        return None
+    return tuple(coeffs)
+
+
+def invertible(matrix):
+    rows = [list(r) for r in matrix]
+    n = len(rows)
+    rank = 0
+    for col in range(n):
+        piv = next((r for r in range(rank, n) if rows[r][col] != 0), None)
+        if piv is None:
+            return False
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pr = rows[rank]
+        for r in range(n):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col] / pr[col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], pr)]
+        rank += 1
+    return True
+
+
+def matrix_inverse(matrix):
+    n = len(matrix)
+    aug = [[Fraction(matrix[i][j]) for j in range(n)]
+           + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        f = aug[col][col]
+        aug[col] = [a / f for a in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                g = aug[r][col]
+                aug[r] = [a - g * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def interval_neg(a):
+    return Interval(-a.hi, -a.lo)
+
+
+def interval_add(a, b):
+    b = Interval.exact(b)
+    return Interval(_down(a.lo + b.lo), _up(a.hi + b.hi))
+
+
+def interval_mul(a, b):
+    b = Interval.exact(b)
+    prods = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    p, q, r, s = prods
+    if p != p or q != q or r != r or s != s:
+        prods = tuple(0.0 if x != x else x for x in prods)
+    return Interval(_down(min(prods)), _up(max(prods)))
+
+
+def interval_truediv(a, b):
+    b = Interval.exact(b)
+    if b.contains_zero():
+        raise DomainError(f"division by interval containing zero: {b}")
+    quots = (a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi)
+    return Interval(_down(min(quots)), _up(max(quots)))
+
+
+def interval_abs(a):
+    if a.lo >= 0:
+        return Interval(a.lo, a.hi)
+    if a.hi <= 0:
+        return interval_neg(a)
+    return Interval(0.0, _up(max(-a.lo, a.hi)))
+
+
+def interval_ipow(a, k):
+    if k == 0:
+        return Interval(1.0, 1.0)
+    if k < 0:
+        power = interval_ipow(a, -k)
+        if power.contains_zero() and not a.contains_zero():
+            if a.lo > 0 or k % 2 == 0:
+                return Interval(_down(1.0 / power.hi), math.inf)
+            return Interval(-math.inf, _up(1.0 / power.lo))
+        return interval_truediv(Interval(1.0, 1.0), power)
+    lo_p, hi_p = a.lo ** k, a.hi ** k
+    if k % 2 == 1:
+        return Interval(_down(lo_p), _up(hi_p))
+    if a.lo >= 0:
+        return Interval(_down(lo_p), _up(hi_p))
+    if a.hi <= 0:
+        return Interval(_down(hi_p), _up(lo_p))
+    return Interval(0.0, _up(max(lo_p, hi_p)))
+
+
+def eval_scaled(jets, s, u_box):
+    """sum_l |Q_l(s u) / s^{k_l}| for s >= 0, per monomial, on the
+    reference operators above."""
+    total = Interval(0.0, 0.0)
+    s_pows = [Interval(1.0, 1.0)]
+    for q in jets:
+        k = q.order_of_vanishing()
+        term = Interval(0.0, 0.0)
+        for alpha, c in q.coeffs.items():
+            d = sum(alpha) - k
+            while len(s_pows) <= d:
+                s_pows.append(interval_mul(s_pows[-1], s))
+            mono = interval_mul(Interval.exact(Fraction(c)), s_pows[d])
+            for ui, ai in zip(u_box, alpha):
+                if ai:
+                    mono = interval_mul(mono, interval_ipow(ui, ai))
+            term = interval_add(term, mono)
+        total = interval_add(total, interval_abs(term))
+    return total

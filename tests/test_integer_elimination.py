@@ -1,0 +1,177 @@
+"""Integer elimination and compiled forbidden-cone evaluation give
+exactly what the Fraction elimination and the per-monomial evaluation
+in scalar_reference.py give."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import scalar_reference as ref
+from jetideals.directions import _compile_scaled, _eval_scaled
+from jetideals.exactlin import Subspace, rref
+from jetideals.geometry import sphere_cover
+from jetideals.ideal import JetIdeal
+from jetideals.interval import Interval
+from jetideals.jetring import (DiffeoJet, Jet, RingSignature, _invertible,
+                               _matrix_inverse)
+
+from conftest import random_diffeo, random_jet
+
+
+def _entry(rng):
+    kind = rng.random()
+    if kind < 0.35:
+        return 0
+    if kind < 0.55:
+        return rng.randint(-9, 9)
+    if kind < 0.95:
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+    return rng.choice((0.5, -0.25, 3.0))
+
+
+def _random_rows(rng, max_rows=7, max_cols=8):
+    """A matrix of ints, Fractions and floats, often with dependent rows."""
+    cols = rng.randint(1, max_cols)
+    rows = [[_entry(rng) for _ in range(cols)]
+            for _ in range(rng.randint(0, max_rows))]
+    if rows and rng.random() < 0.5:
+        a, b = rng.choice(rows), rng.choice(rows)
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 5))
+        rows.append([Fraction(x) + c * Fraction(y) for x, y in zip(a, b)])
+    return cols, rows
+
+
+def test_rref_equals_fraction_elimination():
+    rng = random.Random(2024)
+    for _ in range(3000):
+        _, rows = _random_rows(rng)
+        basis, pivots = rref(rows)
+        want_basis, want_pivots = ref.rref(rows)
+        assert basis == want_basis and pivots == want_pivots
+        assert all(type(row) is tuple for row in basis)
+        assert all(type(x) is Fraction for row in basis for x in row)
+
+
+def test_contains_and_coordinates_equal_fraction_reduction():
+    rng = random.Random(2025)
+    for _ in range(1000):
+        cols, rows = _random_rows(rng)
+        space = Subspace(cols, rows)
+        combo = [Fraction(0)] * cols
+        for b in space.basis:
+            w = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+            combo = [c + w * x for c, x in zip(combo, b)]
+        junk = [_entry(rng) for _ in range(cols)]
+        for vector in (combo, junk, [c + Fraction(junk[0]) for c in combo]):
+            assert space.contains(vector) is ref.subspace_contains(
+                space.basis, space.pivots, vector)
+            assert space.coordinates_of(vector) == \
+                ref.subspace_coordinates_of(space.basis, space.pivots, vector)
+
+
+def test_membership_rejects_a_wrong_length():
+    with pytest.raises(ValueError):
+        Subspace(3, [[1, 2, 3]]).contains([1, 2])
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+def test_ideal_span_equals_the_span_of_jet_products(m, n):
+    """Rows written by exponent shift span what the products x^beta * g
+    span, row for row."""
+    rng = random.Random(m * 10 + n)
+    sig = RingSignature(m, n)
+    for _ in range(15):
+        gens = [random_jet(rng, sig, density=4, allow_constant=False)
+                for _ in range(rng.randint(1, 3))]
+        products = [(Jet.monomial(sig, beta) * g).coordinates(
+                        include_constant=False)
+                    for g in gens for beta in sig.monomials
+                    if sum(beta) <= m - 1]
+        products = [v for v in products if any(v)]
+        want = ref.rref(products)
+        span = JetIdeal(sig, gens).span
+        assert (span.basis, span.pivots) == want
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+def test_intersection_span_equals_its_re_span(m, n):
+    rng = random.Random(100 + m * 10 + n)
+    sig = RingSignature(m, n)
+    for _ in range(10):
+        gens = [random_jet(rng, sig, density=4, allow_constant=False)
+                for _ in range(rng.randint(1, 3))]
+        I = JetIdeal(sig, gens)
+        J = I.transform(random_diffeo(rng, sig))
+        K = I.intersect(J)
+        assert K.span == I.intersect_space(J)
+        assert JetIdeal(sig, K.generators).span == K.span
+        assert K.basis_jets() == list(K.generators)
+
+
+def _random_matrix(rng, n, singular):
+    rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(n)]
+    if singular:
+        i, j = rng.sample(range(n), 2)
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        rows[i] = [c * x for x in rows[j]]
+    return rows
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_invertible_and_inverse_equal_gauss_jordan(n):
+    rng = random.Random(7 + n)
+    seen = set()
+    for trial in range(400):
+        A = _random_matrix(rng, n, singular=trial % 2 == 1)
+        want = ref.invertible(A)
+        seen.add(want)
+        assert _invertible(A) is want
+        if want:
+            assert _matrix_inverse(A) == ref.matrix_inverse(A)
+        else:
+            with pytest.raises(ValueError, match="singular matrix"):
+                _matrix_inverse(A)
+            with pytest.raises(ValueError, match="singular matrix"):
+                ref.matrix_inverse(A)
+    assert seen == {True, False}
+
+
+def test_linear_inverse_composes_to_identity():
+    sig = RingSignature(2, 3)
+    rng = random.Random(3)
+    for _ in range(20):
+        A = _random_matrix(rng, 3, singular=False)
+        if not ref.invertible(A):
+            continue
+        phi = DiffeoJet.linear(sig, A)
+        inv = phi.linear_inverse().linear_matrix()
+        prod = [[sum(A[i][k] * inv[k][j] for k in range(3)) for j in range(3)]
+                for i in range(3)]
+        assert prod == [[int(i == j) for j in range(3)] for i in range(3)]
+
+
+def _bits(iv):
+    return (iv.lo.hex(), iv.hi.hex())
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (4, 2), (3, 3)])
+def test_compiled_eval_scaled_equals_per_monomial_evaluation(m, n):
+    rng = random.Random(50 + m + n)
+    sig = RingSignature(m, n)
+    patches = sphere_cover(n, 2)
+    for _ in range(40):
+        jets = [j for j in (random_jet(rng, sig, density=5,
+                                       allow_constant=False)
+                            for _ in range(rng.randint(1, 3)))
+                if not j.is_zero()]
+        if not jets:
+            continue
+        compiled = _compile_scaled(jets)
+        for _ in range(10):
+            a, b = sorted(rng.random() for _ in range(2))
+            s = Interval(a, b)
+            u_box = rng.choice(patches).direction_enclosure()
+            assert _bits(_eval_scaled(compiled, s, u_box)) \
+                == _bits(ref.eval_scaled(jets, s, u_box))

@@ -12,6 +12,8 @@ from jetideals.errors import DomainError
 from jetideals.interval import Interval, _down, _up, box_norm
 from jetideals.symfun import DEFAULT_CUTOFF, _poly_eval_fraction
 
+import scalar_reference as ref
+
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
@@ -233,3 +235,48 @@ def test_rounding_steps_equal_the_guarded_definitions(x):
     # nextafter already keeps -inf down, +inf up and NaN as they are
     assert _bits(_down(x)) == _bits(_guarded_down(x))
     assert _bits(_up(x)) == _bits(_guarded_up(x))
+
+
+# -- operators equal their reference definitions ---------------------------
+
+big = st.one_of(st.floats(allow_nan=False),
+                st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1e200,
+                                 -1e200, 5e-324, 1e-160]))
+operand = st.one_of(
+    st.builds(lambda a, b: _iv(a, b), big, big),
+    st.fractions(max_denominator=10 ** 6), st.integers(-10 ** 6, 10 ** 6),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _outcome(op):
+    try:
+        r = op()
+    except Exception as exc:           # the type is compared
+        return type(exc)
+    return (_bits(r.lo), _bits(r.hi))
+
+
+@given(st.builds(lambda a, b: _iv(a, b), big, big), operand,
+       st.integers(min_value=-5, max_value=9))
+def test_operators_equal_the_reference_definitions(x, y, k):
+    cases = [(lambda: x + y, lambda: ref.interval_add(x, y)),
+             (lambda: y + x, lambda: ref.interval_add(x, y)),
+             (lambda: x * y, lambda: ref.interval_mul(x, y)),
+             (lambda: y * x, lambda: ref.interval_mul(x, y)),
+             (lambda: x / y, lambda: ref.interval_truediv(x, y)),
+             (lambda: -x, lambda: ref.interval_neg(x)),
+             (lambda: abs(x), lambda: ref.interval_abs(x)),
+             (lambda: x.ipow(k), lambda: ref.interval_ipow(x, k))]
+    for new, old in cases:
+        assert _outcome(new) == _outcome(old)
+
+
+def test_operator_edge_cases_equal_the_reference_definitions():
+    inf = math.inf
+    zero, whole = Interval(0.0, 0.0), Interval(-inf, inf)
+    assert _outcome(lambda: zero * whole) \
+        == _outcome(lambda: ref.interval_mul(zero, whole))
+    assert _outcome(lambda: Interval(inf) + Interval(-inf)) is DomainError
+    assert _outcome(lambda: Interval(1e200, 2e200).ipow(3)) is OverflowError
+    assert _outcome(lambda: ref.interval_ipow(Interval(1e200, 2e200), 3)) \
+        is OverflowError

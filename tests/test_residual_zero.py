@@ -170,7 +170,11 @@ def test_ring_decision_agrees_with_residual_zero(a, b, c, d, p, q, rho,
 @pytest.mark.parametrize("F", ["1/(x - x)", "x^2 + (x - x)/(y - y)",
                                # sympy reads x/zoo as 0, so the sympy
                                # residual of this F is zero
-                               "x^2 + x/(1/(y - y))"])
+                               "x^2 + x/(1/(y - y))",
+                               # the same with a Norm node, which sends
+                               # the residual to _residual_zero
+                               "x^2 + norm(x,y) - norm(x,y) + x/(1/(y - y))",
+                               "x^2 + x/(1/(norm(x,y) - norm(x,y)))"])
 def test_identically_zero_denominator_fails(F):
     sig = RingSignature(2, N)
     ideal = JetIdeal(sig, [jet_parse("y", sig)])
