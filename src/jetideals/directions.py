@@ -3,9 +3,13 @@
 Allowed directions of an ideal are over-approximated by the common zero
 set on the sphere of the lowest homogeneous parts of the generators; the
 containment is an equality when every generator is homogeneous.  In the
-plane that zero set is computed exactly (roots of a univariate
-polynomial); in higher dimensions we first try an exact symbolic solve
-and otherwise fall back to an interval-certified patch cover.
+plane that zero set is exact: the real roots of the gcd over QQ of the
+dehomogenized parts.  In higher dimensions a part c*u_i^k forces
+u_i = 0, so the system is reduced exactly, and what is left in two
+variables goes to the plane solver.  Only two or more parts in three or
+more free variables go to sympy.solve; a set that is not finite (or
+that the solver cannot handle) falls back to an interval-certified patch
+cover.
 
 Forbidden-direction certificates assert sum_l |Q_l(x)| > c|x|^m on a
 cone.  Writing x = s*u with u on the sphere and pulling the homogeneous
@@ -16,16 +20,18 @@ settle; the polynomial is compiled once per search.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 import sympy
+from sympy.polys.polyerrors import BasePolynomialError
 
 from .errors import DomainError
 from .geometry import Dome, SpherePatch, sphere_cover
 from .ideal import JetIdeal
 from .interval import Interval
-from .jetring import MORE_THAN_M, Jet
+from .jetring import MORE_THAN_M, Jet, RingSignature
 
 CERTIFIED_FORBIDDEN = "certified_forbidden"
 CANDIDATE_ALLOWED = "candidate_allowed"
@@ -161,9 +167,13 @@ def _allowed_set(I: JetIdeal, budget: int) -> DirectionSet:
 
 
 def _plane_zero_set(parts):
-    """Exact common roots on S^1 via dehomogenization p(1, t)."""
+    """Exact common roots on S^1 via dehomogenization p(1, t).
+
+    The common roots of the p_i(1, t) are the real roots of their gcd
+    over QQ; sympy gives each as a Rational or as a CRootOf on its
+    irreducible factor, both canonical.
+    """
     t = sympy.Symbol("t", real=True)
-    polys = [_at_x_one(p, t) for p in parts]
 
     dirs = []
     # vertical directions: all parts vanish at (0, 1) (and by homogeneity
@@ -173,13 +183,11 @@ def _plane_zero_set(parts):
         dirs.append(ExactDirection((0.0, 1.0), (sympy.Integer(0), sympy.Integer(1))))
         dirs.append(ExactDirection((0.0, -1.0), (sympy.Integer(0), sympy.Integer(-1))))
 
-    roots = set()
-    for r in polys[0].real_roots():
-        # substitution into Poly/expr is exact for rational and CRootOf
-        # roots, so this zero test carries no numeric tolerance
-        if all(sympy.simplify(q.as_expr().subs(t, r)) == 0 for q in polys[1:]):
-            roots.add(r)
-    for r in sorted(roots, key=lambda v: float(v)):
+    common = functools.reduce(sympy.Poly.gcd, (_at_x_one(p, t) for p in parts))
+    # a real-root count over QQ settles the rootless case (a definite
+    # form, a constant gcd) without isolating or building any root
+    roots = common.real_roots() if common.count_roots() else []
+    for r in sorted(set(roots), key=lambda v: float(v)):
         norm = sympy.sqrt(1 + r ** 2)
         sym = (1 / norm, r / norm)
         vec = (float(sym[0].evalf(30)), float(sym[1].evalf(30)))
@@ -198,28 +206,114 @@ def _at_x_one(p: Jet, t) -> sympy.Poly:
          for j, c in coeffs.items()}, t, domain=sympy.QQ)
 
 
-def _exact_zero_set(parts, n, timeout_terms=2000):
-    """Try to solve {p_i = 0, |u| = 1} exactly; None if not tractable."""
+def _exact_zero_set(parts, n):
+    """Exact common zeros on S^{n-1} of homogeneous parts, sorted by
+    `vec`; None when the set is not finite or not tractable.
+
+    A part c*u_i^k forces u_i = 0, so the system is first reduced
+    exactly (`_reduce_forced`).  At most two free variables leave a
+    plane problem or nothing; with three or more, one part is a
+    hypersurface (finite on the sphere only if empty) and only two or
+    more parts go to sympy.solve.
+    """
+    free, system = _reduce_forced(parts, n)
+    if not free:
+        return []
+    if len(free) == 1:
+        if system:
+            return []
+        return [_lifted(n, free, (sympy.Integer(s),)) for s in (-1, 1)]
+    if not system:
+        return None  # a great circle or larger: no finite list
+    if len(free) == 2:
+        i, j = free
+        sig = RingSignature(system[0].sig.m, 2)
+        plane = [Jet(sig, {(a[i], a[j]): c for a, c in p.coeffs.items()})
+                 for p in system]
+        dirs = [_lifted(n, free, d.sym) for d in _plane_zero_set(plane)]
+    elif len(system) == 1:
+        # one hypersurface meets the sphere in a positive-dimensional
+        # complex set; only c*|u|^(2j) misses it altogether
+        return [] if _is_sphere_power(system[0], free) else None
+    else:
+        dirs = _solved_zero_set(system, free, n)
+        if dirs is None:
+            return None
+    return sorted(dirs, key=lambda d: d.vec)
+
+
+def _forced_zero(p: Jet):
+    """i if p is c*u_i^k, a monomial in one variable; otherwise None."""
+    if len(p.coeffs) == 1:
+        (alpha,) = p.coeffs
+        used = [i for i, a in enumerate(alpha) if a]
+        if len(used) == 1:
+            return used[0]
+    return None
+
+
+def _reduce_forced(parts, n):
+    """(free variables, remaining parts) once every forced u_i = 0 is
+    substituted: each part loses the terms that contain a forced
+    variable, and parts that become zero drop out."""
+    free, system = list(range(n)), list(parts)
+    while True:
+        forced = {i for i in map(_forced_zero, system) if i is not None}
+        if not forced:
+            return free, system
+        free = [i for i in free if i not in forced]
+        system = [Jet(p.sig, {a: c for a, c in p.coeffs.items()
+                              if not any(a[i] for i in forced)})
+                  for p in system]
+        system = [p for p in system if not p.is_zero()]
+
+
+def _lifted(n, free, sym):
+    """The direction with exact coordinates sym on the free variables
+    and exact zeros elsewhere."""
+    full = [sympy.Integer(0)] * n
+    for i, v in zip(free, sym):
+        full[i] = v
+    return ExactDirection(tuple(float(v.evalf(30)) for v in full), full)
+
+
+def _is_sphere_power(p: Jet, free) -> bool:
+    """True if p = c * (sum of u_i^2 over the free variables)^j."""
+    k = p.degree()
+    if k % 2:
+        return False
+    n = p.sig.n
+    square = Jet(p.sig, {tuple(2 * (j == i) for j in range(n)): 1
+                         for i in free})
+    power = Jet.constant(p.sig, 1)
+    for _ in range(k // 2):
+        power = power * square
+    return p == power.scale(p.coeffs.get(next(iter(power.coeffs)), 0))
+
+
+def _solved_zero_set(system, free, n):
+    """sympy.solve on the reduced system and the unit sphere in the free
+    variables, lifted to R^n; None if the solution set is not finite."""
     syms = sympy.symbols(f"u0:{n}", real=True)
-    system = [jet_to_sympy(p, syms) for p in parts]
-    system.append(sum(s ** 2 for s in syms) - 1)
+    unknowns = [syms[i] for i in free]
+    equations = [jet_to_sympy(p, syms) for p in system]
+    equations.append(sum(s ** 2 for s in unknowns) - 1)
     try:
-        sols = sympy.solve(system, list(syms), dict=True)
-    except Exception:
+        sols = sympy.solve(equations, unknowns, dict=True)
+    except (NotImplementedError, BasePolynomialError):
         return None
     if not isinstance(sols, list):
         return None
     dirs = []
     for sol in sols:
-        if set(sol) != set(syms):
+        if set(sol) != set(unknowns):
             return None  # a free variable: positive-dimensional solution set
-        vals = [sympy.simplify(sol[s]) for s in syms]
+        vals = [sympy.simplify(sol[s]) for s in unknowns]
         if any(v.free_symbols for v in vals):
             return None
         if any(not v.is_real for v in vals):
             continue
-        vec = tuple(float(v.evalf(30)) for v in vals)
-        dirs.append(ExactDirection(vec, vals))
+        dirs.append(_lifted(n, free, vals))
     # dedupe (solve can repeat roots)
     unique = []
     for d in dirs:

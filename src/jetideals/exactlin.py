@@ -92,6 +92,15 @@ class Subspace:
         self.basis, self.pivots = rref(vectors)
         self._rows = None
 
+    @classmethod
+    def _reduced(cls, ambient_dim, basis, pivots):
+        """A subspace from a basis already in RREF, with its pivots."""
+        space = cls.__new__(cls)
+        space.ambient_dim = ambient_dim
+        space.basis, space.pivots = basis, pivots
+        space._rows = None
+        return space
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -147,9 +156,12 @@ class Subspace:
         zero = [0] * d
         block = ([u + u for u in self._integer_basis()]
                  + [w + zero for w in other._integer_basis()])
-        reduced, _ = rref(block)
-        inter = [row[d:] for row in reduced if not any(row[:d])]
-        return Subspace(d, inter)
+        reduced, pivots = rref(block)
+        # the rows pivoting in the right half come last; their left
+        # halves are zero and their right halves are already in RREF
+        k = sum(p < d for p in pivots)
+        return Subspace._reduced(d, [row[d:] for row in reduced[k:]],
+                                 [p - d for p in pivots[k:]])
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other._integer_basis())

@@ -20,6 +20,7 @@ from .exactlin import rref
 from .interval import Interval
 
 MORE_THAN_M = "more_than_m"
+_ZERO = Fraction(0)
 
 
 def variable_names(n: int):
@@ -93,9 +94,10 @@ class Jet:
                 raise DimensionMismatchError(f"exponent {alpha} has wrong arity")
             if sum(alpha) > sig.m:
                 raise DegreeOverflowError(f"monomial {alpha} exceeds degree {sig.m}")
-            c = Fraction(c)
-            if c != 0:
-                clean[alpha] = clean.get(alpha, Fraction(0)) + c
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c:
+                clean[alpha] = clean[alpha] + c if alpha in clean else c
         self.coeffs = {a: c for a, c in clean.items() if c != 0}
 
     # -- constructors ---------------------------------------------------
@@ -165,7 +167,7 @@ class Jet:
         table = self.sig.monomials
         if not include_constant:
             table = table[1:]
-        return tuple(self.coeffs.get(a, Fraction(0)) for a in table)
+        return tuple(self.coeffs.get(a, _ZERO) for a in table)
 
     @staticmethod
     def from_coordinates(sig: RingSignature, vec, include_constant=True):

@@ -15,8 +15,20 @@ evaluates by the interval tree walk.  test_dome_tree.py requires
 check_negligible to return exactly what it returns on this walk.
 
 The plane allowed-set solver that built p(1, t) and p(0, 1) by sympy
-substitution: test_shared_facts.py requires directions._plane_zero_set
-to return the same directions, exact coordinates included.
+substitution and tested each root of the first part against the others
+by sympy.simplify: test_shared_facts.py requires
+directions._plane_zero_set to return the same directions, exact
+coordinates included.
+
+The allowed-set solver for n >= 3 that sent every system, with the unit
+sphere, to sympy.solve: test_directions.py requires
+directions._exact_zero_set to return the same set, sorted, on systems
+that the exact reduction takes apart.
+
+The Jet constructor that coerced every coefficient with Fraction(c),
+Fractions included, and summed into a fresh Fraction(0):
+test_jetring.py requires Jet to keep the same coefficients, of the same
+types, in the same key order.
 
 The Fraction elimination that exactlin's integer elimination replaced
 (rref, Subspace.contains and Subspace.coordinates_of), and jetring's
@@ -42,7 +54,8 @@ import numpy as np
 import sympy
 
 from jetideals.directions import ExactDirection, jet_to_sympy
-from jetideals.errors import DomainError
+from jetideals.errors import (DegreeOverflowError, DimensionMismatchError,
+                              DomainError)
 from jetideals.geometry import sphere_cover
 from jetideals.interval import Interval, _down, _up
 from jetideals.jetring import monomials
@@ -241,6 +254,48 @@ def plane_zero_set(parts):
         dirs.append(ExactDirection(vec, sym))
         dirs.append(ExactDirection((-vec[0], -vec[1]), (-sym[0], -sym[1])))
     return dirs
+
+
+def jet_coeffs(sig, coeffs):
+    clean = {}
+    for alpha, c in coeffs.items():
+        alpha = tuple(alpha)
+        if len(alpha) != sig.n:
+            raise DimensionMismatchError(f"exponent {alpha} has wrong arity")
+        if sum(alpha) > sig.m:
+            raise DegreeOverflowError(f"monomial {alpha} exceeds degree {sig.m}")
+        c = Fraction(c)
+        if c != 0:
+            clean[alpha] = clean.get(alpha, Fraction(0)) + c
+    return {a: c for a, c in clean.items() if c != 0}
+
+
+def exact_zero_set(parts, n):
+    syms = sympy.symbols(f"u0:{n}", real=True)
+    system = [jet_to_sympy(p, syms) for p in parts]
+    system.append(sum(s ** 2 for s in syms) - 1)
+    try:
+        sols = sympy.solve(system, list(syms), dict=True)
+    except Exception:
+        return None
+    if not isinstance(sols, list):
+        return None
+    dirs = []
+    for sol in sols:
+        if set(sol) != set(syms):
+            return None
+        vals = [sympy.simplify(sol[s]) for s in syms]
+        if any(v.free_symbols for v in vals):
+            return None
+        if any(not v.is_real for v in vals):
+            continue
+        vec = tuple(float(v.evalf(30)) for v in vals)
+        dirs.append(ExactDirection(vec, vals))
+    unique = []
+    for d in dirs:
+        if all(d.dist(u) > 1e-9 for u in unique):
+            unique.append(d)
+    return unique
 
 
 def rref(rows):

@@ -3,6 +3,11 @@
 import math
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+
+import scalar_reference
+from jetideals import directions
 
 from jetideals.directions import (allow_overapprox, allow_transform_check,
                                   exact_zero_residual,
@@ -11,7 +16,7 @@ from jetideals.directions import (allow_overapprox, allow_transform_check,
 from jetideals.errors import DomainError
 from jetideals.geometry import Direction
 from jetideals.ideal import JetIdeal
-from jetideals.jetring import RingSignature, jet_parse
+from jetideals.jetring import Jet, RingSignature, jet_parse
 
 
 def make_ideal(m, n, gens):
@@ -125,14 +130,131 @@ def test_zero_ideal_has_no_direction_data():
 
 
 def test_patch_fallback_reports_candidates():
-    # x^2 - y*z + z^2y ... use a generator set sympy.solve gives up on?
-    # easier: force the fallback by a positive-dimensional zero set
+    # x^2 forces x = 0 and leaves no part: a positive-dimensional zero set
     aset = allow_overapprox(make_ideal(2, 3, ["x^2"]), budget=3)
     # {x = 0} on the sphere is a great circle: not a finite list
-    if aset.is_finite:
-        pytest.skip("solver resolved the circle symbolically")
+    assert not aset.is_finite
     cands = aset.candidate_patches()
     assert cands
     for p in cands:
         # each candidate patch must be near the plane x = 0
         assert abs(p.center_direction().vec[0]) < 0.3
+
+
+def lowest_parts(m, n, gens):
+    return [g.lowest_homogeneous_part()
+            for g in make_ideal(m, n, gens).generators]
+
+
+def no_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy.solve called")
+    monkeypatch.setattr(sympy, "solve", refuse)
+
+
+def test_reduced_cubic_is_the_lifted_plane_set(monkeypatch):
+    # x^2 forces x = 0; the cubic's six directions lie in the y-z plane
+    no_solve(monkeypatch)
+    aset = allow_overapprox(make_ideal(3, 3, ["x^2", "y^3 - 3y*z^2 + z^3"]))
+    assert aset.exact and aset.is_finite
+    plane = directions._plane_zero_set(
+        lowest_parts(3, 2, ["x^3 - 3x*y^2 + y^3"]))
+    want = sorted(((0.0,) + d.vec, (sympy.Integer(0),) + d.sym)
+                  for d in plane)
+    assert len(want) == 6
+    assert [d.vec for d in aset.directions] == [v for v, _ in want]
+    assert [sympy.srepr(d.sym) for d in aset.directions] \
+        == [sympy.srepr(s) for _, s in want]
+
+
+@pytest.mark.parametrize("m,n,gens,want", [
+    (2, 3, ["x^2 + y^2 + z^2"], []),
+    (4, 3, ["2(x^2 + y^2 + z^2)^2"], []),
+    (2, 4, ["x^2", "y^2 + z^2 + w^2 - x*y"], []),
+    (2, 3, ["x*y", "y^2", "z^2 - y*z"], [(-1, 0, 0), (1, 0, 0)]),
+    (3, 3, ["x^3", "x*y^2 + y^3 - z^3"],   # y = z, over x = 0
+     [(0, -sympy.sqrt(2) / 2, -sympy.sqrt(2) / 2),
+      (0, sympy.sqrt(2) / 2, sympy.sqrt(2) / 2)]),
+])
+def test_reduction_decides_without_solve(monkeypatch, m, n, gens, want):
+    no_solve(monkeypatch)
+    aset = allow_overapprox(make_ideal(m, n, gens))
+    assert aset.is_finite
+    assert [d.vec for d in aset.directions] == \
+        [tuple(float(c) for c in v) for v in want]
+    for g in make_ideal(m, n, gens).generators:
+        for d in aset.directions:
+            assert exact_zero_residual(d, g.lowest_homogeneous_part()) == 0
+
+
+@pytest.mark.parametrize("m,n,gens", [
+    (2, 3, ["-5x*y + 3x*z - 3/4y*z"]),   # a single quadric cone
+    (2, 3, ["x^2 + y^2 - z^2"]),
+    (2, 4, ["x^2", "y^2 + z^2 + 2w^2"]),  # not a power of |u|^2
+    (2, 4, ["x*y", "x^2"]),               # x = 0 leaves a 2-sphere
+])
+def test_hypersurface_is_no_finite_list(monkeypatch, m, n, gens):
+    no_solve(monkeypatch)
+    assert directions._exact_zero_set(lowest_parts(m, n, gens), n) is None
+
+
+def test_unreduced_system_is_solved_and_sorted():
+    parts = lowest_parts(2, 3, ["x*y", "y*z", "x*z"])
+    got = directions._exact_zero_set(parts, 3)
+    want = scalar_reference.exact_zero_set(parts, 3)
+    assert len(got) == 6
+    assert [d.vec for d in got] == sorted(d.vec for d in want)
+
+
+def test_solver_errors_propagate_or_fall_back(monkeypatch):
+    parts = lowest_parts(2, 3, ["x*y", "y*z", "x*z"])
+
+    def fail(error):
+        def solve(*args, **kwargs):
+            raise error
+        return solve
+
+    # the solver giving up means the patch cover
+    monkeypatch.setattr(sympy, "solve", fail(NotImplementedError("no")))
+    assert directions._exact_zero_set(parts, 3) is None
+    # anything else is a fault, not "intractable"
+    monkeypatch.setattr(sympy, "solve", fail(RuntimeError("deadline")))
+    with pytest.raises(RuntimeError, match="deadline"):
+        directions._exact_zero_set(parts, 3)
+
+
+_nonzero = st.fractions(min_value=-3, max_value=3,
+                        max_denominator=4).filter(lambda c: c != 0)
+_linear = st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3),
+                   min_size=3, max_size=3).filter(any)
+
+
+@st.composite
+def reducible_systems(draw):
+    """A monomial part c*u_i^k and one or two products of rational
+    linear forms, in three variables.  A form c*u_i makes its product
+    drop out once u_i = 0, so some systems leave a great circle."""
+    sig = RingSignature(3, 3)
+    i = draw(st.integers(0, 2))
+    alpha = tuple(draw(st.integers(1, 3)) if j == i else 0 for j in range(3))
+    parts = [Jet(sig, {alpha: draw(_nonzero)})]
+    forced = _nonzero.map(lambda c: [c if j == i else 0 for j in range(3)])
+    for _ in range(draw(st.integers(1, 2))):
+        part = Jet.constant(sig, 1)
+        forms = st.one_of(_linear, forced)
+        for form in draw(st.lists(forms, min_size=1, max_size=3)):
+            part = part * Jet(sig, {tuple(int(j == k) for j in range(3)): c
+                                    for k, c in enumerate(form)})
+        parts.append(part)
+    return draw(st.permutations(parts))
+
+
+@settings(max_examples=15, deadline=None)
+@given(reducible_systems())
+def test_reduction_equals_solving_the_whole_system(parts):
+    got = directions._exact_zero_set(parts, 3)
+    want = scalar_reference.exact_zero_set(parts, 3)
+    if want is None:
+        assert got is None
+    else:
+        assert [d.vec for d in got] == sorted(d.vec for d in want)

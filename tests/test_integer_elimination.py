@@ -105,8 +105,29 @@ def test_intersection_span_equals_its_re_span(m, n):
         J = I.transform(random_diffeo(rng, sig))
         K = I.intersect(J)
         assert K.span == I.intersect_space(J)
+        again = Subspace(K.span.ambient_dim, K.span.basis)
+        assert (K.span.basis, K.span.pivots) == (again.basis, again.pivots)
         assert JetIdeal(sig, K.generators).span == K.span
         assert K.basis_jets() == list(K.generators)
+
+
+def test_intersection_is_already_reduced():
+    """Subspace.intersect keeps the right halves of the Zassenhaus RREF
+    as they are; re-reducing them changes neither basis nor pivots."""
+    rng = random.Random(2026)
+    for _ in range(500):
+        cols, rows = _random_rows(rng)
+        _, more = _random_rows(rng, max_cols=cols)
+        more = [(r + [0] * cols)[:cols] for r in more]
+        if rng.random() < 0.5:   # overlap: share some of the first rows
+            more += rows[:rng.randint(0, len(rows))]
+        inter = Subspace(cols, rows).intersect(Subspace(cols, more))
+        again = Subspace(cols, inter.basis)
+        assert inter.basis == again.basis and inter.pivots == again.pivots
+        assert all(type(row) is tuple for row in inter.basis)
+        assert all(type(x) is Fraction for row in inter.basis for x in row)
+        assert all(Subspace(cols, rows).contains(v)
+                   and Subspace(cols, more).contains(v) for v in inter.basis)
 
 
 def _random_matrix(rng, n, singular):

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from jetideals.errors import DegreeOverflowError, ParseError
+import scalar_reference as ref
+from jetideals.errors import (DegreeOverflowError, DimensionMismatchError,
+                              ParseError)
 from jetideals.jetring import (MORE_THAN_M, DiffeoJet, Jet, RingSignature,
                                jet_compose, jet_parse)
 
@@ -172,3 +175,40 @@ def test_eval_modes_agree():
                    mode="exact")
     approx = p.eval(x, mode="float")
     assert abs(float(exact) - approx) < 1e-9
+
+
+class _Pairs:
+    """A coefficient mapping whose items may repeat an exponent."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def items(self):
+        return self.pairs
+
+
+_coefficients = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+    st.builds(lambda a, b: f"{a}/{b}", st.integers(-6, 6), st.integers(1, 5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                          _coefficients), max_size=8))
+def test_constructor_keeps_the_coerced_coefficients(pairs):
+    sig = RingSignature(4, 2)
+    got = Jet(sig, _Pairs(pairs)).coeffs
+    want = ref.jet_coeffs(sig, _Pairs(pairs))
+    assert list(got.items()) == list(want.items())
+    assert all(type(c) is Fraction for c in got.values())
+
+
+@pytest.mark.parametrize("alpha,error", [((1, 0, 0), DimensionMismatchError),
+                                         ((3, 2), DegreeOverflowError)])
+def test_constructor_checks_arity_and_degree(alpha, error):
+    sig = RingSignature(4, 2)
+    with pytest.raises(error):
+        Jet(sig, {alpha: Fraction(1)})
+    with pytest.raises(error):
+        ref.jet_coeffs(sig, {alpha: Fraction(1)})

@@ -138,6 +138,10 @@ def test_equal_span_ideals_keep_their_own_allowed_sets():
     ["(x - y)(2*x + 3*y)", "x^2 - y^2"],  # a shared factor
     ["x^2 + y^2"],                        # no real root
     ["x + y^2", "x*y"],                   # non-homogeneous generators
+    ["(x^2 - 3*y^2)*(x + y)", "(x^2 - 3*y^2)*(2*x - y)",
+     "(x^2 - 3*y^2)*y"],                  # an irrational factor in common
+    ["x^3 + x^2*y + y^3",
+     "(x^3 + x^2*y + y^3)*(x - 2*y)"],    # one CRootOf root in common
 ])
 def test_plane_solver_matches_substitution(gens):
     sig = RingSignature(4, 2)
