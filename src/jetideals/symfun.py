@@ -359,51 +359,21 @@ def expr_eval(e: ScalarExpr, point, mode: str = "float"):
     """Value (mode="float") or sound enclosure (mode="interval").
 
     Division by zero — or by an interval containing zero — raises
-    DomainError rather than producing infinities.
+    DomainError rather than producing infinities.  A float value is
+    compile_expr's at the one point, and raises where it does (see
+    compile_exprs): an overflow anywhere in the tree raises
+    OverflowError, even where a tree walk would meet a DomainError first.
     """
     if mode == "float":
-        return _eval_float(e, [float(c) for c in point])
+        values, ok = compile_expr(e)(np.array([[float(c) for c in point]]))
+        if not ok[0]:
+            raise DomainError("expression undefined at the point")
+        return float(values[0])
     if mode == "interval":
         box = [c if isinstance(c, Interval) else Interval.exact(c)
                for c in point]
         return compile_interval(e)(box)
     raise ValueError(f"unknown eval mode {mode!r}")
-
-
-def _eval_float(e, x):
-    if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, Coord):
-        return x[e.i]
-    if isinstance(e, Add):
-        # left to right from 0.0: builtin sum compensates on Python >= 3.12
-        out = 0.0
-        for t in e.terms:
-            out += _eval_float(t, x)
-        return out
-    if isinstance(e, Mul):
-        out = 1.0
-        for f in e.factors:
-            out *= _eval_float(f, x)
-        return out
-    if isinstance(e, Pow):
-        return _eval_float(e.base, x) ** e.k
-    if isinstance(e, Div):
-        den = _eval_float(e.den, x)
-        if den == 0.0:
-            raise DomainError("division by zero during evaluation")
-        return _eval_float(e.num, x) / den
-    if isinstance(e, Norm):
-        acc = 0.0
-        for i in e.indices:
-            acc += x[i] ** 2
-        return math.sqrt(acc)
-    if isinstance(e, Cutoff):
-        v = _eval_float(e.arg, x) / float(e.scale)
-        return e.spec.eval(v, e.order)
-    if isinstance(e, GaugeRef):
-        return e.gauge.eval(_eval_float(e.arg, x))
-    raise TypeError(f"unknown node {e!r}")
 
 
 # Interval programs kept for the process, one per structurally distinct
@@ -506,19 +476,21 @@ def compile_exprs(exprs):
     """Compile a table of trees into one evaluator over point arrays.
 
     The evaluator maps an (N, n) float array to one (values, ok) pair of
-    length-N arrays per tree.  ok is False exactly where expr_eval raises
-    DomainError, and values are NaN there.  Elsewhere values equal the
-    scalar float evaluation bit for bit: sums run from 0.0 and products
-    from 1.0, left to right; Pow nodes and norm squares take Python's
-    float power (libm pow) per element, since numpy's power differs in
-    the last bit; cutoffs take CutoffSpec.eval_array.  Structurally equal
-    subtrees anywhere in the table are evaluated once per chunk of points.
-    Gauge nodes have no compiled form (TypeError): they are not
-    differentiable, so no derivative table holds them.
+    length-N arrays per tree.  ok is False exactly where a node of the
+    tree is undefined (a division by zero, a cutoff derivative past its
+    smoothness, a gauge of a nonpositive argument), and values are NaN
+    there.  Elsewhere values equal the scalar tree walk
+    eval_float in tests/scalar_reference.py bit for bit: sums run from
+    0.0 and products from 1.0, left to right; Pow nodes and norm squares
+    take Python's float power (libm pow) per element, since numpy's
+    power differs in the last bit; cutoffs take CutoffSpec.eval_array;
+    gauges take math.log2 per element, then np.interp, as Gauge.eval
+    does.  Structurally equal subtrees anywhere in the table are
+    evaluated once per chunk of points.
 
-    Where the scalar evaluator raises something else (OverflowError from
-    a float power, ValueError from a cutoff of a NaN argument), so does
-    the evaluator, for any point where that node's operands evaluate.
+    Where the walk raises something else (OverflowError from a float
+    power, ValueError from a cutoff of a NaN argument), so does the
+    evaluator, for any point where that node's operands evaluate.
     """
     slots = {}
     program = []
@@ -651,7 +623,19 @@ def _compile_node(e, emit):
         arg, spec, scale, order = emit(e.arg), e.spec, float(e.scale), e.order
         return lambda vals, masks, cols: (
             spec.eval_array(vals[arg] / scale, order, masks[arg]), masks[arg])
-    raise TypeError(f"no compiled form for node {e!r}")
+    if isinstance(e, GaugeRef):
+        arg, gauge = emit(e.arg), e.gauge
+
+        def gauge_step(vals, masks, cols):
+            t = vals[arg]
+            ok = ~(t <= 0.0)        # a NaN argument is no error there
+            if masks[arg] is not None:
+                ok &= masks[arg]
+            logs = [math.log2(v) if good else math.nan
+                    for v, good in zip(t.tolist(), ok.tolist())]
+            return np.interp(logs, gauge.log2_grid, gauge.values), ok
+        return gauge_step
+    raise TypeError(f"unknown node {e!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .interval import Interval
 from .jetring import Jet, monomials
 from .symfun import (Add, Const, Cutoff, Div, GaugeRef, Mul, Norm, Pow,
                      ScalarExpr, ZERO, add, compile_expr, compile_exprs,
-                     compile_interval, div, expr_derive, expr_eval, expr_str,
+                     compile_interval, div, expr_derive, expr_str,
                      hom_degree, ipow, mul, DEFAULT_CUTOFF, Coord)
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
@@ -40,13 +40,6 @@ _IDENTITY_VERDICT = {True: PASS, False: FAIL, None: INCONCLUSIVE}
 def meet(*verdicts) -> str:
     """Order-independent aggregation: fail < inconclusive < pass."""
     return min(verdicts, key=_ORDER.__getitem__, default=PASS)
-
-
-def _try_eval(e, x):
-    try:
-        return expr_eval(e, x)
-    except DomainError:
-        return None
 
 
 def _first_max(ratios):
@@ -85,16 +78,21 @@ def _transverse_unit(rng, n, omega):
             return tuple(float(c) / norm for c in v)
 
 
+def _dome_unit(rng, w, delta):
+    """Random unit vector near w: w plus a uniform t < 0.98 delta times a
+    random transverse unit, normalized (draws: t, then the transverse)."""
+    t = float(rng.uniform(0, delta * 0.98))
+    u = np.asarray(w) + t * np.asarray(_transverse_unit(rng, len(w), w))
+    return u / np.linalg.norm(u)
+
+
 def _dome_directions(rng, omegas, delta, count):
     """Directions inside the dome around a finite Omega (centers included)."""
     dirs = [tuple(w) for w in omegas]
     per = max(1, count // max(1, len(omegas)))
     for w in omegas:
         for _ in range(per):
-            t = float(rng.uniform(0, delta * 0.98))
-            u = np.asarray(w) + t * np.asarray(_transverse_unit(rng, len(w), w))
-            u = u / np.linalg.norm(u)
-            u = tuple(float(c) for c in u)
+            u = tuple(float(c) for c in _dome_unit(rng, w, delta))
             if dome_membership(u, omegas, delta):
                 dirs.append(u)
     return dirs
@@ -454,28 +452,26 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
 
     rng = np.random.default_rng(seed)
     derivs = [(alpha, expr_derive(F, alpha)) for alpha in monomials(m, n)]
+    degrees = [None if d == ZERO else hom_degree(d) for _, d in derivs]
+    # genuine-failure scan on the center rays: for derivatives whose tree
+    # is homogeneous of degree exactly m - |alpha| the ratio is
+    # scale-invariant, so one bad value on a ray through Omega refutes
+    # every (delta, r).  The values do not depend on eps: one kernel.
+    rays = [(alpha, d) for (alpha, d), deg in zip(derivs, degrees)
+            if deg == m - sum(alpha)]
+    centers = [tuple(0.5 * c for c in w) for w in omegas]
+    ray_values = compile_exprs([d for _, d in rays])(
+        _point_array(centers, n))
     records = []
     verdicts = []
     key = tuple(omegas)
     for eps in eps_grid:
         rec = {"eps": eps}
-        # genuine-failure scan on the center rays: for derivatives whose
-        # tree is homogeneous of degree exactly m - |alpha| the ratio is
-        # scale-invariant, so one bad value on a ray through Omega
-        # refutes every (delta, r)
         witness = None
-        for alpha, d_expr in derivs:
-            if d_expr == ZERO:
-                continue
-            d = hom_degree(d_expr)
-            if d is None or d != m - sum(alpha):
-                continue
-            for w in omegas:
-                x = tuple(0.5 * c for c in w)
-                val = _try_eval(d_expr, x)
-                if val is None:
-                    continue
-                if abs(val) > eps * 0.5 ** (m - sum(alpha)) * (1 + 1e-12):
+        for (alpha, _), (vals, ok) in zip(rays, ray_values):
+            for x, val, good in zip(centers, vals.tolist(), ok.tolist()):
+                if good and abs(val) > eps * 0.5 ** (m - sum(alpha)) \
+                        * (1 + 1e-12):
                     witness = {"alpha": list(alpha), "point": list(x),
                                "value": abs(val),
                                "bound": eps * 0.5 ** (m - sum(alpha))}
@@ -492,13 +488,12 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
         starved = {}     # alpha -> delta rungs whose walk ran out of cells
         for delta in delta_ladder(eps):
             alpha_records, ok, r_cap = [], True, 1.0
-            for alpha, d_expr in derivs:
+            for (alpha, d_expr), d in zip(derivs, degrees):
                 a_rec = {"alpha": list(alpha)}
                 if d_expr == ZERO:
                     a_rec["status"] = "zero"
                     alpha_records.append(a_rec)
                     continue
-                d = hom_degree(d_expr)
                 gap = None if d is None else d - (m - sum(alpha))
                 if gap is None or gap < 0:
                     a_rec["status"] = "no homogeneity reduction"
@@ -568,29 +563,32 @@ def _condition_b(F, derivs, omegas, delta, r, eps, m, n, rng, pair_samples):
                 "note": "single-direction dome components are convex; "
                         "Taylor's theorem turns the (a) bounds into (b)",
                 "verdict": PASS}
-    deriv_map = dict(derivs)
+    kernel = compile_exprs([d for _, d in derivs])
     checked = 0
     for _ in range(pair_samples):
         w = omegas[rng.integers(len(omegas))]
         pts = []
         for _ in range(2):
-            u = np.asarray(w) + float(rng.uniform(0, delta * 0.98)) * \
-                np.asarray(_transverse_unit(rng, n, w))
-            u = u / np.linalg.norm(u)
+            u = _dome_unit(rng, w, delta)
             s = float(rng.uniform(0.05, 0.98)) * r
             pts.append(tuple(s * float(c) for c in u))
         x, y = pts
+        # every derivative at x and at y; None where it does not evaluate
+        columns = [(vals.tolist(), good.tolist())
+                   for vals, good in kernel(_point_array(pts, n))]
+        at_x, at_y = ({alpha: vals[j] if good[j] else None
+                       for (alpha, _), (vals, good) in zip(derivs, columns)}
+                      for j in (0, 1))
         ok = True
         for alpha in monomials(m, n):
-            ax = _try_eval(deriv_map[alpha], x)
+            ax = at_x[alpha]
             if ax is None:
                 ok = False
                 break
             taylor = 0.0
             rem = m - sum(alpha)
             for beta in monomials(rem, n):
-                ab = tuple(a + b for a, b in zip(alpha, beta))
-                coeff = _try_eval(deriv_map[ab], y)
+                coeff = at_y[tuple(a + b for a, b in zip(alpha, beta))]
                 if coeff is None:
                     ok = False
                     break
@@ -704,15 +702,16 @@ def _plateaus_certified(exprs, boxes, s_range=None, n=None):
             if s_range[1] > top:
                 return False
             continue
-        if (s_range is not None and hasattr(arg, "num")
+        if (s_range is not None and isinstance(arg, Div)
                 and isinstance(arg.num, Const) and arg.num.value > 0
                 and isinstance(arg.den, Norm) and arg.den.indices == full):
             if float(arg.num.value) / s_range[0] > top:
                 return False
             continue
+        enclose = compile_interval(arg)
         for box in boxes:
             try:
-                enc = expr_eval(arg, box, mode="interval")
+                enc = enclose(box)
             except DomainError:
                 return False
             if enc.hi > top:
@@ -1166,9 +1165,7 @@ def check_annulus_condition(variant: str, params: dict, p: Jet, Q_list,
             id_method = "plateau-certified symbolic"
         else:
             id_ok, id_method = _sampled_identity(
-                lambda x: [p.eval(x, mode="float"), -expr_eval(F, x)]
-                + [-expr_eval(S, x) * Q.eval(x, mode="float")
-                   for Q, S in zip(Q_list, S_list)],
+                p, list(zip(Q_list, S_list)), F, 1.0, 1.0, 1.0,
                 omegas, delta, rho / 2, 2 * rho, n, rng)
         report.update({"bounds": rows, "identity": {
             "method": id_method, "zero": id_ok}})
@@ -1233,36 +1230,38 @@ def _scaled_identity(p, Q_list, F_expr, S_exprs, eps, A, rho_frac, omegas,
             f_scale=Fraction(eps) * rho_frac ** m,
             s_scale=Fraction(A)), "plateau-certified symbolic"
     rho = float(rho_frac)
-
-    def terms_at(x):
-        xr = tuple(rho * c for c in x)
-        return ([p.eval(xr, mode="float"),
-                 -eps * rho ** m * expr_eval(F_expr, x)]
-                + [-A * expr_eval(S, x) * Q.eval(xr, mode="float")
-                   for Q, S in zip(Q_list, S_exprs)])
-
-    return _sampled_identity(terms_at, omegas, delta, 0.5, 2.0, n, rng)
+    return _sampled_identity(p, list(zip(Q_list, S_exprs)), F_expr, rho,
+                             eps * rho ** m, A, omegas, delta, 0.5, 2.0, n,
+                             rng)
 
 
-def _sampled_identity(terms_at, omegas, delta, s_lo, s_hi, n, rng):
-    """Fallback identity check on sampled region points.
+def _sampled_identity(p, pairs, F, rho, f_scale, s_scale, omegas, delta,
+                      s_lo, s_hi, n, rng):
+    """Fallback identity check on sampled region points: the residual of
+    p(rho x) = f_scale F(x) + s_scale sum S_l(x) Q_l(rho x) (pairs lists
+    (Q_l, S_l)), with float rho and scales.
 
-    terms_at(x) lists the terms whose sum is the residual.  Each point
-    where they evaluate must have |residual| <= 1e-9 * sum |term|; a
-    point where some term raises DomainError is skipped.  Returns None
-    when no point evaluates."""
-    checked = 0
+    Each of 500 points where F and every S_l evaluate must have
+    |residual| <= 1e-9 * sum |term|; a point where one does not evaluate
+    is skipped.  Returns None when no point evaluates."""
+    points = []
     for _ in range(500):
         w = omegas[rng.integers(len(omegas))]
-        u = np.asarray(w) + float(rng.uniform(0, delta * 0.98)) * \
-            np.asarray(_transverse_unit(rng, n, w))
-        u = u / np.linalg.norm(u)
+        u = _dome_unit(rng, w, delta)
         s = float(rng.uniform(s_lo * 1.01, s_hi * 0.99))
-        x = tuple(s * float(c) for c in u)
-        try:
-            terms = terms_at(x)
-        except DomainError:
+        points.append(tuple(s * float(c) for c in u))
+    kernel = compile_exprs([F] + [S for _, S in pairs])
+    columns = [(vals.tolist(), ok.tolist())
+               for vals, ok in kernel(_point_array(points, n))]
+    checked = 0
+    for j, x in enumerate(points):
+        if not all(ok[j] for _, ok in columns):
             continue
+        f, *s_values = (vals[j] for vals, _ in columns)
+        xr = tuple(rho * c for c in x)
+        terms = ([p.eval(xr, mode="float"), -f_scale * f]
+                 + [-s_scale * s * Q.eval(xr, mode="float")
+                    for (Q, _), s in zip(pairs, s_values)])
         if abs(sum(terms)) > 1e-9 * sum(abs(t) for t in terms):
             return False, "sampled residual"
         checked += 1

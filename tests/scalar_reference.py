@@ -1,10 +1,24 @@
 """Reference implementations of checks that now run on faster paths.
 
+The float tree walk eval_float that symfun.compile_exprs replaced, and
+with it expr_eval(mode="float"): test_symfun.py requires the compiled
+kernels and expr_eval to return exactly its values, gauges included, and
+to mask the point (expr_eval: raise DomainError) where it raises
+DomainError.  Every scalar loop below evaluates through it.
+
+The per-rung center-ray witness scan of check_negligible, ray_witness,
+the per-pair scalar loop of two-point condition (b), condition_b, and
+the point-by-point sampled identity check, sampled_identity, that run on
+compiled kernels in verifier.check_negligible, verifier._condition_b and
+verifier._sampled_identity: test_verifier.py requires the kernel-based
+checks to return exactly what these return and, for condition (b), to
+leave the random generator in the same state.
+
 The interval tree walk that symfun.compile_interval replaced:
 test_symfun.py requires the compiled interval programs to return
 exactly its enclosures and to raise where it raises.
 
-The point-by-point loops over expr_eval that verifier._sampled_bound_check,
+The point-by-point loops over eval_float that verifier._sampled_bound_check,
 verifier._shell_sweep and verifier.measure_chi_constant replaced:
 test_compiled_callers.py requires the compiled callers to return exactly
 what these return, witnesses included.
@@ -60,9 +74,45 @@ from jetideals.geometry import sphere_cover
 from jetideals.interval import Interval, _down, _up
 from jetideals.jetring import monomials
 from jetideals.symfun import (ZERO, Add, Const, Coord, Cutoff, Div, GaugeRef,
-                              Mul, Norm, Pow, expr_derive, expr_eval)
+                              Mul, Norm, Pow, expr_derive, hom_degree)
 from jetideals.verifier import (FAIL, PASS, _random_unit, _region_directions,
-                                chi_expr)
+                                _transverse_unit, chi_expr)
+
+
+def eval_float(e, x):
+    if isinstance(e, Const):
+        return float(e.value)
+    if isinstance(e, Coord):
+        return x[e.i]
+    if isinstance(e, Add):
+        # left to right from 0.0: builtin sum compensates on Python >= 3.12
+        out = 0.0
+        for t in e.terms:
+            out += eval_float(t, x)
+        return out
+    if isinstance(e, Mul):
+        out = 1.0
+        for f in e.factors:
+            out *= eval_float(f, x)
+        return out
+    if isinstance(e, Pow):
+        return eval_float(e.base, x) ** e.k
+    if isinstance(e, Div):
+        den = eval_float(e.den, x)
+        if den == 0.0:
+            raise DomainError("division by zero during evaluation")
+        return eval_float(e.num, x) / den
+    if isinstance(e, Norm):
+        acc = 0.0
+        for i in e.indices:
+            acc += x[i] ** 2
+        return math.sqrt(acc)
+    if isinstance(e, Cutoff):
+        v = eval_float(e.arg, x) / float(e.scale)
+        return e.spec.eval(v, e.order)
+    if isinstance(e, GaugeRef):
+        return e.gauge.eval(eval_float(e.arg, x))
+    raise TypeError(f"unknown node {e!r}")
 
 
 def eval_interval(e, box):
@@ -99,9 +149,106 @@ def eval_interval(e, box):
 
 def _try_eval(e, x):
     try:
-        return expr_eval(e, x)
+        return eval_float(e, [float(c) for c in x])
     except DomainError:
         return None
+
+
+def ray_witness(derivs, omegas, eps, m):
+    """The first center-ray value above eps |x|^(m - |alpha|), or None;
+    derivs lists (alpha, derivative of F)."""
+    for alpha, d_expr in derivs:
+        if d_expr == ZERO:
+            continue
+        d = hom_degree(d_expr)
+        if d is None or d != m - sum(alpha):
+            continue
+        for w in omegas:
+            x = tuple(0.5 * c for c in w)
+            val = _try_eval(d_expr, x)
+            if val is None:
+                continue
+            if abs(val) > eps * 0.5 ** (m - sum(alpha)) * (1 + 1e-12):
+                return {"alpha": list(alpha), "point": list(x),
+                        "value": abs(val),
+                        "bound": eps * 0.5 ** (m - sum(alpha))}
+    return None
+
+
+def condition_b(F, derivs, omegas, delta, r, eps, m, n, rng, pair_samples):
+    separated = all(math.dist(a, b) > 2 * delta
+                    for i, a in enumerate(omegas) for b in omegas[:i])
+    if delta < 0.25 and separated:
+        return {"method": "convexity",
+                "note": "single-direction dome components are convex; "
+                        "Taylor's theorem turns the (a) bounds into (b)",
+                "verdict": PASS}
+    deriv_map = dict(derivs)
+    checked = 0
+    for _ in range(pair_samples):
+        w = omegas[rng.integers(len(omegas))]
+        pts = []
+        for _ in range(2):
+            u = np.asarray(w) + float(rng.uniform(0, delta * 0.98)) * \
+                np.asarray(_transverse_unit(rng, n, w))
+            u = u / np.linalg.norm(u)
+            s = float(rng.uniform(0.05, 0.98)) * r
+            pts.append(tuple(s * float(c) for c in u))
+        x, y = pts
+        ok = True
+        for alpha in monomials(m, n):
+            ax = _try_eval(deriv_map[alpha], x)
+            if ax is None:
+                ok = False
+                break
+            taylor = 0.0
+            rem = m - sum(alpha)
+            for beta in monomials(rem, n):
+                ab = tuple(a + b for a, b in zip(alpha, beta))
+                coeff = _try_eval(deriv_map[ab], y)
+                if coeff is None:
+                    ok = False
+                    break
+                term = coeff
+                for xi, yi, bi in zip(x, y, beta):
+                    term *= (xi - yi) ** bi
+                term /= math.prod(math.factorial(b) for b in beta)
+                taylor += term
+            if not ok:
+                break
+            gap = abs(ax - taylor)
+            allowed = eps * math.dist(x, y) ** rem
+            if gap > allowed * (1 + 1e-9) + 1e-15:
+                return {"method": "two-point sampling",
+                        "verdict": FAIL,
+                        "witness": {"x": list(x), "y": list(y),
+                                    "alpha": list(alpha),
+                                    "gap": gap, "allowed": allowed}}
+        if ok:
+            checked += 1
+    return {"method": "two-point sampling", "pairs": checked,
+            "verdict": PASS}
+
+
+def sampled_identity(terms_at, omegas, delta, s_lo, s_hi, n, rng):
+    """terms_at(x) lists the terms whose sum is the residual; a point
+    where it raises DomainError is skipped."""
+    checked = 0
+    for _ in range(500):
+        w = omegas[rng.integers(len(omegas))]
+        u = np.asarray(w) + float(rng.uniform(0, delta * 0.98)) * \
+            np.asarray(_transverse_unit(rng, n, w))
+        u = u / np.linalg.norm(u)
+        s = float(rng.uniform(s_lo * 1.01, s_hi * 0.99))
+        x = tuple(s * float(c) for c in u)
+        try:
+            terms = terms_at(x)
+        except DomainError:
+            continue
+        if abs(sum(terms)) > 1e-9 * sum(abs(t) for t in terms):
+            return False, "sampled residual"
+        checked += 1
+    return (True if checked else None), "sampled residual"
 
 
 def shell_sweep(expr, region, m, n, seed, k_lo, k_hi, weight):

@@ -13,8 +13,8 @@ from jetideals.errors import DomainError, ParseError
 from jetideals.interval import Interval
 from jetideals.jetring import monomials
 from jetideals.symfun import (Add, Const, Coord, Cutoff, CutoffSpec,
-                              DEFAULT_CUTOFF, Div, Gauge, Mul, Norm, Pow,
-                              ZERO, add, compile_expr, compile_exprs,
+                              DEFAULT_CUTOFF, Div, Gauge, GaugeRef, Mul, Norm,
+                              Pow, ZERO, add, compile_expr, compile_exprs,
                               compile_interval, div, expr_derive, expr_diff,
                               expr_eval, expr_parse, expr_str,
                               gauge_regularize, hom_degree, ipow, mul)
@@ -204,6 +204,9 @@ def test_smart_constructors_fold_constants():
 THIRDS_CUTOFF = CutoffSpec(q=2, a=Fraction(1, 3), b=Fraction(7, 4))
 SPECS = (DEFAULT_CUTOFF, THIRDS_CUTOFF)
 SCALES = (Fraction(1), Fraction(1, 4), Fraction(2, 7))
+# a fine grid on [2^-60, 1] and a coarse one reaching past 1
+GAUGES = (Gauge.from_function("sqrt", math.sqrt, per_octave=8),
+          Gauge("steps", [-2.0, -0.5, 0.0, 1.5], [0.1, 0.3, 0.7, 1.0]))
 N_VARS = 2
 
 
@@ -244,7 +247,8 @@ def _extend(children):
         st.builds(Pow, children, st.integers(2, 4)),
         st.builds(Div, children, children),
         st.builds(_cutoff, st.sampled_from(SPECS), children,
-                  st.sampled_from(SCALES), st.integers(0, 3)))
+                  st.sampled_from(SCALES), st.integers(0, 3)),
+        st.builds(GaugeRef, st.sampled_from(GAUGES), children))
 
 
 trees = st.recursive(leaves, _extend, max_leaves=8)
@@ -261,9 +265,19 @@ def _derivative_table(e):
     for alpha in monomials(2, N_VARS)[1:]:
         try:
             table.append(expr_derive(e, alpha))
-        except DomainError:      # a cutoff differentiated past its q
+        except DomainError:      # a gauge, or a cutoff past its q
             pass
     return table
+
+
+def _float_outcome(evaluate):
+    """The value's bits (NaN as one value), or the type of what it
+    raised."""
+    try:
+        value = evaluate()
+    except (ArithmeticError, ValueError, DomainError) as exc:
+        return type(exc)
+    return "nan" if math.isnan(value) else struct.pack("<d", value)
 
 
 @settings(max_examples=120, deadline=None)
@@ -281,7 +295,7 @@ def test_compiled_equals_scalar_bit_for_bit(e, pts):
     for tree, (vals, ok) in zip(table, columns):
         for x, val, good in zip(pts, vals.tolist(), ok.tolist()):
             try:
-                want = expr_eval(tree, x)
+                want = scalar_reference.eval_float(tree, x)
             except DomainError:
                 assert not good
                 assert math.isnan(val)
@@ -292,7 +306,7 @@ def test_compiled_equals_scalar_bit_for_bit(e, pts):
 
 def _scalar_raises(tree, x, error):
     try:
-        expr_eval(tree, x)
+        scalar_reference.eval_float(tree, x)
     except error:
         return True
     except DomainError:
@@ -310,7 +324,7 @@ def test_compiled_cutoff_band_edges_and_orders():
             vals, ok = compile_expr(e)(np.array(xs).reshape(-1, 1))
             assert ok.all()
             for x, v in zip(xs, vals.tolist()):
-                assert _same_float(v, expr_eval(e, (x,)))
+                assert _same_float(v, scalar_reference.eval_float(e, (x,)))
 
 
 def test_compiled_powers_and_norms_take_float_pow():
@@ -321,7 +335,7 @@ def test_compiled_powers_and_norms_take_float_pow():
     table = [Pow(Coord(0), k) for k in (2, 3, 4)] + [Norm((0, 1))]
     for tree, (vals, ok) in zip(table, compile_exprs(table)(pts)):
         assert ok.all()
-        want = [expr_eval(tree, x) for x in pts.tolist()]
+        want = [scalar_reference.eval_float(tree, x) for x in pts.tolist()]
         assert all(map(_same_float, vals.tolist(), want)), expr_str(tree)
 
 
@@ -330,7 +344,7 @@ def test_compiled_raises_where_scalar_overflows():
                 Const(10 ** 200)])
     e = Pow(base, 2)
     with pytest.raises(OverflowError):
-        expr_eval(e, (1.0,))
+        scalar_reference.eval_float(e, (1.0,))
     with pytest.raises(OverflowError):
         compile_expr(e)(np.array([[1.0]]))
     # where the base fails to evaluate, its overflow is never reached
@@ -348,10 +362,54 @@ def test_compiled_masks_domain_errors_instead_of_zero():
     assert not ok.any()
 
 
-def test_gauge_nodes_have_no_compiled_form():
-    g = Gauge.from_function("sqrt", math.sqrt, per_octave=8)
-    with pytest.raises(TypeError):
-        compile_expr(expr_parse("gauge(sqrt, x)", 1, gauges={"sqrt": g}))
+def _subtrees(e):
+    yield e
+    children = {Add: lambda: e.terms, Mul: lambda: e.factors,
+                Pow: lambda: (e.base,), Div: lambda: (e.num, e.den),
+                Cutoff: lambda: (e.arg,), GaugeRef: lambda: (e.arg,)}
+    for child in children.get(type(e), tuple)():
+        yield from _subtrees(child)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees, points)
+def test_expr_eval_equals_the_walk(e, pts):
+    for tree in _derivative_table(e):
+        for x in pts:
+            got = _float_outcome(lambda: expr_eval(tree, x))
+            want = _float_outcome(lambda: scalar_reference.eval_float(tree, x))
+            if got != want and got in (OverflowError, ValueError):
+                # the kernel runs every node, so an overflow (or a cutoff
+                # of NaN) can raise before the walk's first error: that
+                # error must be one some node of the tree raises at x
+                assert want in (DomainError, OverflowError, ValueError)
+                assert any(_float_outcome(
+                    lambda: scalar_reference.eval_float(sub, x)) is got
+                    for sub in _subtrees(tree)), (expr_str(tree), x)
+                continue
+            assert got == want, (expr_str(tree), x)
+
+
+def test_gauge_kernels_equal_the_walk():
+    # the grid ends, points between and beyond them, and arguments where
+    # Gauge.eval raises (t <= 0, -0.0 included); numpy's log2 differs
+    # from math.log2 in the last bit on about 0.1 % of random inputs
+    ts = [0.0, -0.0, -1.0, math.inf, math.nan, 2.0 ** -70, 2.0 ** -60,
+          2.0 ** -0.5, 1.0, 2.0 ** 1.5, 5.0]
+    rng = np.random.default_rng(3)
+    ts += rng.uniform(0.0, 4.0, 4000).tolist()
+    ts += np.exp2(rng.uniform(-64.0, 2.0, 4000)).tolist()
+    for g in GAUGES:
+        e = GaugeRef(g, Coord(0))
+        vals, ok = compile_expr(e)(np.array(ts).reshape(-1, 1))
+        for t, v, good in zip(ts, vals.tolist(), ok.tolist()):
+            try:
+                want = scalar_reference.eval_float(e, (t,))
+            except DomainError:
+                assert not good and math.isnan(v)
+                continue
+            assert good and _same_float(v, want), (g.name, t)
+        assert not ok[:3].any() and ok[3:].all()
 
 
 def test_compiled_shares_equal_subtrees_across_the_table():

@@ -1,6 +1,7 @@
 """Certificate verification: flat/tame sweeps, negligibility, strong
 implication, annulus conditions."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -11,8 +12,8 @@ from jetideals import verifier
 from jetideals.errors import DomainError
 from jetideals.geometry import Cone, Direction
 from jetideals.ideal import JetIdeal
-from jetideals.jetring import RingSignature, jet_parse
-from jetideals.symfun import expr_eval, expr_parse
+from jetideals.jetring import RingSignature, jet_parse, monomials
+from jetideals.symfun import Const, expr_derive, expr_eval, expr_parse, mul
 from jetideals.verifier import (ImplicationCertificate, _sampled_identity,
                                 check_annulus_condition, check_flat,
                                 check_flat_tame_product, check_negligible,
@@ -20,6 +21,8 @@ from jetideals.verifier import (ImplicationCertificate, _sampled_identity,
                                 check_tame, delta_ladder, expr_scale_coords,
                                 measure_chi_constant, meet,
                                 symbolic_residual_zero)
+
+import scalar_reference
 
 POLES = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]
 
@@ -308,7 +311,7 @@ def test_annulus_needs_positive_rho():
         check_annulus_condition("C", params, p, Q, F, S, POLES)
 
 
-def test_sampled_identity_rejects_false_claim_at_tiny_scale():
+def tiny_false_claim():
     # S = theta(|x|, rho/1000) is 0 on the annulus and F = 0, so the
     # claim x*y = S*(x^2 + z^2) is false there, yet x*y is only ~rho^2
     rho = 5e-13
@@ -316,22 +319,159 @@ def test_sampled_identity_rejects_false_claim_at_tiny_scale():
     s = Fraction(rho) / 1000
     S = expr_parse(f"theta(norm(x,y,z), {s.numerator}/{s.denominator})", 3)
     params = {"A": 1e9, "eps": 1e-3, "delta": 1e-12, "r": 1e-12, "rho": rho}
+    return (params, jet_parse("x*y", sig), [jet_parse("x^2 + z^2", sig)],
+            expr_parse("0", 3), [S])
+
+
+def test_sampled_identity_rejects_false_claim_at_tiny_scale():
+    params, p, Q, F, S = tiny_false_claim()
     for variant in ("C", "C*"):
-        rep = check_annulus_condition(
-            variant, params, jet_parse("x*y", sig),
-            [jet_parse("x^2 + z^2", sig)], expr_parse("0", 3), [S], POLES)
+        rep = check_annulus_condition(variant, params, p, Q, F, S, POLES)
         assert rep["identity"] == {"method": "sampled residual",
                                    "zero": False}
         assert rep["verdict"] == "fail"
 
 
-def test_sampled_identity_skips_points_that_do_not_evaluate():
-    def terms_at(x):
-        raise DomainError("division by zero during evaluation")
+def _identity_checks(variant, params, p, Q, F, S):
+    """The kernel-based sampled identity check of one annulus variant, and
+    the point-by-point reference loop on the terms the variant summed."""
+    m, n = p.sig.m, p.sig.n
+    A, eps, rho = params["A"], params["eps"], params["rho"]
+    region = (POLES, params["delta"])
+    if variant == "C":
+        def terms_at(x):
+            return ([p.eval(x, mode="float"),
+                     -scalar_reference.eval_float(F, x)]
+                    + [-scalar_reference.eval_float(Si, x)
+                       * Qi.eval(x, mode="float") for Qi, Si in zip(Q, S)])
 
+        def kernel(rng):
+            return _sampled_identity(p, list(zip(Q, S)), F, 1.0, 1.0, 1.0,
+                                     *region, rho / 2, 2 * rho, n, rng)
+        return kernel, lambda rng: scalar_reference.sampled_identity(
+            terms_at, *region, rho / 2, 2 * rho, n, rng)
+    rho_q = Fraction(rho)
+    F = mul(Const(1 / (Fraction(eps) * rho_q ** m)),
+            expr_scale_coords(F, rho_q))
+    S = [mul(Const(1 / Fraction(A)), expr_scale_coords(Si, rho_q))
+         for Si in S]
+
+    def scaled_terms_at(x):
+        xr = tuple(rho * c for c in x)
+        return ([p.eval(xr, mode="float"),
+                 -eps * rho ** m * scalar_reference.eval_float(F, x)]
+                + [-A * scalar_reference.eval_float(Si, x)
+                   * Qi.eval(xr, mode="float") for Qi, Si in zip(Q, S)])
+
+    def scaled_kernel(rng):
+        return _sampled_identity(p, list(zip(Q, S)), F, rho, eps * rho ** m,
+                                 A, *region, 0.5, 2.0, n, rng)
+    return scaled_kernel, lambda rng: scalar_reference.sampled_identity(
+        scaled_terms_at, *region, 0.5, 2.0, n, rng)
+
+
+@pytest.mark.parametrize("variant", ["C", "C*"])
+@pytest.mark.parametrize("data,zero", [(tiny_false_claim, False),
+                                       (intro_data, True)])
+def test_sampled_identity_matches_the_point_loop(variant, data, zero):
+    kernel, reference = _identity_checks(variant, *data())
+    for seed in range(3):
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        got = kernel(rngs[0])
+        assert got == reference(rngs[1])
+        assert got == (zero, "sampled residual")
+        if zero:
+            # both drew all 500 points
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_sampled_identity_skips_points_that_do_not_evaluate():
+    sig = RingSignature(2, 3)
+    nowhere = expr_parse("1/(x - x)", 3)
     rng = np.random.default_rng(0)
-    zero, method = _sampled_identity(terms_at, POLES, 0.1, 0.5, 2.0, 3, rng)
+    zero, method = _sampled_identity(
+        jet_parse("x*y", sig), [(jet_parse("z^2", sig), expr_parse("y", 3))],
+        nowhere, 1.0, 1.0, 1.0, POLES, 0.1, 0.5, 2.0, 3, rng)
     assert zero is None and method == "sampled residual"
+
+
+@pytest.mark.parametrize("F,omegas,m", [
+    # witnesses at a different alpha and direction on each rung
+    ("x^3*y/(x^2 + y^2)", [(1.0, 0.0), (math.cos(0.03), math.sin(0.03))], 2),
+    ("x^2*y^2/(x^2 + y^2)", [(1.0, 0.0), (0.6, 0.8)], 2),
+    # the ray through (1, 0) does not evaluate and is skipped
+    ("x^3/y + x*y", [(1.0, 0.0), (0.0, 1.0)], 2),
+    ("y^3/z", POLES, 2),
+    # homogeneity above m: large on the rays, yet no witness
+    ("8*x^3", [(1.0, 0.0)], 2),
+])
+def test_center_ray_scan_matches_reference(F, omegas, m):
+    n = len(omegas[0])
+    F = expr_parse(F, n)
+    eps_grid = (1.0, 0.3, 0.1, 0.01)
+    cert = check_negligible(F, omegas, m, n, eps_grid=eps_grid,
+                            pair_samples=5)
+    derivs = [(alpha, expr_derive(F, alpha)) for alpha in monomials(m, n)]
+    for eps, rec in zip(eps_grid, cert.records):
+        want = scalar_reference.ray_witness(derivs, omegas, eps, m)
+        assert rec.get("witness") == want
+        assert (rec["verdict"] == "fail") == (want is not None)
+
+
+# -- two-point condition (b) --------------------------------------------------
+
+# two directions 0.03 apart: closer than 2 delta for eps >= 0.3, so
+# condition (b) is sampled on point pairs there
+CLOSE = [(1.0, 0.0), (math.cos(0.03), math.sin(0.03))]
+
+
+def _condition_b_runs(call):
+    """call(condition_b, rng) once on the kernel-based condition (b) and
+    once on the scalar reference loop: (result, rng state) per side."""
+    runs = []
+    for condition_b in (verifier._condition_b,
+                        scalar_reference.condition_b):
+        rng = np.random.default_rng(7)
+        runs.append((json.dumps(call(condition_b, rng), sort_keys=True),
+                     rng.bit_generator.state))
+    return runs
+
+
+@pytest.mark.parametrize("F", ["y^4/x", "x*y^3"])
+def test_two_point_condition_b_matches_reference(monkeypatch, F):
+    F = expr_parse(F, 2)
+
+    def run(condition_b, rng):
+        with monkeypatch.context() as patch:
+            patch.setattr(verifier, "_condition_b", condition_b)
+            # both rungs sample pairs; the second draws after the first
+            return check_negligible(F, CLOSE, 2, 2, eps_grid=(1.0, 0.5),
+                                    pair_samples=40).to_json()
+
+    (got, _), (want, _) = _condition_b_runs(run)
+    assert got == want
+    records = json.loads(got)["records"]
+    assert [r["condition_b"] for r in records] == [
+        {"method": "two-point sampling", "pairs": 40, "verdict": "pass"}] * 2
+
+
+@pytest.mark.parametrize("F,eps,verdict", [
+    ("y^4/x", 1e-6, "fail"),            # a pair breaks the Taylor bound
+    ("x*y^3 + 1/(x - x)", 1.0, "pass"),  # no pair evaluates
+])
+def test_two_point_condition_b_direct_calls(F, eps, verdict):
+    m, n = 2, 2
+    F = expr_parse(F, n)
+    derivs = [(alpha, expr_derive(F, alpha)) for alpha in monomials(m, n)]
+
+    def run(condition_b, rng):
+        return condition_b(F, derivs, CLOSE, 0.05, 1.0, eps, m, n, rng, 30)
+
+    (got, got_state), (want, want_state) = _condition_b_runs(run)
+    assert got == want and got_state == want_state
+    result = json.loads(got)
+    assert result["verdict"] == verdict
+    assert ("witness" in result) == (verdict == "fail")
 
 
 def test_chi_constant_scaling():
