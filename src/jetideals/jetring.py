@@ -332,8 +332,9 @@ def _tokenize(text):
     return tokens
 
 
-class _PolyParser:
-    """Recursive-descent parser producing an untruncated polynomial dict."""
+class _Parser:
+    """Token stream of a recursive-descent parser over the variables of
+    R^n; a subclass gives the top rule parse_sum."""
 
     def __init__(self, text, n):
         self.tokens = _tokenize(text)
@@ -355,11 +356,15 @@ class _PolyParser:
             raise ParseError(f"expected {op!r}", pos)
 
     def parse(self):
-        poly = self.parse_sum()
+        out = self.parse_sum()
         kind, _, pos = self.peek()
         if kind != "end":
             raise ParseError("trailing input", pos)
-        return poly
+        return out
+
+
+class _PolyParser(_Parser):
+    """Recursive-descent parser producing an untruncated polynomial dict."""
 
     def parse_sum(self):
         sign = 1

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, ParseError
 from .interval import Interval
-from .jetring import _tokenize, variable_names
+from .jetring import _Parser, variable_names
 
 # ---------------------------------------------------------------------------
 # Expression nodes.
@@ -27,10 +27,24 @@ from .jetring import _tokenize, variable_names
 
 
 class ScalarExpr:
-    """Base class; nodes are immutable and hashable by structure (each
-    node computes its hash once, when it is built)."""
+    """Base class; nodes are immutable, and compare and hash by structure.
 
-    __slots__ = ()
+    Each node sets _key to its fields (the value itself for a one-field
+    node, else a tuple) and _hash once, when it is built.  Cutoff specs
+    and gauges have no __eq__ of their own, so they compare by identity.
+    children() gives the subtrees in field order; subtrees() walks them.
+    """
+
+    __slots__ = ("_key", "_hash")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key == other._key
+
+    def __hash__(self):
+        return self._hash
+
+    def children(self):
+        return ()
 
     def __add__(self, other):
         return add(self, _coerce(other))
@@ -51,6 +65,13 @@ class ScalarExpr:
         return f"<{type(self).__name__}: {expr_str(self)}>"
 
 
+def subtrees(e: ScalarExpr):
+    """e and every node below it, in preorder."""
+    yield e
+    for child in e.children():
+        yield from subtrees(child)
+
+
 def _coerce(x):
     if isinstance(x, ScalarExpr):
         return x
@@ -58,115 +79,87 @@ def _coerce(x):
 
 
 class Const(ScalarExpr):
-    __slots__ = ("value", "_hash")
+    __slots__ = ("value",)
 
     def __init__(self, value):
-        self.value = Fraction(value)
-        self._hash = hash(("const", self.value))
-
-    def __eq__(self, other):
-        return isinstance(other, Const) and self.value == other.value
-
-    def __hash__(self):
-        return self._hash
+        self.value = self._key = Fraction(value)
+        self._hash = hash(("const", self._key))
 
 
 class Coord(ScalarExpr):
-    __slots__ = ("i", "_hash")
+    __slots__ = ("i",)
 
     def __init__(self, i):
-        self.i = int(i)
-        self._hash = hash(("coord", self.i))
-
-    def __eq__(self, other):
-        return isinstance(other, Coord) and self.i == other.i
-
-    def __hash__(self):
-        return self._hash
+        self.i = self._key = int(i)
+        self._hash = hash(("coord", self._key))
 
 
 class Add(ScalarExpr):
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms):
-        self.terms = tuple(terms)
-        self._hash = hash(("add", self.terms))
+        self.terms = self._key = tuple(terms)
+        self._hash = hash(("add", self._key))
 
-    def __eq__(self, other):
-        return isinstance(other, Add) and self.terms == other.terms
-
-    def __hash__(self):
-        return self._hash
+    def children(self):
+        return self.terms
 
 
 class Mul(ScalarExpr):
-    __slots__ = ("factors", "_hash")
+    __slots__ = ("factors",)
 
     def __init__(self, factors):
-        self.factors = tuple(factors)
-        self._hash = hash(("mul", self.factors))
+        self.factors = self._key = tuple(factors)
+        self._hash = hash(("mul", self._key))
 
-    def __eq__(self, other):
-        return isinstance(other, Mul) and self.factors == other.factors
-
-    def __hash__(self):
-        return self._hash
+    def children(self):
+        return self.factors
 
 
 class Pow(ScalarExpr):
     """Integer power, exponent >= 2 (lower powers simplify away)."""
 
-    __slots__ = ("base", "k", "_hash")
+    __slots__ = ("base", "k")
 
     def __init__(self, base, k):
         self.base = base
         self.k = int(k)
-        self._hash = hash(("pow", self.base, self.k))
+        self._key = (base, self.k)
+        self._hash = hash(("pow", self._key))
 
-    def __eq__(self, other):
-        return isinstance(other, Pow) and (self.base, self.k) == (other.base, other.k)
-
-    def __hash__(self):
-        return self._hash
+    def children(self):
+        return (self.base,)
 
 
 class Div(ScalarExpr):
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den):
         self.num = num
         self.den = den
-        self._hash = hash(("div", self.num, self.den))
+        self._key = (num, den)
+        self._hash = hash(("div", self._key))
 
-    def __eq__(self, other):
-        return isinstance(other, Div) and (self.num, self.den) == (other.num, other.den)
-
-    def __hash__(self):
-        return self._hash
+    def children(self):
+        return (self.num, self.den)
 
 
 class Norm(ScalarExpr):
     """Euclidean norm of the sub-vector with the given coordinate indices."""
 
-    __slots__ = ("indices", "_hash")
+    __slots__ = ("indices",)
 
     def __init__(self, indices):
-        self.indices = tuple(sorted(set(int(i) for i in indices)))
+        self.indices = self._key = tuple(sorted(set(int(i) for i in indices)))
         if not self.indices:
             raise ValueError("norm needs at least one coordinate")
-        self._hash = hash(("norm", self.indices))
-
-    def __eq__(self, other):
-        return isinstance(other, Norm) and self.indices == other.indices
-
-    def __hash__(self):
-        return self._hash
+        self._hash = hash(("norm", self._key))
 
 
 class Cutoff(ScalarExpr):
     """theta^(order)(arg / scale) for a polynomial smoothstep theta."""
 
-    __slots__ = ("spec", "arg", "scale", "order", "_hash")
+    __slots__ = ("spec", "arg", "scale", "order")
 
     def __init__(self, spec, arg, scale, order=0):
         scale = Fraction(scale)
@@ -176,33 +169,26 @@ class Cutoff(ScalarExpr):
         self.arg = arg
         self.scale = scale
         self.order = int(order)
-        self._hash = hash(("cutoff", id(spec), arg, scale, self.order))
+        self._key = (spec, arg, scale, self.order)
+        self._hash = hash(("cutoff", self._key))
 
-    def __eq__(self, other):
-        return (isinstance(other, Cutoff)
-                and (self.spec, self.arg, self.scale, self.order)
-                == (other.spec, other.arg, other.scale, other.order))
-
-    def __hash__(self):
-        return self._hash
+    def children(self):
+        return (self.arg,)
 
 
 class GaugeRef(ScalarExpr):
     """g(arg) for a registered gauge g (not differentiable)."""
 
-    __slots__ = ("gauge", "arg", "_hash")
+    __slots__ = ("gauge", "arg")
 
     def __init__(self, gauge, arg):
         self.gauge = gauge
         self.arg = arg
-        self._hash = hash(("gauge", id(gauge), arg))
+        self._key = (gauge, arg)
+        self._hash = hash(("gauge", self._key))
 
-    def __eq__(self, other):
-        return (isinstance(other, GaugeRef)
-                and (self.gauge, self.arg) == (other.gauge, other.arg))
-
-    def __hash__(self):
-        return self._hash
+    def children(self):
+        return (self.arg,)
 
 
 ZERO = Const(0)
@@ -1047,37 +1033,14 @@ def gauge_regularize(g: Gauge, check_scales=20) -> RegularizedGauge:
 # Parsing the extended expression grammar.
 # ---------------------------------------------------------------------------
 
-class _ExprParser:
+class _ExprParser(_Parser):
     """Polynomial grammar plus '/', abs2(...), norm(...), theta(e, scale),
     gauge(name, e)."""
 
     def __init__(self, text, n, gauges=None, cutoff=None):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.n = n
-        self.names = {name: i for i, name in enumerate(variable_names(n))}
+        super().__init__(text, n)
         self.gauges = gauges or {}
         self.cutoff = cutoff or DEFAULT_CUTOFF
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
-
-    def parse(self):
-        e = self.parse_sum()
-        kind, _, pos = self.peek()
-        if kind != "end":
-            raise ParseError("trailing input", pos)
-        return e
 
     def parse_sum(self):
         kind, val, _ = self.peek()

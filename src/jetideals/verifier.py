@@ -29,7 +29,8 @@ from .jetring import Jet, monomials
 from .symfun import (Add, Const, Cutoff, Div, GaugeRef, Mul, Norm, Pow,
                      ScalarExpr, ZERO, add, compile_expr, compile_exprs,
                      compile_interval, div, expr_derive, expr_str,
-                     hom_degree, ipow, mul, DEFAULT_CUTOFF, Coord)
+                     hom_degree, ipow, mul, subtrees, DEFAULT_CUTOFF,
+                     Coord)
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 _ORDER = {FAIL: 0, INCONCLUSIVE: 1, PASS: 2}
@@ -104,14 +105,14 @@ def _cutoff_feature_scales(exprs):
             for c in _collect_cutoffs(exprs)]
 
 
-def _unit_annulus_samples(n, K, omegas, rel_scales, rng, n_random=40,
-                          n_radii=9):
-    """Deterministic sample set on Ann_K(1), enriched with whisker points
-    around each direction of Omega at the given relative transverse
-    scales (cutoff breakpoints divided by the working radius)."""
-    radii = [float(K ** t) for t in np.linspace(-0.95, 0.95, n_radii)]
+def _unit_annulus_samples(n, K, omegas, rel_scales, rng):
+    """Deterministic sample set on Ann_K(1): 40 random directions at 9
+    radii, enriched with whisker points around each direction of Omega
+    at the given relative transverse scales (cutoff breakpoints divided
+    by the working radius)."""
+    radii = [float(K ** t) for t in np.linspace(-0.95, 0.95, 9)]
     points = []
-    for _ in range(n_random):
+    for _ in range(40):
         u = _random_unit(rng, n)
         for s in radii:
             points.append(tuple(s * c for c in u))
@@ -167,9 +168,10 @@ class ShellReport:
 # seed): a cone's directions come from a fresh default_rng(seed) that
 # draws nothing else, so a cone swept again gets the same set back.
 SWEEP_DIRECTION_SETS = 64
+SWEEP_DIRECTIONS = 40        # directions per sweep
 
 
-def _region_directions(region, n, seed, count=40):
+def _region_directions(region, n, seed):
     """The sample directions of a shell sweep: from a fresh
     default_rng(seed), inside the dome of a Cone region, else anywhere
     on the sphere."""
@@ -177,16 +179,16 @@ def _region_directions(region, n, seed, count=40):
         # float.hex keeps the sign of a zero coordinate, which the dome
         # centers carry into the sample points
         omega_hex = tuple(tuple(map(float.hex, w)) for w in region.omega_set)
-        return _cone_directions(omega_hex, region.delta, n, seed, count)
+        return _cone_directions(omega_hex, region.delta, n, seed)
     rng = np.random.default_rng(seed)
-    return [_random_unit(rng, n) for _ in range(count)]
+    return [_random_unit(rng, n) for _ in range(SWEEP_DIRECTIONS)]
 
 
 @functools.lru_cache(maxsize=SWEEP_DIRECTION_SETS)
-def _cone_directions(omega_hex, delta, n, seed, count):
+def _cone_directions(omega_hex, delta, n, seed):
     omegas = [tuple(map(float.fromhex, w)) for w in omega_hex]
     return tuple(_dome_directions(np.random.default_rng(seed), omegas,
-                                  delta, count))
+                                  delta, SWEEP_DIRECTIONS))
 
 
 def _shell_sweep(expr, region, m, n, seed, k_lo, k_hi, weight):
@@ -617,7 +619,7 @@ def _condition_b(F, derivs, omegas, delta, r, eps, m, n, rng, pair_samples):
 # Symbolic identity residuals.
 # ---------------------------------------------------------------------------
 
-def expr_to_sympy(e: ScalarExpr, syms, plateau_cutoffs=True):
+def expr_to_sympy(e: ScalarExpr, syms):
     """ScalarExpr -> sympy, with cutoff nodes replaced by their plateau
     value (1 for the cutoff, 0 for its derivatives).  The caller is
     responsible for having certified the plateau restriction."""
@@ -625,50 +627,24 @@ def expr_to_sympy(e: ScalarExpr, syms, plateau_cutoffs=True):
         return sympy.Rational(e.value.numerator, e.value.denominator)
     if isinstance(e, Coord):
         return syms[e.i]
-    if hasattr(e, "terms"):
-        return sympy.Add(*(expr_to_sympy(t, syms, plateau_cutoffs)
-                           for t in e.terms))
-    if hasattr(e, "factors"):
-        return sympy.Mul(*(expr_to_sympy(f, syms, plateau_cutoffs)
-                           for f in e.factors))
-    if hasattr(e, "base"):
-        return expr_to_sympy(e.base, syms, plateau_cutoffs) ** e.k
-    if hasattr(e, "num"):
-        return (expr_to_sympy(e.num, syms, plateau_cutoffs)
-                / expr_to_sympy(e.den, syms, plateau_cutoffs))
+    if isinstance(e, Add):
+        return sympy.Add(*(expr_to_sympy(t, syms) for t in e.terms))
+    if isinstance(e, Mul):
+        return sympy.Mul(*(expr_to_sympy(f, syms) for f in e.factors))
+    if isinstance(e, Pow):
+        return expr_to_sympy(e.base, syms) ** e.k
+    if isinstance(e, Div):
+        return expr_to_sympy(e.num, syms) / expr_to_sympy(e.den, syms)
     if isinstance(e, Norm):
         return sympy.sqrt(sympy.Add(*(syms[i] ** 2 for i in e.indices)))
     if isinstance(e, Cutoff):
-        if not plateau_cutoffs:
-            raise DomainError("cutoff node outside plateau-restricted mode")
         return sympy.Integer(1 if e.order == 0 else 0)
     raise DomainError(f"node {type(e).__name__} has no symbolic form")
 
 
 def _collect_cutoffs(exprs):
-    out = []
-
-    def walk(e):
-        if isinstance(e, Cutoff):
-            out.append(e)
-            walk(e.arg)
-        elif hasattr(e, "terms"):
-            for t in e.terms:
-                walk(t)
-        elif hasattr(e, "factors"):
-            for f in e.factors:
-                walk(f)
-        elif hasattr(e, "base"):
-            walk(e.base)
-        elif hasattr(e, "num"):
-            walk(e.num)
-            walk(e.den)
-        elif isinstance(e, GaugeRef):
-            walk(e.arg)
-
-    for e in exprs:
-        walk(e)
-    return out
+    """Every cutoff node of the trees, each tree in preorder."""
+    return [c for e in exprs for c in subtrees(e) if isinstance(c, Cutoff)]
 
 
 def _region_boxes(omegas, delta, s_lo, s_hi, n):
@@ -817,19 +793,14 @@ def _ring_fraction(e: ScalarExpr, ring):
 
 
 def _divides_by_zero(e: ScalarExpr, syms) -> bool:
-    """True if a Div node of e outside every cutoff has an identically
-    zero denominator, decided by _residual_zero."""
-    if isinstance(e, Add):
-        return any(_divides_by_zero(t, syms) for t in e.terms)
-    if isinstance(e, Mul):
-        return any(_divides_by_zero(f, syms) for f in e.factors)
-    if isinstance(e, Pow):
-        return _divides_by_zero(e.base, syms)
-    if isinstance(e, Div):
-        return (_divides_by_zero(e.num, syms)
-                or _divides_by_zero(e.den, syms)
-                or _residual_zero(expr_to_sympy(e.den, syms), syms))
-    return False
+    """True if a Div node of e outside every cutoff and gauge has an
+    identically zero denominator, decided by _residual_zero: the
+    subtrees first, then the node's own denominator."""
+    if isinstance(e, (Cutoff, GaugeRef)):
+        return False
+    return (any(_divides_by_zero(c, syms) for c in e.children())
+            or (isinstance(e, Div)
+                and _residual_zero(expr_to_sympy(e.den, syms), syms)))
 
 
 def _sympy_residual(p, pairs, F, rho, f_scale, s_scale, syms):
@@ -1029,13 +1000,13 @@ def expr_scale_coords(e: ScalarExpr, rho) -> ScalarExpr:
         return e
     if isinstance(e, Coord):
         return mul(Const(rho), e)
-    if hasattr(e, "terms"):
+    if isinstance(e, Add):
         return add(*(expr_scale_coords(t, rho) for t in e.terms))
-    if hasattr(e, "factors"):
+    if isinstance(e, Mul):
         return mul(*(expr_scale_coords(f, rho) for f in e.factors))
-    if hasattr(e, "base"):
+    if isinstance(e, Pow):
         return ipow(expr_scale_coords(e.base, rho), e.k)
-    if hasattr(e, "num"):
+    if isinstance(e, Div):
         return div(expr_scale_coords(e.num, rho),
                    expr_scale_coords(e.den, rho))
     if isinstance(e, Norm):

@@ -1,0 +1,113 @@
+"""The node protocol of symfun: structural identity and children().
+
+Every node compares and hashes by its class and fields, through the one
+__eq__/__hash__ of ScalarExpr; cutoff specs and gauges compare by
+identity.  children() lists the ScalarExpr-valued fields in field order,
+and subtrees() walks them in preorder."""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from jetideals.symfun import (Add, Const, Coord, Cutoff, CutoffSpec,
+                              DEFAULT_CUTOFF, Div, Gauge, GaugeRef, Mul, Norm,
+                              Pow, ScalarExpr, expr_parse, subtrees)
+
+SQRT = Gauge.from_function("sqrt", math.sqrt, per_octave=8)
+X, Y, Z = Coord(0), Coord(1), Coord(2)
+
+# one builder per node class: each call builds a new, equal instance
+BUILDERS = {
+    Const: lambda: Const(Fraction(-3, 2)),
+    Coord: lambda: Coord(1),
+    Add: lambda: Add((X, Const(2), Y)),
+    Mul: lambda: Mul((Const(3), X, Y)),
+    Pow: lambda: Pow(Add((X, Y)), 3),
+    Div: lambda: Div(X, Add((Y, Z))),
+    Norm: lambda: Norm((2, 0)),
+    Cutoff: lambda: Cutoff(DEFAULT_CUTOFF, Norm((0, 1)), Fraction(1, 2), 1),
+    GaugeRef: lambda: GaugeRef(SQRT, Div(X, Y)),
+}
+
+TEXTS = ["x^2*y - y^3/3 + 7/2",
+         "x*y/(x^2 + y^2)^2",
+         "norm(x,y)^3 - abs2(x,y,z)",
+         "(y^3/z)*theta(norm(x,y), 1/2) + x*theta(1/norm(x,y,z), 3)",
+         "x^2*gauge(sqrt, norm(x,y)) - gauge(sqrt, z^2 + 1)/y"]
+
+
+def _fields(node):
+    """The ScalarExpr-valued fields of node, tuples flattened, in the
+    order of the class's __slots__."""
+    out = []
+    for name in type(node).__slots__:
+        value = getattr(node, name)
+        items = value if isinstance(value, tuple) else (value,)
+        out.extend(v for v in items if isinstance(v, ScalarExpr))
+    return tuple(out)
+
+
+def test_every_node_class_has_a_builder():
+    assert set(ScalarExpr.__subclasses__()) == set(BUILDERS)
+
+
+@pytest.mark.parametrize("cls", ScalarExpr.__subclasses__(),
+                         ids=lambda cls: cls.__name__)
+def test_children_are_the_node_valued_fields_in_order(cls):
+    node = BUILDERS[cls]()
+    assert type(node) is cls
+    assert tuple(node.children()) == _fields(node)
+    assert all(isinstance(c, ScalarExpr) for c in node.children())
+
+
+@pytest.mark.parametrize("cls", ScalarExpr.__subclasses__(),
+                         ids=lambda cls: cls.__name__)
+def test_identity_is_the_base_class_one(cls):
+    assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
+    a, b = BUILDERS[cls](), BUILDERS[cls]()
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert not a != b
+    assert a != object() and a != 0
+
+
+def test_subtrees_is_preorder_on_a_mixed_tree():
+    cut = Cutoff(DEFAULT_CUTOFF, Norm((0, 1)), 1)
+    gauge = GaugeRef(SQRT, Pow(Y, 2))
+    quotient = Div(cut, gauge)
+    product = Mul((Const(2), X))
+    tree = Add((product, quotient, Z))
+    assert list(subtrees(tree)) == [tree, product, Const(2), X, quotient,
+                                    cut, Norm((0, 1)), gauge, Pow(Y, 2), Y,
+                                    Z]
+    assert list(subtrees(X)) == [X]
+
+
+@pytest.mark.parametrize("text", TEXTS)
+def test_equal_trees_built_twice_are_equal_and_hash_equal(text):
+    gauges = {"sqrt": SQRT}
+    a = expr_parse(text, 3, gauges=gauges)
+    b = expr_parse(text, 3, gauges=gauges)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert list(subtrees(a)) == list(subtrees(b))
+
+
+def test_nodes_of_different_classes_are_unequal():
+    assert Const(0) != Coord(0)
+    assert Coord(0) != Const(0)
+    assert Add((X, Y)) != Mul((X, Y))
+    assert Norm((0,)) != Coord(0)
+    assert len({Const(0), Coord(0), Add((X, Y)), Mul((X, Y))}) == 4
+
+
+def test_specs_and_gauges_compare_by_identity():
+    twin_spec = CutoffSpec(q=DEFAULT_CUTOFF.q, a=DEFAULT_CUTOFF.a,
+                           b=DEFAULT_CUTOFF.b)
+    assert Cutoff(DEFAULT_CUTOFF, X, 1) == Cutoff(DEFAULT_CUTOFF, X, 1)
+    assert Cutoff(DEFAULT_CUTOFF, X, 1) != Cutoff(twin_spec, X, 1)
+    twin_gauge = Gauge(SQRT.name, SQRT.log2_grid, SQRT.values)
+    assert GaugeRef(SQRT, X) == GaugeRef(SQRT, X)
+    assert GaugeRef(SQRT, X) != GaugeRef(twin_gauge, X)

@@ -186,6 +186,20 @@ def test_identically_zero_denominator_fails(F):
     assert report["verdict"] == "fail"
 
 
+@pytest.mark.parametrize("wrap,zero", [
+    ("x^2 + {}", True),
+    ("x^2*theta({}, 1)", False),
+    ("x^2*theta(norm(x,y), 1) + theta(x*y + {}, 2)", False),
+    ("x^2*gauge(sqrt, {})", False),
+    ("x^2*gauge(sqrt, x^2 + {0}) + y/(x*{0})", True)])
+def test_divides_by_zero_stops_at_cutoffs_and_gauges(wrap, zero):
+    # a cutoff sits on its plateau and a gauge has no symbolic form, so
+    # only a division outside both of them is tested
+    g = Gauge.from_function("sqrt", math.sqrt, per_octave=8)
+    F = expr_parse(wrap.format("x/(y - y)"), N, gauges={"sqrt": g})
+    assert verifier._divides_by_zero(F, SYMS) is zero
+
+
 def test_gauge_node_has_no_symbolic_form():
     g = Gauge.from_function("sqrt", math.sqrt, per_octave=8)
     F = expr_parse("x^2*gauge(sqrt, y)", N, gauges={"sqrt": g})

@@ -17,7 +17,8 @@ from jetideals.symfun import (Add, Const, Coord, Cutoff, CutoffSpec,
                               Pow, ZERO, add, compile_expr, compile_exprs,
                               compile_interval, div, expr_derive, expr_diff,
                               expr_eval, expr_parse, expr_str,
-                              gauge_regularize, hom_degree, ipow, mul)
+                              gauge_regularize, hom_degree, ipow, mul,
+                              subtrees)
 
 import scalar_reference
 
@@ -362,15 +363,6 @@ def test_compiled_masks_domain_errors_instead_of_zero():
     assert not ok.any()
 
 
-def _subtrees(e):
-    yield e
-    children = {Add: lambda: e.terms, Mul: lambda: e.factors,
-                Pow: lambda: (e.base,), Div: lambda: (e.num, e.den),
-                Cutoff: lambda: (e.arg,), GaugeRef: lambda: (e.arg,)}
-    for child in children.get(type(e), tuple)():
-        yield from _subtrees(child)
-
-
 @settings(max_examples=200, deadline=None)
 @given(trees, points)
 def test_expr_eval_equals_the_walk(e, pts):
@@ -385,7 +377,7 @@ def test_expr_eval_equals_the_walk(e, pts):
                 assert want in (DomainError, OverflowError, ValueError)
                 assert any(_float_outcome(
                     lambda: scalar_reference.eval_float(sub, x)) is got
-                    for sub in _subtrees(tree)), (expr_str(tree), x)
+                    for sub in subtrees(tree)), (expr_str(tree), x)
                 continue
             assert got == want, (expr_str(tree), x)
 
