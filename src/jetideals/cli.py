@@ -22,7 +22,7 @@ from .errors import JetIdealsError, ParseError
 from .geometry import (Cone, Direction, estimate_tangent_directions,
                        read_point_cloud)
 from .ideal import JetIdeal
-from .jetring import DiffeoJet, Jet, RingSignature, jet_compose, jet_parse
+from .jetring import DiffeoJet, RingSignature, jet_compose, jet_parse
 from .symfun import Gauge, expr_parse, gauge_regularize
 from .verifier import (ImplicationCertificate, check_annulus_condition,
                        check_flat, check_negligible, check_strong_global,

@@ -28,7 +28,7 @@ import sympy
 from sympy.polys.polyerrors import BasePolynomialError
 
 from .errors import DomainError
-from .geometry import Dome, SpherePatch, sphere_cover
+from .geometry import Dome, sphere_cover
 from .ideal import JetIdeal
 from .interval import Interval
 from .jetring import MORE_THAN_M, Jet, RingSignature

@@ -131,17 +131,6 @@ class Subspace:
                 v = _reduce(v, row, piv)
         return not any(v)
 
-    def coordinates_of(self, vector):
-        """Coefficients of vector in the RREF basis, or None.
-
-        Each basis row has a 1 in its pivot column and every other row a
-        0 there, so the coefficients are the vector's pivot entries.
-        """
-        vector = list(vector)
-        if not self.contains(vector):
-            return None
-        return tuple(Fraction(vector[piv]) for piv in self.pivots)
-
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
@@ -165,19 +154,3 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other._integer_basis())
-
-
-def solve_linear(matrix_rows, rhs):
-    """One solution of A x = b over Q, or None if inconsistent.
-
-    matrix_rows is a list of rows of A; free variables are set to zero.
-    """
-    rows = [list(r) + [b] for r, b in zip(matrix_rows, rhs)]
-    ncols = len(matrix_rows[0]) if matrix_rows else 0
-    reduced, pivots = rref(rows)
-    x = [_ZERO] * ncols
-    for row, piv in zip(reduced, pivots):
-        if piv == ncols:
-            return None  # pivot in the rhs column: inconsistent
-        x[piv] = row[-1]
-    return tuple(x)

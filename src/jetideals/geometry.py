@@ -180,22 +180,6 @@ class SpherePatch:
             self._enc = tuple(c / norm for c in face)
         return self._enc
 
-    def center_direction(self) -> Direction:
-        face = [iv.mid for iv in self.face_intervals()]
-        return direction_of(face)
-
-    def sample_direction(self, params) -> Direction:
-        """Direction at given chart parameters (one in [0,1] per box axis)."""
-        v = []
-        it = iter(zip(self.box, params))
-        for i in range(self.n):
-            if i == self.axis:
-                v.append(float(self.sign))
-            else:
-                (lo, hi), t = next(it)
-                v.append(lo + t * (hi - lo))
-        return direction_of(v)
-
     def contains_direction(self, omega: Direction, slack=0.0) -> bool:
         """True if omega projects radially into this face box.
 

@@ -922,12 +922,6 @@ class RegularizedGauge:
         self.c_second = c_second
         self.report = report
 
-    def g_tilde(self, t):
-        return self.tilde.eval(t)
-
-    def g_plus(self, t):
-        return self.c_second * self._gstar_fn(t)
-
 
 def gauge_regularize(g: Gauge, check_scales=20) -> RegularizedGauge:
     """Regularize a gauge: sup envelope, mollification, calibration.

@@ -10,18 +10,18 @@ disproof.  Aggregation is the meet fail < inconclusive < pass.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
-import sympy
 from sympy.polys.domains import QQ
+from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing
 
-from .directions import (allow_overapprox, forbidden_certificate_search,
-                         jet_to_sympy)
+from .directions import allow_overapprox, forbidden_certificate_search
 from .errors import DomainError
-from .geometry import (Annulus, Cone, Direction, Dome, dome_membership,
+from .geometry import (Cone, Direction, Dome, dome_membership,
                        sphere_cover)
 from .ideal import JetIdeal
 from .interval import Interval
@@ -619,29 +619,6 @@ def _condition_b(F, derivs, omegas, delta, r, eps, m, n, rng, pair_samples):
 # Symbolic identity residuals.
 # ---------------------------------------------------------------------------
 
-def expr_to_sympy(e: ScalarExpr, syms):
-    """ScalarExpr -> sympy, with cutoff nodes replaced by their plateau
-    value (1 for the cutoff, 0 for its derivatives).  The caller is
-    responsible for having certified the plateau restriction."""
-    if isinstance(e, Const):
-        return sympy.Rational(e.value.numerator, e.value.denominator)
-    if isinstance(e, Coord):
-        return syms[e.i]
-    if isinstance(e, Add):
-        return sympy.Add(*(expr_to_sympy(t, syms) for t in e.terms))
-    if isinstance(e, Mul):
-        return sympy.Mul(*(expr_to_sympy(f, syms) for f in e.factors))
-    if isinstance(e, Pow):
-        return expr_to_sympy(e.base, syms) ** e.k
-    if isinstance(e, Div):
-        return expr_to_sympy(e.num, syms) / expr_to_sympy(e.den, syms)
-    if isinstance(e, Norm):
-        return sympy.sqrt(sympy.Add(*(syms[i] ** 2 for i in e.indices)))
-    if isinstance(e, Cutoff):
-        return sympy.Integer(1 if e.order == 0 else 0)
-    raise DomainError(f"node {type(e).__name__} has no symbolic form")
-
-
 def _collect_cutoffs(exprs):
     """Every cutoff node of the trees, each tree in preorder."""
     return [c for e in exprs for c in subtrees(e) if isinstance(c, Cutoff)]
@@ -696,8 +673,8 @@ def _plateaus_certified(exprs, boxes, s_range=None, n=None):
 
 
 def symbolic_residual_zero(p: Jet, terms, F: ScalarExpr) -> bool:
-    """Exact check that p - sum S_l Q_l - F vanishes as a rational
-    expression, with cutoffs restricted to their plateau."""
+    """Exact check that p - sum S_l Q_l - F vanishes as a function,
+    with cutoffs restricted to their plateau."""
     return _identity_zero(p, [(Q, S) for Q, S, _ in terms], F)
 
 
@@ -709,45 +686,65 @@ def _identity_zero(p: Jet, pairs, F: ScalarExpr, rho=1, f_scale=1,
 
     Each term becomes a (numerator, denominator) pair of polynomials over
     QQ, with no gcd taken, and the residual is zero iff the numerator of
-    their sum is 0.  A term with an identically zero denominator is
-    defined nowhere, so the identity fails.  A Norm node outside every
-    cutoff has no rational form: such a residual goes to _residual_zero,
-    after each denominator is tested for zero there (sympy reads x/zoo
-    as 0, so the residual alone would hide it).
+    their sum is 0.  A Norm node over k >= 2 coordinates, outside every
+    cutoff, is a generator r_j with r_j^2 = s_j, the sum of its squared
+    coordinates.  The r_j come first in a lex ring, so {r_j^2 - s_j} is
+    a Groebner basis (its leading monomials are coprime), and every
+    denominator and the final numerator are reduced by it to degree <= 1
+    in each r_j.  The s_j are distinct irreducibles, so the products of
+    their roots are linearly independent over QQ(x): the ring is a
+    domain, and a reduced 0 is the zero function.  A one-coordinate norm
+    is |x_i|, read as x_i and as -x_i, once per sign pattern: the
+    identity must hold in every orthant.  A term whose denominator is
+    identically zero (in some orthant) is defined nowhere there, so the
+    identity fails.
     """
     pairs = list(pairs)
-    syms = sympy.symbols(f"x0:{p.sig.n}", real=True)
-    ring = PolyRing(syms, QQ)
-    try:
-        num, den = _ring_fraction(F, ring)
-        num, den = _fraction_add(_ring_jet(p, ring, rho), ring.one,
-                                 -QQ(f_scale) * num, den)
-        for Q, S in pairs:
-            s_num, s_den = _ring_fraction(S, ring)
-            num, den = _fraction_add(
-                num, den, -QQ(s_scale) * s_num * _ring_jet(Q, ring, rho),
-                s_den)
-    except _ZeroDenominator:
-        return False
-    except _NotRational:
-        if any(_divides_by_zero(e, syms) for e in [F] + [S for _, S in pairs]):
+    found = sorted(set().union(*map(_free_norms, [F] + [S for _, S in pairs])),
+                   key=lambda e: e.indices)
+    signed = [e for e in found if len(e.indices) == 1]
+    roots = [e for e in found if len(e.indices) > 1]
+    ring = PolyRing([f"r{j}" for j in range(len(roots))]
+                    + [f"x{i}" for i in range(p.sig.n)], QQ, lex)
+    xs = ring.gens[len(roots):]
+    basis = [r ** 2 - sum(xs[i] ** 2 for i in e.indices)
+             for r, e in zip(ring.gens, roots)]
+    for signs in itertools.product((1, -1), repeat=len(signed)):
+        norms = dict(zip(roots, ring.gens))
+        norms.update((e, s * xs[e.indices[0]]) for e, s in zip(signed, signs))
+        try:
+            num, den = _ring_fraction(F, ring, norms, basis)
+            num, den = _fraction_add(_ring_jet(p, ring, rho), ring.one,
+                                     -QQ(f_scale) * num, den)
+            for Q, S in pairs:
+                s_num, s_den = _ring_fraction(S, ring, norms, basis)
+                num, den = _fraction_add(
+                    num, den, -QQ(s_scale) * s_num * _ring_jet(Q, ring, rho),
+                    s_den)
+        except _ZeroDenominator:
             return False
-        return _residual_zero(_sympy_residual(p, pairs, F, rho, f_scale,
-                                              s_scale, syms), syms)
-    return not num
-
-
-class _NotRational(Exception):
-    """The tree has a Norm node outside every cutoff."""
+        if num.rem(basis):
+            return False
+    return True
 
 
 class _ZeroDenominator(Exception):
-    """The tree divides by an identically zero polynomial."""
+    """The tree divides by an identically zero function."""
+
+
+def _free_norms(e: ScalarExpr) -> set:
+    """The Norm nodes of e outside every cutoff and gauge."""
+    if isinstance(e, Norm):
+        return {e}
+    if isinstance(e, (Cutoff, GaugeRef)):
+        return set()
+    return set().union(*map(_free_norms, e.children()))
 
 
 def _ring_jet(p: Jet, ring, rho):
-    """p(rho x) in the polynomial ring."""
-    return ring.from_dict({alpha: QQ(c * rho ** sum(alpha))
+    """p(rho x) in the polynomial ring, whose last generators are x."""
+    pad = (0,) * (ring.ngens - p.sig.n)
+    return ring.from_dict({pad + alpha: QQ(c * rho ** sum(alpha))
                            for alpha, c in p.coeffs.items()})
 
 
@@ -758,74 +755,42 @@ def _fraction_add(a, b, c, d):
     return a * d + c * b, b * d
 
 
-def _ring_fraction(e: ScalarExpr, ring):
+def _ring_fraction(e: ScalarExpr, ring, norms, basis):
     """e as a (numerator, denominator) pair of ring polynomials, cutoff
-    nodes at their plateau value, as expr_to_sympy reads them."""
+    nodes at their plateau value (1 for the cutoff, 0 for its
+    derivatives) and each Norm node at its value in `norms`; a
+    denominator is reduced by `basis` before its zero test."""
     if isinstance(e, Const):
         return ring(QQ(e.value)), ring.one
     if isinstance(e, Coord):
-        return ring.gens[e.i], ring.one
+        return ring.gens[len(basis) + e.i], ring.one
     if isinstance(e, Add):
         num, den = ring.zero, ring.one
         for t in e.terms:
-            num, den = _fraction_add(num, den, *_ring_fraction(t, ring))
+            num, den = _fraction_add(num, den,
+                                     *_ring_fraction(t, ring, norms, basis))
         return num, den
     if isinstance(e, Mul):
         num, den = ring.one, ring.one
         for f in e.factors:
-            f_num, f_den = _ring_fraction(f, ring)
+            f_num, f_den = _ring_fraction(f, ring, norms, basis)
             num, den = num * f_num, den * f_den
         return num, den
     if isinstance(e, Pow):
-        num, den = _ring_fraction(e.base, ring)
+        num, den = _ring_fraction(e.base, ring, norms, basis)
         return num ** e.k, den ** e.k
     if isinstance(e, Div):
-        a, b = _ring_fraction(e.num, ring)
-        c, d = _ring_fraction(e.den, ring)
+        a, b = _ring_fraction(e.num, ring, norms, basis)
+        c, d = _ring_fraction(e.den, ring, norms, basis)
+        c = c.rem(basis)
         if not c:
             raise _ZeroDenominator
         return a * d, b * c
     if isinstance(e, Cutoff):
         return (ring.one if e.order == 0 else ring.zero), ring.one
     if isinstance(e, Norm):
-        raise _NotRational
+        return norms[e], ring.one
     raise DomainError(f"node {type(e).__name__} has no symbolic form")
-
-
-def _divides_by_zero(e: ScalarExpr, syms) -> bool:
-    """True if a Div node of e outside every cutoff and gauge has an
-    identically zero denominator, decided by _residual_zero: the
-    subtrees first, then the node's own denominator."""
-    if isinstance(e, (Cutoff, GaugeRef)):
-        return False
-    return (any(_divides_by_zero(c, syms) for c in e.children())
-            or (isinstance(e, Div)
-                and _residual_zero(expr_to_sympy(e.den, syms), syms)))
-
-
-def _sympy_residual(p, pairs, F, rho, f_scale, s_scale, syms):
-    """The residual of _identity_zero as a sympy expression."""
-    residual = jet_to_sympy(p, syms, rho)
-    residual -= sympy.Rational(Fraction(f_scale)) * expr_to_sympy(F, syms)
-    for Q, S in pairs:
-        residual -= sympy.Rational(Fraction(s_scale)) \
-            * expr_to_sympy(S, syms) * jet_to_sympy(Q, syms, rho)
-    return residual
-
-
-def _residual_zero(residual, syms) -> bool:
-    """Exact zero test of an identity residual in the symbols syms.
-
-    When the numerator of together(residual) is a polynomial in syms,
-    the residual is zero iff that numerator expands to 0, which decides
-    a rational function soundly and completely.  A numerator with a
-    square root (a Norm node outside any cutoff) is left to
-    sympy.simplify."""
-    combined = sympy.together(residual)
-    num = sympy.numer(combined)
-    if num.is_polynomial(*syms):
-        return sympy.expand(num) == 0
-    return sympy.simplify(combined) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1097,7 +1062,7 @@ def check_annulus_condition(variant: str, params: dict, p: Jet, Q_list,
     violation is a genuine witness); the identity is certified exactly:
     interval arithmetic confirms every cutoff sits on its plateau over
     the region, then the plateau-substituted residual is tested for
-    zero exactly (_residual_zero).
+    zero exactly in a polynomial ring (_identity_zero).
     """
     m, n = p.sig.m, p.sig.n
     A = float(params["A"])

@@ -45,7 +45,7 @@ test_jetring.py requires Jet to keep the same coefficients, of the same
 types, in the same key order.
 
 The Fraction elimination that exactlin's integer elimination replaced
-(rref, Subspace.contains and Subspace.coordinates_of), and jetring's
+(rref and Subspace.contains), and jetring's
 own Gauss-Jordan for the invertibility test and the inverse of a
 diffeo-jet's linear part: test_integer_elimination.py requires the
 integer rows to give exactly what these give.
@@ -59,6 +59,13 @@ The forbidden-cone evaluation that converted each coefficient to an
 Interval per monomial per cell and took each u_i^a per monomial:
 test_integer_elimination.py requires directions._eval_scaled to return
 exactly its enclosure.
+
+The sympy identity test that verifier._identity_zero replaced:
+expr_to_sympy writes a tree as a sympy expression (cutoffs at their
+plateau value, a Norm as a square root) and residual_zero decides it by
+the numerator of together() when that is a polynomial and by
+sympy.simplify otherwise.  test_residual_zero.py requires the ring
+decision to agree with it on random residuals, norms included.
 """
 
 import math
@@ -480,19 +487,6 @@ def subspace_contains(basis, pivots, vector):
     return all(a == 0 for a in v)
 
 
-def subspace_coordinates_of(basis, pivots, vector):
-    v = list(map(Fraction, vector))
-    coeffs = []
-    for row, piv in zip(basis, pivots):
-        c = v[piv]
-        coeffs.append(c)
-        if c != 0:
-            v = [a - c * b for a, b in zip(v, row)]
-    if any(a != 0 for a in v):
-        return None
-    return tuple(coeffs)
-
-
 def invertible(matrix):
     rows = [list(r) for r in matrix]
     n = len(rows)
@@ -602,3 +596,31 @@ def eval_scaled(jets, s, u_box):
             term = interval_add(term, mono)
         total = interval_add(total, interval_abs(term))
     return total
+
+
+def expr_to_sympy(e, syms):
+    if isinstance(e, Const):
+        return sympy.Rational(e.value.numerator, e.value.denominator)
+    if isinstance(e, Coord):
+        return syms[e.i]
+    if isinstance(e, Add):
+        return sympy.Add(*(expr_to_sympy(t, syms) for t in e.terms))
+    if isinstance(e, Mul):
+        return sympy.Mul(*(expr_to_sympy(f, syms) for f in e.factors))
+    if isinstance(e, Pow):
+        return expr_to_sympy(e.base, syms) ** e.k
+    if isinstance(e, Div):
+        return expr_to_sympy(e.num, syms) / expr_to_sympy(e.den, syms)
+    if isinstance(e, Norm):
+        return sympy.sqrt(sympy.Add(*(syms[i] ** 2 for i in e.indices)))
+    if isinstance(e, Cutoff):
+        return sympy.Integer(1 if e.order == 0 else 0)
+    raise DomainError(f"node {type(e).__name__} has no symbolic form")
+
+
+def residual_zero(residual, syms):
+    combined = sympy.together(residual)
+    num = sympy.numer(combined)
+    if num.is_polynomial(*syms):
+        return sympy.expand(num) == 0
+    return sympy.simplify(combined) == 0

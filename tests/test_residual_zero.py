@@ -2,12 +2,17 @@
 
 symbolic_residual_zero, the C branch of check_annulus_condition and the
 rescaled identity of C* / C** all decide p - sum S_l Q_l - F = 0 with
-verifier._identity_zero.  A rational residual is decided in a polynomial
-ring over QQ: zero iff the numerator of its terms' sum is 0.  A residual
-with a square root (a Norm node outside any cutoff) goes to
-verifier._residual_zero, which tests the numerator of together() when it
-is a polynomial and otherwise calls sympy.simplify."""
+verifier._identity_zero, in one polynomial ring over QQ: the residual is
+zero iff the numerator of its terms' sum is 0.  A Norm over k >= 2
+coordinates outside every cutoff is a ring generator r with r^2 = the
+sum of its squared coordinates, reduced away before each zero test; a
+one-coordinate norm |x_i| is read as x_i and as -x_i, once per orthant.
+No sympy.simplify call is made.  The sympy test that this replaced,
+expr_to_sympy and residual_zero, is kept in tests/scalar_reference.py as
+the reference the random residuals are compared against."""
 
+import ast
+import contextlib
 import json
 import math
 from fractions import Fraction
@@ -25,19 +30,65 @@ from jetideals.ideal import JetIdeal
 from jetideals.errors import DomainError
 from jetideals.jetring import Jet, RingSignature, jet_parse
 from jetideals.symfun import (DEFAULT_CUTOFF, Const, Coord, Cutoff, Gauge,
-                              add, div, expr_parse, ipow, mul)
+                              Norm, add, div, expr_parse, ipow, mul)
 from jetideals.verifier import (ImplicationCertificate, _identity_zero,
-                                _residual_zero, check_annulus_condition,
-                                check_strong_directional, expr_to_sympy,
+                                check_annulus_condition,
+                                check_strong_directional,
                                 symbolic_residual_zero)
+from scalar_reference import expr_to_sympy, residual_zero
 
 N = 2
 SIG = RingSignature(3, N)
 SYMS = sympy.symbols(f"x0:{N}", real=True)
+ZERO_JET = Jet(SIG, {})
+
+
+@contextlib.contextmanager
+def _simplify_calls():
+    """The sympy.simplify calls made inside the block."""
+    calls = []
+    simplify = sympy.simplify
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return simplify(*args, **kwargs)
+
+    sympy.simplify = counted
+    try:
+        yield calls
+    finally:
+        sympy.simplify = simplify
+
+
+def _identity_calls(monkeypatch):
+    """One list per call of verifier._identity_zero: the sympy.simplify
+    calls made inside it."""
+    record = []
+    identity_zero = verifier._identity_zero
+
+    def recorded(*args, **kwargs):
+        with _simplify_calls() as calls:
+            result = identity_zero(*args, **kwargs)
+        record.append(calls)
+        return result
+
+    monkeypatch.setattr(verifier, "_identity_zero", recorded)
+    return record
+
+
+def test_verifier_imports_only_the_polynomial_backend_of_sympy():
+    tree = ast.parse(Path(verifier.__file__).read_text())
+    modules = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module]
+    sympy_modules = [m for m in modules if m.split(".")[0] == "sympy"]
+    assert sympy_modules
+    assert all(m.startswith("sympy.polys.") for m in sympy_modules)
 
 
 # ---------------------------------------------------------------------------
-# Random rational residuals: the numerator test agrees with simplify.
+# Random rational residuals: the ring decision agrees with simplify.
 # ---------------------------------------------------------------------------
 
 small = st.fractions(-3, 3, max_denominator=4)
@@ -50,84 +101,24 @@ dens = st.one_of(
               st.integers(1, 3)))
 
 
-def _extend(children):
-    pairs = st.lists(children, min_size=2, max_size=3)
-    return st.one_of(st.builds(lambda ts: add(*ts), pairs),
-                     st.builds(lambda fs: mul(*fs), pairs),
-                     st.builds(div, children, dens))
+def _extender(dens):
+    def extend(children):
+        pairs = st.lists(children, min_size=2, max_size=3)
+        return st.one_of(st.builds(lambda ts: add(*ts), pairs),
+                         st.builds(lambda fs: mul(*fs), pairs),
+                         st.builds(div, children, dens))
+    return extend
 
 
-trees = st.recursive(st.one_of(st.builds(Const, small), coords), _extend,
-                     max_leaves=6)
+trees = st.recursive(st.one_of(st.builds(Const, small), coords),
+                     _extender(dens), max_leaves=6)
 jets = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 1)), small,
     max_size=3).map(lambda coeffs: Jet(SIG, coeffs))
 
 
-def _sym(e):
-    return expr_to_sympy(e, SYMS)
-
-
-def _two_ways(a, b, c, d, jet):
-    """Residuals that are zero, written as two different trees."""
-    ja = jet_to_sympy(jet, SYMS)
-    return [
-        _sym(mul(a, add(b, c))) - (_sym(mul(a, b)) + _sym(mul(a, c))),
-        _sym(add(div(a, d), div(b, d))) - _sym(div(add(a, b), d)),
-        ja * _sym(d) / _sym(d) - ja,
-        _sym(div(mul(a, d), d)) - _sym(a),
-    ]
-
-
-@settings(max_examples=40, deadline=None)
-@given(trees, trees, trees, dens, jets, jets, st.integers(0, 4))
-def test_numerator_test_agrees_with_simplify(a, b, c, d, p, q, pick):
-    candidates = _two_ways(a, b, c, d, p) + [
-        # most of these are not zero
-        jet_to_sympy(p, SYMS) - _sym(mul(a, b)) * jet_to_sympy(q, SYMS),
-    ]
-    residual = candidates[pick]
-    want = sympy.simplify(sympy.together(residual)) == 0
-    assert _residual_zero(residual, SYMS) == want
-    if pick < 4:
-        assert want
-
-
-@pytest.mark.parametrize("residual,zero", [
-    (SYMS[0] / (SYMS[1] ** 2 + 1) - SYMS[0] * (SYMS[1] ** 2 + 1) ** -1,
-     True),
-    ((SYMS[0] + 1) ** 2 / SYMS[1] - (SYMS[0] ** 2 + 2 * SYMS[0] + 1)
-     / SYMS[1], True),
-    (SYMS[0] / SYMS[1] - SYMS[1] / SYMS[0], False),
-    (sympy.Rational(1, 3) * SYMS[0] ** 2, False),
-])
-def test_rational_residuals_skip_simplify(monkeypatch, residual, zero):
-    monkeypatch.setattr(verifier, "sympy", _SympyWithoutSimplify())
-    assert _residual_zero(residual, SYMS) is zero
-
-
-class _SympyWithoutSimplify:
-    """sympy as the verifier module sees it, less simplify (the allowed
-    sets of directions.py still use it)."""
-
-    def __getattr__(self, name):
-        if name == "simplify":
-            raise AssertionError("sympy.simplify called by the verifier")
-        return getattr(sympy, name)
-
-
-# ---------------------------------------------------------------------------
-# The ring decision agrees with _residual_zero on rational residuals.
-# ---------------------------------------------------------------------------
-
-# cutoffs read at their plateau: 1 for theta, 0 for its derivatives
-plateau_cutoffs = st.builds(lambda i, order: Cutoff(DEFAULT_CUTOFF, Coord(i),
-                                                    1, order),
-                            st.integers(0, N - 1), st.integers(0, 2))
-ring_trees = st.recursive(
-    st.one_of(st.builds(Const, small), coords, plateau_cutoffs), _extend,
-    max_leaves=6)
-scales = st.fractions(Fraction(1, 9), 3, max_denominator=9)
+def _minus(a, b):
+    return add(a, mul(Const(-1), b))
 
 
 def _jet_expr(p, rho):
@@ -137,18 +128,90 @@ def _jet_expr(p, rho):
                  for alpha, c in p.coeffs.items()))
 
 
+def _two_ways(a, b, c, d, jet):
+    """Residuals that are zero, written as two different trees."""
+    ja = _jet_expr(jet, 1)
+    return [
+        _minus(mul(a, add(b, c)), add(mul(a, b), mul(a, c))),
+        _minus(add(div(a, d), div(b, d)), div(add(a, b), d)),
+        _minus(div(mul(ja, d), d), ja),
+        _minus(div(mul(a, d), d), a),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(trees, trees, trees, dens, jets, jets, st.integers(0, 4))
+def test_numerator_test_agrees_with_simplify(a, b, c, d, p, q, pick):
+    candidates = _two_ways(a, b, c, d, p) + [
+        # most of these are not zero
+        _minus(_jet_expr(p, 1), mul(a, b, _jet_expr(q, 1))),
+    ]
+    residual = candidates[pick]
+    want = sympy.simplify(sympy.together(expr_to_sympy(residual, SYMS))) == 0
+    with _simplify_calls() as calls:
+        assert symbolic_residual_zero(ZERO_JET, [], residual) is want
+    assert calls == []
+    if pick < 4:
+        assert want
+
+
+@pytest.mark.parametrize("residual,zero", [
+    (expr_parse("x/(y^2 + 1) - x*(1/(y^2 + 1))", N), True),
+    (expr_parse("(x + 1)^2/y - (x^2 + 2*x + 1)/y", N), True),
+    (expr_parse("x/y - y/x", N), False),
+    (expr_parse("x^2/3", N), False),
+])
+def test_rational_residuals_skip_simplify(residual, zero):
+    with _simplify_calls() as calls:
+        assert symbolic_residual_zero(ZERO_JET, [], residual) is zero
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# The ring decision agrees with the sympy reference, norms included.
+# ---------------------------------------------------------------------------
+
+# three coordinates, so that two distinct norms over k >= 2 coordinates
+# (and one over all three) can meet in one residual
+N3 = 3
+SIG3 = RingSignature(3, N3)
+SYMS3 = sympy.symbols(f"x0:{N3}", real=True)
+coords3 = st.builds(Coord, st.integers(0, N3 - 1))
+norms3 = st.sampled_from([Norm((0,)), Norm((2,)), Norm((0, 1)), Norm((1, 2)),
+                          Norm((0, 1, 2))])
+# denominators that are not identically zero in any orthant
+dens3 = st.one_of(
+    st.builds(Const, small.filter(lambda c: c != 0)),
+    coords3,
+    st.builds(lambda c, k: add(mul(c, c), Const(k)), coords3,
+              st.integers(1, 3)),
+    norms3,
+    st.builds(lambda r, c: add(r, Const(c)), norms3, small))
+# cutoffs read at their plateau: 1 for theta, 0 for its derivatives
+plateau_cutoffs = st.builds(lambda i, order: Cutoff(DEFAULT_CUTOFF, Coord(i),
+                                                    1, order),
+                            st.integers(0, N3 - 1), st.integers(0, 2))
+ring_trees = st.recursive(
+    st.one_of(st.builds(Const, small), coords3, norms3, plateau_cutoffs),
+    _extender(dens3), max_leaves=6)
+jets3 = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)),
+    small, max_size=3).map(lambda coeffs: Jet(SIG3, coeffs))
+scales = st.fractions(Fraction(1, 9), 3, max_denominator=9)
+
+
 def _sympy_residual(p, pairs, F, rho, f_scale, s_scale):
-    residual = jet_to_sympy(p, SYMS, rho) \
-        - sympy.Rational(f_scale) * expr_to_sympy(F, SYMS)
+    residual = jet_to_sympy(p, SYMS3, rho) \
+        - sympy.Rational(f_scale) * expr_to_sympy(F, SYMS3)
     for Q, S in pairs:
-        residual -= sympy.Rational(s_scale) * expr_to_sympy(S, SYMS) \
-            * jet_to_sympy(Q, SYMS, rho)
+        residual -= sympy.Rational(s_scale) * expr_to_sympy(S, SYMS3) \
+            * jet_to_sympy(Q, SYMS3, rho)
     return residual
 
 
 @settings(max_examples=60, deadline=None)
-@given(ring_trees, ring_trees, ring_trees, dens, jets, jets, scales, scales,
-       scales, st.integers(0, 2))
+@given(ring_trees, ring_trees, ring_trees, dens3, jets3, jets3, scales,
+       scales, scales, st.integers(0, 2))
 def test_ring_decision_agrees_with_residual_zero(a, b, c, d, p, q, rho,
                                                  f_scale, s_scale, pick):
     S = div(add(a, b), d)
@@ -160,21 +223,61 @@ def test_ring_decision_agrees_with_residual_zero(a, b, c, d, p, q, rho,
     F = [mul(Const(1 / f_scale), split),
          mul(Const(1 / f_scale), add(split, mul(c, Coord(0)))),
          c][pick]
-    want = _residual_zero(
-        _sympy_residual(p, [(q, S)], F, rho, f_scale, s_scale), SYMS)
-    assert _identity_zero(p, [(q, S)], F, rho, f_scale, s_scale) is want
+    residual = _sympy_residual(p, [(q, S)], F, rho, f_scale, s_scale)
+    want = residual_zero(residual, SYMS3)
+    got = _identity_zero(p, [(q, S)], F, rho, f_scale, s_scale)
+    assert got is want, _at_a_point(residual)
     if pick == 0:
         assert want
 
 
+def _at_a_point(residual):
+    """The residual at a point off every coordinate plane: nonzero means
+    the identity is false (the reference is right if it said False)."""
+    point = dict(zip(SYMS3, (sympy.Rational(3, 7), sympy.Rational(-5, 11),
+                             sympy.Rational(2, 13))))
+    value = residual.subs(point).evalf(30)
+    return f"residual {residual} = {value} at {point}"
+
+
+@pytest.mark.parametrize("F,zero", [
+    ("x^2 + norm(x,y)^2 - x^2 - y^2", True),
+    ("x^2 + norm(x,y)*norm(y,z) - norm(y,z)*norm(x,y)", True),
+    ("x^2*norm(x,y)^3/(norm(x,y)*(x^2 + y^2))", True),
+    ("x^2*(norm(x,y,z) + z)*(norm(x,y,z) - z)/(x^2 + y^2)", True),
+    ("x^2*norm(x,y)*norm(y,z)/(norm(x,y)*norm(y,z))", True),
+    ("x^2*norm(x,y)/norm(y,z)", False),
+    ("x^2*(norm(x,y) + norm(y,z))/(norm(x,y) + norm(y,z))", True),
+    ("norm(x)^2", True),
+    ("norm(x)*norm(x)", True),
+    ("x*norm(x)", False),
+    ("norm(x)*norm(y)*norm(x)*norm(y)/y^2", True),
+    ("x^2*(norm(x) + norm(y))/(norm(x) + norm(y))", True),
+    ("x^2*(norm(x) + y)/(norm(x) + y)", True),
+    # denominators that vanish identically, in some orthants for |x|
+    ("x^2 + 1/(norm(x,y)^2 - x^2 - y^2)", False),
+    ("x^2 + (norm(x,y) - x)/(norm(x,y)*norm(y,z) - norm(y,z)*norm(x,y))",
+     False),
+    ("x^2*(norm(x,y) - norm(x,y))/(norm(x,y,z)^2 - x^2 - y^2 - z^2)", False),
+    ("x^2*(norm(x) + x)/(norm(x) - x)", False),
+    ("x^2*(norm(x) - x)/(norm(x) - x)", False),
+])
+def test_norm_identities_in_the_ring(F, zero):
+    # p = x^2; each F is a function of x, y, z, and the identity holds
+    # iff F = x^2 wherever F is defined (a term defined nowhere in an
+    # open set fails it)
+    p = jet_parse("x^2", SIG3)
+    with _simplify_calls() as calls:
+        assert symbolic_residual_zero(p, [], expr_parse(F, N3)) is zero
+    assert calls == []
+
+
 @pytest.mark.parametrize("F", ["1/(x - x)", "x^2 + (x - x)/(y - y)",
-                               # sympy reads x/zoo as 0, so the sympy
-                               # residual of this F is zero
                                "x^2 + x/(1/(y - y))",
-                               # the same with a Norm node, which sends
-                               # the residual to _residual_zero
                                "x^2 + norm(x,y) - norm(x,y) + x/(1/(y - y))",
-                               "x^2 + x/(1/(norm(x,y) - norm(x,y)))"])
+                               "x^2 + x/(1/(norm(x,y) - norm(x,y)))",
+                               # 0/0 wherever x > 0
+                               "x^2 + (norm(x) - x)/(norm(x) - x) - 1"])
 def test_identically_zero_denominator_fails(F):
     sig = RingSignature(2, N)
     ideal = JetIdeal(sig, [jet_parse("y", sig)])
@@ -193,11 +296,19 @@ def test_identically_zero_denominator_fails(F):
     ("x^2*gauge(sqrt, {})", False),
     ("x^2*gauge(sqrt, x^2 + {0}) + y/(x*{0})", True)])
 def test_divides_by_zero_stops_at_cutoffs_and_gauges(wrap, zero):
-    # a cutoff sits on its plateau and a gauge has no symbolic form, so
-    # only a division outside both of them is tested
+    # `zero`: the tree divides by zero outside every cutoff and gauge.
+    # A cutoff sits on its plateau (theta = 1 there), so a division
+    # inside it is never tested and p = F holds; a division outside
+    # fails the identity; a gauge has no symbolic form, so its identity
+    # raises
     g = Gauge.from_function("sqrt", math.sqrt, per_octave=8)
     F = expr_parse(wrap.format("x/(y - y)"), N, gauges={"sqrt": g})
-    assert verifier._divides_by_zero(F, SYMS) is zero
+    p = jet_parse("x^2 + 1" if wrap.count("theta") == 2 else "x^2", SIG)
+    if "gauge" in wrap:
+        with pytest.raises(DomainError, match="GaugeRef has no symbolic"):
+            symbolic_residual_zero(p, [], F)
+    else:
+        assert symbolic_residual_zero(p, [], F) is not zero
 
 
 def test_gauge_node_has_no_symbolic_form():
@@ -208,39 +319,25 @@ def test_gauge_node_has_no_symbolic_form():
 
 
 # ---------------------------------------------------------------------------
-# Norm nodes outside any cutoff: decided by the simplify fallback.
+# Norm nodes outside any cutoff: decided in the ring as well.
 # ---------------------------------------------------------------------------
 
-def _counting_simplify(monkeypatch):
-    calls = []
-    simplify = sympy.simplify
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return simplify(*args, **kwargs)
-
-    monkeypatch.setattr(sympy, "simplify", counted)
-    return calls
-
-
-def test_norm_outside_a_cutoff_goes_to_simplify(monkeypatch):
-    calls = _counting_simplify(monkeypatch)
+def test_norm_outside_a_cutoff_is_decided_in_the_ring():
     p = jet_parse("x^2 + y^2", RingSignature(2, N))
     # |x|(|x| + x) - x|x| = |x|^2: zero, but only once expanded
     F = expr_parse("norm(x,y)*(norm(x,y) + x) - x*norm(x,y)", N)
-    assert symbolic_residual_zero(p, [], F) is True
-    assert len(calls) == 1
     G = expr_parse("norm(x,y)*(norm(x,y) + x)", N)
-    assert symbolic_residual_zero(p, [], G) is False
-    assert len(calls) == 2
+    with _simplify_calls() as calls:
+        assert symbolic_residual_zero(p, [], F) is True
+        assert symbolic_residual_zero(p, [], G) is False
+    assert calls == []
 
 
 def test_norm_of_one_coordinate_is_not_minus_that_coordinate():
     # x^2 is not implied by <y> in the direction (1, 0): it is x^2 on the
     # x-axis.  F = (x^2 - x|x|)/2 is 0 for x > 0 and x^2 for x < 0, so F
     # is negligible near (1, 0) and the claim x^2 = F is false there.
-    # Symbols declared real and not positive made sympy read |x| as -x
-    # and F as x^2, which passed the identity.
+    # Reading |x| as -x alone would make F = x^2 and pass the identity.
     sig = RingSignature(2, N)
     ideal = JetIdeal(sig, [jet_parse("y", sig)])
     F = expr_parse("(x^2 - x*norm(x))/2", N)
@@ -262,23 +359,22 @@ def _golden(case_id):
     return next(r for r in results if r["id"] == case_id)
 
 
-def _annulus(variant):
+def _annulus(variant, F=None):
     inputs = _intro_annulus_inputs()
     sig = RingSignature(inputs["m"], inputs["n"])
     n = inputs["n"]
     return check_annulus_condition(
         variant, inputs["params"], jet_parse(inputs["p"], sig),
         [jet_parse(q, sig) for q in inputs["Q"]],
-        expr_parse(inputs["F"], n), [expr_parse(s, n) for s in inputs["S"]],
-        inputs["omegas"], seed=0)
+        expr_parse(F or inputs["F"], n),
+        [expr_parse(s, n) for s in inputs["S"]], inputs["omegas"], seed=0)
 
 
 @pytest.mark.parametrize("variant", ["C", "C*"])
 def test_annulus_intro_identity_without_simplify(monkeypatch, variant):
-    with_simplify = _annulus(variant)
-    monkeypatch.setattr(verifier, "sympy", _SympyWithoutSimplify())
+    identity_calls = _identity_calls(monkeypatch)
     report = _annulus(variant)
-    assert report == with_simplify
+    assert identity_calls == [[]]
     assert report["identity"] == {"method": "plateau-certified symbolic",
                                   "zero": True}
     assert report["verdict"] == "pass"
@@ -286,9 +382,21 @@ def test_annulus_intro_identity_without_simplify(monkeypatch, variant):
         assert report == _golden("annulus-intro")["outputs"]
 
 
+@pytest.mark.parametrize("variant", ["C", "C*"])
+def test_annulus_intro_with_an_undefined_factor_fails(variant):
+    # (|z| - z)/(|z| - z) is 0/0 for z > 0: that F is defined nowhere on
+    # the half of the region around (0, 0, 1), so no identity holds there
+    inputs = _intro_annulus_inputs()
+    report = _annulus(variant, f"({inputs['F']})*(norm(z) - z)/(norm(z) - z)")
+    assert report["identity"] == {"method": "plateau-certified symbolic",
+                                  "zero": False}
+    assert report["verdict"] == "fail"
+
+
 def test_strong_xy_without_simplify(monkeypatch):
-    monkeypatch.setattr(verifier, "sympy", _SympyWithoutSimplify())
+    identity_calls = _identity_calls(monkeypatch)
     result = json.loads(json.dumps(run_case(case_by_id("strong-xy"))))
+    assert identity_calls and all(c == [] for c in identity_calls)
     golden = _golden("strong-xy")
     assert result["verdict"] == golden["verdict"] == "pass"
     assert result == golden

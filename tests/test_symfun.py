@@ -176,10 +176,11 @@ def test_gauge_regularize_sqrt_quick():
     assert rep["envelope_dominates"]
     assert rep["quasi_doubling_ok"]
     assert rep["decays"]
-    # g+ dominates g~ dominates g
+    # g+ = C'' g* dominates g~ dominates g
     for t in (2.0 ** -k for k in range(1, 20)):
-        assert reg.g_plus(t) >= reg.g_tilde(t) - 1e-12
-        assert reg.g_tilde(t) >= g.eval(t) - 1e-12
+        g_tilde = reg.tilde.eval(t)
+        assert reg.c_second * reg._gstar_fn(t) >= g_tilde - 1e-12
+        assert g_tilde >= g.eval(t) - 1e-12
 
 
 def test_gauge_ref_not_differentiable():
