@@ -63,11 +63,15 @@ exactly its enclosure.
 The sympy identity test that verifier._identity_zero replaced:
 expr_to_sympy writes a tree as a sympy expression (cutoffs at their
 plateau value, a Norm as a square root) and residual_zero decides it by
-the numerator of together() when that is a polynomial and by
-sympy.simplify otherwise.  test_residual_zero.py requires the ring
+the numerator of together() when that is a polynomial.  Where the
+verifier's sympy test called sympy.simplify, which misses some zero
+residuals with square roots, residual_zero reads each |x_i| per orthant
+and reduces the numerator by sympy.reduced modulo r^2 - s, one symbol r
+per square root sqrt(s).  test_residual_zero.py requires the ring
 decision to agree with it on random residuals, norms included.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -619,8 +623,39 @@ def expr_to_sympy(e, syms):
 
 
 def residual_zero(residual, syms):
+    """Exact zero test of a residual written by expr_to_sympy.
+
+    A rational residual is zero iff the numerator of together() expands
+    to 0.  Otherwise each |x_i| is read in every orthant, as s_i t_i with
+    t_i > 0, each remaining power sqrt(s)^k becomes r^k for a fresh
+    symbol r, and the residual is zero iff the numerator of together()
+    is 0 modulo the r^2 - s (sympy.reduced, r first in lex order).
+    sympy.simplify misses zero residuals that this decides, such as
+    (x1 + norm(x,y,z))/x0 + 1/(3 x0 norm(x,y))
+    - (x1 + norm(x,y,z) + 1/(3 norm(x,y)))/x0."""
     combined = sympy.together(residual)
     num = sympy.numer(combined)
     if num.is_polynomial(*syms):
         return sympy.expand(num) == 0
-    return sympy.simplify(combined) == 0
+    signed = sorted({a.args[0] for a in residual.atoms(sympy.Abs)},
+                    key=syms.index)
+    ts = sympy.symbols(f"t0:{len(signed)}", positive=True)
+    for signs in itertools.product((1, -1), repeat=len(signed)):
+        orthant = residual.subs({x: s * t
+                                 for x, s, t in zip(signed, signs, ts)})
+        halves = [a for a in orthant.atoms(sympy.Pow)
+                  if a.exp.is_Rational and a.exp.q == 2]
+        bases = sorted({a.base for a in halves}, key=sympy.default_sort_key)
+        roots = dict(zip(bases, sympy.symbols(f"r0:{len(bases)}")))
+        orthant = orthant.xreplace({a: roots[a.base] ** int(2 * a.exp)
+                                    for a in halves})
+        num = sympy.expand(sympy.numer(sympy.together(orthant)))
+        gens = list(roots.values()) + sorted(
+            num.free_symbols - set(roots.values()),
+            key=sympy.default_sort_key)
+        basis = [r ** 2 - base for base, r in roots.items()]
+        rem = sympy.reduced(num, basis, *gens, order="lex")[1] if basis \
+            else num
+        if rem != 0:
+            return False
+    return True

@@ -9,7 +9,8 @@ sum of its squared coordinates, reduced away before each zero test; a
 one-coordinate norm |x_i| is read as x_i and as -x_i, once per orthant.
 No sympy.simplify call is made.  The sympy test that this replaced,
 expr_to_sympy and residual_zero, is kept in tests/scalar_reference.py as
-the reference the random residuals are compared against."""
+the reference the random residuals are compared against, with its
+sympy.simplify fallback replaced by an exact reduction."""
 
 import ast
 import contextlib
