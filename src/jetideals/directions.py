@@ -15,34 +15,39 @@ Forbidden-direction certificates assert sum_l |Q_l(x)| > c|x|^m on a
 cone.  Writing x = s*u with u on the sphere and pulling the homogeneous
 scaling out of each Q_l reduces this to positivity of a polynomial in
 (s, u) on a compact set, which branch-and-bound interval evaluation can
-settle; the polynomial is compiled once per search.
+settle; the polynomial is compiled once per search.  The search walks
+batches of cells stored as numpy arrays, with outward-rounded interval
+batch operations that repeat the one-cell Interval evaluation element by
+element; its result is that of the depth-first one-cell walk (see
+certify_lower_bound).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
+import numpy as np
 import sympy
 from sympy.polys.polyerrors import BasePolynomialError
 
 from .errors import DomainError
-from .geometry import Dome, sphere_cover
+from .geometry import (Dome, SpherePatch, direction_enclosures, face_boxes,
+                       sphere_cover)
 from .ideal import JetIdeal
-from .interval import Interval
+from .interval import (Interval, batch_abs, batch_add, batch_exact,
+                       batch_ipow, batch_mul)
 from .jetring import MORE_THAN_M, Jet, RingSignature
 
 CERTIFIED_FORBIDDEN = "certified_forbidden"
 CANDIDATE_ALLOWED = "candidate_allowed"
 
 
-def jet_to_sympy(p: Jet, syms, rho=1):
-    """p(rho * x) as a sympy polynomial in syms (rho an exact rational)."""
-    rho = sympy.Rational(Fraction(rho))
+def jet_to_sympy(p: Jet, syms):
+    """p as a sympy polynomial in syms (any sympy expressions)."""
     expr = sympy.Integer(0)
     for alpha, c in p.coeffs.items():
-        term = sympy.Rational(c.numerator, c.denominator) * rho ** sum(alpha)
+        term = sympy.Rational(c.numerator, c.denominator)
         for s, a in zip(syms, alpha):
             if a:
                 term *= s ** a
@@ -389,10 +394,10 @@ def _compile_scaled(jets):
     """sum_l |Q_l(s u)| / s^{k_l}, compiled once per search.
 
     Q_l(s u) / s^{k_l} = sum_alpha c_alpha s^{|alpha| - k_l} u^alpha, so
-    each monomial becomes (c_alpha as an Interval, its s-degree
-    |alpha| - k_l, its factors (i, alpha_i) with alpha_i > 0).  Also
-    returned: the distinct factors, whose powers u_i^a a cell computes
-    once, and the top s-degree.
+    each monomial becomes (c_alpha as a constant interval batch, its
+    s-degree |alpha| - k_l, its factors (i, alpha_i) with alpha_i > 0).
+    Also returned: the distinct factors, whose powers u_i^a a batch
+    computes once, and the top s-degree.
     """
     polys = []
     for q in jets:
@@ -400,7 +405,7 @@ def _compile_scaled(jets):
         if k == MORE_THAN_M or k < 1:
             raise DomainError("certificate jets must have order >= 1")
         polys.append(tuple(
-            (Interval.exact(c), sum(alpha) - k,
+            (batch_exact(Interval.exact(c)), sum(alpha) - k,
              tuple((i, a) for i, a in enumerate(alpha) if a))
             for alpha, c in q.coeffs.items()))
     factors = sorted({f for poly in polys for _, _, fs in poly for f in fs})
@@ -408,22 +413,30 @@ def _compile_scaled(jets):
     return polys, factors, top
 
 
-def _eval_scaled(compiled, s: Interval, u_box):
-    """Interval enclosure of sum_l |Q_l(s u)/s^{k_l}| for s >= 0."""
+_ONE = np.ones((2, 1))
+_ZERO = np.zeros((2, 1))
+
+
+def _eval_scaled(compiled, s, u):
+    """Enclosures of sum_l |Q_l(s u)/s^{k_l}| for s >= 0 on a batch of
+    cells: s is an interval batch (2, N), u one (2, N, n) of direction
+    enclosures.  The operations are those of the per-cell Interval
+    evaluation, in the same order, so each cell's enclosure equals it
+    bit for bit."""
     polys, factors, top = compiled
-    s_pows = [Interval(1.0, 1.0)]
+    s_pows = [_ONE]
     for _ in range(top):
-        s_pows.append(s_pows[-1] * s)
-    u_pows = {(i, a): u_box[i].ipow(a) for i, a in factors}
-    total = Interval(0.0, 0.0)
+        s_pows.append(batch_mul(s_pows[-1], s))
+    u_pows = {(i, a): batch_ipow(u[:, :, i], a) for i, a in factors}
+    total = _ZERO
     for poly in polys:
-        term = Interval(0.0, 0.0)
+        term = _ZERO
         for c, d, monomial in poly:
-            mono = c * s_pows[d]
+            mono = batch_mul(c, s_pows[d])
             for f in monomial:
-                mono = mono * u_pows[f]
-            term = term + mono
-        total = total + abs(term)
+                mono = batch_mul(mono, u_pows[f])
+            term = batch_add(term, mono)
+        total = batch_add(total, batch_abs(term))
     return total
 
 
@@ -446,6 +459,9 @@ def _patch_in_dome(patch, omega, delta):
     return d2.hi < delta * delta
 
 
+BATCH_CELLS = 1024
+
+
 def certify_lower_bound(jets, omega, delta, budget, n, target: float = 0.0):
     """Certified lower bound above `target` for sum |Q_l(s u)| / s^m over
     the dome around omega, s in [0, 1]; returns (bound, depth) or
@@ -454,39 +470,88 @@ def certify_lower_bound(jets, omega, delta, budget, n, target: float = 0.0):
     Since each Q_l has order k_l <= m, s^{k_l} >= s^m for s <= 1 and the
     scaled sum dominates; a positive infimum of the scaled sum therefore
     gives the cone inequality for every 0 < |x| < 1.
+
+    A cell is a sphere patch (face axis, sign and box) times an s
+    interval.  A cell whose enclosure stays at or below the target is
+    split in two: s when its width is the largest, else the first
+    longest box axis (SpherePatch.subdivide), each at its midpoint.  At
+    depth `budget` such a cell fails the search if it holds omega or
+    lies inside the dome; one that pokes out of the dome may touch zero.
+    The walk evaluates cells in batches, numpy arrays of at most
+    BATCH_CELLS cells of one depth, kept on a stack, so memory stays
+    O(budget * BATCH_CELLS).  Every cell's enclosure equals the
+    per-cell Interval evaluation bit for bit, and the result does not
+    depend on the order of the cells: the bound is the least certified
+    enclosure and the depth the deepest cell of one fixed tree, and a
+    failing cell ends the search at depth `budget` wherever it sits.
+    So the result is that of the depth-first walk of one cell at a time
+    (tests/scalar_reference.py), with one exception: a NaN endpoint
+    anywhere in a batch raises DomainError, where the depth-first walk
+    might have met a failing cell first.  Finite coefficients, |u| <= 1
+    and 0 <= s <= 1 leave no NaN endpoint.
     """
-    scaled = _compile_scaled(jets)
-    work = [(p, Interval(0.0, 1.0), 0) for p in _dome_patches(n, omega, delta)]
+    compiled = _compile_scaled(jets)
+    roots = _dome_patches(n, omega, delta)
+    work = []
+    if roots:
+        s = np.array([[0.0], [1.0]]).repeat(len(roots), axis=1)
+        work.append((0, *face_boxes(roots), s))
     best = math.inf
     max_depth = 0
     while work:
-        patch, s_iv, depth = work.pop()
+        depth, axes, faces, s = work.pop()
         max_depth = max(max_depth, depth)
-        u_box = patch.direction_enclosure()
-        total = _eval_scaled(scaled, s_iv, u_box)
-        if total.lo > target:
-            best = min(best, total.lo)
-            continue
+        lower = _eval_scaled(compiled, s, direction_enclosures(faces))[0]
+        done = lower > target
+        if done.any():
+            best = min(best, float(lower[done].min()))
+            if done.all():
+                continue
+            keep = ~done
+            axes, faces, s = axes[keep], faces[:, keep], s[:, keep]
         if depth >= budget:
-            if _patch_contains_omega(patch, omega) or omega is None:
-                return None, max_depth
-            # a boundary patch poking outside the dome may legitimately
-            # touch zero; only give up if it truly lies inside the dome
-            if _patch_in_dome(patch, omega, delta):
+            if any(_cell_fails(n, axis, face, omega, delta)
+                   for axis, face in zip(axes, faces.transpose(1, 0, 2))):
                 return None, max_depth
             continue
-        widths = [hi - lo for lo, hi in patch.box] + [s_iv.width]
-        if s_iv.width == max(widths):
-            a, b = s_iv.split()
-            work.append((patch, a, depth + 1))
-            work.append((patch, b, depth + 1))
-        else:
-            p1, p2 = patch.subdivide()
-            work.append((p1, s_iv, depth + 1))
-            work.append((p2, s_iv, depth + 1))
+        axes, faces, s = _split_cells(axes, faces, s)
+        for start in range(0, len(axes), BATCH_CELLS):
+            cut = slice(start, start + BATCH_CELLS)
+            work.append((depth + 1, axes[cut], faces[:, cut], s[:, cut]))
     if not math.isfinite(best):
         return None, max_depth
     return best, max_depth
+
+
+def _split_cells(axes, faces, s):
+    """Both halves of every cell, split as certify_lower_bound says."""
+    rows = np.arange(len(axes))
+    widths = faces[1] - faces[0]
+    widths[rows, axes] = -math.inf        # the face axis is no box axis
+    split_s = s[1] - s[0] >= widths.max(axis=1)
+    left_f, right_f = faces.copy(), faces.copy()
+    left_s, right_s = s.copy(), s.copy()
+    mid = 0.5 * (s[0, split_s] + s[1, split_s])
+    left_s[1, split_s], right_s[0, split_s] = mid, mid
+    box, j = rows[~split_s], widths.argmax(axis=1)[~split_s]
+    mid = 0.5 * (faces[0, box, j] + faces[1, box, j])
+    left_f[1, box, j], right_f[0, box, j] = mid, mid
+    return (np.concatenate((axes, axes)),
+            np.concatenate((left_f, right_f), axis=1),
+            np.concatenate((left_s, right_s), axis=1))
+
+
+def _cell_fails(n, axis, face, omega, delta):
+    """Whether an uncertified cell at full depth ends the search: with
+    no omega always; else if its patch holds omega or lies inside the
+    dome (a patch poking outside the dome may touch zero)."""
+    if omega is None:
+        return True
+    lo, hi = face
+    patch = SpherePatch(n, int(axis), int(lo[axis]),
+                        [(lo[i], hi[i]) for i in range(n) if i != axis])
+    return (_patch_contains_omega(patch, omega)
+            or _patch_in_dome(patch, omega, delta))
 
 
 def _patch_contains_omega(patch, omega):

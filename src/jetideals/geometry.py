@@ -15,8 +15,11 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DimensionMismatchError, DomainError
-from .interval import Interval, box_norm
+from .interval import (Interval, batch_add, batch_div, batch_ipow,
+                       batch_sqrt, box_norm)
 
 _NORM_TOL = 1e-12
 
@@ -219,6 +222,29 @@ class SpherePatch:
             self._kids = tuple(SpherePatch(self.n, self.axis, self.sign, combo)
                                for combo in itertools.product(*halves))
         return self._kids
+
+
+def face_boxes(patches):
+    """(axes, faces) of a list of patches: each patch's face axis, and
+    an interval batch (2, N, n) of their `face_intervals` boxes, whose
+    axis column holds the face sign at both endpoints."""
+    boxes = [p.face_intervals() for p in patches]
+    axes = np.array([p.axis for p in patches], dtype=np.intp)
+    faces = np.array([[[iv.lo for iv in box] for box in boxes],
+                      [[iv.hi for iv in box] for box in boxes]])
+    return axes, faces.reshape(2, len(patches), -1)
+
+
+def direction_enclosures(faces):
+    """SpherePatch.direction_enclosure for a batch (2, N, n) of face
+    boxes, as a batch of the same shape: the same operations, in the
+    same order, on interval batches, so each row equals the patch's
+    enclosure bit for bit."""
+    squares = batch_ipow(faces, 2)
+    norm2 = np.zeros((2, faces.shape[1]))
+    for i in range(faces.shape[2]):
+        norm2 = batch_add(norm2, squares[:, :, i])
+    return batch_div(faces, batch_sqrt(norm2)[:, :, None])
 
 
 def sphere_cover(n: int, depth: int = 0):

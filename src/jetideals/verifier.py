@@ -1012,7 +1012,9 @@ def _sampled_bound_check(named_exprs, points, m, n, bound_fn):
     A sampled value above its bound is a true function value, hence a
     genuine witness: verdict fail.  Otherwise pass with the measured
     margins (sampling cannot disprove the sup, so the bounds themselves
-    are reported for scrutiny).
+    are reported for scrutiny).  A row counts as "skipped" the samples
+    where some derivative of its function does not evaluate; the key
+    appears only when there are any.
     """
     rows = []           # (row, alpha, bound, derivative tree)
     for row, (name, G) in enumerate(named_exprs):
@@ -1023,23 +1025,28 @@ def _sampled_bound_check(named_exprs, points, m, n, bound_fn):
     columns = compile_exprs([d for *_, d in rows])(_point_array(points, n))
     worst = [0.0] * len(named_exprs)
     top_at = [None] * len(named_exprs)
+    undefined = [np.zeros(len(points), dtype=bool) for _ in named_exprs]
     # the first (alpha, point) in sampling order that reaches the sup
-    for (row, alpha, limit, _), (vals, _) in zip(rows, columns):
+    for (row, alpha, limit, _), (vals, ok) in zip(rows, columns):
+        undefined[row] |= ~ok
         j, ratio = _first_max(np.abs(vals) / limit)
         if ratio > worst[row]:
             worst[row] = ratio
             top_at[row] = (alpha, j, abs(float(vals[j])), limit)
     results = []
     verdict = PASS
-    for (name, _), ratio, at in zip(named_exprs, worst, top_at):
+    for (name, _), ratio, at, skip in zip(named_exprs, worst, top_at,
+                                          undefined):
         witness = None
         if ratio > 1.0 + 1e-9:
             alpha, j, value, limit = at
             witness = {"alpha": list(alpha), "point": list(points[j]),
                        "value": value, "bound": limit}
             verdict = FAIL
-        results.append({"name": name, "max_ratio": ratio,
-                        "witness": witness})
+        result = {"name": name, "max_ratio": ratio, "witness": witness}
+        if skip.any():
+            result["skipped"] = int(skip.sum())
+        results.append(result)
     return verdict, results
 
 

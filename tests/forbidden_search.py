@@ -58,9 +58,10 @@ def _rotated_form(rng, sig):
 def _higher_terms(rng, sig, lowest):
     """One to three monomials of degree lowest + 1 .. m."""
     monos = [a for a in sig.monomials if sum(a) > lowest]
+    picked = rng.sample(monos, rng.randint(1, min(3, len(monos))))
     return Jet(sig, {a: Fraction(rng.choice((-1, 1)) * rng.randint(1, 6),
                                  rng.randint(2, 8))
-                     for a in rng.sample(monos, rng.randint(1, min(3, len(monos))))})
+                     for a in picked})
 
 
 def _direction(rng, n):

@@ -58,7 +58,12 @@ exceptions.
 The forbidden-cone evaluation that converted each coefficient to an
 Interval per monomial per cell and took each u_i^a per monomial:
 test_integer_elimination.py requires directions._eval_scaled to return
-exactly its enclosure.
+exactly its enclosure on every cell of a batch.
+
+The depth-first cell walk of directions.certify_lower_bound, one
+SpherePatch and s Interval at a time, and its compiled per-cell
+evaluation compiled_eval_scaled: test_forbidden_batches.py requires the
+batched walk to return exactly its (bound, depth).
 
 The sympy identity test that verifier._identity_zero replaced:
 expr_to_sympy writes a tree as a sympy expression (cutoffs at their
@@ -78,7 +83,9 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
-from jetideals.directions import ExactDirection, jet_to_sympy
+from jetideals.directions import (ExactDirection, _compile_scaled,
+                                  _dome_patches, _patch_contains_omega,
+                                  _patch_in_dome, jet_to_sympy)
 from jetideals.errors import (DegreeOverflowError, DimensionMismatchError,
                               DomainError)
 from jetideals.geometry import sphere_cover
@@ -314,14 +321,16 @@ def sampled_bound_check(named_exprs, points, m, n, bound_fn):
     for name, G in named_exprs:
         worst = 0.0
         witness = None
+        skipped = set()
         for alpha in monomials(m, n):
             d = expr_derive(G, alpha)
             if d == ZERO:
                 continue
             limit = bound_fn(name, alpha)
-            for x in points:
+            for k, x in enumerate(points):
                 val = _try_eval(d, x)
                 if val is None:
+                    skipped.add(k)
                     continue
                 ratio = abs(val) / limit
                 if ratio > worst:
@@ -329,8 +338,10 @@ def sampled_bound_check(named_exprs, points, m, n, bound_fn):
                     if ratio > 1.0 + 1e-9:
                         witness = {"alpha": list(alpha), "point": list(x),
                                    "value": abs(val), "bound": limit}
-        results.append({"name": name, "max_ratio": worst,
-                        "witness": witness})
+        result = {"name": name, "max_ratio": worst, "witness": witness}
+        if skipped:
+            result["skipped"] = len(skipped)
+        results.append(result)
         if witness is not None:
             verdict = FAIL
     return verdict, results
@@ -600,6 +611,59 @@ def eval_scaled(jets, s, u_box):
             term = interval_add(term, mono)
         total = interval_add(total, interval_abs(term))
     return total
+
+
+def compiled_eval_scaled(compiled, s, u_box):
+    """Enclosure of sum_l |Q_l(s u)/s^{k_l}| for s >= 0 on one cell,
+    from directions._compile_scaled."""
+    polys, factors, top = compiled
+    s_pows = [Interval(1.0, 1.0)]
+    for _ in range(top):
+        s_pows.append(s_pows[-1] * s)
+    u_pows = {(i, a): u_box[i].ipow(a) for i, a in factors}
+    total = Interval(0.0, 0.0)
+    for poly in polys:
+        term = Interval(0.0, 0.0)
+        for c, d, monomial in poly:
+            mono = Interval(float(c[0, 0]), float(c[1, 0])) * s_pows[d]
+            for f in monomial:
+                mono = mono * u_pows[f]
+            term = term + mono
+        total = total + abs(term)
+    return total
+
+
+def certify_lower_bound(jets, omega, delta, budget, n, target=0.0):
+    scaled = _compile_scaled(jets)
+    work = [(p, Interval(0.0, 1.0), 0) for p in _dome_patches(n, omega, delta)]
+    best = math.inf
+    max_depth = 0
+    while work:
+        patch, s_iv, depth = work.pop()
+        max_depth = max(max_depth, depth)
+        u_box = patch.direction_enclosure()
+        total = compiled_eval_scaled(scaled, s_iv, u_box)
+        if total.lo > target:
+            best = min(best, total.lo)
+            continue
+        if depth >= budget:
+            if _patch_contains_omega(patch, omega) or omega is None:
+                return None, max_depth
+            if _patch_in_dome(patch, omega, delta):
+                return None, max_depth
+            continue
+        widths = [hi - lo for lo, hi in patch.box] + [s_iv.width]
+        if s_iv.width == max(widths):
+            a, b = s_iv.split()
+            work.append((patch, a, depth + 1))
+            work.append((patch, b, depth + 1))
+        else:
+            p1, p2 = patch.subdivide()
+            work.append((p1, s_iv, depth + 1))
+            work.append((p2, s_iv, depth + 1))
+    if not math.isfinite(best):
+        return None, max_depth
+    return best, max_depth
 
 
 def expr_to_sympy(e, syms):

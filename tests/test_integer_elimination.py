@@ -1,10 +1,11 @@
-"""Integer elimination and compiled forbidden-cone evaluation give
-exactly what the Fraction elimination and the per-monomial evaluation
-in scalar_reference.py give."""
+"""Integer elimination and compiled, batched forbidden-cone evaluation
+give exactly what the Fraction elimination and the per-monomial
+evaluation in scalar_reference.py give."""
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import scalar_reference as ref
@@ -188,9 +189,17 @@ def test_compiled_eval_scaled_equals_per_monomial_evaluation(m, n):
         if not jets:
             continue
         compiled = _compile_scaled(jets)
+        cells = []
         for _ in range(10):
             a, b = sorted(rng.random() for _ in range(2))
-            s = Interval(a, b)
-            u_box = rng.choice(patches).direction_enclosure()
-            assert _bits(_eval_scaled(compiled, s, u_box)) \
+            cells.append((Interval(a, b),
+                          rng.choice(patches).direction_enclosure()))
+        # one batch of all ten cells
+        batch = _eval_scaled(
+            compiled, np.array([[s.lo for s, _ in cells],
+                                [s.hi for s, _ in cells]]),
+            np.array([[[iv.lo for iv in u] for _, u in cells],
+                      [[iv.hi for iv in u] for _, u in cells]]))
+        for (s, u_box), lo, hi in zip(cells, *batch):
+            assert _bits(Interval(float(lo), float(hi))) \
                 == _bits(ref.eval_scaled(jets, s, u_box))
