@@ -61,16 +61,39 @@ def _point_array(points, n):
 # Sampling helpers.
 # ---------------------------------------------------------------------------
 
-def _random_unit(rng, n):
-    while True:
-        v = rng.standard_normal(n)
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-9:
-            return tuple(float(c) / norm for c in v)
+def _row_dots(a, b):
+    """Dot product of each row of the (k, n) array a with the matching
+    row of b, or with b itself when it is one vector.  Stacked matmul
+    takes one BLAS dot per row, bit for bit what np.dot and
+    np.linalg.norm give that row; a sum of products written out rounds
+    differently."""
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+
+
+def _unit_rows(rng, count, n, omega=None):
+    """count random unit vectors, projected off the unit vector omega
+    when it is given, as a (count, n) array.
+
+    A row is one standard_normal(n) draw divided by its norm; a row whose
+    norm is at most 1e-9 is dropped and the shortfall drawn again.  The
+    rows and the generator state afterwards are those of count successive
+    one-vector draws, each repeated until its norm passes."""
+    rows = []
+    while count:
+        v = rng.standard_normal((count, n))
+        if omega is not None:
+            w = np.asarray(omega, dtype=float)
+            v = v - _row_dots(v, w)[:, None] * w
+        norm = np.sqrt(_row_dots(v, v))
+        keep = norm > 1e-9
+        rows.append(v[keep] / norm[keep, None])
+        count -= len(rows[-1])
+    return np.concatenate(rows) if rows else np.empty((0, n))
 
 
 def _transverse_unit(rng, n, omega):
-    """Random unit vector orthogonal to omega."""
+    """Random unit vector orthogonal to omega: one row of _unit_rows,
+    drawn on its own at half the cost of a one-row batch."""
     while True:
         v = rng.standard_normal(n)
         v = v - np.dot(v, omega) * np.asarray(omega)
@@ -106,17 +129,19 @@ def _cutoff_feature_scales(exprs):
 
 
 def _unit_annulus_samples(n, K, omegas, rel_scales, rng):
-    """Deterministic sample set on Ann_K(1): 40 random directions at 9
-    radii, enriched with whisker points around each direction of Omega
-    at the given relative transverse scales (cutoff breakpoints divided
-    by the working radius)."""
-    radii = [float(K ** t) for t in np.linspace(-0.95, 0.95, 9)]
-    points = []
-    for _ in range(40):
-        u = _random_unit(rng, n)
-        for s in radii:
-            points.append(tuple(s * c for c in u))
-    omegas = [tuple(w) for w in (omegas or [])]
+    """Deterministic sample set on Ann_K(1), an (N, n) array: 40 random
+    directions at 9 radii, enriched with whisker points around each
+    direction of Omega at the given relative transverse scales (cutoff
+    breakpoints divided by the working radius).
+
+    The directions are drawn as numpy batches (_unit_rows); the points,
+    their order and the generator state afterwards are those of the
+    per-point loop: per direction, each radius in turn; per direction w
+    of Omega, per sorted transverse scale t, three transverse units wt,
+    each giving s w + t wt at every radius s that lies in the annulus."""
+    radii = np.array([float(K ** t) for t in np.linspace(-0.95, 0.95, 9)])
+    blocks = [(_unit_rows(rng, 40, n)[:, None, :]
+               * radii[:, None]).reshape(-1, n)]
     t_values = set()
     for lo, hi in rel_scales:
         for f in (0.25, 0.5, 0.95, 1.0):
@@ -125,16 +150,19 @@ def _unit_annulus_samples(n, K, omegas, rel_scales, rng):
         for f in (0.95, 1.0, 1.5, 4.0):
             t_values.add(hi * f)
     t_values.add(1e-6)
-    for w in omegas:
-        for t in sorted(t_values):
-            for _ in range(3):
-                wt = _transverse_unit(rng, n, w)
-                for s in radii:
-                    x = tuple(s * wc + t * tc for wc, tc in zip(w, wt))
-                    norm = math.sqrt(sum(c * c for c in x))
-                    if 1.0 / K < norm < K:
-                        points.append(x)
-    return points
+    ts = np.array(sorted(t_values))
+    for w in omegas or []:
+        w = np.asarray(w, dtype=float)
+        wt = _unit_rows(rng, 3 * len(ts), n, w).reshape(len(ts), 3, 1, n)
+        # x[t, k, s] = s w + t wt[t, k]
+        x = (radii[:, None] * w + ts[:, None, None, None] * wt).reshape(-1, n)
+        # |x|^2 summed left to right from 0, then one IEEE square root
+        square = np.zeros(len(x))
+        for i in range(n):
+            square += x[:, i] * x[:, i]
+        norm = np.sqrt(square)
+        blocks.append(x[(1.0 / K < norm) & (norm < K)])
+    return np.concatenate(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +201,14 @@ SWEEP_DIRECTIONS = 40        # directions per sweep
 
 def _region_directions(region, n, seed):
     """The sample directions of a shell sweep: from a fresh
-    default_rng(seed), inside the dome of a Cone region, else anywhere
-    on the sphere."""
+    default_rng(seed), inside the dome of a Cone region (a tuple of
+    tuples), else anywhere on the sphere (an (n_dirs, n) array)."""
     if isinstance(region, Cone):
         # float.hex keeps the sign of a zero coordinate, which the dome
         # centers carry into the sample points
         omega_hex = tuple(tuple(map(float.hex, w)) for w in region.omega_set)
         return _cone_directions(omega_hex, region.delta, n, seed)
-    rng = np.random.default_rng(seed)
-    return [_random_unit(rng, n) for _ in range(SWEEP_DIRECTIONS)]
+    return _unit_rows(np.random.default_rng(seed), SWEEP_DIRECTIONS, n)
 
 
 @functools.lru_cache(maxsize=SWEEP_DIRECTION_SETS)
@@ -556,8 +583,17 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
     return NegligibilityCertificate(F, omegas, m, records, meet(*verdicts))
 
 
+# Point pairs of two-point condition (b) per kernel call.
+PAIR_CHUNK = 512
+
+
 def _condition_b(F, derivs, omegas, delta, r, eps, m, n, rng, pair_samples):
-    """Taylor-compatibility condition between pairs of cone points."""
+    """Taylor-compatibility condition between pairs of cone points.
+
+    Pairs are drawn one at a time, as the per-pair loop draws them, and
+    evaluated PAIR_CHUNK pairs to one kernel call.  On a failing pair the
+    generator goes back to where its chunk began and draws the pairs up
+    to that one again, so it is left where the per-pair loop leaves it."""
     separated = all(math.dist(a, b) > 2 * delta
                     for i, a in enumerate(omegas) for b in omegas[:i])
     if delta < 0.25 and separated:
@@ -566,51 +602,68 @@ def _condition_b(F, derivs, omegas, delta, r, eps, m, n, rng, pair_samples):
                         "Taylor's theorem turns the (a) bounds into (b)",
                 "verdict": PASS}
     kernel = compile_exprs([d for _, d in derivs])
-    checked = 0
-    for _ in range(pair_samples):
+    column = {alpha: t for t, (alpha, _) in enumerate(derivs)}
+    # per alpha: its column, m - |alpha|, and (column, beta, beta!) of
+    # each Taylor term d^(alpha + beta) at y
+    taylor_terms = [
+        (column[alpha], m - sum(alpha),
+         [(column[tuple(a + b for a, b in zip(alpha, beta))], beta,
+           math.prod(math.factorial(b) for b in beta))
+          for beta in monomials(m - sum(alpha), n)])
+        for alpha in monomials(m, n)]
+
+    def draw_pair():
         w = omegas[rng.integers(len(omegas))]
         pts = []
         for _ in range(2):
             u = _dome_unit(rng, w, delta)
             s = float(rng.uniform(0.05, 0.98)) * r
             pts.append(tuple(s * float(c) for c in u))
-        x, y = pts
-        # every derivative at x and at y; None where it does not evaluate
-        columns = [(vals.tolist(), good.tolist())
-                   for vals, good in kernel(_point_array(pts, n))]
-        at_x, at_y = ({alpha: vals[j] if good[j] else None
-                       for (alpha, _), (vals, good) in zip(derivs, columns)}
-                      for j in (0, 1))
-        ok = True
-        for alpha in monomials(m, n):
-            ax = at_x[alpha]
-            if ax is None:
-                ok = False
-                break
-            taylor = 0.0
-            rem = m - sum(alpha)
-            for beta in monomials(rem, n):
-                coeff = at_y[tuple(a + b for a, b in zip(alpha, beta))]
-                if coeff is None:
+        return pts
+
+    checked = 0
+    for start in range(0, pair_samples, PAIR_CHUNK):
+        state = rng.bit_generator.state
+        pairs = [draw_pair()
+                 for _ in range(min(PAIR_CHUNK, pair_samples - start))]
+        # every derivative at every point: rows 2j (x) and 2j + 1 (y)
+        columns = kernel(np.array(pairs, dtype=float).reshape(-1, n))
+        values = np.array([vals for vals, _ in columns]).T.tolist()
+        good = np.array([ok for _, ok in columns]).T.tolist()
+        for j, (x, y) in enumerate(pairs):
+            at_x, at_y = values[2 * j], values[2 * j + 1]
+            good_x, good_y = good[2 * j], good[2 * j + 1]
+            ok = True
+            for t, rem, terms in taylor_terms:
+                if not good_x[t]:
                     ok = False
                     break
-                term = coeff
-                for xi, yi, bi in zip(x, y, beta):
-                    term *= (xi - yi) ** bi
-                term /= math.prod(math.factorial(b) for b in beta)
-                taylor += term
-            if not ok:
-                break
-            gap = abs(ax - taylor)
-            allowed = eps * math.dist(x, y) ** rem
-            if gap > allowed * (1 + 1e-9) + 1e-15:
-                return {"method": "two-point sampling",
-                        "verdict": FAIL,
-                        "witness": {"x": list(x), "y": list(y),
-                                    "alpha": list(alpha),
-                                    "gap": gap, "allowed": allowed}}
-        if ok:
-            checked += 1
+                taylor = 0.0
+                for ty, beta, factorial in terms:
+                    if not good_y[ty]:
+                        ok = False
+                        break
+                    term = at_y[ty]
+                    for xi, yi, bi in zip(x, y, beta):
+                        term *= (xi - yi) ** bi
+                    term /= factorial
+                    taylor += term
+                if not ok:
+                    break
+                gap = abs(at_x[t] - taylor)
+                allowed = eps * math.dist(x, y) ** rem
+                if gap > allowed * (1 + 1e-9) + 1e-15:
+                    # leave the generator where the failing pair left it
+                    rng.bit_generator.state = state
+                    for _ in range(j + 1):
+                        draw_pair()
+                    return {"method": "two-point sampling",
+                            "verdict": FAIL,
+                            "witness": {"x": list(x), "y": list(y),
+                                        "alpha": list(derivs[t][0]),
+                                        "gap": gap, "allowed": allowed}}
+            if ok:
+                checked += 1
     return {"method": "two-point sampling", "pairs": checked,
             "verdict": PASS}
 
@@ -989,25 +1042,32 @@ def chi_expr(n: int) -> ScalarExpr:
     return mul(outer, inner)
 
 
+def _chi_points(rng, n):
+    """800 points on 0.26 <= |x| <= 3.9: 20 random directions at each of
+    40 geometric radii, drawn as one numpy batch (_unit_rows), so they
+    equal the points of 800 successive one-direction draws."""
+    radii = np.repeat(np.geomspace(0.26, 3.9, 40), 20)
+    return radii[:, None] * _unit_rows(rng, len(radii), n)
+
+
 def measure_chi_constant(m: int, n: int, seed: int = 0) -> float:
     """C_hat = 2^m * max(1, measured C^m norm of the chi bump).
 
-    Each derivative is measured on its own 800 random points."""
+    Each derivative is measured on its own 800 random points
+    (_chi_points), one batch after another from one generator."""
     chi = chi_expr(n)
     rng = np.random.default_rng(seed)
     top = 1.0
     for alpha in monomials(m, n):
-        points = [tuple(float(s) * c for c in _random_unit(rng, n))
-                  for s in np.geomspace(0.26, 3.9, 40) for _ in range(20)]
-        vals, _ = compile_expr(expr_derive(chi, alpha))(
-            _point_array(points, n))
+        vals, _ = compile_expr(expr_derive(chi, alpha))(_chi_points(rng, n))
         _, measured = _first_max(np.abs(vals))
         top = max(top, measured)
     return 2.0 ** m * top
 
 
 def _sampled_bound_check(named_exprs, points, m, n, bound_fn):
-    """Measure sup |d^alpha G| / bound(name, alpha) over the samples.
+    """Measure sup |d^alpha G| / bound(name, alpha) over the samples,
+    an (N, n) array of points.
 
     A sampled value above its bound is a true function value, hence a
     genuine witness: verdict fail.  Otherwise pass with the measured
@@ -1022,7 +1082,7 @@ def _sampled_bound_check(named_exprs, points, m, n, bound_fn):
             d = expr_derive(G, alpha)
             if d != ZERO:
                 rows.append((row, alpha, bound_fn(name, alpha), d))
-    columns = compile_exprs([d for *_, d in rows])(_point_array(points, n))
+    columns = compile_exprs([d for *_, d in rows])(points)
     worst = [0.0] * len(named_exprs)
     top_at = [None] * len(named_exprs)
     undefined = [np.zeros(len(points), dtype=bool) for _ in named_exprs]
@@ -1040,7 +1100,7 @@ def _sampled_bound_check(named_exprs, points, m, n, bound_fn):
         witness = None
         if ratio > 1.0 + 1e-9:
             alpha, j, value, limit = at
-            witness = {"alpha": list(alpha), "point": list(points[j]),
+            witness = {"alpha": list(alpha), "point": points[j].tolist(),
                        "value": value, "bound": limit}
             verdict = FAIL
         result = {"name": name, "max_ratio": ratio, "witness": witness}
@@ -1090,7 +1150,7 @@ def check_annulus_condition(variant: str, params: dict, p: Jet, Q_list,
     report = {"variant": variant, "params": dict(params)}
 
     if variant == "C":
-        pts = [tuple(rho * c for c in x) for x in unit_pts]
+        pts = rho * unit_pts
         named = [("F", F)] + [(f"S{i+1}", S) for i, S in enumerate(S_list)]
 
         def bound(name, alpha):
@@ -1143,7 +1203,7 @@ def check_annulus_condition(variant: str, params: dict, p: Jet, Q_list,
         S_s = [mul(Const(Fraction(A)), chi, S) for S in S_t]
         # global bound: sample a wider radial range, where chi kills
         # everything outside 1/4 < |x| < 4
-        wide = unit_pts + [tuple(3.8 * c for c in x) for x in unit_pts[:200]]
+        wide = np.concatenate([unit_pts, 3.8 * unit_pts[:200]])
         named = [("Fstar", F_s)] + [(f"Sstar{i+1}", S)
                                     for i, S in enumerate(S_s)]
         verdict_b, rows = _sampled_bound_check(named, wide, m, n,

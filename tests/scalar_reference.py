@@ -14,6 +14,13 @@ verifier._sampled_identity: test_verifier.py requires the kernel-based
 checks to return exactly what these return and, for condition (b), to
 leave the random generator in the same state.
 
+The one-vector-at-a-time sample draws that verifier._unit_rows
+batches: random_unit, the annulus sample set unit_annulus_samples (one
+direction and one point at a time, whiskers through
+verifier._transverse_unit) and the chi points chi_points.
+test_sample_batches.py requires the batched draws to give the same
+points, bit for bit, and to leave the generator in the same state.
+
 The interval tree walk that symfun.compile_interval replaced:
 test_symfun.py requires the compiled interval programs to return
 exactly its enclosures and to raise where it raises.
@@ -93,7 +100,7 @@ from jetideals.interval import Interval, _down, _up
 from jetideals.jetring import monomials
 from jetideals.symfun import (ZERO, Add, Const, Coord, Cutoff, Div, GaugeRef,
                               Mul, Norm, Pow, expr_derive, hom_degree)
-from jetideals.verifier import (FAIL, PASS, _random_unit, _region_directions,
+from jetideals.verifier import (FAIL, PASS, _region_directions,
                                 _transverse_unit, chi_expr)
 
 
@@ -163,6 +170,55 @@ def eval_interval(e, box):
     if isinstance(e, GaugeRef):
         return e.gauge.eval_interval(eval_interval(e.arg, box))
     raise TypeError(f"unknown node {e!r}")
+
+
+def random_unit(rng, n):
+    while True:
+        v = rng.standard_normal(n)
+        norm = float(np.linalg.norm(v))
+        if norm > 1e-9:
+            return tuple(float(c) / norm for c in v)
+
+
+def unit_annulus_samples(n, K, omegas, rel_scales, rng):
+    """The sample set on Ann_K(1) as a list of point tuples, one draw
+    and one point at a time."""
+    radii = [float(K ** t) for t in np.linspace(-0.95, 0.95, 9)]
+    points = []
+    for _ in range(40):
+        u = random_unit(rng, n)
+        for s in radii:
+            points.append(tuple(s * c for c in u))
+    omegas = [tuple(w) for w in (omegas or [])]
+    t_values = set()
+    for lo, hi in rel_scales:
+        for f in (0.25, 0.5, 0.95, 1.0):
+            t_values.add(lo * f)
+        t_values.add(0.5 * (lo + hi))
+        for f in (0.95, 1.0, 1.5, 4.0):
+            t_values.add(hi * f)
+    t_values.add(1e-6)
+    for w in omegas:
+        for t in sorted(t_values):
+            for _ in range(3):
+                wt = _transverse_unit(rng, n, w)
+                for s in radii:
+                    x = tuple(s * wc + t * tc for wc, tc in zip(w, wt))
+                    # left to right from 0: builtin sum compensates on
+                    # Python >= 3.12
+                    square = 0.0
+                    for c in x:
+                        square += c * c
+                    if 1.0 / K < math.sqrt(square) < K:
+                        points.append(x)
+    return points
+
+
+def chi_points(rng, n):
+    """The 800 sample points that measure_chi_constant draws for one
+    derivative: 20 random directions per radius."""
+    return [tuple(float(s) * c for c in random_unit(rng, n))
+            for s in np.geomspace(0.26, 3.9, 40) for _ in range(20)]
 
 
 def _try_eval(e, x):
@@ -306,12 +362,10 @@ def measure_chi_constant(m, n, seed=0):
     top = 1.0
     for alpha in monomials(m, n):
         d = expr_derive(chi, alpha)
-        for s in np.geomspace(0.26, 3.9, 40):
-            for _ in range(20):
-                u = _random_unit(rng, n)
-                val = _try_eval(d, tuple(float(s) * c for c in u))
-                if val is not None:
-                    top = max(top, abs(val))
+        for x in chi_points(rng, n):
+            val = _try_eval(d, x)
+            if val is not None:
+                top = max(top, abs(val))
     return 2.0 ** m * top
 
 

@@ -474,6 +474,36 @@ def test_two_point_condition_b_direct_calls(F, eps, verdict):
     assert ("witness" in result) == (verdict == "fail")
 
 
+@pytest.mark.parametrize("chunk", [verifier.PAIR_CHUNK, 40])
+@pytest.mark.parametrize("eps,verdict", [(1.0, "pass"), (0.055, "fail")])
+def test_two_point_condition_b_across_chunks(monkeypatch, chunk, eps,
+                                             verdict):
+    # On y^4/x the first pair of the seed-7 stream whose Taylor gap
+    # exceeds 0.055 |x - y|^(m - |alpha|) is pair 92: inside the first
+    # chunk of PAIR_CHUNK pairs, and the 12th pair of the third chunk of
+    # 40.  The pass runs 100 pairs, over three chunks of 40.
+    m, n = 2, 2
+    F = expr_parse("y^4/x", n)
+    derivs = [(alpha, expr_derive(F, alpha)) for alpha in monomials(m, n)]
+    monkeypatch.setattr(verifier, "PAIR_CHUNK", chunk)
+
+    def run(condition_b, rng, pairs=100):
+        return condition_b(F, derivs, CLOSE, 0.05, 1.0, eps, m, n, rng,
+                           pairs)
+
+    (got, got_state), (want, want_state) = _condition_b_runs(run)
+    assert got == want and got_state == want_state
+    assert json.loads(got)["verdict"] == verdict
+    if verdict == "fail":
+        # the 91 pairs before it pass
+        before = verifier._condition_b(F, derivs, CLOSE, 0.05, 1.0, eps,
+                                       m, n, np.random.default_rng(7), 91)
+        assert before == {"method": "two-point sampling", "pairs": 91,
+                          "verdict": "pass"}
+    else:
+        assert json.loads(got)["pairs"] == 100
+
+
 def test_chi_constant_scaling():
     # 2^m times the measured cutoff-product constant, at least 2^m
     assert measure_chi_constant(2, 2, seed=0) >= 4.0
