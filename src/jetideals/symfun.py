@@ -468,11 +468,12 @@ def compile_exprs(exprs):
     there.  Elsewhere values equal the scalar tree walk
     eval_float in tests/scalar_reference.py bit for bit: sums run from
     0.0 and products from 1.0, left to right; Pow nodes and norm squares
-    take Python's float power (libm pow) per element, since numpy's
-    power differs in the last bit; cutoffs take CutoffSpec.eval_array;
-    gauges take math.log2 per element, then np.interp, as Gauge.eval
-    does.  Structurally equal subtrees anywhere in the table are
-    evaluated once per chunk of points.
+    take one np.float_power call (_float_pow), which calls libm pow as
+    Python's float power does, since np.power differs in the last bit;
+    cutoffs take CutoffSpec.eval_array, which runs the exact ramp once
+    per distinct offset; gauges take math.log2 per element, then
+    np.interp, as Gauge.eval does.  Structurally equal subtrees anywhere
+    in the table are evaluated once per chunk of points.
 
     Where the walk raises something else (OverflowError from a float
     power, ValueError from a cutoff of a NaN argument), so does the
@@ -532,24 +533,18 @@ def _all_ok(masks, slots):
 
 
 def _float_pow(base, k, ok=None):
-    """base ** k per element through Python floats, as the scalar
-    evaluator computes it.  An overflow raises OverflowError, as there,
-    unless the base failed to evaluate at that point (mask ok)."""
-    values = base.tolist()
-    try:
-        return np.array([v ** k for v in values], dtype=float)
-    except OverflowError:
-        if ok is None:
-            raise
-    out = []
-    for v, good in zip(values, ok.tolist()):
-        try:
-            out.append(v ** k)
-        except OverflowError:
-            if good:
-                raise
-            out.append(math.inf)
-    return np.array(out, dtype=float)
+    """base ** k per element in one np.float_power call, which calls
+    libm pow as Python's float power does (np.power differs in the last
+    bit).  Raises OverflowError where Python's ** does, at a finite base
+    whose power is infinite, unless the base failed to evaluate at that
+    point (mask ok)."""
+    out = np.float_power(base, float(k))
+    over = np.isinf(out) & np.isfinite(base)
+    if ok is not None:
+        over &= ok
+    if over.any():
+        raise OverflowError("float power out of range")
+    return out
 
 
 def _compile_node(e, emit):
@@ -792,8 +787,10 @@ class CutoffSpec:
 
     def eval_array(self, v, order: int = 0, ok=None):
         """eval over a float array, equal to it bit for bit (and raising
-        ValueError on a NaN argument, as eval does).  Points in the
-        transition band where the optional mask ok is False are not
+        ValueError on a NaN argument, as eval does).  The exact ramp runs
+        once per distinct offset in the transition band, whose values
+        are then scattered back to every point with that offset.  Points
+        in the band where the optional mask ok is False are not
         evaluated and read NaN."""
         if order > self.q:
             raise DomainError("cutoff derivative order beyond smoothness")
@@ -806,9 +803,10 @@ class CutoffSpec:
             band &= ok
         idx = np.flatnonzero(band)
         if idx.size:
-            val = np.array(self._ramp_exact((v[idx] - a).tolist(), order))
+            offsets, where = np.unique(v[idx] - a, return_inverse=True)
+            val = np.array(self._ramp_exact(offsets.tolist(), order))
             val /= float(self.width) ** order
-            out[idx] = 1.0 - val if order == 0 else -val
+            out[idx] = (1.0 - val if order == 0 else -val)[where]
         return out
 
     def _ramp_exact(self, offsets, order):
@@ -958,8 +956,12 @@ def gauge_regularize(g: Gauge, check_scales=20) -> RegularizedGauge:
         # so the tail sup is at s = 1 which the grid already contains
         tilde_vals[idx] = min(cand, 2.0)
     tilde = Gauge(f"{g.name}_tilde", t_log2, np.minimum(tilde_vals, 1.0))
-    # keep the unclamped envelope for ratio checks
-    tilde_fn = lambda t: float(np.interp(math.log2(t), t_log2, tilde_vals))
+
+    # the unclamped envelope, for ratio checks, at each t of an array
+    # (math.log2, since np.log2 differs from it in the last bit)
+    def tilde_at(ts):
+        logs = np.fromiter(map(math.log2, ts), float, len(ts))
+        return np.interp(logs, t_log2, tilde_vals)
 
     # mollifier weights: Simpson in u = log v on [log 1/2, log 2]
     n_quad = 64
@@ -972,43 +974,45 @@ def gauge_regularize(g: Gauge, check_scales=20) -> RegularizedGauge:
 
     v_nodes = np.exp(u)
 
+    # one dot product per t, as for a single t: a matrix product sums in
+    # another order
+    def gstar_at(ts):
+        rows = tilde_at((np.asarray(ts)[:, None] / v_nodes).ravel())
+        return np.array([np.dot(phi_w, row)
+                         for row in rows.reshape(-1, v_nodes.size)])
+
     def gstar(t):
-        return float(np.dot(phi_w, [tilde_fn(t / v) for v in v_nodes]))
+        return float(gstar_at([t])[0])
 
     # calibration constant C'': g+ = C'' g* dominates g~
     check_log2 = np.arange(-60.0, 0.0 + 1e-9, 0.5)
     check_t = np.exp2(check_log2)
-    ratio = [tilde_fn(t) / gstar(t) for t in check_t]
-    c_second = float(max(ratio))
+    c_second = float(np.max(tilde_at(check_t) / gstar_at(check_t)))
 
     # quasi-doubling of g~ on grid pairs with ratio in [1/2, 2]
-    qd_worst = 1.0
-    for tl in check_log2:
-        for dl in (-1.0, -0.5, 0.5, 1.0):
-            t2l = tl + dl
-            if t2l < -62.0 or t2l > 2.0:
-                continue
-            r = tilde_fn(2.0 ** tl) / tilde_fn(2.0 ** t2l)
-            qd_worst = max(qd_worst, r, 1.0 / r)
+    pairs = np.array([(2.0 ** tl, 2.0 ** (tl + dl)) for tl in check_log2
+                      for dl in (-1.0, -0.5, 0.5, 1.0)
+                      if -62.0 <= tl + dl <= 2.0])
+    r = tilde_at(pairs[:, 0]) / tilde_at(pairs[:, 1])
+    qd_worst = float(max(1.0, np.max(r), np.max(1.0 / r)))
 
     # finite-difference derivative constants |D^k g*| <= C' t^-k g~
-    c_prime = [0.0, 0.0, 0.0]
-    for t in np.exp2(np.arange(-40.0, -1.0 + 1e-9, 1.0)):
-        h = t / 16.0
-        f0, fp, fm = gstar(t), gstar(t + h), gstar(t - h)
-        gt = tilde_fn(t)
-        c_prime[0] = max(c_prime[0], abs(f0) / gt)
-        c_prime[1] = max(c_prime[1], abs((fp - fm) / (2 * h)) * t / gt)
-        c_prime[2] = max(c_prime[2], abs((fp - 2 * f0 + fm) / h ** 2) * t * t / gt)
+    t = np.exp2(np.arange(-40.0, -1.0 + 1e-9, 1.0))
+    h = t / 16.0
+    f0, fp, fm = gstar_at(t), gstar_at(t + h), gstar_at(t - h)
+    gt = tilde_at(t)
+    c_prime = [np.max(abs(f0) / gt),
+               np.max(abs((fp - fm) / (2 * h)) * t / gt),
+               np.max(abs((fp - 2 * f0 + fm) / h ** 2) * t * t / gt)]
 
     # decay trend of g+ over dyadic scales
-    plus_vals = [c_second * gstar(2.0 ** -j) for j in range(1, check_scales + 1)]
+    scales = np.exp2(-np.arange(1.0, check_scales + 1))
+    plus_vals = (c_second * gstar_at(scales)).tolist()
     monotone = all(b <= a * (1.0 + 1e-9)
                    for a, b in zip(plus_vals, plus_vals[1:]))
     decays = plus_vals[-1] <= 0.5 * plus_vals[0]
 
-    grid_t = np.exp2(g.log2_grid)
-    tilde_on_grid = np.array([tilde_fn(t) for t in grid_t])
+    tilde_on_grid = tilde_at(np.exp2(g.log2_grid))
     report = {
         "envelope_dominates": bool(np.all(tilde_on_grid >= g.values - 1e-15)),
         "quasi_doubling_factor": qd_worst,

@@ -21,6 +21,11 @@ verifier._transverse_unit) and the chi points chi_points.
 test_sample_batches.py requires the batched draws to give the same
 points, bit for bit, and to leave the generator in the same state.
 
+The gauge regularization that called g~ once per point, one scalar
+np.interp at a time, and g* as a dot product over a list of them:
+test_symfun.py requires symfun.gauge_regularize to give the same
+report, envelope and g*, bit for bit.
+
 The interval tree walk that symfun.compile_interval replaced:
 test_symfun.py requires the compiled interval programs to return
 exactly its enclosures and to raise where it raises.
@@ -98,8 +103,9 @@ from jetideals.errors import (DegreeOverflowError, DimensionMismatchError,
 from jetideals.geometry import sphere_cover
 from jetideals.interval import Interval, _down, _up
 from jetideals.jetring import monomials
-from jetideals.symfun import (ZERO, Add, Const, Coord, Cutoff, Div, GaugeRef,
-                              Mul, Norm, Pow, expr_derive, hom_degree)
+from jetideals.symfun import (ZERO, Add, Const, Coord, Cutoff, Div, Gauge,
+                              GaugeRef, Mul, Norm, Pow, RegularizedGauge,
+                              _bump, expr_derive, hom_degree)
 from jetideals.verifier import (FAIL, PASS, _region_directions,
                                 _transverse_unit, chi_expr)
 
@@ -219,6 +225,106 @@ def chi_points(rng, n):
     derivative: 20 random directions per radius."""
     return [tuple(float(s) * c for c in random_unit(rng, n))
             for s in np.geomspace(0.26, 3.9, 40) for _ in range(20)]
+
+
+def gauge_regularize(g: Gauge, check_scales=20) -> RegularizedGauge:
+    """Regularize a gauge: sup envelope, mollification, calibration.
+
+    g~(t)  = sup_s (2t/(t+s)) g(s)   -- computed over a dense log grid of
+             s with s=t always included, so g~ >= g holds exactly on the
+             evaluation grid; the tail s > s_max is dominated using
+             2t/(t+s) <= 2t/s.
+    g*(t)  = integral of phi(v) g~(t/v) dv/v over v in [1/2,2] with a
+             smooth bump phi, evaluated by Simpson in log v and
+             normalized so g* is a convex combination of g~ values.
+    g+     = C'' g* with C'' = max g~/g* on the grid, so g+ >= g~ >= g.
+
+    The report records quasi-doubling factors, finite-difference
+    derivative constants, and the decay trend of g+.
+    """
+    # dense s grid: 2^-60 .. 2^0, 1024 samples per octave
+    s_log2 = np.linspace(-60.0, 0.0, 60 * 1024 + 1)
+    s = np.exp2(s_log2)
+    gs = g.eval_array(s)
+
+    # evaluation grid for g~, slightly wider than (0,1] so that the
+    # mollifier can look one octave past both ends
+    t_log2 = np.arange(-62.0, 2.0 + 1e-9, 0.125)
+    t_vals = np.exp2(t_log2)
+    tilde_vals = np.empty_like(t_vals)
+    for idx, t in enumerate(t_vals):
+        weights = 2.0 * t / (t + s)
+        cand = float(np.max(weights * gs))
+        # include s = t exactly (weight 1): guarantees g~(t) >= g(t)
+        if 2.0 ** -60 <= t <= 1.0:
+            cand = max(cand, g.eval(t))
+        # tail s > 1: g(s) extends as g(1), weight <= 2t/s decreasing,
+        # so the tail sup is at s = 1 which the grid already contains
+        tilde_vals[idx] = min(cand, 2.0)
+    tilde = Gauge(f"{g.name}_tilde", t_log2, np.minimum(tilde_vals, 1.0))
+    # keep the unclamped envelope for ratio checks
+    tilde_fn = lambda t: float(np.interp(math.log2(t), t_log2, tilde_vals))
+
+    # mollifier weights: Simpson in u = log v on [log 1/2, log 2]
+    n_quad = 64
+    u = np.linspace(math.log(0.5), math.log(2.0), n_quad + 1)
+    w = np.ones(n_quad + 1)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    w *= (u[1] - u[0]) / 3.0
+    phi_w = w * _bump(np.exp(u))
+    phi_w /= phi_w.sum()  # convex combination of g~ samples
+
+    v_nodes = np.exp(u)
+
+    def gstar(t):
+        return float(np.dot(phi_w, [tilde_fn(t / v) for v in v_nodes]))
+
+    # calibration constant C'': g+ = C'' g* dominates g~
+    check_log2 = np.arange(-60.0, 0.0 + 1e-9, 0.5)
+    check_t = np.exp2(check_log2)
+    ratio = [tilde_fn(t) / gstar(t) for t in check_t]
+    c_second = float(max(ratio))
+
+    # quasi-doubling of g~ on grid pairs with ratio in [1/2, 2]
+    qd_worst = 1.0
+    for tl in check_log2:
+        for dl in (-1.0, -0.5, 0.5, 1.0):
+            t2l = tl + dl
+            if t2l < -62.0 or t2l > 2.0:
+                continue
+            r = tilde_fn(2.0 ** tl) / tilde_fn(2.0 ** t2l)
+            qd_worst = max(qd_worst, r, 1.0 / r)
+
+    # finite-difference derivative constants |D^k g*| <= C' t^-k g~
+    c_prime = [0.0, 0.0, 0.0]
+    for t in np.exp2(np.arange(-40.0, -1.0 + 1e-9, 1.0)):
+        h = t / 16.0
+        f0, fp, fm = gstar(t), gstar(t + h), gstar(t - h)
+        gt = tilde_fn(t)
+        c_prime[0] = max(c_prime[0], abs(f0) / gt)
+        c_prime[1] = max(c_prime[1], abs((fp - fm) / (2 * h)) * t / gt)
+        c_prime[2] = max(c_prime[2], abs((fp - 2 * f0 + fm) / h ** 2) * t * t / gt)
+
+    # decay trend of g+ over dyadic scales
+    plus_vals = [c_second * gstar(2.0 ** -j) for j in range(1, check_scales + 1)]
+    monotone = all(b <= a * (1.0 + 1e-9)
+                   for a, b in zip(plus_vals, plus_vals[1:]))
+    decays = plus_vals[-1] <= 0.5 * plus_vals[0]
+
+    grid_t = np.exp2(g.log2_grid)
+    tilde_on_grid = np.array([tilde_fn(t) for t in grid_t])
+    report = {
+        "envelope_dominates": bool(np.all(tilde_on_grid >= g.values - 1e-15)),
+        "quasi_doubling_factor": qd_worst,
+        "quasi_doubling_ok": qd_worst <= 4.0 + 1e-9,
+        "derivative_constants": [float(c) for c in c_prime],
+        "calibration_constant": c_second,
+        "plus_values": plus_vals,
+        "decay_monotone": monotone,
+        "decay_halves": decays,
+        "decays": monotone and decays,
+    }
+    return RegularizedGauge(g, tilde, gstar, c_second, report)
 
 
 def _try_eval(e, x):

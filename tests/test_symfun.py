@@ -14,11 +14,11 @@ from jetideals.interval import Interval
 from jetideals.jetring import monomials
 from jetideals.symfun import (Add, Const, Coord, Cutoff, CutoffSpec,
                               DEFAULT_CUTOFF, Div, Gauge, GaugeRef, Mul, Norm,
-                              Pow, ZERO, add, compile_expr, compile_exprs,
-                              compile_interval, div, expr_derive, expr_diff,
-                              expr_eval, expr_parse, expr_str,
-                              gauge_regularize, hom_degree, ipow, mul,
-                              subtrees)
+                              Pow, ZERO, _float_pow, add, compile_expr,
+                              compile_exprs, compile_interval, div,
+                              expr_derive, expr_diff, expr_eval, expr_parse,
+                              expr_str, gauge_regularize, hom_degree, ipow,
+                              mul, subtrees)
 
 import scalar_reference
 
@@ -183,6 +183,40 @@ def test_gauge_regularize_sqrt_quick():
         assert g_tilde >= g.eval(t) - 1e-12
 
 
+def _float_bits(x):
+    """x with every float written by float.hex, its type kept."""
+    if isinstance(x, (list, tuple)):
+        return [_float_bits(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _float_bits(v) for k, v in x.items()}
+    if isinstance(x, float):
+        return type(x).__name__, float.hex(x)
+    return x
+
+
+def test_gauge_regularize_equals_the_pointwise_reference():
+    gauges = [Gauge.from_function("t^0.2", lambda t: t ** 0.2),
+              Gauge.from_function("t^1", lambda t: t, per_octave=64),
+              Gauge.from_function("log", lambda t: 1.0 / (1.0 - math.log(t)),
+                                  per_octave=128),
+              *GAUGES]
+    # dyadic t and random t between the grid nodes
+    rng = np.random.default_rng(2)
+    ts = [2.0 ** -k for k in range(0, 62, 3)]
+    ts += np.exp2(rng.uniform(-61.0, 1.0, 300)).tolist()
+    for g in gauges:
+        for scales in (20, 6):
+            got = gauge_regularize(g, check_scales=scales)
+            want = scalar_reference.gauge_regularize(g, check_scales=scales)
+            assert _float_bits(got.report) == _float_bits(want.report), g.name
+            assert got.c_second.hex() == want.c_second.hex()
+            for attr in ("log2_grid", "values"):
+                assert (getattr(got.tilde, attr).tobytes()
+                        == getattr(want.tilde, attr).tobytes())
+            assert ([_float_bits(got._gstar_fn(t)) for t in ts]
+                    == [_float_bits(want._gstar_fn(t)) for t in ts]), g.name
+
+
 def test_gauge_ref_not_differentiable():
     g = Gauge.from_function("sqrt", math.sqrt, per_octave=8)
     e = expr_parse("gauge(sqrt, norm(x))", 1, gauges={"sqrt": g})
@@ -330,8 +364,9 @@ def test_compiled_cutoff_band_edges_and_orders():
 
 
 def test_compiled_powers_and_norms_take_float_pow():
-    # numpy's power differs from libm pow in the last bit on a few % of
-    # inputs, so this needs many random points to see a difference
+    # np.power differs in the last bit from libm pow, which Python's **
+    # and np.float_power both call, on up to 3 % of these inputs, so this
+    # needs many random points to see a difference
     rng = np.random.default_rng(5)
     pts = rng.uniform(-3.0, 3.0, size=(4000, 2))
     table = [Pow(Coord(0), k) for k in (2, 3, 4)] + [Norm((0, 1))]
@@ -339,6 +374,72 @@ def test_compiled_powers_and_norms_take_float_pow():
         assert ok.all()
         want = [scalar_reference.eval_float(tree, x) for x in pts.tolist()]
         assert all(map(_same_float, vals.tolist(), want)), expr_str(tree)
+
+
+def _python_power(v, k):
+    try:
+        return v ** k
+    except OverflowError:
+        return None
+
+
+def _overflow_edge(k):
+    """The largest float whose k-th power Python's ** gives finite."""
+    x = float(np.finfo(float).max) ** (1.0 / k)
+    while _python_power(x, k) is not None:
+        x = math.nextafter(x, math.inf)
+    while _python_power(x, k) is None:
+        x = math.nextafter(x, 0.0)
+    return x
+
+
+def _power_inputs(k, rng):
+    """Signed zeros, subnormals, infinities and NaN; the 6 floats up to
+    and the 6 past the overflow threshold of x^k, on both signs; random
+    magnitudes across the whole exponent range and random moderate
+    values."""
+    tiny = 5e-324
+    xs = [0.0, -0.0, tiny, -tiny, 2.0 ** -1022 - tiny, 2.0 ** -1050,
+          math.inf, -math.inf, math.nan]
+    edge = _overflow_edge(k)
+    for _ in range(6):
+        edge = math.nextafter(edge, math.inf)
+    for _ in range(12):
+        xs += [edge, -edge]
+        edge = math.nextafter(edge, 0.0)
+    magnitudes = np.ldexp(rng.uniform(0.5, 1.0, 2000),
+                          rng.integers(-1074, 1025, 2000))
+    xs += (magnitudes * rng.choice([-1.0, 1.0], 2000)).tolist()
+    xs += rng.uniform(-3.0, 3.0, 2000).tolist()
+    return xs
+
+
+def test_float_pow_is_python_power_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for k in range(2, 10):
+        xs = _power_inputs(k, rng)
+        want = [_python_power(v, k) for v in xs]
+        over = np.array([w is None for w in want])
+        assert over[9:21].all() and not over[21:33].any()
+        base = np.array(xs)
+        with np.errstate(all="ignore"):
+            got = _float_pow(base, k, ~over)
+            # a failed base never raises, however its power overflows
+            assert np.isinf(_float_pow(base, k, np.zeros(len(xs), bool))
+                            [over]).all()
+        assert all(_same_float(g, w) for g, w, o in
+                   zip(got.tolist(), want, over) if not o), k
+        # an unmasked finite base raises exactly where ** raises
+        for v, w in zip(xs, want):
+            with np.errstate(all="ignore"):
+                try:
+                    _float_pow(np.array([v]), k)
+                    raised = False
+                except OverflowError:
+                    raised = True
+            assert raised == (w is None), (k, v)
+        with pytest.raises(OverflowError), np.errstate(all="ignore"):
+            _float_pow(base, k)
 
 
 def test_compiled_raises_where_scalar_overflows():
@@ -418,6 +519,71 @@ def test_compiled_shares_equal_subtrees_across_the_table():
     compile_exprs([mul(cut, Coord(0)), add(cut, Coord(1)), cut])(
         np.array([[1.0, 1.0]]))
     assert calls == [1]
+
+
+def _shared_norm_points():
+    """Points that share norm(x, y) across several z, as the whisker
+    points around a pole share it across radii: 40 (x, y) pairs, 9 z."""
+    rng = np.random.default_rng(7)
+    xy = rng.uniform(-3.0, 3.0, size=(40, 2))
+    zs = np.geomspace(0.1, 5.0, 9)
+    return np.array([(x, y, z) for x, y in xy.tolist() for z in zs])
+
+
+def test_compiled_cutoff_on_repeated_offsets_equals_the_walk():
+    pts = _shared_norm_points()
+    for spec in SPECS:
+        cut = Cutoff(spec, Norm((0, 1)), Fraction(1, 2))
+        table = _derivative_table(mul(cut, Coord(2)))
+        for tree, (vals, ok) in zip(table, compile_exprs(table)(pts)):
+            assert ok.all()
+            for x, v in zip(pts.tolist(), vals.tolist()):
+                want = scalar_reference.eval_float(tree, x)
+                assert _same_float(v, want), (expr_str(tree), x)
+
+
+def test_ramp_runs_once_per_distinct_offset():
+    spec = CutoffSpec(q=3, a=4, b=8)
+    ramp, calls = spec._ramp_exact, []
+
+    def counting_ramp(offsets, order):
+        calls.append(offsets)
+        return ramp(offsets, order)
+
+    spec._ramp_exact = counting_ramp
+    v = np.array([5.0, 6.5, 5.0, 1.0, 6.5, 9.0, 5.0, 7.25])
+    for order in range(spec.q + 1):
+        got = spec.eval_array(v, order)
+        assert all(map(_same_float, got.tolist(),
+                       [spec.eval(x, order) for x in v.tolist()]))
+    assert calls == [[1.0, 2.5, 3.25]] * (spec.q + 1)
+
+    # 360 points, 40 distinct norms: the kernel's ramp sees each band
+    # offset of its argument norm(x, y) / (1/2) once
+    pts = _shared_norm_points()
+    calls.clear()
+    compile_expr(Cutoff(spec, Norm((0, 1)), Fraction(1, 2)))(pts)
+    arg = compile_expr(Norm((0, 1)))(pts)[0] / 0.5
+    offsets = arg[(arg > 4.0) & (arg < 8.0)] - 4.0
+    assert 0 < len(set(offsets.tolist())) < 40 < len(offsets)
+    assert calls == [sorted(set(offsets.tolist()))]
+
+
+def test_ramp_on_duplicates_keeps_nan_errors_and_masks():
+    spec = DEFAULT_CUTOFF
+    with pytest.raises(ValueError):
+        spec.eval_array(np.array([5.0, math.nan, 5.0, math.nan]))
+    with pytest.raises(ValueError):
+        compile_expr(Cutoff(spec, Coord(0), 1))(
+            np.array([[math.nan], [5.0], [math.nan]]))
+    # a masked duplicate of an evaluated offset stays NaN
+    ok = np.array([True, False, True, False])
+    for order in range(spec.q + 1):
+        got = spec.eval_array(np.array([5.0, 5.0, 6.0, 1.0]), order, ok)
+        assert math.isnan(got[1])
+        assert got[3] == (1.0 if order == 0 else 0.0)
+        assert _same_float(got[0], spec.eval(5.0, order))
+        assert _same_float(got[2], spec.eval(6.0, order))
 
 
 # -- compiled interval programs and kept derivative tables ---------------------
