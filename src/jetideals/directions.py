@@ -9,7 +9,11 @@ u_i = 0, so the system is reduced exactly, and what is left in two
 variables goes to the plane solver.  Only two or more parts in three or
 more free variables go to sympy.solve; a set that is not finite (or
 that the solver cannot handle) falls back to an interval-certified patch
-cover.
+cover.  sympy is imported inside the functions that build exact
+directions, so it loads on the first allowed-set call and never for the
+forbidden-direction search.  They call it as sympy.solve(...) and
+sympy.simplify(...), attributes of the module, where a tracer that
+wraps those attributes sees them.
 
 Forbidden-direction certificates assert sum_l |Q_l(x)| > c|x|^m on a
 cone.  Writing x = s*u with u on the sphere and pulling the homogeneous
@@ -28,8 +32,6 @@ import functools
 import math
 
 import numpy as np
-import sympy
-from sympy.polys.polyerrors import BasePolynomialError
 
 from .errors import DomainError
 from .geometry import (Dome, SpherePatch, direction_enclosures, face_boxes,
@@ -45,6 +47,7 @@ CANDIDATE_ALLOWED = "candidate_allowed"
 
 def jet_to_sympy(p: Jet, syms):
     """p as a sympy polynomial in syms (any sympy expressions)."""
+    import sympy
     expr = sympy.Integer(0)
     for alpha, c in p.coeffs.items():
         term = sympy.Rational(c.numerator, c.denominator)
@@ -178,6 +181,7 @@ def _plane_zero_set(parts):
     over QQ; sympy gives each as a Rational or as a CRootOf on its
     irreducible factor, both canonical.
     """
+    import sympy
     t = sympy.Symbol("t", real=True)
 
     dirs = []
@@ -201,8 +205,9 @@ def _plane_zero_set(parts):
     return dirs
 
 
-def _at_x_one(p: Jet, t) -> sympy.Poly:
+def _at_x_one(p: Jet, t):
     """p(1, t) as a polynomial over QQ, read off the jet's coefficients."""
+    import sympy
     coeffs = {}
     for (_, j), c in p.coeffs.items():
         coeffs[j] = coeffs.get(j, 0) + c
@@ -221,6 +226,7 @@ def _exact_zero_set(parts, n):
     hypersurface (finite on the sphere only if empty) and only two or
     more parts go to sympy.solve.
     """
+    import sympy
     free, system = _reduce_forced(parts, n)
     if not free:
         return []
@@ -276,6 +282,7 @@ def _reduce_forced(parts, n):
 def _lifted(n, free, sym):
     """The direction with exact coordinates sym on the free variables
     and exact zeros elsewhere."""
+    import sympy
     full = [sympy.Integer(0)] * n
     for i, v in zip(free, sym):
         full[i] = v
@@ -299,6 +306,8 @@ def _is_sphere_power(p: Jet, free) -> bool:
 def _solved_zero_set(system, free, n):
     """sympy.solve on the reduced system and the unit sphere in the free
     variables, lifted to R^n; None if the solution set is not finite."""
+    import sympy
+    from sympy.polys.polyerrors import BasePolynomialError
     syms = sympy.symbols(f"u0:{n}", real=True)
     unknowns = [syms[i] for i in free]
     equations = [jet_to_sympy(p, syms) for p in system]
@@ -352,6 +361,7 @@ def exact_zero_residual(direction: ExactDirection, p: Jet):
     Used to confirm zero residual in exact arithmetic for reported
     allowed directions.
     """
+    import sympy
     if direction.sym is None:
         raise DomainError("direction carries no exact data")
     syms = sympy.symbols(f"u0:{len(direction.sym)}", real=True)

@@ -742,7 +742,8 @@ def _poly_eval_interval(coeffs, u: Interval) -> Interval:
 class CutoffSpec:
     """Cutoff theta: 1 on [0,a], 0 on [b,inf), a degree-(2q+1) smoothstep
     spline in between.  Exact rational coefficients; certified sup bounds
-    for |theta^(k)|, k <= q, measured once by interval subdivision."""
+    for |theta^(k)|, k <= q (derivative_bounds), measured by interval
+    subdivision on first read and kept on the instance."""
 
     def __init__(self, q: int = 3, a=4, b=8):
         if q < 1:
@@ -758,7 +759,10 @@ class CutoffSpec:
         for _ in range(q):
             self._polys.append(_poly_deriv(self._polys[-1]))
         self._int_polys = [_integer_poly(p) for p in self._polys]
-        self.derivative_bounds = [self._measure_bound(k) for k in range(q + 1)]
+
+    @functools.cached_property
+    def derivative_bounds(self):
+        return [self._measure_bound(k) for k in range(self.q + 1)]
 
     def _measure_bound(self, k: int) -> float:
         """Certified upper bound for sup |theta^(k)| (outer scaling included)."""

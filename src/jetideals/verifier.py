@@ -12,12 +12,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
-from sympy.polys.domains import QQ
-from sympy.polys.orderings import lex
-from sympy.polys.rings import PolyRing
 
 from .directions import allow_overapprox, forbidden_certificate_search
 from .errors import DomainError
@@ -738,13 +736,14 @@ def _identity_zero(p: Jet, pairs, F: ScalarExpr, rho=1, f_scale=1,
     scales are exact rationals.
 
     Each term becomes a (numerator, denominator) pair of polynomials over
-    QQ, with no gcd taken, and the residual is zero iff the numerator of
-    their sum is 0.  A Norm node over k >= 2 coordinates, outside every
-    cutoff, is a generator r_j with r_j^2 = s_j, the sum of its squared
-    coordinates.  The r_j come first in a lex ring, so {r_j^2 - s_j} is
-    a Groebner basis (its leading monomials are coprime), and every
-    denominator and the final numerator are reduced by it to degree <= 1
-    in each r_j.  The s_j are distinct irreducibles, so the products of
+    QQ (_Poly), with no gcd taken, and the residual is zero iff the
+    numerator of their sum is 0.  A Norm node over k >= 2 coordinates,
+    outside every cutoff, is a generator r_j with r_j^2 = s_j, the sum of
+    its squared coordinates.  Every denominator and the final numerator
+    are reduced to degree <= 1 in each r_j, by r_j^e -> r_j^(e mod 2)
+    s_j^(e div 2).  That is the unique remainder modulo {r_j^2 - s_j}, a
+    Groebner basis in any order with the r_j first (its leading monomials
+    are coprime).  The s_j are distinct irreducibles, so the products of
     their roots are linearly independent over QQ(x): the ring is a
     domain, and a reduced 0 is the zero function.  A one-coordinate norm
     is |x_i|, read as x_i and as -x_i, once per sign pattern: the
@@ -757,28 +756,72 @@ def _identity_zero(p: Jet, pairs, F: ScalarExpr, rho=1, f_scale=1,
                    key=lambda e: e.indices)
     signed = [e for e in found if len(e.indices) == 1]
     roots = [e for e in found if len(e.indices) > 1]
-    ring = PolyRing([f"r{j}" for j in range(len(roots))]
-                    + [f"x{i}" for i in range(p.sig.n)], QQ, lex)
-    xs = ring.gens[len(roots):]
-    basis = [r ** 2 - sum(xs[i] ** 2 for i in e.indices)
-             for r, e in zip(ring.gens, roots)]
+    k, n = len(roots), p.sig.n
+    gens = [_Poly({tuple(int(i == j) for i in range(k + n)): Fraction(1)})
+            for j in range(k + n)]
+    one, xs = _Poly({(0,) * (k + n): Fraction(1)}), gens[k:]
+    squares = [sum((xs[i] ** 2 for i in e.indices), _Poly()) for e in roots]
+    leaves = {Coord(i): x for i, x in enumerate(xs)}
+    leaves.update(zip(roots, gens))
     for signs in itertools.product((1, -1), repeat=len(signed)):
-        norms = dict(zip(roots, ring.gens))
-        norms.update((e, s * xs[e.indices[0]]) for e, s in zip(signed, signs))
+        leaves.update((e, xs[e.indices[0]] * s)
+                      for e, s in zip(signed, signs))
         try:
-            num, den = _ring_fraction(F, ring, norms, basis)
-            num, den = _fraction_add(_ring_jet(p, ring, rho), ring.one,
-                                     -QQ(f_scale) * num, den)
+            num, den = _ring_fraction(F, one, leaves, squares)
+            num, den = _fraction_add(_ring_jet(p, k, rho), one,
+                                     num * -Fraction(f_scale), den)
             for Q, S in pairs:
-                s_num, s_den = _ring_fraction(S, ring, norms, basis)
-                num, den = _fraction_add(
-                    num, den, -QQ(s_scale) * s_num * _ring_jet(Q, ring, rho),
-                    s_den)
+                s_num, s_den = _ring_fraction(S, one, leaves, squares)
+                s_num = s_num * -Fraction(s_scale) * _ring_jet(Q, k, rho)
+                num, den = _fraction_add(num, den, s_num, s_den)
         except _ZeroDenominator:
             return False
-        if num.rem(basis):
+        if num.rem(squares):
             return False
     return True
+
+
+class _Poly(dict):
+    """A polynomial over QQ in the identity ring, {exponent tuple: nonzero
+    Fraction}, the generators r_j first and then x; the zero polynomial
+    is the empty dict, and dict equality is polynomial equality.  It has
+    +, products, scalar multiples (on the right; -1 for a difference),
+    powers k >= 1 and the remainder modulo {r_j^2 - s_j}; no gcd and no
+    division."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _collect(itertools.chain(self.items(), other.items()))
+
+    def __mul__(self, other):
+        if not isinstance(other, _Poly):
+            return _collect((m, c * other) for m, c in self.items())
+        return _collect((tuple(map(operator.add, m, n)), c * d)
+                        for m, c in self.items() for n, d in other.items())
+
+    def __pow__(self, k):
+        return functools.reduce(operator.mul, [self] * k)
+
+    def rem(self, squares):
+        """The remainder modulo {r_j^2 - s_j} (squares lists the s_j):
+        each r_j^e becomes r_j^(e mod 2) s_j^(e div 2)."""
+        out = self
+        for j, s in enumerate(squares):
+            terms = []
+            for m, c in out.items():
+                low = _Poly({m[:j] + (m[j] % 2,) + m[j + 1:]: c})
+                terms += (low * s ** (m[j] // 2) if m[j] > 1 else low).items()
+            out = _collect(terms)
+        return out
+
+
+def _collect(terms):
+    """The _Poly sum of (monomial, coefficient) pairs."""
+    out = {}
+    for m, c in terms:
+        out[m] = out[m] + c if m in out else c
+    return _Poly({m: c for m, c in out.items() if c})
 
 
 class _ZeroDenominator(Exception):
@@ -794,11 +837,11 @@ def _free_norms(e: ScalarExpr) -> set:
     return set().union(*map(_free_norms, e.children()))
 
 
-def _ring_jet(p: Jet, ring, rho):
-    """p(rho x) in the polynomial ring, whose last generators are x."""
-    pad = (0,) * (ring.ngens - p.sig.n)
-    return ring.from_dict({pad + alpha: QQ(c * rho ** sum(alpha))
-                           for alpha, c in p.coeffs.items()})
+def _ring_jet(p: Jet, k, rho):
+    """p(rho x) in the identity ring, after k generators r_j."""
+    pad = (0,) * k
+    return _collect((pad + alpha, c * rho ** sum(alpha))
+                    for alpha, c in p.coeffs.items())
 
 
 def _fraction_add(a, b, c, d):
@@ -808,41 +851,39 @@ def _fraction_add(a, b, c, d):
     return a * d + c * b, b * d
 
 
-def _ring_fraction(e: ScalarExpr, ring, norms, basis):
-    """e as a (numerator, denominator) pair of ring polynomials, cutoff
-    nodes at their plateau value (1 for the cutoff, 0 for its
-    derivatives) and each Norm node at its value in `norms`; a
-    denominator is reduced by `basis` before its zero test."""
+def _ring_fraction(e: ScalarExpr, one, leaves, squares):
+    """e as a (numerator, denominator) pair of _Poly, cutoff nodes at
+    their plateau value (1 for the cutoff, 0 for its derivatives) and each
+    Coord and Norm node at its value in `leaves`; a denominator is
+    reduced modulo {r_j^2 - s_j} before its zero test."""
     if isinstance(e, Const):
-        return ring(QQ(e.value)), ring.one
-    if isinstance(e, Coord):
-        return ring.gens[len(basis) + e.i], ring.one
+        return one * e.value, one
+    if isinstance(e, (Coord, Norm)):
+        return leaves[e], one
     if isinstance(e, Add):
-        num, den = ring.zero, ring.one
+        num, den = _Poly(), one
         for t in e.terms:
             num, den = _fraction_add(num, den,
-                                     *_ring_fraction(t, ring, norms, basis))
+                                     *_ring_fraction(t, one, leaves, squares))
         return num, den
     if isinstance(e, Mul):
-        num, den = ring.one, ring.one
+        num, den = one, one
         for f in e.factors:
-            f_num, f_den = _ring_fraction(f, ring, norms, basis)
+            f_num, f_den = _ring_fraction(f, one, leaves, squares)
             num, den = num * f_num, den * f_den
         return num, den
     if isinstance(e, Pow):
-        num, den = _ring_fraction(e.base, ring, norms, basis)
+        num, den = _ring_fraction(e.base, one, leaves, squares)
         return num ** e.k, den ** e.k
     if isinstance(e, Div):
-        a, b = _ring_fraction(e.num, ring, norms, basis)
-        c, d = _ring_fraction(e.den, ring, norms, basis)
-        c = c.rem(basis)
+        a, b = _ring_fraction(e.num, one, leaves, squares)
+        c, d = _ring_fraction(e.den, one, leaves, squares)
+        c = c.rem(squares)
         if not c:
             raise _ZeroDenominator
         return a * d, b * c
     if isinstance(e, Cutoff):
-        return (ring.one if e.order == 0 else ring.zero), ring.one
-    if isinstance(e, Norm):
-        return norms[e], ring.one
+        return (one if e.order == 0 else _Poly()), one
     raise DomainError(f"node {type(e).__name__} has no symbolic form")
 
 

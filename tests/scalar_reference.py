@@ -86,6 +86,13 @@ residuals with square roots, residual_zero reads each |x_i| per orthant
 and reduces the numerator by sympy.reduced modulo r^2 - s, one symbol r
 per square root sqrt(s).  test_residual_zero.py requires the ring
 decision to agree with it on random residuals, norms included.
+
+The identity test on sympy's PolyRing that verifier._identity_zero ran
+before it got its own exact ring: identity_zero builds the same
+(numerator, denominator) pairs in a lex PolyRing over QQ, the r_j first,
+and reduces by PolyElement.rem modulo {r_j^2 - s_j}.
+test_residual_zero.py requires the verifier's ring to decide every
+residual as it does, zero denominators included.
 """
 
 import itertools
@@ -94,6 +101,9 @@ from fractions import Fraction
 
 import numpy as np
 import sympy
+from sympy.polys.domains import QQ
+from sympy.polys.orderings import lex
+from sympy.polys.rings import PolyRing
 
 from jetideals.directions import (ExactDirection, _compile_scaled,
                                   _dome_patches, _patch_contains_omega,
@@ -883,3 +893,95 @@ def residual_zero(residual, syms):
         if rem != 0:
             return False
     return True
+
+
+def identity_zero(p, pairs, F, rho=1, f_scale=1, s_scale=1):
+    """p(rho x) - f_scale F(x) - s_scale sum S_l(x) Q_l(rho x) == 0,
+    decided in a lex PolyRing over QQ: a Norm over k >= 2 coordinates is
+    a generator r_j (first in the ring), reduced by rem modulo
+    {r_j^2 - s_j}; |x_i| is read as x_i and as -x_i, once per orthant; a
+    denominator that reduces to 0 fails the identity."""
+    pairs = list(pairs)
+    found = sorted(set().union(*map(_free_norms, [F] + [S for _, S in pairs])),
+                   key=lambda e: e.indices)
+    signed = [e for e in found if len(e.indices) == 1]
+    roots = [e for e in found if len(e.indices) > 1]
+    ring = PolyRing([f"r{j}" for j in range(len(roots))]
+                    + [f"x{i}" for i in range(p.sig.n)], QQ, lex)
+    xs = ring.gens[len(roots):]
+    basis = [r ** 2 - sum(xs[i] ** 2 for i in e.indices)
+             for r, e in zip(ring.gens, roots)]
+    for signs in itertools.product((1, -1), repeat=len(signed)):
+        norms = dict(zip(roots, ring.gens))
+        norms.update((e, s * xs[e.indices[0]]) for e, s in zip(signed, signs))
+        try:
+            num, den = _polyring_fraction(F, ring, norms, basis)
+            num, den = _fraction_add(_polyring_jet(p, ring, rho), ring.one,
+                                     -QQ(f_scale) * num, den)
+            for Q, S in pairs:
+                s_num, s_den = _polyring_fraction(S, ring, norms, basis)
+                s_num = -QQ(s_scale) * s_num * _polyring_jet(Q, ring, rho)
+                num, den = _fraction_add(num, den, s_num, s_den)
+        except _ZeroDenominator:
+            return False
+        if num.rem(basis):
+            return False
+    return True
+
+
+class _ZeroDenominator(Exception):
+    pass
+
+
+def _free_norms(e):
+    if isinstance(e, Norm):
+        return {e}
+    if isinstance(e, (Cutoff, GaugeRef)):
+        return set()
+    return set().union(*map(_free_norms, e.children()))
+
+
+def _polyring_jet(p, ring, rho):
+    pad = (0,) * (ring.ngens - p.sig.n)
+    return ring.from_dict({pad + alpha: QQ(c * rho ** sum(alpha))
+                           for alpha, c in p.coeffs.items()})
+
+
+def _fraction_add(a, b, c, d):
+    if b == d:
+        return a + c, b
+    return a * d + c * b, b * d
+
+
+def _polyring_fraction(e, ring, norms, basis):
+    if isinstance(e, Const):
+        return ring(QQ(e.value)), ring.one
+    if isinstance(e, Coord):
+        return ring.gens[len(basis) + e.i], ring.one
+    if isinstance(e, Add):
+        num, den = ring.zero, ring.one
+        for t in e.terms:
+            num, den = _fraction_add(
+                num, den, *_polyring_fraction(t, ring, norms, basis))
+        return num, den
+    if isinstance(e, Mul):
+        num, den = ring.one, ring.one
+        for f in e.factors:
+            f_num, f_den = _polyring_fraction(f, ring, norms, basis)
+            num, den = num * f_num, den * f_den
+        return num, den
+    if isinstance(e, Pow):
+        num, den = _polyring_fraction(e.base, ring, norms, basis)
+        return num ** e.k, den ** e.k
+    if isinstance(e, Div):
+        a, b = _polyring_fraction(e.num, ring, norms, basis)
+        c, d = _polyring_fraction(e.den, ring, norms, basis)
+        c = c.rem(basis)
+        if not c:
+            raise _ZeroDenominator
+        return a * d, b * c
+    if isinstance(e, Cutoff):
+        return (ring.one if e.order == 0 else ring.zero), ring.one
+    if isinstance(e, Norm):
+        return norms[e], ring.one
+    raise DomainError(f"node {type(e).__name__} has no symbolic form")

@@ -10,9 +10,11 @@ one-coordinate norm |x_i| is read as x_i and as -x_i, once per orthant.
 No sympy.simplify call is made.  The sympy test that this replaced,
 expr_to_sympy and residual_zero, is kept in tests/scalar_reference.py as
 the reference the random residuals are compared against, with its
-sympy.simplify fallback replaced by an exact reduction."""
+sympy.simplify fallback replaced by an exact reduction.  The ring is the
+package's own (verifier._Poly); the sympy PolyRing it replaced is kept
+as scalar_reference.identity_zero, which must reach the same decision
+on random trees, norms and identically zero denominators included."""
 
-import ast
 import contextlib
 import json
 import math
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from jetideals import verifier
 from jetideals.corpus import _intro_annulus_inputs, case_by_id, run_case
@@ -36,7 +38,7 @@ from jetideals.verifier import (ImplicationCertificate, _identity_zero,
                                 check_annulus_condition,
                                 check_strong_directional,
                                 symbolic_residual_zero)
-from scalar_reference import expr_to_sympy, residual_zero
+from scalar_reference import expr_to_sympy, identity_zero, residual_zero
 
 N = 2
 SIG = RingSignature(3, N)
@@ -75,17 +77,6 @@ def _identity_calls(monkeypatch):
 
     monkeypatch.setattr(verifier, "_identity_zero", recorded)
     return record
-
-
-def test_verifier_imports_only_the_polynomial_backend_of_sympy():
-    tree = ast.parse(Path(verifier.__file__).read_text())
-    modules = [alias.name for node in ast.walk(tree)
-               if isinstance(node, ast.Import) for alias in node.names]
-    modules += [node.module for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and node.module]
-    sympy_modules = [m for m in modules if m.split(".")[0] == "sympy"]
-    assert sympy_modules
-    assert all(m.startswith("sympy.polys.") for m in sympy_modules)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +232,121 @@ def _at_a_point(residual):
                              sympy.Rational(2, 13))))
     value = residual.subs(point).evalf(30)
     return f"residual {residual} = {value} at {point}"
+
+
+# ---------------------------------------------------------------------------
+# The package's own exact ring decides as sympy's PolyRing did.
+# ---------------------------------------------------------------------------
+
+MULTI_NORMS = [Norm((0, 1)), Norm((1, 2)), Norm((0, 1, 2))]
+ONE_COORD_NORMS = [Norm((0,)), Norm((1,)), Norm((2,))]
+
+
+def _same_decision(p, pairs, F, *scales):
+    """verifier._identity_zero decides as the PolyRing reference
+    (scalar_reference.identity_zero); returns the decision."""
+    want = identity_zero(p, pairs, F, *scales)
+    assert _identity_zero(p, pairs, F, *scales) is want
+    return want
+
+
+def _relation(r):
+    """norm^2 - (sum of its squared coordinates): zero, by r^2 = s alone
+    for a norm over k >= 2 coordinates."""
+    return add(ipow(r, 2), *(mul(Const(-1), ipow(Coord(i), 2))
+                             for i in r.indices))
+
+
+def _norm_trees(pool):
+    """(trees, denominators that are not identically zero in any
+    orthant), the norm leaves drawn from pool."""
+    norms = st.sampled_from(pool)
+    dens = st.one_of(
+        st.builds(Const, small.filter(lambda c: c != 0)),
+        coords3,
+        st.builds(lambda c, k: add(mul(c, c), Const(k)), coords3,
+                  st.integers(1, 3)),
+        norms,
+        st.builds(lambda r, c: add(r, Const(c)), norms, small))
+    trees = st.recursive(
+        st.one_of(st.builds(Const, small), coords3, norms, plateau_cutoffs),
+        _extender(dens), max_leaves=6)
+    return trees, dens
+
+
+def _norm_tree_case(data, pool):
+    """A drawn identity (p, pairs, F, rho, f_scale, s_scale) and whether
+    it holds by construction."""
+    trees, dens = _norm_trees(pool)
+    a, b, c = (data.draw(trees) for _ in range(3))
+    d = data.draw(dens)
+    p, q = data.draw(jets3), data.draw(jets3)
+    rho, f_scale, s_scale = (data.draw(scales) for _ in range(3))
+    r = data.draw(st.sampled_from(pool))
+    pick = data.draw(st.integers(0, 3))
+    S = div(add(a, b), d)
+    split = add(_jet_expr(p, rho),
+                mul(Const(-s_scale), add(div(a, d), div(b, d)),
+                    _jet_expr(q, rho)))
+    F = [split,
+         add(split, mul(c, _relation(r))),
+         add(split, mul(c, Coord(0))),
+         mul(Const(f_scale), c)][pick]
+    return (p, [(q, S)], mul(Const(1 / f_scale), F), rho, f_scale,
+            s_scale), pick < 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(trees, trees, trees, dens, jets, jets, st.integers(0, 4))
+def test_exact_ring_agrees_with_polyring_on_rational_trees(a, b, c, d, p, q,
+                                                          pick):
+    candidates = _two_ways(a, b, c, d, p) + [
+        _minus(_jet_expr(p, 1), mul(a, b, _jet_expr(q, 1)))]
+    zero = _same_decision(ZERO_JET, [], candidates[pick])
+    if pick < 4:
+        assert zero
+    _same_decision(p, [(q, div(add(a, b), d))], c)
+
+
+@pytest.mark.parametrize("pool", [MULTI_NORMS, ONE_COORD_NORMS],
+                         ids=["multi-coordinate", "one-coordinate"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_exact_ring_agrees_with_polyring_on_norm_trees(pool, data):
+    # one-coordinate norms run once per orthant
+    case, zero = _norm_tree_case(data, pool)
+    decision = _same_decision(*case)
+    if zero:
+        assert decision
+
+
+@settings(max_examples=30, deadline=None)
+@given(ring_trees, jets3, st.sampled_from(MULTI_NORMS + ONE_COORD_NORMS),
+       st.integers(0, 2))
+def test_exact_ring_agrees_with_polyring_on_zero_denominators(a, p, r, pick):
+    zero_den = [_relation(r), _minus(a, a), _minus(Norm((0,)), Coord(0))][pick]
+    assume(not isinstance(zero_den, Const))
+    F = add(_jet_expr(p, 1), div(add(a, Coord(0)), zero_den))
+    assert _same_decision(p, [], F) is False
+
+
+def test_a_ring_without_the_square_reduction_fails_the_comparison(
+        monkeypatch):
+    monkeypatch.setattr(verifier._Poly, "rem", lambda self, squares: self)
+    p = jet_parse("x^2", SIG3)
+    for F in ["x^2 + norm(x,y)^2 - x^2 - y^2",
+              "x^2 + (x - x)/(norm(x,y,z)^2 - x^2 - y^2 - z^2)"]:
+        with pytest.raises(AssertionError):
+            _same_decision(p, [], expr_parse(F, N3))
+
+    @settings(max_examples=40, deadline=None, database=None,
+              phases=[Phase.generate])
+    @given(data=st.data())
+    def compare(data):
+        _same_decision(*_norm_tree_case(data, MULTI_NORMS)[0])
+
+    with pytest.raises(AssertionError):
+        compare()
 
 
 @pytest.mark.parametrize("F,zero", [

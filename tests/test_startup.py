@@ -1,0 +1,115 @@
+"""Start-up: importing jetideals measures nothing and loads no sympy.
+
+The cutoff bounds of DEFAULT_CUTOFF are measured on first read, and
+sympy is imported only inside the exact allowed-set solvers.  So the
+annulus conditions, the flat/tame and negligibility checks and a
+`jetideals verify-annulus` call run without it, and the first
+allow_overapprox call loads it.  This test process has sympy loaded
+already, so each check runs in a fresh interpreter."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh(code):
+    """Run code in a fresh interpreter with src/ first on the path; the
+    JSON of its last output line."""
+    path = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_sympy_and_measures_no_cutoff_bound():
+    assert _fresh(
+        "import json, sys\n"
+        "import jetideals\n"
+        "print(json.dumps(['sympy' in sys.modules, 'derivative_bounds'"
+        " in jetideals.DEFAULT_CUTOFF.__dict__]))") == [False, False]
+
+
+def test_cutoff_bounds_are_measured_once_on_first_read():
+    from jetideals.symfun import CutoffSpec
+    spec = CutoffSpec(q=3, a=4, b=8)
+    assert "derivative_bounds" not in spec.__dict__
+    bounds = spec.derivative_bounds
+    assert spec.__dict__["derivative_bounds"] is bounds
+    assert spec.derivative_bounds is bounds
+    assert bounds == [spec._measure_bound(k) for k in range(spec.q + 1)]
+
+
+@pytest.mark.parametrize("variant", ["C", "C*", "C**"])
+def test_annulus_conditions_load_no_sympy(variant):
+    verdict, loaded = _fresh(
+        "import json, sys\n"
+        "from jetideals import (RingSignature, check_annulus_condition,\n"
+        "                       expr_parse, jet_parse)\n"
+        "from jetideals.corpus import _intro_annulus_inputs\n"
+        "inp = _intro_annulus_inputs()\n"
+        "sig, n = RingSignature(inp['m'], inp['n']), inp['n']\n"
+        f"report = check_annulus_condition({variant!r}, inp['params'],\n"
+        "    jet_parse(inp['p'], sig), [jet_parse(q, sig) for q in inp['Q']],\n"
+        "    expr_parse(inp['F'], n), [expr_parse(s, n) for s in inp['S']],\n"
+        "    inp['omegas'], seed=0)\n"
+        "print(json.dumps([report['verdict'], 'sympy' in sys.modules]))")
+    assert verdict == "pass"
+    assert loaded is False
+
+
+def test_verify_annulus_cli_loads_no_sympy(tmp_path):
+    from jetideals.corpus import _intro_annulus_inputs
+    inputs = _intro_annulus_inputs()
+    cert = {"ideal": {"m": 2, "n": 3, "generators": ["x^2", "y^2 - x*z"]},
+            "target": inputs["p"], "F": inputs["F"],
+            "terms": [{"Q": Q, "S": S, "C": 50.0}
+                      for Q, S in zip(inputs["Q"], inputs["S"])],
+            "annulus": dict(inputs["params"], omegas=inputs["omegas"])}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, loaded = _fresh(
+        "import json, sys\n"
+        "from jetideals.cli import main\n"
+        f"code = main(['verify-annulus', '--cert', {str(path)!r}])\n"
+        "print(json.dumps([code, 'sympy' in sys.modules]))")
+    assert code == 0
+    assert loaded is False
+
+
+def test_tame_and_negligible_checks_load_no_sympy():
+    # strong-xy's S and F near the poles
+    verdicts, loaded = _fresh(
+        "import json, sys\n"
+        "from jetideals import (Cone, Direction, check_negligible,\n"
+        "                       check_tame, expr_parse)\n"
+        "poles = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]\n"
+        "cone = Cone([Direction(w) for w in poles], 0.5, 1.0)\n"
+        "tame = check_tame(expr_parse('-y/z', 3), cone, 2, 3, bound=50.0)\n"
+        "neg = check_negligible(expr_parse('y^3/z', 3), poles, 2, 3)\n"
+        "print(json.dumps([[tame.verdict, neg.verdict],"
+        " 'sympy' in sys.modules]))")
+    assert verdicts == ["pass", "pass"]
+    assert loaded is False
+
+
+def test_allowed_set_loads_sympy():
+    found, loaded = _fresh(
+        "import json, sys\n"
+        "from jetideals import (JetIdeal, RingSignature, allow_overapprox,\n"
+        "                       jet_parse)\n"
+        "sig = RingSignature(2, 3)\n"
+        "before = 'sympy' in sys.modules\n"
+        "I = JetIdeal(sig, [jet_parse(g, sig) for g in ('x^2', 'y^2 - x*z')])\n"
+        "found = allow_overapprox(I).to_json()\n"
+        "print(json.dumps([found, [before, 'sympy' in sys.modules]]))")
+    assert found == {"exact": True,
+                     "directions": [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]]}
+    assert loaded == [False, True]
