@@ -457,6 +457,11 @@ def _exact_constant(value):
 
 _CHUNK = 1024   # points per pass; bounds the memory of the shared subtrees
 
+# Kernels kept for the process, one per distinct table of trees (trees
+# compare by structure, as for compile_interval), so a derivative table
+# that later checks evaluate again is compiled once.
+KERNELS = 1 << 8
+
 
 def compile_exprs(exprs):
     """Compile a table of trees into one evaluator over point arrays.
@@ -478,7 +483,14 @@ def compile_exprs(exprs):
     Where the walk raises something else (OverflowError from a float
     power, ValueError from a cutoff of a NaN argument), so does the
     evaluator, for any point where that node's operands evaluate.
+
+    Equal tables get the same evaluator back (KERNELS are kept).
     """
+    return _compile_table(tuple(exprs))
+
+
+@functools.lru_cache(maxsize=KERNELS)
+def _compile_table(exprs):
     slots = {}
     program = []
 

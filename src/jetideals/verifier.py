@@ -24,8 +24,8 @@ from .geometry import (Cone, Direction, Dome, dome_membership,
 from .ideal import JetIdeal
 from .interval import Interval
 from .jetring import Jet, monomials
-from .symfun import (Add, Const, Cutoff, Div, GaugeRef, Mul, Norm, Pow,
-                     ScalarExpr, ZERO, add, compile_expr, compile_exprs,
+from .symfun import (KERNELS, Add, Const, Cutoff, Div, GaugeRef, Mul, Norm,
+                     Pow, ScalarExpr, ZERO, add, compile_expr, compile_exprs,
                      compile_interval, div, expr_derive, expr_str,
                      hom_degree, ipow, mul, subtrees, DEFAULT_CUTOFF,
                      Coord)
@@ -1106,49 +1106,132 @@ def measure_chi_constant(m: int, n: int, seed: int = 0) -> float:
     return 2.0 ** m * top
 
 
+@functools.lru_cache(maxsize=KERNELS)
+def _derivative_table(exprs, m, n):
+    """Every nonzero derivative of order <= m of the trees (a tuple),
+    tree by tree in monomial order: the (row, alpha) of each, and the
+    derivatives.  Tables are kept for the process, as their kernels
+    are (KERNELS)."""
+    index, trees = [], []
+    for row, G in enumerate(exprs):
+        for alpha in monomials(m, n):
+            d = expr_derive(G, alpha)
+            if d != ZERO:
+                index.append((row, alpha))
+                trees.append(d)
+    return tuple(index), tuple(trees)
+
+
+def _row_maxima(rows, index, limits, columns):
+    """Per row, from one (values, ok) column per (row, alpha) of index
+    and its bound: the sup of |value| / bound, the first (alpha, sample,
+    |value|, bound) in sampling order that reaches it (None when no
+    sample is above 0), and the count of samples where some column of
+    the row is not ok."""
+    out = []
+    for row in range(rows):
+        picks = [k for k, (r, _) in enumerate(index) if r == row]
+        if not picks:
+            out.append((0.0, None, 0))
+            continue
+        vals = np.array([columns[k][0] for k in picks])
+        bounds = np.array([limits[k] for k in picks])
+        # alpha-major order: the first maximum is the first in sampling order
+        j, ratio = _first_max((np.abs(vals) / bounds[:, None]).ravel())
+        at = None
+        if ratio > 0.0:
+            t, j = divmod(j, vals.shape[1])
+            at = (index[picks[t]][1], j, abs(float(vals[t, j])),
+                  limits[picks[t]])
+        undefined = ~np.array([columns[k][1] for k in picks]).all(axis=0)
+        out.append((max(ratio, 0.0), at, int(undefined.sum())))
+    return out
+
+
 def _sampled_bound_check(named_exprs, points, m, n, bound_fn):
-    """Measure sup |d^alpha G| / bound(name, alpha) over the samples,
-    an (N, n) array of points.
+    """_row_maxima of |d^alpha G| / bound_fn(name, alpha) over the
+    samples, an (N, n) array of points, one row per (name, G): the
+    derivative table of all rows runs on one compiled kernel."""
+    index, trees = _derivative_table(tuple(G for _, G in named_exprs), m, n)
+    limits = [bound_fn(named_exprs[row][0], alpha) for row, alpha in index]
+    return _row_maxima(len(named_exprs), index, limits,
+                       compile_exprs(trees)(points))
+
+
+def _leibniz_columns(chi, scaled, points, rho, m, n):
+    """d^alpha H at the samples (an (N, n) array) for H(x) =
+    chi(x) c G(rho x), one row per (c, G) of scaled with c and rho exact:
+    the (row, alpha) index and one (values, ok) column per entry.
+
+    By Leibniz and the chain rule d^alpha H(x) is the sum over
+    beta <= alpha of binom(alpha, beta) c rho^|alpha-beta|
+    d^beta chi(x) (d^(alpha-beta) G)(rho x).  chi's table runs at the
+    points and the tables of the G at rho times the points, so no table
+    depends on c or rho.  The terms run in monomial order of beta, each
+    as (coefficient * chi value) * G value with the coefficient rounded
+    once from its exact value, summed from 0.0.  A term with a zero
+    factor tree is left out, and a sample is ok where both factors of
+    every term are; an alpha with no term has no column."""
+    chi_index, chi_trees = _derivative_table((chi,), m, n)
+    chi_cols = dict(zip((beta for _, beta in chi_index),
+                        compile_exprs(chi_trees)(points)))
+    g_index, g_trees = _derivative_table(tuple(G for _, G in scaled), m, n)
+    g_cols = dict(zip(g_index, compile_exprs(g_trees)(float(rho) * points)))
+    index, columns = [], []
+    for row, (c, _) in enumerate(scaled):
+        for alpha in monomials(m, n):
+            acc, ok, terms = 0.0, True, 0
+            for beta in monomials(sum(alpha), n):
+                rest = tuple(a - b for a, b in zip(alpha, beta))
+                if (min(rest) < 0 or beta not in chi_cols
+                        or (row, rest) not in g_cols):
+                    continue
+                coef = float(math.prod(map(math.comb, alpha, beta)) * c
+                             * rho ** sum(rest))
+                (d_chi, chi_ok), (d_g, g_ok) = chi_cols[beta], g_cols[row, rest]
+                acc = acc + coef * d_chi * d_g
+                ok = ok & chi_ok & g_ok
+                terms += 1
+            if terms:
+                index.append((row, alpha))
+                columns.append((acc, ok))
+    return index, columns
+
+
+def _leibniz_bound_check(chi, scaled, points, rho, m, n, limit):
+    """_row_maxima of |d^alpha H| / limit over the samples, H and its
+    derivatives as in _leibniz_columns."""
+    index, columns = _leibniz_columns(chi, scaled, points, rho, m, n)
+    return _row_maxima(len(scaled), index, [limit] * len(index), columns)
+
+
+def _bound_rows(names, maxima, points, unit=False):
+    """Report rows and verdict of the rows' maxima, witness points
+    taken from points.
 
     A sampled value above its bound is a true function value, hence a
     genuine witness: verdict fail.  Otherwise pass with the measured
     margins (sampling cannot disprove the sup, so the bounds themselves
     are reported for scrutiny).  A row counts as "skipped" the samples
     where some derivative of its function does not evaluate; the key
-    appears only when there are any.
-    """
-    rows = []           # (row, alpha, bound, derivative tree)
-    for row, (name, G) in enumerate(named_exprs):
-        for alpha in monomials(m, n):
-            d = expr_derive(G, alpha)
-            if d != ZERO:
-                rows.append((row, alpha, bound_fn(name, alpha), d))
-    columns = compile_exprs([d for *_, d in rows])(points)
-    worst = [0.0] * len(named_exprs)
-    top_at = [None] * len(named_exprs)
-    undefined = [np.zeros(len(points), dtype=bool) for _ in named_exprs]
-    # the first (alpha, point) in sampling order that reaches the sup
-    for (row, alpha, limit, _), (vals, ok) in zip(rows, columns):
-        undefined[row] |= ~ok
-        j, ratio = _first_max(np.abs(vals) / limit)
-        if ratio > worst[row]:
-            worst[row] = ratio
-            top_at[row] = (alpha, j, abs(float(vals[j])), limit)
-    results = []
+    appears only when there are any.  unit: the rows are of functions
+    rescaled to the bound 1, so a witness's value is its ratio."""
+    rows = []
     verdict = PASS
-    for (name, _), ratio, at, skip in zip(named_exprs, worst, top_at,
-                                          undefined):
+    for name, (ratio, at, skipped) in zip(names, maxima):
         witness = None
         if ratio > 1.0 + 1e-9:
             alpha, j, value, limit = at
+            if unit:
+                value, limit = ratio, 1.0
             witness = {"alpha": list(alpha), "point": points[j].tolist(),
                        "value": value, "bound": limit}
             verdict = FAIL
-        result = {"name": name, "max_ratio": ratio, "witness": witness}
-        if skip.any():
-            result["skipped"] = int(skip.sum())
-        results.append(result)
-    return verdict, results
+        row = {"name": name, "max_ratio": ratio, "witness": witness}
+        if skipped:
+            row["skipped"] = skipped
+        rows.append(row)
+    return verdict, rows
 
 
 def check_annulus_condition(variant: str, params: dict, p: Jet, Q_list,
@@ -1171,6 +1254,21 @@ def check_annulus_condition(variant: str, params: dict, p: Jet, Q_list,
     interval arithmetic confirms every cutoff sits on its plateau over
     the region, then the plateau-substituted residual is tested for
     zero exactly in a polynomial ring (_identity_zero).
+
+    Every variant's bound rows come from the derivative tables of F and
+    the S_l, kept for the process with their compiled kernels, so no
+    draw of rho, eps or A derives or compiles a table again.  C's rows
+    hold d^a F and d^a S_l at the points rho u of the unit samples u.
+    By the chain rule d^a Ftilde(u) = (d^a F)(rho u) / (eps rho^(m-|a|))
+    and d^a Stilde_l(u) = (d^a S_l)(rho u) / (A rho^-|a|): each C* ratio
+    to the bound 1 is C's ratio at rho u.  So C* runs C's row check and
+    reports its rows under its own names, equal to C's bit for bit; a
+    witness is reported at its unit sample u, with the ratio as its
+    value.  C** sums d^a F* and d^a S*_l by Leibniz from chi's table at
+    the samples (wider ones, where chi kills everything outside
+    1/4 < |x| < 4) and those of F and the S_l at rho times the samples
+    (_leibniz_bound_check).  The rescaled trees (expr_scale_coords) serve
+    only the identity.
     """
     m, n = p.sig.m, p.sig.n
     A = float(params["A"])
@@ -1180,6 +1278,8 @@ def check_annulus_condition(variant: str, params: dict, p: Jet, Q_list,
     rho = float(params["rho"])
     if not 0 < rho <= r:
         raise DomainError("need 0 < rho <= r")
+    if variant not in ("C", "C*", "C**"):
+        raise DomainError(f"unknown variant {variant!r}")
     omegas = [tuple(float(c) for c in w) for w in omegas]
     rng = np.random.default_rng(seed)
 
@@ -1187,22 +1287,31 @@ def check_annulus_condition(variant: str, params: dict, p: Jet, Q_list,
     scales = _cutoff_feature_scales([F] + list(S_list))
     rel_scales = [(lo / rho, hi / rho) for lo, hi in scales]
     unit_pts = _unit_annulus_samples(n, 4.0, omegas, rel_scales, rng)
+    named = [("F", F)] + [(f"S{i+1}", S) for i, S in enumerate(S_list)]
 
     report = {"variant": variant, "params": dict(params)}
+    extra = {}
 
-    if variant == "C":
-        pts = rho * unit_pts
-        named = [("F", F)] + [(f"S{i+1}", S) for i, S in enumerate(S_list)]
-
+    if variant != "C**":
         def bound(name, alpha):
             if name == "F":
                 return eps * rho ** (m - sum(alpha))
             return A * rho ** (-sum(alpha))
 
-        verdict_b, rows = _sampled_bound_check(named, pts, m, n, bound)
+        pts = rho * unit_pts
+        maxima = _sampled_bound_check(named, pts, m, n, bound)
+    if variant != "C":
+        # rescaled trees for the identity of C* and C**
+        f_scale = Fraction(1) / (Fraction(eps) * rho_frac ** m)
+        F_t = mul(Const(f_scale), expr_scale_coords(F, rho_frac))
+        S_t = [mul(Const(Fraction(1) / Fraction(A)),
+                   expr_scale_coords(S, rho_frac)) for S in S_list]
+
+    if variant == "C":
+        verdict_b, rows = _bound_rows([name for name, _ in named], maxima,
+                                      pts)
         boxes = _region_boxes(omegas, delta, rho / 2, 2 * rho, n)
-        id_exprs = [F] + list(S_list)
-        plateau = _plateaus_certified(id_exprs, boxes,
+        plateau = _plateaus_certified([F] + list(S_list), boxes,
                                       s_range=(rho / 2, 2 * rho), n=n)
         if plateau:
             id_ok = _identity_zero(p, zip(Q_list, S_list), F)
@@ -1211,54 +1320,37 @@ def check_annulus_condition(variant: str, params: dict, p: Jet, Q_list,
             id_ok, id_method = _sampled_identity(
                 p, list(zip(Q_list, S_list)), F, 1.0, 1.0, 1.0,
                 omegas, delta, rho / 2, 2 * rho, n, rng)
-        report.update({"bounds": rows, "identity": {
-            "method": id_method, "zero": id_ok}})
-        report["verdict"] = meet(verdict_b, _IDENTITY_VERDICT[id_ok])
-        return report
-
-    # rescaled data shared by C* and C**
-    F_t = mul(Const(Fraction(1) / (Fraction(eps) * rho_frac ** m)),
-              expr_scale_coords(F, rho_frac))
-    S_t = [mul(Const(Fraction(1) / Fraction(A)), expr_scale_coords(S, rho_frac))
-           for S in S_list]
-
-    if variant == "C*":
-        named = [("Ftilde", F_t)] + [(f"Stilde{i+1}", S)
-                                     for i, S in enumerate(S_t)]
-        verdict_b, rows = _sampled_bound_check(named, unit_pts, m, n,
-                                               lambda name, alpha: 1.0)
+    elif variant == "C*":
+        verdict_b, rows = _bound_rows(
+            [name[0] + "tilde" + name[1:] for name, _ in named], maxima,
+            unit_pts, unit=True)
         id_ok, id_method = _scaled_identity(p, Q_list, F_t, S_t, eps, A,
                                             rho_frac, omegas, delta, n, rng,
                                             s_star=None)
-        report.update({"bounds": rows, "identity": {
-            "method": id_method, "zero": id_ok}})
-        report["verdict"] = meet(verdict_b, _IDENTITY_VERDICT[id_ok])
-        return report
-
-    if variant == "C**":
+    else:
         chi = chi_expr(n)
         if chi_constant is None:
             chi_constant = measure_chi_constant(m, n, seed=seed)
-        A_target = float(params.get("A_target", chi_constant * A + chi_constant))
-        F_s = mul(chi, F_t)
-        S_s = [mul(Const(Fraction(A)), chi, S) for S in S_t]
+        A_target = float(params.get("A_target",
+                                    chi_constant * A + chi_constant))
         # global bound: sample a wider radial range, where chi kills
-        # everything outside 1/4 < |x| < 4
+        # everything outside 1/4 < |x| < 4; S*_l = chi S_l(rho x), as A
+        # cancels exactly
         wide = np.concatenate([unit_pts, 3.8 * unit_pts[:200]])
-        named = [("Fstar", F_s)] + [(f"Sstar{i+1}", S)
-                                    for i, S in enumerate(S_s)]
-        verdict_b, rows = _sampled_bound_check(named, wide, m, n,
-                                               lambda name, alpha: A_target)
-        id_ok, id_method = _scaled_identity(p, Q_list, F_s, S_s, eps, 1.0,
-                                            rho_frac, omegas, delta, n, rng,
-                                            s_star=S_s)
-        report.update({"bounds": rows, "chi_constant": chi_constant,
-                       "A_target": A_target,
-                       "identity": {"method": id_method, "zero": id_ok}})
-        report["verdict"] = meet(verdict_b, _IDENTITY_VERDICT[id_ok])
-        return report
-
-    raise DomainError(f"unknown variant {variant!r}")
+        maxima = _leibniz_bound_check(
+            chi, [(f_scale, F)] + [(Fraction(1), S) for S in S_list], wide,
+            rho_frac, m, n, A_target)
+        verdict_b, rows = _bound_rows(
+            [name[0] + "star" + name[1:] for name, _ in named], maxima, wide)
+        S_s = [mul(Const(Fraction(A)), chi, S) for S in S_t]
+        id_ok, id_method = _scaled_identity(p, Q_list, mul(chi, F_t), S_s,
+                                            eps, 1.0, rho_frac, omegas,
+                                            delta, n, rng, s_star=S_s)
+        extra = {"chi_constant": chi_constant, "A_target": A_target}
+    report.update({"bounds": rows, **extra,
+                   "identity": {"method": id_method, "zero": id_ok}})
+    report["verdict"] = meet(verdict_b, _IDENTITY_VERDICT[id_ok])
+    return report
 
 
 def _scaled_identity(p, Q_list, F_expr, S_exprs, eps, A, rho_frac, omegas,

@@ -21,10 +21,20 @@ requires every later version of the code to reproduce it byte for byte.
 Regenerate it (only when a report is meant to change) with
 
     PYTHONPATH=src python tests/annulus_reports.py tests/data/annulus_reports.json
+
+and see first what would move with
+
+    PYTHONPATH=src python tests/annulus_reports.py --diff tests/data/annulus_reports.json
+
+which prints every field that differs from the golden (path, old value,
+new value, relative change) and a summary.  It exits non-zero when any
+field moved other than a C* or C** max_ratio or witness value, the
+figures that rounding moves when the rows are computed another way.
 """
 
 import json
 import math
+import re
 import sys
 
 from jetideals.verifier import check_annulus_condition
@@ -75,6 +85,51 @@ def dump(records):
     return json.dumps(records, indent=1) + "\n"
 
 
+ROUNDING = re.compile(
+    r"\[\d+\]\.reports\.C\*\*?\.bounds\[\d+\]\.(max_ratio|witness\.value)")
+
+
+def _leaves(value, path=""):
+    """{path: leaf} of a JSON value."""
+    if isinstance(value, dict):
+        items = [(f"{path}.{k}" if path else k, v) for k, v in value.items()]
+    elif isinstance(value, list):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+    else:
+        return {path: value}
+    out = {}
+    for key, v in items:
+        out.update(_leaves(v, key))
+    return out
+
+
+def diff(old, new):
+    """Print the fields of new that differ from old; return the number
+    of them that are not rounding (ROUNDING)."""
+    old, new = _leaves(old), _leaves(new)
+    moved, other, largest = 0, 0, 0.0
+    for path in list(old) + [p for p in new if p not in old]:
+        a, b = old.get(path, "<absent>"), new.get(path, "<absent>")
+        if a == b and (path in old) == (path in new):
+            continue
+        moved += 1
+        rel = "-"
+        if all(isinstance(v, float) for v in (a, b)):
+            change = abs(b - a) / abs(a) if a else math.inf
+            largest = max(largest, change)
+            rel = f"{change:.3g}"
+        if not (ROUNDING.fullmatch(path) and rel != "-"):
+            other += 1
+        print(f"{path}: {a!r} -> {b!r} (relative change {rel})")
+    print(f"{moved} fields moved, {other} of them not rounding; largest "
+          f"relative change {largest:.3g}")
+    return other
+
+
 if __name__ == "__main__":
+    records = json.loads(dump([record(i) for i in range(CASES)]))
+    if sys.argv[1] == "--diff":
+        with open(sys.argv[2]) as fh:
+            sys.exit(1 if diff(json.load(fh), records) else 0)
     with open(sys.argv[1], "w") as fh:
-        fh.write(dump([record(i) for i in range(CASES)]))
+        fh.write(dump(records))

@@ -31,9 +31,18 @@ test_symfun.py requires the compiled interval programs to return
 exactly its enclosures and to raise where it raises.
 
 The point-by-point loops over eval_float that verifier._sampled_bound_check,
-verifier._shell_sweep and verifier.measure_chi_constant replaced:
-test_compiled_callers.py requires the compiled callers to return exactly
-what these return, witnesses included.
+verifier._leibniz_bound_check, verifier._shell_sweep and
+verifier.measure_chi_constant replaced: test_compiled_callers.py
+requires the compiled callers to return exactly what these return,
+witnesses included.  The Leibniz loop sums its terms in the kernel's
+order, so its values are the kernel's bit for bit.
+
+The C* and C** bound rows that check_annulus_condition took from
+derivatives of the rescaled trees (expr_scale_coords), derived and
+compiled again for every rho: rescaled_bound_rows.
+test_annulus_rescaling.py requires the rows built from the tables of F
+and the S_l to give the same verdicts, witness multi-indices and points
+and skipped counts, and maxima and witness values within 1e-12 relative.
 
 The unshared negligibility dome walk that verifier._dome_sup replaced:
 each call builds its own cover, re-tests and re-encloses every cell, and
@@ -105,6 +114,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing
 
+from jetideals import verifier
 from jetideals.directions import (ExactDirection, _compile_scaled,
                                   _dome_patches, _patch_contains_omega,
                                   _patch_in_dome, jet_to_sympy)
@@ -115,9 +125,11 @@ from jetideals.interval import Interval, _down, _up
 from jetideals.jetring import monomials
 from jetideals.symfun import (ZERO, Add, Const, Coord, Cutoff, Div, Gauge,
                               GaugeRef, Mul, Norm, Pow, RegularizedGauge,
-                              _bump, expr_derive, hom_degree)
-from jetideals.verifier import (FAIL, PASS, _region_directions,
-                                _transverse_unit, chi_expr)
+                              _bump, expr_derive, hom_degree, mul)
+from jetideals.verifier import (FAIL, PASS, _cutoff_feature_scales,
+                                _region_directions, _transverse_unit,
+                                _unit_annulus_samples, chi_expr,
+                                expr_scale_coords)
 
 
 def eval_float(e, x):
@@ -486,12 +498,9 @@ def measure_chi_constant(m, n, seed=0):
 
 
 def sampled_bound_check(named_exprs, points, m, n, bound_fn):
-    results = []
-    verdict = PASS
+    maxima = []
     for name, G in named_exprs:
-        worst = 0.0
-        witness = None
-        skipped = set()
+        worst, top, skipped = 0.0, None, set()
         for alpha in monomials(m, n):
             d = expr_derive(G, alpha)
             if d == ZERO:
@@ -505,16 +514,81 @@ def sampled_bound_check(named_exprs, points, m, n, bound_fn):
                 ratio = abs(val) / limit
                 if ratio > worst:
                     worst = ratio
-                    if ratio > 1.0 + 1e-9:
-                        witness = {"alpha": list(alpha), "point": list(x),
-                                   "value": abs(val), "bound": limit}
-        result = {"name": name, "max_ratio": worst, "witness": witness}
-        if skipped:
-            result["skipped"] = len(skipped)
-        results.append(result)
-        if witness is not None:
-            verdict = FAIL
-    return verdict, results
+                    top = (alpha, k, abs(val), limit)
+        maxima.append((worst, top, len(skipped)))
+    return maxima
+
+
+def leibniz_bound_check(chi, scaled, points, rho, m, n, limit):
+    maxima = []
+    for c, G in scaled:
+        worst, top, skipped = 0.0, None, set()
+        for alpha in monomials(m, n):
+            terms = []
+            for beta in monomials(sum(alpha), n):
+                rest = tuple(a - b for a, b in zip(alpha, beta))
+                if min(rest) < 0:
+                    continue
+                d_chi, d_g = expr_derive(chi, beta), expr_derive(G, rest)
+                if d_chi == ZERO or d_g == ZERO:
+                    continue
+                coef = float(math.prod(map(math.comb, alpha, beta)) * c
+                             * rho ** sum(rest))
+                terms.append((coef, d_chi, d_g))
+            if not terms:
+                continue
+            for k, x in enumerate(points):
+                x_rho = [float(rho) * float(v) for v in x]
+                acc = 0.0
+                for coef, d_chi, d_g in terms:
+                    a, b = _try_eval(d_chi, x), _try_eval(d_g, x_rho)
+                    if a is None or b is None:
+                        acc = None
+                        break
+                    acc += coef * a * b
+                if acc is None:
+                    skipped.add(k)
+                    continue
+                ratio = abs(acc) / limit
+                if ratio > worst:
+                    worst = ratio
+                    top = (alpha, k, abs(acc), limit)
+        maxima.append((worst, top, len(skipped)))
+    return maxima
+
+
+def rescaled_bound_rows(variant, params, p, F, S_list, omegas, seed,
+                        A_target=None):
+    """(verdict, rows) of the C* or C** bounds as check_annulus_condition
+    measured them on the rescaled trees: the derivatives of
+    eps^-1 rho^-m F(rho x) and A^-1 S_l(rho x) (C*), or of chi times
+    them and A chi S_l (C**, bound A_target), through
+    verifier._sampled_bound_check at the unit samples (C**: and the
+    wider ones) of the check's seed."""
+    m, n = p.sig.m, p.sig.n
+    A, eps = Fraction(float(params["A"])), Fraction(float(params["eps"]))
+    rho = float(params["rho"])
+    rho_q = Fraction(rho)
+    omegas = [tuple(float(c) for c in w) for w in omegas]
+    rel_scales = [(lo / rho, hi / rho)
+                  for lo, hi in _cutoff_feature_scales([F] + list(S_list))]
+    points = _unit_annulus_samples(n, 4.0, omegas, rel_scales,
+                                   np.random.default_rng(seed))
+    F_t = mul(Const(1 / (eps * rho_q ** m)), expr_scale_coords(F, rho_q))
+    S_t = [mul(Const(1 / A), expr_scale_coords(S, rho_q)) for S in S_list]
+    if variant == "C*":
+        named = [("Ftilde", F_t)] + [(f"Stilde{i+1}", S)
+                                     for i, S in enumerate(S_t)]
+        limit = 1.0
+    else:
+        chi = chi_expr(n)
+        named = [("Fstar", mul(chi, F_t))] + [
+            (f"Sstar{i+1}", mul(Const(A), chi, S)) for i, S in enumerate(S_t)]
+        points = np.concatenate([points, 3.8 * points[:200]])
+        limit = A_target
+    maxima = verifier._sampled_bound_check(named, points, m, n,
+                                           lambda name, alpha: limit)
+    return verifier._bound_rows([name for name, _ in named], maxima, points)
 
 
 def _cell_outside_dome(patch, omegas, delta):

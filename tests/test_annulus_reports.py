@@ -2,8 +2,10 @@
 for byte.
 
 tests/data/annulus_reports.json was captured from the per-point
-sample loops; see annulus_reports.py for the cases and what each
-records.
+sample loops.  It was re-captured once when the C* and C** rows came to
+be built from the derivative tables of F, the S_l and chi: only C* and
+C** maxima and witness values moved, by rounding (annulus_reports.py
+--diff).  See annulus_reports.py for the cases and what each records.
 """
 
 import pathlib

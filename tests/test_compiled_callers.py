@@ -3,6 +3,7 @@ reference loops return: verdicts, max ratios, witnesses, shell tables
 and the chi constant, compared as JSON text."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ def scalar_run(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(verifier, "_sampled_bound_check",
                           scalar_reference.sampled_bound_check)
+            patch.setattr(verifier, "_leibniz_bound_check",
+                          scalar_reference.leibniz_bound_check)
             patch.setattr(verifier, "_shell_sweep",
                           scalar_reference.shell_sweep)
             patch.setattr(verifier, "measure_chi_constant",
@@ -65,11 +68,29 @@ def test_annulus_draws_match_scalar(scalar_run, variant):
     assert '"witness": {' in compiled
 
 
-def test_annulus_c_star_star_matches_scalar(scalar_run):
-    # chi_constant comes from measure_chi_constant on both sides
-    compiled, scalar = scalar_run(_annulus("C**", 0))
+def test_annulus_c_star_star_matches_scalar():
+    # C**'s Leibniz rows on every 16th of its samples at seed 0 and on a
+    # point with z = 0, where F and S do not evaluate; bound 1, which
+    # S's row breaks
+    params, p, Q, F, S = _intro_annulus()
+    rho = Fraction(params["rho"])
+    scales = [(lo / params["rho"], hi / params["rho"])
+              for lo, hi in verifier._cutoff_feature_scales([F] + S)]
+    unit = verifier._unit_annulus_samples(3, 4.0, POLES, scales,
+                                          np.random.default_rng(0))
+    points = np.concatenate([unit, 3.8 * unit[:200]])[::16]
+    points = np.vstack([points, [[0.6, 0.8, 0.0]]])
+    rows = [(1 / (Fraction(params["eps"]) * rho ** 2), F), (Fraction(1), S[0])]
+    args = (verifier.chi_expr(3), rows, points, rho, 2, 3, 1.0)
+    compiled, scalar = (
+        json.dumps(verifier._bound_rows(["Fstar", "Sstar1"], check(*args),
+                                        points))
+        for check in (verifier._leibniz_bound_check,
+                      scalar_reference.leibniz_bound_check))
     assert compiled == scalar
-    assert '"chi_constant"' in compiled
+    assert '"witness": {' in compiled and '"skipped": 1' in compiled
+    assert (verifier.measure_chi_constant(2, 3, seed=0)
+            == scalar_reference.measure_chi_constant(2, 3, seed=0))
 
 
 @pytest.mark.parametrize("case_id", ["strong-xy", "strong-cubic"])
