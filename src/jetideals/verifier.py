@@ -729,11 +729,9 @@ def symbolic_residual_zero(p: Jet, terms, F: ScalarExpr) -> bool:
     return _identity_zero(p, [(Q, S) for Q, S, _ in terms], F)
 
 
-def _identity_zero(p: Jet, pairs, F: ScalarExpr, rho=1, f_scale=1,
-                   s_scale=1) -> bool:
-    """Exact check that p(rho x) - f_scale F(x) - s_scale sum S_l(x)
-    Q_l(rho x) vanishes, cutoffs at their plateau values; rho and the
-    scales are exact rationals.
+def _identity_zero(p: Jet, pairs, F: ScalarExpr) -> bool:
+    """Exact check that p - F - sum S_l Q_l vanishes (pairs lists
+    (Q_l, S_l)), cutoffs at their plateau values.
 
     Each term becomes a (numerator, denominator) pair of polynomials over
     QQ (_Poly), with no gcd taken, and the residual is zero iff the
@@ -768,11 +766,10 @@ def _identity_zero(p: Jet, pairs, F: ScalarExpr, rho=1, f_scale=1,
                       for e, s in zip(signed, signs))
         try:
             num, den = _ring_fraction(F, one, leaves, squares)
-            num, den = _fraction_add(_ring_jet(p, k, rho), one,
-                                     num * -Fraction(f_scale), den)
+            num, den = _fraction_add(_ring_jet(p, k), one, num * -1, den)
             for Q, S in pairs:
                 s_num, s_den = _ring_fraction(S, one, leaves, squares)
-                s_num = s_num * -Fraction(s_scale) * _ring_jet(Q, k, rho)
+                s_num = s_num * -1 * _ring_jet(Q, k)
                 num, den = _fraction_add(num, den, s_num, s_den)
         except _ZeroDenominator:
             return False
@@ -837,11 +834,10 @@ def _free_norms(e: ScalarExpr) -> set:
     return set().union(*map(_free_norms, e.children()))
 
 
-def _ring_jet(p: Jet, k, rho):
-    """p(rho x) in the identity ring, after k generators r_j."""
+def _ring_jet(p: Jet, k):
+    """p in the identity ring, after k generators r_j."""
     pad = (0,) * k
-    return _collect((pad + alpha, c * rho ** sum(alpha))
-                    for alpha, c in p.coeffs.items())
+    return _collect((pad + alpha, c) for alpha, c in p.coeffs.items())
 
 
 def _fraction_add(a, b, c, d):
@@ -1051,7 +1047,11 @@ def check_strong_global(cert: ImplicationCertificate,
 # ---------------------------------------------------------------------------
 
 def expr_scale_coords(e: ScalarExpr, rho) -> ScalarExpr:
-    """e(rho * x) as an expression (rho an exact positive Fraction)."""
+    """e(rho * x) as an expression (rho an exact positive Fraction).
+
+    No check in this package calls it: check_annulus_condition decides
+    every variant on the unscaled trees.  It is kept as the reference
+    for the rescaled functions Ftilde and Stilde_l of C* and C**."""
     rho = Fraction(rho)
     if rho <= 0:
         raise ValueError("need rho > 0")
@@ -1091,11 +1091,14 @@ def _chi_points(rng, n):
     return radii[:, None] * _unit_rows(rng, len(radii), n)
 
 
+@functools.lru_cache(maxsize=KERNELS)
 def measure_chi_constant(m: int, n: int, seed: int = 0) -> float:
     """C_hat = 2^m * max(1, measured C^m norm of the chi bump).
 
     Each derivative is measured on its own 800 random points
-    (_chi_points), one batch after another from one generator."""
+    (_chi_points), one batch after another from one generator.  The
+    constant depends on (m, n, seed) alone, so it is kept for the
+    process, as the derivative tables are (KERNELS)."""
     chi = chi_expr(n)
     rng = np.random.default_rng(seed)
     top = 1.0
@@ -1235,8 +1238,8 @@ def _bound_rows(names, maxima, points, unit=False):
 
 
 def check_annulus_condition(variant: str, params: dict, p: Jet, Q_list,
-                            F: ScalarExpr, S_list, omegas, seed: int = 0,
-                            chi_constant=None) -> dict:
+                            F: ScalarExpr, S_list, omegas,
+                            seed: int = 0) -> dict:
     """Verify one of the three annulus-scale formulations.
 
     variant "C":  |d^a F| <= eps rho^(m-|a|) and |d^a S_l| <= A rho^(-|a|)
@@ -1248,6 +1251,11 @@ def check_annulus_condition(variant: str, params: dict, p: Jet, Q_list,
                   sum A Stilde_l Q_l(rho x) on 1/2 < |x| < 2 near Omega.
     variant "C**": F* = chi Ftilde, S*_l = A chi Stilde_l obey global
                   bounds <= A_target; same identity (chi = 1 there).
+
+    A, eps, delta, r and a given A_target must be finite and positive,
+    and 0 < rho <= r; otherwise DomainError.  These values come from
+    certificate files, and a negative A or eps would turn every bound
+    row into a pass.
 
     Bounds are checked on a deterministic cutoff-aware sample set (a
     violation is a genuine witness); the identity is certified exactly:
@@ -1267,10 +1275,21 @@ def check_annulus_condition(variant: str, params: dict, p: Jet, Q_list,
     value.  C** sums d^a F* and d^a S*_l by Leibniz from chi's table at
     the samples (wider ones, where chi kills everything outside
     1/4 < |x| < 4) and those of F and the S_l at rho times the samples
-    (_leibniz_bound_check).  The rescaled trees (expr_scale_coords) serve
-    only the identity.
+    (_leibniz_bound_check).
+
+    All three variants decide one identity, C's, on C's trees
+    (_scaled_identity).  The identities of C* and C** are C's under the
+    substitution x -> rho x: with rho > 0 rational it is a ring
+    automorphism that sends a Norm to rho times it, keeps each cutoff's
+    plateau value and keeps every identically zero denominator, and it
+    maps 1/2 < |x| < 2 near Omega onto C's region rho/2 < |y| < 2 rho
+    near Omega.  The scales eps rho^m and A cancel against those of
+    Ftilde and Stilde_l, and chi is 1 on the region.
     """
     m, n = p.sig.m, p.sig.n
+    for key in ("A", "eps", "delta", "r", "A_target"):
+        if key in params and not 0 < float(params[key]) < math.inf:
+            raise DomainError(f"need {key} finite and > 0")
     A = float(params["A"])
     eps = float(params["eps"])
     delta = float(params["delta"])
@@ -1283,7 +1302,6 @@ def check_annulus_condition(variant: str, params: dict, p: Jet, Q_list,
     omegas = [tuple(float(c) for c in w) for w in omegas]
     rng = np.random.default_rng(seed)
 
-    rho_frac = Fraction(rho)
     scales = _cutoff_feature_scales([F] + list(S_list))
     rel_scales = [(lo / rho, hi / rho) for lo, hi in scales]
     unit_pts = _unit_annulus_samples(n, 4.0, omegas, rel_scales, rng)
@@ -1300,82 +1318,54 @@ def check_annulus_condition(variant: str, params: dict, p: Jet, Q_list,
 
         pts = rho * unit_pts
         maxima = _sampled_bound_check(named, pts, m, n, bound)
-    if variant != "C":
-        # rescaled trees for the identity of C* and C**
-        f_scale = Fraction(1) / (Fraction(eps) * rho_frac ** m)
-        F_t = mul(Const(f_scale), expr_scale_coords(F, rho_frac))
-        S_t = [mul(Const(Fraction(1) / Fraction(A)),
-                   expr_scale_coords(S, rho_frac)) for S in S_list]
-
     if variant == "C":
         verdict_b, rows = _bound_rows([name for name, _ in named], maxima,
                                       pts)
-        boxes = _region_boxes(omegas, delta, rho / 2, 2 * rho, n)
-        plateau = _plateaus_certified([F] + list(S_list), boxes,
-                                      s_range=(rho / 2, 2 * rho), n=n)
-        if plateau:
-            id_ok = _identity_zero(p, zip(Q_list, S_list), F)
-            id_method = "plateau-certified symbolic"
-        else:
-            id_ok, id_method = _sampled_identity(
-                p, list(zip(Q_list, S_list)), F, 1.0, 1.0, 1.0,
-                omegas, delta, rho / 2, 2 * rho, n, rng)
     elif variant == "C*":
         verdict_b, rows = _bound_rows(
             [name[0] + "tilde" + name[1:] for name, _ in named], maxima,
             unit_pts, unit=True)
-        id_ok, id_method = _scaled_identity(p, Q_list, F_t, S_t, eps, A,
-                                            rho_frac, omegas, delta, n, rng,
-                                            s_star=None)
     else:
-        chi = chi_expr(n)
-        if chi_constant is None:
-            chi_constant = measure_chi_constant(m, n, seed=seed)
+        chi_constant = measure_chi_constant(m, n, seed=seed)
         A_target = float(params.get("A_target",
                                     chi_constant * A + chi_constant))
         # global bound: sample a wider radial range, where chi kills
-        # everything outside 1/4 < |x| < 4; S*_l = chi S_l(rho x), as A
-        # cancels exactly
+        # everything outside 1/4 < |x| < 4; Fstar = chi f_scale F(rho x)
+        # and S*_l = chi S_l(rho x), as A cancels exactly
+        rho_frac = Fraction(rho)
+        f_scale = 1 / (Fraction(eps) * rho_frac ** m)
         wide = np.concatenate([unit_pts, 3.8 * unit_pts[:200]])
         maxima = _leibniz_bound_check(
-            chi, [(f_scale, F)] + [(Fraction(1), S) for S in S_list], wide,
-            rho_frac, m, n, A_target)
+            chi_expr(n), [(f_scale, F)] + [(Fraction(1), S) for S in S_list],
+            wide, rho_frac, m, n, A_target)
         verdict_b, rows = _bound_rows(
             [name[0] + "star" + name[1:] for name, _ in named], maxima, wide)
-        S_s = [mul(Const(Fraction(A)), chi, S) for S in S_t]
-        id_ok, id_method = _scaled_identity(p, Q_list, mul(chi, F_t), S_s,
-                                            eps, 1.0, rho_frac, omegas,
-                                            delta, n, rng, s_star=S_s)
         extra = {"chi_constant": chi_constant, "A_target": A_target}
+    id_ok, id_method = _scaled_identity(p, Q_list, F, S_list, omegas, delta,
+                                        rho, n, rng)
     report.update({"bounds": rows, **extra,
                    "identity": {"method": id_method, "zero": id_ok}})
     report["verdict"] = meet(verdict_b, _IDENTITY_VERDICT[id_ok])
     return report
 
 
-def _scaled_identity(p, Q_list, F_expr, S_exprs, eps, A, rho_frac, omegas,
-                     delta, n, rng, s_star):
-    """Identity for the rescaled variants on 1/2 < |x| < 2 near Omega:
-    p(rho x) = eps rho^m F_expr(x) + sum A S_expr_l(x) Q_l(rho x)."""
-    boxes = _region_boxes(omegas, delta, 0.5, 2.0, n)
-    exprs = [F_expr] + list(S_exprs)
-    m = p.sig.m
-    if _plateaus_certified(exprs, boxes, s_range=(0.5, 2.0), n=n):
-        return _identity_zero(
-            p, zip(Q_list, S_exprs), F_expr, rho_frac,
-            f_scale=Fraction(eps) * rho_frac ** m,
-            s_scale=Fraction(A)), "plateau-certified symbolic"
-    rho = float(rho_frac)
-    return _sampled_identity(p, list(zip(Q_list, S_exprs)), F_expr, rho,
-                             eps * rho ** m, A, omegas, delta, 0.5, 2.0, n,
+def _scaled_identity(p, Q_list, F, S_list, omegas, delta, rho, n, rng):
+    """The identity p = F + sum S_l Q_l on rho/2 < |x| < 2 rho near Omega,
+    the one identity of every annulus variant: exact (_identity_zero)
+    when every cutoff is certified on its plateau over the region, else
+    sampled (_sampled_identity)."""
+    boxes = _region_boxes(omegas, delta, rho / 2, 2 * rho, n)
+    pairs = list(zip(Q_list, S_list))
+    if _plateaus_certified([F] + list(S_list), boxes,
+                           s_range=(rho / 2, 2 * rho), n=n):
+        return _identity_zero(p, pairs, F), "plateau-certified symbolic"
+    return _sampled_identity(p, pairs, F, omegas, delta, rho / 2, 2 * rho, n,
                              rng)
 
 
-def _sampled_identity(p, pairs, F, rho, f_scale, s_scale, omegas, delta,
-                      s_lo, s_hi, n, rng):
+def _sampled_identity(p, pairs, F, omegas, delta, s_lo, s_hi, n, rng):
     """Fallback identity check on sampled region points: the residual of
-    p(rho x) = f_scale F(x) + s_scale sum S_l(x) Q_l(rho x) (pairs lists
-    (Q_l, S_l)), with float rho and scales.
+    p = F + sum S_l Q_l (pairs lists (Q_l, S_l)).
 
     Each of 500 points where F and every S_l evaluate must have
     |residual| <= 1e-9 * sum |term|; a point where one does not evaluate
@@ -1394,9 +1384,8 @@ def _sampled_identity(p, pairs, F, rho, f_scale, s_scale, omegas, delta,
         if not all(ok[j] for _, ok in columns):
             continue
         f, *s_values = (vals[j] for vals, _ in columns)
-        xr = tuple(rho * c for c in x)
-        terms = ([p.eval(xr, mode="float"), -f_scale * f]
-                 + [-s_scale * s * Q.eval(xr, mode="float")
+        terms = ([p.eval(x, mode="float"), -f]
+                 + [-s * Q.eval(x, mode="float")
                     for (Q, _), s in zip(pairs, s_values)])
         if abs(sum(terms)) > 1e-9 * sum(abs(t) for t in terms):
             return False, "sampled residual"

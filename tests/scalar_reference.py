@@ -969,8 +969,8 @@ def residual_zero(residual, syms):
     return True
 
 
-def identity_zero(p, pairs, F, rho=1, f_scale=1, s_scale=1):
-    """p(rho x) - f_scale F(x) - s_scale sum S_l(x) Q_l(rho x) == 0,
+def identity_zero(p, pairs, F):
+    """p - F - sum S_l Q_l == 0 (pairs lists (Q_l, S_l)),
     decided in a lex PolyRing over QQ: a Norm over k >= 2 coordinates is
     a generator r_j (first in the ring), reduced by rem modulo
     {r_j^2 - s_j}; |x_i| is read as x_i and as -x_i, once per orthant; a
@@ -990,11 +990,11 @@ def identity_zero(p, pairs, F, rho=1, f_scale=1, s_scale=1):
         norms.update((e, s * xs[e.indices[0]]) for e, s in zip(signed, signs))
         try:
             num, den = _polyring_fraction(F, ring, norms, basis)
-            num, den = _fraction_add(_polyring_jet(p, ring, rho), ring.one,
-                                     -QQ(f_scale) * num, den)
+            num, den = _fraction_add(_polyring_jet(p, ring), ring.one,
+                                     -num, den)
             for Q, S in pairs:
                 s_num, s_den = _polyring_fraction(S, ring, norms, basis)
-                s_num = -QQ(s_scale) * s_num * _polyring_jet(Q, ring, rho)
+                s_num = -s_num * _polyring_jet(Q, ring)
                 num, den = _fraction_add(num, den, s_num, s_den)
         except _ZeroDenominator:
             return False
@@ -1015,9 +1015,9 @@ def _free_norms(e):
     return set().union(*map(_free_norms, e.children()))
 
 
-def _polyring_jet(p, ring, rho):
+def _polyring_jet(p, ring):
     pad = (0,) * (ring.ngens - p.sig.n)
-    return ring.from_dict({pad + alpha: QQ(c * rho ** sum(alpha))
+    return ring.from_dict({pad + alpha: QQ(c)
                            for alpha, c in p.coeffs.items()})
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from jetideals.cli import main
+from jetideals.corpus import case_by_id
 
 
 def run(capsys, *argv):
@@ -101,6 +102,29 @@ def test_verify_implication_cert_file(tmp_path, capsys):
     code, doc = run(capsys, "verify-implication", "--cert", str(path))
     assert code == 0 and doc["verdict"] == "pass"
     assert len(doc["conclusions"]) == 2
+
+
+@pytest.mark.parametrize("variant", ["C", "C*", "C**"])
+@pytest.mark.parametrize("key,value", [("A", -1e9), ("eps", -1e-3),
+                                       ("A", 0.0)])
+def test_verify_annulus_rejects_bad_parameters(tmp_path, capsys, variant, key,
+                                               value):
+    inputs = case_by_id("annulus-intro").inputs
+    cert = {"ideal": {"m": 2, "n": 3, "generators": inputs["Q"]},
+            "target": inputs["p"],
+            "terms": [{"Q": inputs["Q"][0], "S": inputs["S"][0], "C": 1.0}],
+            "F": inputs["F"],
+            "annulus": {**inputs["params"], "omegas": inputs["omegas"]}}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, doc = run(capsys, "verify-annulus", "--variant", variant,
+                    "--cert", str(path))
+    assert code == 0 and doc["verdict"] == "pass"
+    cert["annulus"][key] = value
+    path.write_text(json.dumps(cert))
+    code, doc = run(capsys, "verify-annulus", "--variant", variant,
+                    "--cert", str(path))
+    assert code == 1 and doc["error"] == "DomainError"
 
 
 def test_usage_errors(capsys):

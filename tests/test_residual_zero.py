@@ -1,19 +1,24 @@
 """One exact zero test for the identity residuals.
 
-symbolic_residual_zero, the C branch of check_annulus_condition and the
-rescaled identity of C* / C** all decide p - sum S_l Q_l - F = 0 with
-verifier._identity_zero, in one polynomial ring over QQ: the residual is
-zero iff the numerator of its terms' sum is 0.  A Norm over k >= 2
-coordinates outside every cutoff is a ring generator r with r^2 = the
-sum of its squared coordinates, reduced away before each zero test; a
-one-coordinate norm |x_i| is read as x_i and as -x_i, once per orthant.
-No sympy.simplify call is made.  The sympy test that this replaced,
-expr_to_sympy and residual_zero, is kept in tests/scalar_reference.py as
-the reference the random residuals are compared against, with its
-sympy.simplify fallback replaced by an exact reduction.  The ring is the
-package's own (verifier._Poly); the sympy PolyRing it replaced is kept
-as scalar_reference.identity_zero, which must reach the same decision
-on random trees, norms and identically zero denominators included."""
+symbolic_residual_zero and the one annulus identity of
+check_annulus_condition, C's for all three variants, decide
+p - sum S_l Q_l - F = 0 with verifier._identity_zero, in one polynomial
+ring over QQ: the residual is zero iff the numerator of its terms' sum
+is 0.  A Norm over k >= 2 coordinates outside every cutoff is a ring
+generator r with r^2 = the sum of its squared coordinates, reduced away
+before each zero test; a one-coordinate norm |x_i| is read as x_i and
+as -x_i, once per orthant.  No sympy.simplify call is made.  The sympy
+test that this replaced, expr_to_sympy and residual_zero, is kept in
+tests/scalar_reference.py as the reference the random residuals are
+compared against, with its sympy.simplify fallback replaced by an exact
+reduction.  The ring is the package's own (verifier._Poly); the sympy
+PolyRing it replaced is kept as scalar_reference.identity_zero, which
+must reach the same decision on random trees, norms and identically
+zero denominators included.  Identities at a scale rho
+(p(rho x) = f F(x) + s sum S_l(x) Q_l(rho x)) enter as jets at rho x
+and Const factors on the trees, and the decision must not change under
+x -> rho x (expr_scale_coords): the annulus variants C* and C** rely on
+that to decide C's identity."""
 
 import contextlib
 import json
@@ -36,7 +41,7 @@ from jetideals.symfun import (DEFAULT_CUTOFF, Const, Coord, Cutoff, Gauge,
                               Norm, add, div, expr_parse, ipow, mul)
 from jetideals.verifier import (ImplicationCertificate, _identity_zero,
                                 check_annulus_condition,
-                                check_strong_directional,
+                                check_strong_directional, expr_scale_coords,
                                 symbolic_residual_zero)
 from scalar_reference import expr_to_sympy, identity_zero, residual_zero
 
@@ -192,14 +197,25 @@ jets3 = st.dictionaries(
 scales = st.fractions(Fraction(1, 9), 3, max_denominator=9)
 
 
-def _sympy_residual(p, pairs, F, rho, f_scale, s_scale):
-    # p(rho x) and Q(rho x): the jets at the scaled symbols rho * x_i
-    scaled = [sympy.Rational(rho) * s for s in SYMS3]
-    residual = jet_to_sympy(p, scaled) \
-        - sympy.Rational(f_scale) * expr_to_sympy(F, SYMS3)
+def _jet_at(p, rho):
+    """p(rho x): each coefficient times rho^|alpha|."""
+    return Jet(p.sig, {alpha: c * rho ** sum(alpha)
+                       for alpha, c in p.coeffs.items()})
+
+
+def _at_scale(p, pairs, F, rho, f_scale, s_scale):
+    """The identity p(rho x) = f_scale F(x) + s_scale sum S_l(x) Q_l(rho x)
+    as the inputs (p, pairs, F) of an unscaled one: the jets at rho x,
+    the scales Const factors on the trees."""
+    return (_jet_at(p, rho),
+            [(_jet_at(Q, rho), mul(Const(s_scale), S)) for Q, S in pairs],
+            mul(Const(f_scale), F))
+
+
+def _sympy_residual(p, pairs, F):
+    residual = jet_to_sympy(p, SYMS3) - expr_to_sympy(F, SYMS3)
     for Q, S in pairs:
-        residual -= sympy.Rational(s_scale) * expr_to_sympy(S, SYMS3) \
-            * jet_to_sympy(Q, scaled)
+        residual -= expr_to_sympy(S, SYMS3) * jet_to_sympy(Q, SYMS3)
     return residual
 
 
@@ -217,9 +233,10 @@ def test_ring_decision_agrees_with_residual_zero(a, b, c, d, p, q, rho,
     F = [mul(Const(1 / f_scale), split),
          mul(Const(1 / f_scale), add(split, mul(c, Coord(0)))),
          c][pick]
-    residual = _sympy_residual(p, [(q, S)], F, rho, f_scale, s_scale)
+    case = _at_scale(p, [(q, S)], F, rho, f_scale, s_scale)
+    residual = _sympy_residual(*case)
     want = residual_zero(residual, SYMS3)
-    got = _identity_zero(p, [(q, S)], F, rho, f_scale, s_scale)
+    got = _identity_zero(*case)
     assert got is want, _at_a_point(residual)
     if pick == 0:
         assert want
@@ -242,11 +259,11 @@ MULTI_NORMS = [Norm((0, 1)), Norm((1, 2)), Norm((0, 1, 2))]
 ONE_COORD_NORMS = [Norm((0,)), Norm((1,)), Norm((2,))]
 
 
-def _same_decision(p, pairs, F, *scales):
+def _same_decision(p, pairs, F):
     """verifier._identity_zero decides as the PolyRing reference
     (scalar_reference.identity_zero); returns the decision."""
-    want = identity_zero(p, pairs, F, *scales)
-    assert _identity_zero(p, pairs, F, *scales) is want
+    want = identity_zero(p, pairs, F)
+    assert _identity_zero(p, pairs, F) is want
     return want
 
 
@@ -275,8 +292,9 @@ def _norm_trees(pool):
 
 
 def _norm_tree_case(data, pool):
-    """A drawn identity (p, pairs, F, rho, f_scale, s_scale) and whether
-    it holds by construction."""
+    """A drawn identity (p, pairs, F), drawn at a scale rho with the
+    scales f_scale and s_scale (_at_scale), and whether it holds by
+    construction."""
     trees, dens = _norm_trees(pool)
     a, b, c = (data.draw(trees) for _ in range(3))
     d = data.draw(dens)
@@ -292,8 +310,8 @@ def _norm_tree_case(data, pool):
          add(split, mul(c, _relation(r))),
          add(split, mul(c, Coord(0))),
          mul(Const(f_scale), c)][pick]
-    return (p, [(q, S)], mul(Const(1 / f_scale), F), rho, f_scale,
-            s_scale), pick < 2
+    return _at_scale(p, [(q, S)], mul(Const(1 / f_scale), F), rho, f_scale,
+                     s_scale), pick < 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -318,6 +336,21 @@ def test_exact_ring_agrees_with_polyring_on_norm_trees(pool, data):
     decision = _same_decision(*case)
     if zero:
         assert decision
+
+
+@pytest.mark.parametrize("pool", [MULTI_NORMS, ONE_COORD_NORMS],
+                         ids=["multi-coordinate", "one-coordinate"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_identity_decision_is_invariant_under_rescaling(pool, data):
+    # x -> rho x is a ring automorphism: a norm becomes rho times it,
+    # cutoffs keep their plateau values and zero denominators stay zero
+    (p, [(q, S)], F), _ = _norm_tree_case(data, pool)
+    rho = data.draw(scales)
+    decision = _identity_zero(p, [(q, S)], F)
+    assert _identity_zero(
+        _jet_at(p, rho), [(_jet_at(q, rho), expr_scale_coords(S, rho))],
+        expr_scale_coords(F, rho)) is decision
 
 
 @settings(max_examples=30, deadline=None)

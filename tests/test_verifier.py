@@ -13,7 +13,7 @@ from jetideals.errors import DomainError
 from jetideals.geometry import Cone, Direction
 from jetideals.ideal import JetIdeal
 from jetideals.jetring import RingSignature, jet_parse, monomials
-from jetideals.symfun import Const, expr_derive, expr_eval, expr_parse, mul
+from jetideals.symfun import expr_derive, expr_eval, expr_parse
 from jetideals.verifier import (ImplicationCertificate, _sampled_identity,
                                 check_annulus_condition, check_flat,
                                 check_flat_tame_product, check_negligible,
@@ -311,6 +311,19 @@ def test_annulus_needs_positive_rho():
         check_annulus_condition("C", params, p, Q, F, S, POLES)
 
 
+@pytest.mark.parametrize("variant", ["C", "C*", "C**"])
+@pytest.mark.parametrize("key,value", [
+    # each of these passed, or raised ZeroDivisionError, unchecked
+    ("A", -1e9), ("eps", -1e-3), ("A", 0.0), ("A_target", -1.0),
+    ("delta", math.nan), ("r", math.inf)])
+def test_annulus_rejects_parameters_that_are_not_finite_and_positive(
+        variant, key, value):
+    params, p, Q, F, S = intro_data()
+    params[key] = value
+    with pytest.raises(DomainError, match=f"need {key} finite"):
+        check_annulus_condition(variant, params, p, Q, F, S, POLES)
+
+
 def tiny_false_claim():
     # S = theta(|x|, rho/1000) is 0 on the annulus and F = 0, so the
     # claim x*y = S*(x^2 + z^2) is false there, yet x*y is only ~rho^2
@@ -325,56 +338,37 @@ def tiny_false_claim():
 
 def test_sampled_identity_rejects_false_claim_at_tiny_scale():
     params, p, Q, F, S = tiny_false_claim()
-    for variant in ("C", "C*"):
+    for variant in ("C", "C*", "C**"):
         rep = check_annulus_condition(variant, params, p, Q, F, S, POLES)
         assert rep["identity"] == {"method": "sampled residual",
                                    "zero": False}
         assert rep["verdict"] == "fail"
 
 
-def _identity_checks(variant, params, p, Q, F, S):
-    """The kernel-based sampled identity check of one annulus variant, and
-    the point-by-point reference loop on the terms the variant summed."""
-    m, n = p.sig.m, p.sig.n
-    A, eps, rho = params["A"], params["eps"], params["rho"]
+def _identity_checks(params, p, Q, F, S):
+    """The kernel-based sampled identity check of the annulus variants,
+    and the point-by-point reference loop on the terms it sums."""
+    n, rho = p.sig.n, params["rho"]
     region = (POLES, params["delta"])
-    if variant == "C":
-        def terms_at(x):
-            return ([p.eval(x, mode="float"),
-                     -scalar_reference.eval_float(F, x)]
-                    + [-scalar_reference.eval_float(Si, x)
-                       * Qi.eval(x, mode="float") for Qi, Si in zip(Q, S)])
 
-        def kernel(rng):
-            return _sampled_identity(p, list(zip(Q, S)), F, 1.0, 1.0, 1.0,
-                                     *region, rho / 2, 2 * rho, n, rng)
-        return kernel, lambda rng: scalar_reference.sampled_identity(
-            terms_at, *region, rho / 2, 2 * rho, n, rng)
-    rho_q = Fraction(rho)
-    F = mul(Const(1 / (Fraction(eps) * rho_q ** m)),
-            expr_scale_coords(F, rho_q))
-    S = [mul(Const(1 / Fraction(A)), expr_scale_coords(Si, rho_q))
-         for Si in S]
+    def terms_at(x):
+        return ([p.eval(x, mode="float"), -scalar_reference.eval_float(F, x)]
+                + [-scalar_reference.eval_float(Si, x)
+                   * Qi.eval(x, mode="float") for Qi, Si in zip(Q, S)])
 
-    def scaled_terms_at(x):
-        xr = tuple(rho * c for c in x)
-        return ([p.eval(xr, mode="float"),
-                 -eps * rho ** m * scalar_reference.eval_float(F, x)]
-                + [-A * scalar_reference.eval_float(Si, x)
-                   * Qi.eval(xr, mode="float") for Qi, Si in zip(Q, S)])
-
-    def scaled_kernel(rng):
-        return _sampled_identity(p, list(zip(Q, S)), F, rho, eps * rho ** m,
-                                 A, *region, 0.5, 2.0, n, rng)
-    return scaled_kernel, lambda rng: scalar_reference.sampled_identity(
-        scaled_terms_at, *region, 0.5, 2.0, n, rng)
+    def kernel(rng):
+        return _sampled_identity(p, list(zip(Q, S)), F, *region, rho / 2,
+                                 2 * rho, n, rng)
+    return kernel, lambda rng: scalar_reference.sampled_identity(
+        terms_at, *region, rho / 2, 2 * rho, n, rng)
 
 
-@pytest.mark.parametrize("variant", ["C", "C*"])
+# C's sampled identity is the one of every variant (_scaled_identity)
+@pytest.mark.parametrize("variant", ["C"])
 @pytest.mark.parametrize("data,zero", [(tiny_false_claim, False),
                                        (intro_data, True)])
 def test_sampled_identity_matches_the_point_loop(variant, data, zero):
-    kernel, reference = _identity_checks(variant, *data())
+    kernel, reference = _identity_checks(*data())
     for seed in range(3):
         rngs = [np.random.default_rng(seed) for _ in range(2)]
         got = kernel(rngs[0])
@@ -391,7 +385,7 @@ def test_sampled_identity_skips_points_that_do_not_evaluate():
     rng = np.random.default_rng(0)
     zero, method = _sampled_identity(
         jet_parse("x*y", sig), [(jet_parse("z^2", sig), expr_parse("y", 3))],
-        nowhere, 1.0, 1.0, 1.0, POLES, 0.1, 0.5, 2.0, 3, rng)
+        nowhere, POLES, 0.1, 0.5, 2.0, 3, rng)
     assert zero is None and method == "sampled residual"
 
 
@@ -507,6 +501,13 @@ def test_two_point_condition_b_across_chunks(monkeypatch, chunk, eps,
 def test_chi_constant_scaling():
     # 2^m times the measured cutoff-product constant, at least 2^m
     assert measure_chi_constant(2, 2, seed=0) >= 4.0
+
+
+def test_chi_constant_is_measured_once_per_m_n_seed():
+    first = measure_chi_constant(2, 3, seed=5)
+    hits = measure_chi_constant.cache_info().hits
+    assert measure_chi_constant(2, 3, seed=5) == first
+    assert measure_chi_constant.cache_info().hits == hits + 1
 
 
 def test_expr_scale_coords():
