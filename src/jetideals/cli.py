@@ -2,10 +2,13 @@
 
 Every subcommand prints a UTF-8 JSON document on stdout (pretty-printed
 with --pretty) and exits 0 on pass/success, 1 on fail, 2 on
-inconclusive, 64 on a usage error.  Exit code 2 is deliberately distinct
-from 1: one-sided verification must not masquerade as disproof in shell
-pipelines.  All sampling is seeded (--seed, default 0), so repeated runs
-are byte-identical.
+inconclusive, 64 on a usage error (a parse error included), 65 on input
+that parses but is rejected (any other JetIdealsError, such as a
+DomainError on a certificate's parameters).  Exit codes 2 and 65 are
+deliberately distinct from 1: neither one-sided verification nor a
+malformed input may masquerade as disproof in shell pipelines.  All
+sampling is seeded (--seed, default 0), so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -211,6 +214,8 @@ def cmd_verify_annulus(args):
         print("error: certificate has no annulus data", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
     params = {k: float(annulus[k]) for k in ("A", "eps", "delta", "r", "rho")}
+    if "A_target" in annulus:
+        params["A_target"] = float(annulus["A_target"])
     omegas = annulus.get("omegas", [])
     Q_list = [Q for Q, _, _ in cert.terms]
     S_list = [S for _, S, _ in cert.terms]
@@ -355,7 +360,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except JetIdealsError as e:
         _emit({"error": type(e).__name__, "message": str(e)}, args.pretty)
-        return 1
+        return 65       # EX_DATAERR, beside USAGE_ERROR's EX_USAGE
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR

@@ -489,11 +489,14 @@ def certify_lower_bound(jets, omega, delta, budget, n, target: float = 0.0):
     lies inside the dome; one that pokes out of the dome may touch zero.
     The walk evaluates cells in batches, numpy arrays of at most
     BATCH_CELLS cells of one depth, kept on a stack, so memory stays
-    O(budget * BATCH_CELLS).  Every cell's enclosure equals the
-    per-cell Interval evaluation bit for bit, and the result does not
-    depend on the order of the cells: the bound is the least certified
-    enclosure and the depth the deepest cell of one fixed tree, and a
-    failing cell ends the search at depth `budget` wherever it sits.
+    O(budget * BATCH_CELLS).  When no monomial has positive s-degree
+    the sum never reads s, so an s-split keeps its parent's enclosure:
+    its halves go to the next depth as open cells, not evaluated again.
+    Every cell's enclosure equals the per-cell Interval evaluation bit
+    for bit, and the result does not depend on the order of the cells:
+    the bound is the least certified enclosure and the depth the
+    deepest cell of one fixed tree, and a failing cell ends the search
+    at depth `budget` wherever it sits.
     So the result is that of the depth-first walk of one cell at a time
     (tests/scalar_reference.py), with one exception: a NaN endpoint
     anywhere in a batch raises DomainError, where the depth-first walk
@@ -501,17 +504,22 @@ def certify_lower_bound(jets, omega, delta, budget, n, target: float = 0.0):
     and 0 <= s <= 1 leave no NaN endpoint.
     """
     compiled = _compile_scaled(jets)
+    reads_s = compiled[2] > 0
     roots = _dome_patches(n, omega, delta)
     work = []
     if roots:
         s = np.array([[0.0], [1.0]]).repeat(len(roots), axis=1)
-        work.append((0, *face_boxes(roots), s))
+        work.append((0, *face_boxes(roots), s,
+                     np.ones(len(roots), dtype=bool)))
     best = math.inf
     max_depth = 0
     while work:
-        depth, axes, faces, s = work.pop()
+        depth, axes, faces, s, fresh = work.pop()
         max_depth = max(max_depth, depth)
-        lower = _eval_scaled(compiled, s, direction_enclosures(faces))[0]
+        lower = np.full(len(axes), -math.inf)   # carried halves stay open
+        if fresh.any():
+            u = direction_enclosures(faces[:, fresh])
+            lower[fresh] = _eval_scaled(compiled, s[:, fresh], u)[0]
         done = lower > target
         if done.any():
             best = min(best, float(lower[done].min()))
@@ -524,17 +532,20 @@ def certify_lower_bound(jets, omega, delta, budget, n, target: float = 0.0):
                    for axis, face in zip(axes, faces.transpose(1, 0, 2))):
                 return None, max_depth
             continue
-        axes, faces, s = _split_cells(axes, faces, s)
+        axes, faces, s, split_s = _split_cells(axes, faces, s)
+        fresh = ~split_s | reads_s
         for start in range(0, len(axes), BATCH_CELLS):
             cut = slice(start, start + BATCH_CELLS)
-            work.append((depth + 1, axes[cut], faces[:, cut], s[:, cut]))
+            work.append((depth + 1, axes[cut], faces[:, cut], s[:, cut],
+                         fresh[cut]))
     if not math.isfinite(best):
         return None, max_depth
     return best, max_depth
 
 
 def _split_cells(axes, faces, s):
-    """Both halves of every cell, split as certify_lower_bound says."""
+    """Both halves of every cell, split as certify_lower_bound says, and
+    for each half whether its cell was split in s."""
     rows = np.arange(len(axes))
     widths = faces[1] - faces[0]
     widths[rows, axes] = -math.inf        # the face axis is no box axis
@@ -548,7 +559,8 @@ def _split_cells(axes, faces, s):
     left_f[1, box, j], right_f[0, box, j] = mid, mid
     return (np.concatenate((axes, axes)),
             np.concatenate((left_f, right_f), axis=1),
-            np.concatenate((left_s, right_s), axis=1))
+            np.concatenate((left_s, right_s), axis=1),
+            np.concatenate((split_s, split_s)))
 
 
 def _cell_fails(n, axis, face, omega, delta):

@@ -384,7 +384,7 @@ def _dome(n, omegas, delta):
     return slot[0]
 
 
-def _dome_sup(expr, dome, target=None, budget=64):
+def _dome_sup(expr, dome, table, target=None, budget=64):
     """Certified upper bound of |expr| on the dome, by interval
     subdivision of its sphere-patch tree (cells provably outside the
     dome are not in the tree, so tiny domes stay cheap).
@@ -394,6 +394,15 @@ def _dome_sup(expr, dome, target=None, budget=64):
     refines a few levels past the dome scale and returns the sup bound.
     A walk that would evaluate more than DOME_CELL_BUDGET cells returns
     (None, False): no bound at all.
+
+    `table` holds |expr|'s enclosure (or its DomainError) per cell,
+    keyed by the cell's face axis, sign and box.  Every dome tree grows
+    from sphere_cover(n, 2) by the same splits, so a cell of the same
+    geometry in another walk over expr has the same enclosure bit for
+    bit and is read from the table; a walk still counts it against the
+    budget.
+    Box ends are midpoints of (-1, 1), never -0.0, so == on the box is
+    equality of the floats.
     """
     enclose = compile_interval(expr)
     work = [(p, 0) for p in dome.roots]
@@ -407,9 +416,15 @@ def _dome_sup(expr, dome, target=None, budget=64):
         if cells > DOME_CELL_BUDGET:
             return None, False
         patch, depth = work.pop()
-        try:
-            val = abs(enclose(patch.direction_enclosure()))
-        except DomainError:
+        key = (patch.axis, patch.sign, patch.box)
+        val = table.get(key)
+        if val is None:
+            try:
+                val = abs(enclose(patch.direction_enclosure()))
+            except DomainError as exc:
+                val = exc.with_traceback(None)   # no frame kept alive
+            table[key] = val
+        if isinstance(val, DomainError):
             if depth < budget:
                 work.extend((q, depth + 1) for q in dome.children(patch))
                 continue
@@ -469,6 +484,10 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
     Taylor-compatibility bound, follows from (a) by convexity for
     single-direction domes with delta < 1/4 and is otherwise checked on
     random point pairs.
+
+    The domes of the eps and delta rungs nest, so their walks meet the
+    same cells again: each derivative keeps one enclosure table for the
+    call (see _dome_sup), and each (derivative, cell) is enclosed once.
     """
     omegas = [tuple(float(c) for c in w) for w in omegas]
     if not omegas:
@@ -479,6 +498,8 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
 
     rng = np.random.default_rng(seed)
     derivs = [(alpha, expr_derive(F, alpha)) for alpha in monomials(m, n)]
+    # one enclosure table per derivative, shared by every rung's walks
+    tables = [{} for _ in derivs]
     degrees = [None if d == ZERO else hom_degree(d) for _, d in derivs]
     # genuine-failure scan on the center rays: for derivatives whose tree
     # is homogeneous of degree exactly m - |alpha| the ratio is
@@ -515,7 +536,7 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
         starved = {}     # alpha -> delta rungs whose walk ran out of cells
         for delta in delta_ladder(eps):
             alpha_records, ok, r_cap = [], True, 1.0
-            for (alpha, d_expr), d in zip(derivs, degrees):
+            for (alpha, d_expr), d, table in zip(derivs, degrees, tables):
                 a_rec = {"alpha": list(alpha)}
                 if d_expr == ZERO:
                     a_rec["status"] = "zero"
@@ -528,7 +549,8 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
                     alpha_records.append(a_rec)
                     break
                 sup, certified = _dome_sup(d_expr, _dome(n, key, delta),
-                                           eps if gap == 0 else None, budget)
+                                           table, eps if gap == 0 else None,
+                                           budget)
                 if sup is None:
                     starved.setdefault(alpha, []).append(delta)
                     ok = False

@@ -45,9 +45,10 @@ and the S_l to give the same verdicts, witness multi-indices and points
 and skipped counts, and maxima and witness values within 1e-12 relative.
 
 The unshared negligibility dome walk that verifier._dome_sup replaced:
-each call builds its own cover, re-tests and re-encloses every cell, and
-evaluates by the interval tree walk.  test_dome_tree.py requires
-check_negligible to return exactly what it returns on this walk.
+each call builds its own cover, re-tests and re-encloses every cell
+(no tree kept, no enclosure shared between walks), and evaluates by the
+interval tree walk.  test_dome_tree.py requires check_negligible to
+return exactly what it returns on this walk.
 
 The plane allowed-set solver that built p(1, t) and p(0, 1) by sympy
 substitution and tested each root of the first part against the others
@@ -610,18 +611,24 @@ def dome_cells(n, omegas, delta, init_depth=2):
             if not _cell_outside_dome(p, omegas, delta)]
 
 
-def dome_sup(expr, dome, target=None, budget=64):
+def dome_sup(expr, dome, table, target=None, budget=64):
     """The walk over a fresh cover; only the dimension, omegas and delta
-    of the dome are read."""
+    of the dome are read, and every cell is enclosed afresh (the shared
+    enclosure table is ignored).  Past verifier.DOME_CELL_BUDGET cells
+    in the dome it returns (None, False)."""
     n, omegas, delta = dome.roots[0].n, dome.omegas, dome.delta
     work = [(p, 0) for p in dome_cells(n, omegas, delta)]
     free_depth = max(3, min(60, int(-math.log2(max(delta, 1e-18))) + 3))
     top = 0.0
     certified = True
+    cells = 0
     while work:
         patch, depth = work.pop()
         if depth and _cell_outside_dome(patch, omegas, delta):
             continue
+        cells += 1
+        if cells > verifier.DOME_CELL_BUDGET:
+            return None, False
         enc = patch.direction_enclosure()
         try:
             val = abs(eval_interval(expr, enc))

@@ -104,17 +104,21 @@ def test_verify_implication_cert_file(tmp_path, capsys):
     assert len(doc["conclusions"]) == 2
 
 
+def _intro_annulus_cert():
+    inputs = case_by_id("annulus-intro").inputs
+    return {"ideal": {"m": 2, "n": 3, "generators": inputs["Q"]},
+            "target": inputs["p"],
+            "terms": [{"Q": inputs["Q"][0], "S": inputs["S"][0], "C": 1.0}],
+            "F": inputs["F"],
+            "annulus": {**inputs["params"], "omegas": inputs["omegas"]}}
+
+
 @pytest.mark.parametrize("variant", ["C", "C*", "C**"])
 @pytest.mark.parametrize("key,value", [("A", -1e9), ("eps", -1e-3),
                                        ("A", 0.0)])
 def test_verify_annulus_rejects_bad_parameters(tmp_path, capsys, variant, key,
                                                value):
-    inputs = case_by_id("annulus-intro").inputs
-    cert = {"ideal": {"m": 2, "n": 3, "generators": inputs["Q"]},
-            "target": inputs["p"],
-            "terms": [{"Q": inputs["Q"][0], "S": inputs["S"][0], "C": 1.0}],
-            "F": inputs["F"],
-            "annulus": {**inputs["params"], "omegas": inputs["omegas"]}}
+    cert = _intro_annulus_cert()
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(cert))
     code, doc = run(capsys, "verify-annulus", "--variant", variant,
@@ -124,7 +128,26 @@ def test_verify_annulus_rejects_bad_parameters(tmp_path, capsys, variant, key,
     path.write_text(json.dumps(cert))
     code, doc = run(capsys, "verify-annulus", "--variant", variant,
                     "--cert", str(path))
-    assert code == 1 and doc["error"] == "DomainError"
+    # a rejected input exits 65, apart from a refuting verdict's 1
+    assert code == 65 and doc["error"] == "DomainError"
+
+
+def test_verify_annulus_reads_a_target(tmp_path, capsys):
+    cert = _intro_annulus_cert()
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, doc = run(capsys, "verify-annulus", "--variant", "C**",
+                    "--cert", str(path))
+    assert code == 0 and doc["verdict"] == "pass"
+    assert doc["A_target"] > 1e9
+    # a target far below chi_constant * (A + 1) fails the S* rows
+    cert["annulus"]["A_target"] = 2.5
+    path.write_text(json.dumps(cert))
+    code, doc = run(capsys, "verify-annulus", "--variant", "C**",
+                    "--cert", str(path))
+    assert code == 1 and doc["verdict"] == "fail"
+    assert doc["A_target"] == 2.5
+    assert any(row["witness"] for row in doc["bounds"])
 
 
 def test_usage_errors(capsys):

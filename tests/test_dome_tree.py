@@ -1,18 +1,21 @@
 """Negligibility dome walks over kept sphere-patch trees.
 
 check_negligible must return exactly what it returned when every dome
-walk built its own cover (the reference walk in scalar_reference.py),
-whatever earlier checks grew the kept trees, and the cell budget must
-end walks that cannot finish."""
+walk built its own cover and enclosed every cell afresh (the reference
+walk in scalar_reference.py), whatever earlier checks grew the kept
+trees and whatever cells earlier rungs of the same check enclosed, and
+the cell budget must end walks that cannot finish."""
 
 import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetideals import verifier
 from jetideals.corpus import case_by_id, run_case
+from jetideals.errors import DomainError
 from jetideals.geometry import Dome, box_direction_dist, sphere_cover
 from jetideals.ideal import JetIdeal
 from jetideals.interval import Interval
@@ -127,9 +130,9 @@ def test_cell_budget_ends_the_pole_walk_of_4y3_over_z():
 def test_walk_past_the_cell_budget_has_no_bound(monkeypatch):
     dome = Dome(sphere_cover(3, 2), POLES, 0.05)
     F = expr_parse("y^3/z", 3)
-    assert verifier._dome_sup(F, dome, target=1e-30) == (None, False)
+    assert verifier._dome_sup(F, dome, {}, target=1e-30) == (None, False)
     monkeypatch.setattr(verifier, "DOME_CELL_BUDGET", 3)
-    sup, certified = verifier._dome_sup(F, dome, target=1.0)
+    sup, certified = verifier._dome_sup(F, dome, {}, target=1.0)
     assert sup is None and not certified
     assert DOME_CELL_BUDGET >= 50 * 104   # largest corpus walk: 104 cells
 
@@ -276,3 +279,119 @@ def test_dome_size_counts_every_child_of_a_split_patch():
     assert dome.size == len(dome.roots) + 4
     dome.children(dome.roots[0])
     assert dome.size == len(dome.roots) + 4
+
+
+# ---------------------------------------------------------------------------
+# Enclosures shared between the rungs of one check.
+# ---------------------------------------------------------------------------
+
+def _cell(box):
+    """A direction enclosure as a hashable key."""
+    return tuple((iv.lo, iv.hi) for iv in box)
+
+
+def _hex(walk):
+    sup, certified = walk
+    return (None if sup is None else float(sup).hex()), certified
+
+
+def test_each_derivative_encloses_each_cell_once(monkeypatch):
+    F = expr_parse("2*y^3/z", 3)
+    pole = [(0.0, 0.0, 1.0)]
+    evaluated = []
+    compile_interval = verifier.compile_interval
+
+    def recording(expr):
+        enclose = compile_interval(expr)
+
+        def run(box):
+            evaluated.append((expr, _cell(box)))
+            return enclose(box)
+        return run
+
+    monkeypatch.setattr(verifier, "compile_interval", recording)
+    shared = check_negligible(F, pole, 2, 3).to_json()
+    visited = []
+    eval_interval = scalar_reference.eval_interval
+
+    def visiting(expr, box):
+        visited.append((expr, _cell(box)))
+        return eval_interval(expr, box)
+
+    monkeypatch.setattr(scalar_reference, "eval_interval", visiting)
+    monkeypatch.setattr(verifier, "_dome_sup", scalar_reference.dome_sup)
+    assert check_negligible(F, pole, 2, 3).to_json() == shared
+    # the reference evaluation recurses: keep its calls on whole trees
+    trees = {expr for expr, _ in evaluated}
+    visited = [(expr, cell) for expr, cell in visited if expr in trees]
+    # four eps rungs walk nested domes: the fresh walks enclose the inner
+    # cells again, the shared ones once per derivative
+    assert len(set(evaluated)) == len(evaluated)
+    assert set(evaluated) == set(visited)
+    assert len(evaluated) < len(visited)
+
+
+def _raises_domain_error(enclose, patch):
+    try:
+        enclose(patch.direction_enclosure())
+    except DomainError:
+        return True
+    return False
+
+
+def test_cells_without_an_enclosure_match_reference(reference_run):
+    # 4z - 3|x| has no sign on the coarse cells round the poles: their
+    # enclosures raise DomainError, and every rung meets them again
+    F = expr_parse("y^3/(4*z - 3*norm(x,y,z))", 3)
+    enclose = verifier.compile_interval(F)
+    dome = Dome(sphere_cover(3, 2), POLES, 0.05)
+    assert any(_raises_domain_error(enclose, p) for p in dome.roots)
+    shared, reference = reference_run(
+        lambda: check_negligible(F, POLES, 2, 3,
+                                 eps_grid=(1.0, 0.1, 0.01)).to_json())
+    assert shared == reference
+    assert json.loads(shared)["verdict"] == "pass"
+
+
+def test_starved_rungs_sharing_enclosures_match_reference(reference_run,
+                                                          monkeypatch):
+    # the delta = eps/20 walk of d^2_y F runs out of cells at every rung
+    monkeypatch.setattr(verifier, "DOME_CELL_BUDGET", 512)
+    F = expr_parse("4*y^3/z", 3)
+    shared, reference = reference_run(
+        lambda: check_negligible(F, POLES, 2, 3,
+                                 eps_grid=(1.0, 0.1)).to_json())
+    assert shared == reference
+    records = json.loads(shared)["records"]
+    assert [[a.get("cell_budget_exhausted_at_delta")
+             for a in rec["condition_a"] if a["alpha"] == [0, 2, 0]]
+            for rec in records] == [[[0.05]], [[0.005]]]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.fractions(Fraction(1, 9), 3, max_denominator=60),
+       st.sampled_from([1.0, -1.0]),
+       st.lists(st.sampled_from([1.0, 0.3, 0.1, 0.01, 0.001]), min_size=1,
+                max_size=3, unique=True))
+def test_shared_walks_equal_fresh_walks(c, sign, eps_grid):
+    F = expr_parse(f"{c}*y^3/z", 3)
+    pole = [(0.0, 0.0, sign)]
+    dome_sup = verifier._dome_sup
+
+    def compared(expr, dome, table, target=None, budget=64):
+        walk = dome_sup(expr, dome, table, target, budget)
+        assert _hex(walk) == _hex(
+            scalar_reference.dome_sup(expr, dome, {}, target, budget))
+        return walk
+
+    def run():
+        return json.dumps(check_negligible(F, pole, 2, 3,
+                                           eps_grid=eps_grid).to_json(),
+                          sort_keys=True)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verifier, "_dome_sup", compared)
+        shared = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verifier, "_dome_sup", scalar_reference.dome_sup)
+        assert run() == shared

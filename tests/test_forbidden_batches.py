@@ -17,15 +17,16 @@ from hypothesis import given, settings, strategies as st
 
 import scalar_reference as ref
 from jetideals import directions
+from jetideals.corpus import case_by_id
 from jetideals.errors import DomainError
 from jetideals.geometry import (Direction, direction_enclosures, face_boxes,
                                 sphere_cover)
 from jetideals.interval import (Interval, batch_abs, batch_add, batch_div,
                                 batch_exact, batch_ipow, batch_mul,
                                 batch_sqrt)
-from jetideals.jetring import RingSignature
+from jetideals.jetring import Jet, RingSignature, jet_parse
 
-from conftest import random_jet
+from conftest import random_fraction, random_jet
 
 SPECIAL = (0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 0.5, -3.0,
            5e-324, -5e-324, 1.7976931348623157e308, 1e200, -1e-200)
@@ -183,8 +184,13 @@ def test_batched_walk_equals_depth_first_walk(seed, mn, dome, delta,
     jets = [j for j in (random_jet(rng, sig, density=4, allow_constant=False)
                         for _ in range(rng.randint(1, 2)))
             if not j.is_zero()]
-    if not jets:
-        return
+    if jets:
+        _assert_walks_agree(rng, jets, sig, dome, delta, budget, target)
+
+
+def _assert_walks_agree(rng, jets, sig, dome, delta, budget, target):
+    """The batched walk and the depth-first one give the same (bound,
+    depth), around a random omega or (dome False) on the whole sphere."""
     omega = None
     if dome:
         omega = Direction([rng.gauss(0.0, 1.0) for _ in range(sig.n)],
@@ -205,3 +211,55 @@ def test_an_empty_dome_certifies_nothing():
     args = (jets, omega, 0.0, 6, 2, 0.0)
     assert directions.certify_lower_bound(*args) == (None, 0)
     assert ref.certify_lower_bound(*args) == (None, 0)
+
+
+def _homogeneous_jet(rng, sig, degree):
+    """A random jet whose monomials all have one degree (s-degree 0)."""
+    monos = [a for a in sig.monomials if sum(a) == degree]
+    return Jet(sig, {a: random_fraction(rng)
+                     for a in rng.sample(monos, rng.randint(1, len(monos)))})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([(2, 2), (3, 2), (4, 2),
+                                                  (3, 3)]),
+       st.booleans(), st.sampled_from([0.3, 1.0]), st.integers(2, 9),
+       st.floats(0.0, 0.3))
+def test_walk_without_s_degree_equals_depth_first_walk(seed, mn, dome, delta,
+                                                       budget, target):
+    # no monomial reads s, so s-split halves are carried unevaluated
+    rng = random.Random(seed)
+    sig = RingSignature(*mn)
+    jets = [j for j in (_homogeneous_jet(rng, sig, rng.randint(1, sig.m))
+                        for _ in range(rng.randint(1, 2)))
+            if not j.is_zero()]
+    if jets:
+        assert directions._compile_scaled(jets)[2] == 0
+        _assert_walks_agree(rng, jets, sig, dome, delta, budget, target)
+
+
+def test_whole_sphere_search_skips_cells_split_in_s(monkeypatch):
+    # x^2 + y^2 has s-degree 0, so every s-split keeps its enclosure
+    inputs = case_by_id("forbidden-whole-sphere").inputs
+    sig = RingSignature(inputs["m"], inputs["n"])
+    jets = [jet_parse(g, sig) for g in inputs["generators"]]
+    args = (jets, None, 1.0, inputs["budget"], sig.n, inputs["c"])
+    counts = {"batched": 0, "reference": 0}
+    batched, reference = directions._eval_scaled, ref.compiled_eval_scaled
+
+    def count_batched(compiled, s, u):
+        counts["batched"] += s.shape[1]
+        return batched(compiled, s, u)
+
+    def count_reference(*args):
+        counts["reference"] += 1
+        return reference(*args)
+
+    monkeypatch.setattr(directions, "_eval_scaled", count_batched)
+    monkeypatch.setattr(ref, "compiled_eval_scaled", count_reference)
+    got = directions.certify_lower_bound(*args)
+    want = ref.certify_lower_bound(*args)
+    assert (repr(got[0]), got[1]) == (repr(want[0]), want[1])
+    assert got[1] == 3 and got[0] > inputs["c"]
+    # the reference walk encloses every cell of the tree
+    assert 0 < counts["batched"] < counts["reference"]
