@@ -34,12 +34,13 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .geometry import (Dome, SpherePatch, direction_enclosures, face_boxes,
+from .geometry import (SpherePatch, direction_enclosures, face_boxes,
                        sphere_cover)
 from .ideal import JetIdeal
 from .interval import (Interval, batch_abs, batch_add, batch_exact,
                        batch_ipow, batch_mul)
 from .jetring import MORE_THAN_M, Jet, RingSignature
+from .regions import Dome
 
 CERTIFIED_FORBIDDEN = "certified_forbidden"
 CANDIDATE_ALLOWED = "candidate_allowed"
@@ -450,25 +451,6 @@ def _eval_scaled(compiled, s, u):
     return total
 
 
-def _dome_patches(n, omega, delta):
-    """Initial patches meeting the dome around omega (all, if omega None)."""
-    patches = sphere_cover(n, 0)
-    if omega is None:
-        return patches
-    return Dome(patches, [omega.vec], delta).roots
-
-
-def _patch_in_dome(patch, omega, delta):
-    """True if the whole patch enclosure is certainly inside the dome."""
-    if omega is None:
-        return True
-    enc = patch.direction_enclosure()
-    d2 = Interval(0.0, 0.0)
-    for iv, w in zip(enc, omega.vec):
-        d2 = d2 + (iv - w).ipow(2)
-    return d2.hi < delta * delta
-
-
 BATCH_CELLS = 1024
 
 
@@ -485,8 +467,9 @@ def certify_lower_bound(jets, omega, delta, budget, n, target: float = 0.0):
     interval.  A cell whose enclosure stays at or below the target is
     split in two: s when its width is the largest, else the first
     longest box axis (SpherePatch.subdivide), each at its midpoint.  At
-    depth `budget` such a cell fails the search if it holds omega or
-    lies inside the dome; one that pokes out of the dome may touch zero.
+    depth `budget` such a cell fails the search if it may meet the dome
+    (Dome.meets; on the whole sphere, always): a cell that only straddles
+    the dome's edge may hold a zero inside the dome.
     The walk evaluates cells in batches, numpy arrays of at most
     BATCH_CELLS cells of one depth, kept on a stack, so memory stays
     O(budget * BATCH_CELLS).  When no monomial has positive s-degree
@@ -505,7 +488,9 @@ def certify_lower_bound(jets, omega, delta, budget, n, target: float = 0.0):
     """
     compiled = _compile_scaled(jets)
     reads_s = compiled[2] > 0
-    roots = _dome_patches(n, omega, delta)
+    cover = sphere_cover(n, 0)
+    dome = None if omega is None else Dome(cover, [omega.vec], delta)
+    roots = cover if dome is None else dome.roots
     work = []
     if roots:
         s = np.array([[0.0], [1.0]]).repeat(len(roots), axis=1)
@@ -528,8 +513,9 @@ def certify_lower_bound(jets, omega, delta, budget, n, target: float = 0.0):
             keep = ~done
             axes, faces, s = axes[keep], faces[:, keep], s[:, keep]
         if depth >= budget:
-            if any(_cell_fails(n, axis, face, omega, delta)
-                   for axis, face in zip(axes, faces.transpose(1, 0, 2))):
+            if dome is None or any(
+                    dome.meets(_face_patch(n, axis, face))
+                    for axis, face in zip(axes, faces.transpose(1, 0, 2))):
                 return None, max_depth
             continue
         axes, faces, s, split_s = _split_cells(axes, faces, s)
@@ -563,23 +549,11 @@ def _split_cells(axes, faces, s):
             np.concatenate((split_s, split_s)))
 
 
-def _cell_fails(n, axis, face, omega, delta):
-    """Whether an uncertified cell at full depth ends the search: with
-    no omega always; else if its patch holds omega or lies inside the
-    dome (a patch poking outside the dome may touch zero)."""
-    if omega is None:
-        return True
+def _face_patch(n, axis, face):
+    """The SpherePatch of one cell's face box (2, n)."""
     lo, hi = face
-    patch = SpherePatch(n, int(axis), int(lo[axis]),
-                        [(lo[i], hi[i]) for i in range(n) if i != axis])
-    return (_patch_contains_omega(patch, omega)
-            or _patch_in_dome(patch, omega, delta))
-
-
-def _patch_contains_omega(patch, omega):
-    if omega is None:
-        return False
-    return patch.contains_direction(omega, slack=1e-12)
+    return SpherePatch(n, int(axis), int(lo[axis]),
+                       [(lo[i], hi[i]) for i in range(n) if i != axis])
 
 
 def forbidden_certificate_search(jets, omega, budget: int = 12,

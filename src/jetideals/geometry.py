@@ -267,54 +267,6 @@ def sphere_cover(n: int, depth: int = 0):
     return patches
 
 
-def box_direction_dist(enc, w) -> float:
-    """Float distance from the interval box enc to the point w; for a
-    direction enclosure it underestimates the distance of every
-    direction of the patch."""
-    d2 = 0.0
-    for iv, wc in zip(enc, w):
-        if wc < iv.lo:
-            d2 += (iv.lo - wc) ** 2
-        elif wc > iv.hi:
-            d2 += (wc - iv.hi) ** 2
-    return math.sqrt(d2)
-
-
-class Dome:
-    """The patches of a sphere-cover tree that may meet the union of
-    delta-balls around a finite direction set: a superset, which is the
-    sound side.
-
-    `roots` are the cover patches kept; `children(patch)` are the kept
-    `subdivide_all` children, computed once per patch.  `size` counts
-    the patches the tree holds: its roots and every child of a patch it
-    split, kept or not (the split patch keeps them all).
-    """
-
-    __slots__ = ("omegas", "delta", "roots", "size", "_kids")
-
-    def __init__(self, cover, omegas, delta):
-        self.omegas = tuple(tuple(w) for w in omegas)
-        self.delta = delta
-        self.roots = tuple(p for p in cover if self.meets(p))
-        self.size = len(self.roots)
-        self._kids = {}
-
-    def meets(self, patch) -> bool:
-        enc = patch.direction_enclosure()
-        return any(box_direction_dist(enc, w) < self.delta
-                   for w in self.omegas)
-
-    def children(self, patch):
-        kids = self._kids.get(patch)
-        if kids is None:
-            split = patch.subdivide_all()
-            self.size += len(split)
-            kids = self._kids[patch] = tuple(q for q in split
-                                             if self.meets(q))
-        return kids
-
-
 # ---------------------------------------------------------------------------
 # Tangent-direction estimation from samples.
 # ---------------------------------------------------------------------------

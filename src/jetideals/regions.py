@@ -1,0 +1,207 @@
+"""The dome Gamma(Omega, delta) on the sphere and the regions built on
+it.  `Dome.meets` is the package's one test of a sphere patch against a
+dome: the negligibility walk `_dome_sup` over the kept dome trees and
+the forbidden-cone search in `directions` both decide by it.  The
+annulus identity asks whether every cutoff stays on its plateau over a
+radial range times the dome (`_region_boxes`, `_plateaus_certified`).
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+
+from .errors import DomainError
+from .geometry import sphere_cover
+from .interval import Interval
+from .symfun import Const, Div, Norm, collect_cutoffs, compile_interval
+
+
+class Dome:
+    """The patches of a sphere-cover tree that may meet the union of
+    delta-balls around a finite direction set: a superset, which is the
+    sound side.
+
+    `roots` are the cover patches kept; `children(patch)` are the kept
+    `subdivide_all` children, computed once per patch.  `size` counts
+    the patches the tree holds: its roots and every child of a patch it
+    split, kept or not (the split patch keeps them all).
+    """
+
+    __slots__ = ("omegas", "delta", "roots", "size", "_kids")
+
+    def __init__(self, cover, omegas, delta):
+        self.omegas = tuple(tuple(w) for w in omegas)
+        self.delta = delta
+        self.roots = tuple(p for p in cover if self.meets(p))
+        self.size = len(self.roots)
+        self._kids = {}
+
+    def meets(self, patch) -> bool:
+        """Whether the patch may meet the dome: the float distance from
+        its direction enclosure to some omega is below delta.  The
+        distance to the box underestimates that of every direction of
+        the patch, so a patch that holds a dome direction meets it."""
+        enc = patch.direction_enclosure()
+        for w in self.omegas:
+            d2 = 0.0
+            for iv, wc in zip(enc, w):
+                if wc < iv.lo:
+                    d2 += (iv.lo - wc) ** 2
+                elif wc > iv.hi:
+                    d2 += (wc - iv.hi) ** 2
+            if math.sqrt(d2) < self.delta:
+                return True
+        return False
+
+    def children(self, patch):
+        kids = self._kids.get(patch)
+        if kids is None:
+            split = patch.subdivide_all()
+            self.size += len(split)
+            kids = self._kids[patch] = tuple(q for q in split
+                                             if self.meets(q))
+        return kids
+
+
+# ---------------------------------------------------------------------------
+# Kept dome trees and the dome walk of the negligibility check.
+# ---------------------------------------------------------------------------
+
+# Cells one dome walk may evaluate: this bounds the time of a walk.
+DOME_CELL_BUDGET = 8192
+
+# Dome trees live for the whole process, one per (n, Omega, delta): a
+# patch's kept children depend only on (patch, Omega, delta), so a kept
+# tree hands every later walk the same cells.  Each tree grows on its
+# own sphere cover, so a dropped tree frees all its patches.  Memory is
+# bounded twice: at most DOME_TREES trees are kept (the least recently
+# used goes first), and a tree holding more than DOME_TREE_PATCHES
+# patches is replaced by a fresh one before its next walk.
+DOME_TREES = 32
+DOME_TREE_PATCHES = 8 * DOME_CELL_BUDGET
+
+
+@functools.lru_cache(maxsize=DOME_TREES)
+def _dome_slot(n, omegas, delta):
+    return [None]
+
+
+def _dome(n, omegas, delta):
+    """The kept dome tree of (n, omegas, delta), omegas a tuple of
+    float tuples."""
+    slot = _dome_slot(n, omegas, delta)
+    if slot[0] is None or slot[0].size > DOME_TREE_PATCHES:
+        slot[0] = Dome(sphere_cover(n, 2), omegas, delta)
+    return slot[0]
+
+
+def _dome_sup(expr, dome, table, target=None, budget=64):
+    """Certified upper bound of |expr| on the dome, by interval
+    subdivision of its sphere-patch tree (cells provably outside the
+    dome are not in the tree, so tiny domes stay cheap).
+
+    With a target: returns (sup_bound, True) if every cell is pushed
+    below the target, else (best_bound, False).  Without a target:
+    refines a few levels past the dome scale and returns the sup bound.
+    A walk that would evaluate more than DOME_CELL_BUDGET cells returns
+    (None, False): no bound at all.
+
+    `table` holds |expr|'s enclosure (or its DomainError) per cell,
+    keyed by the cell's face axis, sign and box.  Every dome tree grows
+    from sphere_cover(n, 2) by the same splits, so a cell of the same
+    geometry in another walk over expr has the same enclosure bit for
+    bit and is read from the table; a walk still counts it against the
+    budget.
+    Box ends are midpoints of (-1, 1), never -0.0, so == on the box is
+    equality of the floats.
+    """
+    enclose = compile_interval(expr)
+    work = [(p, 0) for p in dome.roots]
+    # without a target, stop once cells are comparable to the dome size
+    free_depth = max(3, min(60, int(-math.log2(max(dome.delta, 1e-18))) + 3))
+    top = 0.0
+    certified = True
+    cells = 0
+    while work:
+        cells += 1
+        if cells > DOME_CELL_BUDGET:
+            return None, False
+        patch, depth = work.pop()
+        key = (patch.axis, patch.sign, patch.box)
+        val = table.get(key)
+        if val is None:
+            try:
+                val = abs(enclose(patch.direction_enclosure()))
+            except DomainError as exc:
+                val = exc.with_traceback(None)   # no frame kept alive
+            table[key] = val
+        if isinstance(val, DomainError):
+            if depth < budget:
+                work.extend((q, depth + 1) for q in dome.children(patch))
+                continue
+            return math.inf, False
+        if target is not None and val.hi > target:
+            if depth < budget:
+                work.extend((q, depth + 1) for q in dome.children(patch))
+                continue
+            certified = False
+            top = max(top, val.hi)
+            continue
+        if target is None and depth < free_depth and val.width > 0.01:
+            work.extend((q, depth + 1) for q in dome.children(patch))
+            continue
+        top = max(top, val.hi)
+    return top, certified
+
+
+# ---------------------------------------------------------------------------
+# Radial ranges times the dome, for the annulus identity.
+# ---------------------------------------------------------------------------
+
+def _region_boxes(omegas, delta, s_lo, s_hi):
+    """Interval boxes enclosing {s*u : s in [s_lo, s_hi], |u - w| < delta}."""
+    boxes = []
+    s_iv = Interval(s_lo, s_hi)
+    for w in omegas:
+        box = []
+        for c in w:
+            u_iv = Interval(c - delta, c + delta)
+            box.append(s_iv * u_iv)
+        boxes.append(box)
+    return boxes
+
+
+def _plateaus_certified(exprs, boxes, s_range, n):
+    """True if every cutoff argument stays within its plateau over every
+    region box (so the symbolic plateau substitution is valid).
+
+    When the cutoff argument is the full-vector norm (or its constant
+    reciprocal), the radial range s_range of the region is used
+    directly: a box enclosure of |x| is always slightly wider than the
+    true one and would spuriously fail a plateau that the region touches
+    only at its boundary.
+    """
+    full = tuple(range(n))
+    for cut in collect_cutoffs(exprs):
+        top = float(cut.spec.a * cut.scale)
+        arg = cut.arg
+        if isinstance(arg, Norm) and arg.indices == full:
+            if s_range[1] > top:
+                return False
+            continue
+        if (isinstance(arg, Div)
+                and isinstance(arg.num, Const) and arg.num.value > 0
+                and isinstance(arg.den, Norm) and arg.den.indices == full):
+            if float(arg.num.value) / s_range[0] > top:
+                return False
+            continue
+        enclose = compile_interval(arg)
+        for box in boxes:
+            try:
+                enc = enclose(box)
+            except DomainError:
+                return False
+            if enc.hi > top:
+                return False
+    return True

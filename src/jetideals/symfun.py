@@ -72,6 +72,11 @@ def subtrees(e: ScalarExpr):
         yield from subtrees(child)
 
 
+def collect_cutoffs(exprs):
+    """Every cutoff node of the trees, each tree in preorder."""
+    return [c for e in exprs for c in subtrees(e) if isinstance(c, Cutoff)]
+
+
 def _coerce(x):
     if isinstance(x, ScalarExpr):
         return x

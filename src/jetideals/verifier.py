@@ -19,16 +19,14 @@ import numpy as np
 
 from .directions import allow_overapprox, forbidden_certificate_search
 from .errors import DomainError
-from .geometry import (Cone, Direction, Dome, dome_membership,
-                       sphere_cover)
+from .geometry import Cone, Direction
 from .ideal import JetIdeal
-from .interval import Interval
 from .jetring import Jet, monomials
+from .regions import _dome, _dome_sup, _plateaus_certified, _region_boxes
 from .symfun import (KERNELS, Add, Const, Cutoff, Div, GaugeRef, Mul, Norm,
-                     Pow, ScalarExpr, ZERO, add, compile_expr, compile_exprs,
-                     compile_interval, div, expr_derive, expr_str,
-                     hom_degree, ipow, mul, subtrees, DEFAULT_CUTOFF,
-                     Coord)
+                     Pow, ScalarExpr, ZERO, add, collect_cutoffs,
+                     compile_expr, compile_exprs, div, expr_derive,
+                     expr_str, hom_degree, ipow, mul, DEFAULT_CUTOFF, Coord)
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 _ORDER = {FAIL: 0, INCONCLUSIVE: 1, PASS: 2}
@@ -114,16 +112,14 @@ def _dome_directions(rng, omegas, delta, count):
     per = max(1, count // max(1, len(omegas)))
     for w in omegas:
         for _ in range(per):
-            u = tuple(float(c) for c in _dome_unit(rng, w, delta))
-            if dome_membership(u, omegas, delta):
-                dirs.append(u)
+            dirs.append(tuple(float(c) for c in _dome_unit(rng, w, delta)))
     return dirs
 
 
 def _cutoff_feature_scales(exprs):
     """Absolute argument breakpoints of every cutoff node in the trees."""
     return [(float(c.scale * c.spec.a), float(c.scale * c.spec.b))
-            for c in _collect_cutoffs(exprs)]
+            for c in collect_cutoffs(exprs)]
 
 
 def _unit_annulus_samples(n, K, omegas, rel_scales, rng):
@@ -355,93 +351,6 @@ def check_flat_tame_product(F: ScalarExpr, S: ScalarExpr, region, m: int,
 # ---------------------------------------------------------------------------
 # Negligibility.
 # ---------------------------------------------------------------------------
-
-# Cells one dome walk may evaluate: this bounds the time of a walk.
-DOME_CELL_BUDGET = 8192
-
-# Dome trees live for the whole process, one per (n, Omega, delta): a
-# patch's kept children depend only on (patch, Omega, delta), so a kept
-# tree hands every later walk the same cells.  Each tree grows on its
-# own sphere cover, so a dropped tree frees all its patches.  Memory is
-# bounded twice: at most DOME_TREES trees are kept (the least recently
-# used goes first), and a tree holding more than DOME_TREE_PATCHES
-# patches is replaced by a fresh one before its next walk.
-DOME_TREES = 32
-DOME_TREE_PATCHES = 8 * DOME_CELL_BUDGET
-
-
-@functools.lru_cache(maxsize=DOME_TREES)
-def _dome_slot(n, omegas, delta):
-    return [None]
-
-
-def _dome(n, omegas, delta):
-    """The kept dome tree of (n, omegas, delta), omegas a tuple of
-    float tuples."""
-    slot = _dome_slot(n, omegas, delta)
-    if slot[0] is None or slot[0].size > DOME_TREE_PATCHES:
-        slot[0] = Dome(sphere_cover(n, 2), omegas, delta)
-    return slot[0]
-
-
-def _dome_sup(expr, dome, table, target=None, budget=64):
-    """Certified upper bound of |expr| on the dome, by interval
-    subdivision of its sphere-patch tree (cells provably outside the
-    dome are not in the tree, so tiny domes stay cheap).
-
-    With a target: returns (sup_bound, True) if every cell is pushed
-    below the target, else (best_bound, False).  Without a target:
-    refines a few levels past the dome scale and returns the sup bound.
-    A walk that would evaluate more than DOME_CELL_BUDGET cells returns
-    (None, False): no bound at all.
-
-    `table` holds |expr|'s enclosure (or its DomainError) per cell,
-    keyed by the cell's face axis, sign and box.  Every dome tree grows
-    from sphere_cover(n, 2) by the same splits, so a cell of the same
-    geometry in another walk over expr has the same enclosure bit for
-    bit and is read from the table; a walk still counts it against the
-    budget.
-    Box ends are midpoints of (-1, 1), never -0.0, so == on the box is
-    equality of the floats.
-    """
-    enclose = compile_interval(expr)
-    work = [(p, 0) for p in dome.roots]
-    # without a target, stop once cells are comparable to the dome size
-    free_depth = max(3, min(60, int(-math.log2(max(dome.delta, 1e-18))) + 3))
-    top = 0.0
-    certified = True
-    cells = 0
-    while work:
-        cells += 1
-        if cells > DOME_CELL_BUDGET:
-            return None, False
-        patch, depth = work.pop()
-        key = (patch.axis, patch.sign, patch.box)
-        val = table.get(key)
-        if val is None:
-            try:
-                val = abs(enclose(patch.direction_enclosure()))
-            except DomainError as exc:
-                val = exc.with_traceback(None)   # no frame kept alive
-            table[key] = val
-        if isinstance(val, DomainError):
-            if depth < budget:
-                work.extend((q, depth + 1) for q in dome.children(patch))
-                continue
-            return math.inf, False
-        if target is not None and val.hi > target:
-            if depth < budget:
-                work.extend((q, depth + 1) for q in dome.children(patch))
-                continue
-            certified = False
-            top = max(top, val.hi)
-            continue
-        if target is None and depth < free_depth and val.width > 0.01:
-            work.extend((q, depth + 1) for q in dome.children(patch))
-            continue
-        top = max(top, val.hi)
-    return top, certified
-
 
 class NegligibilityCertificate:
     """Per-epsilon records for the cone bound (a) and the Taylor
@@ -691,59 +600,6 @@ def _condition_b(F, derivs, omegas, delta, r, eps, m, n, rng, pair_samples):
 # ---------------------------------------------------------------------------
 # Symbolic identity residuals.
 # ---------------------------------------------------------------------------
-
-def _collect_cutoffs(exprs):
-    """Every cutoff node of the trees, each tree in preorder."""
-    return [c for e in exprs for c in subtrees(e) if isinstance(c, Cutoff)]
-
-
-def _region_boxes(omegas, delta, s_lo, s_hi, n):
-    """Interval boxes enclosing {s*u : s in [s_lo, s_hi], |u - w| < delta}."""
-    boxes = []
-    s_iv = Interval(s_lo, s_hi)
-    for w in omegas:
-        box = []
-        for c in w:
-            u_iv = Interval(c - delta, c + delta)
-            box.append(s_iv * u_iv)
-        boxes.append(box)
-    return boxes
-
-
-def _plateaus_certified(exprs, boxes, s_range=None, n=None):
-    """True if every cutoff argument stays within its plateau over every
-    region box (so the symbolic plateau substitution is valid).
-
-    When the cutoff argument is the full-vector norm (or its constant
-    reciprocal) and the radial range of the region is known, that range
-    is used directly: a box enclosure of |x| is always slightly wider
-    than the true one and would spuriously fail a plateau that the
-    region touches only at its boundary.
-    """
-    full = tuple(range(n)) if n is not None else None
-    for cut in _collect_cutoffs(exprs):
-        top = float(cut.spec.a * cut.scale)
-        arg = cut.arg
-        if s_range is not None and isinstance(arg, Norm) and arg.indices == full:
-            if s_range[1] > top:
-                return False
-            continue
-        if (s_range is not None and isinstance(arg, Div)
-                and isinstance(arg.num, Const) and arg.num.value > 0
-                and isinstance(arg.den, Norm) and arg.den.indices == full):
-            if float(arg.num.value) / s_range[0] > top:
-                return False
-            continue
-        enclose = compile_interval(arg)
-        for box in boxes:
-            try:
-                enc = enclose(box)
-            except DomainError:
-                return False
-            if enc.hi > top:
-                return False
-    return True
-
 
 def symbolic_residual_zero(p: Jet, terms, F: ScalarExpr) -> bool:
     """Exact check that p - sum S_l Q_l - F vanishes as a function,
@@ -1376,10 +1232,9 @@ def _scaled_identity(p, Q_list, F, S_list, omegas, delta, rho, n, rng):
     the one identity of every annulus variant: exact (_identity_zero)
     when every cutoff is certified on its plateau over the region, else
     sampled (_sampled_identity)."""
-    boxes = _region_boxes(omegas, delta, rho / 2, 2 * rho, n)
+    boxes = _region_boxes(omegas, delta, rho / 2, 2 * rho)
     pairs = list(zip(Q_list, S_list))
-    if _plateaus_certified([F] + list(S_list), boxes,
-                           s_range=(rho / 2, 2 * rho), n=n):
+    if _plateaus_certified([F] + list(S_list), boxes, (rho / 2, 2 * rho), n):
         return _identity_zero(p, pairs, F), "plateau-certified symbolic"
     return _sampled_identity(p, pairs, F, omegas, delta, rho / 2, 2 * rho, n,
                              rng)

@@ -44,7 +44,7 @@ test_annulus_rescaling.py requires the rows built from the tables of F
 and the S_l to give the same verdicts, witness multi-indices and points
 and skipped counts, and maxima and witness values within 1e-12 relative.
 
-The unshared negligibility dome walk that verifier._dome_sup replaced:
+The unshared negligibility dome walk that regions._dome_sup replaced:
 each call builds its own cover, re-tests and re-encloses every cell
 (no tree kept, no enclosure shared between walks), and evaluates by the
 interval tree walk.  test_dome_tree.py requires check_negligible to
@@ -85,7 +85,9 @@ exactly its enclosure on every cell of a batch.
 The depth-first cell walk of directions.certify_lower_bound, one
 SpherePatch and s Interval at a time, and its compiled per-cell
 evaluation compiled_eval_scaled: test_forbidden_batches.py requires the
-batched walk to return exactly its (bound, depth).
+batched walk to return exactly its (bound, depth).  It tests patches
+against the dome by its own float distance (_cell_outside_dome), not
+by regions.Dome.
 
 The sympy identity test that verifier._identity_zero replaced:
 expr_to_sympy writes a tree as a sympy expression (cutoffs at their
@@ -115,10 +117,9 @@ from sympy.polys.domains import QQ
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing
 
-from jetideals import verifier
+from jetideals import regions, verifier
 from jetideals.directions import (ExactDirection, _compile_scaled,
-                                  _dome_patches, _patch_contains_omega,
-                                  _patch_in_dome, jet_to_sympy)
+                                  jet_to_sympy)
 from jetideals.errors import (DegreeOverflowError, DimensionMismatchError,
                               DomainError)
 from jetideals.geometry import sphere_cover
@@ -614,7 +615,7 @@ def dome_cells(n, omegas, delta, init_depth=2):
 def dome_sup(expr, dome, table, target=None, budget=64):
     """The walk over a fresh cover; only the dimension, omegas and delta
     of the dome are read, and every cell is enclosed afresh (the shared
-    enclosure table is ignored).  Past verifier.DOME_CELL_BUDGET cells
+    enclosure table is ignored).  Past regions.DOME_CELL_BUDGET cells
     in the dome it returns (None, False)."""
     n, omegas, delta = dome.roots[0].n, dome.omegas, dome.delta
     work = [(p, 0) for p in dome_cells(n, omegas, delta)]
@@ -627,7 +628,7 @@ def dome_sup(expr, dome, table, target=None, budget=64):
         if depth and _cell_outside_dome(patch, omegas, delta):
             continue
         cells += 1
-        if cells > verifier.DOME_CELL_BUDGET:
+        if cells > regions.DOME_CELL_BUDGET:
             return None, False
         enc = patch.direction_enclosure()
         try:
@@ -885,8 +886,17 @@ def compiled_eval_scaled(compiled, s, u_box):
 
 
 def certify_lower_bound(jets, omega, delta, budget, n, target=0.0):
+    """An uncertified cell at full depth fails the search when its
+    patch is not certainly outside the dome (on the whole sphere,
+    always)."""
+    omegas = [] if omega is None else [omega.vec]
+
+    def outside(patch):
+        return omega is not None and _cell_outside_dome(patch, omegas, delta)
+
     scaled = _compile_scaled(jets)
-    work = [(p, Interval(0.0, 1.0), 0) for p in _dome_patches(n, omega, delta)]
+    work = [(p, Interval(0.0, 1.0), 0) for p in sphere_cover(n, 0)
+            if not outside(p)]
     best = math.inf
     max_depth = 0
     while work:
@@ -898,9 +908,7 @@ def certify_lower_bound(jets, omega, delta, budget, n, target=0.0):
             best = min(best, total.lo)
             continue
         if depth >= budget:
-            if _patch_contains_omega(patch, omega) or omega is None:
-                return None, max_depth
-            if _patch_in_dome(patch, omega, delta):
+            if not outside(patch):
                 return None, max_depth
             continue
         widths = [hi - lo for lo, hi in patch.box] + [s_iv.width]

@@ -59,6 +59,14 @@ def test_forbid_cert_verify_and_search(capsys):
     assert code == 0 and doc["certificate"]["c"] > 0
 
 
+def test_forbid_cert_over_a_zero_in_the_dome_is_inconclusive(capsys):
+    # 7y - 12x vanishes at (7, 12)/sqrt(193), within delta = 1 of omega
+    code, doc = run(capsys, "forbid-cert", "--m", "2", "--n", "2",
+                    "--gens", "7*y - 12*x", "--omega", "1,0")
+    assert code == 2 and doc["verdict"] == "inconclusive"
+    assert "certificate" not in doc
+
+
 def test_tangent_subcommand(tmp_path, capsys):
     csv = tmp_path / "points.csv"
     rows = [f"0,{2.0 ** -k}" for k in range(20)]

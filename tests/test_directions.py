@@ -4,7 +4,7 @@ import math
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import scalar_reference
 from jetideals import directions
@@ -106,6 +106,48 @@ def test_forbidden_away_from_allowed_directions():
     omega = Direction((1.0, 1.0), normalize=True)
     cert = forbidden_certificate_search(jets, omega, budget=12, delta=0.3)
     assert cert is not None and cert.c > 0
+
+
+def test_a_zero_near_the_dome_edge_gets_no_certificate():
+    # 7y - 12x vanishes at (7, 12)/sqrt(193), at chord distance 0.9961
+    # from omega = (1, 0): inside the delta = 1 dome, in cells that
+    # straddle its edge
+    jets = [jet_parse("7*y - 12*x", RingSignature(2, 2))]
+    omega = Direction((1.0, 0.0))
+    assert 0.99 < omega.dist(Direction((7.0, 12.0), normalize=True)) < 1.0
+    assert forbidden_certificate_search(jets, omega) is None
+    assert verify_forbidden_certificate(jets, 0.01, omega)[0] == \
+        "inconclusive"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_no_certificate_over_a_zero_inside_the_dome(data):
+    # a linear form a.x vanishes on the great sphere orthogonal to a;
+    # the zero nearest omega is omega projected off a, and delta puts it
+    # inside the dome, mostly near its edge
+    n = data.draw(st.sampled_from([2, 3]), label="n")
+    a = data.draw(st.lists(st.integers(-12, 12), min_size=n, max_size=n)
+                  .filter(any), label="a")
+    v = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+                  .filter(lambda v: math.hypot(*v) > 0.1), label="omega")
+    omega = Direction(v, normalize=True)
+    norm_a = math.hypot(*a)
+    along = sum(w * c for w, c in zip(omega.vec, a)) / norm_a
+    off = [w - along * c / norm_a for w, c in zip(omega.vec, a)]
+    assume(math.hypot(*off) > 1e-6)
+    zero = Direction(off, normalize=True)
+    delta = omega.dist(zero) + data.draw(st.floats(1e-6, 0.1), label="gap")
+    budget = data.draw(st.integers(6, 12) if n == 2 else st.integers(4, 8),
+                       label="budget")
+    sig = RingSignature(2, n)
+    jets = [Jet(sig, {tuple(int(i == j) for j in range(n)): c
+                      for i, c in enumerate(a) if c})]
+    assert forbidden_certificate_search(jets, omega, budget=budget,
+                                        delta=delta) is None
+    verdict, _, _ = verify_forbidden_certificate(jets, 1e-3, omega, delta,
+                                                 budget)
+    assert verdict == "inconclusive"
 
 
 def test_allow_transform_rotation():

@@ -13,16 +13,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jetideals import verifier
+from jetideals import regions, verifier
 from jetideals.corpus import case_by_id, run_case
 from jetideals.errors import DomainError
-from jetideals.geometry import Dome, box_direction_dist, sphere_cover
+from jetideals.geometry import sphere_cover
 from jetideals.ideal import JetIdeal
 from jetideals.interval import Interval
 from jetideals.jetring import RingSignature, jet_parse
-from jetideals.symfun import expr_parse
-from jetideals.verifier import (DOME_CELL_BUDGET, ImplicationCertificate,
-                                check_negligible, check_strong_global)
+from jetideals.regions import DOME_CELL_BUDGET, Dome
+from jetideals.symfun import compile_interval, expr_parse
+from jetideals.verifier import (ImplicationCertificate, check_negligible,
+                                check_strong_global)
 
 import scalar_reference
 
@@ -130,15 +131,15 @@ def test_cell_budget_ends_the_pole_walk_of_4y3_over_z():
 def test_walk_past_the_cell_budget_has_no_bound(monkeypatch):
     dome = Dome(sphere_cover(3, 2), POLES, 0.05)
     F = expr_parse("y^3/z", 3)
-    assert verifier._dome_sup(F, dome, {}, target=1e-30) == (None, False)
-    monkeypatch.setattr(verifier, "DOME_CELL_BUDGET", 3)
-    sup, certified = verifier._dome_sup(F, dome, {}, target=1.0)
+    assert regions._dome_sup(F, dome, {}, target=1e-30) == (None, False)
+    monkeypatch.setattr(regions, "DOME_CELL_BUDGET", 3)
+    sup, certified = regions._dome_sup(F, dome, {}, target=1.0)
     assert sup is None and not certified
     assert DOME_CELL_BUDGET >= 50 * 104   # largest corpus walk: 104 cells
 
 
 def test_ladder_exhausted_by_cell_budget_names_it(monkeypatch):
-    monkeypatch.setattr(verifier, "DOME_CELL_BUDGET", 3)
+    monkeypatch.setattr(regions, "DOME_CELL_BUDGET", 3)
     cert = check_negligible(expr_parse("y^3/z", 3), POLES, 2, 3,
                             eps_grid=(1.0,))
     rec = cert.records[0]
@@ -153,7 +154,7 @@ def test_nan_enclosure_is_not_certified(monkeypatch):
     def nan_program(e):
         return lambda box: Interval(math.inf, math.inf) + Interval(-math.inf)
 
-    monkeypatch.setattr(verifier, "compile_interval", nan_program)
+    monkeypatch.setattr(regions, "compile_interval", nan_program)
     cert = check_negligible(expr_parse("y^3/z", 3), POLES, 2, 3,
                             eps_grid=(1.0,), budget=2)
     assert cert.verdict == "inconclusive"
@@ -164,8 +165,7 @@ def test_dome_roots_and_children_are_the_kept_cells():
     dome = Dome(cover, POLES, 0.05)
 
     def meets(p):
-        enc = p.direction_enclosure()
-        return any(box_direction_dist(enc, w) < 0.05 for w in POLES)
+        return not scalar_reference._cell_outside_dome(p, POLES, 0.05)
 
     assert dome.roots == tuple(p for p in cover if meets(p))
     root = dome.roots[0]
@@ -185,9 +185,9 @@ def test_dome_roots_and_children_are_the_kept_cells():
 @pytest.fixture
 def fresh_trees():
     """Start and end with no kept dome trees."""
-    verifier._dome_slot.cache_clear()
+    regions._dome_slot.cache_clear()
     yield
-    verifier._dome_slot.cache_clear()
+    regions._dome_slot.cache_clear()
 
 
 @pytest.fixture
@@ -202,7 +202,7 @@ def built(monkeypatch):
             deltas.append(delta)
             super().__init__(cover, omegas, delta)
 
-    monkeypatch.setattr(verifier, "Dome", CountingDome)
+    monkeypatch.setattr(regions, "Dome", CountingDome)
     return deltas
 
 
@@ -220,9 +220,9 @@ def test_two_checks_build_each_dome_once(fresh_trees, built):
 
 
 def test_tree_cache_bounds(fresh_trees):
-    assert verifier._dome_slot.cache_info().maxsize == verifier.DOME_TREES
-    assert verifier.DOME_TREES == 32
-    assert verifier.DOME_TREE_PATCHES == 8 * DOME_CELL_BUDGET
+    assert regions._dome_slot.cache_info().maxsize == regions.DOME_TREES
+    assert regions.DOME_TREES == 32
+    assert regions.DOME_TREE_PATCHES == 8 * DOME_CELL_BUDGET
 
 
 @pytest.mark.parametrize("order", [(Fraction(1, 9), 3),
@@ -258,11 +258,11 @@ def test_tree_past_the_patch_cap_is_replaced(fresh_trees, built,
                                              monkeypatch):
     F = expr_parse("y^3/z", 3)
     uncapped = check_negligible(F, POLES, 2, 3).to_json()
-    kept = verifier._dome(3, tuple(POLES), 0.05)
+    kept = regions._dome(3, tuple(POLES), 0.05)
     assert kept.size > 40
-    verifier._dome_slot.cache_clear()
+    regions._dome_slot.cache_clear()
     built.clear()
-    monkeypatch.setattr(verifier, "DOME_TREE_PATCHES", 40)
+    monkeypatch.setattr(regions, "DOME_TREE_PATCHES", 40)
     assert check_negligible(F, POLES, 2, 3).to_json() == uncapped
     # a tree that grew past the cap was built again for its next walk,
     # within the call and in the next one
@@ -299,7 +299,6 @@ def test_each_derivative_encloses_each_cell_once(monkeypatch):
     F = expr_parse("2*y^3/z", 3)
     pole = [(0.0, 0.0, 1.0)]
     evaluated = []
-    compile_interval = verifier.compile_interval
 
     def recording(expr):
         enclose = compile_interval(expr)
@@ -309,7 +308,7 @@ def test_each_derivative_encloses_each_cell_once(monkeypatch):
             return enclose(box)
         return run
 
-    monkeypatch.setattr(verifier, "compile_interval", recording)
+    monkeypatch.setattr(regions, "compile_interval", recording)
     shared = check_negligible(F, pole, 2, 3).to_json()
     visited = []
     eval_interval = scalar_reference.eval_interval
@@ -343,7 +342,7 @@ def test_cells_without_an_enclosure_match_reference(reference_run):
     # 4z - 3|x| has no sign on the coarse cells round the poles: their
     # enclosures raise DomainError, and every rung meets them again
     F = expr_parse("y^3/(4*z - 3*norm(x,y,z))", 3)
-    enclose = verifier.compile_interval(F)
+    enclose = compile_interval(F)
     dome = Dome(sphere_cover(3, 2), POLES, 0.05)
     assert any(_raises_domain_error(enclose, p) for p in dome.roots)
     shared, reference = reference_run(
@@ -356,7 +355,7 @@ def test_cells_without_an_enclosure_match_reference(reference_run):
 def test_starved_rungs_sharing_enclosures_match_reference(reference_run,
                                                           monkeypatch):
     # the delta = eps/20 walk of d^2_y F runs out of cells at every rung
-    monkeypatch.setattr(verifier, "DOME_CELL_BUDGET", 512)
+    monkeypatch.setattr(regions, "DOME_CELL_BUDGET", 512)
     F = expr_parse("4*y^3/z", 3)
     shared, reference = reference_run(
         lambda: check_negligible(F, POLES, 2, 3,
@@ -376,7 +375,7 @@ def test_starved_rungs_sharing_enclosures_match_reference(reference_run,
 def test_shared_walks_equal_fresh_walks(c, sign, eps_grid):
     F = expr_parse(f"{c}*y^3/z", 3)
     pole = [(0.0, 0.0, sign)]
-    dome_sup = verifier._dome_sup
+    dome_sup = regions._dome_sup
 
     def compared(expr, dome, table, target=None, budget=64):
         walk = dome_sup(expr, dome, table, target, budget)

@@ -27,6 +27,7 @@ from jetideals.interval import (Interval, batch_abs, batch_add, batch_div,
 from jetideals.jetring import Jet, RingSignature, jet_parse
 
 from conftest import random_fraction, random_jet
+from forbidden_search import _higher_terms, _rotated_form
 
 SPECIAL = (0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 0.5, -3.0,
            5e-324, -5e-324, 1.7976931348623157e308, 1e200, -1e-200)
@@ -236,6 +237,33 @@ def test_walk_without_s_degree_equals_depth_first_walk(seed, mn, dome, delta,
     if jets:
         assert directions._compile_scaled(jets)[2] == 0
         _assert_walks_agree(rng, jets, sig, dome, delta, budget, target)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([3, 4]), st.booleans(),
+       st.sampled_from([0.3, 1.0]), st.integers(4, 12))
+def test_walk_with_s_degree_equals_depth_first_walk(seed, m, dome, delta,
+                                                    budget):
+    # a definite form plus higher terms reads s, and its search gets
+    # through, so the bound and depth depend on the enclosures of the
+    # halves of s-splits
+    rng = random.Random(seed)
+    sig = RingSignature(m, 2)
+    jets = [_rotated_form(rng, sig)[0] + _higher_terms(rng, sig, 2)]
+    assert directions._compile_scaled(jets)[2] > 0
+    _assert_walks_agree(rng, jets, sig, dome, delta, budget, 0.0)
+
+
+@pytest.mark.parametrize("text", ["x^2 + y^2 - x^3/2", "x^2 + y^2 - x*y^2"])
+def test_searches_whose_bound_rests_on_s_split_halves(text):
+    # a walk that carried the halves of s-splits unevaluated, as it may
+    # when the sum does not read s, would end with another bound
+    jets = [jet_parse(text, RingSignature(3, 2))]
+    args = (jets, None, 1.0, 12, 2, 0.0)
+    bound, depth = directions.certify_lower_bound(*args)
+    want_bound, want_depth = ref.certify_lower_bound(*args)
+    assert bound is not None
+    assert (repr(bound), depth) == (repr(want_bound), want_depth)
 
 
 def test_whole_sphere_search_skips_cells_split_in_s(monkeypatch):

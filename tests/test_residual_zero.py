@@ -372,8 +372,10 @@ def test_a_ring_without_the_square_reduction_fails_the_comparison(
         with pytest.raises(AssertionError):
             _same_decision(p, [], expr_parse(F, N3))
 
+    # derandomized: the same 40 draws on every run, among them residuals
+    # that only the square reduction decides
     @settings(max_examples=40, deadline=None, database=None,
-              phases=[Phase.generate])
+              phases=[Phase.generate], derandomize=True)
     @given(data=st.data())
     def compare(data):
         _same_decision(*_norm_tree_case(data, MULTI_NORMS)[0])

@@ -6,6 +6,9 @@ whole-sphere sweep directions are built from it.  Each must give the
 points of scalar_reference's one-vector-at-a-time loops bit for bit, and
 leave the generator in the same state, since the same generator goes on
 to draw the identity check's points.
+
+Every draw of verifier._dome_unit lies within delta of its center w
+(for delta from 1e-14 up), so the dome samplers keep every draw.
 """
 
 import math
@@ -16,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import scalar_reference as ref
 from jetideals import verifier
+from jetideals.geometry import dome_membership
 
 
 def _same_bits(batched, points):
@@ -147,3 +151,21 @@ def test_row_dots_equal_np_dot_bit_for_bit(n):
     assert dots.tobytes() == np.array([np.dot(v, w) for v in rows]).tobytes()
     assert norms.tobytes() == np.array(
         [np.linalg.norm(v) for v in rows]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(directions), st.integers(0, 2 ** 32 - 1),
+       st.one_of(st.floats(1e-14, 4.0),
+                 st.sampled_from([1e-300, 1e-16, 1e-15, 0.05, 0.25, 1.0])))
+def test_dome_unit_draws_lie_within_delta_of_their_center(w, seed, delta):
+    # t < 0.98 delta and, in exact arithmetic, |u - w| <= t.  In floats
+    # the normalization also moves u by up to about 3e-16 across t, so
+    # |u - w| < hypot(delta, 1e-15): for every delta from 1e-14 up, each
+    # draw is in the dome and no caller need test it again; below about
+    # 2e-15 a draw can land just outside the dome
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        u = verifier._dome_unit(rng, w, delta)
+        assert math.dist(u, w) < math.hypot(delta, 1e-15)
+        if delta >= 1e-14:
+            assert dome_membership(tuple(u), [w], delta)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jetideals import verifier
+from jetideals import regions, verifier
 from jetideals.errors import DomainError
 from jetideals.geometry import Cone, Direction
 from jetideals.ideal import JetIdeal
@@ -138,10 +138,10 @@ def test_repeated_rungs_change_no_verdict(monkeypatch):
     # 10*y^3/z cannot be certified at eps = 1 (|d_y^2 F| = 60|y/z| passes
     # 1 on both domes), so its whole ladder runs; a small cell budget
     # keeps the starved walks short
-    monkeypatch.setattr(verifier, "DOME_CELL_BUDGET", 512)
+    monkeypatch.setattr(regions, "DOME_CELL_BUDGET", 512)
     F = expr_parse("10*y^3/z", 3)
     walks = []
-    dome_sup = verifier._dome_sup
+    dome_sup = regions._dome_sup
     monkeypatch.setattr(verifier, "_dome_sup",
                         lambda *a: walks.append(a) or dome_sup(*a))
 
