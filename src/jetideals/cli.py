@@ -2,13 +2,14 @@
 
 Every subcommand prints a UTF-8 JSON document on stdout (pretty-printed
 with --pretty) and exits 0 on pass/success, 1 on fail, 2 on
-inconclusive, 64 on a usage error (a parse error included), 65 on input
-that parses but is rejected (any other JetIdealsError, such as a
-DomainError on a certificate's parameters).  Exit codes 2 and 65 are
-deliberately distinct from 1: neither one-sided verification nor a
-malformed input may masquerade as disproof in shell pipelines.  All
-sampling is seeded (--seed, default 0), so repeated runs are
-byte-identical.
+inconclusive, 64 on a usage error (a parse error, an option out of
+range or a --cert file that is not JSON), 65 on input that parses but
+is rejected (any other JetIdealsError, such as a DomainError on a
+certificate's parameters or a certificate missing a field).  Exit codes
+2 and 65 are deliberately distinct from 1: neither one-sided
+verification nor a malformed input may masquerade as disproof in shell
+pipelines.  All sampling is seeded (--seed, default 0), so repeated
+runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -43,38 +44,61 @@ def _emit(doc, pretty):
     sys.stdout.write("\n")
 
 
+def _usage_error(message):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(USAGE_ERROR)
+
+
 def _sig(args) -> RingSignature:
     if args.m is None or args.n is None:
         raise SystemExit(USAGE_ERROR)
-    return RingSignature(args.m, args.n)
+    try:
+        return RingSignature(args.m, args.n)
+    except ValueError as exc:
+        _usage_error(exc)
 
 
 def _gens(args, sig):
     if not args.gens:
-        print("error: --gens is required", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        _usage_error("--gens is required")
     return [jet_parse(g.strip(), sig) for g in args.gens.split(";")
             if g.strip()]
 
 
 def _parse_direction(text, n):
-    parts = [float(c) for c in text.split(",")]
+    try:
+        parts = [float(c) for c in text.split(",")]
+    except ValueError as exc:
+        _usage_error(f"direction {text!r}: {exc}")
     if len(parts) != n:
-        print(f"error: direction needs {n} components", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        _usage_error(f"direction needs {n} components")
     return Direction(parts, normalize=True)
+
+
+def _field(doc, key):
+    """doc[key] of a certificate document; a missing field rejects the
+    certificate (exit 65)."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise JetIdealsError(f"certificate has no field {key!r}")
+    return doc[key]
 
 
 def _load_certificate(path):
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    ideal_doc = doc["ideal"]
-    sig = RingSignature(int(ideal_doc["m"]), int(ideal_doc["n"]))
-    I = JetIdeal(sig, [jet_parse(g, sig) for g in ideal_doc["generators"]])
-    target = jet_parse(doc["target"], sig)
-    terms = [(jet_parse(t["Q"], sig), expr_parse(t["S"], sig.n),
-              float(t["C"])) for t in doc.get("terms", [])]
-    F = expr_parse(doc["F"], sig.n)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            _usage_error(f"{path} is not JSON: {exc}")
+    ideal_doc = _field(doc, "ideal")
+    sig = RingSignature(int(_field(ideal_doc, "m")),
+                        int(_field(ideal_doc, "n")))
+    I = JetIdeal(sig, [jet_parse(g, sig)
+                       for g in _field(ideal_doc, "generators")])
+    target = jet_parse(_field(doc, "target"), sig)
+    terms = [(jet_parse(_field(t, "Q"), sig),
+              expr_parse(_field(t, "S"), sig.n), float(_field(t, "C")))
+             for t in doc.get("terms", [])]
+    F = expr_parse(_field(doc, "F"), sig.n)
     scope = doc.get("scope", "global")
     if scope != "global":
         scope = [tuple(float(c) for c in w) for w in scope]
@@ -169,7 +193,10 @@ def _cone_region(args):
     if not getattr(args, "omega", None):
         return None
     omegas = [_parse_direction(w, args.n) for w in args.omega.split(";")]
-    return Cone(omegas, args.delta, 1.0)
+    try:
+        return Cone(omegas, args.delta, 1.0)
+    except ValueError as exc:
+        _usage_error(exc)
 
 
 def cmd_verify_flat(args):
@@ -189,8 +216,7 @@ def cmd_verify_tame(args):
 def cmd_verify_negligible(args):
     F = expr_parse(args.operands[0], args.n)
     if not args.omega:
-        print("error: --omega is required", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        _usage_error("--omega is required")
     omegas = [tuple(d.vec) for d in
               (_parse_direction(w, args.n) for w in args.omega.split(";"))]
     eps_grid = ([args.eps] if args.eps is not None
@@ -209,11 +235,9 @@ def cmd_verify_implication(args):
 
 def cmd_verify_annulus(args):
     cert, doc = _load_certificate(args.cert)
-    annulus = doc.get("annulus")
-    if not annulus:
-        print("error: certificate has no annulus data", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
-    params = {k: float(annulus[k]) for k in ("A", "eps", "delta", "r", "rho")}
+    annulus = _field(doc, "annulus")
+    params = {k: float(_field(annulus, k))
+              for k in ("A", "eps", "delta", "r", "rho")}
     if "A_target" in annulus:
         params["A_target"] = float(annulus["A_target"])
     omegas = annulus.get("omegas", [])
@@ -235,9 +259,8 @@ _NAMED_GAUGES = {
 def cmd_gauge_reg(args):
     fn = _NAMED_GAUGES.get(args.gauge)
     if fn is None:
-        print(f"error: unknown gauge {args.gauge!r}; "
-              f"choose from {sorted(_NAMED_GAUGES)}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        _usage_error(f"unknown gauge {args.gauge!r}; "
+                     f"choose from {sorted(_NAMED_GAUGES)}")
     g = Gauge.from_function(args.gauge, fn)
     reg = gauge_regularize(g, check_scales=args.scales)
     report = dict(reg.report)
@@ -257,9 +280,7 @@ def cmd_corpus(args):
         try:
             cases = [case_by_id(args.case)]
         except KeyError:
-            print(f"error: unknown corpus case {args.case!r}",
-                  file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
+            _usage_error(f"unknown corpus case {args.case!r}")
     results = [run_case(c) for c in cases]
     overall = ("pass" if all(r["verdict"] == "pass" for r in results)
                else "fail")

@@ -2,14 +2,16 @@
 it.  `Dome.meets` is the package's one test of a sphere patch against a
 dome: the negligibility walk `_dome_sup` over the kept dome trees and
 the forbidden-cone search in `directions` both decide by it.  The
-annulus identity asks whether every cutoff stays on its plateau over a
-radial range times the dome (`_region_boxes`, `_plateaus_certified`).
+annulus identity reads each cutoff's constant value, on either plateau,
+over a radial range times a ball around one direction (`_region_boxes`,
+`_cutoff_values`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
 from .errors import DomainError
 from .geometry import sphere_cover
@@ -160,48 +162,43 @@ def _dome_sup(expr, dome, table, target=None, budget=64):
 # ---------------------------------------------------------------------------
 
 def _region_boxes(omegas, delta, s_lo, s_hi):
-    """Interval boxes enclosing {s*u : s in [s_lo, s_hi], |u - w| < delta}."""
-    boxes = []
+    """One interval box per direction w, enclosing the region
+    {s*u : s in [s_lo, s_hi], |u| = 1, |u - w| < delta}."""
     s_iv = Interval(s_lo, s_hi)
-    for w in omegas:
-        box = []
-        for c in w:
-            u_iv = Interval(c - delta, c + delta)
-            box.append(s_iv * u_iv)
-        boxes.append(box)
-    return boxes
+    spread = Interval(-delta, delta)
+    return [[s_iv * (c + spread) for c in w] for w in omegas]
 
 
-def _plateaus_certified(exprs, boxes, s_range, n):
-    """True if every cutoff argument stays within its plateau over every
-    region box (so the symbolic plateau substitution is valid).
-
-    When the cutoff argument is the full-vector norm (or its constant
-    reciprocal), the radial range s_range of the region is used
-    directly: a box enclosure of |x| is always slightly wider than the
-    true one and would spuriously fail a plateau that the region touches
-    only at its boundary.
+def _cutoff_values(exprs, box, s_range, n):
+    """{cutoff node: value} for every cutoff theta^(k)(g / scale) of the
+    trees over one direction's region box, or None when some cutoff may
+    lie in its band.  Exact comparisons certify the 1-plateau (value 1,
+    0 for a derivative) where g <= a*scale and the 0-plateau (0) where
+    g >= b*scale.  A full-vector norm g, or c/norm with c > 0, is read
+    from the radial range s_range = (s_lo, s_hi): its box enclosure is
+    wider and would put in the band a plateau the region only touches.
     """
-    full = tuple(range(n))
+    full, (s_lo, s_hi) = tuple(range(n)), map(Fraction, s_range)
+    values = {}
     for cut in collect_cutoffs(exprs):
-        top = float(cut.spec.a * cut.scale)
         arg = cut.arg
         if isinstance(arg, Norm) and arg.indices == full:
-            if s_range[1] > top:
-                return False
-            continue
-        if (isinstance(arg, Div)
+            lo, hi = s_lo, s_hi
+        elif (isinstance(arg, Div)
                 and isinstance(arg.num, Const) and arg.num.value > 0
                 and isinstance(arg.den, Norm) and arg.den.indices == full):
-            if float(arg.num.value) / s_range[0] > top:
-                return False
-            continue
-        enclose = compile_interval(arg)
-        for box in boxes:
+            lo, hi = arg.num.value / s_hi, arg.num.value / s_lo
+        else:
             try:
-                enc = enclose(box)
+                enc = compile_interval(arg)(box)
             except DomainError:
-                return False
-            if enc.hi > top:
-                return False
-    return True
+                return None
+            lo, hi = enc.lo, enc.hi
+        # float and Fraction compare exactly, infinities included
+        if hi <= cut.spec.a * cut.scale:
+            values[cut] = int(cut.order == 0)
+        elif lo >= cut.spec.b * cut.scale:
+            values[cut] = 0
+        else:
+            return None
+    return values

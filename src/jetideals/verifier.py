@@ -22,7 +22,7 @@ from .errors import DomainError
 from .geometry import Cone, Direction
 from .ideal import JetIdeal
 from .jetring import Jet, monomials
-from .regions import _dome, _dome_sup, _plateaus_certified, _region_boxes
+from .regions import _cutoff_values, _dome, _dome_sup, _region_boxes
 from .symfun import (KERNELS, Add, Const, Cutoff, Div, GaugeRef, Mul, Norm,
                      Pow, ScalarExpr, ZERO, add, collect_cutoffs,
                      compile_expr, compile_exprs, div, expr_derive,
@@ -30,7 +30,8 @@ from .symfun import (KERNELS, Add, Const, Cutoff, Div, GaugeRef, Mul, Norm,
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 _ORDER = {FAIL: 0, INCONCLUSIVE: 1, PASS: 2}
-# identity check result -> verdict (None: no sampled point evaluated)
+# annulus identity result -> verdict (None: some cutoff may lie in its
+# band on the region, so no exact decision was made)
 _IDENTITY_VERDICT = {True: PASS, False: FAIL, None: INCONCLUSIVE}
 
 
@@ -602,14 +603,18 @@ def _condition_b(F, derivs, omegas, delta, r, eps, m, n, rng, pair_samples):
 # ---------------------------------------------------------------------------
 
 def symbolic_residual_zero(p: Jet, terms, F: ScalarExpr) -> bool:
-    """Exact check that p - sum S_l Q_l - F vanishes as a function,
-    with cutoffs restricted to their plateau."""
-    return _identity_zero(p, [(Q, S) for Q, S, _ in terms], F)
+    """Exact check that p - sum S_l Q_l - F vanishes as a function, each
+    cutoff at its 1-plateau value (1, or 0 for a derivative): that the
+    cutoffs sit on that plateau near 0 is assumed, not checked."""
+    pairs = [(Q, S) for Q, S, _ in terms]
+    plateau = {cut: int(cut.order == 0)
+               for cut in collect_cutoffs([F] + [S for _, S in pairs])}
+    return _identity_zero(p, pairs, F, plateau)
 
 
-def _identity_zero(p: Jet, pairs, F: ScalarExpr) -> bool:
+def _identity_zero(p: Jet, pairs, F: ScalarExpr, values, signs=None) -> bool:
     """Exact check that p - F - sum S_l Q_l vanishes (pairs lists
-    (Q_l, S_l)), cutoffs at their plateau values.
+    (Q_l, S_l)), each cutoff node read as its constant in `values`.
 
     Each term becomes a (numerator, denominator) pair of polynomials over
     QQ (_Poly), with no gcd taken, and the residual is zero iff the
@@ -623,9 +628,10 @@ def _identity_zero(p: Jet, pairs, F: ScalarExpr) -> bool:
     their roots are linearly independent over QQ(x): the ring is a
     domain, and a reduced 0 is the zero function.  A one-coordinate norm
     is |x_i|, read as x_i and as -x_i, once per sign pattern: the
-    identity must hold in every orthant.  A term whose denominator is
-    identically zero (in some orthant) is defined nowhere there, so the
-    identity fails.
+    identity must hold in every orthant.  `signs` ({i: signs}) narrows
+    the signs that |x_i| is read with, to the orthants a region meets.
+    A term whose denominator is identically zero (in some orthant) is
+    defined nowhere there, so the identity fails.
     """
     pairs = list(pairs)
     found = sorted(set().union(*map(_free_norms, [F] + [S for _, S in pairs])),
@@ -639,9 +645,11 @@ def _identity_zero(p: Jet, pairs, F: ScalarExpr) -> bool:
     squares = [sum((xs[i] ** 2 for i in e.indices), _Poly()) for e in roots]
     leaves = {Coord(i): x for i, x in enumerate(xs)}
     leaves.update(zip(roots, gens))
-    for signs in itertools.product((1, -1), repeat=len(signed)):
+    leaves.update((cut, one * value) for cut, value in values.items())
+    for pattern in itertools.product(*((signs or {}).get(e.indices[0], (1, -1))
+                                       for e in signed)):
         leaves.update((e, xs[e.indices[0]] * s)
-                      for e, s in zip(signed, signs))
+                      for e, s in zip(signed, pattern))
         try:
             num, den = _ring_fraction(F, one, leaves, squares)
             num, den = _fraction_add(_ring_jet(p, k), one, num * -1, den)
@@ -726,13 +734,12 @@ def _fraction_add(a, b, c, d):
 
 
 def _ring_fraction(e: ScalarExpr, one, leaves, squares):
-    """e as a (numerator, denominator) pair of _Poly, cutoff nodes at
-    their plateau value (1 for the cutoff, 0 for its derivatives) and each
-    Coord and Norm node at its value in `leaves`; a denominator is
-    reduced modulo {r_j^2 - s_j} before its zero test."""
+    """e as a (numerator, denominator) pair of _Poly, each Coord, Norm
+    and Cutoff node at its value in `leaves`; a denominator is reduced
+    modulo {r_j^2 - s_j} before its zero test."""
     if isinstance(e, Const):
         return one * e.value, one
-    if isinstance(e, (Coord, Norm)):
+    if isinstance(e, (Coord, Norm, Cutoff)):
         return leaves[e], one
     if isinstance(e, Add):
         num, den = _Poly(), one
@@ -756,8 +763,6 @@ def _ring_fraction(e: ScalarExpr, one, leaves, squares):
         if not c:
             raise _ZeroDenominator
         return a * d, b * c
-    if isinstance(e, Cutoff):
-        return (one if e.order == 0 else _Poly()), one
     raise DomainError(f"node {type(e).__name__} has no symbolic form")
 
 
@@ -1136,10 +1141,12 @@ def check_annulus_condition(variant: str, params: dict, p: Jet, Q_list,
     row into a pass.
 
     Bounds are checked on a deterministic cutoff-aware sample set (a
-    violation is a genuine witness); the identity is certified exactly:
-    interval arithmetic confirms every cutoff sits on its plateau over
-    the region, then the plateau-substituted residual is tested for
-    zero exactly in a polynomial ring (_identity_zero).
+    violation is a genuine witness); the identity is decided exactly,
+    once per direction of Omega: each cutoff is certified constant on
+    that direction's region, on either plateau of theta, and the
+    residual with those values is tested for zero in a polynomial ring
+    (_scaled_identity).  A cutoff that may lie in its band there makes
+    the identity inconclusive; no point is sampled to decide it.
 
     Every variant's bound rows come from the derivative tables of F and
     the S_l, kept for the process with their compiled kernels, so no
@@ -1159,7 +1166,7 @@ def check_annulus_condition(variant: str, params: dict, p: Jet, Q_list,
     (_scaled_identity).  The identities of C* and C** are C's under the
     substitution x -> rho x: with rho > 0 rational it is a ring
     automorphism that sends a Norm to rho times it, keeps each cutoff's
-    plateau value and keeps every identically zero denominator, and it
+    certified value and keeps every identically zero denominator, and it
     maps 1/2 < |x| < 2 near Omega onto C's region rho/2 < |y| < 2 rho
     near Omega.  The scales eps rho^m and A cancel against those of
     Ftilde and Stilde_l, and chi is 1 on the region.
@@ -1219,52 +1226,44 @@ def check_annulus_condition(variant: str, params: dict, p: Jet, Q_list,
         verdict_b, rows = _bound_rows(
             [name[0] + "star" + name[1:] for name, _ in named], maxima, wide)
         extra = {"chi_constant": chi_constant, "A_target": A_target}
-    id_ok, id_method = _scaled_identity(p, Q_list, F, S_list, omegas, delta,
-                                        rho, n, rng)
-    report.update({"bounds": rows, **extra,
-                   "identity": {"method": id_method, "zero": id_ok}})
-    report["verdict"] = meet(verdict_b, _IDENTITY_VERDICT[id_ok])
+    identity = _scaled_identity(p, Q_list, F, S_list, omegas, delta, rho, n)
+    report.update({"bounds": rows, **extra, "identity": identity})
+    report["verdict"] = meet(verdict_b, _IDENTITY_VERDICT[identity["zero"]])
     return report
 
 
-def _scaled_identity(p, Q_list, F, S_list, omegas, delta, rho, n, rng):
-    """The identity p = F + sum S_l Q_l on rho/2 < |x| < 2 rho near Omega,
-    the one identity of every annulus variant: exact (_identity_zero)
-    when every cutoff is certified on its plateau over the region, else
-    sampled (_sampled_identity)."""
-    boxes = _region_boxes(omegas, delta, rho / 2, 2 * rho)
+def _scaled_identity(p, Q_list, F, S_list, omegas, delta, rho, n):
+    """The identity record of p = F + sum S_l Q_l on rho/2 < |x| < 2 rho
+    near Omega, the one identity of every annulus variant.  It is decided
+    exactly (_identity_zero) once per direction of Omega, with each
+    cutoff at its value certified over that direction's region box
+    (regions._cutoff_values) and each |x_i| read with the signs the box
+    allows; equal (values, signs) keys share one decision.  zero is False
+    if some direction decides False, else None if some direction has a
+    cutoff that may lie in its band (named in "uncertified"), else True.
+    """
+    trees = [F] + list(S_list)
+    norms = set().union(*map(_free_norms, trees))
+    signed = sorted({e.indices[0] for e in norms if len(e.indices) == 1})
+    s_range = (Fraction(rho) / 2, 2 * Fraction(rho))
     pairs = list(zip(Q_list, S_list))
-    if _plateaus_certified([F] + list(S_list), boxes, (rho / 2, 2 * rho), n):
-        return _identity_zero(p, pairs, F), "plateau-certified symbolic"
-    return _sampled_identity(p, pairs, F, omegas, delta, rho / 2, 2 * rho, n,
-                             rng)
-
-
-def _sampled_identity(p, pairs, F, omegas, delta, s_lo, s_hi, n, rng):
-    """Fallback identity check on sampled region points: the residual of
-    p = F + sum S_l Q_l (pairs lists (Q_l, S_l)).
-
-    Each of 500 points where F and every S_l evaluate must have
-    |residual| <= 1e-9 * sum |term|; a point where one does not evaluate
-    is skipped.  Returns None when no point evaluates."""
-    points = []
-    for _ in range(500):
-        w = omegas[rng.integers(len(omegas))]
-        u = _dome_unit(rng, w, delta)
-        s = float(rng.uniform(s_lo * 1.01, s_hi * 0.99))
-        points.append(tuple(s * float(c) for c in u))
-    kernel = compile_exprs([F] + [S for _, S in pairs])
-    columns = [(vals.tolist(), ok.tolist())
-               for vals, ok in kernel(_point_array(points, n))]
-    checked = 0
-    for j, x in enumerate(points):
-        if not all(ok[j] for _, ok in columns):
+    identity = {"method": "plateau-certified symbolic", "zero": True}
+    decided, uncertified = {}, {}
+    for box in _region_boxes(omegas, delta, *s_range):
+        values = _cutoff_values(trees, box, s_range, n)
+        if values is None:
+            uncertified.update(
+                (expr_str(cut, n), None) for cut in collect_cutoffs(trees)
+                if _cutoff_values([cut], box, s_range, n) is None)
             continue
-        f, *s_values = (vals[j] for vals, _ in columns)
-        terms = ([p.eval(x, mode="float"), -f]
-                 + [-s * Q.eval(x, mode="float")
-                    for (Q, _), s in zip(pairs, s_values)])
-        if abs(sum(terms)) > 1e-9 * sum(abs(t) for t in terms):
-            return False, "sampled residual"
-        checked += 1
-    return (True if checked else None), "sampled residual"
+        signs = {i: (1,) if box[i].lo >= 0 else (-1,) if box[i].hi <= 0
+                 else (1, -1) for i in signed}
+        key = (tuple(values.items()), tuple(signs.items()))
+        if key not in decided:
+            decided[key] = _identity_zero(p, pairs, F, values, signs)
+        if not decided[key]:
+            identity["zero"] = False
+            return identity
+    if uncertified:
+        identity.update(zero=None, uncertified=list(uncertified))
+    return identity

@@ -13,8 +13,8 @@ cutoff certificate of acceptance criterion 08 (m = 2, n = 3):
 
 Each case records the full report of every variant, sample maxima,
 witnesses, identity method and chi constant included, so a change in
-the sample points, in their order or in the random stream that the
-identity check continues shows.
+the sample points or in their order shows.  The identity is decided
+exactly and draws nothing from the random stream.
 
 tests/data/annulus_reports.json holds the cases; test_annulus_reports.py
 requires every later version of the code to reproduce it byte for byte.

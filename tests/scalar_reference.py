@@ -7,12 +7,11 @@ to mask the point (expr_eval: raise DomainError) where it raises
 DomainError.  Every scalar loop below evaluates through it.
 
 The per-rung center-ray witness scan of check_negligible, ray_witness,
-the per-pair scalar loop of two-point condition (b), condition_b, and
-the point-by-point sampled identity check, sampled_identity, that run on
-compiled kernels in verifier.check_negligible, verifier._condition_b and
-verifier._sampled_identity: test_verifier.py requires the kernel-based
-checks to return exactly what these return and, for condition (b), to
-leave the random generator in the same state.
+and the per-pair scalar loop of two-point condition (b), condition_b,
+that run on compiled kernels in verifier.check_negligible and
+verifier._condition_b: test_verifier.py requires the kernel-based checks
+to return exactly what these return and, for condition (b), to leave the
+random generator in the same state.
 
 The one-vector-at-a-time sample draws that verifier._unit_rows
 batches: random_unit, the annulus sample set unit_annulus_samples (one
@@ -432,27 +431,6 @@ def condition_b(F, derivs, omegas, delta, r, eps, m, n, rng, pair_samples):
             checked += 1
     return {"method": "two-point sampling", "pairs": checked,
             "verdict": PASS}
-
-
-def sampled_identity(terms_at, omegas, delta, s_lo, s_hi, n, rng):
-    """terms_at(x) lists the terms whose sum is the residual; a point
-    where it raises DomainError is skipped."""
-    checked = 0
-    for _ in range(500):
-        w = omegas[rng.integers(len(omegas))]
-        u = np.asarray(w) + float(rng.uniform(0, delta * 0.98)) * \
-            np.asarray(_transverse_unit(rng, n, w))
-        u = u / np.linalg.norm(u)
-        s = float(rng.uniform(s_lo * 1.01, s_hi * 0.99))
-        x = tuple(s * float(c) for c in u)
-        try:
-            terms = terms_at(x)
-        except DomainError:
-            continue
-        if abs(sum(terms)) > 1e-9 * sum(abs(t) for t in terms):
-            return False, "sampled residual"
-        checked += 1
-    return (True if checked else None), "sampled residual"
 
 
 def shell_sweep(expr, region, m, n, seed, k_lo, k_hi, weight):

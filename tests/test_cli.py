@@ -167,6 +167,39 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_zero_delta_is_usage_error(capsys):
+    assert main(["verify-tame", "--m", "2", "--n", "2", "--omega", "1,0",
+                 "--delta", "0", "x*y"]) == 64
+    assert "delta" in capsys.readouterr().err
+
+
+def test_direction_that_is_not_a_number_is_usage_error(capsys):
+    assert main(["verify-tame", "--m", "2", "--n", "2", "--omega", "1,a",
+                 "x*y"]) == 64
+    assert "'1,a'" in capsys.readouterr().err
+
+
+def test_zero_degree_is_usage_error(capsys):
+    assert main(["allow", "--m", "0", "--n", "2", "--gens", "x"]) == 64
+    assert "need m >= 1" in capsys.readouterr().err
+
+
+def test_certificate_that_is_not_json_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text("{not json")
+    assert main(["verify-implication", "--cert", str(path)]) == 64
+    assert "is not JSON" in capsys.readouterr().err
+
+
+def test_certificate_without_an_ideal_is_rejected(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"target": "x*y", "F": "0"}))
+    code, doc = run(capsys, "verify-implication", "--cert", str(path))
+    assert code == 65
+    assert doc == {"error": "JetIdealsError",
+                   "message": "certificate has no field 'ideal'"}
+
+
 def test_parse_error_is_usage_error(capsys):
     code, doc = run(capsys, "order", "--m", "2", "--n", "1", "x +")
     assert code == 64 and doc["error"] == "parse"

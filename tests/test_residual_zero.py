@@ -7,7 +7,8 @@ ring over QQ: the residual is zero iff the numerator of its terms' sum
 is 0.  A Norm over k >= 2 coordinates outside every cutoff is a ring
 generator r with r^2 = the sum of its squared coordinates, reduced away
 before each zero test; a one-coordinate norm |x_i| is read as x_i and
-as -x_i, once per orthant.  No sympy.simplify call is made.  The sympy
+as -x_i, once per orthant.  Cutoffs are read at the values the caller
+passes; here at their 1-plateau, as symbolic_residual_zero reads them.  No sympy.simplify call is made.  The sympy
 test that this replaced, expr_to_sympy and residual_zero, is kept in
 tests/scalar_reference.py as the reference the random residuals are
 compared against, with its sympy.simplify fallback replaced by an exact
@@ -38,7 +39,8 @@ from jetideals.ideal import JetIdeal
 from jetideals.errors import DomainError
 from jetideals.jetring import Jet, RingSignature, jet_parse
 from jetideals.symfun import (DEFAULT_CUTOFF, Const, Coord, Cutoff, Gauge,
-                              Norm, add, div, expr_parse, ipow, mul)
+                              Norm, add, collect_cutoffs, div, expr_parse,
+                              ipow, mul)
 from jetideals.verifier import (ImplicationCertificate, _identity_zero,
                                 check_annulus_condition,
                                 check_strong_directional, expr_scale_coords,
@@ -112,6 +114,14 @@ trees = st.recursive(st.one_of(st.builds(Const, small), coords),
 jets = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 1)), small,
     max_size=3).map(lambda coeffs: Jet(SIG, coeffs))
+
+
+def _plateau_zero(p, pairs, F):
+    """verifier._identity_zero with every cutoff at its 1-plateau value,
+    as symbolic_residual_zero reads them."""
+    trees = [F] + [S for _, S in pairs]
+    return _identity_zero(p, pairs, F, {cut: int(cut.order == 0)
+                                        for cut in collect_cutoffs(trees)})
 
 
 def _minus(a, b):
@@ -236,7 +246,7 @@ def test_ring_decision_agrees_with_residual_zero(a, b, c, d, p, q, rho,
     case = _at_scale(p, [(q, S)], F, rho, f_scale, s_scale)
     residual = _sympy_residual(*case)
     want = residual_zero(residual, SYMS3)
-    got = _identity_zero(*case)
+    got = _plateau_zero(*case)
     assert got is want, _at_a_point(residual)
     if pick == 0:
         assert want
@@ -263,7 +273,7 @@ def _same_decision(p, pairs, F):
     """verifier._identity_zero decides as the PolyRing reference
     (scalar_reference.identity_zero); returns the decision."""
     want = identity_zero(p, pairs, F)
-    assert _identity_zero(p, pairs, F) is want
+    assert _plateau_zero(p, pairs, F) is want
     return want
 
 
@@ -347,8 +357,8 @@ def test_identity_decision_is_invariant_under_rescaling(pool, data):
     # cutoffs keep their plateau values and zero denominators stay zero
     (p, [(q, S)], F), _ = _norm_tree_case(data, pool)
     rho = data.draw(scales)
-    decision = _identity_zero(p, [(q, S)], F)
-    assert _identity_zero(
+    decision = _plateau_zero(p, [(q, S)], F)
+    assert _plateau_zero(
         _jet_at(p, rho), [(_jet_at(q, rho), expr_scale_coords(S, rho))],
         expr_scale_coords(F, rho)) is decision
 

@@ -4,8 +4,8 @@ verifier._unit_rows draws many random unit vectors with one
 standard_normal call; the annulus samples, the chi points and the
 whole-sphere sweep directions are built from it.  Each must give the
 points of scalar_reference's one-vector-at-a-time loops bit for bit, and
-leave the generator in the same state, since the same generator goes on
-to draw the identity check's points.
+leave the generator in the same state, so that any later draw from it is
+unchanged.
 
 Every draw of verifier._dome_unit lies within delta of its center w
 (for delta from 1e-14 up), so the dome samplers keep every draw.

@@ -14,7 +14,7 @@ from jetideals.geometry import Cone, Direction
 from jetideals.ideal import JetIdeal
 from jetideals.jetring import RingSignature, jet_parse, monomials
 from jetideals.symfun import expr_derive, expr_eval, expr_parse
-from jetideals.verifier import (ImplicationCertificate, _sampled_identity,
+from jetideals.verifier import (ImplicationCertificate,
                                 check_annulus_condition, check_flat,
                                 check_flat_tame_product, check_negligible,
                                 check_strong_directional, check_strong_global,
@@ -336,57 +336,15 @@ def tiny_false_claim():
             expr_parse("0", 3), [S])
 
 
-def test_sampled_identity_rejects_false_claim_at_tiny_scale():
+def test_identity_rejects_false_claim_at_tiny_scale():
+    # theta(|x|, rho/1000) is certified on its 0-plateau over the region,
+    # so the claim reads x*y = 0 there and is decided false exactly
     params, p, Q, F, S = tiny_false_claim()
     for variant in ("C", "C*", "C**"):
         rep = check_annulus_condition(variant, params, p, Q, F, S, POLES)
-        assert rep["identity"] == {"method": "sampled residual",
+        assert rep["identity"] == {"method": "plateau-certified symbolic",
                                    "zero": False}
         assert rep["verdict"] == "fail"
-
-
-def _identity_checks(params, p, Q, F, S):
-    """The kernel-based sampled identity check of the annulus variants,
-    and the point-by-point reference loop on the terms it sums."""
-    n, rho = p.sig.n, params["rho"]
-    region = (POLES, params["delta"])
-
-    def terms_at(x):
-        return ([p.eval(x, mode="float"), -scalar_reference.eval_float(F, x)]
-                + [-scalar_reference.eval_float(Si, x)
-                   * Qi.eval(x, mode="float") for Qi, Si in zip(Q, S)])
-
-    def kernel(rng):
-        return _sampled_identity(p, list(zip(Q, S)), F, *region, rho / 2,
-                                 2 * rho, n, rng)
-    return kernel, lambda rng: scalar_reference.sampled_identity(
-        terms_at, *region, rho / 2, 2 * rho, n, rng)
-
-
-# C's sampled identity is the one of every variant (_scaled_identity)
-@pytest.mark.parametrize("variant", ["C"])
-@pytest.mark.parametrize("data,zero", [(tiny_false_claim, False),
-                                       (intro_data, True)])
-def test_sampled_identity_matches_the_point_loop(variant, data, zero):
-    kernel, reference = _identity_checks(*data())
-    for seed in range(3):
-        rngs = [np.random.default_rng(seed) for _ in range(2)]
-        got = kernel(rngs[0])
-        assert got == reference(rngs[1])
-        assert got == (zero, "sampled residual")
-        if zero:
-            # both drew all 500 points
-            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
-
-
-def test_sampled_identity_skips_points_that_do_not_evaluate():
-    sig = RingSignature(2, 3)
-    nowhere = expr_parse("1/(x - x)", 3)
-    rng = np.random.default_rng(0)
-    zero, method = _sampled_identity(
-        jet_parse("x*y", sig), [(jet_parse("z^2", sig), expr_parse("y", 3))],
-        nowhere, POLES, 0.1, 0.5, 2.0, 3, rng)
-    assert zero is None and method == "sampled residual"
 
 
 @pytest.mark.parametrize("F,omegas,m", [
