@@ -83,6 +83,24 @@ def _field(doc, key):
     return doc[key]
 
 
+def _value(doc, key, convert=float):
+    """convert(doc[key]) of a certificate document; a value that convert
+    rejects, like a missing field, rejects the certificate (exit 65)."""
+    value = _field(doc, key)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise JetIdealsError(
+            f"certificate field {key!r} has a bad value {value!r}: {exc}"
+        ) from None
+
+
+def _dimension(value):
+    if int(value) < 1:
+        raise ValueError("need an integer >= 1")
+    return int(value)
+
+
 def _load_certificate(path):
     with open(path, encoding="utf-8") as fh:
         try:
@@ -90,18 +108,19 @@ def _load_certificate(path):
         except ValueError as exc:
             _usage_error(f"{path} is not JSON: {exc}")
     ideal_doc = _field(doc, "ideal")
-    sig = RingSignature(int(_field(ideal_doc, "m")),
-                        int(_field(ideal_doc, "n")))
+    sig = RingSignature(_value(ideal_doc, "m", _dimension),
+                        _value(ideal_doc, "n", _dimension))
     I = JetIdeal(sig, [jet_parse(g, sig)
                        for g in _field(ideal_doc, "generators")])
     target = jet_parse(_field(doc, "target"), sig)
     terms = [(jet_parse(_field(t, "Q"), sig),
-              expr_parse(_field(t, "S"), sig.n), float(_field(t, "C")))
+              expr_parse(_field(t, "S"), sig.n), _value(t, "C"))
              for t in doc.get("terms", [])]
     F = expr_parse(_field(doc, "F"), sig.n)
     scope = doc.get("scope", "global")
     if scope != "global":
-        scope = [tuple(float(c) for c in w) for w in scope]
+        scope = _value(doc, "scope",
+                       lambda ws: [tuple(map(float, w)) for w in ws])
     cert = ImplicationCertificate(I, target, terms, F, scope=scope,
                                   annulus=doc.get("annulus"))
     return cert, doc
@@ -236,10 +255,8 @@ def cmd_verify_implication(args):
 def cmd_verify_annulus(args):
     cert, doc = _load_certificate(args.cert)
     annulus = _field(doc, "annulus")
-    params = {k: float(_field(annulus, k))
-              for k in ("A", "eps", "delta", "r", "rho")}
-    if "A_target" in annulus:
-        params["A_target"] = float(annulus["A_target"])
+    params = {k: _value(annulus, k) for k in ("A", "eps", "delta", "r", "rho")
+              + (("A_target",) if "A_target" in annulus else ())}
     omegas = annulus.get("omegas", [])
     Q_list = [Q for Q, _, _ in cert.terms]
     S_list = [S for _, S, _ in cert.terms]

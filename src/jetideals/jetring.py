@@ -8,11 +8,12 @@ and all operations are pure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (DegreeOverflowError, DimensionMismatchError, ParseError,
                      SignatureMismatchError)
@@ -29,7 +30,7 @@ def variable_names(n: int):
     return tuple(f"x{i + 1}" for i in range(n))
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def monomials(m: int, n: int):
     """All exponent tuples of total degree <= m, in graded lex order."""
     out = []
@@ -297,11 +298,7 @@ def format_jet(p: Jet) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Parsing.  Grammar: sum of terms; a term is *-separated factors; a factor
-# is an integer or rational literal, a variable with optional ^power, or a
-# parenthesized subexpression.  '/' is accepted between a factor and a
-# constant (so "1/2*x" and "x/2" both work); division by a non-constant
-# polynomial is rejected.
+# Parsing: one grammar for jets and expressions (symfun._ExprParser).
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\*|\+|-|/|\(|\)|,))")
@@ -333,8 +330,15 @@ def _tokenize(text):
 
 
 class _Parser:
-    """Token stream of a recursive-descent parser over the variables of
-    R^n; a subclass gives the top rule parse_sum."""
+    """Recursive-descent parser over the variables of R^n: a sum of
+    terms; a term is factors joined by '*', '/' or juxtaposition ("2x"
+    and "x(x+y)" are products); a factor is a number, a name, a
+    parenthesized sum or a negated factor, with an optional ^k for an
+    integer k.  Values are built only by a subclass's hooks const, named,
+    add, neg, mul, div(a, b, pos) and power(base, k, pos), pos being
+    that of the '/' or of the exponent's first token."""
+
+    bad_exponent = "exponent must be an integer"
 
     def __init__(self, text, n):
         self.tokens = _tokenize(text)
@@ -362,109 +366,145 @@ class _Parser:
             raise ParseError("trailing input", pos)
         return out
 
-
-class _PolyParser(_Parser):
-    """Recursive-descent parser producing an untruncated polynomial dict."""
-
     def parse_sum(self):
-        sign = 1
         kind, val, _ = self.peek()
         if kind == "op" and val in "+-":
             self.next()
-            sign = -1 if val == "-" else 1
-        poly = _poly_scale(self.parse_product(), sign)
+        out = self.parse_product()
+        if kind == "op" and val == "-":
+            out = self.neg(out)
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
                 rhs = self.parse_product()
-                poly = _poly_add(poly, _poly_scale(rhs, -1 if val == "-" else 1))
+                out = self.add(out, self.neg(rhs) if val == "-" else rhs)
             else:
-                return poly
+                return out
 
     def parse_product(self):
-        poly = self.parse_factor()
+        out = self.parse_factor()
         while True:
             kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 self.next()
-                poly = _poly_mul(poly, self.parse_factor(), self.n)
+                out = self.mul(out, self.parse_factor())
             elif kind == "op" and val == "/":
                 self.next()
-                divisor = self.parse_factor()
-                const = _poly_as_constant(divisor)
-                if const is None:
-                    raise ParseError("division by a non-constant polynomial", pos)
-                if const == 0:
-                    raise ParseError("division by zero", pos)
-                poly = _poly_scale(poly, Fraction(1, 1) / const)
-            elif kind in ("name",) or (kind == "op" and val == "("):
-                # implicit product, e.g. "2x" is rejected but "x(x+y)" allowed
-                poly = _poly_mul(poly, self.parse_factor(), self.n)
+                out = self.div(out, self.parse_factor(), pos)
+            elif kind == "name" or (kind == "op" and val == "("):
+                out = self.mul(out, self.parse_factor())
             else:
-                return poly
+                return out
 
     def parse_factor(self):
         kind, val, pos = self.next()
         if kind == "num":
-            base = {(0,) * self.n: val}
+            base = self.const(val)
         elif kind == "name":
-            if val not in self.names:
-                raise ParseError(f"unknown variable {val!r}", pos)
-            e = [0] * self.n
-            e[self.names[val]] = 1
-            base = {tuple(e): Fraction(1)}
+            base = self.named(val, pos)
         elif kind == "op" and val == "(":
             base = self.parse_sum()
             self.expect_op(")")
         elif kind == "op" and val == "-":
-            return _poly_scale(self.parse_factor(), -1)
+            return self.neg(self.parse_factor())
         else:
             raise ParseError("expected a term", pos)
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.next()
-            kind, exp, pos = self.next()
-            if kind != "num" or exp.denominator != 1 or exp < 0:
-                raise ParseError("exponent must be a non-negative integer", pos)
-            out = {(0,) * self.n: Fraction(1)}
-            for _ in range(int(exp)):
-                out = _poly_mul(out, base, self.n)
-            return out
+            kind, k, pos = self.next()
+            sign = -1 if (kind, k) == ("op", "-") else 1
+            if sign < 0:
+                kind, k, _ = self.next()
+            if kind != "num" or k.denominator != 1:
+                raise ParseError(self.bad_exponent, pos)
+            return self.power(base, sign * int(k), pos)
         return base
 
 
-def _poly_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) + v
-    return {k: v for k, v in out.items() if v != 0}
+class _PolyParser(_Parser):
+    """Parser into an untruncated _Poly over QQ in n variables; it
+    divides only by a nonzero constant and takes powers k >= 0.  A
+    number keeps its monomial even at 0: a sum orders its monomials by
+    first appearance, and "0 + (y + 1)" puts the constant first."""
+
+    bad_exponent = "exponent must be a non-negative integer"
+
+    def const(self, value):
+        return _Poly({(0,) * self.n: value})
+
+    def named(self, name, pos):
+        if name not in self.names:
+            raise ParseError(f"unknown variable {name!r}", pos)
+        return _Poly({tuple(int(i == self.names[name]) for i in range(self.n)):
+                      Fraction(1)})
+
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+
+    def neg(self, a):
+        return a * -1
+
+    def div(self, a, b, pos):
+        if any(map(sum, b)):
+            raise ParseError("division by a non-constant polynomial", pos)
+        if not any(b.values()):
+            raise ParseError("division by zero", pos)
+        return a * (1 / sum(b.values()))
+
+    def power(self, base, k, pos):
+        if k < 0:
+            raise ParseError(self.bad_exponent, pos)
+        return functools.reduce(operator.mul, [base] * k,
+                                self.const(Fraction(1)))
 
 
-def _poly_scale(a, c):
-    c = Fraction(c)
-    if c == 0:
-        return {}
-    return {k: c * v for k, v in a.items()}
+class _Poly(dict):
+    """A polynomial over QQ, {exponent tuple: Fraction}; the zero
+    polynomial is the empty dict, and dict equality is polynomial
+    equality.  It has +, products and powers k >= 1, which drop zero
+    coefficients, and scalar multiples (on the right; -1 for a
+    difference), which keep every monomial unless the scalar is 0, so
+    that a parsed 0 keeps its place.  rem is the remainder modulo
+    {r_j^2 - s_j} in the verifier's identity ring, whose generators r_j
+    come before the variables.  No gcd and no division."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _collect(itertools.chain(self.items(), other.items()))
+
+    def __mul__(self, other):
+        if not isinstance(other, _Poly):
+            if not other:
+                return _Poly()
+            return _Poly({m: c * other for m, c in self.items()})
+        return _collect((tuple(map(operator.add, m, n)), c * d)
+                        for m, c in self.items() for n, d in other.items())
+
+    def __pow__(self, k):
+        return functools.reduce(operator.mul, [self] * k)
+
+    def rem(self, squares):
+        """The remainder modulo {r_j^2 - s_j} (squares lists the s_j):
+        each r_j^e becomes r_j^(e mod 2) s_j^(e div 2)."""
+        out = self
+        for j, s in enumerate(squares):
+            terms = []
+            for m, c in out.items():
+                low = _Poly({m[:j] + (m[j] % 2,) + m[j + 1:]: c})
+                terms += (low * s ** (m[j] // 2) if m[j] > 1 else low).items()
+            out = _collect(terms)
+        return out
 
 
-def _poly_mul(a, b, n):
+def _collect(terms):
+    """The _Poly sum of (monomial, coefficient) pairs."""
     out = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            key = tuple(ka[i] + kb[i] for i in range(n))
-            out[key] = out.get(key, Fraction(0)) + va * vb
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _poly_as_constant(a):
-    if not a:
-        return Fraction(0)
-    if len(a) == 1:
-        (k, v), = a.items()
-        if sum(k) == 0:
-            return v
-    return None
+    for m, c in terms:
+        out[m] = out[m] + c if m in out else c
+    return _Poly({m: c for m, c in out.items() if c})
 
 
 def jet_parse(text: str, sig: RingSignature, truncate=False) -> Jet:

@@ -4,7 +4,8 @@ dome: the negligibility walk `_dome_sup` over the kept dome trees and
 the forbidden-cone search in `directions` both decide by it.  The
 annulus identity reads each cutoff's constant value, on either plateau,
 over a radial range times a ball around one direction (`_region_boxes`,
-`_cutoff_values`).
+`_cutoff_values`), and the signs each coordinate takes there
+(`_region_signs`).
 """
 
 from __future__ import annotations
@@ -167,6 +168,24 @@ def _region_boxes(omegas, delta, s_lo, s_hi):
     s_iv = Interval(s_lo, s_hi)
     spread = Interval(-delta, delta)
     return [[s_iv * (c + spread) for c in w] for w in omegas]
+
+
+def _region_signs(w, delta, indices):
+    """{i: signs} for each i in indices: the signs x_i takes on the
+    region {s*u : s > 0, |u| = 1, |u - w| < delta}, (sign of w_i,) where
+    every point has it, else (1, -1).  Decided in exact Fractions of the
+    float w and delta: the region's u form the cap u.w > c, with
+    c = (1 + |w|^2 - delta^2)/2, and u_i keeps w_i's sign over the cap
+    iff c > 0 and w_i^2 + c^2 > |w|^2 (the cap's angular radius plus the
+    angle from w to the x_i axis is below pi/2)."""
+    if not indices:
+        return {}
+    w = [Fraction(c) for c in w]
+    norm2 = sum(c * c for c in w)
+    c = (1 + norm2 - Fraction(delta) ** 2) / 2
+    return {i: ((1 if w[i] > 0 else -1),)
+            if w[i] and c > 0 and w[i] ** 2 + c ** 2 > norm2 else (1, -1)
+            for i in indices}
 
 
 def _cutoff_values(exprs, box, s_range, n):

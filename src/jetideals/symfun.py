@@ -1053,7 +1053,9 @@ def gauge_regularize(g: Gauge, check_scales=20) -> RegularizedGauge:
 # ---------------------------------------------------------------------------
 
 class _ExprParser(_Parser):
-    """Polynomial grammar plus '/', abs2(...), norm(...), theta(e, scale),
+    """The grammar of jetring._Parser into expression trees, built by the
+    smart constructors: '/' takes any divisor, ^k any integer k, and the
+    names are the coordinates, abs2(...), norm(...), theta(e, scale) and
     gauge(name, e)."""
 
     def __init__(self, text, n, gauges=None, cutoff=None):
@@ -1061,67 +1063,23 @@ class _ExprParser(_Parser):
         self.gauges = gauges or {}
         self.cutoff = cutoff or DEFAULT_CUTOFF
 
-    def parse_sum(self):
-        kind, val, _ = self.peek()
-        neg = False
-        if kind == "op" and val in "+-":
-            self.next()
-            neg = val == "-"
-        e = self.parse_product()
-        if neg:
-            e = mul(Const(-1), e)
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.parse_product()
-                e = add(e, mul(Const(-1), rhs) if val == "-" else rhs)
-            else:
-                return e
+    const = staticmethod(Const)
+    add = staticmethod(add)
+    mul = staticmethod(mul)
 
-    def parse_product(self):
-        e = self.parse_factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                e = mul(e, self.parse_factor())
-            elif kind == "op" and val == "/":
-                self.next()
-                e = div(e, self.parse_factor())
-            elif kind == "name" or (kind == "op" and val == "("):
-                e = mul(e, self.parse_factor())
-            else:
-                return e
+    @staticmethod
+    def neg(e):
+        return mul(Const(-1), e)
 
-    def parse_factor(self):
-        kind, val, pos = self.next()
-        if kind == "num":
-            base = Const(val)
-        elif kind == "name":
-            base = self.parse_named(val, pos)
-        elif kind == "op" and val == "(":
-            base = self.parse_sum()
-            self.expect_op(")")
-        elif kind == "op" and val == "-":
-            return mul(Const(-1), self.parse_factor())
-        else:
-            raise ParseError("expected a term", pos)
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            kind, exp, pos = self.next()
-            neg = False
-            if kind == "op" and exp == "-":
-                neg = True
-                kind, exp, pos = self.next()
-            if kind != "num" or exp.denominator != 1:
-                raise ParseError("exponent must be an integer", pos)
-            k = -int(exp) if neg else int(exp)
-            return ipow(base, k)
-        return base
+    @staticmethod
+    def div(a, b, pos):
+        return div(a, b)
 
-    def parse_named(self, name, pos):
+    @staticmethod
+    def power(base, k, pos):
+        return ipow(base, k)
+
+    def named(self, name, pos):
         kind, val, _ = self.peek()
         calling = kind == "op" and val == "("
         if name in self.names and not calling:

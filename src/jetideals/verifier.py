@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +20,9 @@ from .directions import allow_overapprox, forbidden_certificate_search
 from .errors import DomainError
 from .geometry import Cone, Direction
 from .ideal import JetIdeal
-from .jetring import Jet, monomials
-from .regions import _cutoff_values, _dome, _dome_sup, _region_boxes
+from .jetring import Jet, _collect, _Poly, monomials
+from .regions import (_cutoff_values, _dome, _dome_sup, _region_boxes,
+                      _region_signs)
 from .symfun import (KERNELS, Add, Const, Cutoff, Div, GaugeRef, Mul, Norm,
                      Pow, ScalarExpr, ZERO, add, collect_cutoffs,
                      compile_expr, compile_exprs, div, expr_derive,
@@ -602,14 +602,14 @@ def _condition_b(F, derivs, omegas, delta, r, eps, m, n, rng, pair_samples):
 # Symbolic identity residuals.
 # ---------------------------------------------------------------------------
 
-def symbolic_residual_zero(p: Jet, terms, F: ScalarExpr) -> bool:
-    """Exact check that p - sum S_l Q_l - F vanishes as a function, each
-    cutoff at its 1-plateau value (1, or 0 for a derivative): that the
-    cutoffs sit on that plateau near 0 is assumed, not checked."""
+def symbolic_residual_zero(p: Jet, terms, F: ScalarExpr):
+    """Exact check that p - sum S_l Q_l - F vanishes as a function; None
+    when F or some S_l holds a cutoff, whose value near 0 is not
+    certified here."""
     pairs = [(Q, S) for Q, S, _ in terms]
-    plateau = {cut: int(cut.order == 0)
-               for cut in collect_cutoffs([F] + [S for _, S in pairs])}
-    return _identity_zero(p, pairs, F, plateau)
+    if collect_cutoffs([F] + [S for _, S in pairs]):
+        return None
+    return _identity_zero(p, pairs, F, {})
 
 
 def _identity_zero(p: Jet, pairs, F: ScalarExpr, values, signs=None) -> bool:
@@ -662,49 +662,6 @@ def _identity_zero(p: Jet, pairs, F: ScalarExpr, values, signs=None) -> bool:
         if num.rem(squares):
             return False
     return True
-
-
-class _Poly(dict):
-    """A polynomial over QQ in the identity ring, {exponent tuple: nonzero
-    Fraction}, the generators r_j first and then x; the zero polynomial
-    is the empty dict, and dict equality is polynomial equality.  It has
-    +, products, scalar multiples (on the right; -1 for a difference),
-    powers k >= 1 and the remainder modulo {r_j^2 - s_j}; no gcd and no
-    division."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        return _collect(itertools.chain(self.items(), other.items()))
-
-    def __mul__(self, other):
-        if not isinstance(other, _Poly):
-            return _collect((m, c * other) for m, c in self.items())
-        return _collect((tuple(map(operator.add, m, n)), c * d)
-                        for m, c in self.items() for n, d in other.items())
-
-    def __pow__(self, k):
-        return functools.reduce(operator.mul, [self] * k)
-
-    def rem(self, squares):
-        """The remainder modulo {r_j^2 - s_j} (squares lists the s_j):
-        each r_j^e becomes r_j^(e mod 2) s_j^(e div 2)."""
-        out = self
-        for j, s in enumerate(squares):
-            terms = []
-            for m, c in out.items():
-                low = _Poly({m[:j] + (m[j] % 2,) + m[j + 1:]: c})
-                terms += (low * s ** (m[j] // 2) if m[j] > 1 else low).items()
-            out = _collect(terms)
-        return out
-
-
-def _collect(terms):
-    """The _Poly sum of (monomial, coefficient) pairs."""
-    out = {}
-    for m, c in terms:
-        out[m] = out[m] + c if m in out else c
-    return _Poly({m: c for m, c in out.items() if c})
 
 
 class _ZeroDenominator(Exception):
@@ -807,7 +764,8 @@ def check_strong_directional(cert: ImplicationCertificate, omega: Direction,
     works, so a forbidden-direction certificate alone yields a pass.
     For an allowed direction all three conditions are checked: F
     negligible near omega, each S_l tame below its stated constant, and
-    the identity exactly zero symbolically.
+    the identity exactly zero symbolically.  A cutoff in F or an S_l
+    makes the identity inconclusive, the cutoffs named in "uncertified".
     """
     return _strong_direction(
         cert, omega,
@@ -865,10 +823,14 @@ def _strong_direction(cert, omega, residual, delta_omega, eps_grid, budget,
 
     residual_ok = residual()
     report["identity_residual_zero"] = residual_ok
+    if residual_ok is None:
+        report["uncertified"] = list(dict.fromkeys(
+            expr_str(cut, n) for cut in
+            collect_cutoffs([cert.F] + [S for _, S, _ in cert.terms])))
 
     verdict = meet(neg.verdict,
                    *(t["verdict"] for t in tame_reports),
-                   PASS if residual_ok else FAIL)
+                   _IDENTITY_VERDICT[residual_ok])
     report["verdict"] = verdict
     return report
 
@@ -1237,10 +1199,11 @@ def _scaled_identity(p, Q_list, F, S_list, omegas, delta, rho, n):
     near Omega, the one identity of every annulus variant.  It is decided
     exactly (_identity_zero) once per direction of Omega, with each
     cutoff at its value certified over that direction's region box
-    (regions._cutoff_values) and each |x_i| read with the signs the box
-    allows; equal (values, signs) keys share one decision.  zero is False
-    if some direction decides False, else None if some direction has a
-    cutoff that may lie in its band (named in "uncertified"), else True.
+    (regions._cutoff_values) and each |x_i| read with the signs x_i takes
+    on the region (regions._region_signs); equal (values, signs) keys
+    share one decision.  zero is False if some direction decides False,
+    else None if some direction has a cutoff that may lie in its band
+    (named in "uncertified"), else True.
     """
     trees = [F] + list(S_list)
     norms = set().union(*map(_free_norms, trees))
@@ -1249,15 +1212,14 @@ def _scaled_identity(p, Q_list, F, S_list, omegas, delta, rho, n):
     pairs = list(zip(Q_list, S_list))
     identity = {"method": "plateau-certified symbolic", "zero": True}
     decided, uncertified = {}, {}
-    for box in _region_boxes(omegas, delta, *s_range):
+    for w, box in zip(omegas, _region_boxes(omegas, delta, *s_range)):
         values = _cutoff_values(trees, box, s_range, n)
         if values is None:
             uncertified.update(
                 (expr_str(cut, n), None) for cut in collect_cutoffs(trees)
                 if _cutoff_values([cut], box, s_range, n) is None)
             continue
-        signs = {i: (1,) if box[i].lo >= 0 else (-1,) if box[i].hi <= 0
-                 else (1, -1) for i in signed}
+        signs = _region_signs(w, delta, signed)
         key = (tuple(values.items()), tuple(signs.items()))
         if key not in decided:
             decided[key] = _identity_zero(p, pairs, F, values, signs)

@@ -104,6 +104,15 @@ before it got its own exact ring: identity_zero builds the same
 and reduces by PolyElement.rem modulo {r_j^2 - s_j}.
 test_residual_zero.py requires the verifier's ring to decide every
 residual as it does, zero denominators included.
+
+The two copies of the grammar's sum/product/factor rules that
+jetring._Parser replaced: PolyParser, the jet parser with its own
+untruncated dict arithmetic (_poly_add, _poly_scale, _poly_mul,
+_poly_as_constant) and jet_parse on it, and ExprParser, the expression
+rules over the smart constructors, with expr_parse on it.
+test_grammar.py requires jetring.jet_parse to give the same jet, in the
+same coefficient order, or raise the same error, and symfun.expr_parse
+to give an equal tree.
 """
 
 import itertools
@@ -120,13 +129,14 @@ from jetideals import regions, verifier
 from jetideals.directions import (ExactDirection, _compile_scaled,
                                   jet_to_sympy)
 from jetideals.errors import (DegreeOverflowError, DimensionMismatchError,
-                              DomainError)
+                              DomainError, ParseError)
 from jetideals.geometry import sphere_cover
 from jetideals.interval import Interval, _down, _up
-from jetideals.jetring import monomials
+from jetideals.jetring import _Parser, Jet, monomials, variable_names
 from jetideals.symfun import (ZERO, Add, Const, Coord, Cutoff, Div, Gauge,
                               GaugeRef, Mul, Norm, Pow, RegularizedGauge,
-                              _bump, expr_derive, hom_degree, mul)
+                              _bump, _ExprParser, add, div, expr_derive,
+                              hom_degree, ipow, mul)
 from jetideals.verifier import (FAIL, PASS, _cutoff_feature_scales,
                                 _region_directions, _transverse_unit,
                                 _unit_annulus_samples, chi_expr,
@@ -1052,3 +1062,189 @@ def _polyring_fraction(e, ring, norms, basis):
     if isinstance(e, Norm):
         return norms[e], ring.one
     raise DomainError(f"node {type(e).__name__} has no symbolic form")
+
+
+class PolyParser(_Parser):
+    """Recursive-descent parser producing an untruncated polynomial dict."""
+
+    def parse_sum(self):
+        sign = 1
+        kind, val, _ = self.peek()
+        if kind == "op" and val in "+-":
+            self.next()
+            sign = -1 if val == "-" else 1
+        poly = _poly_scale(self.parse_product(), sign)
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "+-":
+                self.next()
+                rhs = self.parse_product()
+                poly = _poly_add(poly, _poly_scale(rhs, -1 if val == "-" else 1))
+            else:
+                return poly
+
+    def parse_product(self):
+        poly = self.parse_factor()
+        while True:
+            kind, val, pos = self.peek()
+            if kind == "op" and val == "*":
+                self.next()
+                poly = _poly_mul(poly, self.parse_factor(), self.n)
+            elif kind == "op" and val == "/":
+                self.next()
+                divisor = self.parse_factor()
+                const = _poly_as_constant(divisor)
+                if const is None:
+                    raise ParseError("division by a non-constant polynomial", pos)
+                if const == 0:
+                    raise ParseError("division by zero", pos)
+                poly = _poly_scale(poly, Fraction(1, 1) / const)
+            elif kind in ("name",) or (kind == "op" and val == "("):
+                poly = _poly_mul(poly, self.parse_factor(), self.n)
+            else:
+                return poly
+
+    def parse_factor(self):
+        kind, val, pos = self.next()
+        if kind == "num":
+            base = {(0,) * self.n: val}
+        elif kind == "name":
+            if val not in self.names:
+                raise ParseError(f"unknown variable {val!r}", pos)
+            e = [0] * self.n
+            e[self.names[val]] = 1
+            base = {tuple(e): Fraction(1)}
+        elif kind == "op" and val == "(":
+            base = self.parse_sum()
+            self.expect_op(")")
+        elif kind == "op" and val == "-":
+            return _poly_scale(self.parse_factor(), -1)
+        else:
+            raise ParseError("expected a term", pos)
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "^":
+            self.next()
+            kind, exp, pos = self.next()
+            if kind != "num" or exp.denominator != 1 or exp < 0:
+                raise ParseError("exponent must be a non-negative integer", pos)
+            out = {(0,) * self.n: Fraction(1)}
+            for _ in range(int(exp)):
+                out = _poly_mul(out, base, self.n)
+            return out
+        return base
+
+
+def _poly_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, Fraction(0)) + v
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _poly_scale(a, c):
+    c = Fraction(c)
+    if c == 0:
+        return {}
+    return {k: c * v for k, v in a.items()}
+
+
+def _poly_mul(a, b, n):
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            key = tuple(ka[i] + kb[i] for i in range(n))
+            out[key] = out.get(key, Fraction(0)) + va * vb
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _poly_as_constant(a):
+    if not a:
+        return Fraction(0)
+    if len(a) == 1:
+        (k, v), = a.items()
+        if sum(k) == 0:
+            return v
+    return None
+
+
+def jet_parse(text, sig, truncate=False):
+    poly = PolyParser(text, sig.n).parse()
+    over = [k for k in poly if sum(k) > sig.m]
+    if over and not truncate:
+        worst = max(over, key=sum)
+        names = variable_names(sig.n)
+        term = "*".join(f"{nm}^{e}" if e > 1 else nm
+                        for nm, e in zip(names, worst) if e) or "1"
+        raise DegreeOverflowError(
+            f"term {term} has degree {sum(worst)} > m={sig.m}")
+    return Jet(sig, {k: v for k, v in poly.items() if sum(k) <= sig.m})
+
+
+class ExprParser(_ExprParser):
+    """The expression rules over the smart constructors; the names
+    (abs2, norm, theta, gauge) are symfun's, and their arguments are
+    parsed by these rules."""
+
+    def parse_sum(self):
+        kind, val, _ = self.peek()
+        neg = False
+        if kind == "op" and val in "+-":
+            self.next()
+            neg = val == "-"
+        e = self.parse_product()
+        if neg:
+            e = mul(Const(-1), e)
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "+-":
+                self.next()
+                rhs = self.parse_product()
+                e = add(e, mul(Const(-1), rhs) if val == "-" else rhs)
+            else:
+                return e
+
+    def parse_product(self):
+        e = self.parse_factor()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val == "*":
+                self.next()
+                e = mul(e, self.parse_factor())
+            elif kind == "op" and val == "/":
+                self.next()
+                e = div(e, self.parse_factor())
+            elif kind == "name" or (kind == "op" and val == "("):
+                e = mul(e, self.parse_factor())
+            else:
+                return e
+
+    def parse_factor(self):
+        kind, val, pos = self.next()
+        if kind == "num":
+            base = Const(val)
+        elif kind == "name":
+            base = self.named(val, pos)
+        elif kind == "op" and val == "(":
+            base = self.parse_sum()
+            self.expect_op(")")
+        elif kind == "op" and val == "-":
+            return mul(Const(-1), self.parse_factor())
+        else:
+            raise ParseError("expected a term", pos)
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "^":
+            self.next()
+            kind, exp, pos = self.next()
+            neg = False
+            if kind == "op" and exp == "-":
+                neg = True
+                kind, exp, pos = self.next()
+            if kind != "num" or exp.denominator != 1:
+                raise ParseError("exponent must be an integer", pos)
+            k = -int(exp) if neg else int(exp)
+            return ipow(base, k)
+        return base
+
+
+def expr_parse(text, n, gauges=None, cutoff=None):
+    return ExprParser(text, n, gauges=gauges, cutoff=cutoff).parse()

@@ -6,8 +6,10 @@ by exact comparison of g's range with a*scale and b*scale; it returns
 None when some cutoff may lie in its band.  Wherever it returns a value,
 the compiled cutoff must read exactly that value at every region point.
 verifier._scaled_identity decides the identity once per direction with
-those values, each |x_i| read with the signs that the direction's box
-allows, and names the cutoffs it could not certify.
+those values, each |x_i| read with the signs that x_i takes on the
+direction's region (regions._region_signs, a spherical-cap bound that
+every point drawn in the region must obey), and names the cutoffs it
+could not certify.
 """
 
 import math
@@ -19,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from jetideals.corpus import _intro_annulus_inputs
 from jetideals.jetring import RingSignature, jet_parse
-from jetideals.regions import _cutoff_values, _region_boxes
+from jetideals.regions import _cutoff_values, _region_boxes, _region_signs
 from jetideals.symfun import (DEFAULT_CUTOFF, Const, Coord, Cutoff, Norm,
                               add, compile_expr, div, expr_parse, expr_str,
                               ipow, mul)
@@ -136,6 +138,42 @@ def test_one_coordinate_norms_take_the_signs_of_the_region(omegas, zero,
     assert report["identity"] == {"method": "plateau-certified symbolic",
                                   "zero": zero}
     assert (report["verdict"] == "pass") is zero
+
+
+@pytest.mark.parametrize("omega,delta,zero", [
+    # for delta < sqrt(2) every point of the region around (0, 0, -1) has
+    # z < 0, though the region's box crosses z = 0 once delta > 1
+    ((0.0, 0.0, -1.0), 0.5, True), ((0.0, 0.0, -1.0), 1.2, True),
+    ((0.0, 0.0, -1.0), 1.5, False), ((0.0, 0.0, 1.0), 1.2, False)])
+def test_signs_are_read_on_the_region_not_on_its_box(omega, delta, zero):
+    # F = x*y where z < 0, and 0 where z > 0
+    p = jet_parse("x*y", SIG)
+    F = expr_parse("x*y*(norm(z) - z)/(-2*z)", N)
+    identity = _scaled_identity(p, [], F, [], [omega], delta, 1e-3, N)
+    assert identity["zero"] is zero
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=st.tuples(*[st.floats(-1, 1)] * N).filter(
+           lambda v: math.hypot(*v) > 0.1),
+       unit=st.booleans(), delta=st.floats(1e-3, 2.2),
+       seed=st.integers(0, 2 ** 16))
+def test_a_claimed_sign_holds_at_every_region_point(w, unit, delta, seed):
+    # w as given (the annulus does not normalize Omega) or normalized
+    if unit:
+        w = tuple(c / math.hypot(*w) for c in w)
+    signs = _region_signs(w, delta, range(N))
+    box, = _region_boxes([w], delta, Fraction(1, 2), Fraction(2))
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((4000, N))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    u = u[np.linalg.norm(u - np.asarray(w), axis=1) < delta]
+    for i in range(N):
+        # the region rule claims every sign the box rule claims
+        if box[i].lo >= 0 or box[i].hi <= 0:
+            assert len(signs[i]) == 1
+        if len(signs[i]) == 1:
+            assert (np.sign(u[:, i]) == signs[i][0]).all()
 
 
 def _cutoff_claim(rho, k):

@@ -100,13 +100,16 @@ def test_verify_negligible(capsys):
     assert code == 0 and doc["verdict"] == "pass"
 
 
-def test_verify_implication_cert_file(tmp_path, capsys):
-    cert = {"ideal": {"m": 2, "n": 3, "generators": ["x^2", "y^2 - x*z"]},
+def _implication_cert():
+    return {"ideal": {"m": 2, "n": 3, "generators": ["x^2", "y^2 - x*z"]},
             "target": "x*y",
             "terms": [{"Q": "y^2 - x*z", "S": "-y/z", "C": 50.0}],
             "F": "y^3/z", "scope": "global"}
+
+
+def test_verify_implication_cert_file(tmp_path, capsys):
     path = tmp_path / "cert.json"
-    path.write_text(json.dumps(cert))
+    path.write_text(json.dumps(_implication_cert()))
     code, doc = run(capsys, "verify-implication", "--cert", str(path))
     assert code == 0 and doc["verdict"] == "pass"
     assert len(doc["conclusions"]) == 2
@@ -198,6 +201,56 @@ def test_certificate_without_an_ideal_is_rejected(tmp_path, capsys):
     assert code == 65
     assert doc == {"error": "JetIdealsError",
                    "message": "certificate has no field 'ideal'"}
+
+
+@pytest.mark.parametrize("command,path,value", [
+    ("verify-implication", ("ideal", "m"), 0),
+    ("verify-implication", ("terms", 0, "C"), "abc"),
+    ("verify-annulus", ("annulus", "rho"), "abc")], ids=["m", "C", "rho"])
+def test_certificate_field_with_a_bad_value_is_rejected(tmp_path, capsys,
+                                                        command, path, value):
+    cert = (_intro_annulus_cert() if command == "verify-annulus"
+            else _implication_cert())
+    doc = cert
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+    file = tmp_path / "cert.json"
+    file.write_text(json.dumps(cert))
+    code, doc = run(capsys, command, "--cert", str(file))
+    assert code == 65 and doc["error"] == "JetIdealsError"
+    assert doc["message"].startswith(f"certificate field {path[-1]!r}")
+
+
+@pytest.mark.parametrize("S", ["(y^2/x^2)*theta(1/norm(x,y), 1/8)",
+                               f"(y^2/x^2)*theta(norm(x,y), 1/{10 ** 30})"])
+def test_strong_certificate_with_a_cutoff_is_inconclusive(tmp_path, capsys,
+                                                          S):
+    # y^2 = S x^2 holds nowhere near 0 for the first S (theta is 0 on
+    # |x| < 1), and the second S = y^2/x^2 is not tame where theta is 1:
+    # neither may conclude that <x^2> is not closed
+    cert = {"ideal": {"m": 2, "n": 2, "generators": ["x^2"]},
+            "target": "y^2", "terms": [{"Q": "x^2", "S": S, "C": 1.0}],
+            "F": "0", "scope": "global"}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, doc = run(capsys, "verify-implication", "--cert", str(path))
+    assert code == 2 and doc["verdict"] == "inconclusive"
+    assert "conclusions" not in doc
+    for sub in doc["directions"]:
+        assert sub["identity_residual_zero"] is None
+        assert sub["uncertified"] == [S[S.index("theta"):]]
+
+
+def test_division_by_zero_is_rejected_in_an_expression_not_parsed(capsys):
+    # a jet divides only by a nonzero constant, a rule of its grammar
+    # (parse error, 64); an expression may divide by anything, and only
+    # building x/0 rejects it (65)
+    code, doc = run(capsys, "order", "--m", "2", "--n", "1", "x/0")
+    assert code == 64 and doc["error"] == "parse"
+    code, doc = run(capsys, "verify-tame", "--m", "2", "--n", "1",
+                    "--omega", "1", "x/0")
+    assert code == 65 and doc["error"] == "DomainError"
 
 
 def test_parse_error_is_usage_error(capsys):

@@ -8,14 +8,16 @@ is 0.  A Norm over k >= 2 coordinates outside every cutoff is a ring
 generator r with r^2 = the sum of its squared coordinates, reduced away
 before each zero test; a one-coordinate norm |x_i| is read as x_i and
 as -x_i, once per orthant.  Cutoffs are read at the values the caller
-passes; here at their 1-plateau, as symbolic_residual_zero reads them.  No sympy.simplify call is made.  The sympy
-test that this replaced, expr_to_sympy and residual_zero, is kept in
-tests/scalar_reference.py as the reference the random residuals are
-compared against, with its sympy.simplify fallback replaced by an exact
-reduction.  The ring is the package's own (verifier._Poly); the sympy
-PolyRing it replaced is kept as scalar_reference.identity_zero, which
-must reach the same decision on random trees, norms and identically
-zero denominators included.  Identities at a scale rho
+passes; here at their 1-plateau (_plateau_zero), while
+symbolic_residual_zero leaves a tree with a cutoff undecided (None).
+No sympy.simplify call is made.  The sympy test that this replaced,
+expr_to_sympy and residual_zero, is kept in tests/scalar_reference.py
+as the reference the random residuals are compared against, with its
+sympy.simplify fallback replaced by an exact reduction.  The ring is
+the package's own (jetring._Poly, which the jet parser builds too); the
+sympy PolyRing it replaced is kept as scalar_reference.identity_zero,
+which must reach the same decision on random trees, norms and
+identically zero denominators included.  Identities at a scale rho
 (p(rho x) = f F(x) + s sum S_l(x) Q_l(rho x)) enter as jets at rho x
 and Const factors on the trees, and the decision must not change under
 x -> rho x (expr_scale_coords): the annulus variants C* and C** rely on
@@ -117,8 +119,7 @@ jets = st.dictionaries(
 
 
 def _plateau_zero(p, pairs, F):
-    """verifier._identity_zero with every cutoff at its 1-plateau value,
-    as symbolic_residual_zero reads them."""
+    """verifier._identity_zero with every cutoff at its 1-plateau value."""
     trees = [F] + [S for _, S in pairs]
     return _identity_zero(p, pairs, F, {cut: int(cut.order == 0)
                                         for cut in collect_cutoffs(trees)})
@@ -451,16 +452,18 @@ def test_identically_zero_denominator_fails(F):
     ("x^2*gauge(sqrt, x^2 + {0}) + y/(x*{0})", True)])
 def test_divides_by_zero_stops_at_cutoffs_and_gauges(wrap, zero):
     # `zero`: the tree divides by zero outside every cutoff and gauge.
-    # A cutoff sits on its plateau (theta = 1 there), so a division
-    # inside it is never tested and p = F holds; a division outside
-    # fails the identity; a gauge has no symbolic form, so its identity
-    # raises
+    # A division outside fails the identity.  A cutoff's value near 0 is
+    # not certified, so a tree with a cutoff is left undecided (None)
+    # and no division in it is tested; a gauge has no symbolic form, so
+    # its identity raises
     g = Gauge.from_function("sqrt", math.sqrt, per_octave=8)
     F = expr_parse(wrap.format("x/(y - y)"), N, gauges={"sqrt": g})
     p = jet_parse("x^2 + 1" if wrap.count("theta") == 2 else "x^2", SIG)
     if "gauge" in wrap:
         with pytest.raises(DomainError, match="GaugeRef has no symbolic"):
             symbolic_residual_zero(p, [], F)
+    elif "theta" in wrap:
+        assert symbolic_residual_zero(p, [], F) is None
     else:
         assert symbolic_residual_zero(p, [], F) is not zero
 

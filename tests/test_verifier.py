@@ -7,13 +7,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetideals import regions, verifier
 from jetideals.errors import DomainError
 from jetideals.geometry import Cone, Direction
 from jetideals.ideal import JetIdeal
 from jetideals.jetring import RingSignature, jet_parse, monomials
-from jetideals.symfun import expr_derive, expr_eval, expr_parse
+from jetideals.symfun import (ONE, ZERO, Const, add, expr_derive,
+                              expr_eval, expr_parse, expr_str, mul)
 from jetideals.verifier import (ImplicationCertificate,
                                 check_annulus_condition, check_flat,
                                 check_flat_tame_product, check_negligible,
@@ -262,6 +264,38 @@ def test_strong_vacuous_for_empty_allow():
                                   expr_parse("x*y", 2))
     report = check_strong_global(cert)
     assert report["verdict"] == "pass" and report["vacuous"]
+
+
+def _cutoff_argument(kind, c):
+    return {"norm": "norm(x,y)", "1/norm": f"{c}/norm(x,y)",
+            "c*norm^2": f"{c}*(x^2 + y^2)", "y/x": "y/x"}[kind]
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["norm", "1/norm", "c*norm^2", "y/x"]),
+       c=st.fractions(Fraction(1, 8), 8, max_denominator=8),
+       scale=st.floats(-30, 30).map(lambda t: Fraction(10.0 ** t)),
+       where=st.sampled_from(["S", "F", "both"]))
+def test_strong_certificate_with_a_cutoff_never_passes(kind, c, scale, where):
+    # y^2 = F + S x^2 in <x^2> at m = n = 2, with theta(g, scale) in F, in
+    # S or in both: y^2 is not in cl(<x^2>), and no cutoff's value near 0
+    # is certified, so no such certificate may pass
+    sig = RingSignature(2, 2)
+    theta = expr_parse(f"theta({_cutoff_argument(kind, c)}, "
+                       f"{scale.numerator}/{scale.denominator})", 2)
+    ratio = expr_parse("y^2/x^2", 2)
+    S = {"S": mul(ratio, theta), "F": None,
+         "both": mul(ratio, add(ONE, mul(Const(-1), theta)))}[where]
+    F = mul(expr_parse("y^2", 2), theta) if where != "S" else ZERO
+    cert = ImplicationCertificate(
+        JetIdeal(sig, [jet_parse("x^2", sig)]), jet_parse("y^2", sig),
+        [(jet_parse("x^2", sig), S, 1.0)] if S else [], F)
+    report = check_strong_global(cert)
+    assert report["verdict"] == "inconclusive" or report["verdict"] == "fail"
+    assert "conclusions" not in report
+    for sub in report["directions"]:
+        assert sub["identity_residual_zero"] is None
+        assert sub["uncertified"] == [expr_str(theta, 2)]
 
 
 # -- annulus conditions -----------------------------------------------------
