@@ -5,9 +5,10 @@ with --pretty) and exits 0 on pass/success, 1 on fail, 2 on
 inconclusive, 64 on a usage error (a parse error, an option out of
 range or a --cert file that is not JSON), 65 on input that parses but
 is rejected (any other JetIdealsError, such as a DomainError on a
-certificate's parameters or a certificate missing a field).  Exit codes
-2 and 65 are deliberately distinct from 1: neither one-sided
-verification nor a malformed input may masquerade as disproof in shell
+certificate's parameters or a certificate missing a field), and 70 on a
+fault in this program (the traceback goes to stderr).  Exit codes 2, 65
+and 70 are deliberately distinct from 1: neither one-sided verification
+nor a malformed input nor a crash may masquerade as disproof in shell
 pipelines.  All sampling is seeded (--seed, default 0), so repeated
 runs are byte-identical.
 """
@@ -18,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 
 from .corpus import case_by_id, corpus_cases, run_case
 from .directions import (allow_overapprox, forbidden_certificate_search,
@@ -49,9 +51,12 @@ def _usage_error(message):
     raise SystemExit(USAGE_ERROR)
 
 
+def _given(**options):
+    """The options given, as keywords: one left out keeps its default."""
+    return {k: v for k, v in options.items() if v is not None}
+
+
 def _sig(args) -> RingSignature:
-    if args.m is None or args.n is None:
-        raise SystemExit(USAGE_ERROR)
     try:
         return RingSignature(args.m, args.n)
     except ValueError as exc:
@@ -59,10 +64,11 @@ def _sig(args) -> RingSignature:
 
 
 def _gens(args, sig):
-    if not args.gens:
-        _usage_error("--gens is required")
-    return [jet_parse(g.strip(), sig) for g in args.gens.split(";")
+    gens = [jet_parse(g.strip(), sig) for g in args.gens.split(";")
             if g.strip()]
+    if not gens:
+        _usage_error("--gens needs at least one generator")
+    return gens
 
 
 def _parse_direction(text, n):
@@ -101,6 +107,33 @@ def _dimension(value):
     return int(value)
 
 
+def _text(value):
+    """A jet or an expression of a certificate: a string."""
+    if not isinstance(value, str):
+        raise TypeError("need a string")
+    return value
+
+
+def _list(values):
+    if not isinstance(values, list):
+        raise TypeError("need a list")
+    return values
+
+
+def _texts(values):
+    return [_text(v) for v in _list(values)]
+
+
+def _vectors(n):
+    """Directions of a certificate: a list of lists of n numbers."""
+    def convert(ws):
+        vectors = [tuple(map(float, _list(w))) for w in _list(ws)]
+        if any(len(w) != n for w in vectors):
+            raise ValueError(f"need lists of {n} numbers")
+        return vectors
+    return convert
+
+
 def _load_certificate(path):
     with open(path, encoding="utf-8") as fh:
         try:
@@ -111,16 +144,15 @@ def _load_certificate(path):
     sig = RingSignature(_value(ideal_doc, "m", _dimension),
                         _value(ideal_doc, "n", _dimension))
     I = JetIdeal(sig, [jet_parse(g, sig)
-                       for g in _field(ideal_doc, "generators")])
-    target = jet_parse(_field(doc, "target"), sig)
-    terms = [(jet_parse(_field(t, "Q"), sig),
-              expr_parse(_field(t, "S"), sig.n), _value(t, "C"))
-             for t in doc.get("terms", [])]
-    F = expr_parse(_field(doc, "F"), sig.n)
+                       for g in _value(ideal_doc, "generators", _texts)])
+    target = jet_parse(_value(doc, "target", _text), sig)
+    terms = [(jet_parse(_value(t, "Q", _text), sig),
+              expr_parse(_value(t, "S", _text), sig.n), _value(t, "C"))
+             for t in (_value(doc, "terms", _list) if "terms" in doc else [])]
+    F = expr_parse(_value(doc, "F", _text), sig.n)
     scope = doc.get("scope", "global")
     if scope != "global":
-        scope = _value(doc, "scope",
-                       lambda ws: [tuple(map(float, w)) for w in ws])
+        scope = _value(doc, "scope", _vectors(sig.n))
     cert = ImplicationCertificate(I, target, terms, F, scope=scope,
                                   annulus=doc.get("annulus"))
     return cert, doc
@@ -180,7 +212,7 @@ def cmd_member(args):
 def cmd_allow(args):
     sig = _sig(args)
     I = JetIdeal(sig, _gens(args, sig))
-    aset = allow_overapprox(I, budget=args.budget or 8)
+    aset = allow_overapprox(I, **_given(budget=args.budget))
     return aset.to_json(), 0
 
 
@@ -188,13 +220,14 @@ def cmd_forbid_cert(args):
     sig = _sig(args)
     gens = _gens(args, sig)
     omega = _parse_direction(args.omega, sig.n) if args.omega else None
+    budget = _given(budget=args.budget)
     if args.c is not None:
         verdict, bound, depth = verify_forbidden_certificate(
-            gens, args.c, omega=omega, budget=args.budget or 12)
+            gens, args.c, omega=omega, **budget)
         return ({"verdict": verdict, "c": args.c,
                  "interval_lower_bound": bound, "max_depth": depth},
                 _VERDICT_EXIT[verdict])
-    cert = forbidden_certificate_search(gens, omega, budget=args.budget or 12)
+    cert = forbidden_certificate_search(gens, omega, **budget)
     if cert is None:
         return {"verdict": "inconclusive",
                 "note": "no certificate found within the budget"}, 2
@@ -209,7 +242,7 @@ def cmd_tangent(args):
 
 
 def _cone_region(args):
-    if not getattr(args, "omega", None):
+    if not args.omega:
         return None
     omegas = [_parse_direction(w, args.n) for w in args.omega.split(";")]
     try:
@@ -221,48 +254,49 @@ def _cone_region(args):
 def cmd_verify_flat(args):
     F = expr_parse(args.operands[0], args.n)
     report = check_flat(F, _cone_region(args), args.m, args.n,
-                        seed=args.seed)
+                        **_given(seed=args.seed))
     return report.to_json(), _VERDICT_EXIT[report.verdict]
 
 
 def cmd_verify_tame(args):
     S = expr_parse(args.operands[0], args.n)
     report = check_tame(S, _cone_region(args), args.m, args.n,
-                        seed=args.seed, bound=args.bound)
+                        **_given(seed=args.seed, bound=args.bound))
     return report.to_json(), _VERDICT_EXIT[report.verdict]
 
 
 def cmd_verify_negligible(args):
     F = expr_parse(args.operands[0], args.n)
-    if not args.omega:
-        _usage_error("--omega is required")
     omegas = [tuple(d.vec) for d in
               (_parse_direction(w, args.n) for w in args.omega.split(";"))]
-    eps_grid = ([args.eps] if args.eps is not None
-                else (1.0, 0.1, 0.01, 0.001))
-    cert = check_negligible(F, omegas, args.m, args.n, eps_grid=eps_grid,
-                            budget=args.budget or 64, seed=args.seed)
+    eps_grid = None if args.eps is None else (args.eps,)
+    cert = check_negligible(F, omegas, args.m, args.n,
+                            **_given(eps_grid=eps_grid, budget=args.budget,
+                                     seed=args.seed))
     return cert.to_json(), _VERDICT_EXIT[cert.verdict]
 
 
 def cmd_verify_implication(args):
     cert, _ = _load_certificate(args.cert)
-    report = check_strong_global(cert, budget=args.budget or 64,
-                                 seed=args.seed)
+    report = check_strong_global(
+        cert, **_given(budget=args.budget, seed=args.seed))
     return report, _VERDICT_EXIT[report["verdict"]]
 
 
 def cmd_verify_annulus(args):
     cert, doc = _load_certificate(args.cert)
     annulus = _field(doc, "annulus")
-    params = {k: _value(annulus, k) for k in ("A", "eps", "delta", "r", "rho")
-              + (("A_target",) if "A_target" in annulus else ())}
-    omegas = annulus.get("omegas", [])
+    params = {k: _value(annulus, k) for k in ("A", "eps", "delta", "r", "rho")}
+    if "A_target" in annulus:
+        params["A_target"] = _value(annulus, "A_target")
+    n = cert.target.sig.n
+    omegas = (_value(annulus, "omegas", _vectors(n)) if "omegas" in annulus
+              else [])
     Q_list = [Q for Q, _, _ in cert.terms]
     S_list = [S for _, S, _ in cert.terms]
     report = check_annulus_condition(args.variant, params, cert.target,
                                      Q_list, cert.F, S_list, omegas,
-                                     seed=args.seed)
+                                     **_given(seed=args.seed))
     return report, _VERDICT_EXIT[report["verdict"]]
 
 
@@ -278,8 +312,10 @@ def cmd_gauge_reg(args):
     if fn is None:
         _usage_error(f"unknown gauge {args.gauge!r}; "
                      f"choose from {sorted(_NAMED_GAUGES)}")
+    if args.scales is not None and args.scales < 1:
+        _usage_error("--scales needs an integer >= 1")
     g = Gauge.from_function(args.gauge, fn)
-    reg = gauge_regularize(g, check_scales=args.scales)
+    reg = gauge_regularize(g, **_given(check_scales=args.scales))
     report = dict(reg.report)
     ok = (report["envelope_dominates"] and report["quasi_doubling_ok"]
           and report["decays"])
@@ -315,67 +351,63 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
+    """Each subcommand takes --pretty and exactly the options it reads."""
     parser = _Parser(prog="jetideals")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, operands=0, operand_name="poly"):
-        p.add_argument("--m", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--gens", help="generators, ';'-separated")
-        p.add_argument("--cert", help="certificate JSON file")
-        p.add_argument("--eps", type=float)
-        p.add_argument("--depth", type=int)
-        p.add_argument("--budget", type=int)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--pretty", action="store_true")
-        if operands:
-            p.add_argument("operands", nargs=operands,
-                           metavar=operand_name)
+    def options(*flags, **kw):      # a parent parser of shared options
+        p = argparse.ArgumentParser(add_help=False)
+        for flag in flags:
+            p.add_argument(flag, **kw)
         return p
 
-    common(sub.add_parser("mul"), 2).set_defaults(fn=cmd_mul)
-    p = common(sub.add_parser("compose"), 1)
-    p.add_argument("--phi", required=True,
-                   help="component jets of the map, ';'-separated")
-    p.set_defaults(fn=cmd_compose)
-    common(sub.add_parser("order"), 1).set_defaults(fn=cmd_order)
-    common(sub.add_parser("lowpart"), 1).set_defaults(fn=cmd_lowpart)
-    common(sub.add_parser("ideal-basis")).set_defaults(fn=cmd_ideal_basis)
-    common(sub.add_parser("member"), 1).set_defaults(fn=cmd_member)
-    common(sub.add_parser("allow")).set_defaults(fn=cmd_allow)
-    p = common(sub.add_parser("forbid-cert"))
+    ring = options("--m", "--n", type=int, required=True)
+    gens = options("--gens", required=True, help="generators, ';'-separated")
+    budget, seed = options("--budget", type=int), options("--seed", type=int)
+    cert = options("--cert", required=True, help="certificate JSON file")
+    cone = options("--omega", help="cone directions, ';'-separated")
+    cone.add_argument("--delta", type=float, default=0.5)
+
+    def command(name, fn, *parents, operands=0, operand_name="poly"):
+        p = sub.add_parser(name, parents=parents)
+        p.add_argument("--pretty", action="store_true")
+        if operands:
+            p.add_argument("operands", nargs=operands, metavar=operand_name)
+        p.set_defaults(fn=fn)
+        return p
+
+    command("mul", cmd_mul, ring, operands=2)
+    command("compose", cmd_compose, ring, operands=1).add_argument(
+        "--phi", required=True,
+        help="component jets of the map, ';'-separated")
+    command("order", cmd_order, ring, operands=1)
+    command("lowpart", cmd_lowpart, ring, operands=1)
+    command("ideal-basis", cmd_ideal_basis, ring, gens)
+    command("member", cmd_member, ring, gens, operands=1)
+    command("allow", cmd_allow, ring, gens, budget)
+    p = command("forbid-cert", cmd_forbid_cert, ring, gens, budget)
     p.add_argument("--omega", help="direction, comma-separated components")
     p.add_argument("--c", type=float, help="constant to verify (omit to search)")
-    p.set_defaults(fn=cmd_forbid_cert)
-    p = common(sub.add_parser("tangent"))
+    p = command("tangent", cmd_tangent)
     p.add_argument("--points", required=True, help="CSV point cloud file")
     p.add_argument("--delta-out", type=float, default=1e-3)
-    p.set_defaults(fn=cmd_tangent)
-    p = common(sub.add_parser("verify-flat"), 1, "expr")
-    p.add_argument("--omega", help="cone directions, ';'-separated")
-    p.add_argument("--delta", type=float, default=0.5)
-    p.set_defaults(fn=cmd_verify_flat)
-    p = common(sub.add_parser("verify-tame"), 1, "expr")
-    p.add_argument("--bound", type=float)
-    p.add_argument("--omega", help="cone directions, ';'-separated")
-    p.add_argument("--delta", type=float, default=0.5)
-    p.set_defaults(fn=cmd_verify_tame)
-    p = common(sub.add_parser("verify-negligible"), 1, "expr")
-    p.add_argument("--omega", help="directions, ';'-separated")
-    p.set_defaults(fn=cmd_verify_negligible)
-    common(sub.add_parser("verify-implication")).set_defaults(
-        fn=cmd_verify_implication)
-    p = common(sub.add_parser("verify-annulus"))
-    p.add_argument("--variant", choices=["C", "C*", "C**"], default="C")
-    p.set_defaults(fn=cmd_verify_annulus)
-    p = common(sub.add_parser("gauge-reg"))
+    command("verify-flat", cmd_verify_flat, ring, cone, seed, operands=1,
+            operand_name="expr")
+    command("verify-tame", cmd_verify_tame, ring, cone, seed, operands=1,
+            operand_name="expr").add_argument("--bound", type=float)
+    p = command("verify-negligible", cmd_verify_negligible, ring, budget,
+                seed, operands=1, operand_name="expr")
+    p.add_argument("--omega", required=True, help="directions, ';'-separated")
+    p.add_argument("--eps", type=float, help="one eps (omit for the ladder)")
+    command("verify-implication", cmd_verify_implication, cert, budget, seed)
+    command("verify-annulus", cmd_verify_annulus, cert, seed).add_argument(
+        "--variant", choices=["C", "C*", "C**"], default="C")
+    p = command("gauge-reg", cmd_gauge_reg)
     p.add_argument("--gauge", required=True)
-    p.add_argument("--scales", type=int, default=20)
-    p.set_defaults(fn=cmd_gauge_reg)
-    p = common(sub.add_parser("corpus"))
+    p.add_argument("--scales", type=int)
+    p = command("corpus", cmd_corpus)
     p.add_argument("action", choices=["list", "run"])
     p.add_argument("case", nargs="?", default="all")
-    p.set_defaults(fn=cmd_corpus)
     return parser
 
 
@@ -402,6 +434,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception:
+        traceback.print_exc()
+        return 70       # EX_SOFTWARE: a fault in this program, not its input
     _emit(doc, args.pretty)
     return code
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError, JetIdealsError
 from .interval import (Interval, batch_add, batch_div, batch_ipow,
                        batch_sqrt, box_norm)
 
@@ -141,12 +141,11 @@ class SpherePatch:
 
     The face is coordinate `axis` frozen at `sign` (+1/-1); `box` is a
     tuple of (lo, hi) pairs for the remaining n-1 coordinates, each
-    within [-1, 1].  A patch computes its direction enclosure and its
-    `subdivide_all` children once and keeps them, so a tree grown from
-    one cover is shared by every walk over it.
+    within [-1, 1].  A patch computes its direction enclosure once and
+    keeps it.
     """
 
-    __slots__ = ("n", "axis", "sign", "box", "_enc", "_kids")
+    __slots__ = ("n", "axis", "sign", "box", "_enc")
 
     def __init__(self, n, axis, sign, box):
         box = tuple((float(lo), float(hi)) for lo, hi in box)
@@ -157,7 +156,6 @@ class SpherePatch:
         self.sign = sign
         self.box = box
         self._enc = None
-        self._kids = None
 
     def __repr__(self):
         return f"SpherePatch(axis={self.axis}, sign={self.sign:+d}, box={self.box})"
@@ -212,16 +210,13 @@ class SpherePatch:
                 SpherePatch(self.n, self.axis, self.sign, right))
 
     def subdivide_all(self):
-        """Split every box axis in half; returns 2^(n-1) patches (a
-        tuple, the same one on every call)."""
-        if self._kids is None:
-            halves = []
-            for lo, hi in self.box:
-                mid = 0.5 * (lo + hi)
-                halves.append([(lo, mid), (mid, hi)])
-            self._kids = tuple(SpherePatch(self.n, self.axis, self.sign, combo)
-                               for combo in itertools.product(*halves))
-        return self._kids
+        """Split every box axis in half; returns 2^(n-1) patches."""
+        halves = []
+        for lo, hi in self.box:
+            mid = 0.5 * (lo + hi)
+            halves.append([(lo, mid), (mid, hi)])
+        return tuple(SpherePatch(self.n, self.axis, self.sign, combo)
+                     for combo in itertools.product(*halves))
 
 
 def face_boxes(patches):
@@ -326,10 +321,11 @@ def read_point_cloud(text):
         point = []
         for cell in row:
             cell = cell.strip()
-            if "/" in cell:
-                point.append(float(Fraction(cell)))
-            else:
-                point.append(float(cell))
+            try:
+                point.append(float(Fraction(cell) if "/" in cell else cell))
+            except (ValueError, ZeroDivisionError):
+                raise JetIdealsError(
+                    f"point cloud cell {cell!r} is not a number") from None
         points.append(tuple(point))
     if points and len({len(p) for p in points}) != 1:
         raise DimensionMismatchError("points have inconsistent dimension")

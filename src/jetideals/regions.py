@@ -73,6 +73,7 @@ class Dome:
 
 # Cells one dome walk may evaluate: this bounds the time of a walk.
 DOME_CELL_BUDGET = 8192
+DOME_DEPTH_BUDGET = 64       # how deep a dome walk may split a cell
 
 # Dome trees live for the whole process, one per (n, Omega, delta): a
 # patch's kept children depend only on (patch, Omega, delta), so a kept
@@ -99,7 +100,7 @@ def _dome(n, omegas, delta):
     return slot[0]
 
 
-def _dome_sup(expr, dome, table, target=None, budget=64):
+def _dome_sup(expr, dome, table, target=None, budget=DOME_DEPTH_BUDGET):
     """Certified upper bound of |expr| on the dome, by interval
     subdivision of its sphere-patch tree (cells provably outside the
     dome are not in the tree, so tiny domes stay cheap).

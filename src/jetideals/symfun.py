@@ -893,9 +893,9 @@ class Gauge:
             raise DomainError("gauge samples must be strictly positive")
 
     @staticmethod
-    def from_function(name, fn, j_min=-60.0, j_max=0.0, per_octave=1024):
-        steps = int(round((j_max - j_min) * per_octave)) + 1
-        grid = np.linspace(j_min, j_max, steps)
+    def from_function(name, fn, per_octave=1024):
+        """fn sampled at 2^j, j from -60 to 0 in steps of 1/per_octave."""
+        grid = np.linspace(-60.0, 0.0, 60 * per_octave + 1)
         vals = [min(1.0, float(fn(2.0 ** j))) for j in grid]
         return Gauge(name, grid, vals)
 

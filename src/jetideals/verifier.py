@@ -21,8 +21,8 @@ from .errors import DomainError
 from .geometry import Cone, Direction
 from .ideal import JetIdeal
 from .jetring import Jet, _collect, _Poly, monomials
-from .regions import (_cutoff_values, _dome, _dome_sup, _region_boxes,
-                      _region_signs)
+from .regions import (DOME_DEPTH_BUDGET, _cutoff_values, _dome, _dome_sup,
+                      _region_boxes, _region_signs)
 from .symfun import (KERNELS, Add, Const, Cutoff, Div, GaugeRef, Mul, Norm,
                      Pow, ScalarExpr, ZERO, add, collect_cutoffs,
                      compile_expr, compile_exprs, div, expr_derive,
@@ -33,6 +33,8 @@ _ORDER = {FAIL: 0, INCONCLUSIVE: 1, PASS: 2}
 # annulus identity result -> verdict (None: some cutoff may lie in its
 # band on the region, so no exact decision was made)
 _IDENTITY_VERDICT = {True: PASS, False: FAIL, None: INCONCLUSIVE}
+EPS_LADDER = (1.0, 0.1, 0.01, 0.001)   # eps rungs of a negligibility check
+STRONG_DELTA = 0.5   # cone opening a strong check covers around a direction
 
 
 def meet(*verdicts) -> str:
@@ -192,6 +194,7 @@ class ShellReport:
 # draws nothing else, so a cone swept again gets the same set back.
 SWEEP_DIRECTION_SETS = 64
 SWEEP_DIRECTIONS = 40        # directions per sweep
+SHELLS = (4, 24)             # a sweep's shells 2^-k, k from 4 to 24
 
 
 def _region_directions(region, n, seed):
@@ -256,15 +259,15 @@ def _blind_note(shells):
     return f"no evaluable sample in shells {blind}"
 
 
-def check_flat(F: ScalarExpr, region, m: int, n: int, seed: int = 0,
-               k_range=(4, 24)) -> ShellReport:
+def check_flat(F: ScalarExpr, region, m: int, n: int,
+               seed: int = 0) -> ShellReport:
     """Shell test of d^alpha F = o(|x|^(m-|alpha|)).
 
     pass: shell sups strictly decrease over the last 8 shells and the
     final value is below 1e-3 of the first; fail: clear growth; anything
     else is inconclusive.  The finite-trend contract replaces the limit.
     """
-    shells, _ = _shell_sweep(F, region, m, n, seed, *k_range,
+    shells, _ = _shell_sweep(F, region, m, n, seed, *SHELLS,
                              weight=lambda a, s: s ** (sum(a) - m))
     vals = [v for _, v in shells]
     notes = ["pass = strictly decreasing over last 8 shells and "
@@ -287,7 +290,7 @@ def check_flat(F: ScalarExpr, region, m: int, n: int, seed: int = 0,
 
 
 def check_tame(S: ScalarExpr, region, m: int, n: int, seed: int = 0,
-               bound=None, k_range=(4, 24)) -> ShellReport:
+               bound=None) -> ShellReport:
     """Shell test of d^alpha S = O(|x|^(-|alpha|)).
 
     pass: the measured shell sups stay uniformly bounded (no growth
@@ -295,7 +298,7 @@ def check_tame(S: ScalarExpr, region, m: int, n: int, seed: int = 0,
     supplied, below it; a sampled point above the supplied constant is a
     genuine witness and fails.
     """
-    shells, pool = _shell_sweep(S, region, m, n, seed, *k_range,
+    shells, pool = _shell_sweep(S, region, m, n, seed, *SHELLS,
                                 weight=lambda a, s: s ** sum(a))
     vals = [v for _, v in shells]
     if None in vals:
@@ -382,7 +385,7 @@ def delta_ladder(eps):
 
 
 def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
-                     eps_grid=(1.0, 0.1, 0.01, 0.001), budget: int = 64,
+                     eps_grid=EPS_LADDER, budget: int = DOME_DEPTH_BUDGET,
                      seed: int = 0, pair_samples: int = 100_000):
     """Check that F is negligible for the direction set Omega.
 
@@ -755,9 +758,8 @@ class ImplicationCertificate:
 
 
 def check_strong_directional(cert: ImplicationCertificate, omega: Direction,
-                             delta_omega: float = 0.5,
-                             eps_grid=(1.0, 0.1, 0.01, 0.001),
-                             budget: int = 64, seed: int = 0) -> dict:
+                             budget: int = DOME_DEPTH_BUDGET,
+                             seed: int = 0) -> dict:
     """Verify strong implication in one direction.
 
     For a forbidden direction the decomposition F = p, S = 0 always
@@ -770,11 +772,10 @@ def check_strong_directional(cert: ImplicationCertificate, omega: Direction,
     return _strong_direction(
         cert, omega,
         lambda: symbolic_residual_zero(cert.target, cert.terms, cert.F),
-        delta_omega, eps_grid, budget, seed)
+        budget, seed)
 
 
-def _strong_direction(cert, omega, residual, delta_omega, eps_grid, budget,
-                      seed):
+def _strong_direction(cert, omega, residual, budget, seed):
     """The body of check_strong_directional; `residual()` gives the
     direction-independent identity check, called only where it is
     needed (after the negligibility and tameness checks)."""
@@ -792,7 +793,7 @@ def _strong_direction(cert, omega, residual, delta_omega, eps_grid, budget,
                          for d in allowed.directions)
     if is_allowed is False and allowed.exact:
         fc = forbidden_certificate_search(
-            I.basis_jets() or list(I.generators), omega, budget=12)
+            I.basis_jets() or list(I.generators), omega)
         if fc is not None:
             report.update({
                 "verdict": PASS, "trivial": True,
@@ -803,19 +804,18 @@ def _strong_direction(cert, omega, residual, delta_omega, eps_grid, budget,
     # directions of Allow(I) near omega; the negligibility scope
     if allowed.is_finite:
         local = [d.vec for d in allowed.directions
-                 if math.dist(d.vec, omega.vec) < delta_omega]
+                 if math.dist(d.vec, omega.vec) < STRONG_DELTA]
     else:
         local = [tuple(omega.vec)]
     if not local:
         local = [tuple(omega.vec)]
 
-    neg = check_negligible(cert.F, local, m, n, eps_grid=eps_grid,
-                           budget=budget, seed=seed)
+    neg = check_negligible(cert.F, local, m, n, budget=budget, seed=seed)
     report["negligibility"] = neg.to_json()
 
     tame_reports = []
     cone = Cone([Direction(w, normalize=True) for w in local],
-                delta_omega, 1.0)
+                STRONG_DELTA, 1.0)
     for idx, (Q, S, C) in enumerate(cert.terms):
         tr = check_tame(S, cone, m, n, seed=seed + idx, bound=C)
         tame_reports.append(tr.to_json())
@@ -836,9 +836,8 @@ def _strong_direction(cert, omega, residual, delta_omega, eps_grid, budget,
 
 
 def check_strong_global(cert: ImplicationCertificate,
-                        delta_omega: float = 0.5,
-                        eps_grid=(1.0, 0.1, 0.01, 0.001),
-                        budget: int = 64, seed: int = 0) -> dict:
+                        budget: int = DOME_DEPTH_BUDGET,
+                        seed: int = 0) -> dict:
     """Verify strong implication over every allowed direction.
 
     An empty allowed set passes vacuously.  Otherwise the certificate's
@@ -874,7 +873,7 @@ def check_strong_global(cert: ImplicationCertificate,
     residual = functools.cache(
         lambda: symbolic_residual_zero(p, cert.terms, cert.F))
     sub = [_strong_direction(cert, Direction(w, normalize=True), residual,
-                             delta_omega, eps_grid, budget, seed)
+                             budget, seed)
            for w in scope]
     report["directions"] = sub
     verdict = meet(*(r["verdict"] for r in sub))

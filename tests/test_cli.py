@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from jetideals.cli import main
+from jetideals import cli
+from jetideals.cli import build_parser, main
 from jetideals.corpus import case_by_id
 
 
@@ -206,7 +207,20 @@ def test_certificate_without_an_ideal_is_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("command,path,value", [
     ("verify-implication", ("ideal", "m"), 0),
     ("verify-implication", ("terms", 0, "C"), "abc"),
-    ("verify-annulus", ("annulus", "rho"), "abc")], ids=["m", "C", "rho"])
+    ("verify-annulus", ("annulus", "rho"), "abc"),
+    ("verify-annulus", ("annulus", "omegas"), [["a", 0, 1]]),
+    ("verify-annulus", ("annulus", "omegas"), [[0, 0, 1, 5]]),
+    ("verify-implication", ("scope",), [[0, 0, 1, 1], [0, 0, -1]]),
+    ("verify-implication", ("ideal", "generators"), "x^2"),
+    ("verify-implication", ("ideal", "generators"), ["x^2", 5]),
+    ("verify-implication", ("target",), None),
+    ("verify-implication", ("terms",), 5),
+    ("verify-implication", ("terms", 0, "Q"), 5),
+    ("verify-implication", ("terms", 0, "S"), [1]),
+    ("verify-implication", ("F",), 0)],
+    ids=["m", "C", "rho", "omega-not-a-number", "omega-of-4-numbers",
+         "scope-of-4-numbers", "generators-a-string",
+         "generator-not-a-string", "target", "terms", "Q", "S", "F"])
 def test_certificate_field_with_a_bad_value_is_rejected(tmp_path, capsys,
                                                         command, path, value):
     cert = (_intro_annulus_cert() if command == "verify-annulus"
@@ -289,3 +303,151 @@ def test_deterministic_output(capsys):
               "--omega", "0,0,1", "--eps", "0.1", "--seed", "7", "y^3/z"])
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+def test_tangent_rejects_a_cell_that_is_not_a_number(tmp_path, capsys):
+    csv = tmp_path / "points.csv"
+    csv.write_text("0,0.5\n0,abc\n")
+    code, doc = run(capsys, "tangent", "--points", str(csv))
+    assert code == 65 and doc["error"] == "JetIdealsError"
+    assert "'abc'" in doc["message"]
+
+
+@pytest.mark.parametrize("scales", ["0", "-3"])
+def test_gauge_reg_rejects_scales_below_one(capsys, scales):
+    assert main(["gauge-reg", "--gauge", "sqrt", "--scales", scales]) == 64
+    assert "--scales" in capsys.readouterr().err
+
+
+def test_a_fault_in_a_handler_exits_70_with_its_traceback(monkeypatch,
+                                                          capsys):
+    def broken(args):
+        raise RuntimeError("a fault in the program")
+
+    monkeypatch.setattr(cli, "cmd_order", broken)
+    assert main(["order", "--m", "2", "--n", "1", "x"]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err
+    assert "RuntimeError: a fault in the program" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# Every option a subcommand declares is read.
+# ---------------------------------------------------------------------------
+
+RING = ["--m", "2", "--n", "1", "--pretty"]
+
+
+def _every_option(tmp_path):
+    """Per subcommand, arguments that give every option it declares."""
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(_intro_annulus_cert()))
+    points = tmp_path / "points.csv"
+    points.write_text("0,0.5\n0,0.25\n")
+    return {
+        "mul": RING + ["x", "x"],
+        "compose": RING + ["--phi", "x", "x"],
+        "order": RING + ["x"],
+        "lowpart": RING + ["x"],
+        "ideal-basis": RING + ["--gens", "x"],
+        "member": RING + ["--gens", "x", "x"],
+        "allow": RING + ["--gens", "x", "--budget", "3"],
+        "forbid-cert": RING + ["--gens", "x", "--budget", "3",
+                               "--omega", "1", "--c", "0.5"],
+        "tangent": ["--points", str(points), "--delta-out", "0.1",
+                    "--pretty"],
+        "verify-flat": RING + ["--omega", "1", "--delta", "0.3",
+                               "--seed", "1", "x"],
+        "verify-tame": RING + ["--omega", "1", "--delta", "0.3",
+                               "--seed", "1", "--bound", "2", "x"],
+        "verify-negligible": RING + ["--omega", "1", "--eps", "0.1",
+                                     "--budget", "3", "--seed", "1", "x"],
+        "verify-implication": ["--cert", str(cert), "--budget", "3",
+                               "--seed", "1", "--pretty"],
+        "verify-annulus": ["--cert", str(cert), "--variant", "C*",
+                           "--seed", "1", "--pretty"],
+        "gauge-reg": ["--gauge", "sqrt", "--scales", "5", "--pretty"],
+        "corpus": ["run", "all", "--pretty"],
+    }
+
+
+class _Stub:
+    """Any result of a stubbed library call, a pass in every shape that
+    a handler reads one."""
+    verdict = "pass"
+    report = {"envelope_dominates": True, "quasi_doubling_ok": True,
+              "decays": True}
+
+    def __call__(self, *args, **kwargs):
+        return self
+
+    def __getitem__(self, key):
+        return "pass"
+
+    def to_json(self):
+        return {"verdict": "pass"}
+
+
+class _Recorder:
+    """Parsed arguments that record each name a handler reads; reading a
+    name the subcommand does not declare raises KeyError."""
+
+    def __init__(self, values):
+        self._values = values
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return self._values[name]
+
+
+@pytest.mark.parametrize("command", sorted(
+    build_parser()._subparsers._group_actions[0].choices))
+def test_every_declared_option_is_read(tmp_path, monkeypatch, command):
+    stub = _Stub()
+    for name in ("allow_overapprox", "forbidden_certificate_search",
+                 "check_flat", "check_tame", "check_negligible",
+                 "check_strong_global", "check_annulus_condition",
+                 "gauge_regularize", "run_case"):
+        monkeypatch.setattr(cli, name, stub)
+    monkeypatch.setattr(cli, "verify_forbidden_certificate",
+                        lambda *a, **k: ("pass", 1.0, 0))
+    monkeypatch.setattr(cli, "estimate_tangent_directions",
+                        lambda *a, **k: [])
+    monkeypatch.setattr(cli.Gauge, "from_function", stub)
+    parser = build_parser()
+    subparser = parser._subparsers._group_actions[0].choices[command]
+    # --pretty is read by main, which prints the handler's document
+    declared = {a.dest for a in subparser._actions
+                if a.option_strings and a.dest not in ("help", "pretty")}
+    args = parser.parse_args([command] + _every_option(tmp_path)[command])
+    recorder = _Recorder(vars(args))
+    doc, code = args.fn(recorder)
+    assert code == 0
+    assert declared <= recorder.read
+
+
+def test_no_subcommand_takes_an_option_it_does_not_read(capsys):
+    assert main(["mul", "--m", "3", "--n", "1", "--depth", "9",
+                 "x", "x"]) == 64
+    assert "--depth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    "mul", "compose", "order", "lowpart", "ideal-basis", "member", "allow",
+    "forbid-cert", "verify-flat", "verify-tame", "verify-negligible"])
+def test_ring_commands_require_m_and_n(tmp_path, capsys, command):
+    argv = _every_option(tmp_path)[command]
+    assert argv[:len(RING)] == RING
+    assert main([command] + argv[len(RING):]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--m, --n" in captured.err
+
+
+def test_budget_zero_reaches_the_library(capsys):
+    # a budget of 0 splits no dome cell, so no eps rung certifies
+    code, doc = run(capsys, "verify-negligible", "--m", "2", "--n", "3",
+                    "--omega", "0,0,1", "--budget", "0", "y^3/z")
+    assert code == 2 and doc["verdict"] == "inconclusive"
