@@ -1,0 +1,382 @@
+"""Real algebraic numbers over QQ and the unit vectors they give.
+
+A polynomial in t is a tuple of Fraction coefficients, lowest degree
+first, with no trailing zero; () is the zero polynomial.  A real root
+of f is kept as a `Root`: a rational, or the only root of a square-free
+f in an open interval with rational ends.  A `Ray` is a vector v(t) of
+polynomials at a root; it stands for the unit vector v/|v|, whose
+float coordinates it rounds correctly and at which it decides the sign
+of a polynomial exactly.  Everything is exact rational arithmetic; the
+square root of |v|^2 is bounded by `math.isqrt` on scaled integers.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+_SQRT_BITS = 64     # first precision of a square-root enclosure
+_REFINE_STEPS = 8   # bisections of a root's interval per rounding round
+
+
+def trim(coeffs) -> tuple:
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return trim([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+
+def scale(a, c):
+    return tuple(x * c for x in a) if c else ()
+
+
+def mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def quo_rem(a, b):
+    """(q, r) with a = q b + r and deg r < deg b; b != 0."""
+    r, q = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    lead = b[-1]
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + len(b) - 1] / lead
+        q[k] = c
+        if c:
+            for j, y in enumerate(b):
+                r[k + j] -= c * y
+    return trim(q), trim(r[:len(b) - 1])
+
+
+def rem(a, b):
+    return quo_rem(a, b)[1] if len(a) >= len(b) else a
+
+
+def gcd(a, b):
+    """The monic greatest common divisor over QQ; () for gcd(0, 0)."""
+    while b:
+        a, b = b, rem(a, b)
+    return scale(a, 1 / a[-1]) if a else ()
+
+
+def derivative(a):
+    return trim(k * c for k, c in enumerate(a) if k)
+
+
+def evaluate(a, x):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _integral(a):
+    """Primitive integer coefficients of a positive multiple of a."""
+    den = math.lcm(*(c.denominator for c in a))
+    ints = [c.numerator * (den // c.denominator) for c in a]
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+def _sign_at(ints, x):
+    """Sign of the integer polynomial at the rational x, in integers:
+    the sum of c_i p^i q^(d-i) for x = p/q has the sign of f(x)."""
+    p, q = x.numerator, x.denominator
+    acc, power = 0, 1
+    for c in reversed(ints):
+        acc = acc * p + c * power
+        power *= q
+    return (acc > 0) - (acc < 0)
+
+
+def _sturm(f):
+    """Sturm sequence of f as primitive integer polynomials."""
+    seq = [f, derivative(f)]
+    while len(seq[-1]) > 1:
+        seq.append(scale(rem(seq[-2], seq[-1]), -1))
+    return [_integral(p) for p in seq if p]
+
+
+def _variations(seq, x):
+    signs = [s for s in (_sign_at(p, x) for p in seq) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _split_point(ints, lo, hi):
+    """A point of (lo, hi) where f does not vanish: the midpoint unless
+    it is a root, else the first non-root of lo + (hi - lo) k / 2^j."""
+    den = 2
+    while True:
+        for num in range(1, den, 2):
+            x = lo + (hi - lo) * Fraction(num, den)
+            if _sign_at(ints, x):
+                return x
+        den *= 2
+
+
+def _isolate(f, ints):
+    """Disjoint intervals (lo, hi), one per real root of the square-free
+    f (ints: its `_integral`), in increasing order; f vanishes at
+    neither end."""
+    seq = _sturm(f)
+    lead = abs(ints[-1])
+    bound = Fraction(1)     # a power of two above every |root| (Cauchy)
+    while bound * lead < lead + max(map(abs, ints[:-1]), default=0):
+        bound *= 2
+    out = []
+    stack = [(-bound, bound, _variations(seq, -bound),
+              _variations(seq, bound))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo - v_hi == 1:
+            out.append((lo, hi))
+        elif v_lo - v_hi > 1:
+            mid = _split_point(ints, lo, hi)
+            v_mid = _variations(seq, mid)
+            stack.append((mid, hi, v_mid, v_hi))
+            stack.append((lo, mid, v_lo, v_mid))
+    return out
+
+
+def _rational_in(ints, lo, hi):
+    """The root of f in (lo, hi) if it is rational, else None, and the
+    interval narrowed.  A rational root p/q of the primitive integer f
+    has q | lead, so lead * root is an integer: once the interval is
+    shorter than 1/lead only one candidate is left to test."""
+    lead = abs(ints[-1])
+    s_lo = _sign_at(ints, lo)
+    while (hi - lo) * lead >= 1:
+        mid = (lo + hi) / 2
+        s = _sign_at(ints, mid)
+        if not s:
+            return mid, (lo, hi)
+        if s == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    k = math.ceil(lo * lead)
+    if lo < Fraction(k, lead) < hi and not _sign_at(ints, Fraction(k, lead)):
+        return Fraction(k, lead), (lo, hi)
+    return None, (lo, hi)
+
+
+def real_roots(f):
+    """The distinct real roots of f != 0, in increasing order.
+
+    The roots are isolated on the square-free part of f and the rational
+    ones found first (`_rational_in`); every other root is kept on the
+    square-free part divided by its rational linear factors, which has
+    no rational root at all.
+    """
+    if len(f) < 3:
+        return [Root.rational(-f[0] / f[1])] if len(f) == 2 else []
+    f = quo_rem(f, gcd(f, derivative(f)))[0]
+    ints = _integral(f)
+    found = [_rational_in(ints, lo, hi) for lo, hi in _isolate(f, ints)]
+    rest = f
+    for r, _ in found:
+        if r is not None:
+            rest = quo_rem(rest, (-r, Fraction(1)))[0]
+    return [Root.rational(r) if r is not None else Root(rest, lo, hi)
+            for r, (lo, hi) in found]
+
+
+class Root:
+    """A real algebraic number: the rational lo == hi (f = t - lo), or
+    the only root in (lo, hi) of a square-free f over QQ with no
+    rational root, where f(lo) f(hi) < 0."""
+
+    __slots__ = ("f", "lo", "hi", "_ints")
+
+    def __init__(self, f, lo, hi):
+        self.f, self.lo, self.hi = f, Fraction(lo), Fraction(hi)
+        self._ints = _integral(f)
+
+    @classmethod
+    def rational(cls, r):
+        r = Fraction(r)
+        return cls((-r, Fraction(1)), r, r)
+
+    @property
+    def is_rational(self) -> bool:
+        return len(self.f) == 2
+
+    def reduce(self, g):
+        """g reduced mod f: a polynomial of lower degree, equal at the
+        root (for a rational root, the constant g(root))."""
+        if len(g) < len(self.f):
+            return g
+        if self.is_rational:
+            return trim((evaluate(g, self.lo),))
+        return rem(g, self.f)
+
+    def intervals(self):
+        """Ever narrower intervals around an irrational root, halved
+        each step."""
+        lo, hi = self.lo, self.hi
+        s_lo = _sign_at(self._ints, lo)
+        while True:
+            yield lo, hi
+            mid = (lo + hi) / 2
+            if _sign_at(self._ints, mid) == s_lo:
+                lo = mid
+            else:
+                hi = mid
+
+    def sign(self, g) -> int:
+        """The sign of g at the root, exactly.  g vanishes there iff
+        gcd(g, f), a factor of f, changes sign on the interval (the
+        one-root Sturm count); otherwise the interval is narrowed until
+        an enclosure of g excludes 0."""
+        if self.is_rational:
+            v = evaluate(g, self.lo)
+            return (v > 0) - (v < 0)
+        g = self.reduce(g)
+        if not g:
+            return 0
+        h = _integral(gcd(g, self.f))
+        if len(h) > 1 and _sign_at(h, self.lo) != _sign_at(h, self.hi):
+            return 0
+        for lo, hi in self.intervals():
+            low, high = _enclose(g, lo, hi)
+            if low > 0 or high < 0:
+                return 1 if low > 0 else -1
+
+
+def _enclose(g, lo, hi):
+    """Bounds of g over [lo, hi] by interval Horner evaluation."""
+    low = high = Fraction(0)
+    for c in reversed(g):
+        ends = (low * lo, low * hi, high * lo, high * hi)
+        low, high = min(ends) + c, max(ends) + c
+    return low, high
+
+
+def _sqrt_bounds(q, bits):
+    """Rationals lo <= sqrt(q) < hi for a rational q >= 0: sqrt(a/b) =
+    sqrt(a b)/b, and isqrt(a b 4^bits) is sqrt(a b) 2^bits to within 1."""
+    a, b = q.numerator, q.denominator
+    s = math.isqrt((a * b) << (2 * bits))
+    return Fraction(s, b << bits), Fraction(s + 1, b << bits)
+
+
+def _rounded_sqrt(q) -> float:
+    """sqrt(q) for a rational q > 0, correctly rounded: exactly when it
+    is rational, else from ever closer bounds, which an irrational value
+    leaves on one side of every tie between doubles."""
+    a, b = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if a * a == q.numerator and b * b == q.denominator:
+        return float(Fraction(a, b))
+    bits = _SQRT_BITS
+    while True:
+        low, high = map(float, _sqrt_bounds(q, bits))
+        if low == high:
+            return low
+        bits *= 2
+
+
+class Ray:
+    """The unit vector v(r)/|v(r)| at a real root r, where v is a tuple
+    of polynomials in t over QQ (kept reduced mod the root's f)."""
+
+    __slots__ = ("root", "coords")
+
+    def __init__(self, root: Root, coords):
+        self.root = root
+        self.coords = tuple(root.reduce(trim(c)) for c in coords)
+
+    def negated(self) -> "Ray":
+        return Ray(self.root, (scale(c, -1) for c in self.coords))
+
+    def _norm2(self):
+        total = ()
+        for c in self.coords:
+            total = add(total, self.root.reduce(mul(c, c)))
+        return total
+
+    def unit(self):
+        """The unit vector's coordinates, each the double nearest its
+        exact value (an exact zero reads 0.0)."""
+        norm2 = self._norm2()
+        return tuple(self._rounded(c, norm2) for c in self.coords)
+
+    def _rounded(self, v, norm2) -> float:
+        """v/sqrt(norm2) at the root, correctly rounded.  The bounds of
+        v^2/norm2 and of its square root narrow until both ends round
+        to one double; a value exactly halfway between two doubles is
+        caught by an exact test."""
+        root = self.root
+        sign = root.sign(v)
+        if not sign:
+            return 0.0
+        if root.is_rational:
+            return sign * _rounded_sqrt(evaluate(v, root.lo) ** 2
+                                        / evaluate(norm2, root.lo))
+        bits, tie_tested = _SQRT_BITS, False
+        steps = root.intervals()
+        while True:
+            for _ in range(_REFINE_STEPS):
+                lo, hi = next(steps)
+            v_low, v_high = _enclose(v, lo, hi)
+            n_low, n_high = _enclose(norm2, lo, hi)
+            if (v_low > 0 or v_high < 0) and n_low > 0:
+                v_min, v_max = sorted((abs(v_low), abs(v_high)))
+                a = float(_sqrt_bounds(v_min * v_min / n_high, bits)[0])
+                b = float(_sqrt_bounds(v_max * v_max / n_low, bits)[1])
+                if a == b:
+                    return sign * a
+                if not tie_tested and math.nextafter(a, math.inf) == b:
+                    tie_tested = True
+                    mid = (Fraction(a) + Fraction(b)) / 2
+                    if not root.sign(add(mul(v, v),
+                                         scale(norm2, -mid * mid))):
+                        return sign * float(mid)
+            bits += 2 * _REFINE_STEPS
+
+    def sign_of(self, coeffs) -> int:
+        """The sign (-1, 0 or 1) at the unit vector u = v/|v| of the
+        polynomial sum c_alpha u^alpha, exactly.
+
+        With N = |v|^2 and J the largest half degree,
+        N^J p(u) = E + O/sqrt(N), where E collects the even-degree parts
+        p_k(v) N^(J - k/2) and O the odd ones p_k(v) N^(J - (k-1)/2); so
+        p(u) = 0 iff E^2 N = O^2 and E O <= 0, and otherwise its sign is
+        that of the larger of E sqrt(N) and O in absolute value.
+        """
+        if not coeffs:
+            return 0
+        root, norm2 = self.root, self._norm2()
+        parts = {}
+        for alpha, c in coeffs.items():
+            term = (Fraction(c),)
+            for v, a in zip(self.coords, alpha):
+                for _ in range(a):
+                    term = root.reduce(mul(term, v))
+            parts[sum(alpha)] = add(parts.get(sum(alpha), ()), term)
+        top = max(parts) // 2
+        even = odd = ()
+        for k, part in parts.items():
+            for _ in range(top - k // 2):
+                part = root.reduce(mul(part, norm2))
+            if k % 2:
+                odd = add(odd, part)
+            else:
+                even = add(even, part)
+        s_even, s_odd = root.sign(even), root.sign(odd)
+        if s_even * s_odd >= 0:
+            return s_even or s_odd
+        gap = root.sign(add(root.reduce(mul(mul(even, even), norm2)),
+                            scale(root.reduce(mul(odd, odd)), -1)))
+        return s_even if gap > 0 else s_odd if gap < 0 else 0

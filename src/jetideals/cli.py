@@ -241,10 +241,10 @@ def cmd_tangent(args):
     return {"directions": [list(d.vec) for d in dirs]}, 0
 
 
-def _cone_region(args):
+def _cone_region(args, n):
     if not args.omega:
         return None
-    omegas = [_parse_direction(w, args.n) for w in args.omega.split(";")]
+    omegas = [_parse_direction(w, n) for w in args.omega.split(";")]
     try:
         return Cone(omegas, args.delta, 1.0)
     except ValueError as exc:
@@ -252,25 +252,28 @@ def _cone_region(args):
 
 
 def cmd_verify_flat(args):
-    F = expr_parse(args.operands[0], args.n)
-    report = check_flat(F, _cone_region(args), args.m, args.n,
+    sig = _sig(args)
+    F = expr_parse(args.operands[0], sig.n)
+    report = check_flat(F, _cone_region(args, sig.n), sig.m, sig.n,
                         **_given(seed=args.seed))
     return report.to_json(), _VERDICT_EXIT[report.verdict]
 
 
 def cmd_verify_tame(args):
-    S = expr_parse(args.operands[0], args.n)
-    report = check_tame(S, _cone_region(args), args.m, args.n,
+    sig = _sig(args)
+    S = expr_parse(args.operands[0], sig.n)
+    report = check_tame(S, _cone_region(args, sig.n), sig.m, sig.n,
                         **_given(seed=args.seed, bound=args.bound))
     return report.to_json(), _VERDICT_EXIT[report.verdict]
 
 
 def cmd_verify_negligible(args):
-    F = expr_parse(args.operands[0], args.n)
+    sig = _sig(args)
+    F = expr_parse(args.operands[0], sig.n)
     omegas = [tuple(d.vec) for d in
-              (_parse_direction(w, args.n) for w in args.omega.split(";"))]
+              (_parse_direction(w, sig.n) for w in args.omega.split(";"))]
     eps_grid = None if args.eps is None else (args.eps,)
-    cert = check_negligible(F, omegas, args.m, args.n,
+    cert = check_negligible(F, omegas, sig.m, sig.n,
                             **_given(eps_grid=eps_grid, budget=args.budget,
                                      seed=args.seed))
     return cert.to_json(), _VERDICT_EXIT[cert.verdict]

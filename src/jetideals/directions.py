@@ -4,16 +4,18 @@ Allowed directions of an ideal are over-approximated by the common zero
 set on the sphere of the lowest homogeneous parts of the generators; the
 containment is an equality when every generator is homogeneous.  In the
 plane that zero set is exact: the real roots of the gcd over QQ of the
-dehomogenized parts.  In higher dimensions a part c*u_i^k forces
-u_i = 0, so the system is reduced exactly, and what is left in two
-variables goes to the plane solver.  Only two or more parts in three or
-more free variables go to sympy.solve; a set that is not finite (or
-that the solver cannot handle) falls back to an interval-certified patch
-cover.  sympy is imported inside the functions that build exact
-directions, so it loads on the first allowed-set call and never for the
-forbidden-direction search.  They call it as sympy.solve(...) and
-sympy.simplify(...), attributes of the module, where a tracer that
-wraps those attributes sees them.
+dehomogenized parts, each direction an `algebraic.Ray` whose float
+coordinates are correctly rounded and at which `exact_zero_residual`
+decides a jet's sign over QQ.  In higher dimensions a part c*u_i^k
+forces u_i = 0 and a linear part is made a coordinate and forced, so
+the system is reduced exactly, and what is left in two variables goes
+to the plane solver.  Only two or more nonlinear parts in three or more
+free variables go to sympy.solve; a set that is not finite (or that the
+solver cannot handle) falls back to an interval-certified patch cover.
+sympy serves only that solver (`_solved_zero_set`, and the residuals of
+the directions it finds), which imports it on first use and calls it as
+sympy.solve(...) and sympy.simplify(...), attributes of the module,
+where a tracer that wraps those attributes sees them.
 
 Forbidden-direction certificates assert sum_l |Q_l(x)| > c|x|^m on a
 cone.  Writing x = s*u with u on the sphere and pulling the homogeneous
@@ -30,16 +32,20 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from . import algebraic
+from .algebraic import Ray, Root
 from .errors import DomainError
 from .geometry import (SpherePatch, direction_enclosures, face_boxes,
                        sphere_cover)
 from .ideal import JetIdeal
 from .interval import (Interval, batch_abs, batch_add, batch_exact,
                        batch_ipow, batch_mul)
-from .jetring import MORE_THAN_M, Jet, RingSignature
+from .jetring import (MORE_THAN_M, DiffeoJet, Jet, RingSignature,
+                      jet_compose)
 from .regions import Dome
 
 CERTIFIED_FORBIDDEN = "certified_forbidden"
@@ -61,13 +67,14 @@ def jet_to_sympy(p: Jet, syms):
 
 class ExactDirection:
     """A direction with float coordinates and, when available, exact
-    symbolic coordinates (entries are sympy expressions)."""
+    data `sym`: an `algebraic.Ray` whose unit vector it is, or for a
+    direction that sympy.solve found, a tuple of sympy numbers."""
 
     __slots__ = ("vec", "sym")
 
     def __init__(self, vec, sym=None):
         self.vec = tuple(float(c) for c in vec)
-        self.sym = tuple(sym) if sym is not None else None
+        self.sym = sym
 
     def __repr__(self):
         return f"ExactDirection({self.vec})"
@@ -179,78 +186,74 @@ def _plane_zero_set(parts):
     """Exact common roots on S^1 via dehomogenization p(1, t).
 
     The common roots of the p_i(1, t) are the real roots of their gcd
-    over QQ; sympy gives each as a Rational or as a CRootOf on its
-    irreducible factor, both canonical.
+    over QQ (`algebraic.real_roots`); each root t gives the rays (1, t)
+    and (-1, -t), and (0, +-1) are tested apart.
     """
-    import sympy
-    t = sympy.Symbol("t", real=True)
-
     dirs = []
     # vertical directions: all parts vanish at (0, 1) (and by homogeneity
     # symmetry at (0, -1)); p(0, 1) sums the coefficients free of x
     if all(sum(c for a, c in p.coeffs.items() if a[0] == 0) == 0
            for p in parts):
-        dirs.append(ExactDirection((0.0, 1.0), (sympy.Integer(0), sympy.Integer(1))))
-        dirs.append(ExactDirection((0.0, -1.0), (sympy.Integer(0), sympy.Integer(-1))))
-
-    common = functools.reduce(sympy.Poly.gcd, (_at_x_one(p, t) for p in parts))
-    # a real-root count over QQ settles the rootless case (a definite
-    # form, a constant gcd) without isolating or building any root
-    roots = common.real_roots() if common.count_roots() else []
-    for r in sorted(set(roots), key=lambda v: float(v)):
-        norm = sympy.sqrt(1 + r ** 2)
-        sym = (1 / norm, r / norm)
-        vec = (float(sym[0].evalf(30)), float(sym[1].evalf(30)))
-        dirs.append(ExactDirection(vec, sym))
-        dirs.append(ExactDirection((-vec[0], -vec[1]), (-sym[0], -sym[1])))
+        for s in (1, -1):
+            ray = Ray(Root.rational(0), ((), (Fraction(s),)))
+            dirs.append(ExactDirection(ray.unit(), ray))
+    common = functools.reduce(algebraic.gcd, map(_at_x_one, parts))
+    for root in algebraic.real_roots(common):
+        ray = Ray(root, ((Fraction(1),), (Fraction(0), Fraction(1))))
+        vec = ray.unit()
+        dirs.append(ExactDirection(vec, ray))
+        # the negated floats, so a zero coordinate reads -0.0
+        dirs.append(ExactDirection(tuple(-c for c in vec), ray.negated()))
     return dirs
 
 
-def _at_x_one(p: Jet, t):
+def _at_x_one(p: Jet):
     """p(1, t) as a polynomial over QQ, read off the jet's coefficients."""
-    import sympy
-    coeffs = {}
+    coeffs = [Fraction(0)] * (p.degree() + 1)
     for (_, j), c in p.coeffs.items():
-        coeffs[j] = coeffs.get(j, 0) + c
-    return sympy.Poly.from_dict(
-        {(j,): sympy.Rational(c.numerator, c.denominator)
-         for j, c in coeffs.items()}, t, domain=sympy.QQ)
+        coeffs[j] += c
+    return algebraic.trim(coeffs)
 
 
 def _exact_zero_set(parts, n):
     """Exact common zeros on S^{n-1} of homogeneous parts, sorted by
     `vec`; None when the set is not finite or not tractable.
 
-    A part c*u_i^k forces u_i = 0, so the system is first reduced
-    exactly (`_reduce_forced`).  At most two free variables leave a
-    plane problem or nothing; with three or more, one part is a
-    hypersurface (finite on the sphere only if empty) and only two or
-    more parts go to sympy.solve.
+    A part c*u_i^k forces u_i = 0 and a linear part is made a coordinate
+    and so forced, so the system is first reduced exactly
+    (`_reduce_forced`).  At most two free variables leave a plane
+    problem or nothing; with three or more, one part is a hypersurface
+    (finite on the sphere only if empty) and only two or more parts go
+    to sympy.solve.
     """
-    import sympy
-    free, system = _reduce_forced(parts, n)
+    free, system, basis = _reduce_forced(parts, n)
     if not free:
         return []
     if len(free) == 1:
         if system:
             return []
-        return [_lifted(n, free, (sympy.Integer(s),)) for s in (-1, 1)]
-    if not system:
+        rays = [Ray(Root.rational(0), [(Fraction(s),)]) for s in (-1, 1)]
+    elif not system:
         return None  # a great circle or larger: no finite list
-    if len(free) == 2:
+    elif len(free) == 2:
         i, j = free
         sig = RingSignature(system[0].sig.m, 2)
         plane = [Jet(sig, {(a[i], a[j]): c for a, c in p.coeffs.items()})
                  for p in system]
-        dirs = [_lifted(n, free, d.sym) for d in _plane_zero_set(plane)]
+        rays = [d.sym for d in _plane_zero_set(plane)]
     elif len(system) == 1:
         # one hypersurface meets the sphere in a positive-dimensional
-        # complex set; only c*|u|^(2j) misses it altogether
+        # complex set; only c*|w|^(2j) misses it altogether
         return [] if _is_sphere_power(system[0], free) else None
     else:
-        dirs = _solved_zero_set(system, free, n)
+        dirs = _solved_zero_set(system, free, basis)
         if dirs is None:
             return None
+        return sorted(dirs, key=lambda d: d.vec)
+    dirs = []
+    for ray in rays:
+        lifted = Ray(ray.root, _lift(basis, free, ray.coords))
+        dirs.append(ExactDirection(lifted.unit(), lifted))
     return sorted(dirs, key=lambda d: d.vec)
 
 
@@ -265,29 +268,52 @@ def _forced_zero(p: Jet):
 
 
 def _reduce_forced(parts, n):
-    """(free variables, remaining parts) once every forced u_i = 0 is
-    substituted: each part loses the terms that contain a forced
-    variable, and parts that become zero drop out."""
+    """(free variables, remaining parts, basis) once every forced
+    w_i = 0 is substituted: each part loses the terms that contain a
+    forced variable, and parts that become zero drop out.
+
+    A linear part a.w with two or more terms is made the coordinate w_j
+    of its first variable by the rational change w = A w' (row j of A
+    solves a.w = w'_j for w_j, the other rows keep their variable), and
+    is then forced.  The original variables are u = basis w in the
+    final coordinates w; basis is the product of the changes made.
+    """
     free, system = list(range(n)), list(parts)
+    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     while True:
         forced = {i for i in map(_forced_zero, system) if i is not None}
-        if not forced:
-            return free, system
-        free = [i for i in free if i not in forced]
-        system = [Jet(p.sig, {a: c for a, c in p.coeffs.items()
-                              if not any(a[i] for i in forced)})
-                  for p in system]
-        system = [p for p in system if not p.is_zero()]
+        if forced:
+            free = [i for i in free if i not in forced]
+            system = [Jet(p.sig, {a: c for a, c in p.coeffs.items()
+                                  if not any(a[i] for i in forced)})
+                      for p in system]
+            system = [p for p in system if not p.is_zero()]
+            continue
+        linear = next((p for p in system if p.degree() == 1), None)
+        if linear is None:
+            return free, system, basis
+        a = [linear.coeffs.get(tuple(int(i == k) for i in range(n)), 0)
+             for k in range(n)]
+        j = next(k for k, c in enumerate(a) if c)
+        change = [[Fraction(int(i == k)) for k in range(n)] for i in range(n)]
+        change[j] = [(int(k == j) - (a[k] if k != j else 0)) / a[j]
+                     for k in range(n)]
+        phi = DiffeoJet.linear(linear.sig, change)
+        system = [jet_compose(p, phi) for p in system]
+        basis = [[sum(row[i] * change[i][k] for i in range(n))
+                  for k in range(n)] for row in basis]
 
 
-def _lifted(n, free, sym):
-    """The direction with exact coordinates sym on the free variables
-    and exact zeros elsewhere."""
-    import sympy
-    full = [sympy.Integer(0)] * n
-    for i, v in zip(free, sym):
-        full[i] = v
-    return ExactDirection(tuple(float(v.evalf(30)) for v in full), full)
+def _lift(basis, free, coords):
+    """The coordinates u = basis w of the point w with the given
+    coordinates on the free variables and zeros elsewhere."""
+    out = []
+    for row in basis:
+        total = ()
+        for k, c in zip(free, coords):
+            total = algebraic.add(total, algebraic.scale(c, row[k]))
+        out.append(total)
+    return out
 
 
 def _is_sphere_power(p: Jet, free) -> bool:
@@ -304,15 +330,18 @@ def _is_sphere_power(p: Jet, free) -> bool:
     return p == power.scale(p.coeffs.get(next(iter(power.coeffs)), 0))
 
 
-def _solved_zero_set(system, free, n):
-    """sympy.solve on the reduced system and the unit sphere in the free
-    variables, lifted to R^n; None if the solution set is not finite."""
+def _solved_zero_set(system, free, basis):
+    """sympy.solve on the reduced system in the free variables w and the
+    unit sphere |basis w| = 1, mapped to u = basis w; None if the
+    solution set is not finite."""
     import sympy
     from sympy.polys.polyerrors import BasePolynomialError
-    syms = sympy.symbols(f"u0:{n}", real=True)
+    syms = sympy.symbols(f"u0:{len(basis)}", real=True)
     unknowns = [syms[i] for i in free]
+    coords = [sum(sympy.Rational(row[k].numerator, row[k].denominator)
+                  * syms[k] for k in free) for row in basis]
     equations = [jet_to_sympy(p, syms) for p in system]
-    equations.append(sum(s ** 2 for s in unknowns) - 1)
+    equations.append(sum(c ** 2 for c in coords) - 1)
     try:
         sols = sympy.solve(equations, unknowns, dict=True)
     except (NotImplementedError, BasePolynomialError):
@@ -323,12 +352,14 @@ def _solved_zero_set(system, free, n):
     for sol in sols:
         if set(sol) != set(unknowns):
             return None  # a free variable: positive-dimensional solution set
-        vals = [sympy.simplify(sol[s]) for s in unknowns]
-        if any(v.free_symbols for v in vals):
+        vals = {s: sympy.simplify(sol[s]) for s in unknowns}
+        if any(v.free_symbols for v in vals.values()):
             return None
-        if any(not v.is_real for v in vals):
+        if any(not v.is_real for v in vals.values()):
             continue
-        dirs.append(_lifted(n, free, vals))
+        point = tuple(c.subs(vals) for c in coords)
+        dirs.append(ExactDirection([float(v.evalf(30)) for v in point],
+                                   point))
     # dedupe (solve can repeat roots)
     unique = []
     for d in dirs:
@@ -356,18 +387,23 @@ def _patch_zero_cover(parts, n, budget):
     return out
 
 
-def exact_zero_residual(direction: ExactDirection, p: Jet):
-    """Substitute an exact direction into a jet; returns a sympy number.
+def exact_zero_residual(direction: ExactDirection, p: Jet) -> int:
+    """The sign (-1, 0 or 1) of p at an exact direction, decided in
+    exact arithmetic: 0 iff p vanishes there.
 
-    Used to confirm zero residual in exact arithmetic for reported
-    allowed directions.
+    Used to confirm zero residual for reported allowed directions.  A
+    ray is decided by `Ray.sign_of` over QQ; a direction of
+    `_solved_zero_set` carries sympy numbers, which sympy decides.
     """
-    import sympy
     if direction.sym is None:
         raise DomainError("direction carries no exact data")
+    if isinstance(direction.sym, Ray):
+        return direction.sym.sign_of(p.coeffs)
+    import sympy
     syms = sympy.symbols(f"u0:{len(direction.sym)}", real=True)
     expr = jet_to_sympy(p, syms)
-    return sympy.simplify(expr.subs(dict(zip(syms, direction.sym))))
+    return int(sympy.sign(sympy.simplify(
+        expr.subs(dict(zip(syms, direction.sym))))))
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +640,6 @@ def allow_transform_check(I: JetIdeal, matrix, tol: float = 1e-9):
     Equality is asserted only when the generators are homogeneous;
     otherwise the check downgrades to set containment.
     """
-    from .jetring import DiffeoJet
-
     phi = DiffeoJet.linear(I.sig, matrix)
     J = I.transform(phi)
     left = allow_overapprox(J)

@@ -967,9 +967,13 @@ def gauge_regularize(g: Gauge, check_scales=20) -> RegularizedGauge:
     t_log2 = np.arange(-62.0, 2.0 + 1e-9, 0.125)
     t_vals = np.exp2(t_log2)
     tilde_vals = np.empty_like(t_vals)
+    buf = np.empty_like(s)      # one buffer for the whole loop
     for idx, t in enumerate(t_vals):
-        weights = 2.0 * t / (t + s)
-        cand = float(np.max(weights * gs))
+        # (2t / (t + s)) g(s), computed in place
+        np.add(s, t, out=buf)
+        np.divide(2.0 * t, buf, out=buf)
+        np.multiply(buf, gs, out=buf)
+        cand = float(np.max(buf))
         # include s = t exactly (weight 1): guarantees g~(t) >= g(t)
         if 2.0 ** -60 <= t <= 1.0:
             cand = max(cand, g.eval(t))

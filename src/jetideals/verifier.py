@@ -296,8 +296,11 @@ def check_tame(S: ScalarExpr, region, m: int, n: int, seed: int = 0,
     pass: the measured shell sups stay uniformly bounded (no growth
     between the first and last 8 shells) and, when a constant is
     supplied, below it; a sampled point above the supplied constant is a
-    genuine witness and fails.
+    genuine witness and fails.  A supplied constant must be finite (a
+    NaN would pass every comparison unchecked).
     """
+    if bound is not None and not math.isfinite(bound):
+        raise DomainError(f"need a finite tameness bound, got {bound}")
     shells, pool = _shell_sweep(S, region, m, n, seed, *SHELLS,
                                 weight=lambda a, s: s ** sum(a))
     vals = [v for _, v in shells]
@@ -739,6 +742,8 @@ class ImplicationCertificate:
         self.ideal = ideal
         self.target = target
         self.terms = [(Q, S, float(C)) for Q, S, C in terms]
+        if not all(math.isfinite(C) for _, _, C in self.terms):
+            raise DomainError("need every tameness constant C finite")
         self.F = F
         self.scope = scope
         self.annulus = annulus

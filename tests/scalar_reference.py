@@ -51,9 +51,11 @@ return exactly what it returns on this walk.
 
 The plane allowed-set solver that built p(1, t) and p(0, 1) by sympy
 substitution and tested each root of the first part against the others
-by sympy.simplify: test_shared_facts.py requires
-directions._plane_zero_set to return the same directions, exact
-coordinates included.
+by sympy.simplify, each direction's coordinates sympy numbers (a
+Rational or CRootOf root r in 1/sqrt(1 + r^2) and r/sqrt(1 + r^2)):
+test_shared_facts.py requires directions._plane_zero_set, which solves
+over QQ with no sympy, to return the same directions, the exact
+coordinates of each of its rays (ray_to_sympy) equal to these.
 
 The allowed-set solver for n >= 3 that sent every system, with the unit
 sphere, to sympy.solve: test_directions.py requires
@@ -663,6 +665,28 @@ def plane_zero_set(parts):
         dirs.append(ExactDirection(vec, sym))
         dirs.append(ExactDirection((-vec[0], -vec[1]), (-sym[0], -sym[1])))
     return dirs
+
+
+def ray_to_sympy(ray):
+    """The exact coordinates v(r)/|v(r)| of an algebraic.Ray as sympy
+    numbers, its root r as a Rational or as the one real root of its
+    polynomial (a CRootOf, or radicals for a quadratic) inside its
+    isolating interval, built as plane_zero_set builds them."""
+    root = ray.root
+    if root.is_rational:
+        r = sympy.Rational(root.lo.numerator, root.lo.denominator)
+    else:
+        t = sympy.Symbol("t", real=True)
+        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(root.f)], t)
+        lo, hi = (sympy.Rational(e.numerator, e.denominator)
+                  for e in (root.lo, root.hi))
+        (r,) = [x for x in poly.real_roots() if lo < x < hi]
+    values = [sum((sympy.Rational(c.numerator, c.denominator) * r ** k
+                   for k, c in enumerate(v)), sympy.Integer(0))
+              for v in ray.coords]
+    norm = sympy.sqrt(sum(v ** 2 for v in values))
+    return tuple(v / norm for v in values)
 
 
 def jet_coeffs(sig, coeffs):

@@ -188,6 +188,32 @@ def test_zero_degree_is_usage_error(capsys):
     assert "need m >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-flat", "--m", "-1", "--n", "2", "x*y"],
+    ["verify-tame", "--m", "0", "--n", "2", "x*y"],
+    ["verify-negligible", "--m", "2", "--n", "0", "--omega", "1", "x"]],
+    ids=["flat", "tame", "negligible"])
+def test_verify_commands_validate_m_and_n(capsys, argv):
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and "need m >= 1 and n >= 1" in captured.err
+
+
+@pytest.mark.parametrize("C", ["nan", "inf", "-inf"])
+def test_a_tameness_constant_that_is_not_finite_is_rejected(tmp_path, capsys,
+                                                            C):
+    # a NaN constant passed every comparison, so nothing was checked
+    cert = _implication_cert()
+    cert["terms"][0]["C"] = C
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, doc = run(capsys, "verify-implication", "--cert", str(path))
+    assert code == 65 and doc["error"] == "DomainError"
+    code, doc = run(capsys, "verify-tame", "--m", "2", "--n", "3",
+                    f"--bound={C}", "y/z")
+    assert code == 65 and doc["error"] == "DomainError"
+
+
 def test_certificate_that_is_not_json_is_usage_error(tmp_path, capsys):
     path = tmp_path / "cert.json"
     path.write_text("{not json")

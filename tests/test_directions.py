@@ -1,6 +1,7 @@
 """Allowed/forbidden direction computation."""
 
 import math
+import time
 
 import pytest
 import sympy
@@ -202,12 +203,38 @@ def test_reduced_cubic_is_the_lifted_plane_set(monkeypatch):
     assert aset.exact and aset.is_finite
     plane = directions._plane_zero_set(
         lowest_parts(3, 2, ["x^3 - 3x*y^2 + y^3"]))
-    want = sorted(((0.0,) + d.vec, (sympy.Integer(0),) + d.sym)
+    want = sorted(((0.0,) + d.vec,
+                   (sympy.Integer(0),) + scalar_reference.ray_to_sympy(d.sym))
                   for d in plane)
     assert len(want) == 6
     assert [d.vec for d in aset.directions] == [v for v, _ in want]
-    assert [sympy.srepr(d.sym) for d in aset.directions] \
-        == [sympy.srepr(s) for _, s in want]
+    assert [sympy.srepr(scalar_reference.ray_to_sympy(d.sym))
+            for d in aset.directions] == [sympy.srepr(s) for _, s in want]
+
+
+def test_a_linear_part_is_eliminated_exactly(monkeypatch):
+    # x - y becomes a coordinate and is forced; the cubic's six rays in
+    # the (y, z) plane map back with x = y, so no sympy.solve is needed
+    no_solve(monkeypatch)
+    start = time.perf_counter()
+    aset = allow_overapprox(make_ideal(3, 3, ["x - y", "y^3 - 3y*z^2 + z^3"]))
+    assert time.perf_counter() - start < 1.0
+    assert aset.exact and len(aset.directions) == 6
+    plane = directions._plane_zero_set(
+        lowest_parts(3, 2, ["x^3 - 3x*y^2 + y^3"]))
+    want = []
+    for d in plane:
+        y, z = scalar_reference.ray_to_sympy(d.sym)
+        norm = sympy.sqrt(2 * y ** 2 + z ** 2)
+        want.append(tuple(float((c / norm).evalf(30)) for c in (y, y, z)))
+    assert [d.vec for d in aset.directions] == sorted(want)
+    for d in aset.directions:
+        assert d.vec[0] == d.vec[1]
+        x, y, z = scalar_reference.ray_to_sympy(d.sym)
+        assert sympy.simplify(x - y) == 0
+        for g in ("x - y", "y^3 - 3y*z^2 + z^3"):
+            assert exact_zero_residual(d, jet_parse(g, RingSignature(3, 3))) \
+                == 0
 
 
 @pytest.mark.parametrize("m,n,gens,want", [

@@ -12,7 +12,7 @@ import sympy
 
 import scalar_reference
 from jetideals import directions, verifier
-from jetideals.directions import allow_overapprox
+from jetideals.directions import DirectionSet, allow_overapprox
 from jetideals.ideal import JetIdeal
 from jetideals.jetring import RingSignature, jet_parse
 from jetideals.symfun import expr_parse
@@ -142,6 +142,8 @@ def test_equal_span_ideals_keep_their_own_allowed_sets():
      "(x^2 - 3*y^2)*y"],                  # an irrational factor in common
     ["x^3 + x^2*y + y^3",
      "(x^3 + x^2*y + y^3)*(x - 2*y)"],    # one CRootOf root in common
+    ["(x - 2*y)*(3*x^2 - y^2)*x"],        # rational, irrational, vertical
+    ["(x^2 - 2*y^2)^2"],                  # a repeated irrational factor
 ])
 def test_plane_solver_matches_substitution(gens):
     sig = RingSignature(4, 2)
@@ -149,5 +151,8 @@ def test_plane_solver_matches_substitution(gens):
     parts = [g.lowest_homogeneous_part() for g in ideal.generators]
     got = directions._plane_zero_set(parts)
     want = scalar_reference.plane_zero_set(parts)
-    assert ([(d.vec, sympy.srepr(d.sym)) for d in got]
+    assert ([(d.vec, sympy.srepr(scalar_reference.ray_to_sympy(d.sym)))
+             for d in got]
             == [(d.vec, sympy.srepr(d.sym)) for d in want])
+    assert (json.dumps(DirectionSet(2, True, directions=got).to_json())
+            == json.dumps(DirectionSet(2, True, directions=want).to_json()))

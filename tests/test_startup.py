@@ -1,10 +1,12 @@
 """Start-up: importing jetideals measures nothing and loads no sympy.
 
 The cutoff bounds of DEFAULT_CUTOFF are measured on first read, and
-sympy is imported only inside the exact allowed-set solvers.  So the
-annulus conditions, the flat/tame and negligibility checks and a
-`jetideals verify-annulus` call run without it, and the first
-allow_overapprox call loads it.  This test process has sympy loaded
+sympy is imported only by directions._solved_zero_set, which solves
+two or more nonlinear parts in three or more free variables.  So the
+annulus conditions, the flat/tame and negligibility checks, a
+`jetideals verify-annulus` call, the plane and pole allowed sets with
+their exact residuals, and the benchmark's implication and toolkit
+warm-up ops run without it.  This test process has sympy loaded
 already, so each check runs in a fresh interpreter."""
 
 import json
@@ -100,16 +102,39 @@ def test_tame_and_negligible_checks_load_no_sympy():
     assert loaded is False
 
 
-def test_allowed_set_loads_sympy():
-    found, loaded = _fresh(
+def test_allowed_sets_and_residuals_load_no_sympy():
+    found, residuals, loaded = _fresh(
         "import json, sys\n"
         "from jetideals import (JetIdeal, RingSignature, allow_overapprox,\n"
-        "                       jet_parse)\n"
-        "sig = RingSignature(2, 3)\n"
-        "before = 'sympy' in sys.modules\n"
-        "I = JetIdeal(sig, [jet_parse(g, sig) for g in ('x^2', 'y^2 - x*z')])\n"
-        "found = allow_overapprox(I).to_json()\n"
-        "print(json.dumps([found, [before, 'sympy' in sys.modules]]))")
-    assert found == {"exact": True,
-                     "directions": [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]]}
-    assert loaded == [False, True]
+        "                       exact_zero_residual, jet_parse)\n"
+        "out, residuals = [], []\n"
+        "for m, n, gens in [(3, 2, ['x^3 - 3/7*x*y^2 + y^3', 'x*y']),\n"
+        "                   (2, 2, ['y^2 - 2*x^2']),\n"
+        "                   (2, 3, ['x^2', 'y^2 - x*z'])]:\n"
+        "    sig = RingSignature(m, n)\n"
+        "    I = JetIdeal(sig, [jet_parse(g, sig) for g in gens])\n"
+        "    found = allow_overapprox(I)\n"
+        "    out.append(found.to_json())\n"
+        "    residuals += [exact_zero_residual(d, g) for d in found.directions\n"
+        "                  for g in I.generators]\n"
+        "print(json.dumps([out, residuals, 'sympy' in sys.modules]))")
+    assert found[0] == {"exact": True, "directions": []}
+    assert len(found[1]["directions"]) == 4
+    assert found[2] == {"exact": True,
+                        "directions": [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]]}
+    assert residuals == [0] * 8
+    assert loaded is False
+
+
+def test_implication_and_toolkit_warmups_load_no_sympy():
+    bench = SRC.parent / "bench"
+    outcome = _fresh(
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(bench)!r})\n"
+        "import workloads\n"
+        "out = {}\n"
+        "for name in ('implication', 'toolkit'):\n"
+        "    op = workloads.WORKLOADS[name](1).warmup()\n"
+        "    out[name] = op.check(op.run())\n"
+        "print(json.dumps([out, 'sympy' in sys.modules]))")
+    assert outcome == [{"implication": [], "toolkit": []}, False]

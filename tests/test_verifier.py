@@ -80,6 +80,19 @@ def test_tame_witness_on_claimed_bound():
     assert report.witness["claimed_bound"] == 0.1
 
 
+@pytest.mark.parametrize("C", [math.nan, math.inf, -math.inf])
+def test_a_tameness_constant_must_be_finite(C):
+    # a certificate that sees only forbidden directions never reaches
+    # check_tame, so the certificate itself rejects the constant
+    sig = RingSignature(2, 2)
+    ideal = JetIdeal(sig, [jet_parse("x^2 + y^2", sig)])
+    with pytest.raises(DomainError):
+        ImplicationCertificate(ideal, jet_parse("x*y", sig),
+                               [(ideal.generators[0], ZERO, C)], ZERO)
+    with pytest.raises(DomainError):
+        check_tame(expr_parse("x^2/(x^2 + y^2)", 2), None, 2, 2, bound=C)
+
+
 def test_tame_rejects_blowup():
     report = check_tame(expr_parse("1/norm(x,y)", 2), None, 2, 2)
     assert report.verdict == "fail"
