@@ -625,46 +625,3 @@ def verify_forbidden_certificate(jets, c, omega=None, delta: float = 1.0,
     if bound is not None and bound > c:
         return "pass", bound, depth
     return "inconclusive", bound, depth
-
-
-# ---------------------------------------------------------------------------
-# Coordinate-change consistency check.
-# ---------------------------------------------------------------------------
-
-def allow_transform_check(I: JetIdeal, matrix, tol: float = 1e-9):
-    """Compare allowed directions of the transformed ideal against the
-    pushed-forward directions of the original.
-
-    For generators g, the transformed ideal is generated by g(Ax); its
-    allowed set should be A^{-1} applied to the original one (normalized).
-    Equality is asserted only when the generators are homogeneous;
-    otherwise the check downgrades to set containment.
-    """
-    phi = DiffeoJet.linear(I.sig, matrix)
-    J = I.transform(phi)
-    left = allow_overapprox(J)
-    right = allow_overapprox(I)
-    if not (left.is_finite and right.is_finite):
-        raise DomainError("transform check needs finite direction sets")
-
-    inv = phi.linear_inverse().linear_matrix()
-    expected = []
-    for d in right.directions:
-        w = [sum(float(inv[i][j]) * d.vec[j] for j in range(I.sig.n))
-             for i in range(I.sig.n)]
-        norm = math.sqrt(sum(c * c for c in w))
-        expected.append(tuple(c / norm for c in w))
-
-    def subset(av, bv):
-        return all(any(math.dist(a, b) <= tol for b in bv) for a in av)
-
-    got = [d.vec for d in left.directions]
-    homogeneous = all(_is_homogeneous(g) for g in I.generators)
-    if homogeneous:
-        ok = subset(got, expected) and subset(expected, got)
-        relation = "equal"
-    else:
-        ok = subset(got, expected)
-        relation = "subset"
-    return {"ok": ok, "relation": relation,
-            "transformed": got, "expected": expected}

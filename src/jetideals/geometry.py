@@ -22,6 +22,9 @@ from .interval import (Interval, batch_add, batch_div, batch_ipow,
                        batch_sqrt, box_norm)
 
 _NORM_TOL = 1e-12
+# The narrowest cone opening: a direction drawn around w (w + t v,
+# normalized) can land outside a dome narrower than about 2e-15.
+DELTA_FLOOR = 1e-14
 
 
 class Direction:
@@ -75,8 +78,8 @@ class Cone:
     __slots__ = ("omega_set", "delta", "r")
 
     def __init__(self, omega_set, delta, r):
-        if delta <= 0 or r <= 0:
-            raise ValueError("need delta > 0 and r > 0")
+        if not (DELTA_FLOOR <= delta < math.inf and 0 < r < math.inf):
+            raise ValueError(f"need delta >= {DELTA_FLOOR} and r > 0, both finite")
         if isinstance(omega_set, Direction):
             omega_set = [omega_set]
         self.omega_set = tuple(omega_set)

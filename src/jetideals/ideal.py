@@ -9,7 +9,6 @@ canonical representation is a subspace of coefficient vectors.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import lcm
 
@@ -138,12 +137,3 @@ class JetIdeal:
     def transform(self, phi: DiffeoJet) -> "JetIdeal":
         """The ideal generated by g o phi for each generator g."""
         return JetIdeal(self.sig, [jet_compose(g, phi) for g in self.generators])
-
-
-def power_ideal(sig: RingSignature, k: int) -> JetIdeal:
-    """The ideal spanned by all monomials of degree >= k (1 <= k <= m)."""
-    if not 1 <= k <= sig.m:
-        raise ValueError("need 1 <= k <= m")
-    gens = [Jet.monomial(sig, a) for a in
-            itertools.product(range(k + 1), repeat=sig.n) if sum(a) == k]
-    return JetIdeal(sig, gens)

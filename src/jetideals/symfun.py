@@ -11,14 +11,16 @@ interval mode.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .interval import Interval
+from .interval import Interval, box_norm
 from .jetring import _Parser, variable_names
 
 # ---------------------------------------------------------------------------
@@ -33,9 +35,13 @@ class ScalarExpr:
     node, else a tuple) and _hash once, when it is built.  Cutoff specs
     and gauges have no __eq__ of their own, so they compare by identity.
     children() gives the subtrees in field order; subtrees() walks them.
+    A subclass names the hook that fold calls for its nodes.
     """
 
     __slots__ = ("_key", "_hash")
+
+    def __init_subclass__(cls, hook=""):
+        cls.hook = hook
 
     def __eq__(self, other):
         return type(other) is type(self) and self._key == other._key
@@ -44,7 +50,8 @@ class ScalarExpr:
         return self._hash
 
     def children(self):
-        return ()
+        key = self._key if type(self._key) is tuple else ()
+        return [k for k in key if isinstance(k, ScalarExpr)]
 
     def __add__(self, other):
         return add(self, _coerce(other))
@@ -83,7 +90,7 @@ def _coerce(x):
     return Const(Fraction(x))
 
 
-class Const(ScalarExpr):
+class Const(ScalarExpr, hook="const"):
     __slots__ = ("value",)
 
     def __init__(self, value):
@@ -91,7 +98,7 @@ class Const(ScalarExpr):
         self._hash = hash(("const", self._key))
 
 
-class Coord(ScalarExpr):
+class Coord(ScalarExpr, hook="coord"):
     __slots__ = ("i",)
 
     def __init__(self, i):
@@ -99,29 +106,23 @@ class Coord(ScalarExpr):
         self._hash = hash(("coord", self._key))
 
 
-class Add(ScalarExpr):
+class Add(ScalarExpr, hook="add"):
     __slots__ = ("terms",)
 
     def __init__(self, terms):
         self.terms = self._key = tuple(terms)
         self._hash = hash(("add", self._key))
 
-    def children(self):
-        return self.terms
 
-
-class Mul(ScalarExpr):
+class Mul(ScalarExpr, hook="mul"):
     __slots__ = ("factors",)
 
     def __init__(self, factors):
         self.factors = self._key = tuple(factors)
         self._hash = hash(("mul", self._key))
 
-    def children(self):
-        return self.factors
 
-
-class Pow(ScalarExpr):
+class Pow(ScalarExpr, hook="pow"):
     """Integer power, exponent >= 2 (lower powers simplify away)."""
 
     __slots__ = ("base", "k")
@@ -132,11 +133,8 @@ class Pow(ScalarExpr):
         self._key = (base, self.k)
         self._hash = hash(("pow", self._key))
 
-    def children(self):
-        return (self.base,)
 
-
-class Div(ScalarExpr):
+class Div(ScalarExpr, hook="div"):
     __slots__ = ("num", "den")
 
     def __init__(self, num, den):
@@ -145,11 +143,8 @@ class Div(ScalarExpr):
         self._key = (num, den)
         self._hash = hash(("div", self._key))
 
-    def children(self):
-        return (self.num, self.den)
 
-
-class Norm(ScalarExpr):
+class Norm(ScalarExpr, hook="norm"):
     """Euclidean norm of the sub-vector with the given coordinate indices."""
 
     __slots__ = ("indices",)
@@ -161,7 +156,7 @@ class Norm(ScalarExpr):
         self._hash = hash(("norm", self._key))
 
 
-class Cutoff(ScalarExpr):
+class Cutoff(ScalarExpr, hook="cutoff"):
     """theta^(order)(arg / scale) for a polynomial smoothstep theta."""
 
     __slots__ = ("spec", "arg", "scale", "order")
@@ -177,11 +172,8 @@ class Cutoff(ScalarExpr):
         self._key = (spec, arg, scale, self.order)
         self._hash = hash(("cutoff", self._key))
 
-    def children(self):
-        return (self.arg,)
 
-
-class GaugeRef(ScalarExpr):
+class GaugeRef(ScalarExpr, hook="gauge"):
     """g(arg) for a registered gauge g (not differentiable)."""
 
     __slots__ = ("gauge", "arg")
@@ -192,12 +184,10 @@ class GaugeRef(ScalarExpr):
         self._key = (gauge, arg)
         self._hash = hash(("gauge", self._key))
 
-    def children(self):
-        return (self.arg,)
-
 
 ZERO = Const(0)
 ONE = Const(1)
+_ABSENT = object()      # what fold reads from a memo without the node
 
 
 # -- smart constructors (light, idempotent simplification) ------------------
@@ -271,6 +261,51 @@ def ipow(base, k):
     if isinstance(base, Const):
         return Const(base.value ** k)
     return Pow(base, k)
+
+
+# ---------------------------------------------------------------------------
+# The fold over expression trees.
+# ---------------------------------------------------------------------------
+
+def fold(exprs, hooks, memo=None):
+    """The value of each tree of exprs under a hook set, as a list.
+
+    For each node, fold calls the method of `hooks` that the node's class
+    names, hook(node, visit), which returns the node's value and calls
+    visit(child) for the children it needs, in its own order.  visit
+    reads memo first (a fresh dict unless one is given), so each distinct
+    node is folded once.  A class that hooks lacks raises TypeError."""
+    memo = {} if memo is None else memo
+
+    def visit(node):
+        value = memo.get(node, _ABSENT)
+        if value is _ABSENT:
+            hook = getattr(hooks, node.hook, None)
+            if hook is None:
+                raise TypeError(f"{type(hooks).__name__} has no hook for "
+                                f"node class {type(node).__name__}")
+            value = memo[node] = hook(node, visit)
+        return value
+
+    return [visit(e) for e in exprs]
+
+
+class _LruMemo(collections.OrderedDict):
+    """A fold memo kept across calls: the `size` most recently used."""
+
+    def __init__(self, size):
+        super().__init__()
+        self.size = size
+
+    def get(self, node, default=None):
+        if node in self:
+            self.move_to_end(node)
+        return super().get(node, default)
+
+    def __setitem__(self, node, value):
+        super().__setitem__(node, value)
+        if len(self) > self.size:
+            self.popitem(last=False)
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +406,12 @@ def expr_eval(e: ScalarExpr, point, mode: str = "float"):
 # node: nodes hash by structure, and cutoff and gauge nodes compare their
 # spec and gauge by identity, so equal nodes are the same function.
 INTERVAL_PROGRAMS = 1 << 10
+_PROGRAMS = _LruMemo(INTERVAL_PROGRAMS)
 
 _IV_ZERO = Interval(0.0, 0.0)
 _IV_ONE = Interval(1.0, 1.0)
 
 
-@functools.lru_cache(maxsize=INTERVAL_PROGRAMS)
 def compile_interval(e: ScalarExpr):
     """Interval evaluator of e: box (one Interval per coordinate) ->
     enclosure of e over the box.
@@ -386,19 +421,26 @@ def compile_interval(e: ScalarExpr):
     Interval operations of a tree walk in the walk's order: sums run from
     [0, 0] and products from [1, 1], left to right, numerators before
     denominators.  So every enclosure, and every DomainError or
-    ValueError, is the walk's exactly.  Children compile through this
-    cache, so equal subtrees share one closure.
+    ValueError, is the walk's exactly.  Children compile through the
+    kept programs, so equal subtrees share one closure.
     """
-    if isinstance(e, Const):
+    return fold((e,), _Interval(), _PROGRAMS)[0]
+
+
+class _Interval:
+    """Hooks of compile_interval: one closure box -> Interval per node."""
+
+    def const(self, e, visit):
         iv, value = _exact_constant(e.value), e.value
         if iv is None:
             return lambda box: Interval.exact(value)
         return lambda box: iv
-    if isinstance(e, Coord):
-        i = e.i
-        return lambda box: box[i]
-    if isinstance(e, Add):
-        terms = tuple(compile_interval(t) for t in e.terms)
+
+    def coord(self, e, visit):
+        return operator.itemgetter(e.i)
+
+    def add(self, e, visit):
+        terms = tuple(map(visit, e.terms))
 
         def add_terms(box):
             out = _IV_ZERO
@@ -406,8 +448,9 @@ def compile_interval(e: ScalarExpr):
                 out = out + t(box)
             return out
         return add_terms
-    if isinstance(e, Mul):
-        factors = tuple(compile_interval(f) for f in e.factors)
+
+    def mul(self, e, visit):
+        factors = tuple(map(visit, e.factors))
         start = _IV_ONE
         if isinstance(e.factors[0], Const):
             lead = _exact_constant(e.factors[0].value)
@@ -421,29 +464,27 @@ def compile_interval(e: ScalarExpr):
                 out = out * f(box)
             return out
         return mul_factors
-    if isinstance(e, Pow):
-        base, k = compile_interval(e.base), e.k
-        return lambda box: base(box).ipow(k)
-    if isinstance(e, Div):
-        num, den = compile_interval(e.num), compile_interval(e.den)
-        return lambda box: num(box) / den(box)
-    if isinstance(e, Norm):
-        indices = e.indices
 
-        def norm(box):
-            acc = _IV_ZERO
-            for i in indices:
-                acc = acc + box[i].ipow(2)
-            return acc.sqrt()
-        return norm
-    if isinstance(e, Cutoff):
-        arg, scale = compile_interval(e.arg), compile_interval(Const(e.scale))
+    def pow(self, e, visit):
+        base, k = visit(e.base), e.k
+        return lambda box: base(box).ipow(k)
+
+    def div(self, e, visit):
+        num, den = visit(e.num), visit(e.den)
+        return lambda box: num(box) / den(box)
+
+    def norm(self, e, visit):
+        indices = e.indices
+        return lambda box: box_norm([box[i] for i in indices])
+
+    def cutoff(self, e, visit):
+        arg, scale = visit(e.arg), visit(Const(e.scale))
         spec, order = e.spec, e.order
         return lambda box: spec.eval_interval(arg(box) / scale(box), order)
-    if isinstance(e, GaugeRef):
-        arg, gauge = compile_interval(e.arg), e.gauge
+
+    def gauge(self, e, visit):
+        arg, gauge = visit(e.arg), e.gauge
         return lambda box: gauge.eval_interval(arg(box))
-    raise TypeError(f"unknown node {e!r}")
 
 
 def _exact_constant(value):
@@ -496,18 +537,9 @@ def compile_exprs(exprs):
 
 @functools.lru_cache(maxsize=KERNELS)
 def _compile_table(exprs):
-    slots = {}
-    program = []
-
-    def emit(node):
-        slot = slots.get(node)
-        if slot is None:
-            step = _compile_node(node, emit)
-            slot = slots[node] = len(program)
-            program.append(step)
-        return slot
-
-    outputs = [emit(e) for e in exprs]
+    steps = {}
+    outputs = fold(exprs, _Kernel(), steps)
+    program = list(steps.values())      # each after its operands' steps
 
     def kernel(points):
         points = np.asarray(points, dtype=float)
@@ -518,15 +550,13 @@ def _compile_table(exprs):
             for start in range(0, count, _CHUNK):
                 cols = np.ascontiguousarray(points[start:start + _CHUNK].T)
                 stop = start + cols.shape[1]
-                vals, masks = [], []
+                vals, masks = {}, {}
                 for step in program:
-                    v, ok = step(vals, masks, cols)
-                    vals.append(v)
-                    masks.append(ok)
-                for slot, v, ok in zip(outputs, values, oks):
-                    v[start:stop] = vals[slot]
-                    if masks[slot] is not None:
-                        ok[start:stop] = masks[slot]
+                    vals[step], masks[step] = step(vals, masks, cols)
+                for out, v, ok in zip(outputs, values, oks):
+                    v[start:stop] = vals[out]
+                    if masks[out] is not None:
+                        ok[start:stop] = masks[out]
         for v, ok in zip(values, oks):
             v[~ok] = np.nan
         return list(zip(values, oks))
@@ -540,13 +570,23 @@ def compile_expr(e):
     return lambda points: kernel(points)[0]
 
 
-def _all_ok(masks, slots):
+def _all_ok(masks, operands):
     """Conjunction of the operands' masks; None means every point is ok."""
     out = None
-    for s in slots:
+    for s in operands:
         if masks[s] is not None:
             out = masks[s] if out is None else out & masks[s]
     return out
+
+
+def _running(op, start, operands):
+    """The step of a sum or product: op from start, left to right."""
+    def step(vals, masks, cols):
+        acc = start
+        for s in operands:
+            acc = op(acc, vals[s])
+        return acc, _all_ok(masks, operands)
+    return step
 
 
 def _float_pow(base, k, ok=None):
@@ -564,39 +604,31 @@ def _float_pow(base, k, ok=None):
     return out
 
 
-def _compile_node(e, emit):
-    """One program step for node e: (vals, masks, cols) -> (value, mask),
-    with operands emitted first."""
-    if isinstance(e, Const):
+class _Kernel:
+    """Hooks of _compile_table: each node folds to its program step
+    (vals, masks, cols) -> (value, mask), which reads its operands'."""
+
+    def const(self, e, visit):
         c = float(e.value)
         return lambda vals, masks, cols: (np.full(cols.shape[1], c), None)
-    if isinstance(e, Coord):
+
+    def coord(self, e, visit):
         i = e.i
         return lambda vals, masks, cols: (cols[i], None)
-    if isinstance(e, Add):
-        terms = [emit(t) for t in e.terms]
 
-        def add_step(vals, masks, cols):
-            acc = 0.0
-            for s in terms:
-                acc = acc + vals[s]
-            return acc, _all_ok(masks, terms)
-        return add_step
-    if isinstance(e, Mul):
-        factors = [emit(f) for f in e.factors]
+    def add(self, e, visit):
+        return _running(operator.add, 0.0, list(map(visit, e.terms)))
 
-        def mul_step(vals, masks, cols):
-            acc = 1.0
-            for s in factors:
-                acc = acc * vals[s]
-            return acc, _all_ok(masks, factors)
-        return mul_step
-    if isinstance(e, Pow):
-        base, k = emit(e.base), e.k
+    def mul(self, e, visit):
+        return _running(operator.mul, 1.0, list(map(visit, e.factors)))
+
+    def pow(self, e, visit):
+        base, k = visit(e.base), e.k
         return lambda vals, masks, cols: (
             _float_pow(vals[base], k, masks[base]), masks[base])
-    if isinstance(e, Div):
-        num, den = emit(e.num), emit(e.den)
+
+    def div(self, e, visit):
+        num, den = visit(e.num), visit(e.den)
 
         def divide(vals, masks, cols):
             nonzero = vals[den] != 0.0
@@ -604,7 +636,8 @@ def _compile_node(e, emit):
             return (vals[num] / vals[den],
                     nonzero if ok is None else ok & nonzero)
         return divide
-    if isinstance(e, Norm):
+
+    def norm(self, e, visit):
         indices = e.indices
 
         def norm(vals, masks, cols):
@@ -613,16 +646,18 @@ def _compile_node(e, emit):
                 acc = acc + _float_pow(cols[i], 2)
             return np.sqrt(acc), None
         return norm
-    if isinstance(e, Cutoff):
+
+    def cutoff(self, e, visit):
         if e.order > e.spec.q:
             return lambda vals, masks, cols: (
                 np.full(cols.shape[1], np.nan),
                 np.zeros(cols.shape[1], dtype=bool))
-        arg, spec, scale, order = emit(e.arg), e.spec, float(e.scale), e.order
+        arg, spec, scale, order = visit(e.arg), e.spec, float(e.scale), e.order
         return lambda vals, masks, cols: (
             spec.eval_array(vals[arg] / scale, order, masks[arg]), masks[arg])
-    if isinstance(e, GaugeRef):
-        arg, gauge = emit(e.arg), e.gauge
+
+    def gauge(self, e, visit):
+        arg, gauge = visit(e.arg), e.gauge
 
         def gauge_step(vals, masks, cols):
             t = vals[arg]
@@ -633,7 +668,6 @@ def _compile_node(e, emit):
                     for v, good in zip(t.tolist(), ok.tolist())]
             return np.interp(logs, gauge.log2_grid, gauge.values), ok
         return gauge_step
-    raise TypeError(f"unknown node {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -647,32 +681,32 @@ def hom_degree(e: ScalarExpr):
     degree (mixed-degree sums, cutoff or gauge nodes).  Conservative:
     None never means "definitely inhomogeneous".
     """
-    if isinstance(e, Const):
-        return 0
-    if isinstance(e, Coord) or isinstance(e, Norm):
-        return 1
-    if isinstance(e, Add):
-        degs = {hom_degree(t) for t in e.terms}
-        if len(degs) == 1 and None not in degs:
-            return degs.pop()
-        return None
-    if isinstance(e, Mul):
-        total = 0
-        for f in e.factors:
-            d = hom_degree(f)
-            if d is None:
-                return None
-            total += d
-        return total
-    if isinstance(e, Pow):
-        d = hom_degree(e.base)
+    return fold((e,), _Degree())[0]
+
+
+class _Degree:
+    """Hooks of hom_degree: each node folds to its degree or None."""
+
+    def const(self, e, visit): return 0
+    def coord(self, e, visit): return 1
+    def cutoff(self, e, visit): return None
+    norm, gauge = coord, cutoff
+
+    def add(self, e, visit):
+        degs = set(map(visit, e.terms))
+        return degs.pop() if len(degs) == 1 and None not in degs else None
+
+    def mul(self, e, visit):
+        degs = list(map(visit, e.factors))
+        return None if None in degs else sum(degs)
+
+    def pow(self, e, visit):
+        d = visit(e.base)
         return None if d is None else d * e.k
-    if isinstance(e, Div):
-        dn, dd = hom_degree(e.num), hom_degree(e.den)
-        if dn is None or dd is None:
-            return None
-        return dn - dd
-    return None  # Cutoff, GaugeRef
+
+    def div(self, e, visit):
+        dn, dd = visit(e.num), visit(e.den)
+        return None if None in (dn, dd) else dn - dd
 
 
 # ---------------------------------------------------------------------------
@@ -680,39 +714,61 @@ def hom_degree(e: ScalarExpr):
 # ---------------------------------------------------------------------------
 
 def expr_str(e: ScalarExpr, n: int = 4) -> str:
-    names = variable_names(n)
+    """e in the expression grammar, its coordinates named as expr_parse
+    names them for n variables; expr_parse reads a tree of its grammar
+    back as the same function."""
+    return fold((e,), _Printer(n))[0][0]
 
-    def name(i):
-        return names[i] if i < len(names) else f"x{i + 1}"
 
-    def go(node, parent_prec):
-        if isinstance(node, Const):
-            s = str(node.value)
-            return f"({s})" if node.value < 0 and parent_prec > 0 else s
-        if isinstance(node, Coord):
-            return name(node.i)
-        if isinstance(node, Add):
-            body = " + ".join(go(t, 1) for t in node.terms)
-            body = body.replace("+ -", "- ").replace("+ (-", "- (")
-            return f"({body})" if parent_prec > 1 else body
-        if isinstance(node, Mul):
-            body = "*".join(go(f, 2) for f in node.factors)
-            return f"({body})" if parent_prec > 2 else body
-        if isinstance(node, Div):
-            return f"{go(node.num, 3)}/{go(node.den, 3)}"
-        if isinstance(node, Pow):
-            return f"{go(node.base, 3)}^{node.k}"
-        if isinstance(node, Norm):
-            return "norm(" + ",".join(name(i) for i in node.indices) + ")"
-        if isinstance(node, Cutoff):
-            inner = go(node.arg, 0)
-            tag = f"theta{'^' + str(node.order) if node.order else ''}"
-            return f"{tag}({inner}, {node.scale})"
-        if isinstance(node, GaugeRef):
-            return f"gauge({node.gauge.name}, {go(node.arg, 0)})"
-        raise TypeError(f"unknown node {node!r}")
+_SUM, _PRODUCT, _QUOTIENT, _POWER, _ATOM = range(1, 6)
 
-    return go(e, 0)
+
+def _wrap(printed, slot):
+    text, binding = printed
+    return f"({text})" if binding < slot else text
+
+
+class _Printer:
+    """Hooks of expr_str: each node folds to (text, how tightly it binds,
+    0 for a negative constant).  A child is parenthesized in a slot that
+    needs a tighter binding: a term needs _SUM, a factor _PRODUCT, a
+    numerator _QUOTIENT, a denominator _POWER and a base _ATOM."""
+
+    def __init__(self, n):
+        names = variable_names(n)
+        self.name = lambda i: names[i] if i < len(names) else f"x{i + 1}"
+
+    def const(self, e, visit):
+        if e.value < 0:
+            return str(e.value), 0
+        return str(e.value), _ATOM if e.value.denominator == 1 else _QUOTIENT
+
+    def add(self, e, visit):
+        body = " + ".join(_wrap(visit(t), _SUM) for t in e.terms)
+        return body.replace("+ -", "- ").replace("+ (-", "- ("), _SUM
+
+    def mul(self, e, visit):
+        return "*".join(_wrap(visit(f), _PRODUCT) for f in e.factors), _PRODUCT
+
+    def div(self, e, visit):
+        num, den = _wrap(visit(e.num), _QUOTIENT), _wrap(visit(e.den), _POWER)
+        return f"{num}/{den}", _QUOTIENT
+
+    def pow(self, e, visit):
+        return f"{_wrap(visit(e.base), _ATOM)}^{e.k}", _POWER
+
+    def coord(self, e, visit):
+        return self.name(e.i), _ATOM
+
+    def norm(self, e, visit):
+        return f"norm({','.join(map(self.name, e.indices))})", _ATOM
+
+    def cutoff(self, e, visit):
+        tag = f"theta^{e.order}" if e.order else "theta"
+        return f"{tag}({visit(e.arg)[0]}, {e.scale})", _ATOM
+
+    def gauge(self, e, visit):
+        return f"gauge({e.gauge.name}, {visit(e.arg)[0]})", _ATOM
 
 
 # ---------------------------------------------------------------------------

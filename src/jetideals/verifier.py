@@ -23,10 +23,10 @@ from .ideal import JetIdeal
 from .jetring import Jet, _collect, _Poly, monomials
 from .regions import (DOME_DEPTH_BUDGET, _cutoff_values, _dome, _dome_sup,
                       _region_boxes, _region_signs)
-from .symfun import (KERNELS, Add, Const, Cutoff, Div, GaugeRef, Mul, Norm,
-                     Pow, ScalarExpr, ZERO, add, collect_cutoffs,
-                     compile_expr, compile_exprs, div, expr_derive,
-                     expr_str, hom_degree, ipow, mul, DEFAULT_CUTOFF, Coord)
+from .symfun import (KERNELS, Const, Coord, Cutoff, DEFAULT_CUTOFF, Norm,
+                     ScalarExpr, ZERO, add, collect_cutoffs, compile_expr,
+                     compile_exprs, div, expr_derive, expr_str, fold,
+                     hom_degree, ipow, mul)
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 _ORDER = {FAIL: 0, INCONCLUSIVE: 1, PASS: 2}
@@ -330,31 +330,6 @@ def check_tame(S: ScalarExpr, region, m: int, n: int, seed: int = 0,
                        constant=measured)
 
 
-def check_flat_tame_product(F: ScalarExpr, S: ScalarExpr, region, m: int,
-                            n: int, seed: int = 0):
-    """The product of a tame factor and a flat factor is flat again;
-    checks the product directly and cross-checks with a Leibniz bound."""
-    tame = check_tame(S, region, m, n, seed=seed)
-    if tame.verdict == FAIL:
-        raise DomainError("tame factor fails its own check")
-    flat = check_flat(F, region, m, n, seed=seed)
-    if flat.verdict == FAIL:
-        raise DomainError("flat factor fails its own check")
-    product = check_flat(mul(S, F), region, m, n, seed=seed)
-    # Leibniz: shell sup of the product is at most 2^m * A_S * flat sup
-    sups = [(pv, fv) for (_, pv), (_, fv) in zip(product.shells, flat.shells)]
-    if tame.constant is None or any(None in pair for pair in sups):
-        leibniz_ok = None   # some shell has no evaluable sample
-    else:
-        leibniz_ok = all(pv <= 2.0 ** m * tame.constant * fv + 1e-12
-                         for pv, fv in sups)
-    return {"verdict": product.verdict,
-            "product_report": product.to_json(),
-            "tame_report": tame.to_json(),
-            "flat_report": flat.to_json(),
-            "leibniz_bound_ok": leibniz_ok}
-
-
 # ---------------------------------------------------------------------------
 # Negligibility.
 # ---------------------------------------------------------------------------
@@ -640,8 +615,8 @@ def _identity_zero(p: Jet, pairs, F: ScalarExpr, values, signs=None) -> bool:
     defined nowhere there, so the identity fails.
     """
     pairs = list(pairs)
-    found = sorted(set().union(*map(_free_norms, [F] + [S for _, S in pairs])),
-                   key=lambda e: e.indices)
+    trees = [F] + [S for _, S in pairs]
+    found = sorted(_free_norms(trees), key=lambda e: e.indices)
     signed = [e for e in found if len(e.indices) == 1]
     roots = [e for e in found if len(e.indices) > 1]
     k, n = len(roots), p.sig.n
@@ -652,19 +627,18 @@ def _identity_zero(p: Jet, pairs, F: ScalarExpr, values, signs=None) -> bool:
     leaves = {Coord(i): x for i, x in enumerate(xs)}
     leaves.update(zip(roots, gens))
     leaves.update((cut, one * value) for cut, value in values.items())
+    multipliers = [one] + [_ring_jet(Q, k) for Q, _ in pairs]
     for pattern in itertools.product(*((signs or {}).get(e.indices[0], (1, -1))
                                        for e in signed)):
         leaves.update((e, xs[e.indices[0]] * s)
                       for e, s in zip(signed, pattern))
         try:
-            num, den = _ring_fraction(F, one, leaves, squares)
-            num, den = _fraction_add(_ring_jet(p, k), one, num * -1, den)
-            for Q, S in pairs:
-                s_num, s_den = _ring_fraction(S, one, leaves, squares)
-                s_num = s_num * -1 * _ring_jet(Q, k)
-                num, den = _fraction_add(num, den, s_num, s_den)
+            fractions = fold(trees, _RingFraction(one, leaves, squares))
         except _ZeroDenominator:
             return False
+        num, den = _ring_jet(p, k), one
+        for Q, (t_num, t_den) in zip(multipliers, fractions):
+            num, den = _fraction_add(num, den, t_num * -1 * Q, t_den)
         if num.rem(squares):
             return False
     return True
@@ -674,13 +648,22 @@ class _ZeroDenominator(Exception):
     """The tree divides by an identically zero function."""
 
 
-def _free_norms(e: ScalarExpr) -> set:
-    """The Norm nodes of e outside every cutoff and gauge."""
-    if isinstance(e, Norm):
-        return {e}
-    if isinstance(e, (Cutoff, GaugeRef)):
-        return set()
-    return set().union(*map(_free_norms, e.children()))
+def _free_norms(exprs) -> set:
+    """The Norm nodes of the trees outside every cutoff and gauge."""
+    return set().union(*fold(exprs, _FreeNorms()))
+
+
+class _FreeNorms:
+    """Hooks of _free_norms: each node folds to its free Norm nodes."""
+
+    def norm(self, e, visit): return frozenset((e,))
+    def cutoff(self, e, visit): return frozenset()
+    gauge = cutoff
+
+    def add(self, e, visit):
+        return frozenset().union(*map(visit, e.children()))
+
+    const = coord = mul = pow = div = add
 
 
 def _ring_jet(p: Jet, k):
@@ -696,37 +679,45 @@ def _fraction_add(a, b, c, d):
     return a * d + c * b, b * d
 
 
-def _ring_fraction(e: ScalarExpr, one, leaves, squares):
-    """e as a (numerator, denominator) pair of _Poly, each Coord, Norm
-    and Cutoff node at its value in `leaves`; a denominator is reduced
-    modulo {r_j^2 - s_j} before its zero test."""
-    if isinstance(e, Const):
-        return one * e.value, one
-    if isinstance(e, (Coord, Norm, Cutoff)):
-        return leaves[e], one
-    if isinstance(e, Add):
-        num, den = _Poly(), one
+class _RingFraction:
+    """Hooks of _identity_zero: each node folds to a (numerator,
+    denominator) pair of _Poly, each Coord, Norm and Cutoff node to its
+    value in `leaves`; a denominator is reduced before its zero test."""
+
+    def __init__(self, one, leaves, squares):
+        self.one, self.leaves, self.squares = one, leaves, squares
+
+    def const(self, e, visit): return self.one * e.value, self.one
+    def coord(self, e, visit): return self.leaves[e], self.one
+    norm = cutoff = coord
+
+    def add(self, e, visit):
+        num, den = _Poly(), self.one
         for t in e.terms:
-            num, den = _fraction_add(num, den,
-                                     *_ring_fraction(t, one, leaves, squares))
+            num, den = _fraction_add(num, den, *visit(t))
         return num, den
-    if isinstance(e, Mul):
-        num, den = one, one
+
+    def mul(self, e, visit):
+        num, den = self.one, self.one
         for f in e.factors:
-            f_num, f_den = _ring_fraction(f, one, leaves, squares)
+            f_num, f_den = visit(f)
             num, den = num * f_num, den * f_den
         return num, den
-    if isinstance(e, Pow):
-        num, den = _ring_fraction(e.base, one, leaves, squares)
+
+    def pow(self, e, visit):
+        num, den = visit(e.base)
         return num ** e.k, den ** e.k
-    if isinstance(e, Div):
-        a, b = _ring_fraction(e.num, one, leaves, squares)
-        c, d = _ring_fraction(e.den, one, leaves, squares)
-        c = c.rem(squares)
+
+    def div(self, e, visit):
+        a, b = visit(e.num)
+        c, d = visit(e.den)
+        c = c.rem(self.squares)
         if not c:
             raise _ZeroDenominator
         return a * d, b * c
-    raise DomainError(f"node {type(e).__name__} has no symbolic form")
+
+    def gauge(self, e, visit):
+        raise DomainError("node GaugeRef has no symbolic form")
 
 
 # ---------------------------------------------------------------------------
@@ -904,24 +895,28 @@ def expr_scale_coords(e: ScalarExpr, rho) -> ScalarExpr:
     rho = Fraction(rho)
     if rho <= 0:
         raise ValueError("need rho > 0")
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Coord):
-        return mul(Const(rho), e)
-    if isinstance(e, Add):
-        return add(*(expr_scale_coords(t, rho) for t in e.terms))
-    if isinstance(e, Mul):
-        return mul(*(expr_scale_coords(f, rho) for f in e.factors))
-    if isinstance(e, Pow):
-        return ipow(expr_scale_coords(e.base, rho), e.k)
-    if isinstance(e, Div):
-        return div(expr_scale_coords(e.num, rho),
-                   expr_scale_coords(e.den, rho))
-    if isinstance(e, Norm):
-        return mul(Const(rho), e)
-    if isinstance(e, Cutoff):
-        return Cutoff(e.spec, expr_scale_coords(e.arg, rho), e.scale, e.order)
-    raise DomainError(f"cannot rescale node {type(e).__name__}")
+    return fold((e,), _Rescale(rho))[0]
+
+
+class _Rescale:
+    """Hooks of expr_scale_coords: each node at rho * x."""
+
+    def __init__(self, rho):
+        self.rho = Const(rho)
+
+    def const(self, e, visit): return e
+    def coord(self, e, visit): return mul(self.rho, e)
+    def add(self, e, visit): return add(*map(visit, e.terms))
+    def mul(self, e, visit): return mul(*map(visit, e.factors))
+    def pow(self, e, visit): return ipow(visit(e.base), e.k)
+    def div(self, e, visit): return div(visit(e.num), visit(e.den))
+    norm = coord
+
+    def cutoff(self, e, visit):
+        return Cutoff(e.spec, visit(e.arg), e.scale, e.order)
+
+    def gauge(self, e, visit):
+        raise DomainError("cannot rescale node GaugeRef")
 
 
 def chi_expr(n: int) -> ScalarExpr:
@@ -1210,7 +1205,7 @@ def _scaled_identity(p, Q_list, F, S_list, omegas, delta, rho, n):
     (named in "uncertified"), else True.
     """
     trees = [F] + list(S_list)
-    norms = set().union(*map(_free_norms, trees))
+    norms = _free_norms(trees)
     signed = sorted({e.indices[0] for e in norms if len(e.indices) == 1})
     s_range = (Fraction(rho) / 2, 2 * Fraction(rho))
     pairs = list(zip(Q_list, S_list))

@@ -177,6 +177,15 @@ def test_zero_delta_is_usage_error(capsys):
     assert "delta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify-tame", "verify-flat"])
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf", "1e-15"])
+def test_nonfinite_or_tiny_delta_is_usage_error(capsys, command, delta):
+    assert main([command, "--m", "2", "--n", "2", "--omega", "1,0",
+                 "--delta", delta, "x*y"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and "delta" in captured.err
+
+
 def test_direction_that_is_not_a_number_is_usage_error(capsys):
     assert main(["verify-tame", "--m", "2", "--n", "2", "--omega", "1,a",
                  "x*y"]) == 64

@@ -6,8 +6,9 @@ import random
 import pytest
 
 from jetideals.errors import DomainError
-from jetideals.geometry import (Annulus, Cone, Direction, direction_of,
-                                dome_membership, estimate_tangent_directions,
+from jetideals.geometry import (DELTA_FLOOR, Annulus, Cone, Direction,
+                                direction_of, dome_membership,
+                                estimate_tangent_directions,
                                 read_point_cloud, sphere_cover)
 
 
@@ -87,6 +88,19 @@ def test_dome_membership():
     assert not dome_membership((1.0, 0.0, 0.0), [], 0.5)
     with pytest.raises(DomainError):
         dome_membership((0.0, 0.0, 0.0), omegas, 0.1)
+
+
+@pytest.mark.parametrize("delta,r", [
+    (0.0, 1.0), (-0.5, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+    (DELTA_FLOOR / 2, 1.0), (1e-300, 1.0),
+    (0.5, 0.0), (0.5, math.nan), (0.5, math.inf)])
+def test_cone_rejects_an_opening_or_radius_out_of_range(delta, r):
+    with pytest.raises(ValueError):
+        Cone([Direction((0.0, 1.0))], delta, r)
+
+
+def test_cone_accepts_the_floor_opening():
+    assert Cone([Direction((0.0, 1.0))], DELTA_FLOOR, 1.0).delta == DELTA_FLOOR
 
 
 def test_cone_and_annulus_membership():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from jetideals.ideal import JetIdeal, power_ideal
+from jetideals.ideal import JetIdeal
 from jetideals.jetring import Jet, RingSignature, jet_parse
 
 from conftest import random_diffeo, random_jet
@@ -79,14 +79,6 @@ def test_sum_and_intersection_lattice():
         assert S.dim + X.dim == I.dim + J.dim
         for b in X.basis_jets():
             assert I.contains(b) and J.contains(b)
-
-
-def test_power_ideal_dims():
-    sig = RingSignature(3, 2)
-    # all jets without constant term: dim0 = 9
-    assert power_ideal(sig, 1).dim == sig.dim0
-    assert power_ideal(sig, 3).dim == 4   # x^3, x^2 y, x y^2, y^3
-    assert power_ideal(sig, 2).dim == 7
 
 
 def test_transform_preserves_dimension():

@@ -1,18 +1,22 @@
-"""The node protocol of symfun: structural identity and children().
+"""The node protocol of symfun: structural identity, children() and the
+fold.
 
 Every node compares and hashes by its class and fields, through the one
 __eq__/__hash__ of ScalarExpr; cutoff specs and gauges compare by
 identity.  children() lists the ScalarExpr-valued fields in field order,
-and subtrees() walks them in preorder."""
+and subtrees() walks them in preorder.  fold calls one hook per node
+class, named by the class, and folds each distinct subtree once."""
 
 import math
 from fractions import Fraction
 
 import pytest
 
+from jetideals import symfun, verifier
 from jetideals.symfun import (Add, Const, Coord, Cutoff, CutoffSpec,
                               DEFAULT_CUTOFF, Div, Gauge, GaugeRef, Mul, Norm,
-                              Pow, ScalarExpr, expr_parse, subtrees)
+                              Pow, ScalarExpr, expr_derive, expr_parse, fold,
+                              subtrees)
 
 SQRT = Gauge.from_function("sqrt", math.sqrt, per_octave=8)
 X, Y, Z = Coord(0), Coord(1), Coord(2)
@@ -111,3 +115,70 @@ def test_specs_and_gauges_compare_by_identity():
     twin_gauge = Gauge(SQRT.name, SQRT.log2_grid, SQRT.values)
     assert GaugeRef(SQRT, X) == GaugeRef(SQRT, X)
     assert GaugeRef(SQRT, X) != GaugeRef(twin_gauge, X)
+
+
+# every hook set of the package that folds expression trees
+HOOK_SETS = [symfun._Kernel, symfun._Interval, symfun._Degree,
+             symfun._Printer, verifier._FreeNorms, verifier._RingFraction,
+             verifier._Rescale]
+
+
+def test_each_node_class_names_its_own_hook():
+    names = [cls.hook for cls in BUILDERS]
+    assert all(names) and len(set(names)) == len(names)
+
+
+@pytest.mark.parametrize("hooks", HOOK_SETS, ids=lambda h: h.__name__)
+def test_every_hook_set_has_a_hook_for_every_node_class(hooks):
+    assert [cls.__name__ for cls in BUILDERS
+            if not callable(getattr(hooks, cls.hook, None))] == []
+
+
+class _Recorder:
+    """Hooks that fold every child, in field order, then record the
+    node."""
+
+    def __init__(self):
+        self.folded = []
+
+    def const(self, e, visit):
+        kids = tuple(map(visit, e.children()))
+        self.folded.append(e)
+        return (type(e).__name__, kids)
+
+    coord = add = mul = pow = div = norm = cutoff = gauge = const
+
+
+def test_folding_a_table_folds_each_distinct_subtree_once():
+    gauges = {"sqrt": SQRT}
+    trees = [expr_parse(text, 3, gauges=gauges) for text in TEXTS[:4]]
+    table = trees + [expr_derive(t, (1, 0, 0)) for t in trees] + trees
+    hooks = _Recorder()
+    values = fold(table, hooks)
+    assert len(values) == len(table)
+    assert len(hooks.folded) == len(set(hooks.folded))
+    assert set(hooks.folded) == {s for t in table for s in subtrees(t)}
+    # children are folded before their parent
+    order = {node: k for k, node in enumerate(hooks.folded)}
+    assert all(order[c] < order[node]
+               for node in hooks.folded for c in node.children())
+    # a tree given twice folds to the one value
+    assert all(a is b for a, b in zip(values[:4], values[-4:]))
+
+
+def test_a_node_class_without_a_hook_raises_type_error():
+    class NoGauge(_Recorder):
+        gauge = None
+
+    with pytest.raises(TypeError, match="NoGauge has no hook for node "
+                                        "class GaugeRef"):
+        fold([Add((X, BUILDERS[GaugeRef]()))], NoGauge())
+
+
+def test_a_memo_given_to_fold_carries_values_across_calls():
+    memo, first, second = {}, _Recorder(), _Recorder()
+    fold([BUILDERS[Pow]()], first, memo)
+    fold([BUILDERS[Div]()], second, memo)
+    # X, Y and X + Y were folded by the first call
+    assert first.folded == [X, Y, Add((X, Y)), Pow(Add((X, Y)), 3)]
+    assert second.folded == [Z, Add((Y, Z)), Div(X, Add((Y, Z)))]

@@ -14,11 +14,11 @@ from jetideals.interval import Interval
 from jetideals.jetring import monomials
 from jetideals.symfun import (Add, Const, Coord, Cutoff, CutoffSpec,
                               DEFAULT_CUTOFF, Div, Gauge, GaugeRef, Mul, Norm,
-                              Pow, ZERO, _float_pow, add, compile_expr,
-                              compile_exprs, compile_interval, div,
-                              expr_derive, expr_diff, expr_eval, expr_parse,
-                              expr_str, gauge_regularize, hom_degree, ipow,
-                              mul, subtrees)
+                              Pow, ZERO, _float_pow, _LruMemo, add,
+                              compile_expr, compile_exprs, compile_interval,
+                              div, expr_derive, expr_diff, expr_eval,
+                              expr_parse, expr_str, gauge_regularize,
+                              hom_degree, ipow, mul, subtrees)
 
 import scalar_reference
 
@@ -288,6 +288,70 @@ def _extend(children):
 
 
 trees = st.recursive(leaves, _extend, max_leaves=8)
+
+
+# -- printing: expr_str reads back through expr_parse ----------------------
+
+def _quotient(num, den):
+    return num if den == ZERO else div(num, den)
+
+
+def _power(base, k):
+    return ipow(base, abs(k) if base == ZERO else k)
+
+
+def _smart_extend(children):
+    terms = st.lists(children, min_size=2, max_size=3)
+    return st.one_of(
+        st.builds(lambda ts: add(*ts), terms),
+        st.builds(lambda fs: mul(*fs), terms),
+        st.builds(_quotient, children, children),
+        st.builds(_power, children, st.integers(-3, 4)),
+        st.builds(Cutoff, st.just(DEFAULT_CUTOFF), children,
+                  st.sampled_from(SCALES)))
+
+
+smart_trees = st.recursive(
+    st.one_of(st.builds(Const, st.fractions(-3, 3, max_denominator=6)),
+              st.builds(Coord, st.integers(0, 2)),
+              st.builds(Norm, st.lists(st.integers(0, 2), min_size=1,
+                                       max_size=3))),
+    _smart_extend, max_leaves=8)
+X, Y = Coord(0), Coord(1)
+PRINT_POINTS = np.array([[0.7316, 0.2875, -1.3139],
+                         [-0.4127, 1.9063, 0.5521],
+                         [1.1371, -0.6529, 0.8447]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(smart_trees)
+def test_printed_tree_parses_back_to_the_same_function(e):
+    back = expr_parse(expr_str(e, 3), 3)
+    (want, want_ok), (got, got_ok) = compile_exprs([e, back])(PRINT_POINTS)
+    assert (got_ok == want_ok).all(), expr_str(e, 3)
+    assert np.allclose(got[want_ok], want[want_ok], rtol=1e-9,
+                       atol=1e-12), expr_str(e, 3)
+
+
+@pytest.mark.parametrize("tree,text", [
+    (Div(X, Div(Y, Coord(2))), "x/(y/z)"),
+    (Pow(Div(Mul((Const(2), X)), Y), 3), "((2*x)/y)^3"),
+    (Div(Const(1), Div(X, Y)), "1/(x/y)"),
+    (Pow(Pow(X, 3), 2), "(x^3)^2"),
+    (Pow(Div(Y, X), 2), "(y/x)^2"),
+    (Div(X, Pow(Y, 2)), "x/y^2"),
+    (Div(Div(X, Y), Coord(2)), "x/y/z"),
+    (Pow(Const(Fraction(3, 2)), 2), "(3/2)^2")])
+def test_quotients_and_powers_print_with_their_parentheses(tree, text):
+    assert expr_str(tree, 3) == text
+
+
+def test_a_kept_memo_drops_the_least_recently_used_value():
+    memo = _LruMemo(2)
+    memo[X], memo[Y] = "x", "y"
+    assert memo.get(X) == "x"        # now Y is the least recently used
+    memo[Coord(2)] = "z"
+    assert list(memo) == [X, Coord(2)] and memo.get(Y) is None
 
 
 def _same_float(a, b):

@@ -18,7 +18,7 @@ from jetideals.symfun import (ONE, ZERO, Const, add, expr_derive,
                               expr_eval, expr_parse, expr_str, mul)
 from jetideals.verifier import (ImplicationCertificate,
                                 check_annulus_condition, check_flat,
-                                check_flat_tame_product, check_negligible,
+                                check_negligible,
                                 check_strong_directional, check_strong_global,
                                 check_tame, delta_ladder, expr_scale_coords,
                                 measure_chi_constant, meet,
@@ -96,20 +96,6 @@ def test_a_tameness_constant_must_be_finite(C):
 def test_tame_rejects_blowup():
     report = check_tame(expr_parse("1/norm(x,y)", 2), None, 2, 2)
     assert report.verdict == "fail"
-
-
-def test_flat_tame_product():
-    out = check_flat_tame_product(expr_parse("x^3 + y^3", 2),
-                                  expr_parse("x^2/(x^2 + y^2)", 2),
-                                  None, 2, 2)
-    assert out["verdict"] == "pass"
-    assert out["leibniz_bound_ok"]
-
-
-def test_flat_tame_product_rejects_bad_tame_factor():
-    with pytest.raises(DomainError):
-        check_flat_tame_product(expr_parse("x^3", 2),
-                                expr_parse("1/norm(x,y)", 2), None, 2, 2)
 
 
 # -- negligibility ----------------------------------------------------------
