@@ -308,9 +308,14 @@ class Ray:
 
     def unit(self):
         """The unit vector's coordinates, each the double nearest its
-        exact value (an exact zero reads 0.0)."""
+        exact value (an exact zero reads 0.0).  ValueError if every
+        coordinate vanishes at the root; otherwise one is at least
+        1/sqrt(n) in size, so they cannot all read 0.0."""
         norm2 = self._norm2()
-        return tuple(self._rounded(c, norm2) for c in self.coords)
+        out = tuple(self._rounded(c, norm2) for c in self.coords)
+        if not any(out):
+            raise ValueError("every coordinate vanishes at the root")
+        return out
 
     def _rounded(self, v, norm2) -> float:
         """v/sqrt(norm2) at the root, correctly rounded.  The bounds of

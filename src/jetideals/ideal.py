@@ -14,20 +14,23 @@ from math import lcm
 
 from .errors import SignatureMismatchError
 from .exactlin import Subspace
-from .jetring import DiffeoJet, Jet, RingSignature, jet_compose, monomials
+from .jetring import (DiffeoJet, Jet, RingSignature, _products, jet_compose,
+                      monomials)
 
 
 @lru_cache(maxsize=None)
-def _shifted_columns(m: int, n: int):
-    """For each multiplier x^beta with |beta| <= m-1 (the useful ones,
-    including beta = 0), the map alpha -> coordinate index of
-    x^(alpha + beta) over the nonconstant exponents alpha that survive
-    truncation.  Coordinates are a jet's without the constant term."""
-    table = monomials(m, n)
-    column = {a: i - 1 for i, a in enumerate(table)}
-    return tuple({a: column[tuple(x + y for x, y in zip(a, beta))]
-                  for a in table[1:] if sum(a) + sum(beta) <= m}
-                 for beta in table if sum(beta) <= m - 1)
+def _columns(m: int, n: int):
+    """exponent -> index in a jet's coordinates without the constant
+    term."""
+    return {a: i - 1 for i, a in enumerate(monomials(m, n))}
+
+
+def _integer_terms(p: Jet):
+    """p's (exponent, integer) terms: its coefficients times the lcm of
+    their denominators, a positive multiple of p."""
+    den = lcm(*(c.denominator for c in p.coeffs.values()))
+    return [(a, c.numerator * (den // c.denominator))
+            for a, c in p.coeffs.items()]
 
 
 class JetIdeal:
@@ -52,22 +55,22 @@ class JetIdeal:
         self.generators = generators
         # each product x^beta * g is g's coefficients at shifted
         # exponents, cut at degree m; a row may be any nonzero multiple
-        # of the product, so g's denominators are cleared once
+        # of the product, so g's denominators are cleared once.  Each
+        # term c x^a of g goes to the row of every beta that the product
+        # table pairs with a; the rows join in the graded order of beta
         vectors = []
         dim0 = sig.dim0
-        shifts = _shifted_columns(sig.m, sig.n)
+        products = _products(sig.m, sig.n)
+        column = _columns(sig.m, sig.n)
         for g in generators:
-            den = lcm(*(c.denominator for c in g.coeffs.values()))
-            terms = [(a, c.numerator * (den // c.denominator))
-                     for a, c in g.coeffs.items()]
-            for columns in shifts:
-                row = [0] * dim0
-                for a, c in terms:
-                    j = columns.get(a)
-                    if j is not None:
-                        row[j] = c
-                if any(row):
-                    vectors.append(row)
+            rows = {}
+            for a, c in _integer_terms(g):
+                for beta, key in products[a].items():
+                    row = rows.get(beta)
+                    if row is None:
+                        row = rows[beta] = [0] * dim0
+                    row[column[key]] = c
+            vectors += [rows[b] for b in sig.monomials if b in rows]
         self.span = Subspace(dim0, vectors)
         self._allowed = {}
 
@@ -80,9 +83,7 @@ class JetIdeal:
         is the space itself."""
         self = object.__new__(cls)
         self.sig = sig
-        self.generators = tuple(
-            Jet.from_coordinates(sig, v, include_constant=False)
-            for v in space.basis)
+        self.generators = tuple(_basis_jets(sig, space))
         self.span = space
         self._allowed = {}
         return self
@@ -107,12 +108,15 @@ class JetIdeal:
             raise SignatureMismatchError("jet signature mismatch")
         if (0,) * self.sig.n in p.coeffs:
             return False
-        return self.span.contains(p.coordinates(include_constant=False))
+        column = _columns(self.sig.m, self.sig.n)
+        row = [0] * self.sig.dim0
+        for a, c in _integer_terms(p):
+            row[column[a]] = c
+        return self.span.contains(row)
 
     def basis_jets(self):
         """Canonical (RREF) basis of the ideal as jets."""
-        return [Jet.from_coordinates(self.sig, v, include_constant=False)
-                for v in self.span.basis]
+        return _basis_jets(self.sig, self.span)
 
     def add(self, other: "JetIdeal") -> "JetIdeal":
         """Ideal sum: just pool the generators."""
@@ -135,5 +139,13 @@ class JetIdeal:
         return JetIdeal._spanning(self.sig, self.intersect_space(other))
 
     def transform(self, phi: DiffeoJet) -> "JetIdeal":
-        """The ideal generated by g o phi for each generator g."""
+        """The ideal generated by g o phi for each generator g; the
+        compositions share phi's powers."""
         return JetIdeal(self.sig, [jet_compose(g, phi) for g in self.generators])
+
+
+def _basis_jets(sig: RingSignature, space: Subspace):
+    """The jets whose coordinates without the constant term are the
+    rows of space's RREF basis."""
+    table = sig.monomials[1:]
+    return [Jet._of(sig, dict(zip(table, v))) for v in space.basis]

@@ -42,6 +42,18 @@ def monomials(m: int, n: int):
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _products(m: int, n: int):
+    """The monomial product table of P^m(R^n): for each exponent a, the
+    map b -> a + b over the exponents b with |a| + |b| <= m.  Products
+    are the tuples of monomials(m, n) themselves."""
+    table = monomials(m, n)
+    canon = {a: a for a in table}
+    return {a: {b: canon[tuple(map(operator.add, a, b))]
+                for b in table if sum(a) + sum(b) <= m}
+            for a in table}
+
+
 class RingSignature:
     """The pair (m, n): jet degree bound and ambient dimension."""
 
@@ -101,6 +113,15 @@ class Jet:
                 clean[alpha] = clean[alpha] + c if alpha in clean else c
         self.coeffs = {a: c for a, c in clean.items() if c != 0}
 
+    @classmethod
+    def _of(cls, sig: RingSignature, coeffs) -> "Jet":
+        """The jet of Fraction coefficients on monomials of sig, as ring
+        operations on jets produce them: only zeros are dropped."""
+        jet = object.__new__(cls)
+        jet.sig = sig
+        jet.coeffs = {a: c for a, c in coeffs.items() if c}
+        return jet
+
     # -- constructors ---------------------------------------------------
     @staticmethod
     def zero(sig: RingSignature) -> "Jet":
@@ -148,7 +169,8 @@ class Jet:
         return min(sum(a) for a in self.coeffs)
 
     def homogeneous_part(self, k: int) -> "Jet":
-        return Jet(self.sig, {a: c for a, c in self.coeffs.items() if sum(a) == k})
+        return Jet._of(self.sig, {a: c for a, c in self.coeffs.items()
+                                  if sum(a) == k})
 
     def lowest_homogeneous_part(self) -> "Jet":
         """The nonzero homogeneous component of minimal degree.
@@ -188,32 +210,32 @@ class Jet:
         self._check_sig(other)
         out = dict(self.coeffs)
         for a, c in other.coeffs.items():
-            out[a] = out.get(a, Fraction(0)) + c
-        return Jet(self.sig, out)
+            out[a] = out[a] + c if a in out else c
+        return Jet._of(self.sig, out)
 
     def __neg__(self) -> "Jet":
-        return Jet(self.sig, {a: -c for a, c in self.coeffs.items()})
+        return Jet._of(self.sig, {a: -c for a, c in self.coeffs.items()})
 
     def __sub__(self, other: "Jet") -> "Jet":
         return self + (-other)
 
     def scale(self, c) -> "Jet":
         c = Fraction(c)
-        return Jet(self.sig, {a: c * v for a, v in self.coeffs.items()})
+        return Jet._of(self.sig, {a: c * v for a, v in self.coeffs.items()})
 
     def __mul__(self, other: "Jet") -> "Jet":
         """Jet product: full product truncated at degree m."""
         self._check_sig(other)
-        m, n = self.sig.m, self.sig.n
+        products = _products(self.sig.m, self.sig.n)
         out = {}
         for a, ca in self.coeffs.items():
-            da = sum(a)
+            row = products[a]
             for b, cb in other.coeffs.items():
-                if da + sum(b) > m:
-                    continue
-                key = tuple(a[i] + b[i] for i in range(n))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return Jet(self.sig, out)
+                key = row.get(b)
+                if key is not None:
+                    c = ca * cb
+                    out[key] = out[key] + c if key in out else c
+        return Jet._of(self.sig, out)
 
     def pow(self, k: int) -> "Jet":
         if k < 0:
@@ -230,8 +252,7 @@ class Jet:
             raise DimensionMismatchError("point has wrong dimension")
         if mode == "exact":
             total = Fraction(0)
-            coords = [Fraction(x) if not isinstance(x, float) else Fraction(x)
-                      for x in point]
+            coords = [Fraction(x) for x in point]
             for a, c in self.coeffs.items():
                 term = c
                 for xi, ai in zip(coords, a):
@@ -529,9 +550,14 @@ def jet_parse(text: str, sig: RingSignature, truncate=False) -> Jet:
 # ---------------------------------------------------------------------------
 
 class DiffeoJet:
-    """Jet of an origin-fixing C^m map with invertible linear part."""
+    """Jet of an origin-fixing C^m map with invertible linear part.
 
-    __slots__ = ("sig", "components")
+    `_powers` holds the products phi^alpha = prod phi_i^alpha_i that
+    compositions have needed so far (see `_power`), so every jet composed
+    with one map shares them.
+    """
+
+    __slots__ = ("sig", "components", "_powers")
 
     def __init__(self, sig: RingSignature, components):
         components = tuple(components)
@@ -546,6 +572,17 @@ class DiffeoJet:
         self.components = components
         if not _invertible(self.linear_matrix()):
             raise ValueError("linear part is not invertible")
+        self._powers = {(0,) * sig.n: Jet.constant(sig, 1)}
+
+    def _power(self, alpha) -> Jet:
+        """J^m(phi^alpha), built once as phi^(alpha - e_i) * phi_i for
+        the last i with alpha_i > 0."""
+        powers = self._powers
+        if alpha not in powers:
+            i = max(k for k, e in enumerate(alpha) if e)
+            lower = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+            powers[alpha] = self._power(lower) * self.components[i]
+        return powers[alpha]
 
     def linear_matrix(self):
         """The n x n matrix of degree-1 coefficients (rows = components)."""
@@ -598,22 +635,13 @@ def _matrix_inverse(matrix):
 
 
 def jet_compose(p: Jet, phi: DiffeoJet) -> Jet:
-    """J^m(p o phi): substitute component jets and truncate at degree m."""
+    """J^m(p o phi): the sum of c * phi^alpha over the terms c x^alpha
+    of p, the powers phi^alpha truncated at degree m."""
     if p.sig != phi.sig:
         raise SignatureMismatchError("jet and diffeo-jet signatures differ")
-    sig = p.sig
-    # powers[i][k] = phi_i^k as a jet
-    powers = []
-    for comp in phi.components:
-        pk = [Jet.constant(sig, 1)]
-        for _ in range(sig.m):
-            pk.append(pk[-1] * comp)
-        powers.append(pk)
-    out = Jet.zero(sig)
+    out = {}
     for alpha, c in p.coeffs.items():
-        term = Jet.constant(sig, c)
-        for i, ai in enumerate(alpha):
-            if ai:
-                term = term * powers[i][ai]
-        out = out + term
-    return out
+        for key, v in phi._power(alpha).coeffs.items():
+            v = c * v
+            out[key] = out[key] + v if key in out else v
+    return Jet._of(p.sig, out)

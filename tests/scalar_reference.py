@@ -67,6 +67,16 @@ Fractions included, and summed into a fresh Fraction(0):
 test_jetring.py requires Jet to keep the same coefficients, of the same
 types, in the same key order.
 
+The ring operations that rebuilt what they already held: the product
+jet_mul, which summed each pair's exponents and built its key per pair
+and checked the result through Jet(); the composition jet_compose, which
+took every component's powers phi_i^k afresh for each jet and built a
+checked Jet for every partial term; and the membership test
+ideal_contains, which reduced p's Fraction coordinates.
+test_ring_tables.py requires Jet.__mul__, jetring.jet_compose (with one
+map shared by several jets, as JetIdeal.transform shares it) and
+JetIdeal.contains to give what these give.
+
 The Fraction elimination that exactlin's integer elimination replaced
 (rref and Subspace.contains), and jetring's
 own Gauss-Jordan for the invertibility test and the inverse of a
@@ -131,7 +141,8 @@ from jetideals import regions, verifier
 from jetideals.directions import (ExactDirection, _compile_scaled,
                                   jet_to_sympy)
 from jetideals.errors import (DegreeOverflowError, DimensionMismatchError,
-                              DomainError, ParseError)
+                              DomainError, ParseError,
+                              SignatureMismatchError)
 from jetideals.geometry import sphere_cover
 from jetideals.interval import Interval, _down, _up
 from jetideals.jetring import _Parser, Jet, monomials, variable_names
@@ -687,6 +698,56 @@ def ray_to_sympy(ray):
               for v in ray.coords]
     norm = sympy.sqrt(sum(v ** 2 for v in values))
     return tuple(v / norm for v in values)
+
+
+def jet_mul(p, q):
+    if p.sig != q.sig:
+        raise SignatureMismatchError(f"{p.sig} vs {q.sig}")
+    m, n = p.sig.m, p.sig.n
+    out = {}
+    for a, ca in p.coeffs.items():
+        da = sum(a)
+        for b, cb in q.coeffs.items():
+            if da + sum(b) > m:
+                continue
+            key = tuple(a[i] + b[i] for i in range(n))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return Jet(p.sig, out)
+
+
+def jet_add(p, q):
+    out = dict(p.coeffs)
+    for a, c in q.coeffs.items():
+        out[a] = out.get(a, Fraction(0)) + c
+    return Jet(p.sig, out)
+
+
+def jet_compose(p, phi):
+    if p.sig != phi.sig:
+        raise SignatureMismatchError("jet and diffeo-jet signatures differ")
+    sig = p.sig
+    powers = []
+    for comp in phi.components:
+        pk = [Jet.constant(sig, 1)]
+        for _ in range(sig.m):
+            pk.append(jet_mul(pk[-1], comp))
+        powers.append(pk)
+    out = Jet.zero(sig)
+    for alpha, c in p.coeffs.items():
+        term = Jet.constant(sig, c)
+        for i, ai in enumerate(alpha):
+            if ai:
+                term = jet_mul(term, powers[i][ai])
+        out = jet_add(out, term)
+    return out
+
+
+def ideal_contains(ideal, p):
+    if p.sig != ideal.sig:
+        raise SignatureMismatchError("jet signature mismatch")
+    if (0,) * ideal.sig.n in p.coeffs:
+        return False
+    return ideal.span.contains(p.coordinates(include_constant=False))
 
 
 def jet_coeffs(sig, coeffs):

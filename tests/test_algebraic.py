@@ -3,11 +3,13 @@ sympy as the reference.
 
 algebraic.real_roots must find the real roots that sympy's real_roots
 finds, rational ones as rationals; Ray.unit must give each coordinate
-of v(r)/|v(r)| as the double nearest its exact value; Ray.sign_of must
-give the exact sign of a polynomial at that unit vector."""
+of v(r)/|v(r)| as the double nearest its exact value, 0.0 where it is
+exactly 0, and raise ValueError where every coordinate is; Ray.sign_of
+must give the exact sign of a polynomial at that unit vector."""
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +27,16 @@ def poly(*coeffs):
 def to_sympy(p):
     return sum((sympy.Rational(c.numerator, c.denominator) * T ** k
                 for k, c in enumerate(p)), sympy.Integer(0))
+
+
+def vanishes_at(v, root):
+    """sympy's decision that the polynomial v is 0 at the root: the gcd
+    of v and the root's f has a root in its isolating interval (the
+    closed [lo, lo] for a rational root)."""
+    g = sympy.Poly(sympy.gcd(to_sympy(v), to_sympy(root.f)), T)
+    lo, hi = (sympy.Rational(e.numerator, e.denominator)
+              for e in (root.lo, root.hi))
+    return g.degree() > 0 and g.count_roots(lo, hi) > 0
 
 
 def nearest_double(value):
@@ -75,10 +87,32 @@ def test_real_roots_match_sympy(p):
 def test_unit_vectors_are_correctly_rounded(p, coords):
     for root in algebraic.real_roots(p):
         ray = Ray(root, [poly(*c) for c in coords])
-        if not any(ray.coords):
+        zero = [vanishes_at(c, root) for c in ray.coords]
+        if all(zero):
+            with pytest.raises(ValueError):
+                ray.unit()
             continue
         exact = scalar_reference.ray_to_sympy(ray)
-        assert ray.unit() == tuple(nearest_double(x) for x in exact)
+        assert ray.unit() == tuple(0.0 if z else nearest_double(x)
+                                   for z, x in zip(zero, exact))
+
+
+# p = (t^2 - 3t - 3)(t^2 + 1): at both real roots t^2 - 3t - 3 is 0,
+# which evaluating its radical to 60 digits reads as about -1e-197
+_FOUND = algebraic.mul(poly(-3, -3, 1), poly(1, 0, 1))
+
+
+def test_a_coordinate_that_vanishes_at_the_root_reads_zero():
+    roots = algebraic.real_roots(_FOUND)
+    assert len(roots) == 2
+    for root in roots:
+        assert Ray(root, [poly(1), poly(-3, -3, 1)]).unit() == (1.0, 0.0)
+
+
+def test_a_ray_that_vanishes_at_the_root_has_no_unit_vector():
+    for root in algebraic.real_roots(_FOUND):
+        with pytest.raises(ValueError):
+            Ray(root, [poly(0), poly(-3, -3, 1)]).unit()
 
 
 @settings(max_examples=40, deadline=None)

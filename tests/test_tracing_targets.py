@@ -1,18 +1,30 @@
 """The per-layer tracer in bench/tracing.py wraps package functions by
 name; a rename in the package must fail here, not only in a traced
-benchmark run."""
+benchmark run.  And a layer that the toolkit workload runs must still
+be reached through its wrapper: a call that bypasses it reads 0."""
 
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# layers a short toolkit run reaches; geometry.cells_* are left out,
+# they read 0 on every workload
+TOOLKIT_LAYERS = ("jetring.compose", "jetring.mul", "exactlin.rref",
+                  "exactlin.contains", "ideal.span", "ideal.intersect",
+                  "directions.allow")
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracing():
+    return _load("tracing")
 
 
 def test_every_trace_target_names_an_attribute_of_its_owner():
@@ -23,3 +35,23 @@ def test_every_trace_target_names_an_attribute_of_its_owner():
     assert not missing
     for owner, attr, _, _ in tracing.TARGETS:
         assert callable(vars(owner)[attr])
+
+
+def test_a_traced_toolkit_run_reaches_every_ring_and_span_layer():
+    tracing, workloads = _load("tracing"), _load("workloads")
+    load = workloads.WORKLOADS["toolkit"](1)
+    tracer = tracing.Tracer()
+    tracer.install(extra_modules=[workloads])
+    try:
+        for i in range(40):
+            op = load.op(i)
+            tracer.op = i
+            try:
+                out = op.run()
+            finally:
+                tracer.op = None
+            assert not op.check(out)
+    finally:
+        tracer.uninstall()
+    silent = [layer for layer in TOOLKIT_LAYERS if not tracer.calls[layer]]
+    assert not silent
