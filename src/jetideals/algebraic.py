@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .exactlin import _integer_row
+
 _SQRT_BITS = 64     # first precision of a square-root enclosure
 _REFINE_STEPS = 8   # bisections of a root's interval per rounding round
 
@@ -82,14 +84,6 @@ def evaluate(a, x):
     return acc
 
 
-def _integral(a):
-    """Primitive integer coefficients of a positive multiple of a."""
-    den = math.lcm(*(c.denominator for c in a))
-    ints = [c.numerator * (den // c.denominator) for c in a]
-    g = math.gcd(*ints)
-    return tuple(c // g for c in ints)
-
-
 def _sign_at(ints, x):
     """Sign of the integer polynomial at the rational x, in integers:
     the sum of c_i p^i q^(d-i) for x = p/q has the sign of f(x)."""
@@ -106,7 +100,7 @@ def _sturm(f):
     seq = [f, derivative(f)]
     while len(seq[-1]) > 1:
         seq.append(scale(rem(seq[-2], seq[-1]), -1))
-    return [_integral(p) for p in seq if p]
+    return [_integer_row(p) for p in seq if p]
 
 
 def _variations(seq, x):
@@ -128,7 +122,7 @@ def _split_point(ints, lo, hi):
 
 def _isolate(f, ints):
     """Disjoint intervals (lo, hi), one per real root of the square-free
-    f (ints: its `_integral`), in increasing order; f vanishes at
+    f (ints: its `_integer_row`), in increasing order; f vanishes at
     neither end."""
     seq = _sturm(f)
     lead = abs(ints[-1])
@@ -183,7 +177,7 @@ def real_roots(f):
     if len(f) < 3:
         return [Root.rational(-f[0] / f[1])] if len(f) == 2 else []
     f = quo_rem(f, gcd(f, derivative(f)))[0]
-    ints = _integral(f)
+    ints = _integer_row(f)
     found = [_rational_in(ints, lo, hi) for lo, hi in _isolate(f, ints)]
     rest = f
     for r, _ in found:
@@ -202,7 +196,7 @@ class Root:
 
     def __init__(self, f, lo, hi):
         self.f, self.lo, self.hi = f, Fraction(lo), Fraction(hi)
-        self._ints = _integral(f)
+        self._ints = _integer_row(f)
 
     @classmethod
     def rational(cls, r):
@@ -246,7 +240,7 @@ class Root:
         g = self.reduce(g)
         if not g:
             return 0
-        h = _integral(gcd(g, self.f))
+        h = _integer_row(gcd(g, self.f))
         if len(h) > 1 and _sign_at(h, self.lo) != _sign_at(h, self.hi):
             return 0
         for lo, hi in self.intervals():

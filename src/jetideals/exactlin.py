@@ -2,10 +2,12 @@
 
 Inputs are rows of anything `Fraction` accepts (ints, Fractions,
 floats).  Elimination runs on integer rows: each row's denominators
-are cleared once, rows are combined fraction-free as a*row - b*pivot_row
-and kept primitive by their gcd, and the pivots are divided out only at
-the end.  Subspaces are stored as reduced row echelon bases of
-Fractions, which makes equality and membership testing canonical.
+are cleared once, and rows are combined fraction-free as
+a*row - b*pivot_row and kept primitive by their gcd.  A subspace is
+held as its reduced row echelon rows, each scaled to its unique
+primitive integer multiple with a positive pivot, which makes equality
+and membership testing canonical; the Fraction RREF basis is built
+only when asked for (`Subspace.basis`, read for basis jets).
 Dimensions stay small (a few hundred at most), so plain dense
 elimination is fine.
 """
@@ -19,7 +21,8 @@ _ZERO = Fraction(0)
 
 
 def _integer_row(row):
-    """A primitive integer row spanning the same line as `row`."""
+    """A primitive integer row spanning the same line as `row`, a
+    positive multiple of it."""
     if not isinstance(row, (list, tuple)):
         row = list(row)
     if not all(type(a) is int for a in row):
@@ -44,7 +47,8 @@ def _reduce(row, pivot_row, col):
 def rref(rows):
     """Reduced row echelon form; returns (rows, pivot_columns).
 
-    The rows are tuples of Fraction, each with a 1 in its pivot column.
+    Each row is a tuple of ints: the primitive integer multiple of its
+    RREF row with a positive entry in its pivot column.
     """
     rows = [_integer_row(r) for r in rows]
     if not rows:
@@ -65,22 +69,16 @@ def rref(rows):
         rank += 1
         if rank == len(rows):
             break
-    basis = []
-    for row, col in zip(rows, pivots):
-        p = row[col]
-        basis.append(tuple(Fraction(a, p) if a else _ZERO for a in row))
-    return basis, pivots
+    # every row is primitive already; only the sign of its pivot is free
+    return [tuple(row) if row[col] > 0 else tuple(-a for a in row)
+            for row, col in zip(rows, pivots)], pivots
 
 
 class Subspace:
-    """A linear subspace of Q^d in canonical (RREF basis) form.
+    """A linear subspace of Q^d in canonical form: `rows` as `rref`
+    returns them, with their pivot columns."""
 
-    `_rows` holds the basis as primitive integer rows (each a positive
-    multiple of its RREF row), filled on first use by contains or
-    intersect.
-    """
-
-    __slots__ = ("ambient_dim", "basis", "pivots", "_rows")
+    __slots__ = ("ambient_dim", "rows", "pivots")
 
     def __init__(self, ambient_dim, vectors=()):
         self.ambient_dim = ambient_dim
@@ -89,44 +87,45 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError("vector length != ambient dimension")
-        self.basis, self.pivots = rref(vectors)
-        self._rows = None
+        self.rows, self.pivots = rref(vectors)
 
     @classmethod
-    def _reduced(cls, ambient_dim, basis, pivots):
-        """A subspace from a basis already in RREF, with its pivots."""
+    def _reduced(cls, ambient_dim, rows, pivots):
+        """A subspace from rows already in `rref`'s form, with their
+        pivots."""
         space = cls.__new__(cls)
         space.ambient_dim = ambient_dim
-        space.basis, space.pivots = basis, pivots
-        space._rows = None
+        space.rows, space.pivots = rows, pivots
         return space
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @property
+    def basis(self):
+        """The RREF basis: tuples of Fraction with a 1 in each pivot
+        column."""
+        return [tuple(Fraction(a, row[p]) if a else _ZERO for a in row)
+                for row, p in zip(self.rows, self.pivots)]
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.ambient_dim, tuple(self.basis)))
+        return hash((self.ambient_dim, tuple(self.rows)))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} in Q^{self.ambient_dim})"
 
-    def _integer_basis(self):
-        if self._rows is None:
-            self._rows = [_integer_row(r) for r in self.basis]
-        return self._rows
-
     def contains(self, vector) -> bool:
-        """Membership test by reduction against the RREF basis."""
+        """Membership test by reduction against the RREF rows."""
         v = _integer_row(vector)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length != ambient dimension")
-        for row, piv in zip(self._integer_basis(), self.pivots):
+        for row, piv in zip(self.rows, self.pivots):
             if v[piv]:
                 v = _reduce(v, row, piv)
         return not any(v)
@@ -134,7 +133,7 @@ class Subspace:
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        return Subspace(self.ambient_dim, list(self.basis) + list(other.basis))
+        return Subspace(self.ambient_dim, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: row-reduce [[u|u],[w|0]]; intersection basis shows
@@ -142,15 +141,14 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
         d = self.ambient_dim
-        zero = [0] * d
-        block = ([u + u for u in self._integer_basis()]
-                 + [w + zero for w in other._integer_basis()])
-        reduced, pivots = rref(block)
+        zero = (0,) * d
+        reduced, pivots = rref([u + u for u in self.rows]
+                               + [w + zero for w in other.rows])
         # the rows pivoting in the right half come last; their left
-        # halves are zero and their right halves are already in RREF
+        # halves are zero, so their right halves are in rref's form
         k = sum(p < d for p in pivots)
         return Subspace._reduced(d, [row[d:] for row in reduced[k:]],
                                  [p - d for p in pivots[k:]])
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other._integer_basis())
+        return all(self.contains(v) for v in other.rows)

@@ -33,6 +33,15 @@ def _up(x: float) -> float:
     return math.nextafter(x, _INF)
 
 
+def _endpoint(x, step) -> float:
+    """float(x), one step further out (by `step`) for a Fraction and for
+    an int that no double holds."""
+    f = float(x)
+    if isinstance(x, Fraction) or (isinstance(x, int) and f != x):
+        return step(f)
+    return f
+
+
 class Interval:
     """A closed interval [lo, hi] with outward rounding."""
 
@@ -42,9 +51,9 @@ class Interval:
         if hi is None:
             hi = lo
         if type(lo) is not float:
-            lo = _down(float(lo)) if isinstance(lo, Fraction) else float(lo)
+            lo = _endpoint(lo, _down)
         if type(hi) is not float:
-            hi = _up(float(hi)) if isinstance(hi, Fraction) else float(hi)
+            hi = _endpoint(hi, _up)
         if not lo <= hi:
             if lo != lo or hi != hi:
                 raise DomainError(f"NaN endpoint in [{lo}, {hi}]")
@@ -55,15 +64,14 @@ class Interval:
     # -- constructors ---------------------------------------------------
     @staticmethod
     def exact(x) -> "Interval":
-        """Tight interval around a number (widened if not a float)."""
+        """Tight interval around a number: its double, widened by one
+        step each way if that is not the number (a Fraction or an int)."""
         if isinstance(x, Interval):
             return x
-        if isinstance(x, Fraction):
-            f = float(x)
-            if Fraction(f) == x:
-                return Interval(f, f)
+        f = float(x)
+        if isinstance(x, (Fraction, int)) and Fraction(f) != x:
             return Interval(_down(f), _up(f))
-        return Interval(float(x), float(x))
+        return Interval(f, f)
 
     @staticmethod
     def hull(items) -> "Interval":

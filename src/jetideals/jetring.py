@@ -192,15 +192,6 @@ class Jet:
             table = table[1:]
         return tuple(self.coeffs.get(a, _ZERO) for a in table)
 
-    @staticmethod
-    def from_coordinates(sig: RingSignature, vec, include_constant=True):
-        table = sig.monomials
-        if not include_constant:
-            table = table[1:]
-        if len(vec) != len(table):
-            raise DimensionMismatchError("coordinate vector has wrong length")
-        return Jet(sig, dict(zip(table, vec)))
-
     # -- arithmetic -----------------------------------------------------
     def _check_sig(self, other: "Jet"):
         if self.sig != other.sig:
@@ -337,10 +328,7 @@ def _tokenize(text):
             raise ParseError(f"unexpected character {stripped[0]!r}", pos)
         num, name, op = mt.groups()
         if num is not None:
-            if "." in num:
-                tokens.append(("num", Fraction(num).limit_denominator(10 ** 12), pos))
-            else:
-                tokens.append(("num", Fraction(int(num)), pos))
+            tokens.append(("num", Fraction(num), pos))
         elif name is not None:
             tokens.append(("name", name, pos))
         else:
@@ -625,13 +613,14 @@ def _invertible(matrix) -> bool:
 
 def _matrix_inverse(matrix):
     """The right half of rref([A | I]), whose left half is I iff A is
-    invertible."""
+    invertible; rref's row i is its pivot row[i] times the RREF row."""
     n = len(matrix)
     reduced, pivots = rref([list(row) + [int(i == j) for j in range(n)]
                             for i, row in enumerate(matrix)])
     if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
-    return [list(row[n:]) for row in reduced]
+    return [[Fraction(a, row[i]) for a in row[n:]]
+            for i, row in enumerate(reduced)]
 
 
 def jet_compose(p: Jet, phi: DiffeoJet) -> Jet:

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import algebraic
 from .errors import DomainError, ParseError
 from .interval import Interval, box_norm
 from .jetring import _Parser, variable_names
@@ -788,21 +789,10 @@ def _smoothstep_coeffs(q: int):
     return out
 
 
-def _poly_deriv(coeffs):
-    return [Fraction(k) * c for k, c in enumerate(coeffs)][1:] or [Fraction(0)]
-
-
 def _integer_poly(coeffs):
     """(integer coefficients, common denominator) of a rational polynomial."""
     den = math.lcm(*(c.denominator for c in coeffs))
     return [int(c * den) for c in coeffs], den
-
-
-def _poly_eval_fraction(coeffs, u: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * u + c
-    return acc
 
 
 def _poly_eval_interval(coeffs, u: Interval) -> Interval:
@@ -830,7 +820,7 @@ class CutoffSpec:
         # theta(t) = 1 - S((t-a)/(b-a)); store derivative polys of S in u
         self._polys = [_smoothstep_coeffs(q)]
         for _ in range(q):
-            self._polys.append(_poly_deriv(self._polys[-1]))
+            self._polys.append(algebraic.derivative(self._polys[-1]))
         self._int_polys = [_integer_poly(p) for p in self._polys]
 
     @functools.cached_property
@@ -858,7 +848,7 @@ class CutoffSpec:
         if v >= b:
             return 0.0
         u = Fraction(v - a) / self.width
-        val = float(_poly_eval_fraction(self._polys[order], u))
+        val = float(algebraic.evaluate(self._polys[order], u))
         val /= float(self.width) ** order
         return 1.0 - val if order == 0 else -val
 

@@ -116,6 +116,21 @@ def test_verify_implication_cert_file(tmp_path, capsys):
     assert len(doc["conclusions"]) == 2
 
 
+def test_a_decimal_with_thirteen_places_keeps_its_value(tmp_path, capsys):
+    # S read 1.0000000000001 as 1, which made S*Q equal the target
+    # x*y exactly, so this false certificate passed
+    cert = {"ideal": {"m": 2, "n": 2, "generators": ["x*y"]},
+            "target": "x*y",
+            "terms": [{"Q": "x*y", "S": "1.0000000000001", "C": 50}],
+            "F": "0"}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, doc = run(capsys, "verify-implication", "--cert", str(path))
+    assert code == 1 and doc["verdict"] != "pass"
+    assert [d["identity_residual_zero"] for d in doc["directions"]] \
+        == [False] * len(doc["directions"])
+
+
 def _intro_annulus_cert():
     inputs = case_by_id("annulus-intro").inputs
     return {"ideal": {"m": 2, "n": 3, "generators": inputs["Q"]},

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from jetideals.exactlin import Subspace, rref
 
@@ -17,13 +18,14 @@ def test_rref_idempotent_and_canonical():
     for _ in range(50):
         dim = rng.randint(1, 6)
         vecs = random_vectors(rng, dim, rng.randint(0, 6))
-        basis, pivots = rref(vecs)
-        again, pivots2 = rref(basis)
-        assert basis == again and pivots == pivots2
-        # pivot columns carry a 1 and are the only nonzero entry there
+        rows, pivots = rref(vecs)
+        again, pivots2 = rref(rows)
+        assert rows == again and pivots == pivots2
+        # each row is primitive with a positive pivot, the only nonzero
+        # entry of its pivot column
         for i, p in enumerate(pivots):
-            assert basis[i][p] == 1
-            assert all(basis[j][p] == 0 for j in range(len(basis)) if j != i)
+            assert rows[i][p] > 0 and gcd(*rows[i]) == 1
+            assert all(rows[j][p] == 0 for j in range(len(rows)) if j != i)
 
 
 def test_subspace_equality_independent_of_presentation():

@@ -13,6 +13,7 @@ test_exponent_errors_point_at_the_exponent).
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,3 +135,22 @@ def test_expression_rules():
             parse("x/0", 1)
         with pytest.raises(ParseError, match="exponent must be an integer"):
             parse("x^1.5", 1)
+
+
+def test_decimal_literals_parse_exactly():
+    # a decimal was rounded to a denominator of at most 10^12, so a
+    # literal with 13 places read 0 (and a cutoff scale of 0 raised)
+    jet = jet_parse("0.0000000000001*x + y", RingSignature(2, 2))
+    assert jet.coeffs == {(1, 0): Fraction(1, 10 ** 13), (0, 1): 1}
+    cutoff = expr_parse("theta(norm(x,y), 0.0000000000005)", 2)
+    assert cutoff.scale == Fraction(1, 2 * 10 ** 12)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.text(alphabet="0123456789", min_size=1, max_size=40))
+def test_every_decimal_literal_is_its_exact_value(whole, places):
+    text = f"{whole}.{places}"
+    value = whole + Fraction(int(places), 10 ** len(places))
+    assert jet_parse(f"{text}*x", RingSignature(1, 1)).coeffs.get((1,)) \
+        == (value or None)
+    assert expr_parse(f"{text}*x", 1) == expr_parse(f"{value}*x", 1)

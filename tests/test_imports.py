@@ -1,5 +1,5 @@
 """Every top-level import of a package module is used in that module,
-and none of them is sympy.
+and none of them is sympy; every top-level function and class is used.
 
 Each src/jetideals/*.py but __init__.py (whose imports are the package's
 public names) is parsed with ast.  A name bound by a module-level import
@@ -7,14 +7,19 @@ must be read somewhere in the module: as a bare name or as the base of
 an attribute chain.  `from __future__` imports bind nothing.  sympy
 serves only the exact allowed-set solvers, which import it when they
 run: no statement that runs at import time, in any module, imports it
-(tests/test_startup.py checks the same in fresh interpreters)."""
+(tests/test_startup.py checks the same in fresh interpreters).
+
+A top-level function or class must be read somewhere in src/ outside
+its own definition, or in bench/ or demos/, or be a public name of the
+package: a helper that only the tests read is dead code."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "jetideals"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "jetideals"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -69,3 +74,44 @@ def test_no_package_module_imports_sympy_at_top_level(path):
     found = [m for m in _import_time_modules(tree)
              if m.split(".")[0] == "sympy"]
     assert not found, f"{path.name} imports {found} at import time"
+
+
+def _reads(tree, skip=None):
+    """The identifiers tree reads outside the subtree `skip`: names,
+    attribute names, names imported from a module and identifier
+    strings (bench/tracing.py names what it wraps by string)."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            found.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_top_level_function_and_class_is_used():
+    trees = {p: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    reads = {p: _reads(tree) for p, tree in trees.items()}
+    elsewhere = set()
+    for p in [*(ROOT / "bench").glob("*.py"), *(ROOT / "demos").glob("*.py")]:
+        elsewhere |= _reads(ast.parse(p.read_text(), filename=str(p)))
+    unused = []
+    for p, tree in trees.items():
+        outside = elsewhere.union(*(r for q, r in reads.items() if q != p))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and node.name not in outside
+                    and node.name not in _reads(tree, skip=node)):
+                unused.append(f"{p.name}: {node.name} (line {node.lineno})")
+    assert not unused, f"defined but never used: {unused}"

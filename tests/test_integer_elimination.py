@@ -4,9 +4,11 @@ evaluation in scalar_reference.py give."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import scalar_reference as ref
 from jetideals.directions import _compile_scaled, _eval_scaled
@@ -43,15 +45,70 @@ def _random_rows(rng, max_rows=7, max_cols=8):
     return cols, rows
 
 
+def _fraction_rows(rows, pivots):
+    """The Fraction RREF rows that rref's integer rows stand for."""
+    return [tuple(Fraction(a, row[p]) for a in row)
+            for row, p in zip(rows, pivots)]
+
+
+def _assert_canonical(rows, pivots):
+    """rref's contract: tuples of ints, each primitive with a positive
+    pivot that is the only nonzero entry of its column."""
+    assert all(type(row) is tuple for row in rows)
+    assert all(type(x) is int for row in rows for x in row)
+    for i, (row, p) in enumerate(zip(rows, pivots)):
+        assert row[p] > 0 and gcd(*row) == 1
+        assert all(other[p] == 0 for j, other in enumerate(rows) if j != i)
+
+
 def test_rref_equals_fraction_elimination():
     rng = random.Random(2024)
     for _ in range(3000):
         _, rows = _random_rows(rng)
-        basis, pivots = rref(rows)
+        got, pivots = rref(rows)
         want_basis, want_pivots = ref.rref(rows)
-        assert basis == want_basis and pivots == want_pivots
-        assert all(type(row) is tuple for row in basis)
-        assert all(type(x) is Fraction for row in basis for x in row)
+        assert pivots == want_pivots
+        assert _fraction_rows(got, pivots) == want_basis
+        _assert_canonical(got, pivots)
+
+
+_entries = st.one_of(st.integers(-30, 30), st.fractions(max_denominator=12))
+
+
+@st.composite
+def _matrices(draw):
+    cols = draw(st.integers(1, 7))
+    return draw(st.lists(st.lists(_entries, min_size=cols, max_size=cols),
+                         max_size=6))
+
+
+@given(_matrices())
+def test_rref_rows_are_the_canonical_integer_rows(rows):
+    got, pivots = rref(rows)
+    _assert_canonical(got, pivots)
+    assert (_fraction_rows(got, pivots), pivots) == ref.rref(rows)
+
+
+@given(_matrices(), st.data())
+def test_presentations_of_one_span_give_equal_rows_and_hashes(rows, data):
+    """Scaled rows, sums of rows and repeats, shuffled, span the same
+    space, which must come out with the same rows."""
+    cols = len(rows[0]) if rows else 1
+    weights = st.fractions(max_denominator=6).filter(bool)
+    other = []
+    for row in rows:
+        c = data.draw(weights)
+        other.append([c * x for x in row])
+    if rows:
+        for _ in range(data.draw(st.integers(0, 3))):
+            a, b = (data.draw(st.sampled_from(rows)) for _ in range(2))
+            c = data.draw(weights)
+            other.append([x + c * y for x, y in zip(a, b)])
+    other = data.draw(st.permutations(other))
+    U, W = Subspace(cols, rows), Subspace(cols, other)
+    assert U.rows == W.rows and U.pivots == W.pivots
+    assert U == W and hash(U) == hash(W)
+    assert U.basis == ref.rref(rows)[0]
 
 
 def test_contains_and_coordinates_equal_fraction_reduction():
@@ -156,6 +213,18 @@ def test_invertible_and_inverse_equal_gauss_jordan(n):
             with pytest.raises(ValueError, match="singular matrix"):
                 ref.matrix_inverse(A)
     assert seen == {True, False}
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_matrix_inverse_equals_the_reference(A):
+    if not ref.invertible(A):
+        with pytest.raises(ValueError, match="singular matrix"):
+            _matrix_inverse(A)
+        return
+    inv = _matrix_inverse(A)
+    assert inv == ref.matrix_inverse(A)
+    assert all(type(x) is Fraction for row in inv for x in row)
 
 
 def test_linear_inverse_composes_to_identity():

@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from jetideals.algebraic import evaluate
 from jetideals.errors import DomainError
 from jetideals.interval import Interval, _down, _up, box_norm
-from jetideals.symfun import DEFAULT_CUTOFF, _poly_eval_fraction
+from jetideals.symfun import DEFAULT_CUTOFF, expr_eval, expr_parse
 
 import scalar_reference as ref
 
@@ -162,7 +163,7 @@ def _theta_exact(spec, v, order):
     if v >= spec.b:
         return Fraction(0)
     u = (v - spec.a) / spec.width
-    val = _poly_eval_fraction(spec._polys[order], u) / spec.width ** order
+    val = evaluate(spec._polys[order], u) / spec.width ** order
     return 1 - val if order == 0 else -val
 
 
@@ -219,6 +220,20 @@ def _guarded_up(x):
     if x == math.inf or x != x:
         return x
     return math.nextafter(x, math.inf)
+
+
+@given(st.one_of(st.integers(-2 ** 80, 2 ** 80),
+                st.integers(2 ** 53 - 4, 2 ** 53 + 4).map(lambda k: k * 3),
+                st.integers(2 ** 900, 2 ** 1000)))
+def test_an_int_that_no_double_holds_is_widened(x):
+    # float(10**17 + 1) is 1e17, and the point interval [1e17, 1e17]
+    # missed the value
+    for iv in (Interval.exact(x), Interval(x), Interval(x, x)):
+        assert iv.lo <= x <= iv.hi       # int-float comparison is exact
+    if float(x) == x:
+        assert Interval.exact(x) == Interval(x) == Interval(float(x))
+    enc = expr_eval(expr_parse("x + 1", 1), [x], mode="interval")
+    assert enc.lo <= x + 1 <= enc.hi
 
 
 def _bits(x):
