@@ -22,31 +22,26 @@ cone.  Writing x = s*u with u on the sphere and pulling the homogeneous
 scaling out of each Q_l reduces this to positivity of a polynomial in
 (s, u) on a compact set, which branch-and-bound interval evaluation can
 settle; the polynomial is compiled once per search.  The search walks
-batches of cells stored as numpy arrays, with outward-rounded interval
-batch operations that repeat the one-cell Interval evaluation element by
-element; its result is that of the depth-first one-cell walk (see
-certify_lower_bound).
+one cell at a time, depth first, over a sphere-cover tree kept across
+searches (see certify_lower_bound).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from fractions import Fraction
-
-import numpy as np
 
 from . import algebraic
 from .algebraic import Ray, Root
 from .errors import DomainError
-from .geometry import (SpherePatch, direction_enclosures, face_boxes,
-                       sphere_cover)
+from .geometry import sphere_cover
 from .ideal import JetIdeal
-from .interval import (Interval, batch_abs, batch_add, batch_exact,
-                       batch_ipow, batch_mul)
+from .interval import Interval
 from .jetring import (MORE_THAN_M, DiffeoJet, Jet, RingSignature,
                       jet_compose)
-from .regions import Dome
+from .regions import DOME_TREE_PATCHES, Dome
 
 CERTIFIED_FORBIDDEN = "certified_forbidden"
 CANDIDATE_ALLOWED = "candidate_allowed"
@@ -441,10 +436,10 @@ def _compile_scaled(jets):
     """sum_l |Q_l(s u)| / s^{k_l}, compiled once per search.
 
     Q_l(s u) / s^{k_l} = sum_alpha c_alpha s^{|alpha| - k_l} u^alpha, so
-    each monomial becomes (c_alpha as a constant interval batch, its
-    s-degree |alpha| - k_l, its factors (i, alpha_i) with alpha_i > 0).
-    Also returned: the distinct factors, whose powers u_i^a a batch
-    computes once, and the top s-degree.
+    each monomial becomes (c_alpha as an Interval, its s-degree
+    |alpha| - k_l, its factors (i, alpha_i) with alpha_i > 0).  Also
+    returned: the distinct factors, whose powers u_i^a a cell computes
+    once, and the top s-degree.
     """
     polys = []
     for q in jets:
@@ -452,7 +447,7 @@ def _compile_scaled(jets):
         if k == MORE_THAN_M or k < 1:
             raise DomainError("certificate jets must have order >= 1")
         polys.append(tuple(
-            (batch_exact(Interval.exact(c)), sum(alpha) - k,
+            (Interval.exact(c), sum(alpha) - k,
              tuple((i, a) for i, a in enumerate(alpha) if a))
             for alpha, c in q.coeffs.items()))
     factors = sorted({f for poly in polys for _, _, fs in poly for f in fs})
@@ -460,34 +455,52 @@ def _compile_scaled(jets):
     return polys, factors, top
 
 
-_ONE = np.ones((2, 1))
-_ZERO = np.zeros((2, 1))
+_ONE = Interval(1.0, 1.0)
+_ZERO = Interval(0.0, 0.0)
 
 
 def _eval_scaled(compiled, s, u):
-    """Enclosures of sum_l |Q_l(s u)/s^{k_l}| for s >= 0 on a batch of
-    cells: s is an interval batch (2, N), u one (2, N, n) of direction
-    enclosures.  The operations are those of the per-cell Interval
-    evaluation, in the same order, so each cell's enclosure equals it
-    bit for bit."""
+    """Enclosure of sum_l |Q_l(s u)/s^{k_l}| for s >= 0 on one cell: s
+    an Interval, u the patch's direction enclosure."""
     polys, factors, top = compiled
     s_pows = [_ONE]
     for _ in range(top):
-        s_pows.append(batch_mul(s_pows[-1], s))
-    u_pows = {(i, a): batch_ipow(u[:, :, i], a) for i, a in factors}
+        s_pows.append(s_pows[-1] * s)
+    u_pows = {f: u[f[0]].ipow(f[1]) for f in factors}
     total = _ZERO
     for poly in polys:
         term = _ZERO
         for c, d, monomial in poly:
-            mono = batch_mul(c, s_pows[d])
+            mono = c * s_pows[d]
             for f in monomial:
-                mono = batch_mul(mono, u_pows[f])
-            term = batch_add(term, mono)
-        total = batch_add(total, batch_abs(term))
+                mono = mono * u_pows[f]
+            term = term + mono
+        total = total + abs(term)
     return total
 
 
-BATCH_CELLS = 1024
+# The sphere-cover tree of the walks, one per n, kept across searches:
+# a patch keeps its subdivide() halves and its direction enclosure, so
+# later searches reuse the patches and enclosures of earlier ones.  A
+# walk keeps new halves while the tree holds fewer than
+# DOME_TREE_PATCHES patches and makes the rest afresh without keeping
+# them; a full tree is replaced before the next walk.
+_trees = {}
+
+
+def _patch_tree(n):
+    """[roots, patches held] of the kept tree of S^{n-1}."""
+    tree = _trees.get(n)
+    if tree is None or tree[1] >= DOME_TREE_PATCHES:
+        roots = sphere_cover(n, 0)
+        tree = _trees[n] = [roots, len(roots)]
+    return tree
+
+
+# In a walk of smaller budget every s interval is [j, j + 1] / 2^k with
+# k <= budget, whose ends and midpoint are exact floats: both halves of
+# an s-split have width 2^-(k+1), and so have the halves of the halves.
+_EXACT_S_DEPTH = sys.float_info.mant_dig
 
 
 def certify_lower_bound(jets, omega, delta, budget, n, target: float = 0.0):
@@ -506,90 +519,63 @@ def certify_lower_bound(jets, omega, delta, budget, n, target: float = 0.0):
     depth `budget` such a cell fails the search if it may meet the dome
     (Dome.meets; on the whole sphere, always): a cell that only straddles
     the dome's edge may hold a zero inside the dome.
-    The walk evaluates cells in batches, numpy arrays of at most
-    BATCH_CELLS cells of one depth, kept on a stack, so memory stays
-    O(budget * BATCH_CELLS).  When no monomial has positive s-degree
-    the sum never reads s, so an s-split keeps its parent's enclosure:
-    its halves go to the next depth as open cells, not evaluated again.
-    Every cell's enclosure equals the per-cell Interval evaluation bit
-    for bit, and the result does not depend on the order of the cells:
-    the bound is the least certified enclosure and the depth the
-    deepest cell of one fixed tree, and a failing cell ends the search
-    at depth `budget` wherever it sits.
-    So the result is that of the depth-first walk of one cell at a time
-    (tests/scalar_reference.py), with one exception: a NaN endpoint
-    anywhere in a batch raises DomainError, where the depth-first walk
-    might have met a failing cell first.  Finite coefficients, |u| <= 1
-    and 0 <= s <= 1 leave no NaN endpoint.
+    The walk takes one cell at a time, depth first, over the kept patch
+    tree (_patch_tree), whose patches keep their direction enclosures.
+    When no monomial has positive s-degree the sum never reads s, so
+    both halves of an s-split are the parent's cell to it, with its
+    enclosure; at every budget below _EXACT_S_DEPTH they also make the
+    same splits, so only one half is walked, and not evaluated again.
+    The bound is a minimum and the depth a maximum over the same cells,
+    and a failing cell sits at depth `budget`, so the result is that of
+    the depth-first walk of tests/scalar_reference.py, which evaluates
+    every cell.
     """
     compiled = _compile_scaled(jets)
-    reads_s = compiled[2] > 0
-    cover = sphere_cover(n, 0)
-    dome = None if omega is None else Dome(cover, [omega.vec], delta)
-    roots = cover if dome is None else dome.roots
-    work = []
-    if roots:
-        s = np.array([[0.0], [1.0]]).repeat(len(roots), axis=1)
-        work.append((0, *face_boxes(roots), s,
-                     np.ones(len(roots), dtype=bool)))
+    one_half = compiled[2] == 0 and budget < _EXACT_S_DEPTH
+    tree = _patch_tree(n)
+    roots = tree[0]
+    dome = None if omega is None else Dome(roots, [omega.vec], delta)
+    unit = Interval(0.0, 1.0)
+    work = [(p, unit, 0, None) for p in (roots if dome is None
+                                        else dome.roots)]
     best = math.inf
     max_depth = 0
     while work:
-        depth, axes, faces, s, fresh = work.pop()
-        max_depth = max(max_depth, depth)
-        lower = np.full(len(axes), -math.inf)   # carried halves stay open
-        if fresh.any():
-            u = direction_enclosures(faces[:, fresh])
-            lower[fresh] = _eval_scaled(compiled, s[:, fresh], u)[0]
-        done = lower > target
-        if done.any():
-            best = min(best, float(lower[done].min()))
-            if done.all():
+        patch, s, depth, lower = work.pop()
+        if depth > max_depth:
+            max_depth = depth
+        if lower is None:
+            lower = _eval_scaled(compiled, s, patch.direction_enclosure()).lo
+            if lower > target:
+                if lower < best:
+                    best = lower
                 continue
-            keep = ~done
-            axes, faces, s = axes[keep], faces[:, keep], s[:, keep]
         if depth >= budget:
-            if dome is None or any(
-                    dome.meets(_face_patch(n, axis, face))
-                    for axis, face in zip(axes, faces.transpose(1, 0, 2))):
+            if dome is None or dome.meets(patch):
                 return None, max_depth
             continue
-        axes, faces, s, split_s = _split_cells(axes, faces, s)
-        fresh = ~split_s | reads_s
-        for start in range(0, len(axes), BATCH_CELLS):
-            cut = slice(start, start + BATCH_CELLS)
-            work.append((depth + 1, axes[cut], faces[:, cut], s[:, cut],
-                         fresh[cut]))
+        depth += 1
+        width = s.hi - s.lo
+        if all(width >= hi - lo for lo, hi in patch.box):
+            a, b = s.split()
+            if one_half:
+                work.append((patch, b, depth, lower))
+            else:
+                work.append((patch, a, depth, None))
+                work.append((patch, b, depth, None))
+            continue
+        halves = patch.halves
+        if halves is None:
+            if tree[1] < DOME_TREE_PATCHES:
+                tree[1] += 2
+                halves = patch.subdivide()
+            else:
+                halves = patch.split()
+        work.append((halves[0], s, depth, None))
+        work.append((halves[1], s, depth, None))
     if not math.isfinite(best):
         return None, max_depth
     return best, max_depth
-
-
-def _split_cells(axes, faces, s):
-    """Both halves of every cell, split as certify_lower_bound says, and
-    for each half whether its cell was split in s."""
-    rows = np.arange(len(axes))
-    widths = faces[1] - faces[0]
-    widths[rows, axes] = -math.inf        # the face axis is no box axis
-    split_s = s[1] - s[0] >= widths.max(axis=1)
-    left_f, right_f = faces.copy(), faces.copy()
-    left_s, right_s = s.copy(), s.copy()
-    mid = 0.5 * (s[0, split_s] + s[1, split_s])
-    left_s[1, split_s], right_s[0, split_s] = mid, mid
-    box, j = rows[~split_s], widths.argmax(axis=1)[~split_s]
-    mid = 0.5 * (faces[0, box, j] + faces[1, box, j])
-    left_f[1, box, j], right_f[0, box, j] = mid, mid
-    return (np.concatenate((axes, axes)),
-            np.concatenate((left_f, right_f), axis=1),
-            np.concatenate((left_s, right_s), axis=1),
-            np.concatenate((split_s, split_s)))
-
-
-def _face_patch(n, axis, face):
-    """The SpherePatch of one cell's face box (2, n)."""
-    lo, hi = face
-    return SpherePatch(n, int(axis), int(lo[axis]),
-                       [(lo[i], hi[i]) for i in range(n) if i != axis])
 
 
 def forbidden_certificate_search(jets, omega, budget: int = 12,

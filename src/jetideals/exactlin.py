@@ -136,14 +136,28 @@ class Subspace:
         return Subspace(self.ambient_dim, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: row-reduce [[u|u],[w|0]]; intersection basis shows
-        up in the right half of rows whose left half is zero."""
+        """Zassenhaus without the [u|u] block: each row w of other is
+        reduced by these rows to left = k*w - (a vector u of this span),
+        which gives the row [left | left - k*w] = [left | -u].  The rows
+        whose left half rref makes zero hold the intersection in their
+        right halves.  The [u|u] rows pivot where every left is zero,
+        so they would never change those rows."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
         d = self.ambient_dim
-        zero = (0,) * d
-        reduced, pivots = rref([u + u for u in self.rows]
-                               + [w + zero for w in other.rows])
+        mixed = []
+        for w in other.rows:
+            left, k = w, 1
+            for row, piv in zip(self.rows, self.pivots):
+                a = left[piv]
+                if a:
+                    p = row[piv]
+                    g = gcd(a, p)
+                    a, p = a // g, p // g
+                    left = [p * x - a * y for x, y in zip(left, row)]
+                    k *= p
+            mixed.append([*left, *(x - k * y for x, y in zip(left, w))])
+        reduced, pivots = rref(mixed)
         # the rows pivoting in the right half come last; their left
         # halves are zero, so their right halves are in rref's form
         k = sum(p < d for p in pivots)

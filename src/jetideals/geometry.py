@@ -15,11 +15,8 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DimensionMismatchError, DomainError, JetIdealsError
-from .interval import (Interval, batch_add, batch_div, batch_ipow,
-                       batch_sqrt, box_norm)
+from .interval import Interval, box_norm
 
 _NORM_TOL = 1e-12
 # The narrowest cone opening: a direction drawn around w (w + t v,
@@ -145,10 +142,11 @@ class SpherePatch:
     The face is coordinate `axis` frozen at `sign` (+1/-1); `box` is a
     tuple of (lo, hi) pairs for the remaining n-1 coordinates, each
     within [-1, 1].  A patch computes its direction enclosure once and
-    keeps it.
+    keeps it, and keeps its subdivide() halves in `halves` (None until
+    then).
     """
 
-    __slots__ = ("n", "axis", "sign", "box", "_enc")
+    __slots__ = ("n", "axis", "sign", "box", "_enc", "halves")
 
     def __init__(self, n, axis, sign, box):
         box = tuple((float(lo), float(hi)) for lo, hi in box)
@@ -159,6 +157,7 @@ class SpherePatch:
         self.sign = sign
         self.box = box
         self._enc = None
+        self.halves = None
 
     def __repr__(self):
         return f"SpherePatch(axis={self.axis}, sign={self.sign:+d}, box={self.box})"
@@ -184,23 +183,16 @@ class SpherePatch:
             self._enc = tuple(c / norm for c in face)
         return self._enc
 
-    def contains_direction(self, omega: Direction, slack=0.0) -> bool:
-        """True if omega projects radially into this face box.
-
-        A direction lands on face (axis, sign) when its largest-magnitude
-        coordinate is there; scaling so that coordinate equals sign must
-        put the rest inside the box.
-        """
-        c = omega.vec[self.axis]
-        if c * self.sign <= 0:
-            return False
-        scale = self.sign / c
-        rest = [scale * v for i, v in enumerate(omega.vec) if i != self.axis]
-        return all(lo - slack <= t <= hi + slack
-                   for t, (lo, hi) in zip(rest, self.box))
-
     def subdivide(self):
-        """Split the longest box axis in half; returns two patches."""
+        """Split the longest box axis in half; returns two patches.  The
+        patch keeps them (`halves`), so every later call returns the
+        same two, with the direction enclosures they keep."""
+        if self.halves is None:
+            self.halves = self.split()
+        return self.halves
+
+    def split(self):
+        """subdivide's two patches, made afresh and not kept."""
         widths = [hi - lo for lo, hi in self.box]
         j = widths.index(max(widths))
         lo, hi = self.box[j]
@@ -220,29 +212,6 @@ class SpherePatch:
             halves.append([(lo, mid), (mid, hi)])
         return tuple(SpherePatch(self.n, self.axis, self.sign, combo)
                      for combo in itertools.product(*halves))
-
-
-def face_boxes(patches):
-    """(axes, faces) of a list of patches: each patch's face axis, and
-    an interval batch (2, N, n) of their `face_intervals` boxes, whose
-    axis column holds the face sign at both endpoints."""
-    boxes = [p.face_intervals() for p in patches]
-    axes = np.array([p.axis for p in patches], dtype=np.intp)
-    faces = np.array([[[iv.lo for iv in box] for box in boxes],
-                      [[iv.hi for iv in box] for box in boxes]])
-    return axes, faces.reshape(2, len(patches), -1)
-
-
-def direction_enclosures(faces):
-    """SpherePatch.direction_enclosure for a batch (2, N, n) of face
-    boxes, as a batch of the same shape: the same operations, in the
-    same order, on interval batches, so each row equals the patch's
-    enclosure bit for bit."""
-    squares = batch_ipow(faces, 2)
-    norm2 = np.zeros((2, faces.shape[1]))
-    for i in range(faces.shape[2]):
-        norm2 = batch_add(norm2, squares[:, :, i])
-    return batch_div(faces, batch_sqrt(norm2)[:, :, None])
 
 
 def sphere_cover(n: int, depth: int = 0):

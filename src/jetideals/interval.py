@@ -4,13 +4,11 @@ Endpoints are floats, never NaN: a NaN endpoint raises DomainError.
 Every arithmetic result is widened by one ulp on each side, so
 enclosures stay sound under float rounding without pulling in a
 multiprecision dependency.  That is cheap and more than enough for
-the certificate searches here, which only need modest depth.
-
-Interval batches are numpy arrays of shape (2, ...): row 0 holds the
-lower endpoints and row 1 the upper.  The batch_* operations give,
-element by element, exactly the endpoints of the Interval operation
-they mirror and raise what it raises, so a walk over arrays of cells
-reaches bit for bit the enclosures of a walk over single cells.
+the certificate searches here, which only need modest depth.  The
+searches evaluate one cell at a time, so the operators are the hot
+path of the forbidden-cone walk and of the negligibility dome walk:
+`*` and `/` compare their four endpoint products in place rather than
+building a tuple for min and max.
 """
 
 from __future__ import annotations
@@ -18,19 +16,18 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DomainError
 
 _INF = math.inf
+_next = math.nextafter
 
 
 def _down(x: float) -> float:
-    return math.nextafter(x, -_INF)
+    return _next(x, -_INF)
 
 
 def _up(x: float) -> float:
-    return math.nextafter(x, _INF)
+    return _next(x, _INF)
 
 
 def _endpoint(x, step) -> float:
@@ -106,8 +103,8 @@ class Interval:
 
     # -- arithmetic -----------------------------------------------------
     # Operators convert a non-Interval operand by Interval.exact and build
-    # their results with _result: their endpoints are floats with
-    # lo <= hi unless an endpoint is NaN.
+    # their results with _result (* and / inline its work): their
+    # endpoints are floats with lo <= hi unless an endpoint is NaN.
     def __neg__(self):
         return _result(-self.hi, -self.lo)
 
@@ -125,27 +122,74 @@ class Interval:
         return Interval.exact(other) + (-self)
 
     def __mul__(self, other):
+        # the least and greatest of the four endpoint products, taken in
+        # place; endpoints are never NaN, so a NaN product is 0 * inf,
+        # which is 0 in the set-based convention of IEEE 1788-2015
         if type(other) is not Interval:
             other = Interval.exact(other)
-        prods = (self.lo * other.lo, self.lo * other.hi,
-                 self.hi * other.lo, self.hi * other.hi)
-        a, b, c, d = prods
-        if a != a or b != b or c != c or d != d:
-            # endpoints are never NaN, so this is 0 * inf, which is 0 in
-            # the set-based convention of IEEE 1788-2015
-            prods = tuple(0.0 if p != p else p for p in prods)
-        return _result(_down(min(prods)), _up(max(prods)))
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        lo = hi = a * c
+        if lo != lo:
+            lo = hi = 0.0
+        p = a * d
+        if p != p:
+            p = 0.0
+        if p < lo:
+            lo = p
+        elif p > hi:
+            hi = p
+        p = b * c
+        if p != p:
+            p = 0.0
+        if p < lo:
+            lo = p
+        elif p > hi:
+            hi = p
+        p = b * d
+        if p != p:
+            p = 0.0
+        if p < lo:
+            lo = p
+        elif p > hi:
+            hi = p
+        out = _new(Interval)
+        out.lo = _next(lo, -_INF)
+        out.hi = _next(hi, _INF)
+        return out
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        # the quotients in place, compared as min and max compare them:
+        # a NaN quotient (inf / inf) is passed over unless it comes first
         if type(other) is not Interval:
             other = Interval.exact(other)
-        if other.lo <= 0.0 <= other.hi:
+        c, d = other.lo, other.hi
+        if c <= 0.0 <= d:
             raise DomainError(f"division by interval containing zero: {other}")
-        quots = (self.lo / other.lo, self.lo / other.hi,
-                 self.hi / other.lo, self.hi / other.hi)
-        return _result(_down(min(quots)), _up(max(quots)))
+        a, b = self.lo, self.hi
+        lo = hi = a / c
+        if lo != lo:
+            raise DomainError(f"NaN endpoint in [{lo}, {hi}]")
+        q = a / d
+        if q < lo:
+            lo = q
+        elif q > hi:
+            hi = q
+        q = b / c
+        if q < lo:
+            lo = q
+        elif q > hi:
+            hi = q
+        q = b / d
+        if q < lo:
+            lo = q
+        elif q > hi:
+            hi = q
+        out = _new(Interval)
+        out.lo = _next(lo, -_INF)
+        out.hi = _next(hi, _INF)
+        return out
 
     def __rtruediv__(self, other):
         return Interval.exact(other) / self
@@ -220,97 +264,3 @@ def box_norm2(box) -> Interval:
 
 def box_norm(box) -> Interval:
     return box_norm2(box).sqrt()
-
-
-# ---------------------------------------------------------------------------
-# Interval batches.  Operands broadcast like numpy arrays of equal rank
-# (a constant interval is shaped (2, 1, ...)); endpoints are never NaN,
-# as for Interval.
-# ---------------------------------------------------------------------------
-
-_OUTWARD = [None] + [np.array([-_INF, _INF]).reshape((2,) + (1,) * k)
-                     for k in range(4)]
-
-
-def _outward(iv):
-    """Each lower endpoint one ulp down and each upper one ulp up, as
-    _down and _up do."""
-    return np.nextafter(iv, _OUTWARD[iv.ndim])
-
-
-def _no_nan(iv):
-    if np.isnan(iv).any():
-        raise DomainError("NaN endpoint in an interval batch")
-    return iv
-
-
-def batch_exact(iv: Interval):
-    """The constant batch (2, 1) of one Interval."""
-    return np.array([[iv.lo], [iv.hi]])
-
-
-def batch_add(a, b):
-    return _no_nan(_outward(a + b))
-
-
-def batch_mul(a, b):
-    # all four endpoint products; 0 * inf is 0, as in Interval.__mul__.
-    # A signed zero at the min or max cannot show: one ulp out of +0.0
-    # and of -0.0 is the same float.
-    prods = a[:, None] * b[None]
-    np.copyto(prods, 0.0, where=np.isnan(prods))
-    return _outward(np.stack((prods.min(axis=(0, 1)),
-                              prods.max(axis=(0, 1)))))
-
-
-def batch_div(a, b):
-    if ((b[0] <= 0.0) & (b[1] >= 0.0)).any():
-        raise DomainError("division by an interval batch containing zero")
-    quots = a[:, None] / b[None]
-    if np.isnan(quots).any():
-        # inf / inf: take min and max in Python's order, which skips a
-        # NaN that does not come first
-        q = (quots[0, 0], quots[0, 1], quots[1, 0], quots[1, 1])
-        lo, hi = q[0], q[0]
-        for x in q[1:]:
-            lo = np.where(x < lo, x, lo)
-            hi = np.where(x > hi, x, hi)
-        return _no_nan(_outward(np.stack((lo, hi))))
-    return _outward(np.stack((quots.min(axis=(0, 1)),
-                              quots.max(axis=(0, 1)))))
-
-
-def batch_abs(a):
-    lo, hi = a
-    pos, neg = lo >= 0.0, hi <= 0.0
-    straddle_hi = np.nextafter(np.where(hi > -lo, hi, -lo), _INF)
-    return np.stack((np.where(pos, lo, np.where(neg, -hi, 0.0)),
-                     np.where(pos, hi, np.where(neg, -lo, straddle_hi))))
-
-
-def batch_sqrt(a):
-    if (a[1] < 0.0).any():
-        raise DomainError("sqrt of a negative interval in a batch")
-    return _outward(np.sqrt(np.stack((np.maximum(a[0], 0.0), a[1]))))
-
-
-def batch_ipow(a, k: int):
-    """Integer power for k >= 0, by libm pow as Python's float ** is."""
-    if k < 0:
-        raise ValueError("batch_ipow takes k >= 0")
-    if k == 0:
-        return np.ones_like(a)
-    powers = np.float_power(a, k)
-    if not np.isfinite(powers).all() \
-            and (np.isinf(powers) & np.isfinite(a)).any():
-        raise OverflowError("integer power out of range in a batch")
-    if k % 2 == 1:
-        return _outward(powers)
-    (lo, hi), (lo_p, hi_p) = a, powers
-    pos = lo >= 0.0
-    straddle = (lo < 0.0) & (hi > 0.0)
-    out = _outward(np.stack((np.where(pos, lo_p, hi_p),
-                             np.where(pos | (straddle & (hi_p > lo_p)),
-                                      hi_p, lo_p))))
-    np.copyto(out[0], 0.0, where=straddle)
-    return out

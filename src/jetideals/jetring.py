@@ -602,25 +602,9 @@ class DiffeoJet:
             comps.append(Jet(sig, coeffs))
         return DiffeoJet(sig, comps)
 
-    def linear_inverse(self) -> "DiffeoJet":
-        """Inverse of the linear part as a linear diffeo-jet."""
-        return DiffeoJet.linear(self.sig, _matrix_inverse(self.linear_matrix()))
-
 
 def _invertible(matrix) -> bool:
     return len(rref(matrix)[1]) == len(matrix)
-
-
-def _matrix_inverse(matrix):
-    """The right half of rref([A | I]), whose left half is I iff A is
-    invertible; rref's row i is its pivot row[i] times the RREF row."""
-    n = len(matrix)
-    reduced, pivots = rref([list(row) + [int(i == j) for j in range(n)]
-                            for i, row in enumerate(matrix)])
-    if pivots[:n] != list(range(n)):
-        raise ValueError("singular matrix")
-    return [[Fraction(a, row[i]) for a in row[n:]]
-            for i, row in enumerate(reduced)]
 
 
 def jet_compose(p: Jet, phi: DiffeoJet) -> Jet:

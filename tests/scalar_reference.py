@@ -80,23 +80,33 @@ JetIdeal.contains to give what these give.
 The Fraction elimination that exactlin's integer elimination replaced
 (rref and Subspace.contains), and jetring's
 own Gauss-Jordan for the invertibility test and the inverse of a
-diffeo-jet's linear part: test_integer_elimination.py requires the
-integer rows to give exactly what these give.
+matrix: test_integer_elimination.py requires the
+integer rows to give exactly what these give.  The Zassenhaus
+intersection subspace_intersect, which row-reduced the whole
+[[u|u],[w|0]] matrix: test_integer_elimination.py requires
+Subspace.intersect to give the same rows and pivots.
+
+Helpers that only tests call: the inverse of a diffeo-jet's linear part,
+linear_inverse, on the integer inverse integer_matrix_inverse (the
+right half of rref([A | I])), and contains_direction, whether a
+direction projects radially into a sphere patch.
 
 The Interval operators that converted every operand by Interval.exact
-and built every result through Interval.__init__: test_interval.py
-requires the operators to return the same endpoints and raise the same
-exceptions.
+and built every result through Interval.__init__, * and / taking the
+min and max of a tuple of the four endpoint products or quotients:
+test_interval.py requires the operators to return the same endpoints
+and raise the same exceptions.
 
 The forbidden-cone evaluation that converted each coefficient to an
 Interval per monomial per cell and took each u_i^a per monomial:
 test_integer_elimination.py requires directions._eval_scaled to return
-exactly its enclosure on every cell of a batch.
+exactly its enclosure on every cell.
 
 The depth-first cell walk of directions.certify_lower_bound, one
-SpherePatch and s Interval at a time, and its compiled per-cell
-evaluation compiled_eval_scaled: test_forbidden_batches.py requires the
-batched walk to return exactly its (bound, depth).  It tests patches
+SpherePatch and s Interval at a time, every cell evaluated and every
+patch made afresh, and its compiled per-cell evaluation
+compiled_eval_scaled: test_forbidden_walk.py requires the walk over the
+kept patch tree to return exactly its (bound, depth).  It tests patches
 against the dome by its own float distance (_cell_outside_dome), not
 by regions.Dome.
 
@@ -145,7 +155,10 @@ from jetideals.errors import (DegreeOverflowError, DimensionMismatchError,
                               SignatureMismatchError)
 from jetideals.geometry import sphere_cover
 from jetideals.interval import Interval, _down, _up
-from jetideals.jetring import _Parser, Jet, monomials, variable_names
+from jetideals.exactlin import Subspace
+from jetideals.exactlin import rref as integer_rref
+from jetideals.jetring import (_Parser, DiffeoJet, Jet, monomials,
+                               variable_names)
 from jetideals.symfun import (ZERO, Add, Const, Coord, Cutoff, Div, Gauge,
                               GaugeRef, Mul, Norm, Pow, RegularizedGauge,
                               _bump, _ExprParser, add, div, expr_derive,
@@ -863,6 +876,56 @@ def matrix_inverse(matrix):
     return [row[n:] for row in aug]
 
 
+def subspace_intersect(U, W):
+    """Zassenhaus: row-reduce [[u|u],[w|0]]; the intersection basis
+    shows up in the right half of rows whose left half is zero."""
+    if U.ambient_dim != W.ambient_dim:
+        raise ValueError("ambient dimensions differ")
+    d = U.ambient_dim
+    zero = (0,) * d
+    reduced, pivots = integer_rref([u + u for u in U.rows]
+                                   + [w + zero for w in W.rows])
+    k = sum(p < d for p in pivots)
+    return Subspace._reduced(d, [row[d:] for row in reduced[k:]],
+                             [p - d for p in pivots[k:]])
+
+
+def integer_matrix_inverse(matrix):
+    """The right half of rref([A | I]), whose left half is I iff A is
+    invertible; rref's row i is its pivot row[i] times the RREF row."""
+    n = len(matrix)
+    reduced, pivots = integer_rref([list(row) + [int(i == j)
+                                                 for j in range(n)]
+                                    for i, row in enumerate(matrix)])
+    if pivots[:n] != list(range(n)):
+        raise ValueError("singular matrix")
+    return [[Fraction(a, row[i]) for a in row[n:]]
+            for i, row in enumerate(reduced)]
+
+
+def linear_inverse(phi):
+    """Inverse of a diffeo-jet's linear part as a linear diffeo-jet."""
+    return DiffeoJet.linear(phi.sig,
+                            integer_matrix_inverse(phi.linear_matrix()))
+
+
+def contains_direction(patch, omega, slack=0.0):
+    """True if the direction omega projects radially into the patch's
+    face box.
+
+    A direction lands on face (axis, sign) when its largest-magnitude
+    coordinate is there; scaling so that coordinate equals sign must
+    put the rest inside the box.
+    """
+    c = omega.vec[patch.axis]
+    if c * patch.sign <= 0:
+        return False
+    scale = patch.sign / c
+    rest = [scale * v for i, v in enumerate(omega.vec) if i != patch.axis]
+    return all(lo - slack <= t <= hi + slack
+               for t, (lo, hi) in zip(rest, patch.box))
+
+
 def interval_neg(a):
     return Interval(-a.hi, -a.lo)
 
@@ -950,7 +1013,7 @@ def compiled_eval_scaled(compiled, s, u_box):
     for poly in polys:
         term = Interval(0.0, 0.0)
         for c, d, monomial in poly:
-            mono = Interval(float(c[0, 0]), float(c[1, 0])) * s_pows[d]
+            mono = c * s_pows[d]
             for f in monomial:
                 mono = mono * u_pows[f]
             term = term + mono
@@ -990,7 +1053,7 @@ def certify_lower_bound(jets, omega, delta, budget, n, target=0.0):
             work.append((patch, a, depth + 1))
             work.append((patch, b, depth + 1))
         else:
-            p1, p2 = patch.subdivide()
+            p1, p2 = patch.split()
             work.append((p1, s_iv, depth + 1))
             work.append((p2, s_iv, depth + 1))
     if not math.isfinite(best):

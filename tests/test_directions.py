@@ -157,7 +157,7 @@ def _check_transform_covariance(I, matrix):
     got = allow_overapprox(I.transform(phi))
     original = allow_overapprox(I)
     assert got.is_finite and original.is_finite
-    inv = phi.linear_inverse().linear_matrix()
+    inv = scalar_reference.linear_inverse(phi).linear_matrix()
     n = I.sig.n
     expected = [direction_of([sum(float(inv[i][j]) * d.vec[j]
                                   for j in range(n)) for i in range(n)]).vec

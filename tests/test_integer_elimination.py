@@ -1,12 +1,12 @@
-"""Integer elimination and compiled, batched forbidden-cone evaluation
-give exactly what the Fraction elimination and the per-monomial
-evaluation in scalar_reference.py give."""
+"""Integer elimination and the compiled per-cell forbidden-cone
+evaluation give exactly what the Fraction elimination, the Zassenhaus
+intersection and the per-monomial evaluation in scalar_reference.py
+give."""
 
 import random
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,8 +16,7 @@ from jetideals.exactlin import Subspace, rref
 from jetideals.geometry import sphere_cover
 from jetideals.ideal import JetIdeal
 from jetideals.interval import Interval
-from jetideals.jetring import (DiffeoJet, Jet, RingSignature, _invertible,
-                               _matrix_inverse)
+from jetideals.jetring import DiffeoJet, Jet, RingSignature, _invertible
 
 from conftest import random_diffeo, random_jet
 
@@ -168,8 +167,8 @@ def test_intersection_span_equals_its_re_span(m, n):
 
 
 def test_intersection_is_already_reduced():
-    """Subspace.intersect keeps the right halves of the Zassenhaus RREF
-    as they are; re-reducing them changes neither basis nor pivots."""
+    """Subspace.intersect keeps the right halves of its RREF as they
+    are; re-reducing them changes neither basis nor pivots."""
     rng = random.Random(2026)
     for _ in range(500):
         cols, rows = _random_rows(rng)
@@ -184,6 +183,20 @@ def test_intersection_is_already_reduced():
         assert all(type(x) is Fraction for row in inter.basis for x in row)
         assert all(Subspace(cols, rows).contains(v)
                    and Subspace(cols, more).contains(v) for v in inter.basis)
+
+
+@given(st.integers(1, 7).flatmap(lambda cols: st.tuples(
+    *(st.lists(st.lists(_entries, min_size=cols, max_size=cols),
+               max_size=6) for _ in range(2)))), st.data())
+def test_intersection_equals_zassenhaus(matrices, data):
+    rows, more = matrices
+    if rows and data.draw(st.booleans()):   # overlap: share a few rows
+        more = more + data.draw(st.lists(st.sampled_from(rows), max_size=3))
+    cols = len((rows or more or [[0]])[0])
+    U, W = Subspace(cols, rows), Subspace(cols, more)
+    got, want = U.intersect(W), ref.subspace_intersect(U, W)
+    assert (got.rows, got.pivots) == (want.rows, want.pivots)
+    _assert_canonical(got.rows, got.pivots)
 
 
 def _random_matrix(rng, n, singular):
@@ -206,10 +219,10 @@ def test_invertible_and_inverse_equal_gauss_jordan(n):
         seen.add(want)
         assert _invertible(A) is want
         if want:
-            assert _matrix_inverse(A) == ref.matrix_inverse(A)
+            assert ref.integer_matrix_inverse(A) == ref.matrix_inverse(A)
         else:
             with pytest.raises(ValueError, match="singular matrix"):
-                _matrix_inverse(A)
+                ref.integer_matrix_inverse(A)
             with pytest.raises(ValueError, match="singular matrix"):
                 ref.matrix_inverse(A)
     assert seen == {True, False}
@@ -220,9 +233,9 @@ def test_invertible_and_inverse_equal_gauss_jordan(n):
 def test_matrix_inverse_equals_the_reference(A):
     if not ref.invertible(A):
         with pytest.raises(ValueError, match="singular matrix"):
-            _matrix_inverse(A)
+            ref.integer_matrix_inverse(A)
         return
-    inv = _matrix_inverse(A)
+    inv = ref.integer_matrix_inverse(A)
     assert inv == ref.matrix_inverse(A)
     assert all(type(x) is Fraction for row in inv for x in row)
 
@@ -235,7 +248,7 @@ def test_linear_inverse_composes_to_identity():
         if not ref.invertible(A):
             continue
         phi = DiffeoJet.linear(sig, A)
-        inv = phi.linear_inverse().linear_matrix()
+        inv = ref.linear_inverse(phi).linear_matrix()
         prod = [[sum(A[i][k] * inv[k][j] for k in range(3)) for j in range(3)]
                 for i in range(3)]
         assert prod == [[int(i == j) for j in range(3)] for i in range(3)]
@@ -258,17 +271,9 @@ def test_compiled_eval_scaled_equals_per_monomial_evaluation(m, n):
         if not jets:
             continue
         compiled = _compile_scaled(jets)
-        cells = []
         for _ in range(10):
             a, b = sorted(rng.random() for _ in range(2))
-            cells.append((Interval(a, b),
-                          rng.choice(patches).direction_enclosure()))
-        # one batch of all ten cells
-        batch = _eval_scaled(
-            compiled, np.array([[s.lo for s, _ in cells],
-                                [s.hi for s, _ in cells]]),
-            np.array([[[iv.lo for iv in u] for _, u in cells],
-                      [[iv.hi for iv in u] for _, u in cells]]))
-        for (s, u_box), lo, hi in zip(cells, *batch):
-            assert _bits(Interval(float(lo), float(hi))) \
+            s = Interval(a, b)
+            u_box = rng.choice(patches).direction_enclosure()
+            assert _bits(_eval_scaled(compiled, s, u_box)) \
                 == _bits(ref.eval_scaled(jets, s, u_box))

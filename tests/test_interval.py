@@ -6,7 +6,7 @@ import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from jetideals.algebraic import evaluate
 from jetideals.errors import DomainError
@@ -295,3 +295,33 @@ def test_operator_edge_cases_equal_the_reference_definitions():
     assert _outcome(lambda: Interval(1e200, 2e200).ipow(3)) is OverflowError
     assert _outcome(lambda: ref.interval_ipow(Interval(1e200, 2e200), 3)) \
         is OverflowError
+
+
+SPECIAL = (0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+           2.2250738585072014e-308, -2.2250738585072014e-308, 1.0, -3.0,
+           1.7976931348623157e308, -1e-200)
+special = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False))
+
+
+def _hex_outcome(op):
+    try:
+        r = op()
+    except DomainError:
+        return DomainError
+    return (r.lo.hex(), r.hi.hex())
+
+
+@given(special, special, special, special)
+@example(math.inf, math.inf, -math.inf, -1.0)      # inf / -inf first
+@example(1.0, math.inf, 2.0, math.inf)             # inf / inf later
+@example(0.0, 0.0, -math.inf, math.inf)            # 0 * inf
+@example(-0.0, 0.0, 5e-324, math.inf)
+def test_products_and_quotients_equal_the_min_max_formulas(a, b, c, d):
+    # sorting keeps the order of equal endpoints, so intervals such as
+    # [0.0, -0.0], [-0.0, 0.0] and [0.0, inf] (0 * inf) all come up
+    x, y = Interval(*sorted((a, b))), Interval(*sorted((c, d)))
+    for p, q in ((x, y), (y, x)):
+        assert _hex_outcome(lambda: p * q) \
+            == _hex_outcome(lambda: ref.interval_mul(p, q))
+        assert _hex_outcome(lambda: p / q) \
+            == _hex_outcome(lambda: ref.interval_truediv(p, q))

@@ -163,7 +163,7 @@ def test_compose_identity_and_inverse_linear():
         p = random_jet(rng, sig)
         assert jet_compose(p, DiffeoJet.identity(sig)) == p
         phi = DiffeoJet.linear(sig, [[2, 1], [1, 1]])
-        back = jet_compose(jet_compose(p, phi), phi.linear_inverse())
+        back = jet_compose(jet_compose(p, phi), ref.linear_inverse(phi))
         assert back == p
 
 
