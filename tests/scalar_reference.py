@@ -105,7 +105,7 @@ exactly its enclosure on every cell.
 The depth-first cell walk of directions.certify_lower_bound, one
 SpherePatch and s Interval at a time, every cell evaluated and every
 patch made afresh, and its compiled per-cell evaluation
-compiled_eval_scaled: test_forbidden_walk.py requires the walk over the
+compiled_eval_scaled: test_forbidden_batches.py requires the walk over the
 kept patch tree to return exactly its (bound, depth).  It tests patches
 against the dome by its own float distance (_cell_outside_dome), not
 by regions.Dome.

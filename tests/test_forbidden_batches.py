@@ -5,9 +5,16 @@ directions.certify_lower_bound returns the (bound, depth) of the
 depth-first walk in scalar_reference.py, which evaluates every cell and
 makes every patch afresh, on random jets, with and without s-degree,
 around a direction or on the whole sphere, and when the kept tree is
-full.
+full.  The direction enclosures that patches keep, through subdivide()
+chains, equal those built on the reference interval operators, and the
+per-cell evaluator's powers round like Python's float power.
+
+Some test names still speak of batches: the ids are kept from the
+batched walk that this per-cell walk replaced.
 """
 
+import itertools
+import math
 import random
 
 import pytest
@@ -16,11 +23,86 @@ from hypothesis import given, settings, strategies as st
 import scalar_reference as ref
 from jetideals import directions
 from jetideals.corpus import case_by_id
-from jetideals.geometry import Direction
+from jetideals.geometry import Direction, SpherePatch, sphere_cover
+from jetideals.interval import Interval
 from jetideals.jetring import Jet, RingSignature, jet_parse
 
 from conftest import random_fraction, random_jet
 from forbidden_search import _higher_terms, _rotated_form
+
+
+def _hex(box):
+    return [(iv.lo.hex(), iv.hi.hex()) for iv in box]
+
+
+def _reference_enclosure(patch):
+    """u = v/|v| over the patch's face, on the reference operators."""
+    face = patch.face_intervals()
+    norm2 = Interval(0.0, 0.0)
+    for c in face:
+        norm2 = ref.interval_add(norm2, ref.interval_ipow(c, 2))
+    norm = norm2.sqrt()
+    return [ref.interval_truediv(c, norm) for c in face]
+
+
+def _patch_chain(n, depth, choices):
+    cover = sphere_cover(n, depth)
+    patch = cover[choices[0] % len(cover)]
+    for right in choices[1:]:
+        halves = patch.subdivide()
+        assert patch.subdivide() is halves
+        patch = halves[right % 2]
+    return patch
+
+
+def _assert_enclosures_equal(patches):
+    """Each patch keeps its enclosure, equal by float.hex to one built
+    afresh on the reference operators, and holding the direction of
+    every corner and of the center of its face box."""
+    for patch in patches:
+        enc = patch.direction_enclosure()
+        assert patch.direction_enclosure() is enc
+        assert _hex(enc) == _hex(_reference_enclosure(patch))
+        fresh = SpherePatch(patch.n, patch.axis, patch.sign, patch.box)
+        assert _hex(fresh.direction_enclosure()) == _hex(enc)
+        center = [0.5 * (lo + hi) for lo, hi in patch.box]
+        for point in itertools.chain(itertools.product(*patch.box),
+                                     [center]):
+            v = list(point)
+            v.insert(patch.axis, float(patch.sign))
+            norm = math.sqrt(sum(t * t for t in v))
+            for t, iv in zip(v, enc):
+                assert iv.lo <= t / norm <= iv.hi
+
+
+@pytest.mark.parametrize("n,depth", [(2, 0), (2, 3), (3, 0), (3, 2),
+                                     (4, 0), (4, 1)])
+def test_direction_enclosures_on_sphere_covers(n, depth):
+    _assert_enclosures_equal(sphere_cover(n, depth))
+
+
+@given(st.integers(2, 4), st.integers(0, 2),
+       st.lists(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=40),
+                min_size=1, max_size=8))
+def test_direction_enclosures_on_subdivide_chains(n, depth, chains):
+    _assert_enclosures_equal([_patch_chain(n, depth, c) for c in chains])
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_batch_ipow_rounds_like_python_power(k):
+    # on a batch of cells, the walk's enclosure of |x^k| equals the
+    # reference evaluation, whose powers are Python's float ** stepped
+    # outward
+    rng = random.Random(k)
+    jets = [jet_parse(f"x^{k}", RingSignature(k, 2))]
+    compiled = directions._compile_scaled(jets)
+    s = Interval(0.0, 1.0)
+    for _ in range(5000):
+        u = [Interval(*sorted((rng.uniform(-1.0, 1.0),
+                               rng.uniform(-1.0, 1.0))))
+             for _ in range(2)]
+        got = directions._eval_scaled(compiled, s, u)
+        assert _hex([got]) == _hex([ref.eval_scaled(jets, s, u)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -28,7 +110,7 @@ from forbidden_search import _higher_terms, _rotated_form
                                                   (2, 3), (3, 3)]),
        st.booleans(), st.sampled_from([0.3, 1.0]), st.integers(2, 9),
        st.floats(0.0, 0.3))
-def test_walk_equals_depth_first_walk(seed, mn, dome, delta,
+def test_batched_walk_equals_depth_first_walk(seed, mn, dome, delta,
                                               budget, target):
     rng = random.Random(seed)
     sig = RingSignature(*mn)
@@ -123,7 +205,7 @@ def _forbidden_whole_sphere():
     return (jets, None, 1.0, inputs["budget"], sig.n, inputs["c"]), inputs
 
 
-def test_whole_sphere_search_encloses_each_patch_once(monkeypatch):
+def test_whole_sphere_search_skips_cells_split_in_s(monkeypatch):
     # x^2 + y^2 has s-degree 0: an s-split keeps its parent's enclosure
     # and only one half is walked, so no patch is enclosed twice
     args, inputs = _forbidden_whole_sphere()
