@@ -344,9 +344,10 @@ class Ray:
                         return sign * float(mid)
             bits += 2 * _REFINE_STEPS
 
-    def sign_of(self, coeffs) -> int:
+    def sign_of(self, terms) -> int:
         """The sign (-1, 0 or 1) at the unit vector u = v/|v| of the
-        polynomial sum c_alpha u^alpha, exactly.
+        polynomial sum c_alpha u^alpha over the pairs (alpha, c_alpha)
+        of terms, exactly.
 
         With N = |v|^2 and J the largest half degree,
         N^J p(u) = E + O/sqrt(N), where E collects the even-degree parts
@@ -354,16 +355,18 @@ class Ray:
         p(u) = 0 iff E^2 N = O^2 and E O <= 0, and otherwise its sign is
         that of the larger of E sqrt(N) and O in absolute value.
         """
-        if not coeffs:
-            return 0
         root, norm2 = self.root, self._norm2()
         parts = {}
-        for alpha, c in coeffs.items():
+        for alpha, c in terms:
+            if not c:
+                continue
             term = (Fraction(c),)
             for v, a in zip(self.coords, alpha):
                 for _ in range(a):
                     term = root.reduce(mul(term, v))
             parts[sum(alpha)] = add(parts.get(sum(alpha), ()), term)
+        if not parts:
+            return 0
         top = max(parts) // 2
         even = odd = ()
         for k, part in parts.items():

@@ -142,8 +142,7 @@ def _lowest_parts(I: JetIdeal):
 
 
 def _is_homogeneous(p: Jet) -> bool:
-    degs = {sum(a) for a in p.coeffs}
-    return len(degs) <= 1
+    return p.is_zero() or p.degree() == p.order_of_vanishing()
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +185,9 @@ def _plane_zero_set(parts):
     """
     dirs = []
     # vertical directions: all parts vanish at (0, 1) (and by homogeneity
-    # symmetry at (0, -1)); p(0, 1) sums the coefficients free of x
-    if all(sum(c for a, c in p.coeffs.items() if a[0] == 0) == 0
+    # symmetry at (0, -1)); p(0, 1) sums the coefficients free of x,
+    # whose numerators sum to 0 with it
+    if all(sum(c for a, c in zip(p.sig.monomials, p.nums) if a[0] == 0) == 0
            for p in parts):
         for s in (1, -1):
             ray = Ray(Root.rational(0), ((), (Fraction(s),)))
@@ -203,11 +203,11 @@ def _plane_zero_set(parts):
 
 
 def _at_x_one(p: Jet):
-    """p(1, t) as a polynomial over QQ, read off the jet's coefficients."""
-    coeffs = [Fraction(0)] * (p.degree() + 1)
-    for (_, j), c in p.coeffs.items():
-        coeffs[j] += c
-    return algebraic.trim(coeffs)
+    """p(1, t) as a polynomial over QQ, read off the jet's numerators."""
+    nums = [0] * (p.sig.m + 1)
+    for (_, j), c in zip(p.sig.monomials, p.nums):
+        nums[j] += c
+    return algebraic.trim([Fraction(c, p.den) for c in nums])
 
 
 def _exact_zero_set(parts, n):
@@ -372,7 +372,7 @@ def _patch_zero_cover(parts, n, budget):
         enc = patch.direction_enclosure()
         total = Interval(0.0, 0.0)
         for p in parts:
-            total = total + abs(p.eval(enc, mode="interval"))
+            total = total + abs(p.eval(enc))
         if total.lo > 0.0:
             out.append((patch, CERTIFIED_FORBIDDEN, total.lo))
         elif depth < budget:
@@ -393,7 +393,8 @@ def exact_zero_residual(direction: ExactDirection, p: Jet) -> int:
     if direction.sym is None:
         raise DomainError("direction carries no exact data")
     if isinstance(direction.sym, Ray):
-        return direction.sym.sign_of(p.coeffs)
+        # the numerators are p times its positive denominator
+        return direction.sym.sign_of(zip(p.sig.monomials, p.nums))
     import sympy
     syms = sympy.symbols(f"u0:{len(direction.sym)}", real=True)
     expr = jet_to_sympy(p, syms)
@@ -447,9 +448,9 @@ def _compile_scaled(jets):
         if k == MORE_THAN_M or k < 1:
             raise DomainError("certificate jets must have order >= 1")
         polys.append(tuple(
-            (Interval.exact(c), sum(alpha) - k,
+            (Interval.exact(Fraction(c, q.den)), sum(alpha) - k,
              tuple((i, a) for i, a in enumerate(alpha) if a))
-            for alpha, c in q.coeffs.items()))
+            for alpha, c in zip(q.sig.monomials, q.nums) if c))
     factors = sorted({f for poly in polys for _, _, fs in poly for f in fs})
     top = max(d for poly in polys for _, d, _ in poly)
     return polys, factors, top

@@ -1,13 +1,14 @@
 """Exact linear algebra over the rationals.
 
 Inputs are rows of anything `Fraction` accepts (ints, Fractions,
-floats).  Elimination runs on integer rows: each row's denominators
-are cleared once, and rows are combined fraction-free as
-a*row - b*pivot_row and kept primitive by their gcd.  A subspace is
-held as its reduced row echelon rows, each scaled to its unique
-primitive integer multiple with a positive pivot, which makes equality
-and membership testing canonical; the Fraction RREF basis is built
-only when asked for (`Subspace.basis`, read for basis jets).
+floats); a row of ints, such as a jet's numerators, is taken as it is.
+Elimination runs on integer rows: each row's denominators are cleared
+once, and rows are combined fraction-free as a*row - b*pivot_row and
+kept primitive by their gcd.  A subspace is held only as its reduced
+row echelon rows, each scaled to its unique primitive integer multiple
+with a positive pivot, which makes equality and membership testing
+canonical; a row over its pivot entry is the RREF basis row, and the
+jet that `ideal` wraps around it is already in canonical form.
 Dimensions stay small (a few hundred at most), so plain dense
 elimination is fine.
 """
@@ -16,8 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-_ZERO = Fraction(0)
 
 
 def _integer_row(row):
@@ -101,13 +100,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    @property
-    def basis(self):
-        """The RREF basis: tuples of Fraction with a 1 in each pivot
-        column."""
-        return [tuple(Fraction(a, row[p]) if a else _ZERO for a in row)
-                for row, p in zip(self.rows, self.pivots)]
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)

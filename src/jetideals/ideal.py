@@ -4,33 +4,16 @@ The ideal generated by g_1..g_r inside the jets vanishing at the origin
 is the rational span of all truncated products x^beta * g_i with
 |beta| <= m-1 (including beta = 0).  Multiples of degree m or more
 truncate to zero, so this finite family spans the whole ideal and the
-canonical representation is a subspace of coefficient vectors.
+canonical representation is a subspace of coefficient vectors.  The
+rows are written from the generators' integer numerators (a jet's
+canonical form), and a basis jet is a span row over its pivot entry.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import lcm
-
 from .errors import SignatureMismatchError
 from .exactlin import Subspace
-from .jetring import (DiffeoJet, Jet, RingSignature, _products, jet_compose,
-                      monomials)
-
-
-@lru_cache(maxsize=None)
-def _columns(m: int, n: int):
-    """exponent -> index in a jet's coordinates without the constant
-    term."""
-    return {a: i - 1 for i, a in enumerate(monomials(m, n))}
-
-
-def _integer_terms(p: Jet):
-    """p's (exponent, integer) terms: its coefficients times the lcm of
-    their denominators, a positive multiple of p."""
-    den = lcm(*(c.denominator for c in p.coeffs.values()))
-    return [(a, c.numerator * (den // c.denominator))
-            for a, c in p.coeffs.items()]
+from .jetring import DiffeoJet, Jet, RingSignature, _products, jet_compose
 
 
 class JetIdeal:
@@ -49,28 +32,26 @@ class JetIdeal:
         for g in generators:
             if g.sig != sig:
                 raise SignatureMismatchError("generator signature mismatch")
-            if (0,) * sig.n in g.coeffs:
+            if g.nums[0]:
                 raise ValueError("generators must vanish at the origin")
         self.sig = sig
         self.generators = generators
-        # each product x^beta * g is g's coefficients at shifted
-        # exponents, cut at degree m; a row may be any nonzero multiple
-        # of the product, so g's denominators are cleared once.  Each
-        # term c x^a of g goes to the row of every beta that the product
-        # table pairs with a; the rows join in the graded order of beta
+        # the product x^beta * g is g's numerators shifted to the columns
+        # that the product table pairs with beta's, cut at degree m; a
+        # row may be any nonzero multiple of the product, so g's
+        # denominator is dropped.  The rows join in the graded order of
+        # beta, up to the first beta whose product is cut to zero
         vectors = []
         dim0 = sig.dim0
-        products = _products(sig.m, sig.n)
-        column = _columns(sig.m, sig.n)
         for g in generators:
-            rows = {}
-            for a, c in _integer_terms(g):
-                for beta, key in products[a].items():
-                    row = rows.get(beta)
-                    if row is None:
-                        row = rows[beta] = [0] * dim0
-                    row[column[key]] = c
-            vectors += [rows[b] for b in sig.monomials if b in rows]
+            for shift in _products(sig.m, sig.n):
+                row = [0] * dim0
+                for k, c in zip(shift, g.nums):
+                    if c:
+                        row[k - 1] = c
+                if not any(row):
+                    break
+                vectors.append(row)
         self.span = Subspace(dim0, vectors)
         self._allowed = {}
 
@@ -106,13 +87,7 @@ class JetIdeal:
     def contains(self, p: Jet) -> bool:
         if p.sig != self.sig:
             raise SignatureMismatchError("jet signature mismatch")
-        if (0,) * self.sig.n in p.coeffs:
-            return False
-        column = _columns(self.sig.m, self.sig.n)
-        row = [0] * self.sig.dim0
-        for a, c in _integer_terms(p):
-            row[column[a]] = c
-        return self.span.contains(row)
+        return not p.nums[0] and self.span.contains(p.nums[1:])
 
     def basis_jets(self):
         """Canonical (RREF) basis of the ideal as jets."""
@@ -146,6 +121,7 @@ class JetIdeal:
 
 def _basis_jets(sig: RingSignature, space: Subspace):
     """The jets whose coordinates without the constant term are the
-    rows of space's RREF basis."""
-    table = sig.monomials[1:]
-    return [Jet._of(sig, dict(zip(table, v))) for v in space.basis]
+    rows of space's RREF basis: each primitive row over its pivot
+    entry."""
+    return [Jet._dense(sig, (0, *row), row[p])
+            for row, p in zip(space.rows, space.pivots)]

@@ -2,8 +2,15 @@
 
 A jet is a polynomial of total degree at most m in n variables with
 exact rational coefficients; the ring product is the polynomial product
-with every term of degree above m discarded.  All values are immutable
-and all operations are pure.
+with every term of degree above m discarded.  A jet holds one exact
+form: integer numerators, one per monomial of monomials(m, n) in that
+order, over a positive common denominator, with the content
+gcd(numerators, denominator) divided out (content and primitive part
+as in Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 1992).
+So equal jets have equal fields, whatever order they were built in, and
+every reader sees their coefficients in the same order.  The product is
+an integer convolution over the monomial product table.  All values are
+immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from .exactlin import rref
 from .interval import Interval
 
 MORE_THAN_M = "more_than_m"
-_ZERO = Fraction(0)
 
 
 def variable_names(n: int):
@@ -43,15 +49,27 @@ def monomials(m: int, n: int):
 
 
 @functools.lru_cache(maxsize=None)
+def _index(m: int, n: int):
+    """exponent -> its column in monomials(m, n)."""
+    return {a: i for i, a in enumerate(monomials(m, n))}
+
+
+@functools.lru_cache(maxsize=None)
+def _degrees(m: int, n: int):
+    """The total degree of each column of monomials(m, n)."""
+    return tuple(map(sum, monomials(m, n)))
+
+
+@functools.lru_cache(maxsize=None)
 def _products(m: int, n: int):
-    """The monomial product table of P^m(R^n): for each exponent a, the
-    map b -> a + b over the exponents b with |a| + |b| <= m.  Products
-    are the tuples of monomials(m, n) themselves."""
+    """The monomial product table of P^m(R^n) by columns: row i holds
+    the column of a_i + b_j for each column j with |a_i| + |b_j| <= m,
+    a prefix of the columns since monomials(m, n) is graded."""
     table = monomials(m, n)
-    canon = {a: a for a in table}
-    return {a: {b: canon[tuple(map(operator.add, a, b))]
-                for b in table if sum(a) + sum(b) <= m}
-            for a in table}
+    index = _index(m, n)
+    return tuple(tuple(index[tuple(map(operator.add, a, b))]
+                       for b in table if sum(a) + sum(b) <= m)
+                 for a in table)
 
 
 class RingSignature:
@@ -94,32 +112,41 @@ class RingSignature:
 
 
 class Jet:
-    """An element of P^m(R^n): exact rational coefficients per monomial."""
+    """An element of P^m(R^n): the polynomial sum of
+    nums[i] / den * x^alpha_i over the columns alpha_i of monomials(m, n),
+    with den > 0 and gcd(*nums, den) = 1."""
 
-    __slots__ = ("sig", "coeffs")
+    __slots__ = ("sig", "nums", "den")
 
     def __init__(self, sig: RingSignature, coeffs):
-        self.sig = sig
-        clean = {}
+        index = _index(sig.m, sig.n)
+        values = [0] * sig.dim
         for alpha, c in coeffs.items():
             alpha = tuple(alpha)
-            if len(alpha) != sig.n:
-                raise DimensionMismatchError(f"exponent {alpha} has wrong arity")
-            if sum(alpha) > sig.m:
-                raise DegreeOverflowError(f"monomial {alpha} exceeds degree {sig.m}")
-            if type(c) is not Fraction:
-                c = Fraction(c)
-            if c:
-                clean[alpha] = clean[alpha] + c if alpha in clean else c
-        self.coeffs = {a: c for a, c in clean.items() if c != 0}
+            i = index.get(alpha)
+            if i is None:
+                if len(alpha) != sig.n:
+                    raise DimensionMismatchError(
+                        f"exponent {alpha} has wrong arity")
+                if sum(alpha) > sig.m:
+                    raise DegreeOverflowError(
+                        f"monomial {alpha} exceeds degree {sig.m}")
+                raise ValueError(f"exponent {alpha} is not a monomial")
+            values[i] += c if type(c) is Fraction else Fraction(c)
+        den = math.lcm(*(v.denominator for v in values))
+        self.sig = sig
+        self.nums = tuple(v.numerator * (den // v.denominator) for v in values)
+        self.den = den
 
     @classmethod
-    def _of(cls, sig: RingSignature, coeffs) -> "Jet":
-        """The jet of Fraction coefficients on monomials of sig, as ring
-        operations on jets produce them: only zeros are dropped."""
+    def _dense(cls, sig: RingSignature, nums, den: int = 1) -> "Jet":
+        """The jet of integer numerators nums (in column order) over
+        den > 0, with their content divided out."""
+        g = math.gcd(*nums, den)
         jet = object.__new__(cls)
         jet.sig = sig
-        jet.coeffs = {a: c for a, c in coeffs.items() if c}
+        jet.nums = tuple([a // g for a in nums] if g > 1 else nums)
+        jet.den = den // g
         return jet
 
     # -- constructors ---------------------------------------------------
@@ -133,30 +160,38 @@ class Jet:
 
     @staticmethod
     def variable(sig: RingSignature, i: int) -> "Jet":
+        """x_i: columns 1..n of monomials(m, n) are x_1..x_n."""
         e = [0] * sig.n
         e[i] = 1
-        return Jet(sig, {tuple(e): Fraction(1)})
+        return Jet._dense(sig, (0, *e) + (0,) * (sig.dim - sig.n - 1))
 
     @staticmethod
     def monomial(sig: RingSignature, alpha, c=1) -> "Jet":
         return Jet(sig, {tuple(alpha): Fraction(c)})
 
     # -- structure ------------------------------------------------------
+    @property
+    def coeffs(self):
+        """A fresh dict {exponent: Fraction} of the nonzero
+        coefficients, in column order."""
+        den = self.den
+        return {a: Fraction(c, den)
+                for a, c in zip(self.sig.monomials, self.nums) if c}
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self.nums)
 
     def __eq__(self, other):
         return (isinstance(other, Jet) and self.sig == other.sig
-                and self.coeffs == other.coeffs)
+                and self.nums == other.nums and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.sig, frozenset(self.coeffs.items())))
+        return hash((self.sig, self.nums, self.den))
 
     def degree(self):
         """Polynomial degree (max total degree present); None if zero."""
-        if not self.coeffs:
-            return None
-        return max(sum(a) for a in self.coeffs)
+        return max((d for d, c in zip(_degrees(self.sig.m, self.sig.n),
+                                      self.nums) if c), default=None)
 
     def order_of_vanishing(self):
         """Minimal degree with a nonzero homogeneous part.
@@ -164,13 +199,14 @@ class Jet:
         Returns 0 for a nonzero constant term and MORE_THAN_M for the
         zero jet.
         """
-        if not self.coeffs:
-            return MORE_THAN_M
-        return min(sum(a) for a in self.coeffs)
+        return min((d for d, c in zip(_degrees(self.sig.m, self.sig.n),
+                                      self.nums) if c), default=MORE_THAN_M)
 
     def homogeneous_part(self, k: int) -> "Jet":
-        return Jet._of(self.sig, {a: c for a, c in self.coeffs.items()
-                                  if sum(a) == k})
+        degs = _degrees(self.sig.m, self.sig.n)
+        return Jet._dense(self.sig, [c if d == k else 0
+                                     for d, c in zip(degs, self.nums)],
+                          self.den)
 
     def lowest_homogeneous_part(self) -> "Jet":
         """The nonzero homogeneous component of minimal degree.
@@ -185,13 +221,6 @@ class Jet:
             raise ValueError("jet has order of vanishing 0")
         return self.homogeneous_part(k)
 
-    def coordinates(self, include_constant=True):
-        """Coefficient vector over the signature's monomial table."""
-        table = self.sig.monomials
-        if not include_constant:
-            table = table[1:]
-        return tuple(self.coeffs.get(a, _ZERO) for a in table)
-
     # -- arithmetic -----------------------------------------------------
     def _check_sig(self, other: "Jet"):
         if self.sig != other.sig:
@@ -199,77 +228,54 @@ class Jet:
 
     def __add__(self, other: "Jet") -> "Jet":
         self._check_sig(other)
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            out[a] = out[a] + c if a in out else c
-        return Jet._of(self.sig, out)
+        a, b = self.den, other.den
+        if a == b:
+            return Jet._dense(self.sig, list(map(operator.add, self.nums,
+                                                 other.nums)), a)
+        return Jet._dense(self.sig, [x * b + y * a for x, y in
+                                     zip(self.nums, other.nums)], a * b)
 
     def __neg__(self) -> "Jet":
-        return Jet._of(self.sig, {a: -c for a, c in self.coeffs.items()})
+        return Jet._dense(self.sig, [-a for a in self.nums], self.den)
 
     def __sub__(self, other: "Jet") -> "Jet":
         return self + (-other)
 
     def scale(self, c) -> "Jet":
         c = Fraction(c)
-        return Jet._of(self.sig, {a: c * v for a, v in self.coeffs.items()})
+        return Jet._dense(self.sig, [c.numerator * a for a in self.nums],
+                          c.denominator * self.den)
 
     def __mul__(self, other: "Jet") -> "Jet":
-        """Jet product: full product truncated at degree m."""
+        """Jet product: full product truncated at degree m, convolved
+        over the product table."""
         self._check_sig(other)
-        products = _products(self.sig.m, self.sig.n)
-        out = {}
-        for a, ca in self.coeffs.items():
-            row = products[a]
-            for b, cb in other.coeffs.items():
-                key = row.get(b)
-                if key is not None:
-                    c = ca * cb
-                    out[key] = out[key] + c if key in out else c
-        return Jet._of(self.sig, out)
-
-    def pow(self, k: int) -> "Jet":
-        if k < 0:
-            raise ValueError("negative jet power")
-        out = Jet.constant(self.sig, 1)
-        for _ in range(k):
-            out = out * self
-        return out
+        sig = self.sig
+        out = [0] * len(self.nums)
+        right = other.nums
+        for row, x in zip(_products(sig.m, sig.n), self.nums):
+            if x:
+                for k, y in zip(row, right):
+                    if y:
+                        out[k] += x * y
+        return Jet._dense(sig, out, self.den * other.den)
 
     # -- evaluation -----------------------------------------------------
-    def eval(self, point, mode="exact"):
-        """Value of the polynomial at a point (or interval box)."""
+    def eval(self, point) -> Interval:
+        """Enclosure of the polynomial's values on a box, each
+        coordinate an Interval or a number."""
         if len(point) != self.sig.n:
             raise DimensionMismatchError("point has wrong dimension")
-        if mode == "exact":
-            total = Fraction(0)
-            coords = [Fraction(x) for x in point]
-            for a, c in self.coeffs.items():
-                term = c
-                for xi, ai in zip(coords, a):
-                    term *= xi ** ai
-                total += term
-            return total
-        if mode == "interval":
-            box = [x if isinstance(x, Interval) else Interval.exact(x)
-                   for x in point]
-            total = Interval(0.0, 0.0)
-            for a, c in self.coeffs.items():
-                term = Interval.exact(c)
-                for xi, ai in zip(box, a):
-                    if ai:
-                        term = term * xi.ipow(ai)
-                total = total + term
-            return total
-        if mode == "float":
-            total = 0.0
-            for a, c in self.coeffs.items():
-                term = float(c)
-                for xi, ai in zip(point, a):
-                    term *= float(xi) ** ai
-                total += term
-            return total
-        raise ValueError(f"unknown eval mode {mode!r}")
+        box = [x if isinstance(x, Interval) else Interval.exact(x)
+               for x in point]
+        total = Interval(0.0, 0.0)
+        for a, c in self.coeffs.items():
+            term = Interval.exact(c)
+            for xi, ai in zip(box, a):
+                if ai:
+                    term = term * xi.ipow(ai)
+            total = total + term
+        return total
 
     # -- printing -------------------------------------------------------
     def __str__(self):
@@ -284,10 +290,7 @@ def format_jet(p: Jet) -> str:
         return "0"
     names = p.sig.variables
     parts = []
-    for alpha in p.sig.monomials:
-        if alpha not in p.coeffs:
-            continue
-        c = p.coeffs[alpha]
+    for alpha, c in p.coeffs.items():
         factors = []
         for name, e in zip(names, alpha):
             if e == 1:
@@ -573,17 +576,10 @@ class DiffeoJet:
         return powers[alpha]
 
     def linear_matrix(self):
-        """The n x n matrix of degree-1 coefficients (rows = components)."""
-        n = self.sig.n
-        rows = []
-        for comp in self.components:
-            row = []
-            for j in range(n):
-                e = [0] * n
-                e[j] = 1
-                row.append(comp.coeffs.get(tuple(e), Fraction(0)))
-            rows.append(row)
-        return rows
+        """The n x n matrix of degree-1 coefficients (rows = components):
+        columns 1..n of monomials(m, n) are x_1..x_n."""
+        return [[Fraction(c, comp.den) for c in comp.nums[1:self.sig.n + 1]]
+                for comp in self.components]
 
     @staticmethod
     def identity(sig: RingSignature) -> "DiffeoJet":
@@ -609,12 +605,20 @@ def _invertible(matrix) -> bool:
 
 def jet_compose(p: Jet, phi: DiffeoJet) -> Jet:
     """J^m(p o phi): the sum of c * phi^alpha over the terms c x^alpha
-    of p, the powers phi^alpha truncated at degree m."""
+    of p, the powers phi^alpha truncated at degree m, summed as integer
+    rows over a common denominator."""
     if p.sig != phi.sig:
         raise SignatureMismatchError("jet and diffeo-jet signatures differ")
-    out = {}
-    for alpha, c in p.coeffs.items():
-        for key, v in phi._power(alpha).coeffs.items():
-            v = c * v
-            out[key] = out[key] + v if key in out else v
-    return Jet._of(p.sig, out)
+    out, den = [0] * len(p.nums), 1
+    for alpha, c in zip(p.sig.monomials, p.nums):
+        if c:
+            power = phi._power(alpha)
+            if den % power.den:
+                step = power.den // math.gcd(den, power.den)
+                out = [x * step for x in out]
+                den *= step
+            c *= den // power.den
+            for k, y in enumerate(power.nums):
+                if y:
+                    out[k] += c * y
+    return Jet._dense(p.sig, out, den * p.den)

@@ -804,9 +804,7 @@ def _poly_eval_interval(coeffs, u: Interval) -> Interval:
 
 class CutoffSpec:
     """Cutoff theta: 1 on [0,a], 0 on [b,inf), a degree-(2q+1) smoothstep
-    spline in between.  Exact rational coefficients; certified sup bounds
-    for |theta^(k)|, k <= q (derivative_bounds), measured by interval
-    subdivision on first read and kept on the instance."""
+    spline in between, with exact rational coefficients."""
 
     def __init__(self, q: int = 3, a=4, b=8):
         if q < 1:
@@ -822,22 +820,6 @@ class CutoffSpec:
         for _ in range(q):
             self._polys.append(algebraic.derivative(self._polys[-1]))
         self._int_polys = [_integer_poly(p) for p in self._polys]
-
-    @functools.cached_property
-    def derivative_bounds(self):
-        return [self._measure_bound(k) for k in range(self.q + 1)]
-
-    def _measure_bound(self, k: int) -> float:
-        """Certified upper bound for sup |theta^(k)| (outer scaling included)."""
-        if k == 0:
-            return 1.0
-        poly = self._polys[k]
-        pieces = 1 << 10
-        top = 0.0
-        for j in range(pieces):
-            u = Interval(j / pieces, (j + 1) / pieces)
-            top = max(top, abs(_poly_eval_interval(poly, u)).hi)
-        return top / float(self.width) ** k
 
     def eval(self, v: float, order: int = 0) -> float:
         if order > self.q:

@@ -669,7 +669,8 @@ class _FreeNorms:
 def _ring_jet(p: Jet, k):
     """p in the identity ring, after k generators r_j."""
     pad = (0,) * k
-    return _collect((pad + alpha, c) for alpha, c in p.coeffs.items())
+    return _collect((pad + alpha, Fraction(c, p.den))
+                    for alpha, c in zip(p.sig.monomials, p.nums) if c)
 
 
 def _fraction_add(a, b, c, d):

@@ -37,6 +37,8 @@ from jetideals.directions import (ExactDirection, allow_overapprox,
 from jetideals.ideal import JetIdeal
 from jetideals.jetring import DiffeoJet, Jet, RingSignature
 
+import scalar_reference as ref
+
 SIGNATURES = ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3))
 STUDIES = 60
 
@@ -176,10 +178,10 @@ def study(seed):
     return {"seed": seed, "m": m, "n": n, "shape": shape,
             "generators": [str(g) for g in gens],
             "phi": [str(c) for c in phi.components],
-            "I": [_fractions(v) for v in I.span.basis],
+            "I": [_fractions(v) for v in ref.subspace_basis(I.span)],
             "I_pivots": list(I.span.pivots),
-            "J": [_fractions(v) for v in J.span.basis],
-            "K": [_fractions(v) for v in K.span.basis],
+            "J": [_fractions(v) for v in ref.subspace_basis(J.span)],
+            "K": [_fractions(v) for v in ref.subspace_basis(K.span)],
             "members": members,
             "allowed": allow_overapprox(I).to_json(),
             "forbidden": list(forbidden) if forbidden else None}

@@ -64,8 +64,8 @@ that the exact reduction takes apart.
 
 The Jet constructor that coerced every coefficient with Fraction(c),
 Fractions included, and summed into a fresh Fraction(0):
-test_jetring.py requires Jet to keep the same coefficients, of the same
-types, in the same key order.
+test_jetring.py requires Jet to keep the same coefficients, as
+Fractions, in the order of the signature's monomial table.
 
 The ring operations that rebuilt what they already held: the product
 jet_mul, which summed each pair's exponents and built its key per pair
@@ -88,8 +88,12 @@ Subspace.intersect to give the same rows and pivots.
 
 Helpers that only tests call: the inverse of a diffeo-jet's linear part,
 linear_inverse, on the integer inverse integer_matrix_inverse (the
-right half of rref([A | I])), and contains_direction, whether a
-direction projects radially into a sphere patch.
+right half of rref([A | I])); subspace_basis, the Fraction RREF
+basis of a Subspace; contains_direction, whether a
+direction projects radially into a sphere patch; a jet's Fraction
+coefficient vector, jet_coordinates, and its exact value at a point,
+jet_eval; and cutoff_derivative_bounds, certified sup bounds for the
+derivatives of a CutoffSpec by interval subdivision.
 
 The Interval operators that converted every operand by Interval.exact
 and built every result through Interval.__init__, * and / taking the
@@ -161,8 +165,8 @@ from jetideals.jetring import (_Parser, DiffeoJet, Jet, monomials,
                                variable_names)
 from jetideals.symfun import (ZERO, Add, Const, Coord, Cutoff, Div, Gauge,
                               GaugeRef, Mul, Norm, Pow, RegularizedGauge,
-                              _bump, _ExprParser, add, div, expr_derive,
-                              hom_degree, ipow, mul)
+                              _bump, _ExprParser, _poly_eval_interval, add,
+                              div, expr_derive, hom_degree, ipow, mul)
 from jetideals.verifier import (FAIL, PASS, _cutoff_feature_scales,
                                 _region_directions, _transverse_unit,
                                 _unit_annulus_samples, chi_expr,
@@ -760,7 +764,51 @@ def ideal_contains(ideal, p):
         raise SignatureMismatchError("jet signature mismatch")
     if (0,) * ideal.sig.n in p.coeffs:
         return False
-    return ideal.span.contains(p.coordinates(include_constant=False))
+    return ideal.span.contains(jet_coordinates(p, include_constant=False))
+
+
+def subspace_basis(space):
+    """The RREF basis of an exactlin.Subspace: its rows as tuples of
+    Fraction, with a 1 in each pivot column."""
+    return [tuple(Fraction(a, row[p]) for a in row)
+            for row, p in zip(space.rows, space.pivots)]
+
+
+def jet_coordinates(p, include_constant=True):
+    """p's Fraction coefficient vector over its signature's monomial
+    table, with or without the constant term."""
+    coeffs = p.coeffs
+    return tuple(coeffs.get(a, Fraction(0))
+                 for a in p.sig.monomials[0 if include_constant else 1:])
+
+
+def jet_eval(p, point):
+    """The exact value of p at a point of rationals."""
+    total = Fraction(0)
+    for alpha, c in p.coeffs.items():
+        for x, a in zip(point, alpha):
+            c *= Fraction(x) ** a
+        total += c
+    return total
+
+
+def cutoff_derivative_bounds(spec):
+    """Certified upper bounds for sup |theta^(k)|, k <= q, of a
+    CutoffSpec, outer scaling included."""
+    return [_measure_bound(spec, k) for k in range(spec.q + 1)]
+
+
+def _measure_bound(spec, k):
+    """An upper bound for sup |theta^(k)| by interval evaluation of the
+    ramp's k-th derivative on 1024 pieces of [0, 1]."""
+    if k == 0:
+        return 1.0
+    pieces = 1 << 10
+    top = 0.0
+    for j in range(pieces):
+        u = Interval(j / pieces, (j + 1) / pieces)
+        top = max(top, abs(_poly_eval_interval(spec._polys[k], u)).hi)
+    return top / float(spec.width) ** k
 
 
 def jet_coeffs(sig, coeffs):

@@ -130,7 +130,7 @@ def test_signs_match_sympy(p, coeffs):
             want = 1 if approx > 0 else -1
         else:
             want = int(sympy.sign(sympy.simplify(value)))
-        assert ray.sign_of(coeffs) == want
+        assert ray.sign_of(coeffs.items()) == want
 
 
 def test_a_zero_of_an_inhomogeneous_polynomial_is_exact():
@@ -139,14 +139,16 @@ def test_a_zero_of_an_inhomogeneous_polynomial_is_exact():
     # 2x - x^2 - y^2 = 0: in both the even and odd parts cancel
     ray = Ray(Root.rational(Fraction(3, 4)), [poly(1), poly(0, 1)])
     assert ray.unit() == (0.8, 0.6)
-    assert ray.sign_of({(2, 0): 1, (0, 1): -1, (0, 0): Fraction(-1, 25)}) == 0
-    assert ray.sign_of({(2, 0): 1, (0, 1): -1}) == 1
+    assert ray.sign_of([((2, 0), 1), ((0, 1), -1),
+                        ((0, 0), Fraction(-1, 25))]) == 0
+    assert ray.sign_of([((2, 0), 1), ((0, 1), -1)]) == 1
     (sqrt3,) = [r for r in algebraic.real_roots(poly(-3, 0, 1)) if r.lo > 0]
     ray = Ray(sqrt3, [poly(1), poly(0, 1)])
     assert ray.unit()[0] == 0.5
-    assert ray.sign_of({(1, 0): 2, (2, 0): -1, (0, 2): -1}) == 0
-    assert ray.sign_of({(1, 0): 2, (2, 0): -1, (0, 2): -1, (0, 0): 1}) == 1
-    assert ray.negated().sign_of({(1, 0): 2, (2, 0): -1, (0, 2): -1}) == -1
+    circle = [((1, 0), 2), ((2, 0), -1), ((0, 2), -1)]
+    assert ray.sign_of(circle) == 0
+    assert ray.sign_of(circle + [((0, 0), 1)]) == 1
+    assert ray.negated().sign_of(circle) == -1
 
 
 def test_a_coordinate_halfway_between_doubles_rounds_to_even():
@@ -172,5 +174,5 @@ def test_a_factor_shared_with_a_reducible_f_vanishes_exactly():
     roots = algebraic.real_roots(algebraic.mul(poly(1, 0, -2), poly(1, 0, -3)))
     assert [len(r.f) for r in roots] == [5] * 4
     rays = [Ray(r, [poly(1), poly(0, 1)]) for r in roots]
-    assert [ray.sign_of({(2, 0): 1, (0, 2): -2}) for ray in rays] \
+    assert [ray.sign_of([((2, 0), 1), ((0, 2), -2)]) for ray in rays] \
         == [0, 1, 1, 0]

@@ -9,9 +9,11 @@ serves only the exact allowed-set solvers, which import it when they
 run: no statement that runs at import time, in any module, imports it
 (tests/test_startup.py checks the same in fresh interpreters).
 
-A top-level function or class must be read somewhere in src/ outside
-its own definition, or in bench/ or demos/, or be a public name of the
-package: a helper that only the tests read is dead code."""
+A top-level function or class, and a method of a top-level class other
+than a dunder, must be read somewhere in src/ outside its own
+definition, or in bench/ or demos/, or be a public name of the package:
+a helper that only the tests read is dead code.  Reads are by name, so
+a method counts as used wherever its name is read."""
 
 import ast
 from pathlib import Path
@@ -108,10 +110,21 @@ def test_every_top_level_function_and_class_is_used():
     unused = []
     for p, tree in trees.items():
         outside = elsewhere.union(*(r for q, r in reads.items() if q != p))
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-                    and node.name not in outside
+        for node in _definitions(tree):
+            if (node.name not in outside
                     and node.name not in _reads(tree, skip=node)):
                 unused.append(f"{p.name}: {node.name} (line {node.lineno})")
     assert not unused, f"defined but never used: {unused}"
+
+
+def _definitions(tree):
+    """The top-level functions and classes of a module, and the methods
+    of its classes but the dunders."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (d for d in node.body if isinstance(d, functions)
+                        and not (d.name.startswith("__")
+                                 and d.name.endswith("__")))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import scalar_reference as ref
 from jetideals.errors import (DegreeOverflowError, DimensionMismatchError,
                               ParseError)
+from jetideals.interval import Interval
 from jetideals.jetring import (MORE_THAN_M, DiffeoJet, Jet, RingSignature,
                                jet_compose, jet_parse)
 
@@ -168,13 +169,24 @@ def test_compose_identity_and_inverse_linear():
 
 
 def test_eval_modes_agree():
-    sig = RingSignature(3, 2)
-    p = jet_parse("x^2*y - y/3 + 2", sig)
-    x = (0.3, -0.7)
-    exact = p.eval(tuple(Fraction(c).limit_denominator(10**6) for c in x),
-                   mode="exact")
-    approx = p.eval(x, mode="float")
-    assert abs(float(exact) - approx) < 1e-9
+    """The interval enclosure of a jet's value holds its exact value,
+    at a point and on every box around it."""
+    rng = random.Random(808)
+    for m, n in ((3, 2), (2, 3), (4, 1)):
+        sig = RingSignature(m, n)
+        for _ in range(40):
+            p = random_jet(rng, sig)
+            x = tuple(rng.uniform(-2.0, 2.0) for _ in range(n))
+            exact = ref.jet_eval(p, x)
+            at = p.eval(x)
+            assert at.lo <= exact <= at.hi
+            box = [Interval(c - rng.random(), c + rng.random()) for c in x]
+            around = p.eval(box)
+            assert around.lo <= at.lo and at.hi <= around.hi
+    p = jet_parse("x^2*y - y/3 + 2", RingSignature(3, 2))
+    x = (Fraction(3, 10), Fraction(-7, 10))
+    value = p.eval(x)
+    assert value.lo <= ref.jet_eval(p, x) <= value.hi
 
 
 class _Pairs:
@@ -200,7 +212,9 @@ def test_constructor_keeps_the_coerced_coefficients(pairs):
     sig = RingSignature(4, 2)
     got = Jet(sig, _Pairs(pairs)).coeffs
     want = ref.jet_coeffs(sig, _Pairs(pairs))
-    assert list(got.items()) == list(want.items())
+    # in the order of the monomial table, whatever order the pairs come in
+    assert list(got.items()) == [(a, want[a]) for a in sig.monomials
+                                 if a in want]
     assert all(type(c) is Fraction for c in got.values())
 
 
@@ -212,3 +226,14 @@ def test_constructor_checks_arity_and_degree(alpha, error):
         Jet(sig, {alpha: Fraction(1)})
     with pytest.raises(error):
         ref.jet_coeffs(sig, {alpha: Fraction(1)})
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (3, 2), (2, 4)])
+def test_variable_equals_the_checked_monomial(m, n):
+    sig = RingSignature(m, n)
+    for i in range(n):
+        e = tuple(int(k == i) for k in range(n))
+        assert Jet.variable(sig, i) == Jet(sig, {e: 1})
+        assert Jet.variable(sig, i).coeffs == {e: 1}
+    with pytest.raises(IndexError):
+        Jet.variable(sig, n)

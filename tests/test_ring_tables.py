@@ -1,9 +1,11 @@
 """The ring operations that read the monomial product table and a map's
 shared powers give what the per-pair reference builds
 (scalar_reference.jet_mul, jet_compose, ideal_contains), and every jet
-they build internally is canonical: Fraction values only, no zero
-coefficient, every key a monomial of the signature."""
+they build internally is canonical: one integer numerator per monomial
+of the signature, over a positive denominator, with no common factor
+of all of them."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -46,8 +48,10 @@ def diffeos(draw, sig):
 
 def assert_canonical(p, sig):
     assert p.sig == sig
-    assert all(type(c) is Fraction and c for c in p.coeffs.values())
-    assert set(p.coeffs) <= set(sig.monomials)
+    assert len(p.nums) == sig.dim and type(p.nums) is tuple
+    assert all(type(c) is int for c in p.nums)
+    assert type(p.den) is int and p.den > 0
+    assert math.gcd(*p.nums, p.den) == 1
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,6 +1,5 @@
-"""Start-up: importing jetideals measures nothing and loads no sympy.
+"""Start-up: importing jetideals loads no sympy.
 
-The cutoff bounds of DEFAULT_CUTOFF are measured on first read, and
 sympy is imported only by directions._solved_zero_set, which solves
 two or more nonlinear parts in three or more free variables.  So the
 annulus conditions, the flat/tame and negligibility checks, a
@@ -31,22 +30,11 @@ def _fresh(code):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_import_loads_no_sympy_and_measures_no_cutoff_bound():
+def test_import_loads_no_sympy():
     assert _fresh(
         "import json, sys\n"
         "import jetideals\n"
-        "print(json.dumps(['sympy' in sys.modules, 'derivative_bounds'"
-        " in jetideals.DEFAULT_CUTOFF.__dict__]))") == [False, False]
-
-
-def test_cutoff_bounds_are_measured_once_on_first_read():
-    from jetideals.symfun import CutoffSpec
-    spec = CutoffSpec(q=3, a=4, b=8)
-    assert "derivative_bounds" not in spec.__dict__
-    bounds = spec.derivative_bounds
-    assert spec.__dict__["derivative_bounds"] is bounds
-    assert spec.derivative_bounds is bounds
-    assert bounds == [spec._measure_bound(k) for k in range(spec.q + 1)]
+        "print(json.dumps('sympy' in sys.modules))") is False
 
 
 @pytest.mark.parametrize("variant", ["C", "C*", "C**"])
