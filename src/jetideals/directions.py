@@ -2,20 +2,17 @@
 
 Allowed directions of an ideal are over-approximated by the common zero
 set on the sphere of the lowest homogeneous parts of the generators; the
-containment is an equality when every generator is homogeneous.  In the
-plane that zero set is exact: the real roots of the gcd over QQ of the
-dehomogenized parts, each direction an `algebraic.Ray` whose float
-coordinates are correctly rounded and at which `exact_zero_residual`
-decides a jet's sign over QQ.  In higher dimensions a part c*u_i^k
-forces u_i = 0 and a linear part is made a coordinate and forced, so
-the system is reduced exactly, and what is left in two variables goes
-to the plane solver.  Only two or more nonlinear parts in three or more
-free variables go to sympy.solve; a set that is not finite (or that the
-solver cannot handle) falls back to an interval-certified patch cover.
-sympy serves only that solver (`_solved_zero_set`, and the residuals of
-the directions it finds), which imports it on first use and calls it as
-sympy.solve(...) and sympy.simplify(...), attributes of the module,
-where a tracer that wraps those attributes sees them.
+containment is an equality when every generator is homogeneous.  Every
+exact direction is an `algebraic.Ray`, whose float coordinates are
+correctly rounded and at which `exact_zero_residual` decides a jet's
+sign over QQ.  In the plane the zero set is the real roots of the gcd
+over QQ of the dehomogenized parts.  In higher dimensions a part
+c*u_i^k forces u_i = 0 and a linear part is made a coordinate and
+forced, so the system is reduced exactly, and what is left in two
+variables goes to the plane solver.  Two or more nonlinear parts in
+three free variables are solved by resultants over QQ
+(`_space_zero_set`).  A set that is not finite, or that neither solver
+settles, falls back to an interval-certified patch cover.
 
 Forbidden-direction certificates assert sum_l |Q_l(x)| > c|x|^m on a
 cone.  Writing x = s*u with u on the sphere and pulling the homogeneous
@@ -29,7 +26,9 @@ searches (see certify_lower_bound).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -47,23 +46,9 @@ CERTIFIED_FORBIDDEN = "certified_forbidden"
 CANDIDATE_ALLOWED = "candidate_allowed"
 
 
-def jet_to_sympy(p: Jet, syms):
-    """p as a sympy polynomial in syms (any sympy expressions)."""
-    import sympy
-    expr = sympy.Integer(0)
-    for alpha, c in p.coeffs.items():
-        term = sympy.Rational(c.numerator, c.denominator)
-        for s, a in zip(syms, alpha):
-            if a:
-                term *= s ** a
-        expr += term
-    return expr
-
-
 class ExactDirection:
     """A direction with float coordinates and, when available, exact
-    data `sym`: an `algebraic.Ray` whose unit vector it is, or for a
-    direction that sympy.solve found, a tuple of sympy numbers."""
+    data `sym`: the `algebraic.Ray` whose unit vector it is."""
 
     __slots__ = ("vec", "sym")
 
@@ -73,10 +58,6 @@ class ExactDirection:
 
     def __repr__(self):
         return f"ExactDirection({self.vec})"
-
-    def dist(self, other) -> float:
-        ov = other.vec if isinstance(other, ExactDirection) else tuple(other)
-        return math.dist(self.vec, ov)
 
 
 class DirectionSet:
@@ -218,8 +199,9 @@ def _exact_zero_set(parts, n):
     and so forced, so the system is first reduced exactly
     (`_reduce_forced`).  At most two free variables leave a plane
     problem or nothing; with three or more, one part is a hypersurface
-    (finite on the sphere only if empty) and only two or more parts go
-    to sympy.solve.
+    (finite on the sphere only if empty), two or more parts in three
+    free variables go to `_space_zero_set`, and four or more free
+    variables are left to the patch cover.
     """
     free, system, basis = _reduce_forced(parts, n)
     if not free:
@@ -231,20 +213,15 @@ def _exact_zero_set(parts, n):
     elif not system:
         return None  # a great circle or larger: no finite list
     elif len(free) == 2:
-        i, j = free
-        sig = RingSignature(system[0].sig.m, 2)
-        plane = [Jet(sig, {(a[i], a[j]): c for a, c in p.coeffs.items()})
-                 for p in system]
-        rays = [d.sym for d in _plane_zero_set(plane)]
+        rays = _plane_rays(system, *free)
     elif len(system) == 1:
         # one hypersurface meets the sphere in a positive-dimensional
         # complex set; only c*|w|^(2j) misses it altogether
         return [] if _is_sphere_power(system[0], free) else None
     else:
-        dirs = _solved_zero_set(system, free, basis)
-        if dirs is None:
+        rays = _space_zero_set(system, free) if len(free) == 3 else None
+        if rays is None:
             return None
-        return sorted(dirs, key=lambda d: d.vec)
     dirs = []
     for ray in rays:
         lifted = Ray(ray.root, _lift(basis, free, ray.coords))
@@ -311,6 +288,109 @@ def _lift(basis, free, coords):
     return out
 
 
+def _plane_rays(system, i, j):
+    """Rays in (u_i, u_j) of the common zeros of the parts' terms in
+    u_i and u_j alone; None if no such term is left (a great circle)."""
+    sig = RingSignature(system[0].sig.m, 2)
+    plane = [Jet(sig, {(a[i], a[j]): c for a, c in p.coeffs.items()
+                       if a[i] + a[j] == sum(a)}) for p in system]
+    plane = [p for p in plane if not p.is_zero()]
+    return [d.sym for d in _plane_zero_set(plane)] if plane else None
+
+
+_SHEARS = 4  # seeded shears tried before a system goes to the patch cover
+
+
+def _space_zero_set(system, free):
+    """Rays in the free variables (a, b, c) of the common zeros of two
+    or more parts; None if no seeded shear settles them.
+
+    Under a seeded lower unitriangular shear w = A w', the zeros with
+    c = 0 are the plane problem of the terms free of c.  On the chart
+    c = 1, two seeded combinations g1, g2 of the parts, of degree 2 or
+    more in a with constant leading coefficients, have resultant R(b)
+    and first subresultant s1(b) a + s0(b) in a.  Each zero lies over a
+    real root of R; where s1 does not vanish, g1 and g2 have the one
+    common root a = -s0/s1 there, the ray (-s0, b s1, s1), kept if every
+    part vanishes at it.  Any other case (a root where s1 vanishes may
+    hold more zeros) goes to the next shear.
+    """
+    sig = system[0].sig
+    a, b, c = free
+    for seed in range(_SHEARS):
+        rng = random.Random(seed)
+        change = [[Fraction(int(i == k)) for k in range(sig.n)]
+                  for i in range(sig.n)]
+        for i, k in itertools.combinations(free, 2):
+            change[k][i] = Fraction(rng.randint(-9, 9))
+        phi = DiffeoJet.linear(sig, change)
+        parts = [jet_compose(p, phi) for p in system]
+        rays = _plane_rays(parts, a, b)
+        g1, g2 = (_chart(parts, [rng.randint(1, 9) for _ in parts], a, b)
+                  for _ in range(2))
+        if rays is None or any(len(g) < 3 or len(g[-1]) > 1
+                               for g in (g1, g2)):
+            continue
+        (resultant,) = _minors(_sylvester(g1, g2, 0))
+        if not resultant:
+            continue
+        s1, s0 = _minors(_sylvester(g1, g2, 1))
+        for root in algebraic.real_roots(resultant):
+            if not root.sign(s1):
+                break
+            ray = Ray(root, (algebraic.scale(s0, -1), (0,) + s1, s1))
+            if not any(ray.sign_of(((e[a], e[b], e[c]), v)
+                                   for e, v in p.coeffs.items())
+                       for p in parts):
+                rays += [ray, ray.negated()]
+        else:
+            # a plane ray's two coordinates lift with c = 0
+            shear = [change[i] for i in free]
+            return [Ray(r.root, _lift(shear, free, r.coords)) for r in rays]
+    return None
+
+
+def _chart(parts, weights, a, b):
+    """sum_k weights[k] parts[k](a, b, 1) as its coefficients of 1, a,
+    a^2, ..., each a polynomial in b."""
+    m = parts[0].sig.m
+    grid = [[Fraction(0)] * (m + 1) for _ in range(m + 1)]
+    for p, w in zip(parts, weights):
+        for e, v in p.coeffs.items():
+            grid[e[a]][e[b]] += w * v
+    return algebraic.trim(map(algebraic.trim, grid))
+
+
+def _sylvester(f, g, k):
+    """The rows a^i f (i < deg g - k) and a^i g (i < deg f - k) over
+    a^(deg f + deg g - k - 1), ..., a, 1, whose `_minors` are the
+    coefficients of the k-th subresultant of f and g in a."""
+    width = len(f) + len(g) - 2 - k
+    return [[p[e - i] if 0 <= e - i < len(p) else ()
+             for e in reversed(range(width))]
+            for p, q in ((f, g), (g, f)) for i in range(len(q) - 1 - k)]
+
+
+def _minors(rows):
+    """The determinants, up to one sign, of a k x (k + j) matrix over
+    QQ[b] on its first k - 1 columns and each one of the others, by
+    fraction-free (Bareiss) elimination; all () if the first k - 1
+    columns have rank below k - 1."""
+    rows, prev, k = [list(r) for r in rows], (Fraction(1),), len(rows)
+    for i in range(k - 1):
+        pivot = next((r for r in range(i, k) if rows[r][i]), None)
+        if pivot is None:
+            return [()] * (len(rows[0]) - k + 1)
+        rows[i], rows[pivot] = rows[pivot], rows[i]
+        for r in range(i + 1, k):
+            rows[r] = [algebraic.quo_rem(algebraic.add(algebraic.mul(
+                rows[i][i], x), algebraic.scale(algebraic.mul(rows[r][i], y),
+                                                -1)), prev)[0]
+                       for x, y in zip(rows[r], rows[i])]
+        prev = rows[i][i]
+    return rows[-1][k - 1:]
+
+
 def _is_sphere_power(p: Jet, free) -> bool:
     """True if p = c * (sum of u_i^2 over the free variables)^j."""
     k = p.degree()
@@ -323,44 +403,6 @@ def _is_sphere_power(p: Jet, free) -> bool:
     for _ in range(k // 2):
         power = power * square
     return p == power.scale(p.coeffs.get(next(iter(power.coeffs)), 0))
-
-
-def _solved_zero_set(system, free, basis):
-    """sympy.solve on the reduced system in the free variables w and the
-    unit sphere |basis w| = 1, mapped to u = basis w; None if the
-    solution set is not finite."""
-    import sympy
-    from sympy.polys.polyerrors import BasePolynomialError
-    syms = sympy.symbols(f"u0:{len(basis)}", real=True)
-    unknowns = [syms[i] for i in free]
-    coords = [sum(sympy.Rational(row[k].numerator, row[k].denominator)
-                  * syms[k] for k in free) for row in basis]
-    equations = [jet_to_sympy(p, syms) for p in system]
-    equations.append(sum(c ** 2 for c in coords) - 1)
-    try:
-        sols = sympy.solve(equations, unknowns, dict=True)
-    except (NotImplementedError, BasePolynomialError):
-        return None
-    if not isinstance(sols, list):
-        return None
-    dirs = []
-    for sol in sols:
-        if set(sol) != set(unknowns):
-            return None  # a free variable: positive-dimensional solution set
-        vals = {s: sympy.simplify(sol[s]) for s in unknowns}
-        if any(v.free_symbols for v in vals.values()):
-            return None
-        if any(not v.is_real for v in vals.values()):
-            continue
-        point = tuple(c.subs(vals) for c in coords)
-        dirs.append(ExactDirection([float(v.evalf(30)) for v in point],
-                                   point))
-    # dedupe (solve can repeat roots)
-    unique = []
-    for d in dirs:
-        if all(d.dist(u) > 1e-9 for u in unique):
-            unique.append(d)
-    return unique
 
 
 def _patch_zero_cover(parts, n, budget):
@@ -383,23 +425,15 @@ def _patch_zero_cover(parts, n, budget):
 
 
 def exact_zero_residual(direction: ExactDirection, p: Jet) -> int:
-    """The sign (-1, 0 or 1) of p at an exact direction, decided in
-    exact arithmetic: 0 iff p vanishes there.
+    """The sign (-1, 0 or 1) of p at an exact direction, decided over QQ
+    by `Ray.sign_of`: 0 iff p vanishes there.
 
-    Used to confirm zero residual for reported allowed directions.  A
-    ray is decided by `Ray.sign_of` over QQ; a direction of
-    `_solved_zero_set` carries sympy numbers, which sympy decides.
+    Used to confirm zero residual for reported allowed directions.
     """
     if direction.sym is None:
         raise DomainError("direction carries no exact data")
-    if isinstance(direction.sym, Ray):
-        # the numerators are p times its positive denominator
-        return direction.sym.sign_of(zip(p.sig.monomials, p.nums))
-    import sympy
-    syms = sympy.symbols(f"u0:{len(direction.sym)}", real=True)
-    expr = jet_to_sympy(p, syms)
-    return int(sympy.sign(sympy.simplify(
-        expr.subs(dict(zip(syms, direction.sym))))))
+    # the numerators are p times its positive denominator
+    return direction.sym.sign_of(zip(p.sig.monomials, p.nums))
 
 
 # ---------------------------------------------------------------------------

@@ -58,9 +58,16 @@ over QQ with no sympy, to return the same directions, the exact
 coordinates of each of its rays (ray_to_sympy) equal to these.
 
 The allowed-set solver for n >= 3 that sent every system, with the unit
-sphere, to sympy.solve: test_directions.py requires
+sphere, to sympy.solve, its directions' coordinates sympy numbers
+(jet_to_sympy writes a jet as a sympy polynomial), deduplicated at a
+float distance of 1e-9: test_directions.py requires
 directions._exact_zero_set to return the same set, sorted, on systems
-that the exact reduction takes apart.
+that the exact reduction takes apart.  On systems left to the resultant
+solver (directions._space_zero_set) it requires every returned
+direction to be an exact zero of every part, and, where both return a
+list, no direction of this one to be missing; where the resultant
+solver gives up, the patch cover's candidates must hold every direction
+of this one.
 
 The Jet constructor that coerced every coefficient with Fraction(c),
 Fractions included, and summed into a fresh Fraction(0):
@@ -152,8 +159,7 @@ from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing
 
 from jetideals import regions, verifier
-from jetideals.directions import (ExactDirection, _compile_scaled,
-                                  jet_to_sympy)
+from jetideals.directions import ExactDirection, _compile_scaled
 from jetideals.errors import (DegreeOverflowError, DimensionMismatchError,
                               DomainError, ParseError,
                               SignatureMismatchError)
@@ -670,6 +676,18 @@ def dome_sup(expr, dome, table, target=None, budget=64):
     return top, certified
 
 
+def jet_to_sympy(p, syms):
+    """p as a sympy polynomial in syms (any sympy expressions)."""
+    expr = sympy.Integer(0)
+    for alpha, c in p.coeffs.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for s, a in zip(syms, alpha):
+            if a:
+                term *= s ** a
+        expr += term
+    return expr
+
+
 def plane_zero_set(parts):
     t = sympy.Symbol("t", real=True)
     x, y = sympy.symbols("x y", real=True)
@@ -848,7 +866,7 @@ def exact_zero_set(parts, n):
         dirs.append(ExactDirection(vec, vals))
     unique = []
     for d in dirs:
-        if all(d.dist(u) > 1e-9 for u in unique):
+        if all(math.dist(d.vec, u.vec) > 1e-9 for u in unique):
             unique.append(d)
     return unique
 

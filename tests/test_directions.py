@@ -1,6 +1,8 @@
 """Allowed/forbidden direction computation."""
 
 import math
+import multiprocessing
+import random
 import time
 
 import pytest
@@ -204,15 +206,8 @@ def lowest_parts(m, n, gens):
             for g in make_ideal(m, n, gens).generators]
 
 
-def no_solve(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("sympy.solve called")
-    monkeypatch.setattr(sympy, "solve", refuse)
-
-
-def test_reduced_cubic_is_the_lifted_plane_set(monkeypatch):
+def test_reduced_cubic_is_the_lifted_plane_set():
     # x^2 forces x = 0; the cubic's six directions lie in the y-z plane
-    no_solve(monkeypatch)
     aset = allow_overapprox(make_ideal(3, 3, ["x^2", "y^3 - 3y*z^2 + z^3"]))
     assert aset.exact and aset.is_finite
     plane = directions._plane_zero_set(
@@ -226,10 +221,9 @@ def test_reduced_cubic_is_the_lifted_plane_set(monkeypatch):
             for d in aset.directions] == [sympy.srepr(s) for _, s in want]
 
 
-def test_a_linear_part_is_eliminated_exactly(monkeypatch):
+def test_a_linear_part_is_eliminated_exactly():
     # x - y becomes a coordinate and is forced; the cubic's six rays in
-    # the (y, z) plane map back with x = y, so no sympy.solve is needed
-    no_solve(monkeypatch)
+    # the (y, z) plane map back with x = y
     start = time.perf_counter()
     aset = allow_overapprox(make_ideal(3, 3, ["x - y", "y^3 - 3y*z^2 + z^3"]))
     assert time.perf_counter() - start < 1.0
@@ -260,8 +254,7 @@ def test_a_linear_part_is_eliminated_exactly(monkeypatch):
      [(0, -sympy.sqrt(2) / 2, -sympy.sqrt(2) / 2),
       (0, sympy.sqrt(2) / 2, sympy.sqrt(2) / 2)]),
 ])
-def test_reduction_decides_without_solve(monkeypatch, m, n, gens, want):
-    no_solve(monkeypatch)
+def test_reduction_decides_without_solve(m, n, gens, want):
     aset = allow_overapprox(make_ideal(m, n, gens))
     assert aset.is_finite
     assert [d.vec for d in aset.directions] == \
@@ -277,8 +270,7 @@ def test_reduction_decides_without_solve(monkeypatch, m, n, gens, want):
     (2, 4, ["x^2", "y^2 + z^2 + 2w^2"]),  # not a power of |u|^2
     (2, 4, ["x*y", "x^2"]),               # x = 0 leaves a 2-sphere
 ])
-def test_hypersurface_is_no_finite_list(monkeypatch, m, n, gens):
-    no_solve(monkeypatch)
+def test_hypersurface_is_no_finite_list(m, n, gens):
     assert directions._exact_zero_set(lowest_parts(m, n, gens), n) is None
 
 
@@ -290,21 +282,130 @@ def test_unreduced_system_is_solved_and_sorted():
     assert [d.vec for d in got] == sorted(d.vec for d in want)
 
 
-def test_solver_errors_propagate_or_fall_back(monkeypatch):
-    parts = lowest_parts(2, 3, ["x*y", "y*z", "x*z"])
+def _exact_zeros(aset, gens):
+    """The allowed set's directions, after checking that each is an
+    exact zero of every generator."""
+    for d in aset.directions:
+        for g in gens:
+            assert exact_zero_residual(d, g) == 0
+    return [d.vec for d in aset.directions]
 
-    def fail(error):
-        def solve(*args, **kwargs):
-            raise error
-        return solve
 
-    # the solver giving up means the patch cover
-    monkeypatch.setattr(sympy, "solve", fail(NotImplementedError("no")))
+def test_a_false_vacuous_pass_has_eight_exact_directions():
+    # an empty list here would read as "every jet is implied"
+    I = make_ideal(3, 3, ["-x^3 - 2y*z^2", "-3x^2 + 2y^2 + 2y*z + z^2"])
+    aset = allow_overapprox(I)
+    assert aset.exact and aset.is_finite
+    vecs = _exact_zeros(aset, I.generators)
+    assert len(set(vecs)) == 8
+    assert sorted(tuple(-c for c in v) for v in vecs) == vecs
+
+
+def test_two_quadric_cones_meet_in_four_directions():
+    # two quadric cones in general position: every allowed-set path is
+    # bounded, and this one is quick
+    I = make_ideal(3, 3, ["x^2 + y^2 - 2z^2", "x*y - z^2 + x*z"])
+    start = time.perf_counter()
+    aset = allow_overapprox(I)
+    assert time.perf_counter() - start < 2.0
+    assert aset.exact and len(set(_exact_zeros(aset, I.generators))) == 4
+
+
+def test_directions_1e_10_apart_stay_apart():
+    # x in {0, e z} and y in {0, e z}, e = 10^-10, on both sides: 8
+    # exact directions, no two merged however close
+    I = make_ideal(3, 3, ["x^2 - 1/10000000000*x*z",
+                          "y^2 - 1/10000000000*y*z"])
+    aset = allow_overapprox(I)
+    assert aset.exact
+    want = sorted((s * x, s * y, float(s)) for s in (1, -1)
+                  for x in (0.0, 1e-10) for y in (0.0, 1e-10))
+    assert _exact_zeros(aset, I.generators) == want
+
+
+def test_a_fat_point_is_left_to_the_patch_cover():
+    # 3x + y = 0 meets x^2 z + x y^2 = 0 twice at (0, 0, 1), so no shear
+    # gives one root in that fiber; the patch cover must hold every
+    # direction that sympy.solve finds
+    gens = ["-3x*y - y^2", "-x^2*z - x*y^2"]
+    parts = lowest_parts(3, 3, gens)
     assert directions._exact_zero_set(parts, 3) is None
-    # anything else is a fault, not "intractable"
-    monkeypatch.setattr(sympy, "solve", fail(RuntimeError("deadline")))
-    with pytest.raises(RuntimeError, match="deadline"):
-        directions._exact_zero_set(parts, 3)
+    want = scalar_reference.exact_zero_set(parts, 3)
+    assert len(want) == 6
+    aset = allow_overapprox(make_ideal(3, 3, gens))
+    cands = aset.candidate_patches()
+    for d in want:
+        assert any(scalar_reference.contains_direction(p, d, 1e-12)
+                   for p in cands), d
+
+
+def _reference_vecs(parts, seconds):
+    """The directions' float vectors of scalar_reference.exact_zero_set
+    on parts (None if it lists none), solved in a forked process that is
+    killed after `seconds`; TimeoutError then."""
+    fork = multiprocessing.get_context("fork")
+    receive, send = fork.Pipe(duplex=False)
+
+    def solve():
+        found = scalar_reference.exact_zero_set(parts, 3)
+        send.send(None if found is None else [d.vec for d in found])
+
+    worker = fork.Process(target=solve)
+    worker.start()
+    try:
+        if not receive.poll(seconds):
+            raise TimeoutError
+        return receive.recv()
+    finally:
+        worker.kill()
+        worker.join()
+        receive.close()
+        send.close()
+
+
+def _product_system(rng):
+    """Two or three parts, each a product of two or three linear forms
+    with two or more nonzero small integer coefficients: no part is
+    linear or a monomial, so nothing is reduced and every system goes to
+    the resultant solver."""
+    sig = RingSignature(3, 3)
+    parts = []
+    for _ in range(rng.randint(2, 3)):
+        part = Jet.constant(sig, 1)
+        for _ in range(rng.randint(2, 3)):
+            form = [0, 0, 0]
+            while sum(map(bool, form)) < 2:
+                form = [rng.randint(-2, 2) for _ in range(3)]
+            part = part * Jet(sig, {tuple(int(i == k) for i in range(3)): c
+                                    for k, c in enumerate(form) if c})
+        parts.append(part)
+    return parts
+
+
+def test_resultant_solver_against_the_sympy_reference():
+    # seeded systems for 8 s, each reference solve killed at 1 s: every
+    # direction returned is an exact zero of every part, and where both
+    # return a list, none of the reference's is missing
+    stop = time.perf_counter() + 8.0
+    seed = compared = 0
+    while time.perf_counter() < stop:
+        parts = _product_system(random.Random(seed))
+        seed += 1
+        got = directions._exact_zero_set(parts, 3)
+        if got is None:
+            continue
+        for d in got:
+            assert all(exact_zero_residual(d, p) == 0 for p in parts)
+        try:
+            want = _reference_vecs(parts, 1.0)
+        except TimeoutError:
+            continue
+        if want is not None:
+            compared += 1
+            for w in want:
+                assert any(math.dist(w, d.vec) < 1e-9 for d in got), \
+                    (seed - 1, w)
+    assert compared >= 5, f"{compared} of {seed} systems compared"
 
 
 _nonzero = st.fractions(min_value=-3, max_value=3,

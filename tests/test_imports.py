@@ -4,10 +4,10 @@ and none of them is sympy; every top-level function and class is used.
 Each src/jetideals/*.py but __init__.py (whose imports are the package's
 public names) is parsed with ast.  A name bound by a module-level import
 must be read somewhere in the module: as a bare name or as the base of
-an attribute chain.  `from __future__` imports bind nothing.  sympy
-serves only the exact allowed-set solvers, which import it when they
-run: no statement that runs at import time, in any module, imports it
-(tests/test_startup.py checks the same in fresh interpreters).
+an attribute chain.  `from __future__` imports bind nothing.  No
+package module imports sympy anywhere, at import time or in a function
+body (tests/test_startup.py computes allowed sets in a fresh
+interpreter where importing sympy raises).
 
 A top-level function or class, and a method of a top-level class other
 than a dunder, must be read somewhere in src/ outside its own
@@ -55,27 +55,24 @@ def test_every_module_is_checked():
                                          "directions.py", "symfun.py"}
 
 
-def _import_time_modules(node):
-    """The modules imported by statements of node that run when it is
-    executed: everything but the bodies of functions and lambdas."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                              ast.Lambda)):
-            continue
-        if isinstance(child, ast.Import):
-            yield from (alias.name for alias in child.names)
-        elif isinstance(child, ast.ImportFrom) and child.level == 0:
-            yield child.module
-        yield from _import_time_modules(child)
+def _imported_modules(tree):
+    """The modules named by every import statement of tree, those in
+    function bodies included; a relative import by its name within the
+    package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_package_module_imports_sympy_at_top_level(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    found = [m for m in _import_time_modules(tree)
+    found = [m for m in _imported_modules(tree)
              if m.split(".")[0] == "sympy"]
-    assert not found, f"{path.name} imports {found} at import time"
+    assert not found, f"{path.name} imports {found}"
 
 
 def _reads(tree, skip=None):

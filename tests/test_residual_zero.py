@@ -35,7 +35,6 @@ from hypothesis import Phase, assume, given, settings, strategies as st
 
 from jetideals import verifier
 from jetideals.corpus import _intro_annulus_inputs, case_by_id, run_case
-from jetideals.directions import jet_to_sympy
 from jetideals.geometry import Direction
 from jetideals.ideal import JetIdeal
 from jetideals.errors import DomainError
@@ -47,7 +46,8 @@ from jetideals.verifier import (ImplicationCertificate, _identity_zero,
                                 check_annulus_condition,
                                 check_strong_directional, expr_scale_coords,
                                 symbolic_residual_zero)
-from scalar_reference import expr_to_sympy, identity_zero, residual_zero
+from scalar_reference import (expr_to_sympy, identity_zero, jet_to_sympy,
+                              residual_zero)
 
 N = 2
 SIG = RingSignature(3, N)

@@ -1,12 +1,13 @@
 """Start-up: importing jetideals loads no sympy.
 
-sympy is imported only by directions._solved_zero_set, which solves
-two or more nonlinear parts in three or more free variables.  So the
-annulus conditions, the flat/tame and negligibility checks, a
-`jetideals verify-annulus` call, the plane and pole allowed sets with
-their exact residuals, and the benchmark's implication and toolkit
-warm-up ops run without it.  This test process has sympy loaded
-already, so each check runs in a fresh interpreter."""
+No package module imports sympy: the allowed sets, in the plane and by
+resultants in three variables, and their exact residuals are computed
+over QQ by `algebraic`.  So the annulus conditions, the flat/tame and
+negligibility checks, a `jetideals verify-annulus` call, every allowed
+set with its exact residuals, and the benchmark's implication and
+toolkit warm-up ops run without it, and the allowed sets are computed
+in an interpreter where importing sympy raises.  This test process has
+sympy loaded already, so each check runs in a fresh interpreter."""
 
 import json
 import os
@@ -126,3 +127,27 @@ def test_implication_and_toolkit_warmups_load_no_sympy():
         "    out[name] = op.check(op.run())\n"
         "print(json.dumps([out, 'sympy' in sys.modules]))")
     assert outcome == [{"implication": [], "toolkit": []}, False]
+
+
+def test_allowed_sets_are_computed_where_sympy_cannot_be_imported():
+    # a None entry in sys.modules makes every `import sympy` raise
+    found, residuals = _fresh(
+        "import json, sys\n"
+        "sys.modules['sympy'] = None\n"
+        "from jetideals import (JetIdeal, RingSignature, allow_overapprox,\n"
+        "                       exact_zero_residual, jet_parse)\n"
+        "out, residuals = [], set()\n"
+        "sig = RingSignature(3, 3)\n"
+        "for gens in [['x^2 + y^2 - 2z^2', 'x*y - z^2 + x*z'],\n"
+        "             ['-x^3 - 2y*z^2', '-3x^2 + 2y^2 + 2y*z + z^2'],\n"
+        "             ['x*y', 'y*z', 'x*z'],\n"
+        "             ['-3x*y - y^2', '-x^2*z - x*y^2']]:\n"
+        "    I = JetIdeal(sig, [jet_parse(g, sig) for g in gens])\n"
+        "    found = allow_overapprox(I)\n"
+        "    out.append(len(found.directions) if found.is_finite else None)\n"
+        "    residuals |= {exact_zero_residual(d, g)\n"
+        "                  for d in found.directions or ()\n"
+        "                  for g in I.generators}\n"
+        "print(json.dumps([out, sorted(residuals)]))")
+    assert found == [4, 8, 6, None]
+    assert residuals == [0]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jetideals import regions, verifier
+from jetideals.cli import main
 from jetideals.errors import DomainError
 from jetideals.geometry import Cone, Direction
 from jetideals.ideal import JetIdeal
@@ -263,6 +264,25 @@ def test_strong_vacuous_for_empty_allow():
                                   expr_parse("x*y", 2))
     report = check_strong_global(cert)
     assert report["verdict"] == "pass" and report["vacuous"]
+
+
+def test_no_vacuous_pass_over_a_nonempty_allowed_set(tmp_path):
+    # <-x^3 - 2yz^2, -3x^2 + 2y^2 + 2yz + z^2> has 8 allowed directions,
+    # so a certificate with no terms for x*y*z, which is not in the
+    # ideal, must not pass vacuously
+    gens = ["-x^3 - 2y*z^2", "-3x^2 + 2y^2 + 2y*z + z^2"]
+    sig = RingSignature(3, 3)
+    I = JetIdeal(sig, [jet_parse(g, sig) for g in gens])
+    cert = ImplicationCertificate(I, jet_parse("x*y*z", sig), [],
+                                  expr_parse("x*y*z", 3))
+    assert not I.contains(cert.target)
+    report = check_strong_global(cert)
+    assert report["verdict"] != "pass" and "vacuous" not in report
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({
+        "ideal": {"m": 3, "n": 3, "generators": gens},
+        "target": "x*y*z", "F": "x*y*z", "terms": []}))
+    assert main(["verify-implication", "--cert", str(path)]) != 0
 
 
 def _cutoff_argument(kind, c):
