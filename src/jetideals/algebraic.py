@@ -6,8 +6,10 @@ of f is kept as a `Root`: a rational, or the only root of a square-free
 f in an open interval with rational ends.  A `Ray` is a vector v(t) of
 polynomials at a root; it stands for the unit vector v/|v|, whose
 float coordinates it rounds correctly and at which it decides the sign
-of a polynomial exactly.  Everything is exact rational arithmetic; the
-square root of |v|^2 is bounded by `math.isqrt` on scaled integers.
+of a polynomial exactly.  Everything is exact rational arithmetic; a
+root's interval is halved, and polynomials enclosed on it, in integers
+over one common denominator, and the square root of |v|^2 is bounded
+by `math.isqrt` on scaled integers.
 """
 
 from __future__ import annotations
@@ -84,10 +86,11 @@ def evaluate(a, x):
     return acc
 
 
-def _sign_at(ints, x):
-    """Sign of the integer polynomial at the rational x, in integers:
-    the sum of c_i p^i q^(d-i) for x = p/q has the sign of f(x)."""
-    p, q = x.numerator, x.denominator
+def _sign_at(ints, x, den=1):
+    """Sign of the integer polynomial at x/den, for a rational x and a
+    positive integer den, in integers: the sum of c_i p^i q^(d-i) for
+    x/den = p/q has the sign of f(x/den)."""
+    p, q = x.numerator, x.denominator * den
     acc, power = 0, 1
     for c in reversed(ints):
         acc = acc * p + c * power
@@ -217,14 +220,16 @@ class Root:
         return rem(g, self.f)
 
     def intervals(self):
-        """Ever narrower intervals around an irrational root, halved
-        each step."""
-        lo, hi = self.lo, self.hi
-        s_lo = _sign_at(self._ints, lo)
+        """Ever narrower intervals [lo/den, hi/den] around an irrational
+        root, as integers (lo, hi, den), halved each step."""
+        den = math.lcm(self.lo.denominator, self.hi.denominator)
+        lo = self.lo.numerator * (den // self.lo.denominator)
+        hi = self.hi.numerator * (den // self.hi.denominator)
+        s_lo = _sign_at(self._ints, self.lo)
         while True:
-            yield lo, hi
-            mid = (lo + hi) / 2
-            if _sign_at(self._ints, mid) == s_lo:
+            yield lo, hi, den
+            mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
+            if _sign_at(self._ints, mid, den) == s_lo:
                 lo = mid
             else:
                 hi = mid
@@ -243,39 +248,54 @@ class Root:
         h = _integer_row(gcd(g, self.f))
         if len(h) > 1 and _sign_at(h, self.lo) != _sign_at(h, self.hi):
             return 0
-        for lo, hi in self.intervals():
-            low, high = _enclose(g, lo, hi)
+        ints = _integer_row(g)
+        for lo, hi, den in self.intervals():
+            low, high = _enclose(ints, lo, hi, den)
             if low > 0 or high < 0:
                 return 1 if low > 0 else -1
 
 
-def _enclose(g, lo, hi):
-    """Bounds of g over [lo, hi] by interval Horner evaluation."""
-    low = high = Fraction(0)
-    for c in reversed(g):
+def _scaled(g):
+    """Integer coefficients c and a positive integer e with g = c/e."""
+    e = math.lcm(*(c.denominator for c in g))
+    return [c.numerator * (e // c.denominator) for c in g], e
+
+
+def _enclose(ints, lo, hi, den):
+    """Integer bounds of den^d f(x) over x in [lo/den, hi/den], for the
+    integer polynomial f of degree d, by interval Horner evaluation of
+    the sum of c_i X^i den^(d-i) over X in [lo, hi]."""
+    low = high = 0
+    power = 1
+    for c in reversed(ints):
         ends = (low * lo, low * hi, high * lo, high * hi)
+        c *= power
         low, high = min(ends) + c, max(ends) + c
+        power *= den
     return low, high
 
 
-def _sqrt_bounds(q, bits):
-    """Rationals lo <= sqrt(q) < hi for a rational q >= 0: sqrt(a/b) =
-    sqrt(a b)/b, and isqrt(a b 4^bits) is sqrt(a b) 2^bits to within 1."""
-    a, b = q.numerator, q.denominator
+def _sqrt_bounds(a, b, bits):
+    """Doubles lo <= sqrt(a/b) <= hi for integers a >= 0, b > 0: sqrt(a/b)
+    = sqrt(a b)/b, and isqrt(a b 4^bits) is sqrt(a b) 2^bits to within 1;
+    each end is the double nearest its rational (int / int is correctly
+    rounded), so the rounding of sqrt(a/b) lies between them."""
     s = math.isqrt((a * b) << (2 * bits))
-    return Fraction(s, b << bits), Fraction(s + 1, b << bits)
+    return s / (b << bits), (s + 1) / (b << bits)
 
 
-def _rounded_sqrt(q) -> float:
-    """sqrt(q) for a rational q > 0, correctly rounded: exactly when it
-    is rational, else from ever closer bounds, which an irrational value
-    leaves on one side of every tie between doubles."""
-    a, b = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    if a * a == q.numerator and b * b == q.denominator:
-        return float(Fraction(a, b))
+def _rounded_sqrt(a, b) -> float:
+    """sqrt(a/b) for integers a > 0, b > 0, correctly rounded: exactly
+    when it is rational, else from ever closer bounds, which an
+    irrational value leaves on one side of every tie between doubles."""
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    ra, rb = math.isqrt(a), math.isqrt(b)
+    if ra * ra == a and rb * rb == b:
+        return ra / rb
     bits = _SQRT_BITS
     while True:
-        low, high = map(float, _sqrt_bounds(q, bits))
+        low, high = _sqrt_bounds(a, b, bits)
         if low == high:
             return low
         bits *= 2
@@ -305,35 +325,47 @@ class Ray:
         exact value (an exact zero reads 0.0).  ValueError if every
         coordinate vanishes at the root; otherwise one is at least
         1/sqrt(n) in size, so they cannot all read 0.0."""
-        norm2 = self._norm2()
-        out = tuple(self._rounded(c, norm2) for c in self.coords)
+        if self.root.is_rational:
+            # reduced at a rational root, every coordinate is a constant,
+            # and a positive multiple of them has the same unit vector
+            ints = _integer_row([c[0] if c else 0 for c in self.coords])
+            total = sum(x * x for x in ints)
+            out = tuple(math.copysign(_rounded_sqrt(x * x, total), x)
+                        if x else 0.0 for x in ints)
+        else:
+            norm2 = self._norm2()
+            out = tuple(self._rounded(c, norm2) for c in self.coords)
         if not any(out):
             raise ValueError("every coordinate vanishes at the root")
         return out
 
     def _rounded(self, v, norm2) -> float:
-        """v/sqrt(norm2) at the root, correctly rounded.  The bounds of
-        v^2/norm2 and of its square root narrow until both ends round
-        to one double; a value exactly halfway between two doubles is
-        caught by an exact test."""
+        """v/sqrt(norm2) at the irrational root, correctly rounded.  The
+        bounds of v^2/norm2 and of its square root narrow until both ends
+        round to one double; a value exactly halfway between two doubles
+        is caught by an exact test."""
         root = self.root
         sign = root.sign(v)
         if not sign:
             return 0.0
-        if root.is_rational:
-            return sign * _rounded_sqrt(evaluate(v, root.lo) ** 2
-                                        / evaluate(norm2, root.lo))
+        (v_ints, v_den), (n_ints, n_den) = _scaled(v), _scaled(norm2)
         bits, tie_tested = _SQRT_BITS, False
         steps = root.intervals()
         while True:
             for _ in range(_REFINE_STEPS):
-                lo, hi = next(steps)
-            v_low, v_high = _enclose(v, lo, hi)
-            n_low, n_high = _enclose(norm2, lo, hi)
+                lo, hi, den = next(steps)
+            v_low, v_high = _enclose(v_ints, lo, hi, den)
+            n_low, n_high = _enclose(n_ints, lo, hi, den)
             if (v_low > 0 or v_high < 0) and n_low > 0:
+                # v = V / (v_den den^dv) and norm2 = N / (n_den den^dn)
+                # for the enclosed integers V and N
                 v_min, v_max = sorted((abs(v_low), abs(v_high)))
-                a = float(_sqrt_bounds(v_min * v_min / n_high, bits)[0])
-                b = float(_sqrt_bounds(v_max * v_max / n_low, bits)[1])
+                n_scale = n_den * den ** (len(n_ints) - 1)
+                v_scale2 = (v_den * den ** (len(v_ints) - 1)) ** 2
+                a = _sqrt_bounds(v_min * v_min * n_scale,
+                                 n_high * v_scale2, bits)[0]
+                b = _sqrt_bounds(v_max * v_max * n_scale,
+                                 n_low * v_scale2, bits)[1]
                 if a == b:
                     return sign * a
                 if not tie_tested and math.nextafter(a, math.inf) == b:

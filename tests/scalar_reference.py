@@ -23,7 +23,12 @@ points, bit for bit, and to leave the generator in the same state.
 The gauge regularization that called g~ once per point, one scalar
 np.interp at a time, and g* as a dot product over a list of them:
 test_symfun.py requires symfun.gauge_regularize to give the same
-report, envelope and g*, bit for bit.
+report, envelope and g*, bit for bit.  Its sup envelope, sup_envelope,
+takes every product (2t / (t + s)) g(s) of the s grid at every t, where
+symfun._sup_envelope skips the blocks of s that cannot hold the max;
+test_symfun.py requires the two to agree bit for bit.  Gauge sampling
+that fed fn numpy scalars and clamped by min(1.0, .), gauge_samples:
+test_symfun.py requires Gauge.from_function to give the same samples.
 
 The interval tree walk that symfun.compile_interval replaced:
 test_symfun.py requires the compiled interval programs to return
@@ -143,9 +148,11 @@ jetring._Parser replaced: PolyParser, the jet parser with its own
 untruncated dict arithmetic (_poly_add, _poly_scale, _poly_mul,
 _poly_as_constant) and jet_parse on it, and ExprParser, the expression
 rules over the smart constructors, with expr_parse on it.
-test_grammar.py requires jetring.jet_parse to give the same jet, in the
-same coefficient order, or raise the same error, and symfun.expr_parse
-to give an equal tree.
+test_grammar.py requires jetring.jet_parse to give the same jet, with
+the nonzero coefficients of PolyParser's dict, or raise the same error,
+and symfun.expr_parse to give an equal tree.  (Jet keeps its
+coefficients in monomial order, so the order of parsing no longer
+shows.)
 """
 
 import itertools
@@ -296,6 +303,22 @@ def chi_points(rng, n):
             for s in np.geomspace(0.26, 3.9, 40) for _ in range(20)]
 
 
+def gauge_samples(fn, per_octave=1024):
+    """The samples of Gauge.from_function: fn at 2^j, for numpy scalars
+    j from -60 to 0 in steps of 1/per_octave, clamped to <= 1."""
+    grid = np.linspace(-60.0, 0.0, 60 * per_octave + 1)
+    return [min(1.0, float(fn(2.0 ** j))) for j in grid]
+
+
+def sup_envelope(s, gs, t_vals):
+    """max over all of s of (2t / (t + s)) g(s) at each t of t_vals."""
+    out = np.empty_like(t_vals)
+    for idx, t in enumerate(t_vals):
+        weights = 2.0 * t / (t + s)
+        out[idx] = np.max(weights * gs)
+    return out
+
+
 def gauge_regularize(g: Gauge, check_scales=20) -> RegularizedGauge:
     """Regularize a gauge: sup envelope, mollification, calibration.
 
@@ -321,9 +344,9 @@ def gauge_regularize(g: Gauge, check_scales=20) -> RegularizedGauge:
     t_log2 = np.arange(-62.0, 2.0 + 1e-9, 0.125)
     t_vals = np.exp2(t_log2)
     tilde_vals = np.empty_like(t_vals)
+    envelope = sup_envelope(s, gs, t_vals)
     for idx, t in enumerate(t_vals):
-        weights = 2.0 * t / (t + s)
-        cand = float(np.max(weights * gs))
+        cand = float(envelope[idx])
         # include s = t exactly (weight 1): guarantees g~(t) >= g(t)
         if 2.0 ** -60 <= t <= 1.0:
             cand = max(cand, g.eval(t))

@@ -1,6 +1,7 @@
 """CLI: JSON output, exit codes, determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -361,6 +362,12 @@ def test_tangent_rejects_a_cell_that_is_not_a_number(tmp_path, capsys):
     code, doc = run(capsys, "tangent", "--points", str(csv))
     assert code == 65 and doc["error"] == "JetIdealsError"
     assert "'abc'" in doc["message"]
+
+
+def test_a_gauge_with_a_nan_sample_exits_65(monkeypatch):
+    monkeypatch.setitem(cli._NAMED_GAUGES, "nan",
+                        lambda t: math.nan if t < 1e-9 else 0.5)
+    assert main(["gauge-reg", "--gauge", "nan"]) == 65
 
 
 @pytest.mark.parametrize("scales", ["0", "-3"])

@@ -12,8 +12,10 @@ interpreter where importing sympy raises).
 A top-level function or class, and a method of a top-level class other
 than a dunder, must be read somewhere in src/ outside its own
 definition, or in bench/ or demos/, or be a public name of the package:
-a helper that only the tests read is dead code.  Reads are by name, so
-a method counts as used wherever its name is read."""
+a helper that only the tests read is dead code.  A function or class
+may be read by its bare name; a method only as an attribute (x.name)
+or in an identifier string (getattr, bench/tracing.py's targets), so a
+local variable or builtin of the same name does not keep it."""
 
 import ast
 from pathlib import Path
@@ -76,52 +78,55 @@ def test_no_package_module_imports_sympy_at_top_level(path):
 
 
 def _reads(tree, skip=None):
-    """The identifiers tree reads outside the subtree `skip`: names,
-    attribute names, names imported from a module and identifier
-    strings (bench/tracing.py names what it wraps by string)."""
-    found, stack = set(), [tree]
+    """The identifiers tree reads outside the subtree `skip`, as two
+    sets: bare names (loads, and names imported from a module), and
+    attribute names with identifier strings (bench/tracing.py names what
+    it wraps by string)."""
+    names, attrs, stack = set(), set(), [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            found.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            attrs.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
-            found.update(alias.name for alias in node.names)
+            names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
-            found.add(node.value)
+            attrs.add(node.value)
         stack.extend(ast.iter_child_nodes(node))
-    return found
+    return names, attrs
 
 
 def test_every_top_level_function_and_class_is_used():
     trees = {p: ast.parse(p.read_text(), filename=str(p))
              for p in sorted(SRC.glob("*.py"))}
     reads = {p: _reads(tree) for p, tree in trees.items()}
-    elsewhere = set()
     for p in [*(ROOT / "bench").glob("*.py"), *(ROOT / "demos").glob("*.py")]:
-        elsewhere |= _reads(ast.parse(p.read_text(), filename=str(p)))
+        reads[p] = _reads(ast.parse(p.read_text(), filename=str(p)))
     unused = []
     for p, tree in trees.items():
-        outside = elsewhere.union(*(r for q, r in reads.items() if q != p))
-        for node in _definitions(tree):
-            if (node.name not in outside
-                    and node.name not in _reads(tree, skip=node)):
+        others = [r for q, r in reads.items() if q != p]
+        for node, is_method in _definitions(tree):
+            if not any(node.name in attrs
+                       or (node.name in names and not is_method)
+                       for names, attrs in [_reads(tree, skip=node),
+                                            *others]):
                 unused.append(f"{p.name}: {node.name} (line {node.lineno})")
     assert not unused, f"defined but never used: {unused}"
 
 
 def _definitions(tree):
-    """The top-level functions and classes of a module, and the methods
-    of its classes but the dunders."""
+    """(node, is_method) for the top-level functions and classes of a
+    module, and the methods of its classes but the dunders."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, (*functions, ast.ClassDef)):
-            yield node
+            yield node, False
         if isinstance(node, ast.ClassDef):
-            yield from (d for d in node.body if isinstance(d, functions)
+            yield from ((d, True) for d in node.body
+                        if isinstance(d, functions)
                         and not (d.name.startswith("__")
                                  and d.name.endswith("__")))

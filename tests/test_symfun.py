@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jetideals.cli import _NAMED_GAUGES
 from jetideals.errors import DomainError, ParseError
 from jetideals.interval import Interval
 from jetideals.jetring import monomials
 from jetideals.symfun import (Add, Const, Coord, Cutoff, CutoffSpec,
                               DEFAULT_CUTOFF, Div, Gauge, GaugeRef, Mul, Norm,
-                              Pow, ZERO, _float_pow, _LruMemo, add,
+                              Pow, ZERO, _float_pow, _LruMemo,
+                              _sup_envelope, add,
                               compile_expr, compile_exprs, compile_interval,
                               div, expr_derive, expr_diff, expr_eval,
                               expr_parse, expr_str, gauge_regularize,
@@ -214,6 +216,61 @@ def test_gauge_regularize_equals_the_pointwise_reference():
                         == getattr(want.tilde, attr).tobytes())
             assert ([_float_bits(got._gstar_fn(t)) for t in ts]
                     == [_float_bits(want._gstar_fn(t)) for t in ts]), g.name
+
+
+def _min_power(p, c=1.0):
+    return lambda t: min(1.0, c * t ** p)
+
+
+def _steps(levels, width):
+    """A staircase: levels[k] on octaves k * width to (k + 1) * width
+    below 1, the last level below that."""
+    return lambda t: levels[min(int(-math.log2(t)) // width,
+                                len(levels) - 1)]
+
+
+def _oscillating(p, k):
+    return lambda t: t ** p * (2.0 + math.sin(k * math.log2(t))) / 3.0
+
+
+_GAUGE_FNS = st.one_of(
+    st.floats(0.05, 1.0).map(_min_power),
+    st.just(lambda t: t),                              # the t^1 plateau
+    st.floats(1e-6, 1.0).map(lambda c: lambda t: c),   # constants
+    st.builds(_steps, st.lists(st.floats(1e-3, 1.0), min_size=1,
+                               max_size=6), st.integers(1, 12)),
+    st.builds(_oscillating, st.floats(0.0, 1.0), st.floats(0.1, 20.0)),
+    st.builds(_min_power, st.floats(0.0, 0.3), st.floats(1e-300, 1e-298)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_GAUGE_FNS, st.sampled_from([8, 64, 1024]),
+       st.floats(-0.125, 0.125))
+def test_pruned_envelope_equals_the_dense_sweep(fn, per_octave, shift):
+    g = Gauge.from_function("g", fn, per_octave=per_octave)
+    s = np.exp2(np.linspace(-60.0, 0.0, 60 * 1024 + 1))
+    gs = g.eval_array(s)
+    t_vals = np.exp2(np.arange(-62.0, 2.0 + 1e-9, 0.125) + shift)
+    assert (_sup_envelope(s, gs, t_vals).tobytes()
+            == scalar_reference.sup_envelope(s, gs, t_vals).tobytes())
+
+
+def test_gauge_samples_are_those_of_numpy_scalars():
+    fns = dict(_NAMED_GAUGES)
+    fns.update((f"min(1, t^{p})", _min_power(p)) for p in (0.2, 0.37, 1.0))
+    for name, fn in fns.items():
+        got = Gauge.from_function(name, fn).values.tolist()
+        want = scalar_reference.gauge_samples(fn)
+        assert list(map(float.hex, got)) == list(map(float.hex, want)), name
+
+
+def test_a_nan_sample_is_refused():
+    grid = np.linspace(-60.0, 0.0, 60 * 1024 + 1)
+    with pytest.raises(DomainError):
+        Gauge("g", grid, [math.nan] * 10 + [0.5] * (grid.size - 10))
+    # min(1.0, nan) is 1.0: a NaN that fn returns must not read as 1
+    with pytest.raises(DomainError):
+        Gauge.from_function("g", lambda t: math.nan if t < 1e-9 else 0.5)
 
 
 def test_gauge_ref_not_differentiable():
