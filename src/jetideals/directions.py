@@ -20,7 +20,10 @@ scaling out of each Q_l reduces this to positivity of a polynomial in
 (s, u) on a compact set, which branch-and-bound interval evaluation can
 settle; the polynomial is compiled once per search.  The search walks
 one cell at a time, depth first, over a sphere-cover tree kept across
-searches (see certify_lower_bound).
+searches, and splits only what the sum reads: the radius s only when
+some monomial has positive s-degree, and a patch only into halves that
+may meet the dome (see certify_lower_bound).  The allowed-set patch
+cover encloses sum |p_i| with the same compiled evaluator.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import functools
 import itertools
 import math
 import random
-import sys
 from fractions import Fraction
 
 from . import algebraic
@@ -406,17 +408,16 @@ def _is_sphere_power(p: Jet, free) -> bool:
 
 
 def _patch_zero_cover(parts, n, budget):
-    """Patch cover with interval positivity certificates for sum |p_i|."""
+    """Patch cover with interval positivity certificates for sum |p_i|,
+    the p_i homogeneous, enclosed by the compiled evaluator with no s."""
+    compiled = _compile_scaled(parts)
     work = [(p, 0) for p in sphere_cover(n, 0)]
     out = []
     while work:
         patch, depth = work.pop()
-        enc = patch.direction_enclosure()
-        total = Interval(0.0, 0.0)
-        for p in parts:
-            total = total + abs(p.eval(enc))
-        if total.lo > 0.0:
-            out.append((patch, CERTIFIED_FORBIDDEN, total.lo))
+        lower = _eval_scaled(compiled, None, patch.direction_enclosure()).lo
+        if lower > 0.0:
+            out.append((patch, CERTIFIED_FORBIDDEN, lower))
         elif depth < budget:
             work.extend((q, depth + 1) for q in patch.subdivide_all())
         else:
@@ -468,19 +469,18 @@ class ForbiddenCertificate:
 
 
 def _compile_scaled(jets):
-    """sum_l |Q_l(s u)| / s^{k_l}, compiled once per search.
+    """sum_l |Q_l(s u)| / s^{k_l}, compiled once per search; k_l is the
+    order of Q_l, and no Q_l may be zero.
 
     Q_l(s u) / s^{k_l} = sum_alpha c_alpha s^{|alpha| - k_l} u^alpha, so
     each monomial becomes (c_alpha as an Interval, its s-degree
     |alpha| - k_l, its factors (i, alpha_i) with alpha_i > 0).  Also
     returned: the distinct factors, whose powers u_i^a a cell computes
-    once, and the top s-degree.
+    once, and the top s-degree, 0 when the sum never reads s.
     """
     polys = []
     for q in jets:
         k = q.order_of_vanishing()
-        if k == MORE_THAN_M or k < 1:
-            raise DomainError("certificate jets must have order >= 1")
         polys.append(tuple(
             (Interval.exact(Fraction(c, q.den)), sum(alpha) - k,
              tuple((i, a) for i, a in enumerate(alpha) if a))
@@ -496,7 +496,9 @@ _ZERO = Interval(0.0, 0.0)
 
 def _eval_scaled(compiled, s, u):
     """Enclosure of sum_l |Q_l(s u)/s^{k_l}| for s >= 0 on one cell: s
-    an Interval, u the patch's direction enclosure."""
+    an Interval, u the patch's direction enclosure.  A monomial of
+    s-degree 0 takes its coefficient as it is, so s is read only when
+    the top s-degree is positive (it may be None otherwise)."""
     polys, factors, top = compiled
     s_pows = [_ONE]
     for _ in range(top):
@@ -506,7 +508,7 @@ def _eval_scaled(compiled, s, u):
     for poly in polys:
         term = _ZERO
         for c, d, monomial in poly:
-            mono = c * s_pows[d]
+            mono = c * s_pows[d] if d else c
             for f in monomial:
                 mono = mono * u_pows[f]
             term = term + mono
@@ -532,72 +534,55 @@ def _patch_tree(n):
     return tree
 
 
-# In a walk of smaller budget every s interval is [j, j + 1] / 2^k with
-# k <= budget, whose ends and midpoint are exact floats: both halves of
-# an s-split have width 2^-(k+1), and so have the halves of the halves.
-_EXACT_S_DEPTH = sys.float_info.mant_dig
-
-
 def certify_lower_bound(jets, omega, delta, budget, n, target: float = 0.0):
     """Certified lower bound above `target` for sum |Q_l(s u)| / s^m over
     the dome around omega, s in [0, 1]; returns (bound, depth) or
     (None, depth) when some cell cannot be pushed past the target.
 
-    Since each Q_l has order k_l <= m, s^{k_l} >= s^m for s <= 1 and the
-    scaled sum dominates; a positive infimum of the scaled sum therefore
-    gives the cone inequality for every 0 < |x| < 1.
+    Since each Q_l has order 1 <= k_l <= m, s^{k_l} >= s^m for s <= 1
+    and the scaled sum dominates; a positive infimum of the scaled sum
+    therefore gives the cone inequality for every 0 < |x| < 1.
 
     A cell is a sphere patch (face axis, sign and box) times an s
-    interval.  A cell whose enclosure stays at or below the target is
-    split in two: s when its width is the largest, else the first
-    longest box axis (SpherePatch.subdivide), each at its midpoint.  At
-    depth `budget` such a cell fails the search if it may meet the dome
-    (Dome.meets; on the whole sphere, always): a cell that only straddles
-    the dome's edge may hold a zero inside the dome.
-    The walk takes one cell at a time, depth first, over the kept patch
+    interval, walked one at a time, depth first, over the kept patch
     tree (_patch_tree), whose patches keep their direction enclosures.
-    When no monomial has positive s-degree the sum never reads s, so
-    both halves of an s-split are the parent's cell to it, with its
-    enclosure; at every budget below _EXACT_S_DEPTH they also make the
-    same splits, so only one half is walked, and not evaluated again.
-    The bound is a minimum and the depth a maximum over the same cells,
-    and a failing cell sits at depth `budget`, so the result is that of
-    the depth-first walk of tests/scalar_reference.py, which evaluates
-    every cell.
+    A cell whose enclosure stays at or below the target is split in
+    two at a midpoint: s when the sum reads s and its width is the
+    largest, else the first longest box axis (SpherePatch.subdivide).
+    A sum with no monomial of positive s-degree never reads s, so its
+    cells keep s = [0, 1] and only their patches split.  A half that
+    misses the dome (Dome.meets) is dropped at the split, and a cell
+    still uncertified at depth `budget` fails the search.
     """
+    for q in jets:
+        k = q.order_of_vanishing()
+        if k == MORE_THAN_M or k < 1:
+            raise DomainError("certificate jets must have order >= 1")
     compiled = _compile_scaled(jets)
-    one_half = compiled[2] == 0 and budget < _EXACT_S_DEPTH
+    reads_s = compiled[2] > 0
     tree = _patch_tree(n)
     roots = tree[0]
     dome = None if omega is None else Dome(roots, [omega.vec], delta)
     unit = Interval(0.0, 1.0)
-    work = [(p, unit, 0, None) for p in (roots if dome is None
-                                        else dome.roots)]
+    work = [(p, unit, 0) for p in (roots if dome is None else dome.roots)]
     best = math.inf
     max_depth = 0
     while work:
-        patch, s, depth, lower = work.pop()
+        patch, s, depth = work.pop()
         if depth > max_depth:
             max_depth = depth
-        if lower is None:
-            lower = _eval_scaled(compiled, s, patch.direction_enclosure()).lo
-            if lower > target:
-                if lower < best:
-                    best = lower
-                continue
-        if depth >= budget:
-            if dome is None or dome.meets(patch):
-                return None, max_depth
+        lower = _eval_scaled(compiled, s, patch.direction_enclosure()).lo
+        if lower > target:
+            if lower < best:
+                best = lower
             continue
+        if depth >= budget:
+            return None, max_depth
         depth += 1
-        width = s.hi - s.lo
-        if all(width >= hi - lo for lo, hi in patch.box):
+        if reads_s and all(s.hi - s.lo >= hi - lo for lo, hi in patch.box):
             a, b = s.split()
-            if one_half:
-                work.append((patch, b, depth, lower))
-            else:
-                work.append((patch, a, depth, None))
-                work.append((patch, b, depth, None))
+            work.append((patch, a, depth))
+            work.append((patch, b, depth))
             continue
         halves = patch.halves
         if halves is None:
@@ -606,8 +591,9 @@ def certify_lower_bound(jets, omega, delta, budget, n, target: float = 0.0):
                 halves = patch.subdivide()
             else:
                 halves = patch.split()
-        work.append((halves[0], s, depth, None))
-        work.append((halves[1], s, depth, None))
+        for half in halves:
+            if dome is None or dome.meets(half):
+                work.append((half, s, depth))
     if not math.isfinite(best):
         return None, max_depth
     return best, max_depth

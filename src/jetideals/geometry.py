@@ -47,9 +47,6 @@ class Direction:
     def dist(self, other: "Direction") -> float:
         return math.dist(self.vec, other.vec)
 
-    def dot(self, other: "Direction") -> float:
-        return sum(a * b for a, b in zip(self.vec, other.vec))
-
     def __eq__(self, other):
         return isinstance(other, Direction) and self.vec == other.vec
 

@@ -25,7 +25,6 @@ from fractions import Fraction
 from .errors import (DegreeOverflowError, DimensionMismatchError, ParseError,
                      SignatureMismatchError)
 from .exactlin import rref
-from .interval import Interval
 
 MORE_THAN_M = "more_than_m"
 
@@ -259,23 +258,6 @@ class Jet:
                     if y:
                         out[k] += x * y
         return Jet._dense(sig, out, self.den * other.den)
-
-    # -- evaluation -----------------------------------------------------
-    def eval(self, point) -> Interval:
-        """Enclosure of the polynomial's values on a box, each
-        coordinate an Interval or a number."""
-        if len(point) != self.sig.n:
-            raise DimensionMismatchError("point has wrong dimension")
-        box = [x if isinstance(x, Interval) else Interval.exact(x)
-               for x in point]
-        total = Interval(0.0, 0.0)
-        for a, c in self.coeffs.items():
-            term = Interval.exact(c)
-            for xi, ai in zip(box, a):
-                if ai:
-                    term = term * xi.ipow(ai)
-            total = total + term
-        return total
 
     # -- printing -------------------------------------------------------
     def __str__(self):

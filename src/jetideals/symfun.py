@@ -995,7 +995,7 @@ def _sup_envelope(s, gs, t_vals):
     # blocks x t bounds, the same three operations as the pass below
     t_col = t_vals[:, None]
     upper = 2.0 * t_col / (t_col + s[::_ENVELOPE_BLOCK]) * g_max
-    lower = (2.0 * t_col / (t_col + s[arg]) * g_max).max(axis=1)
+    lower = np.max(2.0 * t_col / (t_col + s[arg]) * g_max, axis=1)
     keep = upper >= lower[:, None]
     starts = keep.argmax(axis=1) * _ENVELOPE_BLOCK
     stops = np.minimum((blocks - keep[:, ::-1].argmax(axis=1))

@@ -114,17 +114,22 @@ test_interval.py requires the operators to return the same endpoints
 and raise the same exceptions.
 
 The forbidden-cone evaluation that converted each coefficient to an
-Interval per monomial per cell and took each u_i^a per monomial:
-test_integer_elimination.py requires directions._eval_scaled to return
-exactly its enclosure on every cell.
+Interval per monomial per cell and took each u_i^a per monomial,
+eval_scaled: test_integer_elimination.py requires directions._eval_scaled
+to return exactly its enclosure on every cell.
 
 The depth-first cell walk of directions.certify_lower_bound, one
-SpherePatch and s Interval at a time, every cell evaluated and every
-patch made afresh, and its compiled per-cell evaluation
-compiled_eval_scaled: test_forbidden_batches.py requires the walk over the
-kept patch tree to return exactly its (bound, depth).  It tests patches
-against the dome by its own float distance (_cell_outside_dome), not
-by regions.Dome.
+SpherePatch and s Interval at a time, every cell evaluated by
+eval_scaled and every patch made afresh: test_forbidden_batches.py
+requires the walk over the kept patch tree to return exactly its
+(bound, depth).  It tests patches against the dome by its own float
+distance (_cell_outside_dome), not by regions.Dome.
+
+The allowed-set patch cover that enclosed each part by Jet.eval, a
+term-by-term interval walk (jet_interval_eval), and summed their
+absolute values, patch_zero_cover: test_directions.py requires
+directions._patch_zero_cover, which encloses the sum by the compiled
+evaluator, to return the same cover, bounds equal by float.hex.
 
 The sympy identity test that verifier._identity_zero replaced:
 expr_to_sympy writes a tree as a sympy expression (cutoffs at their
@@ -166,7 +171,7 @@ from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing
 
 from jetideals import regions, verifier
-from jetideals.directions import ExactDirection, _compile_scaled
+from jetideals.directions import ExactDirection
 from jetideals.errors import (DegreeOverflowError, DimensionMismatchError,
                               DomainError, ParseError,
                               SignatureMismatchError)
@@ -1071,7 +1076,8 @@ def interval_ipow(a, k):
 
 def eval_scaled(jets, s, u_box):
     """sum_l |Q_l(s u) / s^{k_l}| for s >= 0, per monomial, on the
-    reference operators above."""
+    reference operators above; a monomial of s-degree 0 takes its
+    coefficient as it is."""
     total = Interval(0.0, 0.0)
     s_pows = [Interval(1.0, 1.0)]
     for q in jets:
@@ -1081,7 +1087,9 @@ def eval_scaled(jets, s, u_box):
             d = sum(alpha) - k
             while len(s_pows) <= d:
                 s_pows.append(interval_mul(s_pows[-1], s))
-            mono = interval_mul(Interval.exact(Fraction(c)), s_pows[d])
+            mono = Interval.exact(Fraction(c))
+            if d:
+                mono = interval_mul(mono, s_pows[d])
             for ui, ai in zip(u_box, alpha):
                 if ai:
                     mono = interval_mul(mono, interval_ipow(ui, ai))
@@ -1090,36 +1098,17 @@ def eval_scaled(jets, s, u_box):
     return total
 
 
-def compiled_eval_scaled(compiled, s, u_box):
-    """Enclosure of sum_l |Q_l(s u)/s^{k_l}| for s >= 0 on one cell,
-    from directions._compile_scaled."""
-    polys, factors, top = compiled
-    s_pows = [Interval(1.0, 1.0)]
-    for _ in range(top):
-        s_pows.append(s_pows[-1] * s)
-    u_pows = {(i, a): u_box[i].ipow(a) for i, a in factors}
-    total = Interval(0.0, 0.0)
-    for poly in polys:
-        term = Interval(0.0, 0.0)
-        for c, d, monomial in poly:
-            mono = c * s_pows[d]
-            for f in monomial:
-                mono = mono * u_pows[f]
-            term = term + mono
-        total = total + abs(term)
-    return total
-
-
 def certify_lower_bound(jets, omega, delta, budget, n, target=0.0):
-    """An uncertified cell at full depth fails the search when its
-    patch is not certainly outside the dome (on the whole sphere,
-    always)."""
+    """Cells split s only when some monomial has positive s-degree; a
+    patch half outside the dome is dropped at the split, and an
+    uncertified cell at full depth fails the search."""
     omegas = [] if omega is None else [omega.vec]
 
     def outside(patch):
         return omega is not None and _cell_outside_dome(patch, omegas, delta)
 
-    scaled = _compile_scaled(jets)
+    reads_s = any(sum(alpha) > q.order_of_vanishing()
+                  for q in jets for alpha in q.coeffs)
     work = [(p, Interval(0.0, 1.0), 0) for p in sphere_cover(n, 0)
             if not outside(p)]
     best = math.inf
@@ -1128,26 +1117,55 @@ def certify_lower_bound(jets, omega, delta, budget, n, target=0.0):
         patch, s_iv, depth = work.pop()
         max_depth = max(max_depth, depth)
         u_box = patch.direction_enclosure()
-        total = compiled_eval_scaled(scaled, s_iv, u_box)
+        total = eval_scaled(jets, s_iv, u_box)
         if total.lo > target:
             best = min(best, total.lo)
             continue
         if depth >= budget:
-            if not outside(patch):
-                return None, max_depth
-            continue
+            return None, max_depth
         widths = [hi - lo for lo, hi in patch.box] + [s_iv.width]
-        if s_iv.width == max(widths):
+        if reads_s and s_iv.width == max(widths):
             a, b = s_iv.split()
             work.append((patch, a, depth + 1))
             work.append((patch, b, depth + 1))
         else:
-            p1, p2 = patch.split()
-            work.append((p1, s_iv, depth + 1))
-            work.append((p2, s_iv, depth + 1))
+            work.extend((q, s_iv, depth + 1) for q in patch.split()
+                        if not outside(q))
     if not math.isfinite(best):
         return None, max_depth
     return best, max_depth
+
+
+def jet_interval_eval(p, box):
+    """Enclosure of a jet's values on a box of Intervals, term by term
+    in monomial order."""
+    total = Interval(0.0, 0.0)
+    for a, c in p.coeffs.items():
+        term = Interval.exact(c)
+        for xi, ai in zip(box, a):
+            if ai:
+                term = term * xi.ipow(ai)
+        total = total + term
+    return total
+
+
+def patch_zero_cover(parts, n, budget):
+    """The allowed-set patch cover, each part enclosed on its own."""
+    work = [(p, 0) for p in sphere_cover(n, 0)]
+    out = []
+    while work:
+        patch, depth = work.pop()
+        enc = patch.direction_enclosure()
+        total = Interval(0.0, 0.0)
+        for p in parts:
+            total = total + abs(jet_interval_eval(p, enc))
+        if total.lo > 0.0:
+            out.append((patch, "certified_forbidden", total.lo))
+        elif depth < budget:
+            work.extend((q, depth + 1) for q in patch.subdivide_all())
+        else:
+            out.append((patch, "candidate_allowed", None))
+    return out
 
 
 def expr_to_sympy(e, syms):

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import random
 import time
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -19,6 +20,8 @@ from jetideals.errors import DomainError
 from jetideals.geometry import Direction, direction_of
 from jetideals.ideal import JetIdeal
 from jetideals.jetring import DiffeoJet, Jet, RingSignature, jet_parse
+
+from conftest import random_jet
 
 
 def make_ideal(m, n, gens):
@@ -199,6 +202,36 @@ def test_patch_fallback_reports_candidates():
         # each candidate patch must be near the plane x = 0
         center = direction_of([iv.mid for iv in p.face_intervals()])
         assert abs(center.vec[0]) < 0.3
+
+
+def _cover_hex(cover):
+    return [(p.axis, p.sign, p.box, status, bound and bound.hex())
+            for p, status, bound in cover]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_patch_cover_equals_the_per_part_reference(n):
+    # the compiled evaluator encloses sum |p_i| as the per-part walk
+    # does, bounds equal by float.hex; the last system adds the order-0
+    # part of a unit generator, a constant
+    rng = random.Random(90 + n)
+    sig = RingSignature(3, n)
+    systems = []
+    while len(systems) < 8:
+        gens = [random_jet(rng, sig, density=3, allow_constant=False)
+                for _ in range(rng.randint(1, 3))]
+        gens = [g for g in gens if not g.is_zero()]
+        if gens:
+            systems.append(directions._lowest_parts(JetIdeal(sig, gens)))
+    systems.append(systems[0] + [Jet.constant(sig, Fraction(-5, 3))])
+    budget = 3 if n == 3 else 2
+    for parts in systems:
+        got = directions._patch_zero_cover(parts, n, budget)
+        want = scalar_reference.patch_zero_cover(parts, n, budget)
+        assert _cover_hex(got) == _cover_hex(want)
+    assert any(status == directions.CANDIDATE_ALLOWED
+               for parts in systems
+               for _, status, _ in directions._patch_zero_cover(parts, n, 1))
 
 
 def lowest_parts(m, n, gens):

@@ -16,6 +16,7 @@ batched walk that this per-cell walk replaced.
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from jetideals.corpus import case_by_id
 from jetideals.geometry import Direction, SpherePatch, sphere_cover
 from jetideals.interval import Interval
 from jetideals.jetring import Jet, RingSignature, jet_parse
+from jetideals.regions import Dome
 
 from conftest import random_fraction, random_jet
 from forbidden_search import _higher_terms, _rotated_form
@@ -160,7 +162,7 @@ def _homogeneous_jet(rng, sig, degree):
        st.floats(0.0, 0.3))
 def test_walk_without_s_degree_equals_depth_first_walk(seed, mn, dome, delta,
                                                        budget, target):
-    # no monomial reads s, so one s-split half is walked, unevaluated
+    # no monomial reads s, so no cell is split in s
     rng = random.Random(seed)
     sig = RingSignature(*mn)
     jets = [j for j in (_homogeneous_jet(rng, sig, rng.randint(1, sig.m))
@@ -206,30 +208,57 @@ def _forbidden_whole_sphere():
 
 
 def test_whole_sphere_search_skips_cells_split_in_s(monkeypatch):
-    # x^2 + y^2 has s-degree 0: an s-split keeps its parent's enclosure
-    # and only one half is walked, so no patch is enclosed twice
+    # x^2 + y^2 has s-degree 0: every cell keeps s = [0, 1] and only its
+    # patch splits, so each patch of the walk is enclosed once
     args, inputs = _forbidden_whole_sphere()
-    walked, reference = {}, [0]
-    evaluate, evaluate_ref = directions._eval_scaled, ref.compiled_eval_scaled
+    cells = []
+    evaluate = directions._eval_scaled
 
     def count(compiled, s, u):
-        walked[id(u)] = walked.get(id(u), 0) + 1
+        cells.append((s, id(u)))
         return evaluate(compiled, s, u)
-
-    def count_reference(*a):
-        reference[0] += 1
-        return evaluate_ref(*a)
 
     monkeypatch.setattr(directions, "_trees", {})
     monkeypatch.setattr(directions, "_eval_scaled", count)
-    monkeypatch.setattr(ref, "compiled_eval_scaled", count_reference)
     got = directions.certify_lower_bound(*args)
     want = ref.certify_lower_bound(*args)
     assert (repr(got[0]), got[1]) == (repr(want[0]), want[1])
-    assert got[1] == 3 and got[0] > inputs["c"]
-    assert max(walked.values()) == 1
-    # the reference walk encloses every cell of the tree
-    assert sum(walked.values()) < reference[0]
+    assert got[1] == 2 and got[0] > inputs["c"]
+    assert all(s == Interval(0.0, 1.0) for s, _ in cells)
+    assert len({u for _, u in cells}) == len(cells) > 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([(2, 2), (3, 2), (2, 3),
+                                                  (3, 3)]),
+       st.sampled_from([0.1, 0.3, 1.0]), st.integers(2, 9))
+def test_a_dome_search_encloses_only_patches_that_meet_the_dome(
+        seed, mn, delta, budget):
+    rng = random.Random(seed)
+    sig = RingSignature(*mn)
+    jets = [j for j in (random_jet(rng, sig, density=4, allow_constant=False)
+                        for _ in range(rng.randint(1, 2)))
+            if not j.is_zero()]
+    if not jets:
+        return
+    omega = Direction([rng.gauss(0.0, 1.0) for _ in range(sig.n)],
+                      normalize=True)
+    dome = Dome([], [omega.vec], delta)
+    enclosed = []
+    evaluate = directions._eval_scaled
+
+    def record(compiled, s, u):
+        enclosed.append(u)
+        return evaluate(compiled, s, u)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(directions, "_eval_scaled", record)
+        directions.certify_lower_bound(jets, omega, delta,
+                                       min(budget, 7), sig.n)
+    missed = [u for u in enclosed
+              if not dome.meets(SimpleNamespace(direction_enclosure=lambda
+                                                u=u: u))]
+    assert not missed
 
 
 def test_a_second_search_reuses_the_kept_patches(monkeypatch):

@@ -7,14 +7,17 @@ records.
 """
 
 import json
+import math
 import pathlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from forbidden_search import CASES, record
-from jetideals.directions import forbidden_certificate_search
+from forbidden_search import CASES, _rotated_form, record
+from jetideals.directions import (forbidden_certificate_search,
+                                  verify_forbidden_certificate)
 from jetideals.geometry import Direction
 from jetideals.jetring import Jet, RingSignature
 
@@ -31,6 +34,45 @@ def test_forbidden_searches_match_golden(start):
     for expected in GOLDEN[start:start + 50]:
         got = json.loads(json.dumps(record(expected["index"])))
         assert got == expected
+
+
+@pytest.mark.parametrize("index", [0, 35, 283])
+def test_cases_certified_since_the_walk_splits_only_what_the_sum_reads(
+        index):
+    # 0 and 35 verify a definite form, 283 searches a sum that reads s
+    # around a direction; each needs the budget that a walk spends on
+    # splits of s the sum never reads, or on cells outside the dome
+    verdict = record(index)["result"][0]
+    assert verdict in ("pass", "found")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([2, 3, 4]),
+       st.sampled_from([0.3, 1.0]), st.floats(0.5, 0.8))
+def test_rotated_definite_forms_are_certified_below_their_minimum(
+        seed, m, delta, frac):
+    """lam (u^2 + kappa v^2) rotated, kappa in [1.5, 16], has the exact
+    circle minimum lam.  At c = frac * lam the whole-sphere check passes
+    at budget 12 with a bound of at most lam; around a direction the
+    search's bound is at most sum |Q(u)| at seeded dome directions."""
+    rng = random.Random(seed)
+    sig = RingSignature(m, 2)
+    form, lam = _rotated_form(rng, sig)
+    verdict, bound, _ = verify_forbidden_certificate([form], frac * lam,
+                                                     budget=12)
+    assert verdict == "pass" and frac * lam < bound <= lam
+    angle = rng.uniform(-math.pi, math.pi)
+    omega = Direction((math.cos(angle), math.sin(angle)))
+    cert = forbidden_certificate_search([form], omega, budget=12,
+                                        delta=delta)
+    assert cert is not None
+    for _ in range(200):
+        t = angle + rng.uniform(-1.0, 1.0) * 2 * math.asin(delta / 2)
+        u = (math.cos(t), math.sin(t))
+        if math.dist(u, omega.vec) < delta:
+            value = sum(float(c) * u[0] ** a * u[1] ** b
+                        for (a, b), c in form.coeffs.items())
+            assert cert.bound <= value * (1 + 1e-12)
 
 
 def _hex(certificate):

@@ -14,8 +14,10 @@ than a dunder, must be read somewhere in src/ outside its own
 definition, or in bench/ or demos/, or be a public name of the package:
 a helper that only the tests read is dead code.  A function or class
 may be read by its bare name; a method only as an attribute (x.name)
-or in an identifier string (getattr, bench/tracing.py's targets), so a
-local variable or builtin of the same name does not keep it."""
+whose receiver is not an imported module, or in an identifier string
+(getattr, bench/tracing.py's targets), so a local variable or builtin
+of the same name does not keep it, nor a module's function of the same
+name (np.max, math.sqrt)."""
 
 import ast
 from pathlib import Path
@@ -77,12 +79,31 @@ def test_no_package_module_imports_sympy_at_top_level(path):
     assert not found, f"{path.name} imports {found}"
 
 
+PACKAGE_MODULES = {p.stem for p in SRC.glob("*.py")}
+
+
+def _module_names(tree):
+    """The names tree binds to modules: every `import a.b` (a) or
+    `import a as b` (b), and `from p import q` for q a package module."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.asname or alias.name.split(".")[0]
+                       for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.asname or alias.name for alias in node.names
+                       if alias.name in PACKAGE_MODULES)
+    return out
+
+
 def _reads(tree, skip=None):
-    """The identifiers tree reads outside the subtree `skip`, as two
-    sets: bare names (loads, and names imported from a module), and
-    attribute names with identifier strings (bench/tracing.py names what
-    it wraps by string)."""
-    names, attrs, stack = set(), set(), [tree]
+    """The identifiers tree reads outside the subtree `skip`, as three
+    sets: bare names (loads, and names imported from a module);
+    attribute names on receivers other than imported modules, with
+    identifier strings (bench/tracing.py names what it wraps by string);
+    and attribute names read off imported modules."""
+    modules = _module_names(tree)
+    names, attrs, module_attrs, stack = set(), set(), set(), [tree]
     while stack:
         node = stack.pop()
         if node is skip:
@@ -90,14 +111,17 @@ def _reads(tree, skip=None):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            attrs.add(node.attr)
+            if isinstance(node.value, ast.Name) and node.value.id in modules:
+                module_attrs.add(node.attr)
+            else:
+                attrs.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
             attrs.add(node.value)
         stack.extend(ast.iter_child_nodes(node))
-    return names, attrs
+    return names, attrs, module_attrs
 
 
 def test_every_top_level_function_and_class_is_used():
@@ -111,9 +135,9 @@ def test_every_top_level_function_and_class_is_used():
         others = [r for q, r in reads.items() if q != p]
         for node, is_method in _definitions(tree):
             if not any(node.name in attrs
-                       or (node.name in names and not is_method)
-                       for names, attrs in [_reads(tree, skip=node),
-                                            *others]):
+                       or (not is_method and node.name in names | module_attrs)
+                       for names, attrs, module_attrs
+                       in [_reads(tree, skip=node), *others]):
                 unused.append(f"{p.name}: {node.name} (line {node.lineno})")
     assert not unused, f"defined but never used: {unused}"
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_reference as ref
+from jetideals.directions import _compile_scaled, _eval_scaled
 from jetideals.errors import (DegreeOverflowError, DimensionMismatchError,
                               ParseError)
 from jetideals.interval import Interval
@@ -169,24 +170,31 @@ def test_compose_identity_and_inverse_linear():
 
 
 def test_eval_modes_agree():
-    """The interval enclosure of a jet's value holds its exact value,
-    at a point and on every box around it."""
+    """The compiled evaluator's enclosure of |p| holds the exact |p(x)|,
+    at a point and on every box around it.  At s = 1 the scaled sum of
+    directions._compile_scaled([p]) is |p| itself, constant terms
+    (order 0) included."""
     rng = random.Random(808)
+    one = Interval(1.0, 1.0)
     for m, n in ((3, 2), (2, 3), (4, 1)):
         sig = RingSignature(m, n)
         for _ in range(40):
             p = random_jet(rng, sig)
+            if p.is_zero():
+                continue
+            compiled = _compile_scaled([p])
             x = tuple(rng.uniform(-2.0, 2.0) for _ in range(n))
-            exact = ref.jet_eval(p, x)
-            at = p.eval(x)
+            exact = abs(ref.jet_eval(p, x))
+            at = _eval_scaled(compiled, one, [Interval.exact(c) for c in x])
             assert at.lo <= exact <= at.hi
             box = [Interval(c - rng.random(), c + rng.random()) for c in x]
-            around = p.eval(box)
+            around = _eval_scaled(compiled, one, box)
             assert around.lo <= at.lo and at.hi <= around.hi
     p = jet_parse("x^2*y - y/3 + 2", RingSignature(3, 2))
     x = (Fraction(3, 10), Fraction(-7, 10))
-    value = p.eval(x)
-    assert value.lo <= ref.jet_eval(p, x) <= value.hi
+    value = _eval_scaled(_compile_scaled([p]), one,
+                         [Interval.exact(c) for c in x])
+    assert value.lo <= abs(ref.jet_eval(p, x)) <= value.hi
 
 
 class _Pairs:

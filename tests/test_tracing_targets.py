@@ -8,8 +8,8 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
-# layers a short toolkit run reaches; geometry.cells_* are left out,
-# they read 0 on every workload
+# timed layers a short toolkit run reaches; geometry.cells_* are
+# counters (Tracer.counts), not timed layers, so they are not listed
 TOOLKIT_LAYERS = ("jetring.compose", "jetring.mul", "exactlin.rref",
                   "exactlin.contains", "ideal.span", "ideal.intersect",
                   "directions.allow")
