@@ -219,40 +219,68 @@ class Root:
             return trim((evaluate(g, self.lo),))
         return rem(g, self.f)
 
-    def intervals(self):
+    def intervals(self, cap):
         """Ever narrower intervals [lo/den, hi/den] around an irrational
-        root, as integers (lo, hi, den), halved each step."""
+        root, as integers (lo, hi, den), halved each step, `cap` times,
+        which a sound enclosure never needs more of: ArithmeticError."""
         den = math.lcm(self.lo.denominator, self.hi.denominator)
         lo = self.lo.numerator * (den // self.lo.denominator)
         hi = self.hi.numerator * (den // self.hi.denominator)
         s_lo = _sign_at(self._ints, self.lo)
-        while True:
+        for _ in range(cap + 1):
             yield lo, hi, den
             mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
             if _sign_at(self._ints, mid, den) == s_lo:
                 lo = mid
             else:
                 hi = mid
+        raise ArithmeticError("an enclosure at a root did not narrow as "
+                              "bounded")
 
-    def sign(self, g) -> int:
+    def sign(self, g, common=None) -> int:
         """The sign of g at the root, exactly.  g vanishes there iff
-        gcd(g, f), a factor of f, changes sign on the interval (the
-        one-root Sturm count); otherwise the interval is narrowed until
-        an enclosure of g excludes 0."""
+        common = gcd(g, f), a factor of f, changes sign on the interval
+        (the one-root Sturm count); otherwise the interval is narrowed,
+        within `_halvings`, until an enclosure of g excludes 0."""
         if self.is_rational:
             v = evaluate(g, self.lo)
             return (v > 0) - (v < 0)
         g = self.reduce(g)
         if not g:
             return 0
-        h = _integer_row(gcd(g, self.f))
+        common = common or gcd(g, self.f)
+        h = _integer_row(common)
         if len(h) > 1 and _sign_at(h, self.lo) != _sign_at(h, self.hi):
             return 0
         ints = _integer_row(g)
-        for lo, hi, den in self.intervals():
+        for lo, hi, den in self.intervals(
+                self._halvings(ints, self._floor(ints, common))):
             low, high = _enclose(ints, lo, hi, den)
             if low > 0 or high < 0:
                 return 1 if low > 0 else -1
+
+    def _floor(self, ints, common) -> int:
+        """b with |G(root)| >= 2^-b > 0, G the integer polynomial ints,
+        common = gcd(G, f): the resultant of G and F = f / common, a
+        nonzero integer, is lc(F)^deg G times G's product over F's roots,
+        each at most M, a Cauchy bound, in size."""
+        F = self._ints if len(common) == 1 else _integer_row(
+            quo_rem(self.f, common)[0])
+        bound = 1 - (-max(map(abs, F[:-1])) // abs(F[-1]))
+        top = sum(abs(c) * bound ** j for j, c in enumerate(ints))
+        return ((len(ints) - 1) * abs(F[-1]).bit_length()
+                + (len(F) - 2) * top.bit_length())
+
+    def _halvings(self, ints, bits) -> int:
+        """Halvings of the root's interval after which an enclosure of the
+        integer polynomial ints is narrower than 2^-bits: interval Horner
+        over a width w in |x| <= B is at most w sum j |c_j| B^(j-1) wide."""
+        bound = math.ceil(max(abs(self.lo), abs(self.hi)))
+        slope = sum(j * abs(c) * bound ** (j - 1)
+                    for j, c in enumerate(ints) if j)
+        width = self.hi - self.lo
+        return max(0, width.numerator.bit_length() + slope.bit_length()
+                   - width.denominator.bit_length() + bits + 1)
 
 
 def _scaled(g):
@@ -341,16 +369,19 @@ class Ray:
 
     def _rounded(self, v, norm2) -> float:
         """v/sqrt(norm2) at the irrational root, correctly rounded.  The
-        bounds of v^2/norm2 and of its square root narrow until both ends
-        round to one double; a value exactly halfway between two doubles
-        is caught by an exact test."""
+        bounds of v^2/norm2 and of its square root narrow, within the
+        `_rounds` that sound enclosures need, until both ends round to
+        one double, or to two adjacent ones, which an exact test against
+        the point halfway between them decides (a tie rounds to even)."""
         root = self.root
-        sign = root.sign(v)
+        common = gcd(v, root.f)
+        sign = root.sign(v, common)
         if not sign:
             return 0.0
         (v_ints, v_den), (n_ints, n_den) = _scaled(v), _scaled(norm2)
-        bits, tie_tested = _SQRT_BITS, False
-        steps = root.intervals()
+        bits = _SQRT_BITS
+        steps = root.intervals(_REFINE_STEPS * self._rounds(
+            v_ints, v_den, n_ints, root._floor(v_ints, common)))
         while True:
             for _ in range(_REFINE_STEPS):
                 lo, hi, den = next(steps)
@@ -368,13 +399,29 @@ class Ray:
                                  n_low * v_scale2, bits)[1]
                 if a == b:
                     return sign * a
-                if not tie_tested and math.nextafter(a, math.inf) == b:
-                    tie_tested = True
+                if math.nextafter(a, math.inf) == b:
                     mid = (Fraction(a) + Fraction(b)) / 2
-                    if not root.sign(add(mul(v, v),
-                                         scale(norm2, -mid * mid))):
-                        return sign * float(mid)
+                    s = root.sign(add(mul(v, v), scale(norm2, -mid * mid)))
+                    return sign * (b if s > 0 else a if s else float(mid))
             bits += 2 * _REFINE_STEPS
+
+    def _rounds(self, v_ints, v_den, n_ints, b) -> int:
+        """Rounds of _rounded after which sound bounds of x = |v| /
+        sqrt(norm2) are within a relative 7 rho, rho = 2^-60, so they
+        round to one double or two adjacent ones: |V| = |v_den v| >=
+        2^-b (Root._floor), so N = n_den norm2 >= (2^-b / v_den)^2;
+        enclosures within rho times these bound x within a relative
+        4 rho, and 2^-bits < rho 2^-b / (v_den sqrt(N_max)) <= rho x."""
+        root, rho = self.root, 60
+        b_v = b + v_den.bit_length()
+        halvings = max(root._halvings(v_ints, b + rho),
+                       root._halvings(n_ints, 2 * b_v + rho))
+        bound = math.ceil(max(abs(root.lo), abs(root.hi)))
+        n_max = sum(abs(c) * bound ** j for j, c in enumerate(n_ints))
+        bits = b_v + n_max.bit_length() // 2 + 1 + rho
+        # round r reads the interval of 8 (r + 1) - 1 halvings
+        return max(-(-(halvings + 1) // _REFINE_STEPS),
+                   -(-(bits - _SQRT_BITS) // (2 * _REFINE_STEPS)), 0) + 1
 
     def sign_of(self, terms) -> int:
         """The sign (-1, 0 or 1) at the unit vector u = v/|v| of the

@@ -272,10 +272,8 @@ def cmd_verify_negligible(args):
     F = expr_parse(args.operands[0], sig.n)
     omegas = [tuple(d.vec) for d in
               (_parse_direction(w, sig.n) for w in args.omega.split(";"))]
-    eps_grid = None if args.eps is None else (args.eps,)
     cert = check_negligible(F, omegas, sig.m, sig.n,
-                            **_given(eps_grid=eps_grid, budget=args.budget,
-                                     seed=args.seed))
+                            **_given(budget=args.budget))
     return cert.to_json(), _VERDICT_EXIT[cert.verdict]
 
 
@@ -398,10 +396,9 @@ def build_parser():
             operand_name="expr")
     command("verify-tame", cmd_verify_tame, ring, cone, seed, operands=1,
             operand_name="expr").add_argument("--bound", type=float)
-    p = command("verify-negligible", cmd_verify_negligible, ring, budget,
-                seed, operands=1, operand_name="expr")
-    p.add_argument("--omega", required=True, help="directions, ';'-separated")
-    p.add_argument("--eps", type=float, help="one eps (omit for the ladder)")
+    command("verify-negligible", cmd_verify_negligible, ring, budget,
+            operands=1, operand_name="expr").add_argument(
+        "--omega", required=True, help="directions, ';'-separated")
     command("verify-implication", cmd_verify_implication, cert, budget, seed)
     command("verify-annulus", cmd_verify_annulus, cert, seed).add_argument(
         "--variant", choices=["C", "C*", "C**"], default="C")

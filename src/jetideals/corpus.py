@@ -104,8 +104,7 @@ def _run_forbidden(case):
 def _run_negligible(case):
     n = case.inputs["n"]
     F = expr_parse(case.inputs["F"], n)
-    cert = check_negligible(F, case.inputs["omegas"], case.inputs["m"], n,
-                            seed=0)
+    cert = check_negligible(F, case.inputs["omegas"], case.inputs["m"], n)
     return {"outputs": cert.to_json(), "verdict": cert.verdict}
 
 

@@ -100,63 +100,27 @@ def _dome(n, omegas, delta):
     return slot[0]
 
 
-def _dome_sup(expr, dome, table, target=None, budget=DOME_DEPTH_BUDGET):
-    """Certified upper bound of |expr| on the dome, by interval
-    subdivision of its sphere-patch tree (cells provably outside the
-    dome are not in the tree, so tiny domes stay cheap).
-
-    With a target: returns (sup_bound, True) if every cell is pushed
-    below the target, else (best_bound, False).  Without a target:
-    refines a few levels past the dome scale and returns the sup bound.
-    A walk that would evaluate more than DOME_CELL_BUDGET cells returns
-    (None, False): no bound at all.
-
-    `table` holds |expr|'s enclosure (or its DomainError) per cell,
-    keyed by the cell's face axis, sign and box.  Every dome tree grows
-    from sphere_cover(n, 2) by the same splits, so a cell of the same
-    geometry in another walk over expr has the same enclosure bit for
-    bit and is read from the table; a walk still counts it against the
-    budget.
-    Box ends are midpoints of (-1, 1), never -0.0, so == on the box is
-    equality of the floats.
-    """
+def _dome_sup(expr, dome, budget=DOME_DEPTH_BUDGET):
+    """Certified upper bound of |expr| on the dome: the largest
+    enclosure over the cells of its sphere-patch tree, which holds no
+    cell provably outside the dome.  A cell is split only where it has
+    no enclosure (a DomainError), down to `budget` levels, and gives inf
+    below them; past DOME_CELL_BUDGET cells a walk returns None."""
     enclose = compile_interval(expr)
     work = [(p, 0) for p in dome.roots]
-    # without a target, stop once cells are comparable to the dome size
-    free_depth = max(3, min(60, int(-math.log2(max(dome.delta, 1e-18))) + 3))
-    top = 0.0
-    certified = True
-    cells = 0
+    top, cells = 0.0, 0
     while work:
         cells += 1
         if cells > DOME_CELL_BUDGET:
-            return None, False
+            return None
         patch, depth = work.pop()
-        key = (patch.axis, patch.sign, patch.box)
-        val = table.get(key)
-        if val is None:
-            try:
-                val = abs(enclose(patch.direction_enclosure()))
-            except DomainError as exc:
-                val = exc.with_traceback(None)   # no frame kept alive
-            table[key] = val
-        if isinstance(val, DomainError):
-            if depth < budget:
-                work.extend((q, depth + 1) for q in dome.children(patch))
-                continue
-            return math.inf, False
-        if target is not None and val.hi > target:
-            if depth < budget:
-                work.extend((q, depth + 1) for q in dome.children(patch))
-                continue
-            certified = False
-            top = max(top, val.hi)
-            continue
-        if target is None and depth < free_depth and val.width > 0.01:
+        try:
+            top = max(top, abs(enclose(patch.direction_enclosure())).hi)
+        except DomainError:
+            if depth >= budget:
+                return math.inf
             work.extend((q, depth + 1) for q in dome.children(patch))
-            continue
-        top = max(top, val.hi)
-    return top, certified
+    return top
 
 
 # ---------------------------------------------------------------------------

@@ -16,24 +16,26 @@ from fractions import Fraction
 
 import numpy as np
 
-from .directions import allow_overapprox, forbidden_certificate_search
+from .algebraic import Ray, Root
+from .directions import (ExactDirection, allow_overapprox,
+                         forbidden_certificate_search)
 from .errors import DomainError
-from .geometry import Cone, Direction
+from .geometry import DELTA_FLOOR, Cone, Direction
 from .ideal import JetIdeal
+from .interval import Interval
 from .jetring import Jet, _collect, _Poly, monomials
 from .regions import (DOME_DEPTH_BUDGET, _cutoff_values, _dome, _dome_sup,
                       _region_boxes, _region_signs)
 from .symfun import (KERNELS, Const, Coord, Cutoff, DEFAULT_CUTOFF, Norm,
                      ScalarExpr, ZERO, add, collect_cutoffs, compile_expr,
-                     compile_exprs, div, expr_derive, expr_str, fold,
-                     hom_degree, ipow, mul)
+                     compile_exprs, compile_interval, div, expr_derive,
+                     expr_str, fold, hom_degree, ipow, mul)
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 _ORDER = {FAIL: 0, INCONCLUSIVE: 1, PASS: 2}
 # annulus identity result -> verdict (None: some cutoff may lie in its
 # band on the region, so no exact decision was made)
 _IDENTITY_VERDICT = {True: PASS, False: FAIL, None: INCONCLUSIVE}
-EPS_LADDER = (1.0, 0.1, 0.01, 0.001)   # eps rungs of a negligibility check
 STRONG_DELTA = 0.5   # cone opening a strong check covers around a direction
 
 
@@ -335,8 +337,19 @@ def check_tame(S: ScalarExpr, region, m: int, n: int, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 class NegligibilityCertificate:
-    """Per-epsilon records for the cone bound (a) and the Taylor
-    condition (b), plus the aggregated verdict."""
+    """The record of a negligibility check, for every eps > 0 at once.
+
+    F is negligible for Omega when for every eps > 0 there are delta,
+    r > 0 such that on Gamma(Omega, delta, r), for |alpha| <= m and
+    k = m - |alpha|, (a) |d^alpha F(x)| <= eps |x|^k and (b) |d^alpha
+    F(x) - sum_{|beta| <= k} d^(alpha+beta) F(y) (x - y)^beta / beta!|
+    <= eps |x - y|^k.  The record's one opening delta0 and its rows'
+    constants give (a) with delta(eps) = min(delta0, eps / L'), L' the
+    largest `lipschitz` of a row, and r(eps) = min(1, (eps / sup)^(1 /
+    gap)), the least over the rows with a `dome_sup_upper`; (b) holds
+    wherever (a) holds with eps / c, c = c(m, n, theta) the `constant`
+    of condition_b.  check_negligible derives all three.
+    """
 
     def __init__(self, F, omegas, m, records, verdict):
         self.F = F
@@ -352,231 +365,208 @@ class NegligibilityCertificate:
                 "verdict": self.verdict}
 
 
-def delta_ladder(eps):
-    """Search ladder for the cone opening; the analytically valid choices
-    in the sources can be far below float resolution, so concrete
-    certifiable substitutes are tried from large to small."""
-    cands = [eps / 20, eps / 40, eps ** 2 / 20, eps ** 2 / 40, eps ** 3 / 20]
-    # a rung that repeats (at eps = 1, eps^2/20 = eps/20) would only walk
-    # the same dome again
-    return [d for d in dict.fromkeys(cands) if 0.0 < d < 0.25]
-
-
 def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
-                     eps_grid=EPS_LADDER, budget: int = DOME_DEPTH_BUDGET,
-                     seed: int = 0, pair_samples: int = 100_000):
-    """Check that F is negligible for the direction set Omega.
+                     budget: int = DOME_DEPTH_BUDGET):
+    """Check that F is negligible for the direction set Omega, for every
+    eps at once (see NegligibilityCertificate).
 
-    Condition (a) asks |d^alpha F(x)| <= eps |x|^(m-|alpha|) on a cone
-    Gamma(Omega, delta, r) for every |alpha| <= m.  When the derivative
-    is homogeneous of degree d >= m - |alpha| (read off the expression
-    tree), the cone bound reduces to a dome bound at |x| = 1, with the
-    excess homogeneity absorbed into the radius r.  Condition (b), the
-    Taylor-compatibility bound, follows from (a) by convexity for
-    single-direction domes with delta < 1/4 and is otherwise checked on
-    random point pairs.
-
-    The domes of the eps and delta rungs nest, so their walks meet the
-    same cells again: each derivative keeps one enclosure table for the
-    call (see _dome_sup), and each (derivative, cell) is enclosed once.
+    A direction is a float vector, read as the unit vector of its exact
+    dyadic value, or an ExactDirection, read at its ray; exact
+    duplicates are dropped.  The opening delta0 is the least of 0.05 and
+    a quarter of the least distance D between two directions, so the
+    domes are disjoint convex components; below DELTA_FLOOR the check
+    is inconclusive.  Each nonzero G = d^alpha F must be homogeneous of
+    degree k + gap, gap >= 0 (read off the tree), else the check is
+    inconclusive.
+    - gap > 0: G(x) = |x|^(k + gap) G(x/|x|), so (a) holds for
+      |x| < r(eps) with sup the certified dome sup of |G| at delta0.
+    - gap = 0: |G(t w)| = |G(w)| t^k, so G(w) must be 0 at each
+      direction w, which is decided exactly (_sign_at); otherwise the
+      check fails, with the witness 0.5 w for eps = |G(w)| / 2.  With
+      L the largest certified dome sup of the |d_i G| at delta0, the
+      segment from w to u, |u - w| < delta0, has norm at least
+      1 - delta0^2/2 and directions in the dome, and d_i G is
+      homogeneous of degree k - 1, so |G(u)| <= L' |u - w|,
+      L' = sqrt(n) L (1 - delta0^2/2)^min(0, k - 1): (a) holds with
+      delta(eps).  For |alpha| < m the d_i G are rows of the same
+      table; the |alpha| = m rows walk order m + 1 derivatives.
+    Condition (b) follows from (a) with eps' on the same cone.  Within
+    one convex component, Taylor's theorem with integral remainder on
+    [y, x] writes the left side of (b) as sum_{|beta| = k} (k / beta!)
+    (x - y)^beta int_0^1 (1 - t)^(k-1) (d^(alpha+beta) F(y + t(x - y))
+    - d^(alpha+beta) F(y)) dt with |alpha + beta| = m, at most
+    2 eps' (n^k / k!) |x - y|^k (k = 0 directly).  Across components
+    the directions are theta = 2 asin(D/2) - 4 asin(delta0/2) apart, so
+    |x|, |y| <= |x - y| / s, s = sin(min(theta, pi/2)), and the
+    triangle inequality gives eps' |x - y|^k (s^-k + sum_{j <= k}
+    (n^j / j!) s^(j-k)).  c(m, n, theta) is the largest of these
+    factors over k <= m (_condition_b), and F is negligible with
+    delta(eps / c) and r(eps / c).
     """
-    omegas = [tuple(float(c) for c in w) for w in omegas]
-    if not omegas:
-        return NegligibilityCertificate(F, omegas, m, [
-            {"vacuous": True, "verdict": PASS,
-             "note": "empty direction set: every C^m function qualifies"}],
-            PASS)
+    dirs = _distinct_directions(omegas)
+    vecs = [vec for vec, _ in dirs]
+    least = min((math.dist(a, b) for i, a in enumerate(vecs)
+                 for b in vecs[:i]), default=math.inf)
+    delta0 = min(0.05, least / 4)
+    if not dirs or delta0 < DELTA_FLOOR:
+        record = ({"vacuous": True, "verdict": PASS,
+                   "note": "empty direction set: every C^m function "
+                           "qualifies"} if not dirs else
+                  {"delta0": delta0, "verdict": INCONCLUSIVE,
+                   "note": "two directions are closer than 4 DELTA_FLOOR"})
+        return NegligibilityCertificate(F, vecs, m, [record],
+                                        record["verdict"])
 
-    rng = np.random.default_rng(seed)
-    derivs = [(alpha, expr_derive(F, alpha)) for alpha in monomials(m, n)]
-    # one enclosure table per derivative, shared by every rung's walks
-    tables = [{} for _ in derivs]
-    degrees = [None if d == ZERO else hom_degree(d) for _, d in derivs]
-    # genuine-failure scan on the center rays: for derivatives whose tree
-    # is homogeneous of degree exactly m - |alpha| the ratio is
-    # scale-invariant, so one bad value on a ray through Omega refutes
-    # every (delta, r).  The values do not depend on eps: one kernel.
-    rays = [(alpha, d) for (alpha, d), deg in zip(derivs, degrees)
-            if deg == m - sum(alpha)]
-    centers = [tuple(0.5 * c for c in w) for w in omegas]
-    ray_values = compile_exprs([d for _, d in rays])(
-        _point_array(centers, n))
-    records = []
-    verdicts = []
-    key = tuple(omegas)
-    for eps in eps_grid:
-        rec = {"eps": eps}
-        witness = None
-        for (alpha, _), (vals, ok) in zip(rays, ray_values):
-            for x, val, good in zip(centers, vals.tolist(), ok.tolist()):
-                if good and abs(val) > eps * 0.5 ** (m - sum(alpha)) \
-                        * (1 + 1e-12):
-                    witness = {"alpha": list(alpha), "point": list(x),
-                               "value": abs(val),
-                               "bound": eps * 0.5 ** (m - sum(alpha))}
-                    break
-            if witness:
-                break
-        if witness:
-            rec.update({"verdict": FAIL, "witness": witness})
-            records.append(rec)
-            verdicts.append(FAIL)
+    record, rows, verdict = {"delta0": delta0}, [], PASS
+    for alpha in monomials(m, n):
+        G = expr_derive(F, alpha)
+        row = {"alpha": list(alpha)}
+        rows.append(row)
+        d = None if G == ZERO else hom_degree(G)
+        gap = None if d is None else d - (m - sum(alpha))
+        if G == ZERO or gap is None or gap < 0:
+            row["status"] = ("zero" if G == ZERO
+                             else "no homogeneity reduction")
+            verdict = meet(verdict, PASS if G == ZERO else INCONCLUSIVE)
             continue
+        row["homogeneity_gap"] = gap
+        if gap == 0:
+            verdict = meet(verdict, _zero_on_directions(G, alpha, dirs,
+                                                        m, n, row))
+            if "witness" in row:
+                record.setdefault("witness", row["witness"])
 
-        found = None
-        starved = {}     # alpha -> delta rungs whose walk ran out of cells
-        for delta in delta_ladder(eps):
-            alpha_records, ok, r_cap = [], True, 1.0
-            for (alpha, d_expr), d, table in zip(derivs, degrees, tables):
-                a_rec = {"alpha": list(alpha)}
-                if d_expr == ZERO:
-                    a_rec["status"] = "zero"
-                    alpha_records.append(a_rec)
-                    continue
-                gap = None if d is None else d - (m - sum(alpha))
-                if gap is None or gap < 0:
-                    a_rec["status"] = "no homogeneity reduction"
-                    ok = False
-                    alpha_records.append(a_rec)
-                    break
-                sup, certified = _dome_sup(d_expr, _dome(n, key, delta),
-                                           table, eps if gap == 0 else None,
-                                           budget)
-                if sup is None:
-                    starved.setdefault(alpha, []).append(delta)
-                    ok = False
-                    break
-                if gap == 0:
-                    a_rec.update({"status": "dome bound",
-                                  "dome_sup_upper": sup,
-                                  "certified": certified})
-                    if not certified:
-                        ok = False
-                        alpha_records.append(a_rec)
-                        break
-                else:
-                    if not math.isfinite(sup):
-                        ok = False
-                        a_rec["status"] = "unbounded enclosure"
-                        alpha_records.append(a_rec)
-                        break
-                    if sup > eps:
-                        r_cap = min(r_cap, (eps / sup) ** (1.0 / gap))
-                    a_rec.update({"status": "radius absorbed",
-                                  "dome_sup_upper": sup,
-                                  "homogeneity_gap": gap})
-                alpha_records.append(a_rec)
-            if ok:
-                found = (delta, r_cap, alpha_records)
-                break
-        if found is None:
-            rec.update({"verdict": INCONCLUSIVE,
-                        "note": "delta ladder exhausted"})
-            if starved:
-                rec["cell_budget_exhausted"] = [
-                    {"alpha": list(a), "delta": d}
-                    for a, ds in starved.items() for d in ds]
-            records.append(rec)
-            verdicts.append(INCONCLUSIVE)
+    # a walk cannot fail, so the walks run only when all else passed;
+    # each takes the kept tree afresh, which replaces one past its cap
+    sups = {}
+    for alpha, row in zip(monomials(m, n), rows):
+        if verdict != PASS or "homogeneity_gap" not in row:
             continue
+        gap = row["homogeneity_gap"]
+        walked = [alpha] if gap else [
+            tuple(a + (i == j) for j, a in enumerate(alpha))
+            for i in range(n)]
+        for beta in walked:
+            if beta not in sups:
+                tree = expr_derive(F, beta)
+                sups[beta] = 0.0 if tree == ZERO else _dome_sup(
+                    tree, _dome(n, tuple(vecs), delta0), budget)
+            if sups[beta] is None or not math.isfinite(sups[beta]):
+                row.update(status="cell budget exhausted"
+                           if sups[beta] is None else "unbounded enclosure",
+                           derivative=list(beta))
+                verdict = INCONCLUSIVE
+                break
+        else:
+            top = max(sups[beta] for beta in walked)
+            if gap:
+                row.update(status="radius absorbed", dome_sup_upper=top)
+            else:
+                # times 1 + 2^-40, above the roundings of the floats
+                factor = (1 - delta0 ** 2 / 2) ** min(0, m - sum(alpha) - 1)
+                row.update(status="lipschitz", gradient_sup_upper=top,
+                           lipschitz=math.sqrt(n) * top * factor
+                           * (1 + 2 ** -40), certified=True)
+    record.update(condition_a=rows,
+                  condition_b=_condition_b(least, delta0, m, n, verdict),
+                  verdict=verdict)
+    return NegligibilityCertificate(F, vecs, m, [record], verdict)
 
-        delta, r_found, alpha_records = found
-        for a_rec in alpha_records:
-            if deltas := starved.get(tuple(a_rec["alpha"])):
-                a_rec["cell_budget_exhausted_at_delta"] = deltas
-        cond_b = _condition_b(F, derivs, omegas, delta, r_found, eps, m, n,
-                              rng, pair_samples)
-        rec.update({"delta": delta, "r": r_found,
-                    "condition_a": alpha_records, "condition_b": cond_b,
-                    "verdict": meet(PASS, cond_b["verdict"])})
-        records.append(rec)
-        verdicts.append(rec["verdict"])
-    return NegligibilityCertificate(F, omegas, m, records, meet(*verdicts))
+
+def _distinct_directions(omegas):
+    """(float vector, exact ray) of each distinct direction: a float
+    vector, a dyadic rational, is the rational ray of its value."""
+    found = {}
+    for w in omegas:
+        vec, ray = ((w.vec, w.sym) if isinstance(w, ExactDirection)
+                    else (tuple(float(c) for c in w), None))
+        if not any(vec):
+            raise DomainError("need every direction nonzero")
+        found.setdefault(ray or vec, (vec, ray or Ray(
+            Root.rational(0), [(Fraction(c),) for c in vec])))
+    return list(found.values())
 
 
-# Point pairs of two-point condition (b) per kernel call.
-PAIR_CHUNK = 512
+def _zero_on_directions(G, alpha, dirs, m, n, row):
+    """Fill the gap-0 row of G, and give its verdict: fail with a witness
+    where G is not 0, else inconclusive where that is undecided."""
+    undecided = None
+    for vec, ray in dirs:
+        sign, how = _sign_at(G, vec, ray, n)
+        if sign:
+            # |G(t w)| = |G(w)| t^k on the ray: at t = 1/2, eps = |G(w)|/2
+            center = tuple(0.5 * c for c in vec)
+            vals, ok = compile_expr(G)(_point_array([center], n))
+            value = abs(float(vals[0]))
+            if ok[0] and value > 0.0:
+                row.update(status=f"nonzero at omega ({how})", witness={
+                    "alpha": list(alpha), "point": list(center),
+                    "value": value, "bound": value / 2,
+                    "eps": value / 2 / 0.5 ** (m - sum(alpha))})
+                return FAIL
+            sign, how = None, (f"nonzero at omega ({how}), with no float "
+                               "value at its center")
+        if sign is None and not undecided:
+            undecided = {"status": how, "omega": list(vec)}
+    row.update(undecided or {"status": "zero at omega"})
+    return INCONCLUSIVE if undecided else PASS
 
 
-def _condition_b(F, derivs, omegas, delta, r, eps, m, n, rng, pair_samples):
-    """Taylor-compatibility condition between pairs of cone points.
+def _sign_at(G, vec, ray, n):
+    """The sign of the homogeneous G at the unit vector u of a direction,
+    and how it was decided: (sign, "ring"), (sign, "interval"), or
+    (None, the reason).  The ring (_RingFraction) reads G at u as a
+    quotient of polynomials, the full norm as 1 and |x_i| as sign(u_i)
+    x_i, and Ray.sign_of takes both signs exactly.  A norm of 2 to n - 1
+    coordinates is out of its reach (a homogeneous G has no cutoff or
+    gauge): an enclosure over the box one step around vec, which holds
+    u, decides a sign that excludes 0, as G vanishes at vec iff at u.
+    """
+    norms = _free_norms([G])
+    if any(1 < len(e.indices) < n for e in norms):
+        box = [Interval(math.nextafter(c, -math.inf),
+                        math.nextafter(c, math.inf)) for c in vec]
+        try:
+            enc = compile_interval(G)(box)
+        except DomainError:
+            return None, "no enclosure at omega"
+        sign = (enc.lo > 0) - (enc.hi < 0)
+        return (sign, "interval") if sign else (None, (
+            "not decided at omega: out of the ring's reach, and the "
+            "enclosure holds 0"))
+    leaves = {}
+    for i in range(n):
+        e_i = tuple(int(i == j) for j in range(n))
+        leaves[Coord(i)] = _Poly({e_i: Fraction(1)})
+        if Norm((i,)) in norms:
+            leaves[Norm((i,))] = leaves[Coord(i)] * (
+                ray.sign_of([(e_i, 1)]) or 1)
+    one = leaves[Norm(range(n))] = _Poly({(0,) * n: Fraction(1)})
+    try:
+        num, den = fold((G,), _RingFraction(one, leaves, []))[0]
+    except _ZeroDenominator:
+        return None, "undefined at omega"
+    den_sign = ray.sign_of(den.items())
+    if not den_sign:
+        return None, "undefined at omega"
+    return ray.sign_of(num.items()) * den_sign, "ring"
 
-    Pairs are drawn one at a time, as the per-pair loop draws them, and
-    evaluated PAIR_CHUNK pairs to one kernel call.  On a failing pair the
-    generator goes back to where its chunk began and draws the pairs up
-    to that one again, so it is left where the per-pair loop leaves it."""
-    separated = all(math.dist(a, b) > 2 * delta
-                    for i, a in enumerate(omegas) for b in omegas[:i])
-    if delta < 0.25 and separated:
-        return {"method": "convexity",
-                "note": "single-direction dome components are convex; "
-                        "Taylor's theorem turns the (a) bounds into (b)",
-                "verdict": PASS}
-    kernel = compile_exprs([d for _, d in derivs])
-    column = {alpha: t for t, (alpha, _) in enumerate(derivs)}
-    # per alpha: its column, m - |alpha|, and (column, beta, beta!) of
-    # each Taylor term d^(alpha + beta) at y
-    taylor_terms = [
-        (column[alpha], m - sum(alpha),
-         [(column[tuple(a + b for a, b in zip(alpha, beta))], beta,
-           math.prod(math.factorial(b) for b in beta))
-          for beta in monomials(m - sum(alpha), n)])
-        for alpha in monomials(m, n)]
 
-    def draw_pair():
-        w = omegas[rng.integers(len(omegas))]
-        pts = []
-        for _ in range(2):
-            u = _dome_unit(rng, w, delta)
-            s = float(rng.uniform(0.05, 0.98)) * r
-            pts.append(tuple(s * float(c) for c in u))
-        return pts
-
-    checked = 0
-    for start in range(0, pair_samples, PAIR_CHUNK):
-        state = rng.bit_generator.state
-        pairs = [draw_pair()
-                 for _ in range(min(PAIR_CHUNK, pair_samples - start))]
-        # every derivative at every point: rows 2j (x) and 2j + 1 (y)
-        columns = kernel(np.array(pairs, dtype=float).reshape(-1, n))
-        values = np.array([vals for vals, _ in columns]).T.tolist()
-        good = np.array([ok for _, ok in columns]).T.tolist()
-        for j, (x, y) in enumerate(pairs):
-            at_x, at_y = values[2 * j], values[2 * j + 1]
-            good_x, good_y = good[2 * j], good[2 * j + 1]
-            ok = True
-            for t, rem, terms in taylor_terms:
-                if not good_x[t]:
-                    ok = False
-                    break
-                taylor = 0.0
-                for ty, beta, factorial in terms:
-                    if not good_y[ty]:
-                        ok = False
-                        break
-                    term = at_y[ty]
-                    for xi, yi, bi in zip(x, y, beta):
-                        term *= (xi - yi) ** bi
-                    term /= factorial
-                    taylor += term
-                if not ok:
-                    break
-                gap = abs(at_x[t] - taylor)
-                allowed = eps * math.dist(x, y) ** rem
-                if gap > allowed * (1 + 1e-9) + 1e-15:
-                    # leave the generator where the failing pair left it
-                    rng.bit_generator.state = state
-                    for _ in range(j + 1):
-                        draw_pair()
-                    return {"method": "two-point sampling",
-                            "verdict": FAIL,
-                            "witness": {"x": list(x), "y": list(y),
-                                        "alpha": list(derivs[t][0]),
-                                        "gap": gap, "allowed": allowed}}
-            if ok:
-                checked += 1
-    return {"method": "two-point sampling", "pairs": checked,
-            "verdict": PASS}
+def _condition_b(least, delta0, m, n, verdict_a):
+    """Condition (b)'s record: it holds where (a) holds with eps /
+    constant, c(m, n, theta) of check_negligible, theta the domes'
+    separation; s is taken 1e-12 low, so rounding cannot lower c."""
+    factors = [2 * n ** k / math.factorial(k) for k in range(m + 1)]
+    theta = None
+    if math.isfinite(least):
+        theta = 2 * math.asin(min(1.0, least / 2)) - 4 * math.asin(delta0 / 2)
+        s = math.sin(min(theta, math.pi / 2)) * (1 - 1e-12)
+        factors += [s ** -k + sum(n ** j / math.factorial(j) * s ** (j - k)
+                                  for j in range(k + 1))
+                    for k in range(m + 1)]
+    return {"method": "separation", "constant": max(factors),
+            "separation_angle": theta,
+            "verdict": PASS if verdict_a == PASS else INCONCLUSIVE}
 
 
 # ---------------------------------------------------------------------------
@@ -772,10 +762,11 @@ def check_strong_directional(cert: ImplicationCertificate, omega: Direction,
         budget, seed)
 
 
-def _strong_direction(cert, omega, residual, budget, seed):
+def _strong_direction(cert, omega, residual, budget, seed, exact=None):
     """The body of check_strong_directional; `residual()` gives the
     direction-independent identity check, called only where it is
-    needed (after the negligibility and tameness checks)."""
+    needed (after the negligibility and tameness checks).  `exact` is
+    the allowed direction omega is, else omega is matched within 1e-9."""
     I = cert.ideal
     m, n = I.sig.m, I.sig.n
     report = {"omega": list(omega.vec)}
@@ -786,8 +777,9 @@ def _strong_direction(cert, omega, residual, budget, seed):
     allowed = allow_overapprox(I)
     is_allowed = None
     if allowed.is_finite:
-        is_allowed = any(math.dist(omega.vec, d.vec) <= 1e-9
-                         for d in allowed.directions)
+        exact = exact or next((d for d in allowed.directions
+                               if math.dist(omega.vec, d.vec) <= 1e-9), None)
+        is_allowed = exact is not None
     if is_allowed is False and allowed.exact:
         fc = forbidden_certificate_search(
             I.basis_jets() or list(I.generators), omega)
@@ -798,20 +790,16 @@ def _strong_direction(cert, omega, residual, budget, seed):
                 "forbidden_certificate": fc.to_json()})
             return report
 
-    # directions of Allow(I) near omega; the negligibility scope
-    if allowed.is_finite:
-        local = [d.vec for d in allowed.directions
-                 if math.dist(d.vec, omega.vec) < STRONG_DELTA]
-    else:
-        local = [tuple(omega.vec)]
-    if not local:
-        local = [tuple(omega.vec)]
+    # the negligibility scope: directions of Allow(I) near omega
+    local = [d for d in (allowed.directions if allowed.is_finite else ())
+             if math.dist(d.vec, omega.vec) < STRONG_DELTA] \
+        or [tuple(omega.vec)]
 
-    neg = check_negligible(cert.F, local, m, n, budget=budget, seed=seed)
+    neg = check_negligible(cert.F, local, m, n, budget=budget)
     report["negligibility"] = neg.to_json()
 
     tame_reports = []
-    cone = Cone([Direction(w, normalize=True) for w in local],
+    cone = Cone([Direction(w, normalize=True) for w in neg.omegas],
                 STRONG_DELTA, 1.0)
     for idx, (Q, S, C) in enumerate(cert.terms):
         tr = check_tame(S, cone, m, n, seed=seed + idx, bound=C)
@@ -857,11 +845,12 @@ def check_strong_global(cert: ImplicationCertificate,
         return report
 
     if cert.scope == "global":
-        scope = [d.vec for d in allowed.directions]
+        # each allowed direction, with its exact ray
+        scope = [(d.vec, d) for d in allowed.directions]
     else:
-        scope = [tuple(float(c) for c in w) for w in cert.scope]
+        scope = [(tuple(float(c) for c in w), None) for w in cert.scope]
         for d in allowed.directions:
-            if not any(math.dist(d.vec, w) <= 1e-9 for w in scope):
+            if not any(math.dist(d.vec, w) <= 1e-9 for w, _ in scope):
                 raise DomainError(
                     f"uncovered allowed direction {d.vec}")
 
@@ -870,8 +859,8 @@ def check_strong_global(cert: ImplicationCertificate,
     residual = functools.cache(
         lambda: symbolic_residual_zero(p, cert.terms, cert.F))
     sub = [_strong_direction(cert, Direction(w, normalize=True), residual,
-                             budget, seed)
-           for w in scope]
+                             budget, seed, exact)
+           for w, exact in scope]
     report["directions"] = sub
     verdict = meet(*(r["verdict"] for r in sub))
     report["verdict"] = verdict

@@ -6,13 +6,6 @@ kernels and expr_eval to return exactly its values, gauges included, and
 to mask the point (expr_eval: raise DomainError) where it raises
 DomainError.  Every scalar loop below evaluates through it.
 
-The per-rung center-ray witness scan of check_negligible, ray_witness,
-and the per-pair scalar loop of two-point condition (b), condition_b,
-that run on compiled kernels in verifier.check_negligible and
-verifier._condition_b: test_verifier.py requires the kernel-based checks
-to return exactly what these return and, for condition (b), to leave the
-random generator in the same state.
-
 The one-vector-at-a-time sample draws that verifier._unit_rows
 batches: random_unit, the annulus sample set unit_annulus_samples (one
 direction and one point at a time, whiskers through
@@ -49,10 +42,9 @@ and the S_l to give the same verdicts, witness multi-indices and points
 and skipped counts, and maxima and witness values within 1e-12 relative.
 
 The unshared negligibility dome walk that regions._dome_sup replaced:
-each call builds its own cover, re-tests and re-encloses every cell
-(no tree kept, no enclosure shared between walks), and evaluates by the
-interval tree walk.  test_dome_tree.py requires check_negligible to
-return exactly what it returns on this walk.
+each call builds its own cover, re-tests every cell (no tree kept), and
+evaluates by the interval tree walk.  test_dome_tree.py requires
+check_negligible to return exactly what it returns on this walk.
 
 The plane allowed-set solver that built p(1, t) and p(0, 1) by sympy
 substitution and tested each root of the first part against the others
@@ -184,8 +176,8 @@ from jetideals.jetring import (_Parser, DiffeoJet, Jet, monomials,
 from jetideals.symfun import (ZERO, Add, Const, Coord, Cutoff, Div, Gauge,
                               GaugeRef, Mul, Norm, Pow, RegularizedGauge,
                               _bump, _ExprParser, _poly_eval_interval, add,
-                              div, expr_derive, hom_degree, ipow, mul)
-from jetideals.verifier import (FAIL, PASS, _cutoff_feature_scales,
+                              div, expr_derive, ipow, mul)
+from jetideals.verifier import (_cutoff_feature_scales,
                                 _region_directions, _transverse_unit,
                                 _unit_annulus_samples, chi_expr,
                                 expr_scale_coords)
@@ -431,82 +423,6 @@ def _try_eval(e, x):
         return None
 
 
-def ray_witness(derivs, omegas, eps, m):
-    """The first center-ray value above eps |x|^(m - |alpha|), or None;
-    derivs lists (alpha, derivative of F)."""
-    for alpha, d_expr in derivs:
-        if d_expr == ZERO:
-            continue
-        d = hom_degree(d_expr)
-        if d is None or d != m - sum(alpha):
-            continue
-        for w in omegas:
-            x = tuple(0.5 * c for c in w)
-            val = _try_eval(d_expr, x)
-            if val is None:
-                continue
-            if abs(val) > eps * 0.5 ** (m - sum(alpha)) * (1 + 1e-12):
-                return {"alpha": list(alpha), "point": list(x),
-                        "value": abs(val),
-                        "bound": eps * 0.5 ** (m - sum(alpha))}
-    return None
-
-
-def condition_b(F, derivs, omegas, delta, r, eps, m, n, rng, pair_samples):
-    separated = all(math.dist(a, b) > 2 * delta
-                    for i, a in enumerate(omegas) for b in omegas[:i])
-    if delta < 0.25 and separated:
-        return {"method": "convexity",
-                "note": "single-direction dome components are convex; "
-                        "Taylor's theorem turns the (a) bounds into (b)",
-                "verdict": PASS}
-    deriv_map = dict(derivs)
-    checked = 0
-    for _ in range(pair_samples):
-        w = omegas[rng.integers(len(omegas))]
-        pts = []
-        for _ in range(2):
-            u = np.asarray(w) + float(rng.uniform(0, delta * 0.98)) * \
-                np.asarray(_transverse_unit(rng, n, w))
-            u = u / np.linalg.norm(u)
-            s = float(rng.uniform(0.05, 0.98)) * r
-            pts.append(tuple(s * float(c) for c in u))
-        x, y = pts
-        ok = True
-        for alpha in monomials(m, n):
-            ax = _try_eval(deriv_map[alpha], x)
-            if ax is None:
-                ok = False
-                break
-            taylor = 0.0
-            rem = m - sum(alpha)
-            for beta in monomials(rem, n):
-                ab = tuple(a + b for a, b in zip(alpha, beta))
-                coeff = _try_eval(deriv_map[ab], y)
-                if coeff is None:
-                    ok = False
-                    break
-                term = coeff
-                for xi, yi, bi in zip(x, y, beta):
-                    term *= (xi - yi) ** bi
-                term /= math.prod(math.factorial(b) for b in beta)
-                taylor += term
-            if not ok:
-                break
-            gap = abs(ax - taylor)
-            allowed = eps * math.dist(x, y) ** rem
-            if gap > allowed * (1 + 1e-9) + 1e-15:
-                return {"method": "two-point sampling",
-                        "verdict": FAIL,
-                        "witness": {"x": list(x), "y": list(y),
-                                    "alpha": list(alpha),
-                                    "gap": gap, "allowed": allowed}}
-        if ok:
-            checked += 1
-    return {"method": "two-point sampling", "pairs": checked,
-            "verdict": PASS}
-
-
 def shell_sweep(expr, region, m, n, seed, k_lo, k_hi, weight):
     derivs = [(alpha, expr_derive(expr, alpha))
               for alpha in monomials(m, n)]
@@ -664,16 +580,13 @@ def dome_cells(n, omegas, delta, init_depth=2):
             if not _cell_outside_dome(p, omegas, delta)]
 
 
-def dome_sup(expr, dome, table, target=None, budget=64):
+def dome_sup(expr, dome, budget=64):
     """The walk over a fresh cover; only the dimension, omegas and delta
-    of the dome are read, and every cell is enclosed afresh (the shared
-    enclosure table is ignored).  Past regions.DOME_CELL_BUDGET cells
-    in the dome it returns (None, False)."""
+    of the dome are read, and every cell is enclosed afresh.  Past
+    regions.DOME_CELL_BUDGET cells in the dome it returns None."""
     n, omegas, delta = dome.roots[0].n, dome.omegas, dome.delta
     work = [(p, 0) for p in dome_cells(n, omegas, delta)]
-    free_depth = max(3, min(60, int(-math.log2(max(delta, 1e-18))) + 3))
     top = 0.0
-    certified = True
     cells = 0
     while work:
         patch, depth = work.pop()
@@ -681,27 +594,16 @@ def dome_sup(expr, dome, table, target=None, budget=64):
             continue
         cells += 1
         if cells > regions.DOME_CELL_BUDGET:
-            return None, False
-        enc = patch.direction_enclosure()
+            return None
         try:
-            val = abs(eval_interval(expr, enc))
+            val = abs(eval_interval(expr, patch.direction_enclosure()))
         except DomainError:
-            if depth < budget:
-                work.extend((q, depth + 1) for q in patch.subdivide_all())
-                continue
-            return math.inf, False
-        if target is not None and val.hi > target:
-            if depth < budget:
-                work.extend((q, depth + 1) for q in patch.subdivide_all())
-                continue
-            certified = False
-            top = max(top, val.hi)
-            continue
-        if target is None and depth < free_depth and val.width > 0.01:
+            if depth >= budget:
+                return math.inf
             work.extend((q, depth + 1) for q in patch.subdivide_all())
             continue
         top = max(top, val.hi)
-    return top, certified
+    return top
 
 
 def jet_to_sympy(p, syms):

@@ -5,7 +5,9 @@ algebraic.real_roots must find the real roots that sympy's real_roots
 finds, rational ones as rationals; Ray.unit must give each coordinate
 of v(r)/|v(r)| as the double nearest its exact value, 0.0 where it is
 exactly 0, and raise ValueError where every coordinate is; Ray.sign_of
-must give the exact sign of a polynomial at that unit vector."""
+must give the exact sign of a polynomial at that unit vector.  An
+enclosure fault must raise ArithmeticError, not narrow an interval
+forever."""
 
 from fractions import Fraction
 
@@ -176,3 +178,43 @@ def test_a_factor_shared_with_a_reducible_f_vanishes_exactly():
     rays = [Ray(r, [poly(1), poly(0, 1)]) for r in roots]
     assert [ray.sign_of([((2, 0), 1), ((0, 2), -2)]) for ray in rays] \
         == [0, 1, 1, 0]
+
+
+def _unscaled_enclose(ints, lo, hi, den):
+    """algebraic._enclose without its den^(d-i) scaling: Horner over the
+    integer ends as if den were 1, so it encloses nothing."""
+    low = high = 0
+    for c in reversed(ints):
+        ends = (low * lo, low * hi, high * lo, high * hi)
+        low, high = min(ends) + c, max(ends) + c
+    return low, high
+
+
+@pytest.mark.parametrize("f,which,coords", [
+    ((-4, Fraction(21, 2), 1), 1, [(Fraction(-22, 3),),
+                                   (16, Fraction(-1, 3))]),
+    ((-1, Fraction(14, 3), 1), 0, [(Fraction(-4, 5),),
+                                   (Fraction(-17, 3), Fraction(-11, 5))]),
+])
+def test_an_unscaled_enclosure_raises_instead_of_narrowing_forever(
+        monkeypatch, f, which, coords):
+    # on these rays the faulty bounds never settle on one double: the
+    # rounding narrowed the root's interval with no end
+    root = algebraic.real_roots(poly(*f))[which]
+    ray = Ray(root, [poly(*c) for c in coords])
+    assert ray.unit()
+    monkeypatch.setattr(algebraic, "_enclose", _unscaled_enclose)
+    with pytest.raises(ArithmeticError):
+        ray.unit()
+
+
+def test_an_enclosure_that_never_narrows_raises(monkeypatch):
+    # every sign and rounding narrows within a cap from the root
+    # separation bound; an enclosure that holds 0 past it is a fault
+    (root,) = [r for r in algebraic.real_roots(poly(-2, 0, 1)) if r.lo > 0]
+    ray = Ray(root, [poly(1), poly(0, 1)])
+    monkeypatch.setattr(algebraic, "_enclose", lambda *args: (-1, 1))
+    with pytest.raises(ArithmeticError):
+        root.sign(poly(-1, 1))
+    with pytest.raises(ArithmeticError):
+        ray.sign_of([((1, 0), 1), ((0, 1), -1)])

@@ -98,8 +98,30 @@ def test_verify_flat_inconclusive_exit(capsys):
 
 def test_verify_negligible(capsys):
     code, doc = run(capsys, "verify-negligible", "--m", "2", "--n", "3",
-                    "--omega", "0,0,1;0,0,-1", "--eps", "0.01", "y^3/z")
+                    "--omega", "0,0,1;0,0,-1", "--budget", "64", "y^3/z")
     assert code == 0 and doc["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("F,code", [
+    # a gap-0 row nonzero at omega fails for every eps below its value
+    ("x*y/10000", 1), ("x*y", 1), ("x^3", 0)])
+def test_verify_negligible_decides_every_eps(capsys, F, code):
+    got, doc = run(capsys, "verify-negligible", "--m", "2", "--n", "2",
+                   "--omega", "1,0", F)
+    assert got == code and len(doc["records"]) == 1
+
+
+@pytest.mark.parametrize("scale,F", [("0.0001", "x^2/10000"), ("1", "x^2")])
+def test_a_closed_ideal_is_never_concluded_open(tmp_path, capsys, scale, F):
+    # <y> = I^2(x-axis) is closed (every I^m(E) is), so F = p with no
+    # terms must fail for p = x^2 at every scale, and conclude nothing
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({
+        "ideal": {"m": 2, "n": 2, "generators": ["y"]},
+        "target": f"{scale}*x^2", "terms": [], "F": F, "scope": "global"}))
+    code, doc = run(capsys, "verify-implication", "--cert", str(path))
+    assert code == 1 and doc["verdict"] == "fail"
+    assert "conclusions" not in doc
 
 
 def _implication_cert():
@@ -351,7 +373,7 @@ def test_deterministic_output(capsys):
     outs = []
     for _ in range(2):
         main(["verify-negligible", "--m", "2", "--n", "3",
-              "--omega", "0,0,1", "--eps", "0.1", "--seed", "7", "y^3/z"])
+              "--omega", "0,0,1", "--budget", "7", "y^3/z"])
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
 
@@ -418,8 +440,7 @@ def _every_option(tmp_path):
                                "--seed", "1", "x"],
         "verify-tame": RING + ["--omega", "1", "--delta", "0.3",
                                "--seed", "1", "--bound", "2", "x"],
-        "verify-negligible": RING + ["--omega", "1", "--eps", "0.1",
-                                     "--budget", "3", "--seed", "1", "x"],
+        "verify-negligible": RING + ["--omega", "1", "--budget", "3", "x"],
         "verify-implication": ["--cert", str(cert), "--budget", "3",
                                "--seed", "1", "--pretty"],
         "verify-annulus": ["--cert", str(cert), "--variant", "C*",
@@ -504,7 +525,12 @@ def test_ring_commands_require_m_and_n(tmp_path, capsys, command):
 
 
 def test_budget_zero_reaches_the_library(capsys):
-    # a budget of 0 splits no dome cell, so no eps rung certifies
+    # a budget of 0 splits no dome cell, and the coarse cells round the
+    # pole have no enclosure of 1/(4z - 3|x|): no walk certifies a bound
+    F = "y^3/(4*z - 3*norm(x,y,z))"
     code, doc = run(capsys, "verify-negligible", "--m", "2", "--n", "3",
-                    "--omega", "0,0,1", "--budget", "0", "y^3/z")
+                    "--omega", "0,0,1", "--budget", "0", F)
     assert code == 2 and doc["verdict"] == "inconclusive"
+    code, doc = run(capsys, "verify-negligible", "--m", "2", "--n", "3",
+                    "--omega", "0,0,1", F)
+    assert code == 0 and doc["verdict"] == "pass"
