@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import traceback
+from fractions import Fraction
 
 from .corpus import case_by_id, corpus_cases, run_case
 from .directions import (allow_overapprox, forbidden_certificate_search,
@@ -72,13 +73,14 @@ def _gens(args, sig):
 
 
 def _parse_direction(text, n):
+    """n exact rationals: "3,4" is the ray of (3, 4) itself."""
     try:
-        parts = [float(c) for c in text.split(",")]
-    except ValueError as exc:
+        parts = [Fraction(c) for c in text.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
         _usage_error(f"direction {text!r}: {exc}")
     if len(parts) != n:
         _usage_error(f"direction needs {n} components")
-    return Direction(parts, normalize=True)
+    return parts
 
 
 def _field(doc, key):
@@ -219,7 +221,8 @@ def cmd_allow(args):
 def cmd_forbid_cert(args):
     sig = _sig(args)
     gens = _gens(args, sig)
-    omega = _parse_direction(args.omega, sig.n) if args.omega else None
+    omega = (Direction(_parse_direction(args.omega, sig.n), normalize=True)
+             if args.omega else None)
     budget = _given(budget=args.budget)
     if args.c is not None:
         verdict, bound, depth = verify_forbidden_certificate(
@@ -244,7 +247,8 @@ def cmd_tangent(args):
 def _cone_region(args, n):
     if not args.omega:
         return None
-    omegas = [_parse_direction(w, n) for w in args.omega.split(";")]
+    omegas = [Direction(_parse_direction(w, n), normalize=True)
+              for w in args.omega.split(";")]
     try:
         return Cone(omegas, args.delta, 1.0)
     except ValueError as exc:
@@ -270,8 +274,7 @@ def cmd_verify_tame(args):
 def cmd_verify_negligible(args):
     sig = _sig(args)
     F = expr_parse(args.operands[0], sig.n)
-    omegas = [tuple(d.vec) for d in
-              (_parse_direction(w, sig.n) for w in args.omega.split(";"))]
+    omegas = [_parse_direction(w, sig.n) for w in args.omega.split(";")]
     cert = check_negligible(F, omegas, sig.m, sig.n,
                             **_given(budget=args.budget))
     return cert.to_json(), _VERDICT_EXIT[cert.verdict]

@@ -370,9 +370,9 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
     """Check that F is negligible for the direction set Omega, for every
     eps at once (see NegligibilityCertificate).
 
-    A direction is a float vector, read as the unit vector of its exact
-    dyadic value, or an ExactDirection, read at its ray; exact
-    duplicates are dropped.  The opening delta0 is the least of 0.05 and
+    A direction is a vector of floats or Fractions, read as the unit
+    vector of its exact value (a float is dyadic), or an ExactDirection,
+    read at its ray; exact duplicates are dropped.  The opening delta0 is the least of 0.05 and
     a quarter of the least distance D between two directions, so the
     domes are disjoint convex components; below DELTA_FLOOR the check
     is inconclusive.  Each nonzero G = d^alpha F must be homogeneous of
@@ -474,16 +474,19 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
 
 
 def _distinct_directions(omegas):
-    """(float vector, exact ray) of each distinct direction: a float
-    vector, a dyadic rational, is the rational ray of its value."""
+    """(unit float vector, exact ray) of each distinct direction: a
+    vector of floats (dyadic) or Fractions is the ray of its value."""
     found = {}
     for w in omegas:
-        vec, ray = ((w.vec, w.sym) if isinstance(w, ExactDirection)
-                    else (tuple(float(c) for c in w), None))
-        if not any(vec):
+        if isinstance(w, ExactDirection):
+            found.setdefault(w.sym, (w.vec, w.sym))
+            continue
+        coords = [Fraction(c) for c in w]
+        if not any(coords):
             raise DomainError("need every direction nonzero")
-        found.setdefault(ray or vec, (vec, ray or Ray(
-            Root.rational(0), [(Fraction(c),) for c in vec])))
+        key = tuple(c / max(map(abs, coords)) for c in coords)   # per ray
+        ray = Ray(Root.rational(0), [(c,) for c in key])
+        found.setdefault(key, (ray.unit(), ray))
     return list(found.values())
 
 
@@ -762,11 +765,10 @@ def check_strong_directional(cert: ImplicationCertificate, omega: Direction,
         budget, seed)
 
 
-def _strong_direction(cert, omega, residual, budget, seed, exact=None):
+def _strong_direction(cert, omega, residual, budget, seed):
     """The body of check_strong_directional; `residual()` gives the
     direction-independent identity check, called only where it is
-    needed (after the negligibility and tameness checks).  `exact` is
-    the allowed direction omega is, else omega is matched within 1e-9."""
+    needed (after the negligibility and tameness checks)."""
     I = cert.ideal
     m, n = I.sig.m, I.sig.n
     report = {"omega": list(omega.vec)}
@@ -777,9 +779,8 @@ def _strong_direction(cert, omega, residual, budget, seed, exact=None):
     allowed = allow_overapprox(I)
     is_allowed = None
     if allowed.is_finite:
-        exact = exact or next((d for d in allowed.directions
-                               if math.dist(omega.vec, d.vec) <= 1e-9), None)
-        is_allowed = exact is not None
+        is_allowed = any(math.dist(omega.vec, d.vec) <= 1e-9
+                         for d in allowed.directions)
     if is_allowed is False and allowed.exact:
         fc = forbidden_certificate_search(
             I.basis_jets() or list(I.generators), omega)
@@ -845,12 +846,11 @@ def check_strong_global(cert: ImplicationCertificate,
         return report
 
     if cert.scope == "global":
-        # each allowed direction, with its exact ray
-        scope = [(d.vec, d) for d in allowed.directions]
+        scope = [d.vec for d in allowed.directions]
     else:
-        scope = [(tuple(float(c) for c in w), None) for w in cert.scope]
+        scope = [tuple(float(c) for c in w) for w in cert.scope]
         for d in allowed.directions:
-            if not any(math.dist(d.vec, w) <= 1e-9 for w, _ in scope):
+            if not any(math.dist(d.vec, w) <= 1e-9 for w in scope):
                 raise DomainError(
                     f"uncovered allowed direction {d.vec}")
 
@@ -859,8 +859,8 @@ def check_strong_global(cert: ImplicationCertificate,
     residual = functools.cache(
         lambda: symbolic_residual_zero(p, cert.terms, cert.F))
     sub = [_strong_direction(cert, Direction(w, normalize=True), residual,
-                             budget, seed, exact)
-           for w, exact in scope]
+                             budget, seed)
+           for w in scope]
     report["directions"] = sub
     verdict = meet(*(r["verdict"] for r in sub))
     report["verdict"] = verdict

@@ -111,7 +111,26 @@ def test_verify_negligible_decides_every_eps(capsys, F, code):
     assert got == code and len(doc["records"]) == 1
 
 
-@pytest.mark.parametrize("scale,F", [("0.0001", "x^2/10000"), ("1", "x^2")])
+@pytest.mark.parametrize("omega,code", [
+    ("3,4", 0), ("0.6,0.8", 0), ("3,4;-6,-8", 0), ("1/3,4/9", 0),
+    ("4,3", 1)])
+def test_verify_negligible_reads_the_typed_direction_exactly(capsys, omega,
+                                                             code):
+    # F vanishes to third order on the line 4x = 3y, so every row of
+    # gap 0 is zero on its rays; fl(0.6) : fl(0.8) is off that line
+    got, doc = run(capsys, "verify-negligible", "--m", "1", "--n", "2",
+                   "--omega", omega, "(4*x - 3*y)^3/(x^2 + y^2)")
+    assert got == code
+    assert doc["verdict"] == ("pass" if code == 0 else "fail")
+
+
+def test_verify_negligible_rejects_a_component_that_is_not_rational(capsys):
+    assert main(["verify-negligible", "--m", "1", "--n", "2",
+                 "--omega", "1,inf", "x"]) == 64
+    assert "direction '1,inf'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale,F",[("0.0001", "x^2/10000"), ("1", "x^2")])
 def test_a_closed_ideal_is_never_concluded_open(tmp_path, capsys, scale, F):
     # <y> = I^2(x-axis) is closed (every I^m(E) is), so F = p with no
     # terms must fail for p = x^2 at every scale, and conclude nothing

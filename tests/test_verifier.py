@@ -387,6 +387,15 @@ def test_negligible_opening_is_capped_by_the_least_distance():
     assert "condition_a" not in cert.records[0]
 
 
+def test_a_rational_direction_is_read_at_its_exact_ray():
+    # (3, 4) and (6, 8) are one ray, its unit vector (0.6, 0.8) rounded;
+    # F vanishes on the line 4x = 3y, and only the exact ray sees that
+    F = expr_parse("(4*x - 3*y)^3/(x^2 + y^2)", 2)
+    cert = check_negligible(F, [(Fraction(3), Fraction(4)), (6.0, 8.0)], 1, 2)
+    assert cert.omegas == [(0.6, 0.8)] and cert.verdict == "pass"
+    assert check_negligible(F, [(0.6, 0.8)], 1, 2).verdict != "pass"
+
+
 def test_gap_zero_rows_are_decided_exactly_at_omega():
     # |G(t w)| = |G(w)| t^k: a G that is nonzero at w, however small,
     # fails for eps below |G(w)|, and the witness shows it
