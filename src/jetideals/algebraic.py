@@ -356,9 +356,11 @@ class Ray:
         if self.root.is_rational:
             # reduced at a rational root, every coordinate is a constant,
             # and a positive multiple of them has the same unit vector
+            # (each sign is the integer's: an integer past the largest
+            # double has no float to take it from)
             ints = _integer_row([c[0] if c else 0 for c in self.coords])
             total = sum(x * x for x in ints)
-            out = tuple(math.copysign(_rounded_sqrt(x * x, total), x)
+            out = tuple((1 if x > 0 else -1) * _rounded_sqrt(x * x, total)
                         if x else 0.0 for x in ints)
         else:
             norm2 = self._norm2()

@@ -73,13 +73,17 @@ def _gens(args, sig):
 
 
 def _parse_direction(text, n):
-    """n exact rationals: "3,4" is the ray of (3, 4) itself."""
+    """n exact rationals: "3,4" is the ray of (3, 4) itself.  Each must
+    be at most the largest double in size."""
     try:
         parts = [Fraction(c) for c in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         _usage_error(f"direction {text!r}: {exc}")
     if len(parts) != n:
         _usage_error(f"direction needs {n} components")
+    if any(abs(c) > sys.float_info.max for c in parts):
+        _usage_error(f"direction {text!r}: a component is past the "
+                     "largest double")
     return parts
 
 

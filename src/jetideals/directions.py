@@ -42,7 +42,7 @@ from .ideal import JetIdeal
 from .interval import Interval
 from .jetring import (MORE_THAN_M, DiffeoJet, Jet, RingSignature,
                       jet_compose)
-from .regions import DOME_TREE_PATCHES, Dome
+from .regions import Dome
 
 CERTIFIED_FORBIDDEN = "certified_forbidden"
 CANDIDATE_ALLOWED = "candidate_allowed"
@@ -522,6 +522,7 @@ def _eval_scaled(compiled, s, u):
 # walk keeps new halves while the tree holds fewer than
 # DOME_TREE_PATCHES patches and makes the rest afresh without keeping
 # them; a full tree is replaced before the next walk.
+DOME_TREE_PATCHES = 65536
 _trees = {}
 
 

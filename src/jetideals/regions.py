@@ -1,44 +1,35 @@
 """The dome Gamma(Omega, delta) on the sphere and the regions built on
 it.  `Dome.meets` is the package's one test of a sphere patch against a
-dome: the negligibility walk `_dome_sup` over the kept dome trees and
-the forbidden-cone search in `directions` both decide by it.  The
-annulus identity reads each cutoff's constant value, on either plateau,
-over a radial range times a ball around one direction (`_region_boxes`,
-`_cutoff_values`), and the signs each coordinate takes there
-(`_region_signs`).
+dome: the negligibility walk `_dome_sup` and the forbidden-cone search
+in `directions` both decide by it.  A `Dome` is a filter of one
+cover's patches and keeps no tree: a dome walk makes the cells it
+splits afresh and drops them when it ends.  The annulus identity reads
+each cutoff's constant value, on either plateau, over a radial range
+times a ball around one direction (`_region_boxes`, `_cutoff_values`),
+and the signs each coordinate takes there (`_region_signs`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
 from .errors import DomainError
-from .geometry import sphere_cover
 from .interval import Interval
 from .symfun import Const, Div, Norm, collect_cutoffs, compile_interval
 
 
 class Dome:
-    """The patches of a sphere-cover tree that may meet the union of
+    """The patches of a sphere cover that may meet the union of
     delta-balls around a finite direction set: a superset, which is the
-    sound side.
+    sound side.  `roots` are the cover patches kept."""
 
-    `roots` are the cover patches kept; `children(patch)` are the kept
-    `subdivide_all` children, computed once per patch.  `size` counts
-    the patches the tree holds: its roots and every child of a patch it
-    split, kept or not (the split patch keeps them all).
-    """
-
-    __slots__ = ("omegas", "delta", "roots", "size", "_kids")
+    __slots__ = ("omegas", "delta", "roots")
 
     def __init__(self, cover, omegas, delta):
         self.omegas = tuple(tuple(w) for w in omegas)
         self.delta = delta
         self.roots = tuple(p for p in cover if self.meets(p))
-        self.size = len(self.roots)
-        self._kids = {}
 
     def meets(self, patch) -> bool:
         """Whether the patch may meet the dome: the float distance from
@@ -57,55 +48,24 @@ class Dome:
                 return True
         return False
 
-    def children(self, patch):
-        kids = self._kids.get(patch)
-        if kids is None:
-            split = patch.subdivide_all()
-            self.size += len(split)
-            kids = self._kids[patch] = tuple(q for q in split
-                                             if self.meets(q))
-        return kids
-
 
 # ---------------------------------------------------------------------------
-# Kept dome trees and the dome walk of the negligibility check.
+# The dome walk of the negligibility check.
 # ---------------------------------------------------------------------------
 
 # Cells one dome walk may evaluate: this bounds the time of a walk.
 DOME_CELL_BUDGET = 8192
 DOME_DEPTH_BUDGET = 64       # how deep a dome walk may split a cell
 
-# Dome trees live for the whole process, one per (n, Omega, delta): a
-# patch's kept children depend only on (patch, Omega, delta), so a kept
-# tree hands every later walk the same cells.  Each tree grows on its
-# own sphere cover, so a dropped tree frees all its patches.  Memory is
-# bounded twice: at most DOME_TREES trees are kept (the least recently
-# used goes first), and a tree holding more than DOME_TREE_PATCHES
-# patches is replaced by a fresh one before its next walk.
-DOME_TREES = 32
-DOME_TREE_PATCHES = 8 * DOME_CELL_BUDGET
-
-
-@functools.lru_cache(maxsize=DOME_TREES)
-def _dome_slot(n, omegas, delta):
-    return [None]
-
-
-def _dome(n, omegas, delta):
-    """The kept dome tree of (n, omegas, delta), omegas a tuple of
-    float tuples."""
-    slot = _dome_slot(n, omegas, delta)
-    if slot[0] is None or slot[0].size > DOME_TREE_PATCHES:
-        slot[0] = Dome(sphere_cover(n, 2), omegas, delta)
-    return slot[0]
-
 
 def _dome_sup(expr, dome, budget=DOME_DEPTH_BUDGET):
     """Certified upper bound of |expr| on the dome: the largest
-    enclosure over the cells of its sphere-patch tree, which holds no
-    cell provably outside the dome.  A cell is split only where it has
-    no enclosure (a DomainError), down to `budget` levels, and gives inf
-    below them; past DOME_CELL_BUDGET cells a walk returns None."""
+    enclosure over its root cells and the cells split from them.  A
+    cell is split only where it has no enclosure (a DomainError), into
+    the `subdivide_all` children that meet the dome, down to `budget`
+    levels, and gives inf below them; past DOME_CELL_BUDGET cells a
+    walk returns None.  The walk keeps no split cell, so every walk
+    over a dome reads the same cells."""
     enclose = compile_interval(expr)
     work = [(p, 0) for p in dome.roots]
     top, cells = 0.0, 0
@@ -119,7 +79,8 @@ def _dome_sup(expr, dome, budget=DOME_DEPTH_BUDGET):
         except DomainError:
             if depth >= budget:
                 return math.inf
-            work.extend((q, depth + 1) for q in dome.children(patch))
+            work.extend((q, depth + 1) for q in patch.subdivide_all()
+                        if dome.meets(q))
     return top
 
 

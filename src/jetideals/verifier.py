@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -20,11 +21,11 @@ from .algebraic import Ray, Root
 from .directions import (ExactDirection, allow_overapprox,
                          forbidden_certificate_search)
 from .errors import DomainError
-from .geometry import DELTA_FLOOR, Cone, Direction
+from .geometry import DELTA_FLOOR, Cone, Direction, sphere_cover
 from .ideal import JetIdeal
 from .interval import Interval
 from .jetring import Jet, _collect, _Poly, monomials
-from .regions import (DOME_DEPTH_BUDGET, _cutoff_values, _dome, _dome_sup,
+from .regions import (DOME_DEPTH_BUDGET, Dome, _cutoff_values, _dome_sup,
                       _region_boxes, _region_signs)
 from .symfun import (KERNELS, Const, Coord, Cutoff, DEFAULT_CUTOFF, Norm,
                      ScalarExpr, ZERO, add, collect_cutoffs, compile_expr,
@@ -365,6 +366,13 @@ class NegligibilityCertificate:
                 "verdict": self.verdict}
 
 
+@functools.cache
+def _dome_cover(n):
+    """The sphere cover of the negligibility domes of S^{n-1}, kept per
+    n (2, 3 or 4), so its patches keep their direction enclosures."""
+    return sphere_cover(n, 2)
+
+
 def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
                      budget: int = DOME_DEPTH_BUDGET):
     """Check that F is negligible for the direction set Omega, for every
@@ -372,12 +380,12 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
 
     A direction is a vector of floats or Fractions, read as the unit
     vector of its exact value (a float is dyadic), or an ExactDirection,
-    read at its ray; exact duplicates are dropped.  The opening delta0 is the least of 0.05 and
-    a quarter of the least distance D between two directions, so the
-    domes are disjoint convex components; below DELTA_FLOOR the check
-    is inconclusive.  Each nonzero G = d^alpha F must be homogeneous of
-    degree k + gap, gap >= 0 (read off the tree), else the check is
-    inconclusive.
+    read at its ray; exact duplicates are dropped.  The opening delta0
+    is the least of 0.05 and a quarter of the least distance D between
+    two directions, so the domes are disjoint convex components; below
+    DELTA_FLOOR the check is inconclusive.  Each nonzero G = d^alpha F
+    must be homogeneous of degree k + gap, gap >= 0 (read off the
+    tree), else the check is inconclusive.
     - gap > 0: G(x) = |x|^(k + gap) G(x/|x|), so (a) holds for
       |x| < r(eps) with sup the certified dome sup of |G| at delta0.
     - gap = 0: |G(t w)| = |G(w)| t^k, so G(w) must be 0 at each
@@ -437,8 +445,8 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
                 record.setdefault("witness", row["witness"])
 
     # a walk cannot fail, so the walks run only when all else passed;
-    # each takes the kept tree afresh, which replaces one past its cap
-    sups = {}
+    # they share one dome, over the cover kept for n
+    dome, sups = Dome(_dome_cover(n), vecs, delta0), {}
     for alpha, row in zip(monomials(m, n), rows):
         if verdict != PASS or "homogeneity_gap" not in row:
             continue
@@ -450,7 +458,7 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
             if beta not in sups:
                 tree = expr_derive(F, beta)
                 sups[beta] = 0.0 if tree == ZERO else _dome_sup(
-                    tree, _dome(n, tuple(vecs), delta0), budget)
+                    tree, dome, budget)
             if sups[beta] is None or not math.isfinite(sups[beta]):
                 row.update(status="cell budget exhausted"
                            if sups[beta] is None else "unbounded enclosure",
@@ -499,9 +507,8 @@ def _zero_on_directions(G, alpha, dirs, m, n, row):
         if sign:
             # |G(t w)| = |G(w)| t^k on the ray: at t = 1/2, eps = |G(w)|/2
             center = tuple(0.5 * c for c in vec)
-            vals, ok = compile_expr(G)(_point_array([center], n))
-            value = abs(float(vals[0]))
-            if ok[0] and value > 0.0:
+            value = _value_at(G, center, n)
+            if value > 0.0:
                 row.update(status=f"nonzero at omega ({how})", witness={
                     "alpha": list(alpha), "point": list(center),
                     "value": value, "bound": value / 2,
@@ -513,6 +520,23 @@ def _zero_on_directions(G, alpha, dirs, m, n, row):
             undecided = {"status": how, "omega": list(vec)}
     row.update(undecided or {"status": "zero at omega"})
     return INCONCLUSIVE if undecided else PASS
+
+
+def _value_at(G, point, n):
+    """|G(point)|: exact, by the ring fold (_RingFraction) with each
+    coordinate the point's dyadic value, where G has no free norm, else
+    evaluated in floats; 0.0 where it has no float value there."""
+    if _free_norms([G]):
+        vals, ok = compile_expr(G)(_point_array([point], n))
+        return abs(float(vals[0])) if ok[0] else 0.0
+    one = _Poly({(): Fraction(1)})
+    leaves = {Coord(i): one * Fraction(c) for i, c in enumerate(point)}
+    try:
+        num, den = fold((G,), _RingFraction(one, leaves, []))[0]
+    except _ZeroDenominator:
+        return 0.0
+    value = abs(num.get((), 0) / den[()])
+    return float(value) if value <= sys.float_info.max else 0.0
 
 
 def _sign_at(G, vec, ray, n):

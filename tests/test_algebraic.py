@@ -9,6 +9,7 @@ must give the exact sign of a polynomial at that unit vector.  An
 enclosure fault must raise ArithmeticError, not narrow an interval
 forever."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,20 @@ def test_a_coordinate_that_vanishes_at_the_root_reads_zero():
     assert len(roots) == 2
     for root in roots:
         assert Ray(root, [poly(1), poly(-3, -3, 1)]).unit() == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("coords,unit", [
+    ((1, 1e-300), (1.0, 1e-300)), ((1, 5e-324), (1.0, 5e-324)),
+    ((-1, -5e-324), (-1.0, -5e-324)),
+    ((1, Fraction(1, 10 ** 400)), (1.0, 0.0)),
+    ((-1, Fraction(-1, 10 ** 400)), (-1.0, -0.0))])
+def test_a_rational_ray_past_the_float_range_has_a_unit_vector(coords, unit):
+    # its integer row holds an integer past the largest double
+    ray = Ray(Root.rational(0), [poly(c) for c in coords])
+    got = ray.unit()
+    assert got == unit
+    assert [math.copysign(1, c) for c in got] == \
+        [math.copysign(1, c) for c in unit]
 
 
 def test_a_ray_that_vanishes_at_the_root_has_no_unit_vector():

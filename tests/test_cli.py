@@ -249,6 +249,24 @@ def test_direction_that_is_not_a_number_is_usage_error(capsys):
     assert "'1,a'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify-flat", "verify-tame",
+                                     "verify-negligible"])
+@pytest.mark.parametrize("omega", ["1e400,1", "1,-1e400"])
+def test_direction_past_the_largest_double_is_usage_error(capsys, command,
+                                                          omega):
+    assert main([command, "--m", "2", "--n", "2", "--omega", omega,
+                 "x^3"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"'{omega}'" in captured.err
+
+
+def test_direction_at_the_largest_double_is_read(capsys):
+    code, doc = run(capsys, "verify-negligible", "--m", "2", "--n", "2",
+                    "--omega", f"{1.7976931348623157e308},1", "x^3")
+    ((x, y),) = doc["omegas"]
+    assert code == 0 and x == 1.0 and 0 < y < 1e-308
+
+
 def test_zero_degree_is_usage_error(capsys):
     assert main(["allow", "--m", "0", "--n", "2", "--gens", "x"]) == 64
     assert "need m >= 1" in capsys.readouterr().err

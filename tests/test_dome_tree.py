@@ -1,9 +1,10 @@
-"""Negligibility dome walks over kept sphere-patch trees.
+"""Negligibility dome walks over one dome per check.
 
 check_negligible must return exactly what it returned when every dome
 walk built its own cover and enclosed every cell afresh (the reference
-walk in scalar_reference.py), whatever earlier checks grew the kept
-trees, and the cell budget must end walks that cannot finish."""
+walk in scalar_reference.py), whatever earlier checks walked, and the
+cell budget must end walks that cannot finish.  Each check builds one
+Dome over the sphere cover kept for its n."""
 
 import json
 import math
@@ -158,71 +159,55 @@ def test_dome_roots_and_children_are_the_kept_cells():
         return not scalar_reference._cell_outside_dome(p, POLES, 0.05)
 
     assert dome.roots == tuple(p for p in cover if meets(p))
-    root = dome.roots[0]
-    kids = dome.children(root)
-
-    def cells(patches):
-        return [(p.axis, p.sign, p.box) for p in patches]
-
-    assert cells(kids) == cells(q for q in root.subdivide_all() if meets(q))
-    assert dome.children(root) is kids
     # a second dome over the same cover shares the cover's patches
     wider = Dome(cover, POLES, 0.1)
     assert set(map(id, dome.roots)) <= set(map(id, wider.roots))
-    assert set(cells(kids)) <= set(cells(wider.children(root)))
 
 
 # ---------------------------------------------------------------------------
-# Dome trees kept for the whole process.
+# One Dome per check, over a cover kept per n.
 # ---------------------------------------------------------------------------
-
-@pytest.fixture
-def fresh_trees():
-    """Start and end with no kept dome trees."""
-    regions._dome_slot.cache_clear()
-    yield
-    regions._dome_slot.cache_clear()
-
 
 @pytest.fixture
 def built(monkeypatch):
-    """The deltas of the Dome trees check_negligible builds, in order."""
-    deltas = []
+    """The (n, depth) of each sphere cover and the cover of each Dome
+    that check_negligible builds, in order, from no kept cover."""
+    covers, domes = [], []
+
+    def counting_cover(n, depth):
+        covers.append((n, depth))
+        return sphere_cover(n, depth)
 
     class CountingDome(Dome):
         __slots__ = ()
 
         def __init__(self, cover, omegas, delta):
-            deltas.append(delta)
+            domes.append(cover)
             super().__init__(cover, omegas, delta)
 
-    monkeypatch.setattr(regions, "Dome", CountingDome)
-    return deltas
+    monkeypatch.setattr(verifier, "sphere_cover", counting_cover)
+    monkeypatch.setattr(verifier, "Dome", CountingDome)
+    verifier._dome_cover.cache_clear()
+    yield covers, domes
+    verifier._dome_cover.cache_clear()
 
 
-def test_two_checks_build_each_dome_once(fresh_trees, built):
+def test_checks_at_one_n_build_one_cover_and_one_dome_each(built):
+    covers, domes = built
     F = expr_parse("y^3/z", 3)
-    first = check_negligible(F, POLES, 2, 3).to_json()
-    once = list(built)
-    assert once and len(set(once)) == len(once)
-    second = check_negligible(F, POLES, 2, 3).to_json()
-    assert built == once
-    assert second == first
-    # a third check on the same omegas and n reuses them again
-    check_negligible(expr_parse("2*y^3/z", 3), POLES, 2, 3)
-    assert built == once
-
-
-def test_tree_cache_bounds(fresh_trees):
-    assert regions._dome_slot.cache_info().maxsize == regions.DOME_TREES
-    assert regions.DOME_TREES == 32
-    assert regions.DOME_TREE_PATCHES == 8 * DOME_CELL_BUDGET
+    for omegas in (POLES, POLES[:1], POLES[1:], POLES):
+        assert check_negligible(F, omegas, 2, 3).verdict == "pass"
+    assert covers == [(3, 2)]
+    assert len(domes) == 4 and all(c is domes[0] for c in domes)
+    # another n has a cover of its own
+    check_negligible(expr_parse("x^3", 2), [(1.0, 0.0)], 2, 2)
+    assert covers == [(3, 2), (2, 2)] and len(domes) == 5
 
 
 @pytest.mark.parametrize("order", [(Fraction(1, 9), 3),
                                    (3, Fraction(1, 9))])
-def test_kept_trees_match_fresh_walks(fresh_trees, monkeypatch, order):
-    # the second certificate walks trees the first one grew
+def test_kept_trees_match_fresh_walks(monkeypatch, order):
+    # the second certificate walks the cover the first one walked
     kept = [json.dumps(check_strong_global(_family_a(c)), sort_keys=True)
             for c in order]
     with monkeypatch.context() as patch:
@@ -233,16 +218,14 @@ def test_kept_trees_match_fresh_walks(fresh_trees, monkeypatch, order):
 
 
 # 4z - 3|x| has no sign on the coarse cells round the poles: their
-# enclosures raise DomainError, so the walks split them and grow the
-# kept trees
+# enclosures raise DomainError, so the walks split them
 SPLIT = "y^3/(4*z - 3*norm(x,y,z))"
 
 
-def test_starved_tree_gives_later_checks_the_same_cells(fresh_trees,
-                                                        monkeypatch):
-    # a check on a budget of 8 cells grows the delta0 = 0.05 tree part
-    # of the way; a normal check and the starving check itself, run on
-    # the grown trees, still return what they return on fresh ones
+def test_starved_tree_gives_later_checks_the_same_cells(monkeypatch):
+    # a check on a budget of 8 cells splits the cells round the poles
+    # part of the way; a normal check and the starving check itself, run
+    # after it, still return what they return on fresh walks
     F = expr_parse(SPLIT, 3)
     with monkeypatch.context() as patch:
         patch.setattr(regions, "DOME_CELL_BUDGET", 8)
@@ -257,33 +240,6 @@ def test_starved_tree_gives_later_checks_the_same_cells(fresh_trees,
                            sort_keys=True)
     assert normal == fresh
     assert json.loads(normal)["verdict"] == "pass"
-
-
-def test_tree_past_the_patch_cap_is_replaced(fresh_trees, built,
-                                             monkeypatch):
-    F = expr_parse(SPLIT, 3)
-    uncapped = check_negligible(F, POLES, 2, 3).to_json()
-    kept = regions._dome(3, tuple(POLES), 0.05)
-    assert kept.size > 16
-    regions._dome_slot.cache_clear()
-    built.clear()
-    monkeypatch.setattr(regions, "DOME_TREE_PATCHES", 16)
-    assert check_negligible(F, POLES, 2, 3).to_json() == uncapped
-    # a tree that grew past the cap was built again for its next walk,
-    # within the call and in the next one
-    first_pass = len(built)
-    assert first_pass > len(set(built))
-    assert check_negligible(F, POLES, 2, 3).to_json() == uncapped
-    assert len(built) > first_pass
-
-
-def test_dome_size_counts_every_child_of_a_split_patch():
-    dome = Dome(sphere_cover(3, 2), POLES, 0.05)
-    assert dome.size == len(dome.roots)
-    dome.children(dome.roots[0])
-    assert dome.size == len(dome.roots) + 4
-    dome.children(dome.roots[0])
-    assert dome.size == len(dome.roots) + 4
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jetideals import algebraic
 from jetideals.algebraic import Ray
@@ -409,7 +409,8 @@ def test_gap_zero_rows_are_decided_exactly_at_omega():
     # q^3/|x|^4 with q = x^2 - 2y^2 vanishes to third order on the ray
     # of (sqrt 2, 1): exactly zero there, read at the exact ray.  The
     # float vector is a rational ray next to it, where F is not zero,
-    # though too small at its center for a float witness
+    # though too small at its center for floats to read: F has no norm,
+    # so the witness is read exactly there
     (root,) = [r for r in algebraic.real_roots((Fraction(-2), 0, 1))
                if r.lo > 0]
     ray = Ray(root, [(0, 1), (1,)])
@@ -420,8 +421,46 @@ def test_gap_zero_rows_are_decided_exactly_at_omega():
     assert {row["status"] for row in cert.records[0]["condition_a"]} \
         == {"lipschitz"}
     near = check_negligible(F, [exact.vec], 2, 2)
-    assert near.verdict == "inconclusive"
+    assert near.verdict == "fail"
     assert near.records[0]["condition_a"][0]["status"] == (
+        "nonzero at omega (ring)")
+    w = near.records[0]["witness"]
+    assert w["alpha"] == [0, 0]
+    assert w["point"] == [0.5 * c for c in exact.vec]
+    x, y = map(Fraction, w["point"])
+    assert w["value"] == float((x * x - 2 * y * y) ** 3 / (x * x + y * y) ** 2)
+    assert w["value"] > w["bound"] > 0
+
+
+@pytest.mark.parametrize("w", [(1.0, 1e-300), (1.0, 5e-324),
+                               (-1.0, -5e-324)])
+def test_a_direction_off_an_axis_by_a_tiny_float_gets_a_verdict(w):
+    # the exact ray of (1, 1e-300) is a row of integers past the largest
+    # double; its unit vector still reads
+    cert = check_negligible(expr_parse("x^3", 2), [w], 1, 2)
+    assert cert.verdict == "pass"
+    assert cert.omegas == [w]
+
+
+def test_an_exact_value_past_the_largest_double_is_no_witness():
+    # at (0.5, 5e-301), x^2/y reads exactly as 5e299, and its derivative
+    # in y as 1e600, which no double holds
+    cert = check_negligible(expr_parse("x^2/y", 2), [(1.0, 1e-300)], 1, 2)
+    rows = cert.records[0]["condition_a"]
+    assert cert.verdict == "fail"
+    assert cert.records[0]["witness"]["value"] == float(
+        Fraction(1, 4) / Fraction(5e-301))
+    assert rows[2]["alpha"] == [0, 1] and rows[2]["status"] == (
+        "nonzero at omega (ring), with no float value at its center")
+
+
+def test_a_direction_below_the_smallest_double_keeps_its_exact_ray():
+    # (1, 10^-400) reads (1.0, 0.0), but y is not 0 on its ray: the
+    # gap-0 row of F = y is nonzero there, and 0 at the float center
+    cert = check_negligible(expr_parse("y", 2),
+                            [(Fraction(1), Fraction(1, 10 ** 400))], 1, 2)
+    assert cert.omegas == [(1.0, 0.0)]
+    assert cert.records[0]["condition_a"][0]["status"] == (
         "nonzero at omega (ring), with no float value at its center")
 
 
@@ -577,6 +616,7 @@ def test_condition_b_on_sampled_pairs_at_the_poles():
        coeffs=st.lists(st.integers(-5, 5), min_size=5, max_size=5),
        angles=st.tuples(st.floats(0, 6.0), st.floats(0.2, 3.0)),
        seed=st.integers(0, 2 ** 16))
+@example(m=1, gap=1, coeffs=[0] * 5, angles=(5e-324, 1.0), seed=0)
 def test_condition_b_constant_on_random_polynomials(m, gap, coeffs, angles,
                                                     seed):
     # a homogeneous polynomial of degree m + gap: (a) is certified with
