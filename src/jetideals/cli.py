@@ -279,15 +279,13 @@ def cmd_verify_negligible(args):
     sig = _sig(args)
     F = expr_parse(args.operands[0], sig.n)
     omegas = [_parse_direction(w, sig.n) for w in args.omega.split(";")]
-    cert = check_negligible(F, omegas, sig.m, sig.n,
-                            **_given(budget=args.budget))
+    cert = check_negligible(F, omegas, sig.m, sig.n)
     return cert.to_json(), _VERDICT_EXIT[cert.verdict]
 
 
 def cmd_verify_implication(args):
     cert, _ = _load_certificate(args.cert)
-    report = check_strong_global(
-        cert, **_given(budget=args.budget, seed=args.seed))
+    report = check_strong_global(cert, **_given(seed=args.seed))
     return report, _VERDICT_EXIT[report["verdict"]]
 
 
@@ -403,10 +401,10 @@ def build_parser():
             operand_name="expr")
     command("verify-tame", cmd_verify_tame, ring, cone, seed, operands=1,
             operand_name="expr").add_argument("--bound", type=float)
-    command("verify-negligible", cmd_verify_negligible, ring, budget,
+    command("verify-negligible", cmd_verify_negligible, ring,
             operands=1, operand_name="expr").add_argument(
         "--omega", required=True, help="directions, ';'-separated")
-    command("verify-implication", cmd_verify_implication, cert, budget, seed)
+    command("verify-implication", cmd_verify_implication, cert, seed)
     command("verify-annulus", cmd_verify_annulus, cert, seed).add_argument(
         "--variant", choices=["C", "C*", "C**"], default="C")
     p = command("gauge-reg", cmd_gauge_reg)

@@ -500,8 +500,8 @@ def _eval_scaled(compiled, s, u):
     s-degree 0 takes its coefficient as it is, so s is read only when
     the top s-degree is positive (it may be None otherwise)."""
     polys, factors, top = compiled
-    s_pows = [_ONE]
-    for _ in range(top):
+    s_pows = [_ONE, s]
+    for _ in range(top - 1):
         s_pows.append(s_pows[-1] * s)
     u_pows = {f: u[f[0]].ipow(f[1]) for f in factors}
     total = _ZERO

@@ -6,7 +6,7 @@ enclosures stay sound under float rounding without pulling in a
 multiprecision dependency.  That is cheap and more than enough for
 the certificate searches here, which only need modest depth.  The
 searches evaluate one cell at a time, so the operators are the hot
-path of the forbidden-cone walk and of the negligibility dome walk:
+path of the forbidden-cone walk and of the negligibility box sups:
 `*` and `/` compare their four endpoint products in place rather than
 building a tuple for min and max.
 """

@@ -1,12 +1,12 @@
 """The dome Gamma(Omega, delta) on the sphere and the regions built on
 it.  `Dome.meets` is the package's one test of a sphere patch against a
-dome: the negligibility walk `_dome_sup` and the forbidden-cone search
-in `directions` both decide by it.  A `Dome` is a filter of one
-cover's patches and keeps no tree: a dome walk makes the cells it
-splits afresh and drops them when it ends.  The annulus identity reads
-each cutoff's constant value, on either plateau, over a radial range
-times a ball around one direction (`_region_boxes`, `_cutoff_values`),
-and the signs each coordinate takes there (`_region_signs`).
+dome, and the forbidden-cone search in `directions` is its one caller.
+`_region_boxes` encloses a radial range times a ball around each
+direction in one interval box.  The annulus identity reads each
+cutoff's constant value, on either plateau, over such a box
+(`_cutoff_values`) and the signs each coordinate takes there
+(`_region_signs`); the negligibility check bounds each derivative over
+the boxes at radius 1 (`_dome_sup`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from .symfun import Const, Div, Norm, collect_cutoffs, compile_interval
 class Dome:
     """The patches of a sphere cover that may meet the union of
     delta-balls around a finite direction set: a superset, which is the
-    sound side.  `roots` are the cover patches kept."""
+    sound side.  `roots` are the cover patches kept.  The forbidden-cone
+    search builds one per search and tests its split cells by `meets`."""
 
     __slots__ = ("omegas", "delta", "roots")
 
@@ -50,50 +51,30 @@ class Dome:
 
 
 # ---------------------------------------------------------------------------
-# The dome walk of the negligibility check.
-# ---------------------------------------------------------------------------
-
-# Cells one dome walk may evaluate: this bounds the time of a walk.
-DOME_CELL_BUDGET = 8192
-DOME_DEPTH_BUDGET = 64       # how deep a dome walk may split a cell
-
-
-def _dome_sup(expr, dome, budget=DOME_DEPTH_BUDGET):
-    """Certified upper bound of |expr| on the dome: the largest
-    enclosure over its root cells and the cells split from them.  A
-    cell is split only where it has no enclosure (a DomainError), into
-    the `subdivide_all` children that meet the dome, down to `budget`
-    levels, and gives inf below them; past DOME_CELL_BUDGET cells a
-    walk returns None.  The walk keeps no split cell, so every walk
-    over a dome reads the same cells."""
-    enclose = compile_interval(expr)
-    work = [(p, 0) for p in dome.roots]
-    top, cells = 0.0, 0
-    while work:
-        cells += 1
-        if cells > DOME_CELL_BUDGET:
-            return None
-        patch, depth = work.pop()
-        try:
-            top = max(top, abs(enclose(patch.direction_enclosure())).hi)
-        except DomainError:
-            if depth >= budget:
-                return math.inf
-            work.extend((q, depth + 1) for q in patch.subdivide_all()
-                        if dome.meets(q))
-    return top
-
-
-# ---------------------------------------------------------------------------
-# Radial ranges times the dome, for the annulus identity.
+# Radial ranges times the dome: the annulus identity and, at s = 1, the
+# negligibility sups.
 # ---------------------------------------------------------------------------
 
 def _region_boxes(omegas, delta, s_lo, s_hi):
     """One interval box per direction w, enclosing the region
-    {s*u : s in [s_lo, s_hi], |u| = 1, |u - w| < delta}."""
+    {s*u : s in [s_lo, s_hi], |u| = 1, |u - w| < delta}: each u_i lies
+    within delta of w_i, as |u_i - w_i| <= |u - w|."""
     s_iv = Interval(s_lo, s_hi)
     spread = Interval(-delta, delta)
     return [[s_iv * (c + spread) for c in w] for w in omegas]
+
+
+def _dome_sup(expr, boxes):
+    """Certified upper bound of |expr| over the boxes, one interval
+    enclosure each; inf where a box has no enclosure (a DomainError)."""
+    enclose = compile_interval(expr)
+    top = 0.0
+    for box in boxes:
+        try:
+            top = max(top, abs(enclose(box)).hi)
+        except DomainError:
+            return math.inf
+    return top
 
 
 def _region_signs(w, delta, indices):

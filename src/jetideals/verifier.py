@@ -21,12 +21,12 @@ from .algebraic import Ray, Root
 from .directions import (ExactDirection, allow_overapprox,
                          forbidden_certificate_search)
 from .errors import DomainError
-from .geometry import DELTA_FLOOR, Cone, Direction, sphere_cover
+from .geometry import DELTA_FLOOR, Cone, Direction
 from .ideal import JetIdeal
 from .interval import Interval
 from .jetring import Jet, _collect, _Poly, monomials
-from .regions import (DOME_DEPTH_BUDGET, Dome, _cutoff_values, _dome_sup,
-                      _region_boxes, _region_signs)
+from .regions import (_cutoff_values, _dome_sup, _region_boxes,
+                      _region_signs)
 from .symfun import (KERNELS, Const, Coord, Cutoff, DEFAULT_CUTOFF, Norm,
                      ScalarExpr, ZERO, add, collect_cutoffs, compile_expr,
                      compile_exprs, compile_interval, div, expr_derive,
@@ -366,15 +366,7 @@ class NegligibilityCertificate:
                 "verdict": self.verdict}
 
 
-@functools.cache
-def _dome_cover(n):
-    """The sphere cover of the negligibility domes of S^{n-1}, kept per
-    n (2, 3 or 4), so its patches keep their direction enclosures."""
-    return sphere_cover(n, 2)
-
-
-def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
-                     budget: int = DOME_DEPTH_BUDGET):
+def check_negligible(F: ScalarExpr, omegas, m: int, n: int):
     """Check that F is negligible for the direction set Omega, for every
     eps at once (see NegligibilityCertificate).
 
@@ -386,18 +378,21 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
     DELTA_FLOOR the check is inconclusive.  Each nonzero G = d^alpha F
     must be homogeneous of degree k + gap, gap >= 0 (read off the
     tree), else the check is inconclusive.
+    A dome sup is the largest interval enclosure over the boxes
+    w +- delta0 (_region_boxes at radius 1, one per direction w): each
+    dome direction u lies in its box, as |u_i - w_i| <= |u - w| <
+    delta0.  A box with no enclosure, or an infinite one, leaves the
+    row inconclusive ("unbounded enclosure").
     - gap > 0: G(x) = |x|^(k + gap) G(x/|x|), so (a) holds for
-      |x| < r(eps) with sup the certified dome sup of |G| at delta0.
+      |x| < r(eps) with sup the dome sup of |G|.
     - gap = 0: |G(t w)| = |G(w)| t^k, so G(w) must be 0 at each
       direction w, which is decided exactly (_sign_at); otherwise the
       check fails, with the witness 0.5 w for eps = |G(w)| / 2.  With
-      L the largest certified dome sup of the |d_i G| at delta0, the
-      segment from w to u, |u - w| < delta0, has norm at least
-      1 - delta0^2/2 and directions in the dome, and d_i G is
-      homogeneous of degree k - 1, so |G(u)| <= L' |u - w|,
-      L' = sqrt(n) L (1 - delta0^2/2)^min(0, k - 1): (a) holds with
-      delta(eps).  For |alpha| < m the d_i G are rows of the same
-      table; the |alpha| = m rows walk order m + 1 derivatives.
+      L the largest dome sup of the |d_i G|, the box is convex and
+      holds the segment from w to u, so |G(u)| <= L sum_i |u_i - w_i|
+      <= L' |u - w|, L' = sqrt(n) L: (a) holds with delta(eps).  For
+      |alpha| < m the d_i G are rows of the same table; the
+      |alpha| = m rows bound order m + 1 derivatives.
     Condition (b) follows from (a) with eps' on the same cone.  Within
     one convex component, Taylor's theorem with integral remainder on
     [y, x] writes the left side of (b) as sum_{|beta| = k} (k / beta!)
@@ -444,37 +439,34 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int,
             if "witness" in row:
                 record.setdefault("witness", row["witness"])
 
-    # a walk cannot fail, so the walks run only when all else passed;
-    # they share one dome, over the cover kept for n
-    dome, sups = Dome(_dome_cover(n), vecs, delta0), {}
+    # a sup cannot fail, so the sups run only when all else passed
+    boxes, sups = _region_boxes(vecs, delta0, 1, 1), {}
     for alpha, row in zip(monomials(m, n), rows):
         if verdict != PASS or "homogeneity_gap" not in row:
             continue
         gap = row["homogeneity_gap"]
-        walked = [alpha] if gap else [
+        bounded = [alpha] if gap else [
             tuple(a + (i == j) for j, a in enumerate(alpha))
             for i in range(n)]
-        for beta in walked:
+        for beta in bounded:
             if beta not in sups:
                 tree = expr_derive(F, beta)
-                sups[beta] = 0.0 if tree == ZERO else _dome_sup(
-                    tree, dome, budget)
-            if sups[beta] is None or not math.isfinite(sups[beta]):
-                row.update(status="cell budget exhausted"
-                           if sups[beta] is None else "unbounded enclosure",
+                sups[beta] = (0.0 if tree == ZERO
+                              else _dome_sup(tree, boxes))
+            if not math.isfinite(sups[beta]):
+                row.update(status="unbounded enclosure",
                            derivative=list(beta))
                 verdict = INCONCLUSIVE
                 break
         else:
-            top = max(sups[beta] for beta in walked)
+            top = max(sups[beta] for beta in bounded)
             if gap:
                 row.update(status="radius absorbed", dome_sup_upper=top)
             else:
                 # times 1 + 2^-40, above the roundings of the floats
-                factor = (1 - delta0 ** 2 / 2) ** min(0, m - sum(alpha) - 1)
                 row.update(status="lipschitz", gradient_sup_upper=top,
-                           lipschitz=math.sqrt(n) * top * factor
-                           * (1 + 2 ** -40), certified=True)
+                           lipschitz=math.sqrt(n) * top * (1 + 2 ** -40),
+                           certified=True)
     record.update(condition_a=rows,
                   condition_b=_condition_b(least, delta0, m, n, verdict),
                   verdict=verdict)
@@ -772,7 +764,6 @@ class ImplicationCertificate:
 
 
 def check_strong_directional(cert: ImplicationCertificate, omega: Direction,
-                             budget: int = DOME_DEPTH_BUDGET,
                              seed: int = 0) -> dict:
     """Verify strong implication in one direction.
 
@@ -786,10 +777,10 @@ def check_strong_directional(cert: ImplicationCertificate, omega: Direction,
     return _strong_direction(
         cert, omega,
         lambda: symbolic_residual_zero(cert.target, cert.terms, cert.F),
-        budget, seed)
+        seed)
 
 
-def _strong_direction(cert, omega, residual, budget, seed):
+def _strong_direction(cert, omega, residual, seed):
     """The body of check_strong_directional; `residual()` gives the
     direction-independent identity check, called only where it is
     needed (after the negligibility and tameness checks)."""
@@ -820,7 +811,7 @@ def _strong_direction(cert, omega, residual, budget, seed):
              if math.dist(d.vec, omega.vec) < STRONG_DELTA] \
         or [tuple(omega.vec)]
 
-    neg = check_negligible(cert.F, local, m, n, budget=budget)
+    neg = check_negligible(cert.F, local, m, n)
     report["negligibility"] = neg.to_json()
 
     tame_reports = []
@@ -846,7 +837,6 @@ def _strong_direction(cert, omega, residual, budget, seed):
 
 
 def check_strong_global(cert: ImplicationCertificate,
-                        budget: int = DOME_DEPTH_BUDGET,
                         seed: int = 0) -> dict:
     """Verify strong implication over every allowed direction.
 
@@ -883,7 +873,7 @@ def check_strong_global(cert: ImplicationCertificate,
     residual = functools.cache(
         lambda: symbolic_residual_zero(p, cert.terms, cert.F))
     sub = [_strong_direction(cert, Direction(w, normalize=True), residual,
-                             budget, seed)
+                             seed)
            for w in scope]
     report["directions"] = sub
     verdict = meet(*(r["verdict"] for r in sub))

@@ -41,10 +41,10 @@ test_annulus_rescaling.py requires the rows built from the tables of F
 and the S_l to give the same verdicts, witness multi-indices and points
 and skipped counts, and maxima and witness values within 1e-12 relative.
 
-The unshared negligibility dome walk that regions._dome_sup replaced:
-each call builds its own cover, re-tests every cell (no tree kept), and
-evaluates by the interval tree walk.  test_dome_tree.py requires
-check_negligible to return exactly what it returns on this walk.
+The negligibility dome sup on the interval tree walk, dome_sup, where
+regions._dome_sup runs the compiled enclosure over the same boxes:
+test_dome_tree.py requires check_negligible to return exactly what it
+returns on this one.
 
 The plane allowed-set solver that built p(1, t) and p(0, 1) by sympy
 substitution and tested each root of the first part against the others
@@ -108,14 +108,17 @@ and raise the same exceptions.
 The forbidden-cone evaluation that converted each coefficient to an
 Interval per monomial per cell and took each u_i^a per monomial,
 eval_scaled: test_integer_elimination.py requires directions._eval_scaled
-to return exactly its enclosure on every cell.
+to return exactly its enclosure on every cell.  Both start the s-power
+chain at s itself, so a monomial of s-degree 1 reads the cell's s.
 
 The depth-first cell walk of directions.certify_lower_bound, one
 SpherePatch and s Interval at a time, every cell evaluated by
 eval_scaled and every patch made afresh: test_forbidden_batches.py
 requires the walk over the kept patch tree to return exactly its
 (bound, depth).  It tests patches against the dome by its own float
-distance (_cell_outside_dome), not by regions.Dome.
+distance (_cell_outside_dome), not by regions.Dome, and
+test_dome_tree.py requires a Dome to keep the cover patches that this
+distance keeps.
 
 The allowed-set patch cover that enclosed each part by Jet.eval, a
 term-by-term interval walk (jet_interval_eval), and summed their
@@ -162,7 +165,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing
 
-from jetideals import regions, verifier
+from jetideals import verifier
 from jetideals.directions import ExactDirection
 from jetideals.errors import (DegreeOverflowError, DimensionMismatchError,
                               DomainError, ParseError,
@@ -575,34 +578,15 @@ def _cell_outside_dome(patch, omegas, delta):
     return True
 
 
-def dome_cells(n, omegas, delta, init_depth=2):
-    return [p for p in sphere_cover(n, init_depth)
-            if not _cell_outside_dome(p, omegas, delta)]
-
-
-def dome_sup(expr, dome, budget=64):
-    """The walk over a fresh cover; only the dimension, omegas and delta
-    of the dome are read, and every cell is enclosed afresh.  Past
-    regions.DOME_CELL_BUDGET cells in the dome it returns None."""
-    n, omegas, delta = dome.roots[0].n, dome.omegas, dome.delta
-    work = [(p, 0) for p in dome_cells(n, omegas, delta)]
+def dome_sup(expr, boxes):
+    """regions._dome_sup on the interval tree walk: the largest |expr|
+    enclosure over the boxes, inf where a box has none."""
     top = 0.0
-    cells = 0
-    while work:
-        patch, depth = work.pop()
-        if depth and _cell_outside_dome(patch, omegas, delta):
-            continue
-        cells += 1
-        if cells > regions.DOME_CELL_BUDGET:
-            return None
+    for box in boxes:
         try:
-            val = abs(eval_interval(expr, patch.direction_enclosure()))
+            top = max(top, abs(eval_interval(expr, box)).hi)
         except DomainError:
-            if depth >= budget:
-                return math.inf
-            work.extend((q, depth + 1) for q in patch.subdivide_all())
-            continue
-        top = max(top, val.hi)
+            return math.inf
     return top
 
 
@@ -981,7 +965,7 @@ def eval_scaled(jets, s, u_box):
     reference operators above; a monomial of s-degree 0 takes its
     coefficient as it is."""
     total = Interval(0.0, 0.0)
-    s_pows = [Interval(1.0, 1.0)]
+    s_pows = [Interval(1.0, 1.0), s]
     for q in jets:
         k = q.order_of_vanishing()
         term = Interval(0.0, 0.0)

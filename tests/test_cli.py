@@ -98,7 +98,7 @@ def test_verify_flat_inconclusive_exit(capsys):
 
 def test_verify_negligible(capsys):
     code, doc = run(capsys, "verify-negligible", "--m", "2", "--n", "3",
-                    "--omega", "0,0,1;0,0,-1", "--budget", "64", "y^3/z")
+                    "--omega", "0,0,1;0,0,-1", "y^3/z")
     assert code == 0 and doc["verdict"] == "pass"
 
 
@@ -409,9 +409,10 @@ def test_corpus_run_all_matches_golden_output(capsys):
 def test_deterministic_output(capsys):
     outs = []
     for _ in range(2):
-        main(["verify-negligible", "--m", "2", "--n", "3",
-              "--omega", "0,0,1", "--budget", "7", "y^3/z"])
+        assert main(["verify-negligible", "--m", "2", "--n", "3",
+                     "--omega", "0,0,1", "y^3/z"]) == 0
         outs.append(capsys.readouterr().out)
+    assert json.loads(outs[0])["verdict"] == "pass"
     assert outs[0] == outs[1]
 
 
@@ -477,9 +478,9 @@ def _every_option(tmp_path):
                                "--seed", "1", "x"],
         "verify-tame": RING + ["--omega", "1", "--delta", "0.3",
                                "--seed", "1", "--bound", "2", "x"],
-        "verify-negligible": RING + ["--omega", "1", "--budget", "3", "x"],
-        "verify-implication": ["--cert", str(cert), "--budget", "3",
-                               "--seed", "1", "--pretty"],
+        "verify-negligible": RING + ["--omega", "1", "x"],
+        "verify-implication": ["--cert", str(cert), "--seed", "1",
+                               "--pretty"],
         "verify-annulus": ["--cert", str(cert), "--variant", "C*",
                            "--seed", "1", "--pretty"],
         "gauge-reg": ["--gauge", "sqrt", "--scales", "5", "--pretty"],
@@ -559,15 +560,3 @@ def test_ring_commands_require_m_and_n(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--m, --n" in captured.err
-
-
-def test_budget_zero_reaches_the_library(capsys):
-    # a budget of 0 splits no dome cell, and the coarse cells round the
-    # pole have no enclosure of 1/(4z - 3|x|): no walk certifies a bound
-    F = "y^3/(4*z - 3*norm(x,y,z))"
-    code, doc = run(capsys, "verify-negligible", "--m", "2", "--n", "3",
-                    "--omega", "0,0,1", "--budget", "0", F)
-    assert code == 2 and doc["verdict"] == "inconclusive"
-    code, doc = run(capsys, "verify-negligible", "--m", "2", "--n", "3",
-                    "--omega", "0,0,1", F)
-    assert code == 0 and doc["verdict"] == "pass"

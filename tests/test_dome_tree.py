@@ -1,17 +1,17 @@
-"""Negligibility dome walks over one dome per check.
+"""Negligibility sups over one interval box per direction.
 
-check_negligible must return exactly what it returned when every dome
-walk built its own cover and enclosed every cell afresh (the reference
-walk in scalar_reference.py), whatever earlier checks walked, and the
-cell budget must end walks that cannot finish.  Each check builds one
-Dome over the sphere cover kept for its n."""
+check_negligible bounds each derivative by one enclosure over the box
+w +- delta0 of each direction w, which holds w's dome and the segments
+from w into it.  It must return exactly what it returns on the
+reference sup (the interval tree walk of scalar_reference.py), and its
+bounds must hold at every dome direction."""
 
 import json
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from jetideals import regions, verifier
 from jetideals.corpus import case_by_id, run_case
@@ -20,8 +20,9 @@ from jetideals.geometry import sphere_cover
 from jetideals.ideal import JetIdeal
 from jetideals.interval import Interval
 from jetideals.jetring import RingSignature, jet_parse
-from jetideals.regions import DOME_CELL_BUDGET, Dome
-from jetideals.symfun import compile_interval, expr_parse
+from jetideals.regions import Dome, _region_boxes
+from jetideals.symfun import (compile_interval, expr_derive, expr_eval,
+                              expr_parse)
 from jetideals.verifier import (ImplicationCertificate, check_negligible,
                                 check_strong_global)
 
@@ -33,7 +34,7 @@ SIG_A, SIG_B = RingSignature(2, 3), RingSignature(3, 2)
 
 @pytest.fixture
 def reference_run(monkeypatch):
-    """Run a call once as is and once on the reference dome walk."""
+    """Run a call once as is and once on the reference dome sup."""
 
     def run(call):
         shared = call()
@@ -98,7 +99,7 @@ def test_flipped_certificate_matches_reference(reference_run):
 
 
 @pytest.mark.parametrize("F,omegas,m,n", [
-    # homogeneity above m: one walk per row, absorbed in r
+    # homogeneity above m: one sup per row, absorbed in r
     ("x^4", [(1.0, 0.0)], 3, 2),
     # two directions: the opening is a quarter of their distance
     ("x*y^3", [(1.0, 0.0), (math.sqrt(0.5), math.sqrt(0.5))], 2, 2),
@@ -110,43 +111,16 @@ def test_more_domes_match_reference(reference_run, F, omegas, m, n):
     assert shared == reference
 
 
-def test_cell_budget_ends_the_pole_walk_of_4y3_over_z(monkeypatch):
-    # a walk that runs out of cells bounds nothing: its row is
-    # inconclusive and names the derivative walked, at delta0
-    monkeypatch.setattr(regions, "DOME_CELL_BUDGET", 3)
-    cert = check_negligible(expr_parse("4*y^3/z", 3), POLES, 2, 3)
-    (rec,) = cert.records
-    assert cert.verdict == rec["verdict"] == "inconclusive"
-    assert rec["delta0"] == 0.05
-    assert rec["condition_b"]["verdict"] == "inconclusive"
-    starved = [row for row in rec["condition_a"]
-               if row["status"] == "cell budget exhausted"]
-    # the gap-0 row of F itself walks d_y F first
-    assert starved[0]["alpha"] == [0, 0, 0]
-    assert starved[0]["derivative"] == [0, 1, 0]
-
-
-def test_walk_past_the_cell_budget_has_no_bound(monkeypatch):
-    dome = Dome(sphere_cover(3, 2), POLES, 0.05)
-    # no cell has an enclosure: the walk splits down to the depth budget
-    assert regions._dome_sup(expr_parse("1/(x - x)", 3), dome) == math.inf
-    F = expr_parse("y^3/z", 3)
-    assert 0 < regions._dome_sup(F, dome) < math.inf
-    monkeypatch.setattr(regions, "DOME_CELL_BUDGET", 3)
-    assert regions._dome_sup(F, dome) is None
-    assert DOME_CELL_BUDGET >= 50 * 104   # largest corpus walk: 104 cells
-
-
 def test_nan_enclosure_is_not_certified(monkeypatch):
-    # inf - inf has no value: a cell whose enclosure comes out that way
-    # proves nothing, so the dome walk must not count it as below target
+    # inf - inf has no value: a box whose enclosure comes out that way
+    # proves nothing, so the sup must not count it as below target
     def nan_program(e):
         return lambda box: Interval(math.inf, math.inf) + Interval(-math.inf)
 
     monkeypatch.setattr(regions, "compile_interval", nan_program)
-    cert = check_negligible(expr_parse("y^3/z", 3), POLES, 2, 3, budget=2)
+    cert = check_negligible(expr_parse("y^3/z", 3), POLES, 2, 3)
     assert cert.verdict == "inconclusive"
-    # the first walk bounds nothing, and no later walk runs
+    # the first sup bounds nothing, and no later sup runs
     statuses = [row["status"] for row in cert.records[0]["condition_a"]]
     assert statuses.count("unbounded enclosure") == 1
 
@@ -164,95 +138,39 @@ def test_dome_roots_and_children_are_the_kept_cells():
     assert set(map(id, dome.roots)) <= set(map(id, wider.roots))
 
 
-# ---------------------------------------------------------------------------
-# One Dome per check, over a cover kept per n.
-# ---------------------------------------------------------------------------
-
-@pytest.fixture
-def built(monkeypatch):
-    """The (n, depth) of each sphere cover and the cover of each Dome
-    that check_negligible builds, in order, from no kept cover."""
-    covers, domes = [], []
-
-    def counting_cover(n, depth):
-        covers.append((n, depth))
-        return sphere_cover(n, depth)
-
-    class CountingDome(Dome):
-        __slots__ = ()
-
-        def __init__(self, cover, omegas, delta):
-            domes.append(cover)
-            super().__init__(cover, omegas, delta)
-
-    monkeypatch.setattr(verifier, "sphere_cover", counting_cover)
-    monkeypatch.setattr(verifier, "Dome", CountingDome)
-    verifier._dome_cover.cache_clear()
-    yield covers, domes
-    verifier._dome_cover.cache_clear()
-
-
-def test_checks_at_one_n_build_one_cover_and_one_dome_each(built):
-    covers, domes = built
-    F = expr_parse("y^3/z", 3)
-    for omegas in (POLES, POLES[:1], POLES[1:], POLES):
-        assert check_negligible(F, omegas, 2, 3).verdict == "pass"
-    assert covers == [(3, 2)]
-    assert len(domes) == 4 and all(c is domes[0] for c in domes)
-    # another n has a cover of its own
-    check_negligible(expr_parse("x^3", 2), [(1.0, 0.0)], 2, 2)
-    assert covers == [(3, 2), (2, 2)] and len(domes) == 5
-
-
-@pytest.mark.parametrize("order", [(Fraction(1, 9), 3),
-                                   (3, Fraction(1, 9))])
-def test_kept_trees_match_fresh_walks(monkeypatch, order):
-    # the second certificate walks the cover the first one walked
-    kept = [json.dumps(check_strong_global(_family_a(c)), sort_keys=True)
-            for c in order]
-    with monkeypatch.context() as patch:
-        patch.setattr(verifier, "_dome_sup", scalar_reference.dome_sup)
-        fresh = [json.dumps(check_strong_global(_family_a(c)),
-                            sort_keys=True) for c in order]
-    assert kept == fresh
-
-
-# 4z - 3|x| has no sign on the coarse cells round the poles: their
-# enclosures raise DomainError, so the walks split them
+# 4z - 3|x| has no sign on the coarse sphere-cover cells round the poles,
+# but it has one on the boxes w +- 0.05
 SPLIT = "y^3/(4*z - 3*norm(x,y,z))"
 
 
-def test_starved_tree_gives_later_checks_the_same_cells(monkeypatch):
-    # a check on a budget of 8 cells splits the cells round the poles
-    # part of the way; a normal check and the starving check itself, run
-    # after it, still return what they return on fresh walks
-    F = expr_parse(SPLIT, 3)
-    with monkeypatch.context() as patch:
-        patch.setattr(regions, "DOME_CELL_BUDGET", 8)
-        starving = check_negligible(F, POLES, 2, 3).to_json()
-        assert starving["verdict"] == "inconclusive"
-        assert check_negligible(F, POLES, 2, 3).to_json() == starving
-    normal = json.dumps(check_negligible(F, POLES, 2, 3).to_json(),
-                        sort_keys=True)
-    with monkeypatch.context() as patch:
-        patch.setattr(verifier, "_dome_sup", scalar_reference.dome_sup)
-        fresh = json.dumps(check_negligible(F, POLES, 2, 3).to_json(),
-                           sort_keys=True)
-    assert normal == fresh
-    assert json.loads(normal)["verdict"] == "pass"
+def test_pole_sup_of_y3_over_z_is_read_on_the_box():
+    # d_y F = 3y^2/z and d_z F = -y^3/z^2 are at most 3 (0.05)^2 / 0.95
+    # on the boxes
+    cert = check_negligible(expr_parse("y^3/z", 3), POLES, 2, 3)
+    row = cert.records[0]["condition_a"][0]
+    assert row["alpha"] == [0, 0, 0] and row["status"] == "lipschitz"
+    assert row["gradient_sup_upper"] < 0.05
+
+
+def test_denominator_zero_in_the_dome_is_inconclusive():
+    # z - x/50 vanishes at distance 0.02 < delta0 from (1, 0, 0), not at
+    # it: every row has gap 1, so only the sups can decide them
+    cert = check_negligible(expr_parse("y^4/(z - x/50)", 3),
+                            [(1.0, 0.0, 0.0)], 2, 3)
+    assert cert.verdict == "inconclusive"
+    rows = cert.records[0]["condition_a"]
+    assert [row.get("status") for row in rows].count(
+        "unbounded enclosure") == 1
+    assert rows[0]["derivative"] == [0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
-# One walk per derivative.
+# One enclosure per derivative and box.
 # ---------------------------------------------------------------------------
 
 def _cell(box):
-    """A direction enclosure as a hashable key."""
+    """A box as a hashable key."""
     return tuple((iv.lo, iv.hi) for iv in box)
-
-
-def _hex(sup):
-    return None if sup is None else float(sup).hex()
 
 
 def test_each_derivative_encloses_each_cell_once(monkeypatch):
@@ -283,8 +201,10 @@ def test_each_derivative_encloses_each_cell_once(monkeypatch):
     # the reference evaluation recurses: keep its calls on whole trees
     trees = {expr for expr, _ in evaluated}
     visited = [(expr, cell) for expr, cell in visited if expr in trees]
-    # one walk at delta0 per derivative: each cell is enclosed once, as
-    # the fresh walks enclose it
+    # one sup per derivative: each reads the pole's one box once, as the
+    # reference reads it
+    (box,) = _region_boxes(pole, 0.05, 1, 1)
+    assert {cell for _, cell in evaluated} == {_cell(box)}
     assert len(set(evaluated)) == len(evaluated)
     assert sorted(evaluated, key=repr) == sorted(visited, key=repr)
 
@@ -298,7 +218,8 @@ def _raises_domain_error(enclose, patch):
 
 
 def test_cells_without_an_enclosure_match_reference(reference_run):
-    # the walks split the coarse cells that have no enclosure
+    # the coarse cells round the poles have no enclosure, and the check
+    # passes on one box per pole with no split
     F = expr_parse(SPLIT, 3)
     enclose = compile_interval(F)
     dome = Dome(sphere_cover(3, 2), POLES, 0.05)
@@ -309,33 +230,20 @@ def test_cells_without_an_enclosure_match_reference(reference_run):
     assert json.loads(shared)["verdict"] == "pass"
 
 
-def test_starved_walk_matches_reference(reference_run, monkeypatch):
-    # on a budget of 10 cells the walks of the order-1 derivatives in x
-    # run out, and the rows that read them name them
-    monkeypatch.setattr(regions, "DOME_CELL_BUDGET", 10)
-    F = expr_parse(SPLIT, 3)
-    shared, reference = reference_run(
-        lambda: check_negligible(F, POLES, 2, 3).to_json())
-    assert shared == reference
-    rows = json.loads(shared)["records"][0]["condition_a"]
-    assert [row["derivative"] for row in rows
-            if row["alpha"] == [0, 0, 0]] == [[1, 0, 0]]
-
-
 @settings(max_examples=15, deadline=None)
 @given(st.fractions(Fraction(1, 9), 3, max_denominator=60),
        st.sampled_from([1.0, -1.0]),
        st.sampled_from(["y^3/z", SPLIT]))
 def test_shared_walks_equal_fresh_walks(c, sign, shape):
+    # a sup that two rows read is the reference's sup, bit for bit
     F = expr_parse(f"{c}*{shape}", 3)
     pole = [(0.0, 0.0, sign)]
     dome_sup = regions._dome_sup
 
-    def compared(expr, dome, budget=64):
-        walk = dome_sup(expr, dome, budget)
-        assert _hex(walk) == _hex(
-            scalar_reference.dome_sup(expr, dome, budget))
-        return walk
+    def compared(expr, boxes):
+        sup = dome_sup(expr, boxes)
+        assert sup.hex() == scalar_reference.dome_sup(expr, boxes).hex()
+        return sup
 
     def run():
         return json.dumps(check_negligible(F, pole, 2, 3).to_json(),
@@ -347,3 +255,80 @@ def test_shared_walks_equal_fresh_walks(c, sign, shape):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verifier, "_dome_sup", scalar_reference.dome_sup)
         assert run() == shared
+
+
+# ---------------------------------------------------------------------------
+# The bounds hold at every dome direction.
+# ---------------------------------------------------------------------------
+
+# room for the rounding of the float value of G(u) under its bound
+SLACK = 1 + 1e-9
+
+
+def _dome_direction(w, z, rho):
+    """The unit vector of w + rho t, t the unit part of z orthogonal to
+    w: |u - w| = 2 sin(atan(rho) / 2) < rho."""
+    dot = sum(a * b for a, b in zip(z, w))
+    t = [a - dot * b for a, b in zip(z, w)]
+    size = math.hypot(*t)
+    assume(size > 1e-3)
+    p = [b + rho * a / size for a, b in zip(t, w)]
+    size = math.hypot(*p)
+    return tuple(c / size for c in p)
+
+
+def _check_bounds(F, w, m, n, zs, fractions):
+    cert = check_negligible(F, [w], m, n)
+    (record,) = cert.records
+    (vec,) = cert.omegas
+    delta0 = record["delta0"]
+    bounded = 0
+    for row in record["condition_a"]:
+        G = expr_derive(F, tuple(row["alpha"]))
+        for z, frac in zip(zs, fractions):
+            u = _dome_direction(vec, z, frac * delta0)
+            dist = math.dist(u, vec)
+            assert dist < delta0
+            if "dome_sup_upper" in row:
+                bound = row["dome_sup_upper"]
+            elif "lipschitz" in row:
+                bound = row["lipschitz"] * dist
+            else:
+                continue
+            bounded += 1
+            assert abs(expr_eval(G, u)) <= bound * SLACK, (row, u)
+    return cert, bounded
+
+
+_coords = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any),
+       st.integers(-3, 3),
+       st.lists(st.tuples(_coords, _coords), min_size=4, max_size=4),
+       st.lists(st.floats(1e-3, 0.99), min_size=4, max_size=4))
+def test_gap_zero_bounds_hold_in_the_dome(w, r, zs, fractions):
+    # F vanishes to order 3 on the ray of w, so every row has gap 0 and
+    # is 0 at w: each row bounds |G(u)| by lipschitz |u - w|
+    p, q = w
+    F = expr_parse(f"({q}*x - {p}*y)^3*(x + {r}*y)/(x^2 + y^2)", 2)
+    cert, bounded = _check_bounds(F, w, 2, 2, zs, fractions)
+    assert cert.verdict == "pass" and bounded
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(*[st.integers(-3, 3)] * 3).filter(any),
+       st.tuples(*[st.integers(-3, 3)] * 4), st.sampled_from([1, 2]),
+       st.lists(st.tuples(_coords, _coords, _coords), min_size=4,
+                max_size=4),
+       st.lists(st.floats(1e-3, 0.99), min_size=4, max_size=4))
+def test_gap_above_zero_bounds_hold_in_the_dome(w, c, m, zs, fractions):
+    # F is homogeneous of degree 3 > m, so every row has gap > 0 and
+    # bounds |G(u)| by its dome sup; a box across z = 0 bounds nothing
+    assume(any(c))
+    F = expr_parse(f"({c[0]}*x + {c[1]}*y + {c[2]}*z)^4/norm(x,y,z)"
+                   f" + {c[3]}*x*y^3/z", 3)
+    cert, bounded = _check_bounds(F, w, m, 3, zs, fractions)
+    assert cert.verdict != "fail"
+    assert bounded or cert.verdict == "inconclusive"
