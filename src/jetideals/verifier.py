@@ -93,33 +93,19 @@ def _unit_rows(rng, count, n, omega=None):
     return np.concatenate(rows) if rows else np.empty((0, n))
 
 
-def _transverse_unit(rng, n, omega):
-    """Random unit vector orthogonal to omega: one row of _unit_rows,
-    drawn on its own at half the cost of a one-row batch."""
-    while True:
-        v = rng.standard_normal(n)
-        v = v - np.dot(v, omega) * np.asarray(omega)
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-9:
-            return tuple(float(c) / norm for c in v)
-
-
-def _dome_unit(rng, w, delta):
-    """Random unit vector near w: w plus a uniform t < 0.98 delta times a
-    random transverse unit, normalized (draws: t, then the transverse)."""
-    t = float(rng.uniform(0, delta * 0.98))
-    u = np.asarray(w) + t * np.asarray(_transverse_unit(rng, len(w), w))
-    return u / np.linalg.norm(u)
-
-
 def _dome_directions(rng, omegas, delta, count):
-    """Directions inside the dome around a finite Omega (centers included)."""
-    dirs = [tuple(w) for w in omegas]
+    """Directions inside the dome around a finite Omega, an (N, n) array:
+    the centers, then per center w a batch of w + t v normalized, t
+    uniform below 0.98 delta and v a random unit orthogonal to w (draws
+    per center: the t batch, then the v batch)."""
+    omegas = np.array([tuple(w) for w in omegas], dtype=float)
     per = max(1, count // max(1, len(omegas)))
+    blocks = [omegas]
     for w in omegas:
-        for _ in range(per):
-            dirs.append(tuple(float(c) for c in _dome_unit(rng, w, delta)))
-    return dirs
+        t = rng.uniform(0, delta * 0.98, per)
+        u = w + t[:, None] * _unit_rows(rng, per, len(w), w)
+        blocks.append(u / np.sqrt(_row_dots(u, u))[:, None])
+    return np.concatenate(blocks)
 
 
 def _cutoff_feature_scales(exprs):
@@ -192,31 +178,19 @@ class ShellReport:
                 "witness": self.witness, "notes": self.notes}
 
 
-# Sweep direction sets kept for the process, one per (Omega, delta, n,
-# seed): a cone's directions come from a fresh default_rng(seed) that
-# draws nothing else, so a cone swept again gets the same set back.
-SWEEP_DIRECTION_SETS = 64
 SWEEP_DIRECTIONS = 40        # directions per sweep
 SHELLS = (4, 24)             # a sweep's shells 2^-k, k from 4 to 24
 
 
 def _region_directions(region, n, seed):
-    """The sample directions of a shell sweep: from a fresh
-    default_rng(seed), inside the dome of a Cone region (a tuple of
-    tuples), else anywhere on the sphere (an (n_dirs, n) array)."""
+    """The sample directions of a shell sweep, an (N, n) array from a
+    fresh default_rng(seed): inside the dome of a Cone region, else
+    anywhere on the sphere."""
+    rng = np.random.default_rng(seed)
     if isinstance(region, Cone):
-        # float.hex keeps the sign of a zero coordinate, which the dome
-        # centers carry into the sample points
-        omega_hex = tuple(tuple(map(float.hex, w)) for w in region.omega_set)
-        return _cone_directions(omega_hex, region.delta, n, seed)
-    return _unit_rows(np.random.default_rng(seed), SWEEP_DIRECTIONS, n)
-
-
-@functools.lru_cache(maxsize=SWEEP_DIRECTION_SETS)
-def _cone_directions(omega_hex, delta, n, seed):
-    omegas = [tuple(map(float.fromhex, w)) for w in omega_hex]
-    return tuple(_dome_directions(np.random.default_rng(seed), omegas,
-                                  delta, SWEEP_DIRECTIONS))
+        return _dome_directions(rng, region.omega_set, region.delta,
+                                SWEEP_DIRECTIONS)
+    return _unit_rows(rng, SWEEP_DIRECTIONS, n)
 
 
 def _shell_sweep(expr, region, m, n, seed, k_lo, k_hi, weight):
@@ -442,7 +416,10 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int):
     # a sup cannot fail, so the sups run only when all else passed
     boxes, sups = _region_boxes(vecs, delta0, 1, 1), {}
     for alpha, row in zip(monomials(m, n), rows):
-        if verdict != PASS or "homogeneity_gap" not in row:
+        if "homogeneity_gap" not in row:
+            continue
+        if verdict != PASS:
+            row.setdefault("status", "sup not taken: verdict decided")
             continue
         gap = row["homogeneity_gap"]
         bounded = [alpha] if gap else [

@@ -7,9 +7,10 @@ to mask the point (expr_eval: raise DomainError) where it raises
 DomainError.  Every scalar loop below evaluates through it.
 
 The one-vector-at-a-time sample draws that verifier._unit_rows
-batches: random_unit, the annulus sample set unit_annulus_samples (one
-direction and one point at a time, whiskers through
-verifier._transverse_unit) and the chi points chi_points.
+batches: random_unit, transverse_unit, the dome sweep directions
+dome_directions, the annulus sample set unit_annulus_samples (one
+direction and one point at a time, whiskers through transverse_unit)
+and the chi points chi_points.
 test_sample_batches.py requires the batched draws to give the same
 points, bit for bit, and to leave the generator in the same state.
 
@@ -180,8 +181,7 @@ from jetideals.symfun import (ZERO, Add, Const, Coord, Cutoff, Div, Gauge,
                               GaugeRef, Mul, Norm, Pow, RegularizedGauge,
                               _bump, _ExprParser, _poly_eval_interval, add,
                               div, expr_derive, ipow, mul)
-from jetideals.verifier import (_cutoff_feature_scales,
-                                _region_directions, _transverse_unit,
+from jetideals.verifier import (_cutoff_feature_scales, _region_directions,
                                 _unit_annulus_samples, chi_expr,
                                 expr_scale_coords)
 
@@ -262,6 +262,30 @@ def random_unit(rng, n):
             return tuple(float(c) / norm for c in v)
 
 
+def transverse_unit(rng, n, omega):
+    """Random unit vector orthogonal to the unit vector omega."""
+    while True:
+        v = rng.standard_normal(n)
+        v = v - np.dot(v, omega) * np.asarray(omega)
+        norm = float(np.linalg.norm(v))
+        if norm > 1e-9:
+            return tuple(float(c) / norm for c in v)
+
+
+def dome_directions(rng, omegas, delta, count):
+    """The dome directions one draw at a time: the centers, then per
+    center w the batch of t, then per t one transverse unit v, and
+    w + t v over its np.linalg.norm."""
+    dirs = [tuple(w) for w in omegas]
+    per = max(1, count // max(1, len(omegas)))
+    for w in omegas:
+        for t in rng.uniform(0, delta * 0.98, per):
+            v = transverse_unit(rng, len(w), w)
+            u = np.asarray(w) + t * np.asarray(v)
+            dirs.append(tuple(u / np.linalg.norm(u)))
+    return dirs
+
+
 def unit_annulus_samples(n, K, omegas, rel_scales, rng):
     """The sample set on Ann_K(1) as a list of point tuples, one draw
     and one point at a time."""
@@ -283,7 +307,7 @@ def unit_annulus_samples(n, K, omegas, rel_scales, rng):
     for w in omegas:
         for t in sorted(t_values):
             for _ in range(3):
-                wt = _transverse_unit(rng, n, w)
+                wt = transverse_unit(rng, n, w)
                 for s in radii:
                     x = tuple(s * wc + t * tc for wc, tc in zip(w, wt))
                     # left to right from 0: builtin sum compensates on

@@ -25,7 +25,7 @@ from jetideals.regions import _cutoff_values, _region_boxes, _region_signs
 from jetideals.symfun import (DEFAULT_CUTOFF, Const, Coord, Cutoff, Norm,
                               add, compile_expr, div, expr_parse, expr_str,
                               ipow, mul)
-from jetideals.verifier import (_dome_unit, _scaled_identity,
+from jetideals.verifier import (_dome_directions, _scaled_identity,
                                 check_annulus_condition)
 
 N = 3
@@ -77,8 +77,8 @@ def test_certified_values_are_the_compiled_values(kind, k, c, rho, w, delta,
     value = values[cut]
     assert value in ((0, 1) if order == 0 else (0,))
     rng = np.random.default_rng(seed)
-    points = np.array([float(rng.uniform(rho / 2, 2 * rho))
-                       * _dome_unit(rng, w, delta) for _ in range(40)])
+    dirs = _dome_directions(rng, [w], delta, 40)
+    points = rng.uniform(rho / 2, 2 * rho, len(dirs))[:, None] * dirs
     vals, ok = compile_expr(cut)(points)
     assert ok.all()
     assert (vals == value).all(), (value, vals)

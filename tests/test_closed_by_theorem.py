@@ -17,7 +17,7 @@ import pytest
 from jetideals.directions import allow_overapprox
 from jetideals.exactlin import rref
 from jetideals.ideal import JetIdeal
-from jetideals.jetring import Jet, RingSignature, jet_parse
+from jetideals.jetring import DiffeoJet, Jet, RingSignature, jet_parse
 from jetideals.symfun import Const, expr_parse, mul
 from jetideals.verifier import ImplicationCertificate, check_strong_global
 
@@ -46,6 +46,14 @@ CASES = [
     (2, [(1, 0), (1, 1)]),
     (3, [(1, 0), (1, 1)]),
     (3, [(1, 0), (0, 1), (1, 2)]),
+]
+
+
+# rational invertible maps A of the plane
+MAPS = [
+    [[1, 2], [0, 1]],
+    [[2, -1], [1, 1]],
+    [[0, 3], [Fraction(1, 2), Fraction(-5, 7)]],
 ]
 
 
@@ -84,3 +92,24 @@ def test_no_certificate_concludes_not_closed(m, lines):
                 ideal, p.scale(scale), [], mul(Const(scale), F)))
             assert report["verdict"] != "pass", (alpha, j)
             assert "conclusions" not in report
+
+
+@pytest.mark.parametrize("A", MAPS)
+@pytest.mark.parametrize("m,lines", CASES)
+def test_lines_ideals_are_covariant(m, lines, A):
+    # f vanishes on A E iff f o A vanishes on E, so I^m(E) is
+    # I^m(A E) composed with A, and its allowed directions go to A's
+    sig = RingSignature(m, 2)
+    moved = [tuple(a * v[0] + b * v[1] for a, b in A) for v in lines]
+    ideal, image = lines_ideal(sig, lines), lines_ideal(sig, moved)
+    assert ideal == image.transform(DiffeoJet.linear(sig, A))
+    allowed, allowed_image = allow_overapprox(ideal), allow_overapprox(image)
+    assert allowed.exact == allowed_image.exact
+    want = []
+    for d in allowed.directions:
+        u = [float(a) * d.vec[0] + float(b) * d.vec[1] for a, b in A]
+        want.append(tuple(c / (u[0] ** 2 + u[1] ** 2) ** 0.5 for c in u))
+    got = sorted(d.vec for d in allowed_image.directions)
+    assert len(got) == len(want)
+    assert all(abs(a - b) < 1e-12 for u, w in zip(got, sorted(want))
+               for a, b in zip(u, w))

@@ -164,6 +164,17 @@ def test_denominator_zero_in_the_dome_is_inconclusive():
     assert rows[0]["derivative"] == [0, 0, 0]
 
 
+def test_every_row_has_a_status_when_the_verdict_is_decided_early():
+    # the first row's sup is unbounded, so the later gap-1 rows take no
+    # sup; each still says why
+    cert = check_negligible(expr_parse("y^4/(z - x/50)", 3),
+                            [(1.0, 0.0, 0.0)], 2, 3)
+    rows = cert.records[0]["condition_a"]
+    assert [row["status"] for row in rows] == (
+        ["unbounded enclosure"]
+        + ["sup not taken: verdict decided"] * (len(rows) - 1))
+
+
 # ---------------------------------------------------------------------------
 # One enclosure per derivative and box.
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """The batched sample draws equal the per-point loops they replaced.
 
 verifier._unit_rows draws many random unit vectors with one
-standard_normal call; the annulus samples, the chi points and the
-whole-sphere sweep directions are built from it.  Each must give the
-points of scalar_reference's one-vector-at-a-time loops bit for bit, and
-leave the generator in the same state, so that any later draw from it is
-unchanged.
+standard_normal call; the annulus samples, the chi points and the sweep
+directions, whole-sphere and dome, are built from it.  Each must give
+the points of scalar_reference's one-vector-at-a-time loops bit for bit,
+and leave the generator in the same state, so that any later draw from
+it is unchanged.
 
-Every draw of verifier._dome_unit lies within delta of its center w
-(for delta from 1e-14 up), so the dome samplers keep every draw.
+Every row of verifier._dome_directions lies within delta of its center
+w (for delta from 1e-14 up), so the dome samplers keep every draw.  A
+sweep's directions depend on its cone and seed alone.
 """
 
 import math
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import scalar_reference as ref
 from jetideals import verifier
-from jetideals.geometry import dome_membership
+from jetideals.geometry import Cone, dome_membership
 
 
 def _same_bits(batched, points):
@@ -91,8 +92,7 @@ def test_transverse_rows_equal_successive_draws(n_omega, count, seed):
     batched_rng = np.random.default_rng(seed)
     loop_rng = np.random.default_rng(seed)
     got = verifier._unit_rows(batched_rng, count, n, omega)
-    want = [verifier._transverse_unit(loop_rng, n, omega)
-            for _ in range(count)]
+    want = [ref.transverse_unit(loop_rng, n, omega) for _ in range(count)]
     assert got.shape == (count, n) and _same_bits(got, want)
     assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
 
@@ -126,7 +126,7 @@ def test_rejected_rows_are_dropped_and_drawn_again(omega):
     if omega is None:
         want = [ref.random_unit(loop, 3) for _ in range(4)]
     else:
-        want = [verifier._transverse_unit(loop, 3, omega) for _ in range(4)]
+        want = [ref.transverse_unit(loop, 3, omega) for _ in range(4)]
     assert _same_bits(got, want)
     assert batched.used == loop.used == 7 * 3
 
@@ -154,18 +154,45 @@ def test_row_dots_equal_np_dot_bit_for_bit(n):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(directions(n),
+                                                    min_size=1, max_size=3)),
+       st.floats(1e-14, 1.0), st.integers(0, 60), st.integers(0, 2 ** 32 - 1))
+def test_dome_directions_equal_the_per_center_loop(omegas, delta, count, seed):
+    batched_rng = np.random.default_rng(seed)
+    loop_rng = np.random.default_rng(seed)
+    got = verifier._dome_directions(batched_rng, omegas, delta, count)
+    want = ref.dome_directions(loop_rng, omegas, delta, count)
+    assert got.shape == (len(want), len(omegas[0]))
+    assert _same_bits(got, want)
+    assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def test_sweep_directions_depend_on_the_cone_and_seed_alone():
+    # no direction set is kept between calls: a cone swept after another
+    # gets the directions of a fresh generator, its signed zeros intact
+    cone_a = Cone([(-0.0, 0.0, 1.0), (0.0, 0.0, -1.0)], 0.5, 1.0)
+    cone_b = Cone([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)], 0.5, 1.0)
+    first = verifier._region_directions(cone_a, 3, 7)
+    other = verifier._region_directions(cone_b, 3, 7)
+    again = verifier._region_directions(cone_a, 3, 7)
+    assert first.tobytes() == again.tobytes()
+    assert first[0].tobytes() == np.array([-0.0, 0.0, 1.0]).tobytes()
+    assert other[0].tobytes() == np.array([0.0, 0.0, 1.0]).tobytes()
+    assert np.array_equal(first, other)         # -0.0 == 0.0 in every draw
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.integers(2, 4).flatmap(directions), st.integers(0, 2 ** 32 - 1),
        st.one_of(st.floats(1e-14, 4.0),
                  st.sampled_from([1e-300, 1e-16, 1e-15, 0.05, 0.25, 1.0])))
-def test_dome_unit_draws_lie_within_delta_of_their_center(w, seed, delta):
+def test_dome_directions_lie_within_delta_of_their_center(w, seed, delta):
     # t < 0.98 delta and, in exact arithmetic, |u - w| <= t.  In floats
     # the normalization also moves u by up to about 3e-16 across t, so
     # |u - w| < hypot(delta, 1e-15): for every delta from 1e-14 up, each
     # draw is in the dome and no caller need test it again; below about
     # 2e-15 a draw can land just outside the dome
     rng = np.random.default_rng(seed)
-    for _ in range(20):
-        u = verifier._dome_unit(rng, w, delta)
+    for u in verifier._dome_directions(rng, [w], delta, 20):
         assert math.dist(u, w) < math.hypot(delta, 1e-15)
         if delta >= 1e-14:
             assert dome_membership(tuple(u), [w], delta)
