@@ -1,12 +1,12 @@
 """Scalar expression trees on R^n minus the origin.
 
 This is the little function language in which remainders F, multipliers
-S_l, cutoffs and gauges are written: rational-coefficient arithmetic,
-division, vector norms, a polynomial smoothstep cutoff theta, and
-registered gauges.  The language is closed under partial differentiation
-(cutoff nodes carry their derivative order; gauges are not
-differentiable), and every node evaluates in float or outward-rounded
-interval mode.
+S_l and cutoffs are written: rational-coefficient arithmetic, division,
+vector norms and a polynomial smoothstep cutoff theta.  The language is
+closed under partial differentiation (cutoff nodes carry their
+derivative order), and every node evaluates in float or outward-rounded
+interval arithmetic.  Gauges and their regularization live here too,
+but no node of the language refers to a gauge.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class ScalarExpr:
 
     Each node sets _key to its fields (the value itself for a one-field
     node, else a tuple) and _hash once, when it is built.  Cutoff specs
-    and gauges have no __eq__ of their own, so they compare by identity.
+    have no __eq__ of their own, so they compare by identity.
     children() gives the subtrees in field order; subtrees() walks them.
     A subclass names the hook that fold calls for its nodes.
     """
@@ -172,18 +172,6 @@ class Cutoff(ScalarExpr, hook="cutoff"):
         self.order = int(order)
         self._key = (spec, arg, scale, self.order)
         self._hash = hash(("cutoff", self._key))
-
-
-class GaugeRef(ScalarExpr, hook="gauge"):
-    """g(arg) for a registered gauge g (not differentiable)."""
-
-    __slots__ = ("gauge", "arg")
-
-    def __init__(self, gauge, arg):
-        self.gauge = gauge
-        self.arg = arg
-        self._key = (gauge, arg)
-        self._hash = hash(("gauge", self._key))
 
 
 ZERO = Const(0)
@@ -364,8 +352,6 @@ def expr_diff(e: ScalarExpr, i: int) -> ScalarExpr:
             return ZERO
         inner = Cutoff(e.spec, e.arg, e.scale, e.order + 1)
         return mul(Const(Fraction(1, 1) / e.scale), inner, da)
-    if isinstance(e, GaugeRef):
-        raise DomainError("gauge nodes are not differentiable")
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -382,30 +368,25 @@ def expr_derive(e: ScalarExpr, alpha) -> ScalarExpr:
 # Evaluation.
 # ---------------------------------------------------------------------------
 
-def expr_eval(e: ScalarExpr, point, mode: str = "float"):
-    """Value (mode="float") or sound enclosure (mode="interval").
+def expr_eval(e: ScalarExpr, point):
+    """The float value of e at a point; compile_interval(e)(box)
+    encloses e over a box.
 
-    Division by zero — or by an interval containing zero — raises
-    DomainError rather than producing infinities.  A float value is
-    compile_expr's at the one point, and raises where it does (see
-    compile_exprs): an overflow anywhere in the tree raises
-    OverflowError, even where a tree walk would meet a DomainError first.
+    Division by zero raises DomainError rather than producing
+    infinities.  The value is compile_expr's at the one point, and
+    raises where it does (see compile_exprs): an overflow anywhere in the
+    tree raises OverflowError, even where a tree walk would meet a
+    DomainError first.
     """
-    if mode == "float":
-        values, ok = compile_expr(e)(np.array([[float(c) for c in point]]))
-        if not ok[0]:
-            raise DomainError("expression undefined at the point")
-        return float(values[0])
-    if mode == "interval":
-        box = [c if isinstance(c, Interval) else Interval.exact(c)
-               for c in point]
-        return compile_interval(e)(box)
-    raise ValueError(f"unknown eval mode {mode!r}")
+    values, ok = compile_expr(e)(np.array([[float(c) for c in point]]))
+    if not ok[0]:
+        raise DomainError("expression undefined at the point")
+    return float(values[0])
 
 
 # Interval programs kept for the process, one per structurally distinct
-# node: nodes hash by structure, and cutoff and gauge nodes compare their
-# spec and gauge by identity, so equal nodes are the same function.
+# node: nodes hash by structure, and cutoff nodes compare their spec by
+# identity, so equal nodes are the same function.
 INTERVAL_PROGRAMS = 1 << 10
 _PROGRAMS = _LruMemo(INTERVAL_PROGRAMS)
 
@@ -483,10 +464,6 @@ class _Interval:
         spec, order = e.spec, e.order
         return lambda box: spec.eval_interval(arg(box) / scale(box), order)
 
-    def gauge(self, e, visit):
-        arg, gauge = visit(e.arg), e.gauge
-        return lambda box: gauge.eval_interval(arg(box))
-
 
 def _exact_constant(value):
     """Interval.exact(value), or None for a value beyond float range:
@@ -516,16 +493,15 @@ def compile_exprs(exprs):
     The evaluator maps an (N, n) float array to one (values, ok) pair of
     length-N arrays per tree.  ok is False exactly where a node of the
     tree is undefined (a division by zero, a cutoff derivative past its
-    smoothness, a gauge of a nonpositive argument), and values are NaN
-    there.  Elsewhere values equal the scalar tree walk
-    eval_float in tests/scalar_reference.py bit for bit: sums run from
-    0.0 and products from 1.0, left to right; Pow nodes and norm squares
-    take one np.float_power call (_float_pow), which calls libm pow as
-    Python's float power does, since np.power differs in the last bit;
-    cutoffs take CutoffSpec.eval_array, which runs the exact ramp once
-    per distinct offset; gauges take math.log2 per element, then
-    np.interp, as Gauge.eval does.  Structurally equal subtrees anywhere
-    in the table are evaluated once per chunk of points.
+    smoothness), and values are NaN there.  Elsewhere values equal the
+    scalar tree walk eval_float in tests/scalar_reference.py bit for
+    bit: sums run from 0.0 and products from 1.0, left to right; Pow
+    nodes and norm squares take one np.float_power call (_float_pow),
+    which calls libm pow as Python's float power does, since np.power
+    differs in the last bit; cutoffs take CutoffSpec.eval_array, which
+    runs the exact ramp once per distinct offset.  Structurally equal
+    subtrees anywhere in the table are evaluated once per chunk of
+    points.
 
     Where the walk raises something else (OverflowError from a float
     power, ValueError from a cutoff of a NaN argument), so does the
@@ -657,19 +633,6 @@ class _Kernel:
         return lambda vals, masks, cols: (
             spec.eval_array(vals[arg] / scale, order, masks[arg]), masks[arg])
 
-    def gauge(self, e, visit):
-        arg, gauge = visit(e.arg), e.gauge
-
-        def gauge_step(vals, masks, cols):
-            t = vals[arg]
-            ok = ~(t <= 0.0)        # a NaN argument is no error there
-            if masks[arg] is not None:
-                ok &= masks[arg]
-            logs = [math.log2(v) if good else math.nan
-                    for v, good in zip(t.tolist(), ok.tolist())]
-            return np.interp(logs, gauge.log2_grid, gauge.values), ok
-        return gauge_step
-
 
 # ---------------------------------------------------------------------------
 # Structural homogeneity degree.
@@ -679,7 +642,7 @@ def hom_degree(e: ScalarExpr):
     """Homogeneity degree d with e(s x) = s^d e(x), read off the tree.
 
     Returns an int/Fraction, or None when the tree gives no uniform
-    degree (mixed-degree sums, cutoff or gauge nodes).  Conservative:
+    degree (mixed-degree sums, cutoff nodes).  Conservative:
     None never means "definitely inhomogeneous".
     """
     return fold((e,), _Degree())[0]
@@ -691,7 +654,7 @@ class _Degree:
     def const(self, e, visit): return 0
     def coord(self, e, visit): return 1
     def cutoff(self, e, visit): return None
-    norm, gauge = coord, cutoff
+    norm = coord
 
     def add(self, e, visit):
         degs = set(map(visit, e.terms))
@@ -767,9 +730,6 @@ class _Printer:
     def cutoff(self, e, visit):
         tag = f"theta^{e.order}" if e.order else "theta"
         return f"{tag}({visit(e.arg)[0]}, {e.scale})", _ATOM
-
-    def gauge(self, e, visit):
-        return f"gauge({e.gauge.name}, {visit(e.arg)[0]})", _ATOM
 
 
 # ---------------------------------------------------------------------------
@@ -944,18 +904,6 @@ class Gauge:
 
     def eval_array(self, t):
         return np.interp(np.log2(t), self.log2_grid, self.values)
-
-    def eval_interval(self, v: Interval) -> Interval:
-        if v.lo <= 0:
-            raise DomainError("gauge argument must be positive")
-        # linear interpolation between samples: hull over the grid nodes
-        # inside the interval plus the two endpoint values
-        lo_j, hi_j = math.log2(v.lo), math.log2(v.hi)
-        vals = [self.eval(v.lo), self.eval(v.hi)]
-        inside = self.values[(self.log2_grid >= lo_j) & (self.log2_grid <= hi_j)]
-        vals.extend(float(x) for x in inside)
-        pad = 1e-12 * max(abs(min(vals)), abs(max(vals)), 1.0)
-        return Interval(min(vals) - pad, max(vals) + pad)
 
 
 def _bump(v):
@@ -1138,12 +1086,10 @@ def gauge_regularize(g: Gauge, check_scales=20) -> RegularizedGauge:
 class _ExprParser(_Parser):
     """The grammar of jetring._Parser into expression trees, built by the
     smart constructors: '/' takes any divisor, ^k any integer k, and the
-    names are the coordinates, abs2(...), norm(...), theta(e, scale) and
-    gauge(name, e)."""
+    names are the coordinates, abs2(...), norm(...) and theta(e, scale)."""
 
-    def __init__(self, text, n, gauges=None, cutoff=None):
+    def __init__(self, text, n, cutoff=None):
         super().__init__(text, n)
-        self.gauges = gauges or {}
         self.cutoff = cutoff or DEFAULT_CUTOFF
 
     const = staticmethod(Const)
@@ -1183,17 +1129,6 @@ class _ExprParser(_Parser):
             scale = self.parse_rational()
             self.expect_op(")")
             return Cutoff(self.cutoff, arg, scale)
-        if name == "gauge":
-            self.expect_op("(")
-            kind, gname, gpos = self.next()
-            if kind != "name":
-                raise ParseError("expected gauge name", gpos)
-            if gname not in self.gauges:
-                raise ParseError(f"unknown gauge {gname!r}", gpos)
-            self.expect_op(",")
-            arg = self.parse_sum()
-            self.expect_op(")")
-            return GaugeRef(self.gauges[gname], arg)
         if name in self.names:
             return Coord(self.names[name])
         raise ParseError(f"unknown name {name!r}", pos)
@@ -1231,6 +1166,6 @@ class _ExprParser(_Parser):
         return sign * out
 
 
-def expr_parse(text: str, n: int, gauges=None, cutoff=None) -> ScalarExpr:
+def expr_parse(text: str, n: int, cutoff=None) -> ScalarExpr:
     """Parse the extended expression grammar into a ScalarExpr tree."""
-    return _ExprParser(text, n, gauges=gauges, cutoff=cutoff).parse()
+    return _ExprParser(text, n, cutoff=cutoff).parse()

@@ -200,8 +200,7 @@ def _shell_sweep(expr, region, m, n, seed, k_lo, k_hi, weight):
     alpha) order, that reaches the shell's sup.  A shell where no
     nonzero derivative evaluates at any sample has sup None: it carries
     no evidence."""
-    derivs = [(alpha, d) for alpha in monomials(m, n)
-              if (d := expr_derive(expr, alpha)) != ZERO]
+    index, derivs = _derivative_table((expr,), m, n)
     dirs = _region_directions(region, n, seed)
     fracs = (0.55, 0.75, 1.0)
     radii = [frac * 2.0 ** -k for k in range(k_lo, k_hi + 1)
@@ -209,10 +208,10 @@ def _shell_sweep(expr, region, m, n, seed, k_lo, k_hi, weight):
     # the (radius, direction) grid, one IEEE product per coordinate
     points = (np.asarray(radii)[:, None, None]
               * _point_array(dirs, n)[None]).reshape(-1, n)
-    columns = compile_exprs([d for _, d in derivs])(points)
+    columns = compile_exprs(derivs)(points)
     # ratios[point, alpha], points in sweep order
     ratios = np.empty((len(points), len(derivs)))
-    for t, ((alpha, _), (vals, _)) in enumerate(zip(derivs, columns)):
+    for t, ((_, alpha), (vals, _)) in enumerate(zip(index, columns)):
         weights = np.repeat([weight(alpha, s) for s in radii], len(dirs))
         ratios[:, t] = np.abs(vals) * weights
     per_shell = len(fracs) * len(dirs) * len(derivs)
@@ -223,7 +222,7 @@ def _shell_sweep(expr, region, m, n, seed, k_lo, k_hi, weight):
         if top > 0.0:
             p, t = divmod(i * per_shell + j, len(derivs))
             shells.append((k, top))
-            witness_pool.append((derivs[t][0], tuple(points[p].tolist()),
+            witness_pool.append((index[t][1], tuple(points[p].tolist()),
                                  abs(float(columns[t][0][p]))))
         else:
             shells.append((k, None if derivs and top == -math.inf else 0.0))
@@ -514,9 +513,9 @@ def _sign_at(G, vec, ray, n):
     (None, the reason).  The ring (_RingFraction) reads G at u as a
     quotient of polynomials, the full norm as 1 and |x_i| as sign(u_i)
     x_i, and Ray.sign_of takes both signs exactly.  A norm of 2 to n - 1
-    coordinates is out of its reach (a homogeneous G has no cutoff or
-    gauge): an enclosure over the box one step around vec, which holds
-    u, decides a sign that excludes 0, as G vanishes at vec iff at u.
+    coordinates is out of its reach (a homogeneous G has no cutoff): an
+    enclosure over the box one step around vec, which holds u, decides a
+    sign that excludes 0, as G vanishes at vec iff at u.
     """
     norms = _free_norms([G])
     if any(1 < len(e.indices) < n for e in norms):
@@ -635,7 +634,7 @@ class _ZeroDenominator(Exception):
 
 
 def _free_norms(exprs) -> set:
-    """The Norm nodes of the trees outside every cutoff and gauge."""
+    """The Norm nodes of the trees outside every cutoff."""
     return set().union(*fold(exprs, _FreeNorms()))
 
 
@@ -644,7 +643,6 @@ class _FreeNorms:
 
     def norm(self, e, visit): return frozenset((e,))
     def cutoff(self, e, visit): return frozenset()
-    gauge = cutoff
 
     def add(self, e, visit):
         return frozenset().union(*map(visit, e.children()))
@@ -702,9 +700,6 @@ class _RingFraction:
         if not c:
             raise _ZeroDenominator
         return a * d, b * c
-
-    def gauge(self, e, visit):
-        raise DomainError("node GaugeRef has no symbolic form")
 
 
 # ---------------------------------------------------------------------------
@@ -895,9 +890,6 @@ class _Rescale:
 
     def cutoff(self, e, visit):
         return Cutoff(e.spec, visit(e.arg), e.scale, e.order)
-
-    def gauge(self, e, visit):
-        raise DomainError("cannot rescale node GaugeRef")
 
 
 def chi_expr(n: int) -> ScalarExpr:

@@ -1,10 +1,10 @@
 """Reference implementations of checks that now run on faster paths.
 
 The float tree walk eval_float that symfun.compile_exprs replaced, and
-with it expr_eval(mode="float"): test_symfun.py requires the compiled
-kernels and expr_eval to return exactly its values, gauges included, and
-to mask the point (expr_eval: raise DomainError) where it raises
-DomainError.  Every scalar loop below evaluates through it.
+with it expr_eval: test_symfun.py requires the compiled kernels and
+expr_eval to return exactly its values, and to mask the point
+(expr_eval: raise DomainError) where it raises DomainError.  Every
+scalar loop below evaluates through it.
 
 The one-vector-at-a-time sample draws that verifier._unit_rows
 batches: random_unit, transverse_unit, the dome sweep directions
@@ -178,9 +178,9 @@ from jetideals.exactlin import rref as integer_rref
 from jetideals.jetring import (_Parser, DiffeoJet, Jet, monomials,
                                variable_names)
 from jetideals.symfun import (ZERO, Add, Const, Coord, Cutoff, Div, Gauge,
-                              GaugeRef, Mul, Norm, Pow, RegularizedGauge,
-                              _bump, _ExprParser, _poly_eval_interval, add,
-                              div, expr_derive, ipow, mul)
+                              Mul, Norm, Pow, RegularizedGauge, _bump,
+                              _ExprParser, _poly_eval_interval, add, div,
+                              expr_derive, ipow, mul)
 from jetideals.verifier import (_cutoff_feature_scales, _region_directions,
                                 _unit_annulus_samples, chi_expr,
                                 expr_scale_coords)
@@ -217,8 +217,6 @@ def eval_float(e, x):
     if isinstance(e, Cutoff):
         v = eval_float(e.arg, x) / float(e.scale)
         return e.spec.eval(v, e.order)
-    if isinstance(e, GaugeRef):
-        return e.gauge.eval(eval_float(e.arg, x))
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -249,8 +247,6 @@ def eval_interval(e, box):
     if isinstance(e, Cutoff):
         v = eval_interval(e.arg, box) / Interval.exact(e.scale)
         return e.spec.eval_interval(v, e.order)
-    if isinstance(e, GaugeRef):
-        return e.gauge.eval_interval(eval_interval(e.arg, box))
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -1178,7 +1174,7 @@ class _ZeroDenominator(Exception):
 def _free_norms(e):
     if isinstance(e, Norm):
         return {e}
-    if isinstance(e, (Cutoff, GaugeRef)):
+    if isinstance(e, Cutoff):
         return set()
     return set().union(*map(_free_norms, e.children()))
 
@@ -1347,7 +1343,7 @@ def jet_parse(text, sig, truncate=False):
 
 class ExprParser(_ExprParser):
     """The expression rules over the smart constructors; the names
-    (abs2, norm, theta, gauge) are symfun's, and their arguments are
+    (abs2, norm, theta) are symfun's, and their arguments are
     parsed by these rules."""
 
     def parse_sum(self):
@@ -1411,5 +1407,5 @@ class ExprParser(_ExprParser):
         return base
 
 
-def expr_parse(text, n, gauges=None, cutoff=None):
-    return ExprParser(text, n, gauges=gauges, cutoff=cutoff).parse()
+def expr_parse(text, n, cutoff=None):
+    return ExprParser(text, n, cutoff=cutoff).parse()

@@ -380,6 +380,11 @@ def test_division_by_zero_is_rejected_in_an_expression_not_parsed(capsys):
 def test_parse_error_is_usage_error(capsys):
     code, doc = run(capsys, "order", "--m", "2", "--n", "1", "x +")
     assert code == 64 and doc["error"] == "parse"
+    code, doc = run(capsys, "verify-tame", "--m", "2", "--n", "2",
+                    "gauge(sqrt, x)")
+    assert code == 64 and doc["error"] == "parse"
+    assert doc["message"] == "unknown name 'gauge' (at position 0)"
+    assert doc["position"] == 0
 
 
 def test_gauge_reg(capsys):

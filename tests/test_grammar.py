@@ -142,6 +142,10 @@ def test_expression_rules():
             parse("x/0", 1)
         with pytest.raises(ParseError, match="exponent must be an integer"):
             parse("x^1.5", 1)
+        # no name of the grammar refers to a gauge
+        with pytest.raises(ParseError) as info:
+            parse("gauge(sqrt, x)", 2)
+        assert str(info.value) == "unknown name 'gauge' (at position 0)"
 
 
 def test_decimal_literals_parse_exactly():

@@ -2,23 +2,21 @@
 fold.
 
 Every node compares and hashes by its class and fields, through the one
-__eq__/__hash__ of ScalarExpr; cutoff specs and gauges compare by
-identity.  children() lists the ScalarExpr-valued fields in field order,
-and subtrees() walks them in preorder.  fold calls one hook per node
-class, named by the class, and folds each distinct subtree once."""
+__eq__/__hash__ of ScalarExpr; cutoff specs compare by identity.
+children() lists the ScalarExpr-valued fields in field order, and
+subtrees() walks them in preorder.  fold calls one hook per node class,
+named by the class, and folds each distinct subtree once; a hook set
+holds no public callable that is not some node class's hook."""
 
-import math
 from fractions import Fraction
 
 import pytest
 
 from jetideals import symfun, verifier
 from jetideals.symfun import (Add, Const, Coord, Cutoff, CutoffSpec,
-                              DEFAULT_CUTOFF, Div, Gauge, GaugeRef, Mul, Norm,
-                              Pow, ScalarExpr, expr_derive, expr_parse, fold,
-                              subtrees)
+                              DEFAULT_CUTOFF, Div, Mul, Norm, Pow, ScalarExpr,
+                              expr_derive, expr_parse, fold, subtrees)
 
-SQRT = Gauge.from_function("sqrt", math.sqrt, per_octave=8)
 X, Y, Z = Coord(0), Coord(1), Coord(2)
 
 # one builder per node class: each call builds a new, equal instance
@@ -31,14 +29,12 @@ BUILDERS = {
     Div: lambda: Div(X, Add((Y, Z))),
     Norm: lambda: Norm((2, 0)),
     Cutoff: lambda: Cutoff(DEFAULT_CUTOFF, Norm((0, 1)), Fraction(1, 2), 1),
-    GaugeRef: lambda: GaugeRef(SQRT, Div(X, Y)),
 }
 
 TEXTS = ["x^2*y - y^3/3 + 7/2",
          "x*y/(x^2 + y^2)^2",
          "norm(x,y)^3 - abs2(x,y,z)",
-         "(y^3/z)*theta(norm(x,y), 1/2) + x*theta(1/norm(x,y,z), 3)",
-         "x^2*gauge(sqrt, norm(x,y)) - gauge(sqrt, z^2 + 1)/y"]
+         "(y^3/z)*theta(norm(x,y), 1/2) + x*theta(1/norm(x,y,z), 3)"]
 
 
 def _fields(node):
@@ -78,21 +74,19 @@ def test_identity_is_the_base_class_one(cls):
 
 def test_subtrees_is_preorder_on_a_mixed_tree():
     cut = Cutoff(DEFAULT_CUTOFF, Norm((0, 1)), 1)
-    gauge = GaugeRef(SQRT, Pow(Y, 2))
-    quotient = Div(cut, gauge)
+    power = Pow(Y, 2)
+    quotient = Div(cut, power)
     product = Mul((Const(2), X))
     tree = Add((product, quotient, Z))
     assert list(subtrees(tree)) == [tree, product, Const(2), X, quotient,
-                                    cut, Norm((0, 1)), gauge, Pow(Y, 2), Y,
-                                    Z]
+                                    cut, Norm((0, 1)), power, Y, Z]
     assert list(subtrees(X)) == [X]
 
 
 @pytest.mark.parametrize("text", TEXTS)
 def test_equal_trees_built_twice_are_equal_and_hash_equal(text):
-    gauges = {"sqrt": SQRT}
-    a = expr_parse(text, 3, gauges=gauges)
-    b = expr_parse(text, 3, gauges=gauges)
+    a = expr_parse(text, 3)
+    b = expr_parse(text, 3)
     assert a is not b
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
@@ -107,14 +101,11 @@ def test_nodes_of_different_classes_are_unequal():
     assert len({Const(0), Coord(0), Add((X, Y)), Mul((X, Y))}) == 4
 
 
-def test_specs_and_gauges_compare_by_identity():
+def test_cutoff_specs_compare_by_identity():
     twin_spec = CutoffSpec(q=DEFAULT_CUTOFF.q, a=DEFAULT_CUTOFF.a,
                            b=DEFAULT_CUTOFF.b)
     assert Cutoff(DEFAULT_CUTOFF, X, 1) == Cutoff(DEFAULT_CUTOFF, X, 1)
     assert Cutoff(DEFAULT_CUTOFF, X, 1) != Cutoff(twin_spec, X, 1)
-    twin_gauge = Gauge(SQRT.name, SQRT.log2_grid, SQRT.values)
-    assert GaugeRef(SQRT, X) == GaugeRef(SQRT, X)
-    assert GaugeRef(SQRT, X) != GaugeRef(twin_gauge, X)
 
 
 # every hook set of the package that folds expression trees
@@ -134,6 +125,14 @@ def test_every_hook_set_has_a_hook_for_every_node_class(hooks):
             if not callable(getattr(hooks, cls.hook, None))] == []
 
 
+@pytest.mark.parametrize("hooks", HOOK_SETS, ids=lambda h: h.__name__)
+def test_every_public_callable_of_a_hook_set_is_a_node_class_hook(hooks):
+    names = {cls.hook for cls in BUILDERS}
+    assert sorted(name for name in dir(hooks) if not name.startswith("_")
+                  and callable(getattr(hooks, name))
+                  and name not in names) == []
+
+
 class _Recorder:
     """Hooks that fold every child, in field order, then record the
     node."""
@@ -146,12 +145,11 @@ class _Recorder:
         self.folded.append(e)
         return (type(e).__name__, kids)
 
-    coord = add = mul = pow = div = norm = cutoff = gauge = const
+    coord = add = mul = pow = div = norm = cutoff = const
 
 
 def test_folding_a_table_folds_each_distinct_subtree_once():
-    gauges = {"sqrt": SQRT}
-    trees = [expr_parse(text, 3, gauges=gauges) for text in TEXTS[:4]]
+    trees = [expr_parse(text, 3) for text in TEXTS]
     table = trees + [expr_derive(t, (1, 0, 0)) for t in trees] + trees
     hooks = _Recorder()
     values = fold(table, hooks)
@@ -167,12 +165,12 @@ def test_folding_a_table_folds_each_distinct_subtree_once():
 
 
 def test_a_node_class_without_a_hook_raises_type_error():
-    class NoGauge(_Recorder):
-        gauge = None
+    class NoCutoff(_Recorder):
+        cutoff = None
 
-    with pytest.raises(TypeError, match="NoGauge has no hook for node "
-                                        "class GaugeRef"):
-        fold([Add((X, BUILDERS[GaugeRef]()))], NoGauge())
+    with pytest.raises(TypeError, match="NoCutoff has no hook for node "
+                                        "class Cutoff"):
+        fold([Add((X, BUILDERS[Cutoff]()))], NoCutoff())
 
 
 def test_a_memo_given_to_fold_carries_values_across_calls():

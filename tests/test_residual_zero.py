@@ -25,7 +25,6 @@ that to decide C's identity."""
 
 import contextlib
 import json
-import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,11 +36,10 @@ from jetideals import verifier
 from jetideals.corpus import _intro_annulus_inputs, case_by_id, run_case
 from jetideals.geometry import Direction
 from jetideals.ideal import JetIdeal
-from jetideals.errors import DomainError
 from jetideals.jetring import Jet, RingSignature, jet_parse
-from jetideals.symfun import (DEFAULT_CUTOFF, Const, Coord, Cutoff, Gauge,
-                              Norm, add, collect_cutoffs, div, expr_parse,
-                              ipow, mul)
+from jetideals.symfun import (DEFAULT_CUTOFF, Const, Coord, Cutoff, Norm,
+                              add, collect_cutoffs, div, expr_parse, ipow,
+                              mul)
 from jetideals.verifier import (ImplicationCertificate, _identity_zero,
                                 check_annulus_condition,
                                 check_strong_directional, expr_scale_coords,
@@ -447,32 +445,18 @@ def test_identically_zero_denominator_fails(F):
 @pytest.mark.parametrize("wrap,zero", [
     ("x^2 + {}", True),
     ("x^2*theta({}, 1)", False),
-    ("x^2*theta(norm(x,y), 1) + theta(x*y + {}, 2)", False),
-    ("x^2*gauge(sqrt, {})", False),
-    ("x^2*gauge(sqrt, x^2 + {0}) + y/(x*{0})", True)])
+    ("x^2*theta(norm(x,y), 1) + theta(x*y + {}, 2)", False)])
 def test_divides_by_zero_stops_at_cutoffs_and_gauges(wrap, zero):
-    # `zero`: the tree divides by zero outside every cutoff and gauge.
-    # A division outside fails the identity.  A cutoff's value near 0 is
-    # not certified, so a tree with a cutoff is left undecided (None)
-    # and no division in it is tested; a gauge has no symbolic form, so
-    # its identity raises
-    g = Gauge.from_function("sqrt", math.sqrt, per_octave=8)
-    F = expr_parse(wrap.format("x/(y - y)"), N, gauges={"sqrt": g})
+    # `zero`: the tree divides by zero outside every cutoff.  A division
+    # outside fails the identity.  A cutoff's value near 0 is not
+    # certified, so a tree with a cutoff is left undecided (None) and no
+    # division in it is tested
+    F = expr_parse(wrap.format("x/(y - y)"), N)
     p = jet_parse("x^2 + 1" if wrap.count("theta") == 2 else "x^2", SIG)
-    if "gauge" in wrap:
-        with pytest.raises(DomainError, match="GaugeRef has no symbolic"):
-            symbolic_residual_zero(p, [], F)
-    elif "theta" in wrap:
+    if "theta" in wrap:
         assert symbolic_residual_zero(p, [], F) is None
     else:
         assert symbolic_residual_zero(p, [], F) is not zero
-
-
-def test_gauge_node_has_no_symbolic_form():
-    g = Gauge.from_function("sqrt", math.sqrt, per_octave=8)
-    F = expr_parse("x^2*gauge(sqrt, y)", N, gauges={"sqrt": g})
-    with pytest.raises(DomainError, match="GaugeRef has no symbolic form"):
-        symbolic_residual_zero(jet_parse("x^2", SIG), [], F)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Scalar expression trees: differentiation, evaluation, cutoffs, gauges."""
+"""Scalar expression trees: differentiation, evaluation and cutoffs;
+gauges and their regularization."""
 
 import math
 import random
@@ -14,9 +15,8 @@ from jetideals.errors import DomainError, ParseError
 from jetideals.interval import Interval
 from jetideals.jetring import monomials
 from jetideals.symfun import (Add, Const, Coord, Cutoff, CutoffSpec,
-                              DEFAULT_CUTOFF, Div, Gauge, GaugeRef, Mul, Norm,
-                              Pow, ZERO, _float_pow, _LruMemo,
-                              _sup_envelope, add,
+                              DEFAULT_CUTOFF, Div, Gauge, Mul, Norm, Pow,
+                              ZERO, _float_pow, _LruMemo, _sup_envelope, add,
                               compile_expr, compile_exprs, compile_interval,
                               div, expr_derive, expr_diff, expr_eval,
                               expr_parse, expr_str, gauge_regularize,
@@ -67,7 +67,7 @@ def test_interval_eval_contains_float_eval():
         for _ in range(30):
             lo = [rng.uniform(0.2, 0.8) for _ in range(n)]
             box = [Interval(c, c + rng.uniform(0, 0.2)) for c in lo]
-            enc = expr_eval(e, box, mode="interval")
+            enc = compile_interval(e)(box)
             mid = tuple(iv.mid for iv in box)
             assert enc.lo <= expr_eval(e, mid) <= enc.hi
 
@@ -75,7 +75,7 @@ def test_interval_eval_contains_float_eval():
 def test_eval_domain_guard():
     e = expr_parse("1/x", 1)
     with pytest.raises(DomainError):
-        expr_eval(e, [Interval(-1.0, 1.0)], mode="interval")
+        compile_interval(e)([Interval(-1.0, 1.0)])
 
 
 def test_hom_degree():
@@ -155,7 +155,7 @@ def test_cutoff_expr_derivative_matches_fd():
 def test_cutoff_interval_eval_sound():
     e = Cutoff(DEFAULT_CUTOFF, Norm((0,)), Fraction(1, 10))
     box = [Interval(0.3, 0.9)]
-    enc = expr_eval(e, box, mode="interval")
+    enc = compile_interval(e)(box)
     for v in (0.3, 0.5, 0.7, 0.9):
         assert enc.lo - 1e-12 <= expr_eval(e, (v,)) <= enc.hi + 1e-12
 
@@ -273,14 +273,6 @@ def test_a_nan_sample_is_refused():
         Gauge.from_function("g", lambda t: math.nan if t < 1e-9 else 0.5)
 
 
-def test_gauge_ref_not_differentiable():
-    g = Gauge.from_function("sqrt", math.sqrt, per_octave=8)
-    e = expr_parse("gauge(sqrt, norm(x))", 1, gauges={"sqrt": g})
-    assert expr_eval(e, (0.25,)) == pytest.approx(0.5, abs=1e-9)
-    with pytest.raises(DomainError):
-        expr_diff(e, 0)
-
-
 def test_smart_constructors_fold_constants():
     assert add(Const(2), Const(3)) == Const(5)
     assert mul(Const(0), Coord(0)) == ZERO
@@ -339,8 +331,7 @@ def _extend(children):
         st.builds(Pow, children, st.integers(2, 4)),
         st.builds(Div, children, children),
         st.builds(_cutoff, st.sampled_from(SPECS), children,
-                  st.sampled_from(SCALES), st.integers(0, 3)),
-        st.builds(GaugeRef, st.sampled_from(GAUGES), children))
+                  st.sampled_from(SCALES), st.integers(0, 3)))
 
 
 trees = st.recursive(leaves, _extend, max_leaves=8)
@@ -421,7 +412,7 @@ def _derivative_table(e):
     for alpha in monomials(2, N_VARS)[1:]:
         try:
             table.append(expr_derive(e, alpha))
-        except DomainError:      # a gauge, or a cutoff past its q
+        except DomainError:      # a cutoff past its q
             pass
     return table
 
@@ -604,28 +595,6 @@ def test_expr_eval_equals_the_walk(e, pts):
             assert got == want, (expr_str(tree), x)
 
 
-def test_gauge_kernels_equal_the_walk():
-    # the grid ends, points between and beyond them, and arguments where
-    # Gauge.eval raises (t <= 0, -0.0 included); numpy's log2 differs
-    # from math.log2 in the last bit on about 0.1 % of random inputs
-    ts = [0.0, -0.0, -1.0, math.inf, math.nan, 2.0 ** -70, 2.0 ** -60,
-          2.0 ** -0.5, 1.0, 2.0 ** 1.5, 5.0]
-    rng = np.random.default_rng(3)
-    ts += rng.uniform(0.0, 4.0, 4000).tolist()
-    ts += np.exp2(rng.uniform(-64.0, 2.0, 4000)).tolist()
-    for g in GAUGES:
-        e = GaugeRef(g, Coord(0))
-        vals, ok = compile_expr(e)(np.array(ts).reshape(-1, 1))
-        for t, v, good in zip(ts, vals.tolist(), ok.tolist()):
-            try:
-                want = scalar_reference.eval_float(e, (t,))
-            except DomainError:
-                assert not good and math.isnan(v)
-                continue
-            assert good and _same_float(v, want), (g.name, t)
-        assert not ok[:3].any() and ok[3:].all()
-
-
 def test_compiled_shares_equal_subtrees_across_the_table():
     calls = []
 
@@ -735,8 +704,6 @@ def test_compiled_interval_equals_tree_walk(e, box):
             lambda: scalar_reference.eval_interval(tree, box))
         assert _interval_outcome(lambda: compile_interval(tree)(box)) \
             == want, expr_str(tree)
-        assert _interval_outcome(
-            lambda: expr_eval(tree, box, mode="interval")) == want
 
 
 HUGE = Const(10 ** 400)     # no float holds it
