@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .interval import Interval
-from .symfun import Const, Div, Norm, collect_cutoffs, compile_interval
+from .symfun import Const, Div, Norm, collect_cutoffs, expr_enclose
 
 
 class Dome:
@@ -67,11 +67,10 @@ def _region_boxes(omegas, delta, s_lo, s_hi):
 def _dome_sup(expr, boxes):
     """Certified upper bound of |expr| over the boxes, one interval
     enclosure each; inf where a box has no enclosure (a DomainError)."""
-    enclose = compile_interval(expr)
     top = 0.0
     for box in boxes:
         try:
-            top = max(top, abs(enclose(box)).hi)
+            top = max(top, abs(expr_enclose(expr, box)).hi)
         except DomainError:
             return math.inf
     return top
@@ -116,7 +115,7 @@ def _cutoff_values(exprs, box, s_range, n):
             lo, hi = arg.num.value / s_hi, arg.num.value / s_lo
         else:
             try:
-                enc = compile_interval(arg)(box)
+                enc = expr_enclose(arg, box)
             except DomainError:
                 return None
             lo, hi = enc.lo, enc.hi

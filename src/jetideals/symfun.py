@@ -5,13 +5,16 @@ S_l and cutoffs are written: rational-coefficient arithmetic, division,
 vector norms and a polynomial smoothstep cutoff theta.  The language is
 closed under partial differentiation (cutoff nodes carry their
 derivative order), and every node evaluates in float or outward-rounded
-interval arithmetic.  Gauges and their regularization live here too,
-but no node of the language refers to a gauge.
+interval arithmetic.  Each of these, and every other evaluation or
+rewrite of a tree, is a hook set that dispatches on the node class's
+hook name (fold; expr_diff through its cache).  The process keeps two
+tree caches: derivatives (DERIVATIVES) and float kernels (KERNELS).
+Gauges and their regularization live here too, but no node of the
+language refers to a gauge.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import operator
@@ -269,32 +272,20 @@ def fold(exprs, hooks, memo=None):
     def visit(node):
         value = memo.get(node, _ABSENT)
         if value is _ABSENT:
-            hook = getattr(hooks, node.hook, None)
-            if hook is None:
-                raise TypeError(f"{type(hooks).__name__} has no hook for "
-                                f"node class {type(node).__name__}")
-            value = memo[node] = hook(node, visit)
+            value = memo[node] = _hook(hooks, node)(node, visit)
         return value
 
     return [visit(e) for e in exprs]
 
 
-class _LruMemo(collections.OrderedDict):
-    """A fold memo kept across calls: the `size` most recently used."""
-
-    def __init__(self, size):
-        super().__init__()
-        self.size = size
-
-    def get(self, node, default=None):
-        if node in self:
-            self.move_to_end(node)
-        return super().get(node, default)
-
-    def __setitem__(self, node, value):
-        super().__setitem__(node, value)
-        if len(self) > self.size:
-            self.popitem(last=False)
+def _hook(hooks, node):
+    """The method of hooks that the node's class names; TypeError where
+    hooks has none."""
+    hook = getattr(hooks, node.hook, None)
+    if hook is None:
+        raise TypeError(f"{type(hooks).__name__} has no hook for "
+                        f"node class {type(node).__name__}")
+    return hook
 
 
 # ---------------------------------------------------------------------------
@@ -312,47 +303,50 @@ DERIVATIVES = 1 << 10
 @functools.lru_cache(maxsize=DERIVATIVES)
 def expr_diff(e: ScalarExpr, i: int) -> ScalarExpr:
     """Exact partial derivative with respect to coordinate i."""
-    if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Coord):
-        return ONE if e.i == i else ZERO
-    if isinstance(e, Add):
-        return add(*(expr_diff(t, i) for t in e.terms))
-    if isinstance(e, Mul):
-        parts = []
-        for j, f in enumerate(e.factors):
-            df = expr_diff(f, i)
-            if df == ZERO:
-                continue
-            rest = e.factors[:j] + e.factors[j + 1:]
-            parts.append(mul(df, *rest))
-        return add(*parts) if parts else ZERO
-    if isinstance(e, Pow):
-        db = expr_diff(e.base, i)
+    return _hook(_Diff(i), e)(e, lambda child: expr_diff(child, i))
+
+
+class _Diff:
+    """Hooks of expr_diff: each node's partial derivative in coordinate
+    i; visit(child) is the child's, read through expr_diff's cache."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def const(self, e, visit): return ZERO
+    def coord(self, e, visit): return ONE if e.i == self.i else ZERO
+    def add(self, e, visit): return add(*map(visit, e.terms))
+
+    def mul(self, e, visit):
+        return add(*(mul(df, *e.factors[:j], *e.factors[j + 1:])
+                     for j, df in enumerate(map(visit, e.factors))
+                     if df != ZERO))
+
+    def pow(self, e, visit):
+        db = visit(e.base)
         if db == ZERO:
             return ZERO
         return mul(Const(e.k), ipow(e.base, e.k - 1), db)
-    if isinstance(e, Div):
-        du = expr_diff(e.num, i)
-        dv = expr_diff(e.den, i)
+
+    def div(self, e, visit):
+        du, dv = visit(e.num), visit(e.den)
         if dv == ZERO:
             return div(du, e.den)
         return div(add(mul(du, e.den), mul(Const(-1), mul(e.num, dv))),
                    ipow(e.den, 2))
-    if isinstance(e, Norm):
-        if i not in e.indices:
-            return ZERO
-        return div(Coord(i), e)
-    if isinstance(e, Cutoff):
+
+    def norm(self, e, visit):
+        return div(Coord(self.i), e) if self.i in e.indices else ZERO
+
+    def cutoff(self, e, visit):
         if e.order + 1 > e.spec.q:
             raise DomainError(
                 f"cutoff differentiated past registered smoothness {e.spec.q}")
-        da = expr_diff(e.arg, i)
+        da = visit(e.arg)
         if da == ZERO:
             return ZERO
         inner = Cutoff(e.spec, e.arg, e.scale, e.order + 1)
         return mul(Const(Fraction(1, 1) / e.scale), inner, da)
-    raise TypeError(f"unknown node {e!r}")
 
 
 def expr_derive(e: ScalarExpr, alpha) -> ScalarExpr:
@@ -369,8 +363,8 @@ def expr_derive(e: ScalarExpr, alpha) -> ScalarExpr:
 # ---------------------------------------------------------------------------
 
 def expr_eval(e: ScalarExpr, point):
-    """The float value of e at a point; compile_interval(e)(box)
-    encloses e over a box.
+    """The float value of e at a point; expr_enclose encloses e over a
+    box.
 
     Division by zero raises DomainError rather than producing
     infinities.  The value is compile_expr's at the one point, and
@@ -384,95 +378,45 @@ def expr_eval(e: ScalarExpr, point):
     return float(values[0])
 
 
-# Interval programs kept for the process, one per structurally distinct
-# node: nodes hash by structure, and cutoff nodes compare their spec by
-# identity, so equal nodes are the same function.
-INTERVAL_PROGRAMS = 1 << 10
-_PROGRAMS = _LruMemo(INTERVAL_PROGRAMS)
-
 _IV_ZERO = Interval(0.0, 0.0)
 _IV_ONE = Interval(1.0, 1.0)
 
 
-def compile_interval(e: ScalarExpr):
-    """Interval evaluator of e: box (one Interval per coordinate) ->
-    enclosure of e over the box.
+def expr_enclose(e: ScalarExpr, box) -> Interval:
+    """An enclosure of e over a box, one Interval per coordinate.
 
-    Constants become Intervals once, here, and so does a product's first
-    step when its first factor is a constant.  Evaluation applies the
-    Interval operations of a tree walk in the walk's order: sums run from
-    [0, 0] and products from [1, 1], left to right, numerators before
-    denominators.  So every enclosure, and every DomainError or
-    ValueError, is the walk's exactly.  Children compile through the
-    kept programs, so equal subtrees share one closure.
+    The fold applies the Interval operations of a tree walk in the
+    walk's order: sums run from [0, 0] and products from [1, 1], left to
+    right, numerators before denominators.  So the enclosure, and every
+    DomainError, OverflowError or ValueError, is the walk's exactly.
     """
-    return fold((e,), _Interval(), _PROGRAMS)[0]
+    return fold((e,), _Enclose(box))[0]
 
 
-class _Interval:
-    """Hooks of compile_interval: one closure box -> Interval per node."""
+class _Enclose:
+    """Hooks of expr_enclose: each node folds to its Interval over the
+    box."""
 
-    def const(self, e, visit):
-        iv, value = _exact_constant(e.value), e.value
-        if iv is None:
-            return lambda box: Interval.exact(value)
-        return lambda box: iv
+    def __init__(self, box):
+        self.box = box
 
-    def coord(self, e, visit):
-        return operator.itemgetter(e.i)
+    def const(self, e, visit): return Interval.exact(e.value)
+    def coord(self, e, visit): return self.box[e.i]
+    def pow(self, e, visit): return visit(e.base).ipow(e.k)
+    def div(self, e, visit): return visit(e.num) / visit(e.den)
 
     def add(self, e, visit):
-        terms = tuple(map(visit, e.terms))
-
-        def add_terms(box):
-            out = _IV_ZERO
-            for t in terms:
-                out = out + t(box)
-            return out
-        return add_terms
+        return functools.reduce(operator.add, map(visit, e.terms), _IV_ZERO)
 
     def mul(self, e, visit):
-        factors = tuple(map(visit, e.factors))
-        start = _IV_ONE
-        if isinstance(e.factors[0], Const):
-            lead = _exact_constant(e.factors[0].value)
-            if lead is not None:
-                # the walk's first product is the same for every box
-                start, factors = _IV_ONE * lead, factors[1:]
-
-        def mul_factors(box):
-            out = start
-            for f in factors:
-                out = out * f(box)
-            return out
-        return mul_factors
-
-    def pow(self, e, visit):
-        base, k = visit(e.base), e.k
-        return lambda box: base(box).ipow(k)
-
-    def div(self, e, visit):
-        num, den = visit(e.num), visit(e.den)
-        return lambda box: num(box) / den(box)
+        return functools.reduce(operator.mul, map(visit, e.factors), _IV_ONE)
 
     def norm(self, e, visit):
-        indices = e.indices
-        return lambda box: box_norm([box[i] for i in indices])
+        return box_norm([self.box[i] for i in e.indices])
 
     def cutoff(self, e, visit):
-        arg, scale = visit(e.arg), visit(Const(e.scale))
-        spec, order = e.spec, e.order
-        return lambda box: spec.eval_interval(arg(box) / scale(box), order)
-
-
-def _exact_constant(value):
-    """Interval.exact(value), or None for a value beyond float range:
-    that constant raises OverflowError on each evaluation instead, where
-    a tree walk raises it."""
-    try:
-        return Interval.exact(value)
-    except OverflowError:
-        return None
+        return e.spec.eval_interval(visit(e.arg) / Interval.exact(e.scale),
+                                    e.order)
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +425,10 @@ def _exact_constant(value):
 
 _CHUNK = 1024   # points per pass; bounds the memory of the shared subtrees
 
-# Kernels kept for the process, one per distinct table of trees (trees
-# compare by structure, as for compile_interval), so a derivative table
-# that later checks evaluate again is compiled once.
+# Kernels kept for the process, one per distinct table of trees: trees
+# compare by structure, and cutoff nodes compare their spec by identity,
+# so equal tables are the same functions and a derivative table that
+# later checks evaluate again is compiled once.
 KERNELS = 1 << 8
 
 
@@ -641,9 +586,9 @@ class _Kernel:
 def hom_degree(e: ScalarExpr):
     """Homogeneity degree d with e(s x) = s^d e(x), read off the tree.
 
-    Returns an int/Fraction, or None when the tree gives no uniform
-    degree (mixed-degree sums, cutoff nodes).  Conservative:
-    None never means "definitely inhomogeneous".
+    Returns an int, or None when the tree gives no uniform degree
+    (mixed-degree sums, cutoff nodes).  Conservative: None never means
+    "definitely inhomogeneous".
     """
     return fold((e,), _Degree())[0]
 
@@ -1088,10 +1033,6 @@ class _ExprParser(_Parser):
     smart constructors: '/' takes any divisor, ^k any integer k, and the
     names are the coordinates, abs2(...), norm(...) and theta(e, scale)."""
 
-    def __init__(self, text, n, cutoff=None):
-        super().__init__(text, n)
-        self.cutoff = cutoff or DEFAULT_CUTOFF
-
     const = staticmethod(Const)
     add = staticmethod(add)
     mul = staticmethod(mul)
@@ -1128,7 +1069,7 @@ class _ExprParser(_Parser):
             self.expect_op(",")
             scale = self.parse_rational()
             self.expect_op(")")
-            return Cutoff(self.cutoff, arg, scale)
+            return Cutoff(DEFAULT_CUTOFF, arg, scale)
         if name in self.names:
             return Coord(self.names[name])
         raise ParseError(f"unknown name {name!r}", pos)
@@ -1166,6 +1107,7 @@ class _ExprParser(_Parser):
         return sign * out
 
 
-def expr_parse(text: str, n: int, cutoff=None) -> ScalarExpr:
-    """Parse the extended expression grammar into a ScalarExpr tree."""
-    return _ExprParser(text, n, cutoff=cutoff).parse()
+def expr_parse(text: str, n: int) -> ScalarExpr:
+    """Parse the extended expression grammar into a ScalarExpr tree;
+    theta is DEFAULT_CUTOFF."""
+    return _ExprParser(text, n).parse()

@@ -29,7 +29,7 @@ from .regions import (_cutoff_values, _dome_sup, _region_boxes,
                       _region_signs)
 from .symfun import (KERNELS, Const, Coord, Cutoff, DEFAULT_CUTOFF, Norm,
                      ScalarExpr, ZERO, add, collect_cutoffs, compile_expr,
-                     compile_exprs, compile_interval, div, expr_derive,
+                     compile_exprs, div, expr_derive, expr_enclose,
                      expr_str, fold, hom_degree, ipow, mul)
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
@@ -393,9 +393,11 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int):
         return NegligibilityCertificate(F, vecs, m, [record],
                                         record["verdict"])
 
+    index, table = _derivative_table((F,), m, n)
+    derivs = {alpha: G for (_, alpha), G in zip(index, table)}
     record, rows, verdict = {"delta0": delta0}, [], PASS
     for alpha in monomials(m, n):
-        G = expr_derive(F, alpha)
+        G = derivs.get(alpha, ZERO)
         row = {"alpha": list(alpha)}
         rows.append(row)
         d = None if G == ZERO else hom_degree(G)
@@ -522,7 +524,7 @@ def _sign_at(G, vec, ray, n):
         box = [Interval(math.nextafter(c, -math.inf),
                         math.nextafter(c, math.inf)) for c in vec]
         try:
-            enc = compile_interval(G)(box)
+            enc = expr_enclose(G, box)
         except DomainError:
             return None, "no enclosure at omega"
         sign = (enc.lo > 0) - (enc.hi < 0)

@@ -24,9 +24,14 @@ test_symfun.py requires the two to agree bit for bit.  Gauge sampling
 that fed fn numpy scalars and clamped by min(1.0, .), gauge_samples:
 test_symfun.py requires Gauge.from_function to give the same samples.
 
-The interval tree walk that symfun.compile_interval replaced:
-test_symfun.py requires the compiled interval programs to return
-exactly its enclosures and to raise where it raises.
+The interval tree walk eval_interval, which symfun.expr_enclose
+folds in the same order: test_symfun.py requires expr_enclose to
+return exactly its enclosures and to raise where it raises.
+
+The derivative as one isinstance chain over the node classes, diff,
+where symfun.expr_diff dispatches through its hook set _Diff:
+test_symfun.py requires expr_diff to build equal trees, printed alike,
+and to raise DomainError where diff raises it.
 
 The point-by-point loops over eval_float that verifier._sampled_bound_check,
 verifier._leibniz_bound_check, verifier._shell_sweep and
@@ -43,7 +48,7 @@ and the S_l to give the same verdicts, witness multi-indices and points
 and skipped counts, and maxima and witness values within 1e-12 relative.
 
 The negligibility dome sup on the interval tree walk, dome_sup, where
-regions._dome_sup runs the compiled enclosure over the same boxes:
+regions._dome_sup runs expr_enclose over the same boxes:
 test_dome_tree.py requires check_negligible to return exactly what it
 returns on this one.
 
@@ -177,8 +182,8 @@ from jetideals.exactlin import Subspace
 from jetideals.exactlin import rref as integer_rref
 from jetideals.jetring import (_Parser, DiffeoJet, Jet, monomials,
                                variable_names)
-from jetideals.symfun import (ZERO, Add, Const, Coord, Cutoff, Div, Gauge,
-                              Mul, Norm, Pow, RegularizedGauge, _bump,
+from jetideals.symfun import (ONE, ZERO, Add, Const, Coord, Cutoff, Div,
+                              Gauge, Mul, Norm, Pow, RegularizedGauge, _bump,
                               _ExprParser, _poly_eval_interval, add, div,
                               expr_derive, ipow, mul)
 from jetideals.verifier import (_cutoff_feature_scales, _region_directions,
@@ -247,6 +252,50 @@ def eval_interval(e, box):
     if isinstance(e, Cutoff):
         v = eval_interval(e.arg, box) / Interval.exact(e.scale)
         return e.spec.eval_interval(v, e.order)
+    raise TypeError(f"unknown node {e!r}")
+
+
+def diff(e, i):
+    if isinstance(e, Const):
+        return ZERO
+    if isinstance(e, Coord):
+        return ONE if e.i == i else ZERO
+    if isinstance(e, Add):
+        return add(*(diff(t, i) for t in e.terms))
+    if isinstance(e, Mul):
+        parts = []
+        for j, f in enumerate(e.factors):
+            df = diff(f, i)
+            if df == ZERO:
+                continue
+            rest = e.factors[:j] + e.factors[j + 1:]
+            parts.append(mul(df, *rest))
+        return add(*parts) if parts else ZERO
+    if isinstance(e, Pow):
+        db = diff(e.base, i)
+        if db == ZERO:
+            return ZERO
+        return mul(Const(e.k), ipow(e.base, e.k - 1), db)
+    if isinstance(e, Div):
+        du = diff(e.num, i)
+        dv = diff(e.den, i)
+        if dv == ZERO:
+            return div(du, e.den)
+        return div(add(mul(du, e.den), mul(Const(-1), mul(e.num, dv))),
+                   ipow(e.den, 2))
+    if isinstance(e, Norm):
+        if i not in e.indices:
+            return ZERO
+        return div(Coord(i), e)
+    if isinstance(e, Cutoff):
+        if e.order + 1 > e.spec.q:
+            raise DomainError(
+                f"cutoff differentiated past registered smoothness {e.spec.q}")
+        da = diff(e.arg, i)
+        if da == ZERO:
+            return ZERO
+        inner = Cutoff(e.spec, e.arg, e.scale, e.order + 1)
+        return mul(Const(Fraction(1, 1) / e.scale), inner, da)
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -1407,5 +1456,5 @@ class ExprParser(_ExprParser):
         return base
 
 
-def expr_parse(text, n, cutoff=None):
-    return ExprParser(text, n, cutoff=cutoff).parse()
+def expr_parse(text, n):
+    return ExprParser(text, n).parse()

@@ -31,7 +31,7 @@ from jetideals.errors import DomainError
 from jetideals.interval import Interval
 from jetideals.jetring import monomials
 from jetideals.symfun import (ZERO, Const, Coord, Norm, add, compile_exprs,
-                              compile_interval, div, expr_derive, expr_diff,
+                              div, expr_derive, expr_diff, expr_enclose,
                               expr_eval, ipow, mul)
 from jetideals.verifier import (check_annulus_condition, chi_expr,
                                 expr_scale_coords)
@@ -190,7 +190,7 @@ def _enclosure(e, box):
     """e's enclosure over the box, or no example where intervals cannot
     enclose it (a denominator enclosure that holds 0)."""
     try:
-        return compile_interval(e)(box)
+        return expr_enclose(e, box)
     except (DomainError, OverflowError, ValueError):
         assume(False)
 

@@ -21,7 +21,7 @@ from jetideals.ideal import JetIdeal
 from jetideals.interval import Interval
 from jetideals.jetring import RingSignature, jet_parse
 from jetideals.regions import Dome, _region_boxes
-from jetideals.symfun import (compile_interval, expr_derive, expr_eval,
+from jetideals.symfun import (expr_derive, expr_enclose, expr_eval,
                               expr_parse)
 from jetideals.verifier import (ImplicationCertificate, check_negligible,
                                 check_strong_global)
@@ -114,10 +114,10 @@ def test_more_domes_match_reference(reference_run, F, omegas, m, n):
 def test_nan_enclosure_is_not_certified(monkeypatch):
     # inf - inf has no value: a box whose enclosure comes out that way
     # proves nothing, so the sup must not count it as below target
-    def nan_program(e):
-        return lambda box: Interval(math.inf, math.inf) + Interval(-math.inf)
+    def nan_enclosure(e, box):
+        return Interval(math.inf, math.inf) + Interval(-math.inf)
 
-    monkeypatch.setattr(regions, "compile_interval", nan_program)
+    monkeypatch.setattr(regions, "expr_enclose", nan_enclosure)
     cert = check_negligible(expr_parse("y^3/z", 3), POLES, 2, 3)
     assert cert.verdict == "inconclusive"
     # the first sup bounds nothing, and no later sup runs
@@ -189,15 +189,11 @@ def test_each_derivative_encloses_each_cell_once(monkeypatch):
     pole = [(0.0, 0.0, 1.0)]
     evaluated = []
 
-    def recording(expr):
-        enclose = compile_interval(expr)
+    def recording(expr, box):
+        evaluated.append((expr, _cell(box)))
+        return expr_enclose(expr, box)
 
-        def run(box):
-            evaluated.append((expr, _cell(box)))
-            return enclose(box)
-        return run
-
-    monkeypatch.setattr(regions, "compile_interval", recording)
+    monkeypatch.setattr(regions, "expr_enclose", recording)
     shared = check_negligible(F, pole, 2, 3).to_json()
     visited = []
     eval_interval = scalar_reference.eval_interval
@@ -220,9 +216,9 @@ def test_each_derivative_encloses_each_cell_once(monkeypatch):
     assert sorted(evaluated, key=repr) == sorted(visited, key=repr)
 
 
-def _raises_domain_error(enclose, patch):
+def _raises_domain_error(e, patch):
     try:
-        enclose(patch.direction_enclosure())
+        expr_enclose(e, patch.direction_enclosure())
     except DomainError:
         return True
     return False
@@ -232,9 +228,8 @@ def test_cells_without_an_enclosure_match_reference(reference_run):
     # the coarse cells round the poles have no enclosure, and the check
     # passes on one box per pole with no split
     F = expr_parse(SPLIT, 3)
-    enclose = compile_interval(F)
     dome = Dome(sphere_cover(3, 2), POLES, 0.05)
-    assert any(_raises_domain_error(enclose, p) for p in dome.roots)
+    assert any(_raises_domain_error(F, p) for p in dome.roots)
     shared, reference = reference_run(
         lambda: check_negligible(F, POLES, 2, 3).to_json())
     assert shared == reference

@@ -20,6 +20,7 @@ of the same name does not keep it, nor a module's function of the same
 name (np.max, math.sqrt)."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -96,49 +97,51 @@ def _module_names(tree):
     return out
 
 
-def _reads(tree, skip=None):
-    """The identifiers tree reads outside the subtree `skip`, as three
-    sets: bare names (loads, and names imported from a module);
-    attribute names on receivers other than imported modules, with
+def _reads(tree, modules):
+    """The identifiers tree reads, counted, as three Counters: bare
+    names (loads, and names imported from a module); attribute names on
+    receivers other than the imported modules `modules`, with
     identifier strings (bench/tracing.py names what it wraps by string);
-    and attribute names read off imported modules."""
-    modules = _module_names(tree)
-    names, attrs, module_attrs, stack = set(), set(), set(), [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
+    and attribute names read off those modules."""
+    names, attrs, module_attrs = Counter(), Counter(), Counter()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
             if isinstance(node.value, ast.Name) and node.value.id in modules:
-                module_attrs.add(node.attr)
+                module_attrs[node.attr] += 1
             else:
-                attrs.add(node.attr)
+                attrs[node.attr] += 1
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
-            attrs.add(node.value)
-        stack.extend(ast.iter_child_nodes(node))
+            attrs[node.value] += 1
     return names, attrs, module_attrs
 
 
 def test_every_top_level_function_and_class_is_used():
-    trees = {p: ast.parse(p.read_text(), filename=str(p))
-             for p in sorted(SRC.glob("*.py"))}
-    reads = {p: _reads(tree) for p, tree in trees.items()}
-    for p in [*(ROOT / "bench").glob("*.py"), *(ROOT / "demos").glob("*.py")]:
-        reads[p] = _reads(ast.parse(p.read_text(), filename=str(p)))
+    # one walk per file, and one per definition for its own reads: what
+    # a module reads outside a definition is its count less the
+    # definition's
+    reads, definitions = {}, []
+    for p in [*sorted(SRC.glob("*.py")), *(ROOT / "bench").glob("*.py"),
+              *(ROOT / "demos").glob("*.py")]:
+        tree = ast.parse(p.read_text(), filename=str(p))
+        modules = _module_names(tree)
+        reads[p] = _reads(tree, modules)
+        if p.parent == SRC:
+            definitions += [(p, node, is_method, _reads(node, modules))
+                            for node, is_method in _definitions(tree)]
     unused = []
-    for p, tree in trees.items():
+    for p, node, is_method, own in definitions:
+        outside = tuple(total - mine for total, mine in zip(reads[p], own))
         others = [r for q, r in reads.items() if q != p]
-        for node, is_method in _definitions(tree):
-            if not any(node.name in attrs
-                       or (not is_method and node.name in names | module_attrs)
-                       for names, attrs, module_attrs
-                       in [_reads(tree, skip=node), *others]):
-                unused.append(f"{p.name}: {node.name} (line {node.lineno})")
+        if not any(node.name in attrs
+                   or (not is_method
+                       and (node.name in names or node.name in module_attrs))
+                   for names, attrs, module_attrs in [outside, *others]):
+            unused.append(f"{p.name}: {node.name} (line {node.lineno})")
     assert not unused, f"defined but never used: {unused}"
 
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, strategies as st
 from jetideals.algebraic import evaluate
 from jetideals.errors import DomainError
 from jetideals.interval import Interval, _down, _up, box_norm
-from jetideals.symfun import DEFAULT_CUTOFF, compile_interval, expr_parse
+from jetideals.symfun import DEFAULT_CUTOFF, expr_enclose, expr_parse
 
 import scalar_reference as ref
 
@@ -232,7 +232,7 @@ def test_an_int_that_no_double_holds_is_widened(x):
         assert iv.lo <= x <= iv.hi       # int-float comparison is exact
     if float(x) == x:
         assert Interval.exact(x) == Interval(x) == Interval(float(x))
-    enc = compile_interval(expr_parse("x + 1", 1))([Interval.exact(x)])
+    enc = expr_enclose(expr_parse("x + 1", 1), [Interval.exact(x)])
     assert enc.lo <= x + 1 <= enc.hi
 
 

@@ -13,14 +13,18 @@ signed permutation A, composing the ideal, p, the Q_l, the S_l and F
 with x -> A x, and moving Omega to A^T Omega, gives a certificate of the
 same statement.  Sampled checks draw other points on an image, so only
 a pass on one image and a fail on another is a contradiction; the exact
-negligibility verdicts must be equal."""
+negligibility verdicts must be equal, and the allowed set of the image
+of an ideal must be A^T times the ideal's, exactness included."""
 
 import itertools
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
 from jetideals.corpus import case_by_id
+from jetideals.directions import allow_overapprox
 from jetideals.ideal import JetIdeal
 from jetideals.jetring import DiffeoJet, RingSignature, jet_compose, jet_parse
 from jetideals.symfun import (Const, Coord, Norm, add, div, expr_eval,
@@ -137,6 +141,12 @@ class _Permuted:
         return Norm([self.entries[i][0] for i in e.indices])
 
 
+def _transposed(matrix, w):
+    """A^T w."""
+    return tuple(sum(row[j] * w[i] for i, row in enumerate(matrix))
+                 for j in range(len(w)))
+
+
 def _permuted(expr, matrix):
     return fold((expr,), _Permuted(matrix))[0]
 
@@ -177,7 +187,27 @@ def test_negligibility_verdicts_are_equal_across_signed_permutations():
         assert check_negligible(F, omegas, m, n).verdict == want
         for matrix in _signed_permutations(n):
             # F(A x) near u is F near A u: Omega moves to A^T Omega
-            moved = [tuple(sum(row[j] * w[i] for i, row in enumerate(matrix))
-                           for j in range(n)) for w in omegas]
+            moved = [_transposed(matrix, w) for w in omegas]
             assert check_negligible(_permuted(F, matrix), moved, m,
                                     n).verdict == want, matrix
+
+
+STUDIES = json.loads((pathlib.Path(__file__).parent / "data"
+                      / "ideal_studies.json").read_text())
+
+
+@pytest.mark.parametrize("study", STUDIES, ids=lambda s: f"seed{s['seed']}")
+def test_allowed_sets_map_exactly_under_signed_permutations(study):
+    sig = RingSignature(study["m"], study["n"])
+    ideal = JetIdeal(sig, [jet_parse(g, sig) for g in study["generators"]])
+    allowed = allow_overapprox(ideal)
+    for matrix in _signed_permutations(sig.n):
+        image = allow_overapprox(
+            ideal.transform(DiffeoJet.linear(sig, matrix)))
+        assert (image.is_finite, image.exact) == (allowed.is_finite,
+                                                  allowed.exact), matrix
+        if allowed.is_finite:
+            # == on floats: the plane solver writes some zeros as -0.0
+            assert sorted(d.vec for d in image.directions) == sorted(
+                _transposed(matrix, d.vec) for d in allowed.directions), \
+                matrix

@@ -5,7 +5,8 @@ Every node compares and hashes by its class and fields, through the one
 __eq__/__hash__ of ScalarExpr; cutoff specs compare by identity.
 children() lists the ScalarExpr-valued fields in field order, and
 subtrees() walks them in preorder.  fold calls one hook per node class,
-named by the class, and folds each distinct subtree once; a hook set
+named by the class, and folds each distinct subtree once; expr_diff
+calls its hook set's hooks the same way, through its cache.  A hook set
 holds no public callable that is not some node class's hook."""
 
 from fractions import Fraction
@@ -15,7 +16,8 @@ import pytest
 from jetideals import symfun, verifier
 from jetideals.symfun import (Add, Const, Coord, Cutoff, CutoffSpec,
                               DEFAULT_CUTOFF, Div, Mul, Norm, Pow, ScalarExpr,
-                              expr_derive, expr_parse, fold, subtrees)
+                              expr_derive, expr_diff, expr_parse, fold,
+                              subtrees)
 
 X, Y, Z = Coord(0), Coord(1), Coord(2)
 
@@ -108,8 +110,8 @@ def test_cutoff_specs_compare_by_identity():
     assert Cutoff(DEFAULT_CUTOFF, X, 1) != Cutoff(twin_spec, X, 1)
 
 
-# every hook set of the package that folds expression trees
-HOOK_SETS = [symfun._Kernel, symfun._Interval, symfun._Degree,
+# every hook set of the package that folds or derives expression trees
+HOOK_SETS = [symfun._Kernel, symfun._Enclose, symfun._Diff, symfun._Degree,
              symfun._Printer, verifier._FreeNorms, verifier._RingFraction,
              verifier._Rescale]
 
@@ -164,13 +166,19 @@ def test_folding_a_table_folds_each_distinct_subtree_once():
     assert all(a is b for a, b in zip(values[:4], values[-4:]))
 
 
-def test_a_node_class_without_a_hook_raises_type_error():
+def test_a_node_class_without_a_hook_raises_type_error(monkeypatch):
     class NoCutoff(_Recorder):
         cutoff = None
 
     with pytest.raises(TypeError, match="NoCutoff has no hook for node "
                                         "class Cutoff"):
         fold([Add((X, BUILDERS[Cutoff]()))], NoCutoff())
+    # a derivative kept from an earlier call would not reach the hook
+    expr_diff.cache_clear()
+    monkeypatch.setattr(symfun._Diff, "cutoff", None)
+    with pytest.raises(TypeError, match="_Diff has no hook for node "
+                                        "class Cutoff"):
+        expr_diff(Add((X, BUILDERS[Cutoff]())), 0)
 
 
 def test_a_memo_given_to_fold_carries_values_across_calls():

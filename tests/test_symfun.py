@@ -16,9 +16,9 @@ from jetideals.interval import Interval
 from jetideals.jetring import monomials
 from jetideals.symfun import (Add, Const, Coord, Cutoff, CutoffSpec,
                               DEFAULT_CUTOFF, Div, Gauge, Mul, Norm, Pow,
-                              ZERO, _float_pow, _LruMemo, _sup_envelope, add,
-                              compile_expr, compile_exprs, compile_interval,
-                              div, expr_derive, expr_diff, expr_eval,
+                              ZERO, _float_pow, _sup_envelope, add,
+                              compile_expr, compile_exprs, div, expr_derive,
+                              expr_diff, expr_enclose, expr_eval,
                               expr_parse, expr_str, gauge_regularize,
                               hom_degree, ipow, mul, subtrees)
 
@@ -67,7 +67,7 @@ def test_interval_eval_contains_float_eval():
         for _ in range(30):
             lo = [rng.uniform(0.2, 0.8) for _ in range(n)]
             box = [Interval(c, c + rng.uniform(0, 0.2)) for c in lo]
-            enc = compile_interval(e)(box)
+            enc = expr_enclose(e, box)
             mid = tuple(iv.mid for iv in box)
             assert enc.lo <= expr_eval(e, mid) <= enc.hi
 
@@ -75,7 +75,7 @@ def test_interval_eval_contains_float_eval():
 def test_eval_domain_guard():
     e = expr_parse("1/x", 1)
     with pytest.raises(DomainError):
-        compile_interval(e)([Interval(-1.0, 1.0)])
+        expr_enclose(e, [Interval(-1.0, 1.0)])
 
 
 def test_hom_degree():
@@ -155,7 +155,7 @@ def test_cutoff_expr_derivative_matches_fd():
 def test_cutoff_interval_eval_sound():
     e = Cutoff(DEFAULT_CUTOFF, Norm((0,)), Fraction(1, 10))
     box = [Interval(0.3, 0.9)]
-    enc = compile_interval(e)(box)
+    enc = expr_enclose(e, box)
     for v in (0.3, 0.5, 0.7, 0.9):
         assert enc.lo - 1e-12 <= expr_eval(e, (v,)) <= enc.hi + 1e-12
 
@@ -391,14 +391,6 @@ def test_printed_tree_parses_back_to_the_same_function(e):
     (Pow(Const(Fraction(3, 2)), 2), "(3/2)^2")])
 def test_quotients_and_powers_print_with_their_parentheses(tree, text):
     assert expr_str(tree, 3) == text
-
-
-def test_a_kept_memo_drops_the_least_recently_used_value():
-    memo = _LruMemo(2)
-    memo[X], memo[Y] = "x", "y"
-    assert memo.get(X) == "x"        # now Y is the least recently used
-    memo[Coord(2)] = "z"
-    assert list(memo) == [X, Coord(2)] and memo.get(Y) is None
 
 
 def _same_float(a, b):
@@ -675,7 +667,7 @@ def test_ramp_on_duplicates_keeps_nan_errors_and_masks():
         assert _same_float(got[2], spec.eval(6.0, order))
 
 
-# -- compiled interval programs and kept derivative tables ---------------------
+# -- enclosures, derivatives and kept derivative tables ----------------------
 
 def _interval_outcome(evaluate):
     """The enclosure's endpoint bits, or the type of what it raised."""
@@ -702,7 +694,7 @@ def test_compiled_interval_equals_tree_walk(e, box):
     for tree in _derivative_table(e):
         want = _interval_outcome(
             lambda: scalar_reference.eval_interval(tree, box))
-        assert _interval_outcome(lambda: compile_interval(tree)(box)) \
+        assert _interval_outcome(lambda: expr_enclose(tree, box)) \
             == want, expr_str(tree)
 
 
@@ -717,16 +709,29 @@ def test_compiled_interval_raises_where_tree_walk_raises(tail, side, error):
     # the walk meets the huge constant only after 1/x evaluates
     e = Add([Div(Const(1), Coord(0)), tail])
     box = [Interval(*side)]
-    for evaluate in (scalar_reference.eval_interval,
-                     lambda tree, b: compile_interval(tree)(b)):
+    for evaluate in (scalar_reference.eval_interval, expr_enclose):
         with pytest.raises(error):
             evaluate(e, box)
 
 
-def test_equal_trees_share_one_interval_program():
-    a = expr_parse("x*y/(x^2 + y^2) + theta(norm(x,y), 1/4)", 2)
-    b = expr_parse("x*y/(x^2 + y^2) + theta(norm(x,y), 1/4)", 2)
-    assert a is not b and compile_interval(a) is compile_interval(b)
+def _derivative_outcome(derive):
+    """The derived tree, or DomainError where the derivation raises it."""
+    try:
+        return derive()
+    except DomainError:
+        return DomainError
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees)
+def test_derivative_equals_the_walks_tree(e):
+    for tree in _derivative_table(e):
+        for i in range(N_VARS):
+            want = _derivative_outcome(lambda: scalar_reference.diff(tree, i))
+            got = _derivative_outcome(lambda: expr_diff(tree, i))
+            assert got == want, (expr_str(tree), i)
+            if want is not DomainError:
+                assert expr_str(got) == expr_str(want)
 
 
 @settings(max_examples=60, deadline=None)
