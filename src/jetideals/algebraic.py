@@ -333,20 +333,24 @@ class Ray:
     """The unit vector v(r)/|v(r)| at a real root r, where v is a tuple
     of polynomials in t over QQ (kept reduced mod the root's f)."""
 
-    __slots__ = ("root", "coords")
+    __slots__ = ("root", "coords", "_norm2_memo")
 
     def __init__(self, root: Root, coords):
         self.root = root
         self.coords = tuple(root.reduce(trim(c)) for c in coords)
+        self._norm2_memo = None
 
     def negated(self) -> "Ray":
         return Ray(self.root, (scale(c, -1) for c in self.coords))
 
     def _norm2(self):
-        total = ()
-        for c in self.coords:
-            total = add(total, self.root.reduce(mul(c, c)))
-        return total
+        """|v|^2 reduced mod the root's f, computed on first use."""
+        if self._norm2_memo is None:
+            total = ()
+            for c in self.coords:
+                total = add(total, self.root.reduce(mul(c, c)))
+            self._norm2_memo = total
+        return self._norm2_memo
 
     def unit(self):
         """The unit vector's coordinates, each the double nearest its

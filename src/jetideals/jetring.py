@@ -460,9 +460,10 @@ class _Poly(dict):
     equality.  It has +, products and powers k >= 1, which drop zero
     coefficients, and scalar multiples (on the right; -1 for a
     difference), which keep every monomial unless the scalar is 0, so
-    that a parsed 0 keeps its place.  rem is the remainder modulo
-    {r_j^2 - s_j} in the verifier's identity ring, whose generators r_j
-    come before the variables.  No gcd and no division."""
+    that a parsed 0 keeps its place.  diff is a partial derivative.
+    rem is the remainder modulo {r_j^2 - s_j} in the verifier's identity
+    ring, whose generators r_j come before the variables.  No gcd and no
+    division."""
 
     __slots__ = ()
 
@@ -479,6 +480,11 @@ class _Poly(dict):
 
     def __pow__(self, k):
         return functools.reduce(operator.mul, [self] * k)
+
+    def diff(self, i):
+        """The partial derivative in variable i."""
+        return _Poly({m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
+                      for m, c in self.items() if m[i]})
 
     def rem(self, squares):
         """The remainder modulo {r_j^2 - s_j} (squares lists the s_j):

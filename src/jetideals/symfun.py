@@ -368,9 +368,9 @@ def expr_eval(e: ScalarExpr, point):
 
     Division by zero raises DomainError rather than producing
     infinities.  The value is compile_expr's at the one point, and
-    raises where it does (see compile_exprs): an overflow anywhere in the
-    tree raises OverflowError, even where a tree walk would meet a
-    DomainError first.
+    raises what it does (see compile_exprs): the first failure a tree
+    walk meets, so an overflow behind a division by zero is a
+    DomainError.
     """
     values, ok = compile_expr(e)(np.array([[float(c) for c in point]]))
     if not ok[0]:
@@ -448,9 +448,12 @@ def compile_exprs(exprs):
     subtrees anywhere in the table are evaluated once per chunk of
     points.
 
-    Where the walk raises something else (OverflowError from a float
-    power, ValueError from a cutoff of a NaN argument), so does the
-    evaluator, for any point where that node's operands evaluate.
+    Where the walk of a tree raises something else (OverflowError from
+    a float power, ValueError from a cutoff of a NaN argument), so does
+    the evaluator.  Each node's state at a point is the first failure
+    its operands meet in the walk's order (a quotient's denominator and
+    its zero test before its numerator), else its own, so an overflow
+    behind a division by zero is masked as the walk never reaches it.
 
     Equal tables get the same evaluator back (KERNELS are kept).
     """
@@ -472,13 +475,17 @@ def _compile_table(exprs):
             for start in range(0, count, _CHUNK):
                 cols = np.ascontiguousarray(points[start:start + _CHUNK].T)
                 stop = start + cols.shape[1]
-                vals, masks = {}, {}
+                vals, states = {}, {}
                 for step in program:
-                    vals[step], masks[step] = step(vals, masks, cols)
+                    vals[step], states[step] = step(vals, states, cols)
                 for out, v, ok in zip(outputs, values, oks):
+                    mask, fail = states[out]
+                    if fail is not None and fail.any():
+                        error, message = _RAISES[fail[fail != 0][0]]
+                        raise error(message)
                     v[start:stop] = vals[out]
-                    if masks[out] is not None:
-                        ok[start:stop] = masks[out]
+                    if mask is not None:
+                        ok[start:stop] = mask
         for v, ok in zip(values, oks):
             v[~ok] = np.nan
         return list(zip(values, oks))
@@ -492,51 +499,71 @@ def compile_expr(e):
     return lambda points: kernel(points)[0]
 
 
-def _all_ok(masks, operands):
-    """Conjunction of the operands' masks; None means every point is ok."""
-    out = None
-    for s in operands:
-        if masks[s] is not None:
-            out = masks[s] if out is None else out & masks[s]
-    return out
+# A node's state over a chunk of points is a pair (ok, fail).  ok is
+# None where every point evaluates, else a bool array; fail is None
+# where no point raises, else an int array holding at each point that
+# fails raising the index into _RAISES of what the walk raises there,
+# and 0 elsewhere.  A point not ok whose fail is 0 is a DomainError.
+_OK = (None, None)
+_OVERFLOW, _NAN_CUTOFF = 1, 2
+_RAISES = (None, (OverflowError, "float power out of range"),
+           (ValueError, "cutoff of a NaN argument"))
+
+
+def _then(first, then):
+    """The state of evaluating an operand of state `then` after ones of
+    state `first`: each point fails as the first of them that fails
+    there."""
+    (ok, fail), (mask, code) = first, then
+    if code is not None:
+        if ok is not None:
+            code = np.where(ok, code, 0)
+        # a point fails in at most one of fail and code
+        fail = code if fail is None else fail + code
+    if mask is not None:
+        ok = mask if ok is None else ok & mask
+    return ok, fail
+
+
+def _raising(state, where, code):
+    """state, then the node's own operation raising _RAISES[code] at the
+    points of `where`."""
+    if not where.any():
+        return state
+    return _then(state, (~where, np.where(where, code, 0)))
 
 
 def _running(op, start, operands):
     """The step of a sum or product: op from start, left to right."""
-    def step(vals, masks, cols):
-        acc = start
+    def step(vals, states, cols):
+        acc, state = start, _OK
         for s in operands:
             acc = op(acc, vals[s])
-        return acc, _all_ok(masks, operands)
+            state = _then(state, states[s])
+        return acc, state
     return step
 
 
-def _float_pow(base, k, ok=None):
+def _float_pow(base, k):
     """base ** k per element in one np.float_power call, which calls
     libm pow as Python's float power does (np.power differs in the last
-    bit).  Raises OverflowError where Python's ** does, at a finite base
-    whose power is infinite, unless the base failed to evaluate at that
-    point (mask ok)."""
+    bit), and the points where Python's ** raises OverflowError instead:
+    a finite base whose power is infinite."""
     out = np.float_power(base, float(k))
-    over = np.isinf(out) & np.isfinite(base)
-    if ok is not None:
-        over &= ok
-    if over.any():
-        raise OverflowError("float power out of range")
-    return out
+    return out, np.isinf(out) & np.isfinite(base)
 
 
 class _Kernel:
     """Hooks of _compile_table: each node folds to its program step
-    (vals, masks, cols) -> (value, mask), which reads its operands'."""
+    (vals, states, cols) -> (value, state), which reads its operands'."""
 
     def const(self, e, visit):
         c = float(e.value)
-        return lambda vals, masks, cols: (np.full(cols.shape[1], c), None)
+        return lambda vals, states, cols: (np.full(cols.shape[1], c), _OK)
 
     def coord(self, e, visit):
         i = e.i
-        return lambda vals, masks, cols: (cols[i], None)
+        return lambda vals, states, cols: (cols[i], _OK)
 
     def add(self, e, visit):
         return _running(operator.add, 0.0, list(map(visit, e.terms)))
@@ -546,37 +573,44 @@ class _Kernel:
 
     def pow(self, e, visit):
         base, k = visit(e.base), e.k
-        return lambda vals, masks, cols: (
-            _float_pow(vals[base], k, masks[base]), masks[base])
+
+        def power(vals, states, cols):
+            out, over = _float_pow(vals[base], k)
+            return out, _raising(states[base], over, _OVERFLOW)
+        return power
 
     def div(self, e, visit):
         num, den = visit(e.num), visit(e.den)
 
-        def divide(vals, masks, cols):
-            nonzero = vals[den] != 0.0
-            ok = _all_ok(masks, (num, den))
-            return (vals[num] / vals[den],
-                    nonzero if ok is None else ok & nonzero)
+        def divide(vals, states, cols):
+            nonzero = _then(states[den], (vals[den] != 0.0, None))
+            return vals[num] / vals[den], _then(nonzero, states[num])
         return divide
 
     def norm(self, e, visit):
         indices = e.indices
 
-        def norm(vals, masks, cols):
-            acc = 0.0
+        def norm(vals, states, cols):
+            acc, over = 0.0, np.zeros(cols.shape[1], dtype=bool)
             for i in indices:
-                acc = acc + _float_pow(cols[i], 2)
-            return np.sqrt(acc), None
+                square, overflows = _float_pow(cols[i], 2)
+                acc, over = acc + square, over | overflows
+            return np.sqrt(acc), _raising(_OK, over, _OVERFLOW)
         return norm
 
     def cutoff(self, e, visit):
-        if e.order > e.spec.q:
-            return lambda vals, masks, cols: (
-                np.full(cols.shape[1], np.nan),
-                np.zeros(cols.shape[1], dtype=bool))
         arg, spec, scale, order = visit(e.arg), e.spec, float(e.scale), e.order
-        return lambda vals, masks, cols: (
-            spec.eval_array(vals[arg] / scale, order, masks[arg]), masks[arg])
+        if order > spec.q:
+            return lambda vals, states, cols: (
+                np.full(cols.shape[1], np.nan),
+                _then(states[arg], (np.zeros(cols.shape[1], dtype=bool),
+                                    None)))
+
+        def cut(vals, states, cols):
+            v = vals[arg] / scale
+            ok, fail = _raising(states[arg], np.isnan(v), _NAN_CUTOFF)
+            return spec.eval_array(v, order, ok), (ok, fail)
+        return cut
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +687,12 @@ class _Printer:
         return str(e.value), _ATOM if e.value.denominator == 1 else _QUOTIENT
 
     def add(self, e, visit):
-        body = " + ".join(_wrap(visit(t), _SUM) for t in e.terms)
-        return body.replace("+ -", "- ").replace("+ (-", "- ("), _SUM
+        # a later term led by a negative constant, "(-c)...", reads
+        # "- c...", and one led by "(-1)*" reads "- ..."
+        first, *rest = (_wrap(visit(t), _SUM) for t in e.terms)
+        return first + "".join(
+            " - " + t[2:].replace(")", "", 1).removeprefix("1*")
+            if t.startswith("(-") else " + " + t for t in rest), _SUM
 
     def mul(self, e, visit):
         return "*".join(_wrap(visit(f), _PRODUCT) for f in e.factors), _PRODUCT

@@ -359,8 +359,12 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int):
     - gap > 0: G(x) = |x|^(k + gap) G(x/|x|), so (a) holds for
       |x| < r(eps) with sup the dome sup of |G|.
     - gap = 0: |G(t w)| = |G(w)| t^k, so G(w) must be 0 at each
-      direction w, which is decided exactly (_sign_at); otherwise the
-      check fails, with the witness 0.5 w for eps = |G(w)| / 2.  With
+      direction w, which is decided exactly.  For F with a ring table
+      (_ring_table), G = P_alpha / D^k_alpha has the sign of
+      P_alpha(u) times sign(D(u))^k_alpha at the unit vector u of w,
+      sign(D(u)) taken once per direction; _sign_at decides the rest
+      (no table, or D(u) = 0).  Where G(w) is not 0 the check fails,
+      with the witness 0.5 w for eps = |G(w)| / 2.  With
       L the largest dome sup of the |d_i G|, the box is convex and
       holds the segment from w to u, so |G(u)| <= L sum_i |u_i - w_i|
       <= L' |u - w|, L' = sqrt(n) L: (a) holds with delta(eps).  For
@@ -396,6 +400,7 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int):
     index, table = _derivative_table((F,), m, n)
     derivs = {alpha: G for (_, alpha), G in zip(index, table)}
     record, rows, verdict = {"delta0": delta0}, [], PASS
+    den_signs = {}   # ray -> sign of the ring table's D at its unit vector
     for alpha in monomials(m, n):
         G = derivs.get(alpha, ZERO)
         row = {"alpha": list(alpha)}
@@ -409,8 +414,8 @@ def check_negligible(F: ScalarExpr, omegas, m: int, n: int):
             continue
         row["homogeneity_gap"] = gap
         if gap == 0:
-            verdict = meet(verdict, _zero_on_directions(G, alpha, dirs,
-                                                        m, n, row))
+            verdict = meet(verdict, _zero_on_directions(
+                F, G, alpha, dirs, m, n, row, den_signs))
             if "witness" in row:
                 record.setdefault("witness", row["witness"])
 
@@ -468,12 +473,15 @@ def _distinct_directions(omegas):
     return list(found.values())
 
 
-def _zero_on_directions(G, alpha, dirs, m, n, row):
-    """Fill the gap-0 row of G, and give its verdict: fail with a witness
-    where G is not 0, else inconclusive where that is undecided."""
+def _zero_on_directions(F, G, alpha, dirs, m, n, row, den_signs):
+    """Fill the gap-0 row of G = d^alpha F, and give its verdict: fail
+    with a witness where G is not 0, else inconclusive where that is
+    undecided.  Each sign comes from F's ring table (_table_sign), or
+    from _sign_at where the table does not decide it."""
     undecided = None
     for vec, ray in dirs:
-        sign, how = _sign_at(G, vec, ray, n)
+        sign, how = (_table_sign(F, alpha, ray, m, n, den_signs)
+                     or _sign_at(G, vec, ray, n))
         if sign:
             # |G(t w)| = |G(w)| t^k on the ray: at t = 1/2, eps = |G(w)|/2
             center = tuple(0.5 * c for c in vec)
@@ -490,6 +498,23 @@ def _zero_on_directions(G, alpha, dirs, m, n, row):
             undecided = {"status": how, "omega": list(vec)}
     row.update(undecided or {"status": "zero at omega"})
     return INCONCLUSIVE if undecided else PASS
+
+
+def _table_sign(F, alpha, ray, m, n, den_signs):
+    """(sign, "ring") of d^alpha F = P_alpha / D^k_alpha at the unit
+    vector u of the ray, from F's ring table: sign(P_alpha(u)) times
+    sign(D(u))^k_alpha, both by Ray.sign_of; None where F has no table
+    or D(u) = 0.  den_signs keeps sign(D(u)) per ray for one check."""
+    table = _ring_table(F, m, n)
+    if table is None:
+        return None
+    den, nums = table
+    if ray not in den_signs:
+        den_signs[ray] = ray.sign_of(den.items())
+    if not den_signs[ray]:
+        return None
+    num, k = nums[alpha]
+    return ray.sign_of(num.items()) * den_signs[ray] ** k, "ring"
 
 
 def _value_at(G, point, n):
@@ -512,12 +537,17 @@ def _value_at(G, point, n):
 def _sign_at(G, vec, ray, n):
     """The sign of the homogeneous G at the unit vector u of a direction,
     and how it was decided: (sign, "ring"), (sign, "interval"), or
-    (None, the reason).  The ring (_RingFraction) reads G at u as a
-    quotient of polynomials, the full norm as 1 and |x_i| as sign(u_i)
-    x_i, and Ray.sign_of takes both signs exactly.  A norm of 2 to n - 1
-    coordinates is out of its reach (a homogeneous G has no cutoff): an
-    enclosure over the box one step around vec, which holds u, decides a
-    sign that excludes 0, as G vanishes at vec iff at u.
+    (None, the reason).  The gap-0 rows of check_negligible come here
+    only where F's ring table does not decide them (_table_sign): F
+    holds a norm or a cutoff, its fold divides by zero, or its
+    denominator vanishes at u, as z does for x^2 + y^3/z at (1, 0, 0),
+    where the row of 2x is still decided.  The ring (_RingFraction)
+    reads G at u as a quotient of polynomials, the full norm as 1 and
+    |x_i| as sign(u_i) x_i, and Ray.sign_of takes both signs exactly.  A
+    norm of 2 to n - 1 coordinates is out of its reach (a homogeneous G
+    has no cutoff): an enclosure over the box one step around vec, which
+    holds u, decides a sign that excludes 0, as G vanishes at vec iff at
+    u.
     """
     norms = _free_norms([G])
     if any(1 < len(e.indices) < n for e in norms):
@@ -702,6 +732,18 @@ class _RingFraction:
         if not c:
             raise _ZeroDenominator
         return a * d, b * c
+
+
+class _DefinedFraction(_RingFraction):
+    """Hooks of _ring_table: _RingFraction, but a quotient by c/d keeps d
+    as a factor of its denominator, (a d^2) / (b c d), so the fold's
+    denominator is 0 wherever the tree divides by 0 or by an undefined
+    subtree (x / (z / x) folds to x^3 / (z x), not x^2 / z)."""
+
+    def div(self, e, visit):
+        num, den = super().div(e, visit)
+        d = visit(e.den)[1]
+        return num * d, den * d
 
 
 # ---------------------------------------------------------------------------
@@ -926,6 +968,38 @@ def measure_chi_constant(m: int, n: int, seed: int = 0) -> float:
         _, measured = _first_max(np.abs(vals))
         top = max(top, measured)
     return 2.0 ** m * top
+
+
+@functools.lru_cache(maxsize=KERNELS)
+def _ring_table(F, m, n):
+    """F's derivatives of order <= m as exact quotients of polynomials:
+    (D, {alpha: (P_alpha, k_alpha)}) with d^alpha F = P_alpha /
+    D^k_alpha, D the denominator of F's fold by _DefinedFraction; None
+    where F holds a norm or a cutoff, or its fold divides by zero.  D
+    vanishes wherever a divisor of the tree does or is undefined, so
+    where D(u) != 0 the fold of every derived tree (expr_derive) has a
+    denominator that is not 0 at u either: its divisors are F's, or
+    their squares.  Each row comes from one of order one less by the
+    quotient rule d_i(P / D^k) = (d_i P D - k P d_i D) / D^(k + 1), or
+    d_i P / D^k where D is free of x_i.  Tables are kept for the
+    process, as the derivative tables are (KERNELS)."""
+    if collect_cutoffs([F]) or _free_norms([F]):
+        return None
+    one = _Poly({(0,) * n: Fraction(1)})
+    leaves = {Coord(i): _Poly({tuple(int(i == j) for j in range(n)):
+                               Fraction(1)}) for i in range(n)}
+    try:
+        num, den = fold((F,), _DefinedFraction(one, leaves, []))[0]
+    except _ZeroDenominator:
+        return None
+    grads = [den.diff(i) for i in range(n)]
+    nums = {(0,) * n: (num, 1)}
+    for alpha in monomials(m, n)[1:]:
+        i = max(j for j, a in enumerate(alpha) if a)
+        p, k = nums[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]]
+        nums[alpha] = ((p.diff(i) * den + p * grads[i] * -k, k + 1)
+                       if grads[i] else (p.diff(i), k))
+    return den, nums
 
 
 @functools.lru_cache(maxsize=KERNELS)

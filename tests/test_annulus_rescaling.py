@@ -10,6 +10,9 @@ and chi.
 * C*'s rows are C's rows bit for bit.
 * Once C has run, C* and C** on a fresh draw derive and compile nothing
   for F and S.
+* A strong check of c y^3/z at both poles builds F's ring table once and
+  signs every gap-0 row from it: one Ray.sign_of per row and direction,
+  plus one for the table's denominator, and no per-row fold.
 * The identities the rows rest on, on random trees: the chain rule
   d^a[c G(rho x)] = c rho^|a| (d^a G)(rho x), and the Leibniz sum of
   verifier._leibniz_columns for chi(x) c G(rho x).  Two float values
@@ -27,13 +30,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jetideals import symfun, verifier
+from jetideals.algebraic import Ray
 from jetideals.errors import DomainError
+from jetideals.ideal import JetIdeal
 from jetideals.interval import Interval
-from jetideals.jetring import monomials
+from jetideals.jetring import RingSignature, jet_parse, monomials
 from jetideals.symfun import (ZERO, Const, Coord, Norm, add, compile_exprs,
                               div, expr_derive, expr_diff, expr_enclose,
                               expr_eval, ipow, mul)
-from jetideals.verifier import (check_annulus_condition, chi_expr,
+from jetideals.verifier import (ImplicationCertificate,
+                                check_annulus_condition,
+                                check_strong_global, chi_expr,
                                 expr_scale_coords)
 
 import scalar_reference
@@ -133,6 +140,40 @@ def test_rescaled_variants_derive_and_compile_nothing_after_c():
     verifier._derivative_table(
         (expr_scale_coords(F, Fraction(draw["rho"])),), 2, 3)
     assert expr_diff.cache_info().misses > derived
+
+
+def test_a_strong_check_signs_its_gap_zero_rows_from_one_ring_table(
+        monkeypatch):
+    # a family-(a) certificate with a c no other test uses, so its table
+    # is not kept yet
+    sig = RingSignature(2, 3)
+    ideal = JetIdeal(sig, [jet_parse("x^2", sig), jet_parse("y^2 - x*z", sig)])
+    c = Fraction(97, 389)
+    cert = ImplicationCertificate(
+        ideal, jet_parse(f"{c}*x*y", sig),
+        [(ideal.generators[1], symfun.expr_parse(f"{-c}*y/z", 3), 50.0)],
+        symfun.expr_parse(f"{c}*y^3/z", 3))
+
+    def refuse(*args):
+        raise AssertionError("a gap-0 row was folded on its own")
+
+    calls, sign_of = {}, Ray.sign_of
+
+    def counted(ray, terms):
+        calls[ray] = calls.get(ray, 0) + 1
+        return sign_of(ray, terms)
+
+    monkeypatch.setattr(verifier, "_sign_at", refuse)
+    monkeypatch.setattr(Ray, "sign_of", counted)
+    misses = verifier._ring_table.cache_info().misses
+    report = check_strong_global(cert)
+    assert report["verdict"] == "pass"
+    assert verifier._ring_table.cache_info().misses == misses + 1
+    rows = [sum(row.get("homogeneity_gap") == 0 for row in
+                d["negligibility"]["records"][0]["condition_a"])
+            for d in report["directions"]]
+    assert rows == [6, 6]
+    assert sorted(calls.values()) == [r + 1 for r in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Ideals that the source paper proves closed: I^m(E) for E a union of
-rational lines through 0 in the plane.
+rational lines through 0 in the plane, and for E the graph of a
+polynomial map.
 
 Every I^m(E) is closed.  A C^m function f vanishing on E has a jet P
 with P(t v) = o(t^m) on each line R v, and P has degree at most m, so
@@ -8,6 +9,10 @@ its own f.  So I^m(E) is the kernel of one rational matrix, degree by
 degree, and has homogeneous generators.  check_strong_global concludes
 "p is not in I itself, so I is not closed" from a pass with p outside I,
 so on these ideals no certificate may pass for such a p, at any scale.
+
+For E = {y_j = g_j(x)}, with polynomial g_j and g_j(0) = 0, a C^m
+function vanishing on E is a sum of (y_j - g_j(x)) h_j by Hadamard's
+lemma, so I^m(E) is generated by the jets of the y_j - g_j(x).
 """
 
 from fractions import Fraction
@@ -49,6 +54,15 @@ CASES = [
 ]
 
 
+GRAPHS = [
+    # (m, n, the y_j - g_j(x))
+    (2, 2, ["y - x^2"]),
+    (3, 2, ["y - x^2 - x^3"]),
+    (3, 2, ["y + x^3"]),
+    (3, 3, ["y - x^2", "z + x^3"]),
+]
+
+
 # rational invertible maps A of the plane
 MAPS = [
     [[1, 2], [0, 1]],
@@ -74,24 +88,35 @@ def test_allowed_set_is_the_2k_directions(m, lines):
                for a, b in zip(u, w))
 
 
-@pytest.mark.parametrize("m,lines", CASES)
-def test_no_certificate_concludes_not_closed(m, lines):
+def assert_none_concludes_not_closed(ideal):
     # F = p with no terms, for each monomial p outside I, at scales
     # 10^-j: a pass would conclude that the closed I is not closed
-    sig = RingSignature(m, 2)
-    ideal = lines_ideal(sig, lines)
+    sig = ideal.sig
     outside = [a for a in sig.monomials
                if sum(a) and not ideal.contains(Jet.monomial(sig, a))]
     assert outside
     for alpha in outside:
         p = Jet.monomial(sig, alpha)
-        F = expr_parse(str(p), 2)
+        F = expr_parse(str(p), sig.n)
         for j in range(7):
             scale = Fraction(1, 10 ** j)
             report = check_strong_global(ImplicationCertificate(
                 ideal, p.scale(scale), [], mul(Const(scale), F)))
             assert report["verdict"] != "pass", (alpha, j)
             assert "conclusions" not in report
+
+
+@pytest.mark.parametrize("m,lines", CASES)
+def test_no_certificate_concludes_not_closed(m, lines):
+    assert_none_concludes_not_closed(lines_ideal(RingSignature(m, 2), lines))
+
+
+@pytest.mark.parametrize("m,n,graph", GRAPHS)
+def test_no_certificate_concludes_a_graph_ideal_not_closed(m, n, graph):
+    # these allowed sets read exact: false, so only verdicts are asserted
+    sig = RingSignature(m, n)
+    assert_none_concludes_not_closed(
+        JetIdeal(sig, [jet_parse(g, sig) for g in graph]))
 
 
 @pytest.mark.parametrize("A", MAPS)

@@ -113,7 +113,7 @@ def test_cutoff_specs_compare_by_identity():
 # every hook set of the package that folds or derives expression trees
 HOOK_SETS = [symfun._Kernel, symfun._Enclose, symfun._Diff, symfun._Degree,
              symfun._Printer, verifier._FreeNorms, verifier._RingFraction,
-             verifier._Rescale]
+             verifier._DefinedFraction, verifier._Rescale]
 
 
 def test_each_node_class_names_its_own_hook():
